@@ -146,9 +146,11 @@ def _aligned_direction(field: LineField, pts, headings):
     return d, np.abs(dots)
 
 
-def _rk4_step(field: LineField, pts, headings, h: float):
+def _rk4_step(field: LineField, pts, headings, h):
     """One RK4 step of x' = field direction, batched; returns new points
-    and headings plus the worst heading alignment encountered."""
+    and headings plus the worst heading alignment encountered.
+
+    ``h`` is one step for every row or an (m, 1) array of per-row steps."""
     k1, a1 = _aligned_direction(field, pts, headings)
     k2, a2 = _aligned_direction(field, pts + 0.5 * h * k1, k1)
     k3, a3 = _aligned_direction(field, pts + 0.5 * h * k2, k2)
@@ -197,24 +199,33 @@ class LeafSegment:
     def point_at(self, s: float) -> np.ndarray:
         """Position at parameter s, via one RK4 sub-step from the nearest
         stored node below (single-step error ~ step^5)."""
-        return self._at(s)[0]
+        return self.evaluate([s])[0][0]
 
     def tangent_at(self, s: float) -> np.ndarray:
-        return self._at(s)[1]
+        return self.evaluate([s])[1][0]
 
-    def _at(self, s: float):
-        s0 = self.params[0]
-        idx = int(np.clip(np.floor((s - s0) / self.step + 1e-12), 0, len(self.params) - 1))
+    def evaluate(self, s):
+        """Positions and unit tangents, each (m, 2), at the parameters s.
+
+        Each parameter takes one RK4 sub-step of length |ds| from the
+        nearest stored node below it; parameters outside the segment step
+        from the end nodes, backward (against the heading) below the first.
+        All sub-steps run as one batch.
+        """
+        s = np.asarray(s, dtype=float)
+        idx = np.clip(np.floor((s - self.params[0]) / self.step + 1e-12),
+                      0, len(self.params) - 1).astype(int)
         ds = s - self.params[idx]
-        if abs(ds) < 1e-15:
-            return self.points[idx].copy(), self.headings[idx].copy()
-        pt = self.points[idx][None, :]
-        hd = self.headings[idx][None, :]
-        if ds < 0:
-            new_pt, new_hd, _ = _rk4_step(self.field, pt, -hd, -ds)
-            return new_pt[0], -new_hd[0]
-        new_pt, new_hd, _ = _rk4_step(self.field, pt, hd, ds)
-        return new_pt[0], new_hd[0]
+        pts = self.points[idx]
+        tangents = self.headings[idx]
+        moved = np.abs(ds) >= 1e-15
+        if moved.any():
+            sign = np.where(ds[moved] < 0, -1.0, 1.0)[:, None]
+            new_pts, new_hd, _ = _rk4_step(self.field, pts[moved], sign * tangents[moved],
+                                           np.abs(ds[moved])[:, None])
+            pts[moved] = new_pts
+            tangents[moved] = sign * new_hd
+        return pts, tangents
 
     def translated(self, offset) -> "LeafSegment":
         """The same curve shifted by a deck translation (integer vector)."""
@@ -287,19 +298,18 @@ class CurveProjector:
 
         Nearest-node search plus parabolic refinement of the squared
         distance; exact for straight segments.  With ``refine`` the foot
-        point is recomputed by an RK4 sub-step from the nearest node;
-        without it the foot is linearly interpolated between nodes, which
-        is cheap and accurate to O(step^2) -- enough for sign tracking
-        during leaf marching.
+        points are recomputed by RK4 sub-steps from the nearest nodes, one
+        batched ``LeafSegment.evaluate`` call for all of x; without it the
+        foot is linearly interpolated between nodes, which is cheap and
+        accurate to O(step^2) -- enough for sign tracking during leaf
+        marching.
         """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         nodes = self.tau.points
         heads = self.tau.headings
         d2 = np.sum((pts[:, None, :] - nodes[None, :, :]) ** 2, axis=2)  # (m, nodes)
         idx = np.argmin(d2, axis=1)
-        m = len(pts)
         h = self.tau.step
-        rows = np.arange(m)
         interior = (idx > 0) & (idx < len(nodes) - 1)
         offset = np.einsum("ni,ni->n", pts - nodes[idx], heads[idx]) / h
         offset[idx == 0] = np.minimum(offset[idx == 0], 0.0)
@@ -312,13 +322,12 @@ class CurveProjector:
             offset[interior] = np.clip(par, -1.0, 1.0)
         s = self.tau.params[idx] + offset * h
         if refine:
-            dist = np.empty(m)
-            tang = np.empty((m, 2))
-            for i in rows:
-                foot, t = self.tau._at(s[i])
-                n_vec = np.array([-t[1], t[0]])
-                dist[i] = float(np.dot(pts[i] - foot, n_vec))
-                tang[i] = t
+            foot, tang = self.tau.evaluate(s)
+            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+            # a stacked 1x2 @ 2x1 matmul sums each row with the BLAS dot
+            # kernel, as np.dot does on one point; einsum can round the last
+            # bit differently
+            dist = ((pts - foot)[:, None, :] @ n_vec[:, :, None])[:, 0, 0]
         else:
             foot = nodes[idx] + (offset * h)[:, None] * heads[idx]
             tang = heads[idx]
@@ -342,6 +351,11 @@ def _initial_toward(field, starts, projector):
 def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
                      step: float, tangency_threshold: float = TANGENCY_THRESHOLD):
     """March leaves of ``field`` from ``starts`` until each crosses tau2.
+
+    All leaves advance together; a leaf stops at the first step whose
+    fast signed distance changes sign.  After the march the crossings of
+    all stopped leaves are refined in one batched bisection
+    (``_refine_crossings``), before any escape or tangency check.
 
     Returns (s_prime, crossing_angle) arrays.  Raises LeafEscaped when a
     leaf exhausts the budget, TangencySuspected for shallow crossings.
@@ -368,6 +382,10 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
     prev_pts = pts.copy()
     prev_hd = hd.copy()
     prev_dist = dist.copy()
+    # node and heading at the start of the step in which each leaf crossed
+    crossed = np.zeros(m, dtype=bool)
+    node_pts = np.empty_like(pts)
+    node_hd = np.empty_like(pts)
     for _ in range(n_steps):
         if not active.any():
             break
@@ -380,12 +398,14 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
         new_hd[active] = hd_step
         _, new_dist, _ = proj.project(new_pts, refine=False)
         flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
-        for i in np.where(flipped)[0]:
-            s_c, ang = _bisect_crossing(field, prev_pts[i], prev_hd[i], step, proj)
-            s_out[i] = s_c
-            ang_out[i] = ang
-            active[i] = False
+        node_pts[flipped] = prev_pts[flipped]
+        node_hd[flipped] = prev_hd[flipped]
+        crossed |= flipped
+        active &= ~flipped
         prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
+    if crossed.any():
+        s_out[crossed], ang_out[crossed] = _refine_crossings(
+            field, node_pts[crossed], node_hd[crossed], step, proj)
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal "
                           f"within budget {budget}")
@@ -396,43 +416,73 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
     return s_out, ang_out
 
 
-def _bisect_crossing(field, node_pt, node_hd, step, proj: CurveProjector):
-    """Bisection on the signed distance within one integration step."""
+def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
+    """Bisection on the signed distance within one integration step, for
+    many leaves at once.
 
-    def dist_at(sigma):
-        if sigma == 0.0:
-            p = node_pt[None, :]
-            h = node_hd[None, :]
-        else:
-            p, h, _ = _rk4_step(field, node_pt[None, :], node_hd[None, :], sigma)
+    Row i starts from the bracket [0, step] in the flow parameter from
+    node_pts[i] along node_hds[i], widened to (-0.5, 1.5) * step and then
+    (-1, 2) * step if the refined distance has one sign at both ends, and
+    stops when |d| < 1e-10, the bracket is shorter than 1e-14, or after 80
+    midpoints.  Each iteration evaluates only the rows still live, so every
+    row takes the same iterates as a bisection of that leaf alone.
+    Returns (s, crossing_angle) at the last midpoint of each row; raises
+    SignAmbiguity if some row's bracket cannot be restored.
+    """
+    node_pts = np.atleast_2d(node_pts)
+    node_hds = np.atleast_2d(node_hds)
+    m = len(node_pts)
+
+    def dist_at(rows, sigma):
+        p = node_pts[rows]
+        h = node_hds[rows]
+        moved = sigma != 0.0
+        if moved.any():
+            p[moved], h[moved], _ = _rk4_step(field, p[moved], h[moved], sigma[moved][:, None])
         s_p, d, tang = proj.project(p)
-        return float(d[0]), float(s_p[0]), h[0], tang[0]
+        return d, s_p, h, tang
 
-    lo, hi = 0.0, step
-    d_lo = dist_at(lo)[0]
+    every = np.arange(m)
+    lo = np.zeros(m)
+    hi = np.full(m, step)
+    d_lo = dist_at(every, lo)[0]
     # the bracket comes from the fast (unrefined) distance; widen it a
     # little if the refined distance disagrees near the endpoints
-    if np.sign(dist_at(hi)[0]) == np.sign(d_lo):
-        widened = False
-        for lo_try, hi_try in ((-0.5 * step, 1.5 * step), (-step, 2 * step)):
-            if np.sign(dist_at(lo_try)[0]) != np.sign(dist_at(hi_try)[0]):
-                lo, hi = lo_try, hi_try
-                d_lo = dist_at(lo)[0]
-                widened = True
-                break
-        if not widened:
-            raise SignAmbiguity("crossing bracket lost during refinement")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d_mid, s_mid, h_mid, t_mid = dist_at(mid)
-        if abs(d_mid) < 1e-10 or (hi - lo) < 1e-14:
+    lost = np.sign(dist_at(every, hi)[0]) == np.sign(d_lo)
+    for lo_f, hi_f in ((-0.5, 1.5), (-1.0, 2.0)):
+        if not lost.any():
             break
-        if np.sign(d_mid) == np.sign(d_lo):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    angle = _crossing_angle(h_mid[None, :], t_mid[None, :])[0]
-    return s_mid, angle
+        rows = np.flatnonzero(lost)
+        d_try_lo = dist_at(rows, np.full(len(rows), lo_f * step))[0]
+        d_try_hi = dist_at(rows, np.full(len(rows), hi_f * step))[0]
+        flip = np.sign(d_try_lo) != np.sign(d_try_hi)
+        ok = rows[flip]
+        lo[ok] = lo_f * step
+        hi[ok] = hi_f * step
+        d_lo[ok] = d_try_lo[flip]
+        lost[ok] = False
+    if lost.any():
+        raise SignAmbiguity("crossing bracket lost during refinement")
+
+    s_mid = np.empty(m)
+    h_mid = np.empty((m, 2))
+    t_mid = np.empty((m, 2))
+    live = np.ones(m, dtype=bool)
+    for _ in range(80):
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        d_mid, s_mid[rows], h_mid[rows], t_mid[rows] = dist_at(rows, mid)
+        done = (np.abs(d_mid) < 1e-10) | ((hi[rows] - lo[rows]) < 1e-14)
+        same = np.sign(d_mid) == np.sign(d_lo[rows])
+        to_lo = ~done & same
+        lo[rows[to_lo]] = mid[to_lo]
+        d_lo[rows[to_lo]] = d_mid[to_lo]
+        to_hi = ~done & ~same
+        hi[rows[to_hi]] = mid[to_hi]
+        live[rows[done]] = False
+    return s_mid, _crossing_angle(h_mid, t_mid)
 
 
 def _crossing_angle(dirs, tangents):
@@ -492,7 +542,8 @@ def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
 
     Slides each sample point of tau1 along the leaves of ``field`` until
     it crosses tau2; crossings are located by sign change of the signed
-    distance plus bisection.
+    distance, then refined together by one batched bisection after the
+    march (``_cross_to_target``).
     """
     lo, hi = tau1.param_range if span is None else span
     for seg, name in ((tau1, "tau1"), (tau2, "tau2")):
@@ -503,7 +554,7 @@ def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
             raise TangencySuspected(f"{name} not transverse to the field "
                                     f"(min angle {angle.min():.3f} rad)")
     s_values = np.linspace(lo, hi, n_samples)
-    starts = np.array([tau1.point_at(s) for s in s_values])
+    starts, _ = tau1.evaluate(s_values)
     s_primes, _ = _cross_to_target(field, starts, tau2, budget, step)
     return HolonomyMap(tau1, tau2, s_values, s_primes)
 
@@ -551,9 +602,7 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
     leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
     leaf = integrate_leaf(target, z, leaf_len, step=step, centered=True)
     t_vals = np.linspace(leaf.params[0], leaf.params[-1], n_samples)
-    u_vals = np.empty(n_samples)
-    s_vals = np.empty(n_samples)
-    pts = np.array([leaf.point_at(t) for t in t_vals])
+    pts, _ = leaf.evaluate(t_vals)
     u_vals, _ = _cross_to_target(frame_s, pts, axis_u, budget=2 * eps * chart_margin, step=step)
     s_vals, _ = _cross_to_target(frame_u, pts, axis_s, budget=2 * eps * chart_margin, step=step)
     if u_vals.max() < eps or u_vals.min() > -eps:
@@ -629,11 +678,10 @@ def _refine_heteroclinic(z, a, b, k, field_u, field_s, step):
         raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
     # pick the crossing closest to the linear prediction
     cand = sign_change[np.argmin(np.abs(unstable.params[sign_change] - a))]
-    s_c, _ = _bisect_crossing(field_u, unstable.points[cand], unstable.headings[cand],
-                              step, proj)
-    point = unstable.point_at(float(unstable.params[cand]))  # node; refine below
+    s_c, _ = _refine_crossings(field_u, unstable.points[cand], unstable.headings[cand],
+                               step, proj)
     # the bisection reports the target parameter; recover the point from it
-    b_ref = s_c
+    b_ref = s_c[0]
     pt = target.point_at(b_ref)
     a_ref = CurveProjector(unstable).project(pt[None, :])[0][0]
     return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(b_ref), k)

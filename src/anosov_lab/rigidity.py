@@ -25,13 +25,10 @@ from .errors import (
     SingularSystem,
 )
 from .foliations import (
-    CurveProjector,
-    HolonomyMap,
     LeafSegment,
     LineField,
-    GraphMap,
-    _bisect_crossing,
     _cross_to_target,
+    _flow,
     compute_line_field,
     heteroclinic_points,
     holonomy,
@@ -324,17 +321,18 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
     lo, hi = span if span is not None else (
         tau_ext.params[0] * 0.3, tau_ext.params[-1] * 0.3)
     y_samples = np.linspace(lo, hi, n_samples)
-    starts = np.array([tau_ext.point_at(y) for y in y_samples])
+    starts, _ = tau_ext.evaluate(y_samples)
     if s == 0.0:
         landed = y_samples.copy()
         arc_t_pred = np.zeros(n_samples)
     else:
         # leg 1: fixed arc-length slide along the first stable foliation,
-        # signed so positive s moves along the canonical stable direction
-        mids = np.empty_like(starts)
-        for i, p in enumerate(starts):
-            seg = integrate_leaf(field_1s, p, arc_slide, step=step)
-            mids[i] = seg.point_at(arc_slide)
+        # signed so positive s moves along the canonical stable direction;
+        # all starts flow together with integrate_leaf's step count and size
+        n_steps = max(1, int(round(abs(arc_slide) / step)))
+        headings = math.copysign(1.0, arc_slide) * field_1s.direction_at(np.mod(starts, 1.0))
+        traj, _ = _flow(field_1s, starts, headings, n_steps, abs(arc_slide) / n_steps)
+        mids = traj[-1]
         # leg 2: holonomy along the second stable foliation back to the leaf
         budget = abs(linear.slide_r) * 3.0 + 0.3
         landed, _ = _cross_to_target(field_2s, mids, tau_ext, budget=budget, step=step)

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from anosov_lab.errors import TangencySuspected
+from anosov_lab.errors import LeafEscaped, SignAmbiguity, TangencySuspected
 from anosov_lab.foliations import (
+    SIGN_CONTINUITY_LIMIT,
+    TANGENCY_THRESHOLD,
+    CurveProjector,
+    LeafSegment,
     LineField,
+    _cross_to_target,
+    _crossing_angle,
+    _initial_toward,
+    _refine_crossings,
+    _rk4_step,
     compute_line_field,
     heteroclinic_points,
     holonomy,
@@ -156,3 +165,250 @@ def test_graph_transport_smooth(conj_fields, e1):
     assert len(rows) == 8
     assert max(r.transport_deviation for r in rows) < 1e-3
     assert min(r.angle for r in rows) > 0.05
+
+
+# --- Scalar reference for the batched leaf evaluation and crossing
+# refinement, one point at a time.  The batched code does the same
+# arithmetic per point, so results must be equal bit for bit, not merely
+# close.
+
+def _ref_at(seg, s):
+    s0 = seg.params[0]
+    idx = int(np.clip(np.floor((s - s0) / seg.step + 1e-12), 0, len(seg.params) - 1))
+    ds = s - seg.params[idx]
+    if abs(ds) < 1e-15:
+        return seg.points[idx].copy(), seg.headings[idx].copy()
+    pt = seg.points[idx][None, :]
+    hd = seg.headings[idx][None, :]
+    if ds < 0:
+        new_pt, new_hd, _ = _rk4_step(seg.field, pt, -hd, -ds)
+        return new_pt[0], -new_hd[0]
+    new_pt, new_hd, _ = _rk4_step(seg.field, pt, hd, ds)
+    return new_pt[0], new_hd[0]
+
+
+def _ref_project(proj, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    s, _, _ = proj.project(pts, refine=False)  # foot parameters do not depend on refine
+    dist = np.empty(len(pts))
+    tang = np.empty((len(pts), 2))
+    for i in range(len(pts)):
+        foot, t = _ref_at(proj.tau, s[i])
+        n_vec = np.array([-t[1], t[0]])
+        dist[i] = float(np.dot(pts[i] - foot, n_vec))
+        tang[i] = t
+    return s, dist, tang
+
+
+def _ref_bisect_crossing(field, node_pt, node_hd, step, proj):
+    def dist_at(sigma):
+        if sigma == 0.0:
+            p = node_pt[None, :]
+            h = node_hd[None, :]
+        else:
+            p, h, _ = _rk4_step(field, node_pt[None, :], node_hd[None, :], sigma)
+        s_p, d, tang = _ref_project(proj, p)
+        return float(d[0]), float(s_p[0]), h[0], tang[0]
+
+    lo, hi = 0.0, step
+    d_lo = dist_at(lo)[0]
+    if np.sign(dist_at(hi)[0]) == np.sign(d_lo):
+        widened = False
+        for lo_try, hi_try in ((-0.5 * step, 1.5 * step), (-step, 2 * step)):
+            if np.sign(dist_at(lo_try)[0]) != np.sign(dist_at(hi_try)[0]):
+                lo, hi = lo_try, hi_try
+                d_lo = dist_at(lo)[0]
+                widened = True
+                break
+        if not widened:
+            raise SignAmbiguity("crossing bracket lost during refinement")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        d_mid, s_mid, h_mid, t_mid = dist_at(mid)
+        if abs(d_mid) < 1e-10 or (hi - lo) < 1e-14:
+            break
+        if np.sign(d_mid) == np.sign(d_lo):
+            lo, d_lo = mid, d_mid
+        else:
+            hi = mid
+    angle = _crossing_angle(h_mid[None, :], t_mid[None, :])[0]
+    return s_mid, angle
+
+
+def _ref_cross_to_target(field, starts, tau2, budget, step,
+                         tangency_threshold=TANGENCY_THRESHOLD):
+    proj = CurveProjector(tau2)
+    pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    m = len(pts)
+    hd = _initial_toward(field, pts, proj)
+    _, dist, _ = _ref_project(proj, pts)
+    s_out = np.full(m, np.nan)
+    ang_out = np.full(m, np.nan)
+    active = np.ones(m, dtype=bool)
+    on_curve = np.abs(dist) < 1e-13
+    if np.any(on_curve):
+        s_here, _, tang = _ref_project(proj, pts[on_curve])
+        s_out[on_curve] = s_here
+        d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
+        ang_out[on_curve] = _crossing_angle(d_here, tang)
+        active[on_curve] = False
+    prev_pts, prev_hd, prev_dist = pts.copy(), hd.copy(), dist.copy()
+    for _ in range(int(math.ceil(budget / step))):
+        if not active.any():
+            break
+        new_pts = prev_pts.copy()
+        new_hd = prev_hd.copy()
+        stepped, hd_step, worst = _rk4_step(field, prev_pts[active], prev_hd[active], step)
+        if worst < math.cos(SIGN_CONTINUITY_LIMIT):
+            raise SignAmbiguity("field too rough along holonomy leaf")
+        new_pts[active] = stepped
+        new_hd[active] = hd_step
+        _, new_dist, _ = proj.project(new_pts, refine=False)
+        flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
+        for i in np.where(flipped)[0]:
+            s_out[i], ang_out[i] = _ref_bisect_crossing(field, prev_pts[i], prev_hd[i], step, proj)
+            active[i] = False
+        prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
+    if active.any():
+        raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
+    if np.any(ang_out < tangency_threshold):
+        raise TangencySuspected("shallow crossing")
+    return s_out, ang_out
+
+
+@pytest.fixture(params=["linear", "conjugated"])
+def frame_fields(request):
+    """Unstable and stable fields of the first generator, linear or
+    conjugated by phi = id + (0.02 sin 2 pi x2, 0)."""
+    fields = request.getfixturevalue(
+        "linear_fields" if request.param == "linear" else "conj_fields")
+    return fields["f1u"], fields["f1s"]
+
+
+def test_leaf_evaluate_matches_scalar_reference(frame_fields):
+    f1u, _ = frame_fields
+    seg = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
+    lo, hi = seg.param_range
+    s = np.array([
+        seg.params[17],               # exactly on an interior node
+        seg.params[17] + 0.37 * seg.step,
+        -0.1234,
+        0.2718,
+        lo,                           # the end nodes themselves
+        hi,
+        lo - 0.3 * seg.step,          # clipped to the first node: negative ds
+        lo - 2.5 * seg.step,
+        hi + 0.4 * seg.step,          # clipped to the last node
+        hi + 3.0 * seg.step,
+    ])
+    pts, tangents = seg.evaluate(s)
+    ref = [_ref_at(seg, si) for si in s]
+    assert np.array_equal(pts, np.array([r[0] for r in ref]))
+    assert np.array_equal(tangents, np.array([r[1] for r in ref]))
+    assert np.array_equal(pts[0], seg.points[17])
+    for si, (p, t) in zip(s, ref):
+        assert np.array_equal(seg.point_at(si), p)
+        assert np.array_equal(seg.tangent_at(si), t)
+
+
+def test_project_refine_matches_scalar_reference(frame_fields):
+    f1u, f1s = frame_fields
+    tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
+    across = integrate_leaf(f1s, tau.point_at(0.05), 0.2, step=1e-3, centered=True)
+    x = np.concatenate([across.points[::7], tau.points[5:8], tau.points[[0, -1]] + 0.01])
+    for got, want in zip(CurveProjector(tau).project(x), _ref_project(CurveProjector(tau), x)):
+        assert np.array_equal(got, want)
+
+
+def _nodes_around_crossing(f1u, f1s, step, offsets):
+    """Nodes on stable leaves through points of an unstable transversal,
+    each ``offset * step`` before its crossing (negative: past it), with
+    headings toward the transversal, and the transversal's projector."""
+    tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.6, step=4e-3, centered=True)
+    nodes, heads = [], []
+    for k, a in enumerate(offsets):
+        leaf = integrate_leaf(f1s, tau.point_at(-0.2 + 0.037 * k), 0.1, step=step, centered=True)
+        p, t = leaf.evaluate([-a * step])
+        nodes.append(p[0])
+        heads.append(t[0])
+    return np.array(nodes), np.array(heads), CurveProjector(tau)
+
+
+def test_refine_crossings_matches_scalar_reference(frame_fields):
+    f1u, f1s = frame_fields
+    step = 4e-3
+    # inside [0, step]; 0.3 and 0.7 step past the crossing, which need the
+    # first and the second widened bracket
+    offsets = [0.5, 0.05, 0.93, -0.3, -0.7, 0.25]
+    nodes, heads, proj = _nodes_around_crossing(f1u, f1s, step, offsets)
+    s, angle = _refine_crossings(f1s, nodes, heads, step, proj)
+    ref = [_ref_bisect_crossing(f1s, n, h, step, proj) for n, h in zip(nodes, heads)]
+    assert np.array_equal(s, np.array([r[0] for r in ref]))
+    assert np.array_equal(angle, np.array([r[1] for r in ref]))
+
+
+def test_refine_crossings_lost_bracket_raises(frame_fields):
+    f1u, f1s = frame_fields
+    step = 4e-3
+    nodes, heads, proj = _nodes_around_crossing(f1u, f1s, step, [0.5, 6.0, 0.25])
+    with pytest.raises(SignAmbiguity):
+        _ref_bisect_crossing(f1s, nodes[1], heads[1], step, proj)
+    with pytest.raises(SignAmbiguity, match="bracket lost"):
+        _refine_crossings(f1s, nodes, heads, step, proj)
+
+
+def test_cross_to_target_matches_scalar_reference(frame_fields):
+    f1u, f1s = frame_fields
+    tau2 = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.8, step=4e-3, centered=True)
+    near = integrate_leaf(f1s, tau2.point_at(0.1), 0.5, step=1e-3, centered=True)
+    # starts on both sides of tau2, and one on it
+    starts = np.concatenate([near.evaluate(np.linspace(-0.2, 0.2, 9))[0],
+                             tau2.points[[60]]])
+    for step in (4e-3, 1e-3):
+        s, angle = _cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
+        s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(angle, angle_ref)
+
+
+def _offsets_along(field, base, dists):
+    """Points at the given arc lengths from base along the leaf of field."""
+    leaf = integrate_leaf(field, base, 2.2 * max(abs(d) for d in dists), step=1e-3,
+                          centered=True)
+    return leaf.evaluate(np.asarray(dists, dtype=float))[0]
+
+
+def test_cross_to_target_reports_escaped_leaf_count(linear_fields):
+    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
+    starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [0.05, -0.1, 0.15, 0.3, -0.4])
+    with pytest.raises(LeafEscaped, match="^2 leaves did not reach"):
+        _cross_to_target(linear_fields["f1s"], starts, tau2, budget=0.2, step=1e-3)
+
+
+def test_cross_to_target_shallow_crossing_raises(e1, linear_fields):
+    v_u = np.asarray(e1.vu)
+    tilt = math.atan2(v_u[1], v_u[0]) + 0.005
+    shallow = LineField.constant(None, "stable", (math.cos(tilt), math.sin(tilt)))
+    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
+    starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [5e-4, -3e-4])
+    with pytest.raises(TangencySuspected):
+        _cross_to_target(shallow, starts, tau2, budget=0.3, step=1e-3)
+
+
+def test_cross_to_target_lost_bracket_precedes_escape(e1, linear_fields):
+    # a transversal whose stored nodes lie on a straight line but whose
+    # sub-steps follow a field tilted by 0.3 rad: the fast distance changes
+    # sign on the line, the refined one keeps its sign near the crossing
+    v_u = np.asarray(e1.vu)
+    tilt = math.atan2(v_u[1], v_u[0]) + 0.3
+    tilted = LineField.constant(None, "unstable", (math.cos(tilt), math.sin(tilt)))
+    params = np.arange(-6, 7) * 0.05
+    tau2 = LeafSegment(base=np.zeros(2), params=params, points=params[:, None] * v_u,
+                       headings=np.tile(v_u, (len(params), 1)), field_label="unstable",
+                       field=tilted, step=0.05)
+    # the first leaf crosses midway between two nodes; the second escapes
+    starts = np.array([0.025 * v_u, 0.025 * v_u]) + np.array([[0.1], [0.5]]) * np.asarray(e1.vs)
+    with pytest.raises(SignAmbiguity):
+        _ref_cross_to_target(linear_fields["f1s"], starts[:1], tau2, budget=0.2, step=1e-3)
+    with pytest.raises(SignAmbiguity, match="bracket lost"):
+        _cross_to_target(linear_fields["f1s"], starts, tau2, budget=0.2, step=1e-3)
