@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conjugacy import MAX_PERIOD
 from .errors import ConfigError
 from .fourier import FourierPerturbation
 from .lattice import HyperbolicElement, IntMatrix2, eigen_data, is_hyperbolic
@@ -207,9 +208,11 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     for key in ("leaf_step", "propagation_step"):
         if not float(res[key]) > 0:
             raise ConfigError(f"resolution.{key}", "must be strictly positive")
-    for key in ("field_n", "field_iters", "max_period"):
+    for key in ("field_n", "field_iters"):
         if not int(res[key]) > 0:
             raise ConfigError(f"resolution.{key}", "must be a positive integer")
+    if not 1 <= int(res["max_period"]) <= MAX_PERIOD:
+        raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 
     thr = dict(doc["thresholds"])
     for key, value in thr.items():

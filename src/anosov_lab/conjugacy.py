@@ -15,15 +15,15 @@ interpolation enters only when h is evaluated off-grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSecant, NewtonFailed, SolverDiverged
+from .errors import NewtonFailed, PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
 from .lattice import HyperbolicElement, IntMatrix2, invert, power, wrap_point
 
 MAX_DISPLACEMENT = 0.5
+MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
 DIVERGENCE_PATIENCE = 10
 
 
@@ -173,18 +173,6 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256, tol: float = 1e-
     raise SolverDiverged(f"residual {res:.3e} > tol after {max_sweeps} sweeps")
 
 
-def pushforward_foliation_direction(h: Conjugacy, linear_direction, x, delta: float) -> np.ndarray:
-    """Unit secant direction of the image under h of the line through x."""
-    v = np.asarray(linear_direction, dtype=float)
-    v = v / np.linalg.norm(v)
-    x = np.asarray(x, dtype=float)
-    secant = h.lift(x + delta * v) - h.lift(x)
-    norm = np.linalg.norm(secant)
-    if norm < 1e-12:
-        raise DegenerateSecant(f"secant length {norm} at x={x}")
-    return secant / norm
-
-
 def estimate_holder_exponent(h: Conjugacy, direction, scales, n_base: int = 100,
                              seed: int = 0):
     """Least-squares slope of log increment size against log scale.
@@ -224,16 +212,32 @@ class PeriodicOrbitData:
         return self.multipliers[1]
 
 
+def _k2_interval(a: int, b: int, d: int, lo: int, hi: int):
+    """Integers t in [lo, hi] with 0 <= a + b t < d (d > 0), as an inclusive pair."""
+    if b > 0:
+        lo, hi = max(lo, -(a // b)), min(hi, (d - 1 - a) // b)
+    elif b < 0:
+        lo, hi = max(lo, -((d - 1 - a) // -b)), min(hi, a // -b)
+    elif not 0 <= a < d:
+        hi = lo - 1
+    return lo, hi
+
+
 def _lattice_seeds(m_n: IntMatrix2, n: int):
     """Exact rational solutions of (A^n - I) x = k inside [0,1)^2.
 
-    Enumerated with integer arithmetic so half-open boundary membership is
-    decided exactly; the count is |det(A^n - I)|.
+    x = adj(P) k / det with P = A^n - I.  Folding the sign of det into the
+    adjugate rows makes each coordinate num / |det| with num linear in k2,
+    so for every k1 the admissible k2 form one interval, found by integer
+    floor division; no candidate outside it is visited.  Seeds come in
+    k1-outer, k2-inner order, and each coordinate is the correctly rounded
+    float of its exact quotient.  The count is |det(A^n - I)|.
     """
     p = m_n.a - 1, m_n.b, m_n.c, m_n.d - 1
     det = p[0] * p[3] - p[1] * p[2]
     if det == 0:
-        raise ValueError("A^n - I singular")
+        raise SeedEnumerationFailed(f"A^{n} - I is singular")
+    s, d = (1, det) if det > 0 else (-1, -det)
     # k ranges over (A^n - I) [0,1)^2; bound by the corner images
     corners = [(0, 0), (p[0], p[2]), (p[1], p[3]), (p[0] + p[1], p[2] + p[3])]
     k1_lo = min(c[0] for c in corners) - 1
@@ -242,13 +246,15 @@ def _lattice_seeds(m_n: IntMatrix2, n: int):
     k2_hi = max(c[1] for c in corners) + 1
     seeds = []
     for k1 in range(k1_lo, k1_hi + 1):
-        for k2 in range(k2_lo, k2_hi + 1):
-            # x = adj(M) k / det
-            x1 = Fraction(p[3] * k1 - p[1] * k2, det)
-            x2 = Fraction(-p[2] * k1 + p[0] * k2, det)
-            if 0 <= x1 < 1 and 0 <= x2 < 1:
-                seeds.append(((float(x1), float(x2)), (k1, k2)))
-    assert len(seeds) == abs(det), (len(seeds), det)
+        # num1 = a1 + b1 k2 and num2 = a2 + b2 k2, both in [0, d)
+        a1, b1 = s * p[3] * k1, -s * p[1]
+        a2, b2 = -s * p[2] * k1, s * p[0]
+        lo, hi = _k2_interval(a1, b1, d, k2_lo, k2_hi)
+        lo, hi = _k2_interval(a2, b2, d, lo, hi)
+        for k2 in range(lo, hi + 1):
+            seeds.append((((a1 + b1 * k2) / d, (a2 + b2 * k2) / d), (k1, k2)))
+    if len(seeds) != d:
+        raise SeedEnumerationFailed(f"{len(seeds)} seeds for |det(A^{n} - I)| = {d}")
     return seeds
 
 
@@ -268,60 +274,68 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, newton_tol: float
                          max_newton: int = 50):
     """All points of period dividing n, via Newton on g^n(x) = x + k.
 
-    Seeds are the exact lattice solutions for the linear part.  Returns
-    (orbits, failures) where orbits is a list of PeriodicOrbitData and
-    failures the seeds whose Newton iteration did not converge.
+    Seeds are the exact lattice solutions for the linear part.  One Newton
+    iteration runs over all seeds of the period at once: each pass lifts
+    the rows still live, a row stops once max |g^n(x) - x - k| < newton_tol,
+    and a row still live after max_newton passes fails.  Returns (orbits,
+    failures) where orbits is a list of PeriodicOrbitData and failures a
+    NewtonFailed per seed that did not converge, in seed order.
     """
-    if n > 8:
-        raise ValueError("desk scale only: n <= 8")
-    m_n = power(a_elem.matrix, n)
-    seeds = _lattice_seeds(m_n, n)
-    points = []
-    failures = []
-    for seed, k in seeds:
-        x = np.array(seed)
-        kv = np.array(k, dtype=float)
-        converged = False
-        for _ in range(max_newton):
-            fx, jac = _iterated_lift(g, x, n)
-            res = fx[0] - x - kv
-            if np.max(np.abs(res)) < newton_tol:
-                converged = True
-                break
-            j = jac[0] - np.eye(2)
-            x = x - np.linalg.solve(j, res)
-        if converged:
-            points.append(wrap_point(x))
-        else:
-            failures.append(NewtonFailed(f"seed {seed} for k={k}, period {n}"))
-    orbits = _group_orbits(g, points, n)
-    return orbits, failures
+    if not 1 <= n <= MAX_PERIOD:
+        raise PeriodOutOfRange(f"period {n} outside [1, {MAX_PERIOD}] (desk scale only)")
+    seeds = _lattice_seeds(power(a_elem.matrix, n), n)
+    x = np.array([seed for seed, _ in seeds])
+    kv = np.array([k for _, k in seeds], dtype=float)
+    converged = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
+    for _ in range(max_newton):
+        fx, jac = _iterated_lift(g, x[live], n)
+        res = fx - x[live] - kv[live]
+        done = np.max(np.abs(res), axis=1) < newton_tol
+        converged[live[done]] = True
+        live, res, jac = live[~done], res[~done], jac[~done]
+        if not len(live):
+            break
+        x[live] -= np.linalg.solve(jac - np.eye(2), res[..., None])[..., 0]
+    failures = [NewtonFailed(f"seed {seed} for k={k}, period {n}")
+                for (seed, k), ok in zip(seeds, converged) if not ok]
+    return _group_orbits(g, wrap_point(x[converged]), n), failures
 
 
-def _group_orbits(g, points, n: int, tol: float = 1e-8):
-    """Partition period-n points into orbits of g and attach multipliers."""
-    remaining = [np.asarray(p) for p in points]
-    orbits = []
-    while remaining:
-        x = remaining.pop(0)
-        orbit = [x]
-        y = x
+def _group_orbits(g, points: np.ndarray, n: int, tol: float = 1e-8):
+    """Partition period-n points into orbits of g and attach multipliers.
+
+    g is applied once to all points.  Each orbit starts at the first point
+    not yet taken, in input order, and follows the images: a step takes the
+    first untaken point within tol (wrapped sup distance) of the current
+    image, and the orbit closes when none is left.  The multipliers come
+    from one D g^n product over all orbit heads.
+    """
+    if not len(points):
+        return []
+    images = wrap_point(g.apply(points))
+    taken = np.zeros(len(points), dtype=bool)
+    members = []
+    for head in range(len(points)):
+        if taken[head]:
+            continue
+        taken[head] = True
+        orbit = [head]
         while True:
-            y = wrap_point(np.atleast_2d(g.apply(y))[0])
-            d = [np.max(np.minimum(np.abs(y - r) % 1.0, 1.0 - np.abs(y - r) % 1.0))
-                 for r in remaining]
-            hit = [i for i, di in enumerate(d) if di < tol]
-            if hit:
-                orbit.append(remaining.pop(hit[0]))
-                y = orbit[-1]
-            else:
+            d = np.abs(images[orbit[-1]] - points) % 1.0
+            hit = np.flatnonzero(~taken & (np.max(np.minimum(d, 1.0 - d), axis=1) < tol))
+            if not len(hit):
                 break
-        _, jac = _iterated_lift(g, orbit[0], n)
-        eigs = np.linalg.eigvals(jac[0])
-        eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)
+            taken[hit[0]] = True
+            orbit.append(hit[0])
+        members.append(orbit)
+    _, jac = _iterated_lift(g, points[[orbit[0] for orbit in members]], n)
+    orbits = []
+    for orbit, j in zip(members, jac):
+        eigs = sorted(np.real_if_close(np.linalg.eigvals(j)), key=abs, reverse=True)
         orbits.append(PeriodicOrbitData(
             period=n,
-            points=np.array(orbit),
+            points=points[orbit],
             multipliers=(complex(eigs[0]).real, complex(eigs[1]).real),
         ))
     return orbits

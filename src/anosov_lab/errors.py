@@ -37,12 +37,16 @@ class TangencySuspected(AnosovLabError):
     """Crossing angle below the tangency threshold."""
 
 
-class DegenerateSecant(AnosovLabError):
-    """Secant endpoints coincide to within tolerance."""
-
-
 class NewtonFailed(AnosovLabError):
     """Newton refinement failed to converge for a seed."""
+
+
+class PeriodOutOfRange(AnosovLabError):
+    """Requested period lies outside the desk-scale range of the orbit finder."""
+
+
+class SeedEnumerationFailed(AnosovLabError):
+    """The exact lattice seeds of A^n - I could not be enumerated."""
 
 
 class ChartOverflow(AnosovLabError):

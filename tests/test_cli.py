@@ -40,6 +40,22 @@ def test_config_error_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["periodic-data", "--set", "resolution.max_period=9"],
+    ["periodic-data", "--set", "resolution.max_period=0"],
+    ["teichmuller", "--set", "action.kind=perturbed",
+     "--set", 'action.perturbation=[{"k":[0,1],"sin":[0.0047746482927568605,0]}]',
+     "--set", "resolution.max_period=9"],
+])
+def test_max_period_out_of_range_exit_one(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "resolution.max_period" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     code, _ = run(tmp_path, "eigen", "--set", "resolution.gridn=256")
     assert code == 1
