@@ -16,11 +16,7 @@ from . import reports
 from .conjugacy import compare_smooth_invariants, solve_conjugacy
 from .config import ExperimentConfig, load_config
 from .errors import AnosovLabError, ConfigError
-from .foliations import (
-    compute_line_field,
-    integrate_leaf,
-    min_transversality_angle,
-)
+from .foliations import integrate_leaf, line_fields, min_transversality_angle
 from .lattice import check_pair_hypothesis
 from .rigidity import (
     TranslationAction,
@@ -44,15 +40,13 @@ def _require_pair(cfg: ExperimentConfig):
     return cfg.generators[0], cfg.generators[1]
 
 
-def _fields_for(cfg: ExperimentConfig, handles, which):
-    """Line fields keyed like 'f1u' for the requested (index, label) pairs."""
-    out = {}
-    for key in which:
-        idx = int(key[1]) - 1
-        label = "unstable" if key[2] == "u" else "stable"
-        out[key] = compute_line_field(handles[idx], label,
-                                      n=cfg.field_n, iters=cfg.field_iters)
-    return out
+def _add_propagation_table(report: reports.RunReport, rows) -> None:
+    """lemma3-propagation.csv from Lemma 3 rows in their reported dict form."""
+    report.add_table(
+        "lemma3-propagation.csv",
+        ("k1", "k2", "angle_rad", "measured_slope", "predicted_slope", "transport_deviation"),
+        [(r["lattice"][0], r["lattice"][1], r["angle"], r["measured_slope"],
+          r["predicted_slope"], r["transport_deviation"]) for r in rows])
 
 
 def cmd_eigen(cfg: ExperimentConfig, report: reports.RunReport) -> int:
@@ -85,7 +79,7 @@ def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     handles = cfg.build_handles()
     keys = ["f1u", "f1s"] + (["f2u", "f2s"] if len(handles) > 1 else [])
     with report.time_block("line_fields"):
-        fields = _fields_for(cfg, handles, keys)
+        fields = line_fields(handles, keys, cfg.field_n, cfg.field_iters)
     for key, field in fields.items():
         report.add_table(f"field-{key}.csv", ("i", "j", "theta"),
                          reports.line_field_rows(field))
@@ -102,7 +96,7 @@ def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     _require_pair(cfg)
     handles = cfg.build_handles()
     with report.time_block("line_fields"):
-        fields = _fields_for(cfg, handles, ["f1u", "f1s", "f2u", "f2s"])
+        fields = line_fields(handles, ["f1u", "f1s", "f2u", "f2s"], cfg.field_n, cfg.field_iters)
     rows = []
     for a, b in (("f1u", "f2s"), ("f2u", "f1s"), ("f1u", "f1s"), ("f2u", "f2s")):
         angle, at = min_transversality_angle(fields[a], fields[b])
@@ -165,7 +159,7 @@ def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> int:
         "s": lin.slide_s, "r": lin.slide_r, "t": lin.translation_t,
     }
     with report.time_block("line_fields"):
-        fields = _fields_for(cfg, handles, ["f1u", "f1s", "f2s"])
+        fields = line_fields(handles, ["f1u", "f1s", "f2s"], cfg.field_n, cfg.field_iters)
     tau = integrate_leaf(fields["f1u"], np.zeros(2), 3.0,
                          step=cfg.leaf_step, centered=True)
     with report.time_block("numeric_factorization"):
@@ -183,17 +177,13 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     _require_pair(cfg)
     handles = cfg.build_handles()
     with report.time_block("line_fields"):
-        fields = _fields_for(cfg, handles, ["f1u", "f1s", "f2s"])
+        fields = line_fields(handles, ["f1u", "f1s", "f2s"], cfg.field_n, cfg.field_iters)
     with report.time_block("propagation"):
         rows = tangency_propagation_check(
             fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2),
             cfg.generators[0], radius=cfg.radius, eps=cfg.eps,
             step=cfg.propagation_step, nonlinear=cfg.kind != "linear")
-    report.add_table(
-        "lemma3-propagation.csv",
-        ("k1", "k2", "angle_rad", "measured_slope", "predicted_slope", "transport_deviation"),
-        [(r.lattice[0], r.lattice[1], r.angle, r.measured_slope,
-          r.predicted_slope, r.transport_deviation) for r in rows])
+    _add_propagation_table(report, [r.to_dict() for r in rows])
     report.diagnostics.update({
         "n_heteroclinic": len(rows),
         "max_transport_deviation": max(r.transport_deviation for r in rows),
@@ -233,11 +223,7 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.diagnostics.update(verdict.to_dict())
     prop = verdict.diagnostics.get("propagation_rows")
     if prop:
-        report.add_table(
-            "lemma3-propagation.csv",
-            ("k1", "k2", "angle_rad", "measured_slope", "predicted_slope", "transport_deviation"),
-            [(r["lattice"][0], r["lattice"][1], r["angle"], r["measured_slope"],
-              r["predicted_slope"], r["transport_deviation"]) for r in prop])
+        _add_propagation_table(report, prop)
     report.verdict = verdict.verdict
     return {"smooth": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(
         verdict.verdict, EXIT_INCONCLUSIVE)

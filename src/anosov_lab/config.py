@@ -9,16 +9,17 @@ default so a minimal config can be just ``{}``.  Dotted-key overrides
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .conjugacy import MAX_PERIOD
 from .errors import ConfigError
+from .foliations import MAX_RADIUS
 from .fourier import FourierPerturbation
-from .lattice import HyperbolicElement, IntMatrix2, eigen_data, is_hyperbolic
-from .maps import ConjugatedMap, Diffeo, PerturbedMap, build_diffeo
+from .lattice import IntMatrix2, eigen_data, is_hyperbolic
+from .maps import ConjugatedMap, Diffeo, PerturbedMap
+from .rigidity import DEFAULT_THRESHOLDS
 
 DEFAULTS = {
     "group": {
@@ -40,13 +41,7 @@ DEFAULTS = {
         "propagation_step": 4e-3,
         "max_period": 2,
     },
-    "thresholds": {
-        "transversality": 0.05,
-        "lemma3": 1e-3,
-        "prop1_residual": 1e-6,
-        "jacobian": 1e-3,
-        "periodic_mismatch": 1e-4,
-    },
+    "thresholds": dict(DEFAULT_THRESHOLDS),
     "experiment": {
         "name": "teichmuller",
         "out_dir": "anosov-lab-out",
@@ -115,7 +110,6 @@ class ExperimentConfig:
     propagation_step: float
     max_period: int
     thresholds: dict
-    name: str
     out_dir: str
     seed: int
     eps: float
@@ -131,17 +125,35 @@ class ExperimentConfig:
     def build_phi(self) -> Diffeo | None:
         if self.diffeo_q.is_zero:
             return None
-        return build_diffeo(self.diffeo_q)
+        return Diffeo(self.diffeo_q)
 
     def build_handles(self):
         """Map handles for the generators per the configured action kind."""
         if self.kind == "linear":
             return [PerturbedMap(e, FourierPerturbation.zero()) for e in self.generators]
         if self.kind == "conjugated":
-            q = self.diffeo_q
-            phi = build_diffeo(q) if not q.is_zero else build_diffeo(FourierPerturbation.zero())
+            phi = Diffeo(self.diffeo_q)
             return [ConjugatedMap(phi, e) for e in self.generators]
         return [PerturbedMap(e, self.perturbation_p) for e in self.generators]
+
+
+def _number(value, key: str, integer: bool = False):
+    """A config value as a float, or as an int when ``integer``; anything
+    else (a string, a bool, a non-finite or, for an integer key, a
+    non-integral number) is a ConfigError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(key, f"{value!r} is not a finite number")
+    if not integer:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(key, f"{value!r} is not an integer")
+    return int(value)
+
+
+def _pair(value, key: str, integer: bool = False) -> list:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(key, f"must be a pair of {'integers' if integer else 'numbers'}")
+    return [_number(v, key, integer) for v in value]
 
 
 def _sin_cos_terms(spec, path: str) -> FourierPerturbation:
@@ -150,10 +162,9 @@ def _sin_cos_terms(spec, path: str) -> FourierPerturbation:
         here = f"{path}[{i}]"
         if not isinstance(item, dict) or "k" not in item:
             raise ConfigError(here, "each mode needs a wavevector 'k'")
-        k = item["k"]
-        if (not isinstance(k, (list, tuple))) or len(k) != 2:
-            raise ConfigError(f"{here}.k", "wavevector must be a pair of integers")
-        terms.append((k, item.get("sin"), item.get("cos")))
+        amps = [None if item.get(name) is None else _pair(item[name], f"{here}.{name}")
+                for name in ("sin", "cos")]
+        terms.append((_pair(item["k"], f"{here}.k", integer=True), *amps))
     return FourierPerturbation.from_sin_cos(terms) if terms else FourierPerturbation.zero()
 
 
@@ -181,13 +192,12 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     elements = []
     for i, rows in enumerate(gens):
         here = f"group.generators[{i}]"
-        arr = np.asarray(rows)
-        if arr.shape != (2, 2) or not np.all(arr == np.round(arr)):
+        if not isinstance(rows, (list, tuple)) or len(rows) != 2:
             raise ConfigError(here, "must be a 2x2 integer matrix")
-        det = int(round(float(np.linalg.det(arr))))
-        if det != 1:
-            raise ConfigError(here, f"determinant {det} != 1 (not in SL(2,Z))")
-        m = IntMatrix2.from_rows(rows)
+        (a, b), (c, d) = (_pair(row, here, integer=True) for row in rows)
+        if a * d - b * c != 1:
+            raise ConfigError(here, f"determinant {a * d - b * c} != 1 (not in SL(2,Z))")
+        m = IntMatrix2(a, b, c, d)
         if not is_hyperbolic(m):
             raise ConfigError(here, "|trace| <= 2: not hyperbolic")
         elements.append(eigen_data(m))
@@ -195,32 +205,37 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     kind = doc["action"]["kind"]
     if kind not in ("linear", "conjugated", "perturbed"):
         raise ConfigError("action.kind", f"unknown kind {kind!r}")
-    scale = float(doc["action"]["scale"])
+    scale = _number(doc["action"]["scale"], "action.scale")
     q = _sin_cos_terms(doc["action"]["diffeo"], "action.diffeo").scaled(scale)
     p = _sin_cos_terms(doc["action"]["perturbation"], "action.perturbation").scaled(scale)
     if kind == "conjugated" and q.deriv_bound >= 1.0:
         raise ConfigError("action.diffeo", f"||Dq|| bound {q.deriv_bound:.3f} >= 1: not a diffeo")
 
-    res = doc["resolution"]
+    steps = ("leaf_step", "propagation_step")
+    res = {key: _number(value, f"resolution.{key}", integer=key not in steps)
+           for key, value in doc["resolution"].items()}
     grid_n = res["grid_n"]
-    if not isinstance(grid_n, int) or grid_n < 64 or grid_n > 1024 or grid_n & (grid_n - 1):
+    if grid_n < 64 or grid_n > 1024 or grid_n & (grid_n - 1):
         raise ConfigError("resolution.grid_n", "must be a power of two in [64, 1024]")
-    for key in ("leaf_step", "propagation_step"):
-        if not float(res[key]) > 0:
+    for key in steps:
+        if not res[key] > 0:
             raise ConfigError(f"resolution.{key}", "must be strictly positive")
     for key in ("field_n", "field_iters"):
-        if not int(res[key]) > 0:
+        if not res[key] > 0:
             raise ConfigError(f"resolution.{key}", "must be a positive integer")
-    if not 1 <= int(res["max_period"]) <= MAX_PERIOD:
+    if not 1 <= res["max_period"] <= MAX_PERIOD:
         raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 
     thr = dict(doc["thresholds"])
     for key, value in thr.items():
-        if not float(value) > 0:
+        if not _number(value, f"thresholds.{key}") > 0:
             raise ConfigError(f"thresholds.{key}", "tolerances must be strictly positive")
 
-    exp = doc["experiment"]
-    resolved_out = os.environ.get("ANOSOV_LAB_OUT") or out_dir or exp["out_dir"]
+    exp = {key: _number(value, f"experiment.{key}", integer=key in ("seed", "radius"))
+           for key, value in doc["experiment"].items() if key not in ("name", "out_dir")}
+    if not 1 <= exp["radius"] <= MAX_RADIUS:
+        raise ConfigError("experiment.radius", f"must be an integer in [1, {MAX_RADIUS}]")
+    resolved_out = os.environ.get("ANOSOV_LAB_OUT") or out_dir or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean
     doc["experiment"]["out_dir"] = resolved_out
     return ExperimentConfig(
@@ -229,19 +244,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
         kind=kind,
         diffeo_q=q,
         perturbation_p=p,
-        grid_n=grid_n,
-        field_n=int(res["field_n"]),
-        field_iters=int(res["field_iters"]),
-        leaf_step=float(res["leaf_step"]),
-        propagation_step=float(res["propagation_step"]),
-        max_period=int(res["max_period"]),
         thresholds=thr,
-        name=str(exp["name"]),
         out_dir=resolved_out,
-        seed=int(exp["seed"]),
-        eps=float(exp["eps"]),
-        radius=int(exp["radius"]),
-        slide_s=float(exp["slide_s"]),
-        span=float(exp["span"]),
-        prop1_profile_amp=float(exp["prop1_profile_amp"]),
+        **res,
+        **exp,
     )

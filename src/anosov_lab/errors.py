@@ -45,6 +45,11 @@ class PeriodOutOfRange(AnosovLabError):
     """Requested period lies outside the desk-scale range of the orbit finder."""
 
 
+class RadiusOutOfRange(AnosovLabError):
+    """Requested lattice radius lies outside the desk-scale range of the
+    heteroclinic search."""
+
+
 class SeedEnumerationFailed(AnosovLabError):
     """The exact lattice seeds of A^n - I could not be enumerated."""
 
@@ -54,7 +59,8 @@ class ChartOverflow(AnosovLabError):
 
 
 class DomainMismatch(AnosovLabError):
-    """Composed maps have empty common domain."""
+    """Inputs do not share a domain: composed maps with empty common domain,
+    a point outside the interval it must lie in, or fields on different grids."""
 
 
 class RootBracketFailed(AnosovLabError):
@@ -62,7 +68,8 @@ class RootBracketFailed(AnosovLabError):
 
 
 class NonMonotoneG(AnosovLabError):
-    """Integrated linearizing coordinate failed strict monotonicity."""
+    """Samples that must be strictly monotone are not: the integrated
+    linearizing coordinate g, a translation profile or a holonomy."""
 
 
 class SingularSystem(AnosovLabError):

@@ -17,17 +17,21 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ChartOverflow,
+    DomainMismatch,
     LeafEscaped,
+    NonMonotoneG,
     NotConverged,
+    RadiusOutOfRange,
     SignAmbiguity,
     TangencySuspected,
 )
 from .interp import PeriodicBicubic
-from .lattice import eigen_data
+from .lattice import eigen_data, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
 DEFAULT_STEP = 1e-3
+MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
 
 
 def _unit(theta):
@@ -85,18 +89,7 @@ class LineField:
         jac = np.atleast_3d(self.owner.jacobian(pts)).reshape(-1, 2, 2)
         pushed = np.einsum("nij,nj->ni", jac, vec)
         target = self.direction_at(self.owner.apply(pts))
-        cross = np.abs(pushed[:, 0] * target[:, 1] - pushed[:, 1] * target[:, 0])
-        dots = np.abs(np.einsum("ni,ni->n", pushed, target))
-        return float(np.max(np.arctan2(cross, dots)))
-
-    def max_cell_oscillation(self) -> float:
-        """Largest angular jump (mod pi) between neighboring grid cells."""
-        t = self.theta
-        jumps = []
-        for shifted in (np.roll(t, 1, axis=0), np.roll(t, 1, axis=1)):
-            d = np.abs(t - shifted) % math.pi
-            jumps.append(np.minimum(d, math.pi - d).max())
-        return float(max(jumps))
+        return float(np.max(line_angle(pushed, target)))
 
 
 def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
@@ -129,13 +122,20 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
             w = np.einsum("nij,nj->ni", jac, w)
             w /= np.linalg.norm(w, axis=1, keepdims=True)
 
-    cross = np.abs(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0])
-    dots = np.abs(np.einsum("ni,ni->n", v, w))
-    residual = float(np.max(np.arctan2(cross, dots)))
+    residual = float(np.max(line_angle(v, w)))
     if residual > tol:
         raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} after {iters} iterations")
     theta = _fold_angle(np.arctan2(v[:, 1], v[:, 0])).reshape(n, n)
     return LineField(g, label, theta, converged_residual=residual)
+
+
+def line_fields(handles, keys, n: int, iters: int) -> dict:
+    """Line fields keyed like 'f1u' (unstable field of handles[0]) or
+    'f2s' (stable field of handles[1]), one per requested key."""
+    return {key: compute_line_field(handles[int(key[1]) - 1],
+                                    "unstable" if key[2] == "u" else "stable",
+                                    n=n, iters=iters)
+            for key in keys}
 
 
 def _aligned_direction(field: LineField, pts, headings):
@@ -375,7 +375,7 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
         s_here, _, tang = proj.project(pts[on_curve])
         s_out[on_curve] = s_here
         d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
-        ang_out[on_curve] = _crossing_angle(d_here, tang)
+        ang_out[on_curve] = line_angle(d_here, tang)
         active[on_curve] = False
 
     n_steps = int(math.ceil(budget / step))
@@ -482,15 +482,7 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
         to_hi = ~done & ~same
         hi[rows[to_hi]] = mid[to_hi]
         live[rows[done]] = False
-    return s_mid, _crossing_angle(h_mid, t_mid)
-
-
-def _crossing_angle(dirs, tangents):
-    dirs = np.atleast_2d(dirs)
-    tangents = np.atleast_2d(tangents)
-    cross = np.abs(dirs[:, 0] * tangents[:, 1] - dirs[:, 1] * tangents[:, 0])
-    dots = np.abs(np.einsum("ni,ni->n", dirs, tangents))
-    return np.arctan2(cross, dots)
+    return s_mid, line_angle(h_mid, t_mid)
 
 
 class HolonomyMap:
@@ -509,7 +501,7 @@ class HolonomyMap:
         elif np.all(d < 0):
             self.increasing = False
         else:
-            raise ValueError("holonomy samples are not strictly monotone")
+            raise NonMonotoneG("holonomy samples are not strictly monotone")
         self.samples = np.column_stack([s, sp])
         self._fwd = PchipInterpolator(s, sp)
         inv_s = sp if self.increasing else sp[::-1]
@@ -547,9 +539,7 @@ def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
     """
     lo, hi = tau1.param_range if span is None else span
     for seg, name in ((tau1, "tau1"), (tau2, "tau2")):
-        angle = _crossing_angle(
-            seg.headings, np.atleast_2d(field.direction_at(np.mod(seg.points, 1.0)))
-        )
+        angle = line_angle(seg.headings, field.direction_at(np.mod(seg.points, 1.0)))
         if float(angle.min()) < 0.1:
             raise TangencySuspected(f"{name} not transverse to the field "
                                     f"(min angle {angle.min():.3f} rad)")
@@ -592,10 +582,8 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
     z = np.asarray(z, dtype=float)
     axis_u = integrate_leaf(frame_u, z, 2 * eps * chart_margin, step=step, centered=True)
     axis_s = integrate_leaf(frame_s, z, 2 * eps * chart_margin, step=step, centered=True)
-    angle = _crossing_angle(
-        np.atleast_2d(target.direction_at(np.mod(z, 1.0))),
-        np.atleast_2d(frame_u.direction_at(np.mod(z, 1.0))),
-    )[0]
+    angle = line_angle(target.direction_at(np.mod(z, 1.0)),
+                       frame_u.direction_at(np.mod(z, 1.0)))
     if angle < 0.05:
         raise TangencySuspected(f"target not transverse to frame_u at z (angle {angle:.3f})")
     # cover u-range [-eps, eps]: leaf length eps / cos of worst angle, padded
@@ -617,7 +605,8 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
 def min_transversality_angle(f1: LineField, f2: LineField):
     """Minimum unsigned angle between two line fields over the grid."""
     if f1.grid_size != f2.grid_size:
-        raise ValueError("fields must share a grid")
+        raise DomainMismatch(f"fields on {f1.grid_size}- and {f2.grid_size}-point grids; "
+                             "they must share a grid")
     d = np.abs(f1.theta - f2.theta) % math.pi
     d = np.minimum(d, math.pi - d)
     flat = int(np.argmin(d))
@@ -646,8 +635,8 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     leaves of the nonlinear map through z.
     """
     z = np.asarray(z, dtype=float)
-    if radius > 3:
-        raise ValueError("desk scale only: radius <= 3")
+    if not 1 <= radius <= MAX_RADIUS:
+        raise RadiusOutOfRange(f"radius {radius} outside [1, {MAX_RADIUS}]")
     v_u, v_s = e1.vu, e1.vs
     basis = np.column_stack([v_u, -v_s])
     out = []
@@ -697,8 +686,6 @@ def verify_graph_transport(theta_z: GraphMap, theta_zp: GraphMap,
     unstable frame leaves at z and z' (it transports u-parameters);
     ``hol_u`` transports s-parameters along the unstable foliation.
     """
-    from .errors import DomainMismatch
-
     lo, hi = theta_zp.domain
     t = np.linspace(lo, hi, n_samples)
     # restrict to t whose pullback stays inside the composed domains

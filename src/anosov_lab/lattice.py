@@ -49,9 +49,6 @@ class IntMatrix2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
-    def as_int_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
-
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -212,6 +209,16 @@ def check_pair_hypothesis(e1: HyperbolicElement, e2: HyperbolicElement) -> PairH
     if m <= EIGEN_TOL:
         m = 0.0
     return PairHypothesisCertificate(elements=(e1, e2), min_pairwise_sine=m)
+
+
+def line_angle(a, b):
+    """Unsigned angle in [0, pi/2] between the lines spanned by a and b,
+    row by row over the last axis (shapes broadcast)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cross = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    dots = np.abs(np.einsum("...i,...i->...", a, b))
+    return np.arctan2(cross, dots)
 
 
 def wrap_point(x) -> np.ndarray:

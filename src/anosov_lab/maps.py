@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Inconclusive, NotADiffeo
 from .fourier import FourierPerturbation
-from .lattice import HyperbolicElement, IntMatrix2, compose, eigen_data, invert, wrap_point
+from .lattice import HyperbolicElement, IntMatrix2, compose, eigen_data, invert, line_angle, wrap_point
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
@@ -37,12 +37,31 @@ def _unbatch(out, single):
     return out[0] if single else out
 
 
-def _solve2(j, rhs):
-    """Solve batched 2x2 systems j @ v = rhs by explicit inversion."""
+def _inv2(j, rhs=None):
+    """adj(j) / det(j) for a batch of 2x2 matrices j (n, 2, 2), or with
+    ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs."""
     det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    v0 = (j[:, 1, 1] * rhs[:, 0] - j[:, 0, 1] * rhs[:, 1]) / det
-    v1 = (-j[:, 1, 0] * rhs[:, 0] + j[:, 0, 0] * rhs[:, 1]) / det
-    return np.stack([v0, v1], axis=1)
+    adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
+    if rhs is None:
+        out = np.empty_like(j)
+        for r in range(2):
+            for c in range(2):
+                out[:, r, c] = adj[r][c] / det
+        return out
+    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
+
+
+def _newton_inverse(lift, jacobian, y, z):
+    """Solve lift(z) = y by Newton from the starting guess z.
+
+    The whole batch stops together, at the first iterate whose largest
+    |lift(z) - y| is below NEWTON_TOL, or after NEWTON_MAX_ITERS steps."""
+    for _ in range(NEWTON_MAX_ITERS):
+        res = lift(z) - y
+        if np.max(np.abs(res)) < NEWTON_TOL:
+            break
+        z = z - _inv2(np.atleast_3d(jacobian(z)).reshape(-1, 2, 2), res)
+    return z
 
 
 class PerturbedMap:
@@ -94,12 +113,7 @@ class InverseMap:
 
     def lift(self, y):
         pts, single = _batched(y)
-        z = pts @ self._B.T
-        for _ in range(NEWTON_MAX_ITERS):
-            res = self.forward.lift(z) - pts
-            if np.max(np.abs(res)) < NEWTON_TOL:
-                break
-            z = z - _solve2(np.atleast_3d(self.forward.jacobian(z)).reshape(-1, 2, 2), res)
+        z = _newton_inverse(self.forward.lift, self.forward.jacobian, pts, pts @ self._B.T)
         return _unbatch(z, single)
 
     def displacement(self, y):
@@ -113,13 +127,7 @@ class InverseMap:
         pts, single = _batched(y)
         z = self.lift(pts)
         jf = np.atleast_3d(self.forward.jacobian(z)).reshape(-1, 2, 2)
-        det = jf[:, 0, 0] * jf[:, 1, 1] - jf[:, 0, 1] * jf[:, 1, 0]
-        inv = np.empty_like(jf)
-        inv[:, 0, 0] = jf[:, 1, 1] / det
-        inv[:, 0, 1] = -jf[:, 0, 1] / det
-        inv[:, 1, 0] = -jf[:, 1, 0] / det
-        inv[:, 1, 1] = jf[:, 0, 0] / det
-        return _unbatch(inv, single)
+        return _unbatch(_inv2(jf), single)
 
     def inverse(self):
         return self.forward
@@ -132,10 +140,6 @@ class Diffeo:
         if q.deriv_bound >= 1.0:
             raise NotADiffeo(f"derivative bound {q.deriv_bound:.3f} >= 1")
         self.q = q
-
-    @property
-    def is_identity(self) -> bool:
-        return self.q.is_zero
 
     def lift(self, x):
         pts, single = _batched(x)
@@ -153,22 +157,7 @@ class Diffeo:
         """Solve x + q(x) = y by Newton; the contraction bound makes the
         linear initial guess x = y sufficient."""
         pts, single = _batched(y)
-        x = pts.copy()
-        for _ in range(NEWTON_MAX_ITERS):
-            res = x + self.q.evaluate(x) - pts
-            if np.max(np.abs(res)) < NEWTON_TOL:
-                break
-            jac = np.eye(2)[None, :, :] + self.q.derivative(x)
-            x = x - _solve2(jac, res)
-        return _unbatch(x, single)
-
-    def inverse_apply(self, y):
-        return wrap_point(self.inverse_lift(y))
-
-
-def build_diffeo(q: FourierPerturbation) -> Diffeo:
-    """phi = id + q; raises NotADiffeo when the C^1 bound fails."""
-    return Diffeo(q)
+        return _unbatch(_newton_inverse(self.lift, self.derivative, pts, pts.copy()), single)
 
 
 class ConjugatedMap:
@@ -200,13 +189,7 @@ class ConjugatedMap:
         w = self.phi.inverse_lift(pts)
         d_out = np.atleast_3d(self.phi.derivative(w @ self._A.T)).reshape(-1, 2, 2)
         d_in = np.atleast_3d(self.phi.derivative(w)).reshape(-1, 2, 2)
-        det = d_in[:, 0, 0] * d_in[:, 1, 1] - d_in[:, 0, 1] * d_in[:, 1, 0]
-        d_in_inv = np.empty_like(d_in)
-        d_in_inv[:, 0, 0] = d_in[:, 1, 1] / det
-        d_in_inv[:, 0, 1] = -d_in[:, 0, 1] / det
-        d_in_inv[:, 1, 0] = -d_in[:, 1, 0] / det
-        d_in_inv[:, 1, 1] = d_in[:, 0, 0] / det
-        out = np.einsum("nij,jk,nkl->nil", d_out, self._A, d_in_inv)
+        out = np.einsum("nij,jk,nkl->nil", d_out, self._A, _inv2(d_in))
         return _unbatch(out, single)
 
     def inverse(self):
@@ -281,12 +264,6 @@ def conjugated_action(phi: Diffeo, generators) -> MarkedAction:
     return MarkedAction(generators=gens, marking=phi)
 
 
-def perturbed_action(pairs) -> MarkedAction:
-    """Marked action from explicit (element, perturbation) pairs, unmarked."""
-    gens = [(el, PerturbedMap(el, p)) for el, p in pairs]
-    return MarkedAction(generators=gens, marking=None)
-
-
 @dataclass(frozen=True)
 class ConeParams:
     """Aperture (radians) around a center direction, and orbit length."""
@@ -327,11 +304,7 @@ def _cone_check(handle, center, aperture, grid_n, orbit_len, n_dirs=9):
         images = np.einsum("nij,mj->nmi", jac, dirs)
         norms = np.linalg.norm(images, axis=2)
         min_exp = min(min_exp, float(norms.min()))
-        # unsigned angle of each image to the cone axis (mod pi)
-        dots = np.abs(images @ center)
-        cross = np.abs(images[..., 0] * center[1] - images[..., 1] * center[0])
-        dev = np.arctan2(cross, dots)
-        if float(dev.max()) >= aperture:
+        if float(line_angle(images, center).max()) >= aperture:
             invariant = False
             break
         pts = handle.apply(pts)

@@ -76,11 +76,6 @@ def leaf_rows(segment):
         yield float(s), float(x), float(y), float(pt[0]), float(pt[1])
 
 
-def holonomy_rows(hol):
-    for s, sp in hol.samples:
-        yield float(s), float(sp)
-
-
 def conjugacy_rows(h):
     n = h.displacement.grid_size
     u = h.displacement.values.reshape(n, n, 2)

@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 from .conjugacy import Conjugacy, compare_smooth_invariants, estimate_holder_exponent, solve_conjugacy
 from .errors import (
     AnosovLabError,
+    DomainMismatch,
     NonMonotoneG,
     RootBracketFailed,
     SingularSystem,
@@ -29,15 +30,15 @@ from .foliations import (
     LineField,
     _cross_to_target,
     _flow,
-    compute_line_field,
     heteroclinic_points,
     holonomy,
     integrate_leaf,
+    line_fields,
     local_graph,
     min_transversality_angle,
     verify_graph_transport,
 )
-from .lattice import HyperbolicElement, check_pair_hypothesis
+from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 
 class TranslationAction:
@@ -49,10 +50,6 @@ class TranslationAction:
         self.psi_inv = psi_inv
         self.provenance = provenance
         self.y_domain = (float(y_domain[0]), float(y_domain[1]))
-
-    @classmethod
-    def from_callable(cls, psi, psi_inv, y_domain, provenance="synthetic-from-h"):
-        return cls(psi, psi_inv, provenance, y_domain)
 
     @classmethod
     def from_profile_samples(cls, r_values, psi_values, provenance="synthetic-from-h"):
@@ -212,7 +209,7 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo <= y0 <= hi:
-        raise ValueError(f"y0={y0} outside domain [{lo}, {hi}]")
+        raise DomainMismatch(f"y0={y0} outside domain [{lo}, {hi}]")
     if t_range is None:
         t_range = 4.0 * (hi - lo)
     n = max(8, int(math.ceil((hi - lo) / quad_spacing)))
@@ -368,6 +365,13 @@ class PropagationRow:
     def slope_difference(self) -> float:
         return abs(self.measured_slope - self.predicted_slope)
 
+    def to_dict(self) -> dict:
+        """The row as reported: every field but the point."""
+        return {"lattice": self.lattice, "angle": self.angle,
+                "measured_slope": self.measured_slope,
+                "predicted_slope": self.predicted_slope,
+                "transport_deviation": self.transport_deviation}
+
 
 def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
                                field_2s: LineField, z, e1: HyperbolicElement,
@@ -411,12 +415,10 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
         measured = theta_zp.slope_at(0.0)
         dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0))
         dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0))
-        cross = abs(dir_u[0] * dir_2s[1] - dir_u[1] * dir_2s[0])
-        dot = abs(float(np.dot(dir_u, dir_2s)))
         rows.append(PropagationRow(
             lattice=hp.lattice,
             point=hp.point,
-            angle=float(np.arctan2(cross, dot)),
+            angle=float(line_angle(dir_u, dir_2s)),
             measured_slope=float(measured),
             predicted_slope=float(predicted),
             transport_deviation=float(deviation),
@@ -542,11 +544,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     # --- the four invariant line fields and Lemma 2 ------------------------
     fields = {}
     try:
-        for key, (g, label) in {
-            "f1u": (g1, "unstable"), "f1s": (g1, "stable"),
-            "f2u": (g2, "unstable"), "f2s": (g2, "stable"),
-        }.items():
-            fields[key] = compute_line_field(g, label, n=field_n, iters=field_iters)
+        fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
         a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
         a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
         angle_min = min(a1, a2)
@@ -558,7 +556,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
         errors.append(f"line_fields: {type(exc).__name__}: {exc}")
 
     # --- Lemma 3: graph transport to heteroclinic points -------------------
-    if len(fields) == 4:
+    if fields:
         try:
             nonlinear = getattr(g1, "displacement", None) is not None and \
                 h is not None and h.displacement.sup_norm > 1e-12
@@ -567,13 +565,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                 np.asarray(base_z, dtype=float), e1, radius=1,
                 step=propagation_step, nonlinear=nonlinear)
             lemma3 = max(r.transport_deviation for r in rows)
-            diag["propagation_rows"] = [
-                {"lattice": r.lattice, "angle": r.angle,
-                 "measured_slope": r.measured_slope,
-                 "predicted_slope": r.predicted_slope,
-                 "transport_deviation": r.transport_deviation}
-                for r in rows
-            ]
+            diag["propagation_rows"] = [r.to_dict() for r in rows]
             diag["propagation_min_angle"] = min(r.angle for r in rows)
         except AnosovLabError as exc:
             errors.append(f"tangency_propagation: {type(exc).__name__}: {exc}")

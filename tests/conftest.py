@@ -3,7 +3,7 @@ import pytest
 
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import IntMatrix2, eigen_data
-from anosov_lab.maps import ConjugatedMap, PerturbedMap, build_diffeo
+from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.foliations import compute_line_field
 
 GAMMA1 = ((2, 1), (1, 1))
@@ -44,7 +44,7 @@ def linear_fields(linear_g1, linear_g2):
 def phi02():
     # phi = id + (0.02 sin 2 pi x2, 0)
     q = FourierPerturbation.from_sin_cos([((0, 1), (0.02, 0.0), None)])
-    return build_diffeo(q)
+    return Diffeo(q)
 
 
 @pytest.fixture(scope="session")

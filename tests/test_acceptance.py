@@ -21,7 +21,7 @@ from anosov_lab.foliations import (
     min_transversality_angle,
 )
 from anosov_lab.lattice import IntMatrix2, check_pair_hypothesis, eigen_data, power
-from anosov_lab.maps import ConjugatedMap, PerturbedMap, build_diffeo
+from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.rigidity import (
     TranslationAction,
     factor_translation_linear,
@@ -40,9 +40,9 @@ def _verdict(n, name, ok, detail):
 def _phi(dq_sup):
     # q = (dq_sup / 2 pi) sin(2 pi x2) e1, so ||Dq||_inf = dq_sup exactly
     if dq_sup == 0.0:
-        return build_diffeo(FourierPerturbation.zero())
+        return Diffeo(FourierPerturbation.zero())
     q = FourierPerturbation.from_sin_cos([((0, 1), (dq_sup / (2 * math.pi), 0.0), None)])
-    return build_diffeo(q)
+    return Diffeo(q)
 
 
 def test_criterion_1_pair_hypothesis(e1, e2):

@@ -56,6 +56,46 @@ def test_max_period_out_of_range_exit_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+FLOAT_KEYS = ("action.scale", "resolution.leaf_step", "resolution.propagation_step",
+              "thresholds.transversality", "thresholds.lemma3", "thresholds.prop1_residual",
+              "thresholds.jacobian", "thresholds.periodic_mismatch", "experiment.eps",
+              "experiment.slide_s", "experiment.span", "experiment.prop1_profile_amp")
+INT_KEYS = ("resolution.grid_n", "resolution.field_n", "resolution.field_iters",
+            "resolution.max_period", "experiment.seed", "experiment.radius")
+BAD_VALUES = (
+    [("eigen", f"{key}=abc", key) for key in FLOAT_KEYS + INT_KEYS]
+    + [("eigen", f"{key}=2.7", key) for key in INT_KEYS]
+    + [("eigen", f"{key}=true", key) for key in INT_KEYS]
+    + [("eigen", "resolution.leaf_step=NaN", "resolution.leaf_step"),
+       ("periodic-data", "resolution.max_period=abc", "resolution.max_period"),
+       ("periodic-data", "resolution.max_period=2.7", "resolution.max_period"),
+       ("lemma3", "experiment.radius=0", "experiment.radius"),
+       ("lemma3", "experiment.radius=4", "experiment.radius"),
+       ("teichmuller", "experiment.seed=x", "experiment.seed"),
+       ("eigen", 'action.diffeo=[{"k":[0,1],"sin":"abc"}]', "action.diffeo[0].sin"),
+       ("eigen", 'action.perturbation=[{"k":[0.5,1],"cos":[0.01,0]}]', "action.perturbation[0].k"),
+       ("eigen", 'group.generators=[[[2,1],[1,"a"]]]', "group.generators[0]"),
+       ("eigen", "group.generators=[[[2,1],[1]]]", "group.generators[0]")]
+)
+
+
+@pytest.mark.parametrize("command,override,key", BAD_VALUES)
+def test_bad_numeric_value_exit_one(tmp_path, capsys, command, override, key):
+    code, out = run(tmp_path, command, "--set", override)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_float_accepted_for_integer_key(tmp_path):
+    cfg = load_config(overrides=["resolution.max_period=3.0", "experiment.radius=2"],
+                      out_dir=str(tmp_path))
+    assert cfg.max_period == 3 and isinstance(cfg.max_period, int)
+    assert cfg.radius == 2
+
+
 def test_unknown_key_rejected(tmp_path):
     code, _ = run(tmp_path, "eigen", "--set", "resolution.gridn=256")
     assert code == 1

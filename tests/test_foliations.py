@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from anosov_lab.errors import LeafEscaped, SignAmbiguity, TangencySuspected
+from anosov_lab.errors import (
+    AnosovLabError,
+    DomainMismatch,
+    LeafEscaped,
+    NonMonotoneG,
+    RadiusOutOfRange,
+    SignAmbiguity,
+    TangencySuspected,
+)
 from anosov_lab.foliations import (
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
     CurveProjector,
+    HolonomyMap,
     LeafSegment,
     LineField,
     _cross_to_target,
-    _crossing_angle,
     _initial_toward,
     _refine_crossings,
     _rk4_step,
@@ -23,6 +31,7 @@ from anosov_lab.foliations import (
     min_transversality_angle,
     verify_graph_transport,
 )
+from anosov_lab.lattice import line_angle
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +126,20 @@ def test_min_transversality_oracle(linear_fields):
     assert math.degrees(angle) == pytest.approx(63.43494882, abs=0.01)
 
 
+def test_min_transversality_rejects_different_grids():
+    f2 = LineField.constant(None, "stable", (1.0, 0.0), grid_size=2)
+    f4 = LineField.constant(None, "unstable", (0.0, 1.0), grid_size=4)
+    with pytest.raises(DomainMismatch) as info:
+        min_transversality_angle(f2, f4)
+    assert isinstance(info.value, AnosovLabError)
+
+
+def test_holonomy_map_rejects_non_monotone_samples():
+    with pytest.raises(NonMonotoneG) as info:
+        HolonomyMap(None, None, np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.2, 0.1]))
+    assert isinstance(info.value, AnosovLabError)
+
+
 def test_tangency_raises_for_parallel_fields(linear_fields, e1):
     v_u = np.asarray(e1.vu)
     tau1 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.5, centered=True)
@@ -137,6 +160,13 @@ def test_local_graph_slope_oracle(linear_fields):
 def test_heteroclinic_count_radius_one(e1):
     pts = heteroclinic_points(np.zeros(2), e1, 1)
     assert len(pts) == 8  # all k in {-1,0,1}^2 except k = 0
+
+
+@pytest.mark.parametrize("radius", [0, 4])
+def test_heteroclinic_radius_out_of_range(e1, radius):
+    with pytest.raises(RadiusOutOfRange) as info:
+        heteroclinic_points(np.zeros(2), e1, radius)
+    assert isinstance(info.value, AnosovLabError)
 
 
 def test_heteroclinic_solves_lattice_equation(e1):
@@ -231,7 +261,7 @@ def _ref_bisect_crossing(field, node_pt, node_hd, step, proj):
             lo, d_lo = mid, d_mid
         else:
             hi = mid
-    angle = _crossing_angle(h_mid[None, :], t_mid[None, :])[0]
+    angle = line_angle(h_mid[None, :], t_mid[None, :])[0]
     return s_mid, angle
 
 
@@ -250,7 +280,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
         s_here, _, tang = _ref_project(proj, pts[on_curve])
         s_out[on_curve] = s_here
         d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
-        ang_out[on_curve] = _crossing_angle(d_here, tang)
+        ang_out[on_curve] = line_angle(d_here, tang)
         active[on_curve] = False
     prev_pts, prev_hd, prev_dist = pts.copy(), hd.copy(), dist.copy()
     for _ in range(int(math.ceil(budget / step))):

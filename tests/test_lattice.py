@@ -11,6 +11,7 @@ from anosov_lab.lattice import (
     eigen_data,
     invert,
     is_hyperbolic,
+    line_angle,
     power,
     standard_action_apply,
     torus_distance,
@@ -109,3 +110,27 @@ def test_standard_action_apply():
     x = np.array([0.3, 0.7])
     y = standard_action_apply(G1, x)
     assert np.allclose(y, np.mod(G1.as_array() @ x, 1.0))
+
+
+def test_line_angle_parallel_antiparallel_perpendicular():
+    v = np.array([3.0, 4.0])   # exact products, so the zeros are exact
+    w = np.array([-4.0, 3.0])
+    assert line_angle(v, 2.5 * v) == 0.0
+    assert line_angle(v, -v) == 0.0
+    assert line_angle(v, w) == math.pi / 2
+    assert line_angle(v, -w) == math.pi / 2
+    rows = line_angle(np.stack([v, v, v]), np.stack([v, -v, w]))
+    assert np.array_equal(rows, [0.0, 0.0, math.pi / 2])
+    # (n, m, 2) against one direction broadcasts to (n, m)
+    assert line_angle(np.zeros((4, 3, 2)) + w, v).shape == (4, 3)
+
+
+def test_line_angle_matches_inline_row_formula():
+    # the arctan2(|cross|, |dot|) form written out at each former call site
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((500, 2))
+    b = rng.standard_normal((500, 2))
+    cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    dots = np.abs(np.einsum("ni,ni->n", a, b))
+    assert np.array_equal(line_angle(a, b), np.arctan2(cross, dots))
+    assert np.array_equal([line_angle(x, y) for x, y in zip(a, b)], np.arctan2(cross, dots))

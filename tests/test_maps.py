@@ -5,13 +5,16 @@ from anosov_lab.errors import Inconclusive, NotADiffeo
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import IntMatrix2, eigen_data, invert
 from anosov_lab.maps import (
+    NEWTON_MAX_ITERS,
+    NEWTON_TOL,
     ComposedMap,
     ConeParams,
     ConjugatedMap,
     Diffeo,
+    InverseMap,
     MarkedAction,
     PerturbedMap,
-    build_diffeo,
+    _inv2,
     conjugated_action,
     verify_anosov_cones,
 )
@@ -84,7 +87,7 @@ def test_diffeo_contract(phi02):
 def test_diffeo_rejects_large_derivative():
     q = FourierPerturbation.from_sin_cos([((0, 1), (0.5, 0.0), None)])  # ||Dq|| ~ pi
     with pytest.raises(NotADiffeo):
-        build_diffeo(q)
+        Diffeo(q)
 
 
 def test_conjugated_map_contract(conj_g1):
@@ -142,3 +145,117 @@ def test_cone_margin_monotone_in_aperture(linear_g1, e1):
         margins.append(m)
     # wider cones admit directions closer to the stable one: weaker expansion
     assert margins[0] >= margins[1] >= margins[2]
+
+
+# --- references: the three inline 2x2 formulas and the two Newton loops that
+# _inv2 and _newton_inverse replace, kept as they were ---------------------
+
+def _ref_solve2(j, rhs):
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    v0 = (j[:, 1, 1] * rhs[:, 0] - j[:, 0, 1] * rhs[:, 1]) / det
+    v1 = (-j[:, 1, 0] * rhs[:, 0] + j[:, 0, 0] * rhs[:, 1]) / det
+    return np.stack([v0, v1], axis=1)
+
+
+def _ref_inverse_map_jacobian(handle, y):
+    pts = np.atleast_2d(np.asarray(y, dtype=float))
+    z = handle.lift(pts)
+    jf = np.atleast_3d(handle.forward.jacobian(z)).reshape(-1, 2, 2)
+    det = jf[:, 0, 0] * jf[:, 1, 1] - jf[:, 0, 1] * jf[:, 1, 0]
+    inv = np.empty_like(jf)
+    inv[:, 0, 0] = jf[:, 1, 1] / det
+    inv[:, 0, 1] = -jf[:, 0, 1] / det
+    inv[:, 1, 0] = -jf[:, 1, 0] / det
+    inv[:, 1, 1] = jf[:, 0, 0] / det
+    return inv
+
+
+def _ref_conjugated_jacobian(handle, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    A = handle.base.matrix.as_array()
+    w = handle.phi.inverse_lift(pts)
+    d_out = np.atleast_3d(handle.phi.derivative(w @ A.T)).reshape(-1, 2, 2)
+    d_in = np.atleast_3d(handle.phi.derivative(w)).reshape(-1, 2, 2)
+    det = d_in[:, 0, 0] * d_in[:, 1, 1] - d_in[:, 0, 1] * d_in[:, 1, 0]
+    d_in_inv = np.empty_like(d_in)
+    d_in_inv[:, 0, 0] = d_in[:, 1, 1] / det
+    d_in_inv[:, 0, 1] = -d_in[:, 0, 1] / det
+    d_in_inv[:, 1, 0] = -d_in[:, 1, 0] / det
+    d_in_inv[:, 1, 1] = d_in[:, 0, 0] / det
+    return np.einsum("nij,jk,nkl->nil", d_out, A, d_in_inv)
+
+
+def _ref_inverse_map_lift(handle, y):
+    pts = np.atleast_2d(np.asarray(y, dtype=float))
+    z = pts @ invert(handle.forward.linear_part).as_array().T
+    for _ in range(NEWTON_MAX_ITERS):
+        res = handle.forward.lift(z) - pts
+        if np.max(np.abs(res)) < NEWTON_TOL:
+            break
+        z = z - _ref_solve2(np.atleast_3d(handle.forward.jacobian(z)).reshape(-1, 2, 2), res)
+    return z
+
+
+def _ref_diffeo_inverse_lift(phi, y):
+    pts = np.atleast_2d(np.asarray(y, dtype=float))
+    x = pts.copy()
+    for _ in range(NEWTON_MAX_ITERS):
+        res = x + phi.q.evaluate(x) - pts
+        if np.max(np.abs(res)) < NEWTON_TOL:
+            break
+        jac = np.eye(2)[None, :, :] + phi.q.derivative(x)
+        x = x - _ref_solve2(jac, res)
+    return x
+
+
+def _assert_same_bits(new, ref):
+    assert np.array_equal(new, ref)
+    assert np.array_equal(np.signbit(new), np.signbit(ref))  # signed zeros too
+
+
+def test_inv2_matches_inline_formulas():
+    rng = np.random.default_rng(5)
+    j = rng.standard_normal((400, 2, 2))
+    j[:100, 0, 1] = 0.0        # a zero off-diagonal entry
+    j[100:200, 1, 0] = -0.0    # a negative zero off-diagonal entry
+    j[200:250, 0, 1] = 0.0     # diagonal matrices
+    j[200:250, 1, 0] = 0.0
+    rhs = rng.standard_normal((400, 2))
+    rhs[::3, 0] = 0.0
+    rhs[1::3, 1] = -0.0
+    _assert_same_bits(_inv2(j, rhs), _ref_solve2(j, rhs))
+    # the two inline inverses were the same code: adj(j) / det(j) entrywise
+    inv = np.empty_like(j)
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    inv[:, 0, 0] = j[:, 1, 1] / det
+    inv[:, 0, 1] = -j[:, 0, 1] / det
+    inv[:, 1, 0] = -j[:, 1, 0] / det
+    inv[:, 1, 1] = j[:, 0, 0] / det
+    _assert_same_bits(_inv2(j), inv)
+
+
+def test_jacobians_match_inline_inverses(perturbed, conj_g1):
+    y = RNG.random((200, 2))
+    handle = InverseMap(perturbed)
+    _assert_same_bits(handle.jacobian(y), _ref_inverse_map_jacobian(handle, y))
+    _assert_same_bits(conj_g1.jacobian(y), _ref_conjugated_jacobian(conj_g1, y))
+    _assert_same_bits(conj_g1.inverse().jacobian(y),
+                      _ref_conjugated_jacobian(conj_g1.inverse(), y))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_newton_inverse_matches_both_loops(perturbed, phi02, n):
+    y = RNG.random((n, 2)) * 3.0 - 1.0
+    _assert_same_bits(phi02.inverse_lift(y), _ref_diffeo_inverse_lift(phi02, y))
+    handle = InverseMap(perturbed)
+    _assert_same_bits(handle.lift(y), _ref_inverse_map_lift(handle, y))
+    _assert_same_bits(phi02.inverse_lift(y[0]), _ref_diffeo_inverse_lift(phi02, y[0])[0])
+    _assert_same_bits(handle.lift(y[0]), _ref_inverse_map_lift(handle, y[0])[0])
+
+
+def test_newton_inverse_returns_a_fresh_array(phi02):
+    # q(0) = 0, so Newton stops before its first step at the starting guess
+    y = np.zeros((3, 2))
+    x = phi02.inverse_lift(y)
+    x += 1.0
+    assert np.all(y == 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anosov_lab.conjugacy import solve_conjugacy
-from anosov_lab.errors import NonMonotoneG, SingularSystem
+from anosov_lab.errors import AnosovLabError, DomainMismatch, NonMonotoneG, SingularSystem
 from anosov_lab.foliations import integrate_leaf
 from anosov_lab.lattice import IntMatrix2, eigen_data, power
 from anosov_lab.rigidity import (
@@ -37,6 +37,14 @@ def test_nonmonotone_profile_rejected():
     r = np.linspace(-1, 1, 101)
     with pytest.raises(NonMonotoneG):
         TranslationAction.from_profile_samples(r, np.sin(4 * r))
+
+
+def test_linearize_rejects_y0_outside_domain():
+    S = _profile_action(lambda r: r)
+    with pytest.raises(DomainMismatch) as info:
+        linearize_translation_action(S, 0.7, (-0.5, 0.5))
+    assert isinstance(info.value, AnosovLabError)
+    assert "y0=0.7" in str(info.value)
 
 
 def test_linearize_identity_translation():
