@@ -20,12 +20,12 @@ from .foliations import integrate_leaf, line_fields, min_transversality_angle
 from .lattice import check_pair_hypothesis
 from .rigidity import (
     TranslationAction,
+    _prop1_along,
     factor_translation_linear,
     factor_translation_numeric,
     linearize_translation_action,
     tangency_propagation_check,
     teichmuller_experiment,
-    translation_action_from_conjugacy,
 )
 
 EXIT_OK = 0
@@ -122,18 +122,18 @@ def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> int:
         e1 = cfg.generators[0]
         with report.time_block("solve_conjugacy"):
             h = solve_conjugacy(e1, handles[0], n=cfg.grid_n)
-        S = translation_action_from_conjugacy(h, np.zeros(2), e1.vu, cfg.span)
-        lo, hi = S.y_domain
-        domain = (0.6 * lo, 0.6 * hi)
+        with report.time_block("linearize"):
+            _, lin = _prop1_along(h, e1.vu, cfg.span, 1e-3)
         report.diagnostics["source"] = "conjugacy"
     else:
-        S = _synthetic_action(cfg.prop1_profile_amp)
-        domain = (-0.5, 0.5)
+        with report.time_block("linearize"):
+            lin = linearize_translation_action(_synthetic_action(cfg.prop1_profile_amp),
+                                               0.0, (-0.5, 0.5))
         report.diagnostics["source"] = "synthetic-profile"
-    with report.time_block("linearize"):
-        lin = linearize_translation_action(S, 0.0, domain)
-    # cocycle identity on the affine conjugated action
-    z = np.linspace(lin.g(domain[0] * 0.5), lin.g(domain[1] * 0.5), 9)
+    # cocycle identity on the affine conjugated action, over the g-image of
+    # the middle half of the linearized domain (ends: first and last nodes)
+    lo, hi = lin.g_nodes[0, 0], lin.g_nodes[-1, 0]
+    z = np.linspace(lin.g(lo * 0.5), lin.g(hi * 0.5), 9)
     t_vals = np.linspace(0.0, 0.05, 4)
     cocycle = max(
         float(np.max(np.abs(lin.conjugated(t + s, z) - lin.conjugated(s, lin.conjugated(t, z)))))

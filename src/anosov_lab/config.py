@@ -214,15 +214,15 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     steps = ("leaf_step", "propagation_step")
     res = {key: _number(value, f"resolution.{key}", integer=key not in steps)
            for key, value in doc["resolution"].items()}
-    grid_n = res["grid_n"]
-    if grid_n < 64 or grid_n > 1024 or grid_n & (grid_n - 1):
-        raise ConfigError("resolution.grid_n", "must be a power of two in [64, 1024]")
+    for key, lo, hi in (("grid_n", 64, 1024), ("field_n", 16, 512)):
+        n = res[key]
+        if n < lo or n > hi or n & (n - 1):
+            raise ConfigError(f"resolution.{key}", f"must be a power of two in [{lo}, {hi}]")
     for key in steps:
         if not res[key] > 0:
             raise ConfigError(f"resolution.{key}", "must be strictly positive")
-    for key in ("field_n", "field_iters"):
-        if not res[key] > 0:
-            raise ConfigError(f"resolution.{key}", "must be a positive integer")
+    if not res["field_iters"] > 0:
+        raise ConfigError("resolution.field_iters", "must be a positive integer")
     if not 1 <= res["max_period"] <= MAX_PERIOD:
         raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 
@@ -235,7 +235,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
            for key, value in doc["experiment"].items() if key not in ("name", "out_dir")}
     if not 1 <= exp["radius"] <= MAX_RADIUS:
         raise ConfigError("experiment.radius", f"must be an integer in [1, {MAX_RADIUS}]")
-    resolved_out = os.environ.get("ANOSOV_LAB_OUT") or out_dir or doc["experiment"]["out_dir"]
+    # an explicit --out wins over the environment, which wins over the config
+    resolved_out = out_dir or os.environ.get("ANOSOV_LAB_OUT") or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean
     doc["experiment"]["out_dir"] = resolved_out
     return ExperimentConfig(

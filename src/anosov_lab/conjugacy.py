@@ -20,17 +20,12 @@ import numpy as np
 
 from .errors import NewtonFailed, PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
-from .lattice import HyperbolicElement, IntMatrix2, invert, power, wrap_point
+from .lattice import HyperbolicElement, IntMatrix2, grid_points, invert, power, wrap_point
 
 MAX_DISPLACEMENT = 0.5
 MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
+MAX_SWEEPS = 2000
 DIVERGENCE_PATIENCE = 10
-
-
-def _grid_points(n: int) -> np.ndarray:
-    axis = np.arange(n) / n
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def _index_permutation(m: IntMatrix2, n: int) -> np.ndarray:
@@ -79,20 +74,6 @@ class Conjugacy:
         x = np.asarray(x, dtype=float)
         return x + self.displacement(x)
 
-    def apply(self, x):
-        return wrap_point(self.lift(x))
-
-    def inverse_lift(self, y, tol: float = 1e-12, max_iters: int = 200):
-        """Solve x + u(x) = y by damped fixed-point iteration."""
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        for _ in range(max_iters):
-            x_new = y - self.displacement(x)
-            if np.max(np.abs(x_new - x)) < tol:
-                return x_new
-            x = x_new
-        return x
-
     def secant_jacobian(self, x, delta: float = 1e-4) -> np.ndarray:
         """Centered-difference Jacobian of the lift at x (batched)."""
         x = np.asarray(x, dtype=float)
@@ -107,7 +88,7 @@ class Conjugacy:
     def residual_on_grid(self, n: int) -> float:
         """Conjugacy residual sup |h(Ax) - g(h(x))| re-evaluated on an
         arbitrary (finer) grid through the interpolant."""
-        pts = _grid_points(n)
+        pts = grid_points(n)
         a = self.source.matrix.as_array()
         hx = pts + self.displacement(pts)
         lhs = pts @ a.T + self.displacement(pts @ a.T)
@@ -117,8 +98,8 @@ class Conjugacy:
         return float(d.max())
 
 
-def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256, tol: float = 1e-9,
-                    max_sweeps: int = 2000, u0: np.ndarray | None = None) -> Conjugacy:
+def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
+                    u0: np.ndarray | None = None) -> Conjugacy:
     """Solve h o A = g o h for the identity-homotopic conjugacy h = id + u.
 
     Component-split fixed-point iteration in the eigenbasis of A: the
@@ -130,7 +111,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256, tol: float = 1e-
     """
     m = a_elem.matrix
     a = m.as_array()
-    pts = _grid_points(n)
+    pts = grid_points(n)
     fwd = _index_permutation(m, n)          # grid index of A x
     bwd = _index_permutation(invert(m), n)  # grid index of A^{-1} x
 
@@ -147,10 +128,10 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256, tol: float = 1e-
 
     best = np.inf
     stall = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         p = g.displacement(pts + u)
         res = residual_of(u, p)
-        if res < tol:
+        if res < 1e-9:
             return Conjugacy(DisplacementField(n, u), a_elem, g, res)
         xi = u @ w_s
         eta = u @ w_u
@@ -170,21 +151,20 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256, tol: float = 1e-
             stall += 1
             if stall >= DIVERGENCE_PATIENCE:
                 raise SolverDiverged(f"residual stalled at {res:.3e} after {sweep + 1} sweeps")
-    raise SolverDiverged(f"residual {res:.3e} > tol after {max_sweeps} sweeps")
+    raise SolverDiverged(f"residual {res:.3e} > 1e-9 after {MAX_SWEEPS} sweeps")
 
 
-def estimate_holder_exponent(h: Conjugacy, direction, scales, n_base: int = 100,
-                             seed: int = 0):
+def estimate_holder_exponent(h: Conjugacy, direction, scales, seed: int = 0):
     """Least-squares slope of log increment size against log scale.
 
-    Returns (exponent, standard_error); the exponent is the mean over the
-    base points of the per-point log-log slope.
+    Returns (exponent, standard_error); the exponent is the mean over 100
+    random base points of the per-point log-log slope.
     """
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     scales = np.asarray(scales, dtype=float)
     rng = np.random.default_rng(seed)
-    base = rng.random((n_base, 2))
+    base = rng.random((100, 2))
     log_s = np.log(scales)
     slopes = []
     for x in base:
@@ -192,7 +172,7 @@ def estimate_holder_exponent(h: Conjugacy, direction, scales, n_base: int = 100,
         slope = np.polyfit(log_s, np.log(incs), 1)[0]
         slopes.append(slope)
     slopes = np.array(slopes)
-    return float(slopes.mean()), float(slopes.std(ddof=1) / np.sqrt(n_base))
+    return float(slopes.mean()), float(slopes.std(ddof=1) / np.sqrt(len(slopes)))
 
 
 @dataclass
@@ -264,19 +244,18 @@ def _iterated_lift(g, x, n: int):
     jac = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
     z = pts
     for _ in range(n):
-        j_here = np.atleast_3d(g.jacobian(z)).reshape(-1, 2, 2)
+        j_here = g.jacobian(z)
         jac = np.einsum("nij,njk->nik", j_here, jac)
         z = g.lift(z)
     return z, jac
 
 
-def find_periodic_points(g, a_elem: HyperbolicElement, n: int, newton_tol: float = 1e-12,
-                         max_newton: int = 50):
+def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int = 50):
     """All points of period dividing n, via Newton on g^n(x) = x + k.
 
     Seeds are the exact lattice solutions for the linear part.  One Newton
     iteration runs over all seeds of the period at once: each pass lifts
-    the rows still live, a row stops once max |g^n(x) - x - k| < newton_tol,
+    the rows still live, a row stops once max |g^n(x) - x - k| < 1e-12,
     and a row still live after max_newton passes fails.  Returns (orbits,
     failures) where orbits is a list of PeriodicOrbitData and failures a
     NewtonFailed per seed that did not converge, in seed order.
@@ -291,7 +270,7 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, newton_tol: float
     for _ in range(max_newton):
         fx, jac = _iterated_lift(g, x[live], n)
         res = fx - x[live] - kv[live]
-        done = np.max(np.abs(res), axis=1) < newton_tol
+        done = np.max(np.abs(res), axis=1) < 1e-12
         converged[live[done]] = True
         live, res, jac = live[~done], res[~done], jac[~done]
         if not len(live):
@@ -302,18 +281,18 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, newton_tol: float
     return _group_orbits(g, wrap_point(x[converged]), n), failures
 
 
-def _group_orbits(g, points: np.ndarray, n: int, tol: float = 1e-8):
+def _group_orbits(g, points: np.ndarray, n: int):
     """Partition period-n points into orbits of g and attach multipliers.
 
     g is applied once to all points.  Each orbit starts at the first point
     not yet taken, in input order, and follows the images: a step takes the
-    first untaken point within tol (wrapped sup distance) of the current
+    first untaken point within 1e-8 (wrapped sup distance) of the current
     image, and the orbit closes when none is left.  The multipliers come
     from one D g^n product over all orbit heads.
     """
     if not len(points):
         return []
-    images = wrap_point(g.apply(points))
+    images = g.apply(points)
     taken = np.zeros(len(points), dtype=bool)
     members = []
     for head in range(len(points)):
@@ -323,7 +302,7 @@ def _group_orbits(g, points: np.ndarray, n: int, tol: float = 1e-8):
         orbit = [head]
         while True:
             d = np.abs(images[orbit[-1]] - points) % 1.0
-            hit = np.flatnonzero(~taken & (np.max(np.minimum(d, 1.0 - d), axis=1) < tol))
+            hit = np.flatnonzero(~taken & (np.max(np.minimum(d, 1.0 - d), axis=1) < 1e-8))
             if not len(hit):
                 break
             taken[hit[0]] = True

@@ -9,6 +9,12 @@ class NotHyperbolic(AnosovLabError):
     """Matrix has |trace| <= 2, so it has no hyperbolic splitting."""
 
 
+class NotInSL2Z(AnosovLabError, ValueError):
+    """Integer-matrix entries are not integers or the determinant is not 1.
+
+    Also a ValueError, so library callers that catch ValueError still do."""
+
+
 class NotADiffeo(AnosovLabError):
     """id + q fails the derivative bound that guarantees invertibility."""
 

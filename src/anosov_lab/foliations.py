@@ -26,7 +26,7 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import PeriodicBicubic
-from .lattice import eigen_data, line_angle
+from .lattice import eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
@@ -50,11 +50,8 @@ def _fold_angle(theta):
 class LineField:
     """Unit direction field mod pi on an N x N grid, owned by a torus map."""
 
-    def __init__(self, owner, label: str, theta: np.ndarray, converged_residual: float = 0.0):
-        if label not in ("stable", "unstable"):
-            raise ValueError(label)
+    def __init__(self, owner, theta: np.ndarray, converged_residual: float = 0.0):
         self.owner = owner
-        self.label = label
         self.theta = np.asarray(theta, dtype=float)  # (N, N), [0, pi)
         self.grid_size = self.theta.shape[0]
         self.converged_residual = converged_residual
@@ -64,9 +61,9 @@ class LineField:
         )
 
     @classmethod
-    def constant(cls, owner, label: str, direction, grid_size: int = 2) -> "LineField":
+    def constant(cls, owner, direction, grid_size: int = 2) -> "LineField":
         theta = math.atan2(direction[1], direction[0]) % math.pi
-        return cls(owner, label, np.full((grid_size, grid_size), theta))
+        return cls(owner, np.full((grid_size, grid_size), theta))
 
     def angle_at(self, x):
         """Interpolated angle(s) in [0, pi)."""
@@ -81,13 +78,13 @@ class LineField:
         out = _unit(theta)
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def invariance_error(self, n_samples: int = 512, seed: int = 0) -> float:
-        """Max angular error of D g (field at x) against field at g(x)."""
-        rng = np.random.default_rng(seed)
-        pts = rng.random((n_samples, 2))
+    def invariance_error(self) -> float:
+        """Max angular error of D g (field at x) against field at g(x) over
+        512 random points."""
+        rng = np.random.default_rng(0)
+        pts = rng.random((512, 2))
         vec = self.direction_at(pts)
-        jac = np.atleast_3d(self.owner.jacobian(pts)).reshape(-1, 2, 2)
-        pushed = np.einsum("nij,nj->ni", jac, vec)
+        pushed = np.einsum("nij,nj->ni", self.owner.jacobian(pts), vec)
         target = self.direction_at(self.owner.apply(pts))
         return float(np.max(line_angle(pushed, target)))
 
@@ -102,20 +99,16 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
     """
     handle = g if label == "unstable" else g.inverse()
     seed_dir = eigen_data(handle.linear_part).vu
-
-    axis = np.arange(n) / n
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-
+    pts = grid_points(n)
     inv = handle.inverse()
     orbit = [pts]
     for _ in range(iters):
-        orbit.append(np.atleast_2d(inv.apply(orbit[-1])))
+        orbit.append(inv.apply(orbit[-1]))
 
     v = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters
     w = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters - 1
     for j in range(iters, 0, -1):
-        jac = np.atleast_3d(handle.jacobian(orbit[j])).reshape(-1, 2, 2)
+        jac = handle.jacobian(orbit[j])
         v = np.einsum("nij,nj->ni", jac, v)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         if j < iters:
@@ -126,7 +119,7 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
     if residual > tol:
         raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} after {iters} iterations")
     theta = _fold_angle(np.arctan2(v[:, 1], v[:, 0])).reshape(n, n)
-    return LineField(g, label, theta, converged_residual=residual)
+    return LineField(g, theta, converged_residual=residual)
 
 
 def line_fields(handles, keys, n: int, iters: int) -> dict:
@@ -184,11 +177,9 @@ def _flow(field: LineField, starts, headings, n_steps: int, h: float):
 class LeafSegment:
     """Arc-length-parametrized leaf curve in the universal cover."""
 
-    base: np.ndarray          # lift coordinates of the anchor (param 0)
     params: np.ndarray        # (m,) arc-length parameters, uniform spacing
     points: np.ndarray        # (m, 2) lift coordinates
     headings: np.ndarray      # (m, 2) unit tangents
-    field_label: str
     field: LineField
     step: float
 
@@ -230,41 +221,33 @@ class LeafSegment:
     def translated(self, offset) -> "LeafSegment":
         """The same curve shifted by a deck translation (integer vector)."""
         off = np.asarray(offset, dtype=float)
-        return LeafSegment(
-            base=self.base + off,
-            params=self.params.copy(),
-            points=self.points + off,
-            headings=self.headings.copy(),
-            field_label=self.field_label,
-            field=self.field,
-            step=self.step,
-        )
+        return LeafSegment(params=self.params.copy(), points=self.points + off,
+                           headings=self.headings.copy(), field=self.field, step=self.step)
 
 
 def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STEP,
-                   centered: bool = False, initial_heading=None) -> LeafSegment:
+                   centered: bool = False) -> LeafSegment:
     """Fixed-step RK4 integration of the line field through x.
 
     With ``centered`` the segment covers parameters [-length/2, length/2]
-    with the anchor at 0; otherwise [0, length].  Negative ``length``
-    integrates against the initial heading.
+    with the anchor at 0; otherwise [0, length].  The initial heading is
+    the field's canonical direction at x; negative ``length`` integrates
+    against it.
     """
     x = np.asarray(x, dtype=float)
-    if initial_heading is None:
-        initial_heading = field.direction_at(np.mod(x, 1.0))
-    initial_heading = np.asarray(initial_heading, dtype=float)
-    initial_heading = initial_heading / np.linalg.norm(initial_heading)
+    heading = field.direction_at(np.mod(x, 1.0))
+    heading = heading / np.linalg.norm(heading)
 
     if centered:
         half = abs(length) / 2.0
-        fwd = _march(field, x, initial_heading, half, step)
-        bwd = _march(field, x, -initial_heading, half, step)
+        fwd = _march(field, x, heading, half, step)
+        bwd = _march(field, x, -heading, half, step)
         params = np.concatenate([-bwd[0][::-1], fwd[0][1:]])
         points = np.concatenate([bwd[1][::-1], fwd[1][1:]])
         heads = np.concatenate([-bwd[2][::-1], fwd[2][1:]])
     else:
         sign = 1.0 if length >= 0 else -1.0
-        params, points, heads = _march(field, x, sign * initial_heading, abs(length), step)
+        params, points, heads = _march(field, x, sign * heading, abs(length), step)
         params = sign * params
         heads = sign * heads
         if sign < 0:
@@ -273,11 +256,8 @@ def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STE
             heads = heads[::-1]
     # n_steps rounding makes the realized node spacing differ slightly from
     # the requested step; record the actual spacing for parameter lookups
-    return LeafSegment(
-        base=x.copy(), params=params, points=points, headings=heads,
-        field_label=field.label, field=field,
-        step=float(abs(params[1] - params[0])),
-    )
+    return LeafSegment(params=params, points=points, headings=heads, field=field,
+                       step=float(abs(params[1] - params[0])))
 
 
 def _march(field, x, heading, length, step):
@@ -349,7 +329,7 @@ def _initial_toward(field, starts, projector):
 
 
 def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
-                     step: float, tangency_threshold: float = TANGENCY_THRESHOLD):
+                     step: float):
     """March leaves of ``field`` from ``starts`` until each crosses tau2.
 
     All leaves advance together; a leaf stops at the first step whose
@@ -409,9 +389,9 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal "
                           f"within budget {budget}")
-    if np.any(ang_out < tangency_threshold):
+    if np.any(ang_out < TANGENCY_THRESHOLD):
         raise TangencySuspected(
-            f"min crossing angle {np.nanmin(ang_out):.4f} rad below {tangency_threshold}"
+            f"min crossing angle {np.nanmin(ang_out):.4f} rad below {TANGENCY_THRESHOLD}"
         )
     return s_out, ang_out
 
@@ -488,10 +468,7 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
 class HolonomyMap:
     """Monotone parameter correspondence between two transversals."""
 
-    def __init__(self, source: LeafSegment, target: LeafSegment,
-                 s_values: np.ndarray, s_primes: np.ndarray):
-        self.source = source
-        self.target = target
+    def __init__(self, s_values: np.ndarray, s_primes: np.ndarray):
         order = np.argsort(s_values)
         s = np.asarray(s_values, dtype=float)[order]
         sp = np.asarray(s_primes, dtype=float)[order]
@@ -512,11 +489,6 @@ class HolonomyMap:
     def domain(self):
         return float(self.samples[0, 0]), float(self.samples[-1, 0])
 
-    @property
-    def range(self):
-        sp = self.samples[:, 1]
-        return float(sp.min()), float(sp.max())
-
     def __call__(self, s):
         return self._fwd(s)
 
@@ -528,11 +500,10 @@ class HolonomyMap:
 
 
 def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
-             n_samples: int = 25, budget: float = 3.0, step: float = DEFAULT_STEP,
-             span=None) -> HolonomyMap:
+             budget: float = 3.0, step: float = DEFAULT_STEP, span=None) -> HolonomyMap:
     """Holonomy of ``field`` from tau1 to tau2.
 
-    Slides each sample point of tau1 along the leaves of ``field`` until
+    Slides 25 sample points of tau1 along the leaves of ``field`` until
     it crosses tau2; crossings are located by sign change of the signed
     distance, then refined together by one batched bisection after the
     march (``_cross_to_target``).
@@ -543,17 +514,16 @@ def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
         if float(angle.min()) < 0.1:
             raise TangencySuspected(f"{name} not transverse to the field "
                                     f"(min angle {angle.min():.3f} rad)")
-    s_values = np.linspace(lo, hi, n_samples)
+    s_values = np.linspace(lo, hi, 25)
     starts, _ = tau1.evaluate(s_values)
     s_primes, _ = _cross_to_target(field, starts, tau2, budget, step)
-    return HolonomyMap(tau1, tau2, s_values, s_primes)
+    return HolonomyMap(s_values, s_primes)
 
 
 class GraphMap:
     """Local graph of one foliation's leaf over a transverse leaf frame."""
 
-    def __init__(self, basepoint, u_values: np.ndarray, s_values: np.ndarray):
-        self.basepoint = np.asarray(basepoint, dtype=float)
+    def __init__(self, u_values: np.ndarray, s_values: np.ndarray):
         order = np.argsort(u_values)
         self.u_values = np.asarray(u_values, dtype=float)[order]
         self.s_values = np.asarray(s_values, dtype=float)[order]
@@ -571,17 +541,18 @@ class GraphMap:
 
 
 def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
-                eps: float, n_samples: int = 21, step: float = DEFAULT_STEP,
-                chart_margin: float = 3.0) -> GraphMap:
+                eps: float, step: float = DEFAULT_STEP) -> GraphMap:
     """Graph map of the target leaf through z in the (frame_u, frame_s)
     leaf coordinates at z.
 
-    Each sample point of the target leaf is projected onto the frame axes
-    by integrating frame leaves to their crossings.
+    Each of 21 sample points of the target leaf is projected onto the frame
+    axes by integrating frame leaves to their crossings; the axes and the
+    crossing budgets have length 3 * 2 eps.
     """
     z = np.asarray(z, dtype=float)
-    axis_u = integrate_leaf(frame_u, z, 2 * eps * chart_margin, step=step, centered=True)
-    axis_s = integrate_leaf(frame_s, z, 2 * eps * chart_margin, step=step, centered=True)
+    reach = 2 * eps * 3.0
+    axis_u = integrate_leaf(frame_u, z, reach, step=step, centered=True)
+    axis_s = integrate_leaf(frame_s, z, reach, step=step, centered=True)
     angle = line_angle(target.direction_at(np.mod(z, 1.0)),
                        frame_u.direction_at(np.mod(z, 1.0)))
     if angle < 0.05:
@@ -589,17 +560,17 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
     # cover u-range [-eps, eps]: leaf length eps / cos of worst angle, padded
     leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
     leaf = integrate_leaf(target, z, leaf_len, step=step, centered=True)
-    t_vals = np.linspace(leaf.params[0], leaf.params[-1], n_samples)
+    t_vals = np.linspace(leaf.params[0], leaf.params[-1], 21)
     pts, _ = leaf.evaluate(t_vals)
-    u_vals, _ = _cross_to_target(frame_s, pts, axis_u, budget=2 * eps * chart_margin, step=step)
-    s_vals, _ = _cross_to_target(frame_u, pts, axis_s, budget=2 * eps * chart_margin, step=step)
+    u_vals, _ = _cross_to_target(frame_s, pts, axis_u, budget=reach, step=step)
+    s_vals, _ = _cross_to_target(frame_u, pts, axis_s, budget=reach, step=step)
     if u_vals.max() < eps or u_vals.min() > -eps:
         raise ChartOverflow(
             f"target leaf covers u in [{u_vals.min():.4f}, {u_vals.max():.4f}], "
             f"short of [-{eps}, {eps}]"
         )
     keep = np.abs(u_vals) <= eps * 1.0001
-    return GraphMap(z, u_vals[keep], s_vals[keep])
+    return GraphMap(u_vals[keep], s_vals[keep])
 
 
 def min_transversality_angle(f1: LineField, f2: LineField):
@@ -677,17 +648,17 @@ def _refine_heteroclinic(z, a, b, k, field_u, field_s, step):
 
 
 def verify_graph_transport(theta_z: GraphMap, theta_zp: GraphMap,
-                           hol_s: HolonomyMap, hol_u: HolonomyMap,
-                           n_samples: int = 41) -> float:
+                           hol_s: HolonomyMap, hol_u: HolonomyMap) -> float:
     """Sup deviation of the graph-transport identity
-    theta_z' = hol_u o theta_z o hol_s^{-1} on the common domain.
+    theta_z' = hol_u o theta_z o hol_s^{-1} over 41 points of the common
+    domain.
 
     ``hol_s`` is the holonomy along the stable foliation between the
     unstable frame leaves at z and z' (it transports u-parameters);
     ``hol_u`` transports s-parameters along the unstable foliation.
     """
     lo, hi = theta_zp.domain
-    t = np.linspace(lo, hi, n_samples)
+    t = np.linspace(lo, hi, 41)
     # restrict to t whose pullback stays inside the composed domains
     u_back = hol_s.inverse(t)
     d_lo, d_hi = theta_z.domain

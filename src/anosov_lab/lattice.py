@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHyperbolic
+from .errors import NotHyperbolic, NotInSL2Z
 
 EIGEN_TOL = 1e-12
 
@@ -29,9 +29,9 @@ class IntMatrix2:
     def __post_init__(self):
         for entry in (self.a, self.b, self.c, self.d):
             if entry != int(entry):
-                raise ValueError(f"non-integer entry {entry!r}")
+                raise NotInSL2Z(f"non-integer entry {entry!r}")
         if self.det != 1:
-            raise ValueError(f"determinant {self.det} != 1, not in SL(2,Z)")
+            raise NotInSL2Z(f"determinant {self.det} != 1, not in SL(2,Z)")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix2":
@@ -219,6 +219,13 @@ def line_angle(a, b):
     cross = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
     dots = np.abs(np.einsum("...i,...i->...", a, b))
     return np.arctan2(cross, dots)
+
+
+def grid_points(n: int) -> np.ndarray:
+    """The N x N torus grid points (i / N, j / N), flat and row-major in (i, j)."""
+    axis = np.arange(n) / n
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def wrap_point(x) -> np.ndarray:

@@ -60,7 +60,7 @@ def _newton_inverse(lift, jacobian, y, z):
         res = lift(z) - y
         if np.max(np.abs(res)) < NEWTON_TOL:
             break
-        z = z - _inv2(np.atleast_3d(jacobian(z)).reshape(-1, 2, 2), res)
+        z = z - _inv2(jacobian(z), res)
     return z
 
 
@@ -70,7 +70,6 @@ class PerturbedMap:
     def __init__(self, base, perturbation: FourierPerturbation):
         # base may be a HyperbolicElement or a bare IntMatrix2 (the cone
         # checker needs non-hyperbolic counterexamples too)
-        self.base = base
         self._matrix = base if isinstance(base, IntMatrix2) else base.matrix
         self.perturbation = perturbation
         self._A = self._matrix.as_array()
@@ -126,8 +125,7 @@ class InverseMap:
     def jacobian(self, y):
         pts, single = _batched(y)
         z = self.lift(pts)
-        jf = np.atleast_3d(self.forward.jacobian(z)).reshape(-1, 2, 2)
-        return _unbatch(_inv2(jf), single)
+        return _unbatch(_inv2(self.forward.jacobian(z)), single)
 
     def inverse(self):
         return self.forward
@@ -144,9 +142,6 @@ class Diffeo:
     def lift(self, x):
         pts, single = _batched(x)
         return _unbatch(pts + self.q.evaluate(pts), single)
-
-    def apply(self, x):
-        return wrap_point(self.lift(x))
 
     def derivative(self, x):
         pts, single = _batched(x)
@@ -187,8 +182,8 @@ class ConjugatedMap:
     def jacobian(self, x):
         pts, single = _batched(x)
         w = self.phi.inverse_lift(pts)
-        d_out = np.atleast_3d(self.phi.derivative(w @ self._A.T)).reshape(-1, 2, 2)
-        d_in = np.atleast_3d(self.phi.derivative(w)).reshape(-1, 2, 2)
+        d_out = self.phi.derivative(w @ self._A.T)
+        d_in = self.phi.derivative(w)
         out = np.einsum("nij,jk,nkl->nil", d_out, self._A, _inv2(d_in))
         return _unbatch(out, single)
 
@@ -220,8 +215,8 @@ class ComposedMap:
 
     def jacobian(self, x):
         pts, single = _batched(x)
-        j_in = np.atleast_3d(self.inner.jacobian(pts)).reshape(-1, 2, 2)
-        j_out = np.atleast_3d(self.outer.jacobian(self.inner.lift(pts))).reshape(-1, 2, 2)
+        j_in = self.inner.jacobian(pts)
+        j_out = self.outer.jacobian(self.inner.lift(pts))
         return _unbatch(np.einsum("nij,njk->nik", j_out, j_in), single)
 
     def inverse(self):
@@ -242,18 +237,18 @@ class MarkedAction:
                 return handle
         raise KeyError(f"no generator for {element.matrix.rows()}")
 
-    def homotopy_check(self, n_samples: int = 16, tol: float = 1e-8) -> bool:
+    def homotopy_check(self) -> bool:
         """Each generator's lift commutes with deck translations by its
-        linear part (degree check)."""
+        linear part (degree check), to 1e-8 on 16 random points."""
         rng = np.random.default_rng(0)
-        pts = rng.random((n_samples, 2))
+        pts = rng.random((16, 2))
         for el, handle in self.generators:
             A = el.matrix.as_array()
             for k in ((1, 0), (0, 1)):
                 k = np.array(k, dtype=float)
                 lhs = handle.lift(pts + k)
                 rhs = handle.lift(pts) + A @ k
-                if np.max(np.abs(lhs - rhs)) > tol:
+                if np.max(np.abs(lhs - rhs)) > 1e-8:
                     return False
         return True
 
@@ -282,25 +277,26 @@ def _rotate(v, angle):
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
-def _cone_check(handle, center, aperture, grid_n, orbit_len, n_dirs=9):
+def _cone_check(handle, center, aperture, orbit_len):
     """Invariance and minimal expansion of the cone field under the handle's
-    jacobian along forward orbits of a uniform grid.
+    jacobian, for 9 directions spanning the cone, along forward orbits of the
+    128 x 128 grid of cell centres.
 
     Returns (invariant, min_expansion).
     """
     center = np.asarray(center, dtype=float)
     center = center / np.linalg.norm(center)
-    angles = np.linspace(-aperture, aperture, n_dirs)
+    angles = np.linspace(-aperture, aperture, 9)
     dirs = np.stack([_rotate(center, a) for a in angles])  # (m, 2)
 
-    axis = (np.arange(grid_n) + 0.5) / grid_n
+    axis = (np.arange(128) + 0.5) / 128
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
 
     invariant = True
     min_exp = np.inf
     for _ in range(orbit_len):
-        jac = np.atleast_3d(handle.jacobian(pts)).reshape(-1, 2, 2)
+        jac = handle.jacobian(pts)
         images = np.einsum("nij,mj->nmi", jac, dirs)
         norms = np.linalg.norm(images, axis=2)
         min_exp = min(min_exp, float(norms.min()))
@@ -311,7 +307,7 @@ def _cone_check(handle, center, aperture, grid_n, orbit_len, n_dirs=9):
     return invariant, min_exp
 
 
-def verify_anosov_cones(handle, params: ConeParams, grid_n: int = 128):
+def verify_anosov_cones(handle, params: ConeParams):
     """Check the Anosov property via strict cone invariance and expansion.
 
     The unstable cone around ``params.direction`` is checked under the map;
@@ -319,12 +315,12 @@ def verify_anosov_cones(handle, params: ConeParams, grid_n: int = 128):
     is checked dually under the inverse map.  Returns (ok, margin) where
     margin is the smaller of the two one-step expansion factors.
     """
-    ok_u, exp_u = _cone_check(handle, params.direction, params.aperture, grid_n, params.iterations)
+    ok_u, exp_u = _cone_check(handle, params.direction, params.aperture, params.iterations)
     margin = exp_u
     if ok_u:
         stable_dir = eigen_data(handle.linear_part).vs
         inv = handle.inverse()
-        ok_s, exp_s = _cone_check(inv, stable_dir, params.aperture, grid_n, params.iterations)
+        ok_s, exp_s = _cone_check(inv, stable_dir, params.aperture, params.iterations)
         margin = min(exp_u, exp_s)
         ok = ok_u and ok_s
     else:

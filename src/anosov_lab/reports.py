@@ -100,7 +100,6 @@ class RunReport:
         self.timings: dict = {}
         self.verdict: str | None = None
         self.tables: list = []  # (filename, header, rows-list)
-        self._t0 = time.perf_counter()
 
     def time_block(self, label: str):
         report = self

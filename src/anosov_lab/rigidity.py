@@ -40,19 +40,20 @@ from .foliations import (
 )
 from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
+FD_STEP = 1e-5  # centered-difference step of dS/dy
+
 
 class TranslationAction:
     """An action S(t, y) conjugate to rigid translations by a monotone
     profile psi: S(t, y) = psi(psi^{-1}(y) + t)."""
 
-    def __init__(self, psi, psi_inv, provenance: str, y_domain):
+    def __init__(self, psi, psi_inv, y_domain):
         self.psi = psi
         self.psi_inv = psi_inv
-        self.provenance = provenance
         self.y_domain = (float(y_domain[0]), float(y_domain[1]))
 
     @classmethod
-    def from_profile_samples(cls, r_values, psi_values, provenance="synthetic-from-h"):
+    def from_profile_samples(cls, r_values, psi_values):
         r = np.asarray(r_values, dtype=float)
         v = np.asarray(psi_values, dtype=float)
         if not (np.all(np.diff(v) > 0) or np.all(np.diff(v) < 0)):
@@ -62,7 +63,7 @@ class TranslationAction:
             inv = CubicSpline(v, r)
         else:
             inv = CubicSpline(v[::-1], r[::-1])
-        return cls(fwd, inv, provenance, (float(v.min()), float(v.max())))
+        return cls(fwd, inv, (float(v.min()), float(v.max())))
 
     def __call__(self, t, y):
         return self.psi(self.psi_inv(y) + t)
@@ -77,19 +78,18 @@ class TranslationAction:
         return float(np.max(np.abs(self(0.0, y) - y)))
 
 
-def translation_action_from_conjugacy(h: Conjugacy, base, direction, span: float,
-                                      sample_step: float = 1e-3,
-                                      provenance: str = "synthetic-from-h") -> TranslationAction:
+def translation_action_from_conjugacy(h: Conjugacy, base, direction,
+                                      span: float) -> TranslationAction:
     """The action induced on the h-image of the line through ``base`` with
     the given (unit) eigen-direction, in arc-length parameters.
 
     The profile is psi(r) = signed arc length along h(base + r v), built
-    from Richardson-corrected chord sums on a fine sampling.
+    from Richardson-corrected chord sums on a sampling of spacing 1e-3.
     """
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     base = np.asarray(base, dtype=float)
-    n = max(8, int(round(2 * span / sample_step)))
+    n = max(8, int(round(2 * span / 1e-3)))
     if n % 2:
         n += 1
     r = np.linspace(-span, span, n + 1)
@@ -101,7 +101,7 @@ def translation_action_from_conjugacy(h: Conjugacy, base, direction, span: float
     seg = half_sum + (half_sum - full) / 3.0  # Richardson: O(dr^4) arc length
     psi = np.concatenate([[0.0], np.cumsum(seg)])
     psi -= np.interp(0.0, r, psi)  # anchor: psi(0) = 0
-    return TranslationAction.from_profile_samples(r, psi, provenance=provenance)
+    return TranslationAction.from_profile_samples(r, psi)
 
 
 @dataclass
@@ -113,8 +113,7 @@ class RegularityReport:
     d_field: np.ndarray  # (n_t, n_y) coarse finite-difference field
 
 
-def verify_action_regularity(S: TranslationAction, t_values, y_values,
-                             h_y: float = 1e-5) -> RegularityReport:
+def verify_action_regularity(S: TranslationAction, t_values, y_values) -> RegularityReport:
     """Finite-difference field D(t, y) ~ dS/dy on the grid and on a
     2x-refined y-grid; reports sup |D_fine - D_coarse| and the discrete
     modulus of continuity of D."""
@@ -127,8 +126,8 @@ def verify_action_regularity(S: TranslationAction, t_values, y_values,
             out[i] = (S(t, ys + step) - S(t, ys - step)) / (2 * step)
         return out
 
-    coarse = d_field(y_values, h_y)
-    fine = d_field(y_values, h_y / 2.0)
+    coarse = d_field(y_values, FD_STEP)
+    fine = d_field(y_values, FD_STEP / 2.0)
     refinement = float(np.max(np.abs(fine - coarse)))
     osc = 0.0
     if coarse.shape[1] > 1:
@@ -156,8 +155,7 @@ class LinearizationResult:
         return self.g(self.action(t, self.g_inverse(z)))
 
 
-def _solve_t(S: TranslationAction, y: float, y0: float, t_range: float,
-             tol: float = 1e-12) -> float:
+def _solve_t(S: TranslationAction, y: float, y0: float, t_range: float) -> float:
     """Root of S(t, y) = y0 in t by bisection bracketing plus secant polish."""
 
     def f(t):
@@ -189,35 +187,32 @@ def _solve_t(S: TranslationAction, y: float, y0: float, t_range: float,
         t2 = min(max(t2, -t_range), t_range)
         f2 = f(t2)
         t0, f0, t1, f1 = t1, f1, t2, f2
-        if abs(f2) < tol or abs(t1 - t0) < 1e-15:
+        if abs(f2) < 1e-12 or abs(t1 - t0) < 1e-15:
             break
     return t1
 
 
 def linearize_translation_action(S: TranslationAction, y0: float, domain,
-                                 h_y: float = 1e-5, quad_spacing: float = 1e-3,
-                                 t_max: float | None = None,
-                                 t_range: float | None = None,
-                                 n_fit: int = 11) -> LinearizationResult:
+                                 quad_spacing: float = 1e-3,
+                                 t_max: float | None = None) -> LinearizationResult:
     """Linearize a weakly smooth translation action.
 
     Steps: (1) solve S(t(y), y) = y0 for each quadrature node; (2) measure
     the integrand dS/dy at (t(y), y) by centered differences; (3) integrate
     it by composite Simpson to get the coordinate g; (4) conjugate,
-    L = g o S o g^{-1}, on a test lattice; (5) fit alpha by least squares
-    of L(t, z) - z against t.
+    L = g o S o g^{-1}, on an 11 x 11 test lattice; (5) fit alpha by least
+    squares of L(t, z) - z against t.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo <= y0 <= hi:
         raise DomainMismatch(f"y0={y0} outside domain [{lo}, {hi}]")
-    if t_range is None:
-        t_range = 4.0 * (hi - lo)
+    t_range = 4.0 * (hi - lo)
     n = max(8, int(math.ceil((hi - lo) / quad_spacing)))
     ys = np.linspace(lo, hi, n + 1)
 
     t_of_y = np.array([_solve_t(S, float(y), y0, t_range) for y in ys])
     integrand = np.array([
-        (float(S(t, y + h_y)) - float(S(t, y - h_y))) / (2 * h_y)
+        (float(S(t, y + FD_STEP)) - float(S(t, y - FD_STEP))) / (2 * FD_STEP)
         for t, y in zip(t_of_y, ys)
     ])
     g_vals = cumulative_simpson(integrand, x=ys, initial=0.0)
@@ -230,10 +225,9 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     # test lattice: keep S(t, g^{-1}(z)) inside the sampled domain
     if t_max is None:
         t_max = 0.25 * (hi - lo)
-    margin = 0.2 * (hi - lo)
     z_lo, z_hi = g_vals[0] + 1e-9, g_vals[-1] - 1e-9
-    t_grid = np.linspace(0.0, t_max, n_fit)
-    z_grid = np.linspace(z_lo, z_hi, n_fit)
+    t_grid = np.linspace(0.0, t_max, 11)
+    z_grid = np.linspace(z_lo, z_hi, 11)
 
     rows_t, rows_dz = [], []
     for t in t_grid:
@@ -297,17 +291,13 @@ def factor_translation_linear(e1: HyperbolicElement, e2: HyperbolicElement,
 def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
                                tau_ext: LeafSegment, e1: HyperbolicElement,
                                e2: HyperbolicElement, s: float,
-                               n_samples: int = 9, span=None,
-                               step: float = 1e-3,
-                               action: TranslationAction | None = None,
-                               conjugacy: Conjugacy | None = None) -> FactorizationResult:
-    """Slide samples of an unstable transversal along the first stable
+                               span=None, step: float = 1e-3) -> FactorizationResult:
+    """Slide 9 samples of an unstable transversal along the first stable
     foliation by leaf-length s, then along the second stable foliation
     back to the (extended) unstable leaf.
 
-    The composed motion is compared with the translation action for the t
-    predicted by the linear factorization, transported through the
-    conjugacy when one is supplied.
+    The composed motion is compared with the translation by the t
+    predicted by the linear factorization.
     """
     linear = factor_translation_linear(e1, e2, s)
     # factorization parameters use first-coordinate-1 normalization; the
@@ -317,12 +307,12 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
     arc_slide = s * scale_1s
     lo, hi = span if span is not None else (
         tau_ext.params[0] * 0.3, tau_ext.params[-1] * 0.3)
-    y_samples = np.linspace(lo, hi, n_samples)
-    starts, _ = tau_ext.evaluate(y_samples)
+    y_samples = np.linspace(lo, hi, 9)
     if s == 0.0:
         landed = y_samples.copy()
-        arc_t_pred = np.zeros(n_samples)
+        arc_t_pred = 0.0
     else:
+        starts, _ = tau_ext.evaluate(y_samples)
         # leg 1: fixed arc-length slide along the first stable foliation,
         # signed so positive s moves along the canonical stable direction;
         # all starts flow together with integrate_leaf's step count and size
@@ -333,21 +323,9 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
         # leg 2: holonomy along the second stable foliation back to the leaf
         budget = abs(linear.slide_r) * 3.0 + 0.3
         landed, _ = _cross_to_target(field_2s, mids, tau_ext, budget=budget, step=step)
-        if conjugacy is not None:
-            # transport the slide parameter through h pointwise
-            w_start = conjugacy.inverse_lift(starts)
-            w_mid = conjugacy.inverse_lift(mids)
-            s_tilde = (w_mid - w_start) @ e1.vs / scale_1s
-            arc_t_pred = linear.translation_t * (s_tilde / s) * scale_1u
-        else:
-            arc_t_pred = np.full(n_samples, linear.translation_t * scale_1u)
-    if action is not None:
-        predicted = np.array([float(action(t, y)) for t, y in zip(arc_t_pred, y_samples)])
-    else:
-        predicted = y_samples + arc_t_pred
-    deviation = float(np.max(np.abs(landed - predicted)))
-    implied_t = float(np.mean(landed - y_samples)) / scale_1u if action is None \
-        else float(np.mean(arc_t_pred)) / scale_1u
+        arc_t_pred = linear.translation_t * scale_1u
+    deviation = float(np.max(np.abs(landed - (y_samples + arc_t_pred))))
+    implied_t = float(np.mean(landed - y_samples)) / scale_1u
     return FactorizationResult(slide_s=float(s), slide_r=linear.slide_r,
                                translation_t=implied_t, numeric_deviation=deviation)
 
@@ -376,11 +354,11 @@ class PropagationRow:
 def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
                                field_2s: LineField, z, e1: HyperbolicElement,
                                radius: int = 1, eps: float = 0.05,
-                               step: float = 1e-3, axis_len: float = 0.3,
-                               nonlinear: bool = False):
+                               step: float = 1e-3, nonlinear: bool = False):
     """Transport the local graph of the second stable foliation from z to
     each heteroclinic point z' and compare predicted against measured
-    slopes and graphs.
+    slopes and graphs.  The holonomies run between frame axes of length
+    0.3 at z and 0.6 at z'.
 
     Returns a list of PropagationRow, one per lattice vector.
     """
@@ -389,8 +367,8 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     fs = field_1s if nonlinear else None
     hps = heteroclinic_points(z, e1, radius, field_u=fu, field_s=fs, step=step)
     theta_z = local_graph(z, field_1u, field_1s, field_2s, eps, step=step)
-    axis_u_z = integrate_leaf(field_1u, z, axis_len, centered=True, step=step)
-    axis_s_z = integrate_leaf(field_1s, z, axis_len, centered=True, step=step)
+    axis_u_z = integrate_leaf(field_1u, z, 0.3, centered=True, step=step)
+    axis_s_z = integrate_leaf(field_1s, z, 0.3, centered=True, step=step)
     rows = []
     for hp in hps:
         if nonlinear:
@@ -401,8 +379,8 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
             zp_u_lift = z + hp.u_param * e1.vu
             zp_s_lift = z + hp.s_param * e1.vs
         theta_zp = local_graph(zp_u_lift, field_1u, field_1s, field_2s, eps, step=step)
-        axis_u_zp = integrate_leaf(field_1u, zp_s_lift, 2 * axis_len, centered=True, step=step)
-        axis_s_zp = integrate_leaf(field_1s, zp_u_lift, 2 * axis_len, centered=True, step=step)
+        axis_u_zp = integrate_leaf(field_1u, zp_s_lift, 0.6, centered=True, step=step)
+        axis_s_zp = integrate_leaf(field_1s, zp_u_lift, 0.6, centered=True, step=step)
         hol_s = holonomy(field_1s, axis_u_z, axis_u_zp,
                          budget=abs(hp.s_param) * 1.5 + 0.5, step=step,
                          span=(-eps, eps))
@@ -465,12 +443,13 @@ class TeichmullerVerdict:
         }
 
 
-def _prop1_along(h: Conjugacy, direction, span: float, domain_frac: float = 0.6):
-    """Linearize the translation action induced by h along an eigenline."""
+def _prop1_along(h: Conjugacy, direction, span: float, quad_spacing: float):
+    """Linearize the translation action induced by h along the eigenline
+    through 0, on the middle 60% of its profile's range."""
     S = translation_action_from_conjugacy(h, np.zeros(2), direction, span)
     lo, hi = S.y_domain
-    lo, hi = domain_frac * lo, domain_frac * hi
-    return S, linearize_translation_action(S, 0.0, (lo, hi), quad_spacing=2e-3)
+    return S, linearize_translation_action(S, 0.0, (0.6 * lo, 0.6 * hi),
+                                           quad_spacing=quad_spacing)
 
 
 def teichmuller_experiment(e1: HyperbolicElement, g1,
@@ -478,8 +457,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                            phi=None, thresholds: dict | None = None,
                            grid_n: int = 256, field_n: int = 128,
                            field_iters: int = 40, max_period: int = 2,
-                           propagation_step: float = 4e-3,
-                           base_z=(0.0, 0.0), span: float = 0.35,
+                           propagation_step: float = 4e-3, span: float = 0.35,
                            seed: int = 0) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
     argument on the marked action generated by (g1, g2).
@@ -562,7 +540,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                 h is not None and h.displacement.sup_norm > 1e-12
             rows = tangency_propagation_check(
                 fields["f1u"], fields["f1s"], fields["f2s"],
-                np.asarray(base_z, dtype=float), e1, radius=1,
+                np.zeros(2), e1, radius=1,
                 step=propagation_step, nonlinear=nonlinear)
             lemma3 = max(r.transport_deviation for r in rows)
             diag["propagation_rows"] = [r.to_dict() for r in rows]
@@ -573,8 +551,8 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     # --- Proposition 1 along both eigen-directions -------------------------
     if h is not None:
         try:
-            S_u, lin_u = _prop1_along(h, e1.vu, span)
-            S_s, lin_s = _prop1_along(h, e1.vs, span)
+            S_u, lin_u = _prop1_along(h, e1.vu, span, 2e-3)
+            _, lin_s = _prop1_along(h, e1.vs, span, 2e-3)
             prop1 = max(lin_u.affinity_residual, lin_s.affinity_residual)
             reg = verify_action_regularity(
                 S_u, np.linspace(0.0, 0.1, 5),
@@ -592,12 +570,12 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     if h is not None:
         rng = np.random.default_rng(seed)
         pts = rng.random((25, 2))
-        coarse = np.array([h.secant_jacobian(x, delta=1e-4) for x in pts])
-        fine = np.array([h.secant_jacobian(x, delta=5e-5) for x in pts])
+        coarse = h.secant_jacobian(pts, delta=1e-4)
+        fine = h.secant_jacobian(pts, delta=5e-5)
         jac_stab = float(np.max(np.abs(fine - coarse)))
         diag["jacobian_refinement_sup"] = jac_stab
         if phi is not None:
-            exact = np.array([phi.derivative(x) for x in pts])
+            exact = phi.derivative(pts)
             diag["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - exact)))
 
     checks = (

@@ -76,6 +76,7 @@ BAD_VALUES = (
        ("eigen", 'action.perturbation=[{"k":[0.5,1],"cos":[0.01,0]}]', "action.perturbation[0].k"),
        ("eigen", 'group.generators=[[[2,1],[1,"a"]]]', "group.generators[0]"),
        ("eigen", "group.generators=[[[2,1],[1]]]", "group.generators[0]")]
+    + [("eigen", f"resolution.field_n={n}", "resolution.field_n") for n in (8, 100, 1024)]
 )
 
 
@@ -99,6 +100,48 @@ def test_integral_float_accepted_for_integer_key(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     code, _ = run(tmp_path, "eigen", "--set", "resolution.gridn=256")
     assert code == 1
+
+
+CSV_HEADERS = {
+    "conjugacy-field.csv": "i,j,u1,u2",
+    "leaf-f1u.csv": "s,x,y,lift_x,lift_y",
+    "transversality.csv": "pair,min_angle_rad,min_angle_deg,at_x,at_y",
+    "lemma3-propagation.csv": "k1,k2,angle_rad,measured_slope,predicted_slope,transport_deviation",
+    **{f"field-{key}.csv": "i,j,theta" for key in ("f1u", "f1s", "f2u", "f2s")},
+}
+FIELD_64 = ("--set", "resolution.field_n=64")
+
+
+# subcommand -> (overrides, verdict, CSV tables in manifest order)
+BUNDLES = {
+    "conjugacy": ((), "complete", ["conjugacy-field.csv"]),
+    "foliation": (FIELD_64, "complete",
+                  ["field-f1u.csv", "field-f1s.csv", "field-f2u.csv", "field-f2s.csv", "leaf-f1u.csv"]),
+    "transversality": (FIELD_64, "complete", ["transversality.csv"]),
+    "lemma3": (FIELD_64, "complete", ["lemma3-propagation.csv"]),
+    "teichmuller": (FIELD_64, "smooth", ["lemma3-propagation.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", BUNDLES)
+def test_subcommand_writes_its_bundle(tmp_path, command):
+    extra, verdict, tables = BUNDLES[command]
+    code, out = run(tmp_path, command, *extra)
+    assert code == 0
+    doc = json.loads((out / f"{command}-report.json").read_text())
+    assert doc["verdict"] == verdict
+    assert doc["manifest"] == tables + [f"{command}-report.json"]
+    for name in tables:
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == CSV_HEADERS[name]
+        assert len(lines) > 1
+
+
+def test_build_phi_only_for_a_nonzero_diffeo(tmp_path):
+    assert load_config(out_dir=str(tmp_path)).build_phi() is None
+    cfg = load_config(overrides=['action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]'],
+                      out_dir=str(tmp_path))
+    assert cfg.build_phi().q is cfg.diffeo_q
 
 
 def test_prop1_alpha(tmp_path):
@@ -165,3 +208,12 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("ANOSOV_LAB_OUT", str(target))
     assert main(["eigen"]) == 0
     assert (target / "eigen-report.json").is_file()
+
+
+def test_out_flag_beats_env_var(tmp_path, monkeypatch):
+    env_out = tmp_path / "env-out"
+    monkeypatch.setenv("ANOSOV_LAB_OUT", str(env_out))
+    code, out = run(tmp_path, "eigen")
+    assert code == 0
+    assert (out / "eigen-report.json").is_file()
+    assert not env_out.exists()

@@ -127,8 +127,8 @@ def test_min_transversality_oracle(linear_fields):
 
 
 def test_min_transversality_rejects_different_grids():
-    f2 = LineField.constant(None, "stable", (1.0, 0.0), grid_size=2)
-    f4 = LineField.constant(None, "unstable", (0.0, 1.0), grid_size=4)
+    f2 = LineField.constant(None, (1.0, 0.0), grid_size=2)
+    f4 = LineField.constant(None, (0.0, 1.0), grid_size=4)
     with pytest.raises(DomainMismatch) as info:
         min_transversality_angle(f2, f4)
     assert isinstance(info.value, AnosovLabError)
@@ -136,7 +136,7 @@ def test_min_transversality_rejects_different_grids():
 
 def test_holonomy_map_rejects_non_monotone_samples():
     with pytest.raises(NonMonotoneG) as info:
-        HolonomyMap(None, None, np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.2, 0.1]))
+        HolonomyMap(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.2, 0.1]))
     assert isinstance(info.value, AnosovLabError)
 
 
@@ -418,7 +418,7 @@ def test_cross_to_target_reports_escaped_leaf_count(linear_fields):
 def test_cross_to_target_shallow_crossing_raises(e1, linear_fields):
     v_u = np.asarray(e1.vu)
     tilt = math.atan2(v_u[1], v_u[0]) + 0.005
-    shallow = LineField.constant(None, "stable", (math.cos(tilt), math.sin(tilt)))
+    shallow = LineField.constant(None, (math.cos(tilt), math.sin(tilt)))
     tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
     starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [5e-4, -3e-4])
     with pytest.raises(TangencySuspected):
@@ -431,10 +431,10 @@ def test_cross_to_target_lost_bracket_precedes_escape(e1, linear_fields):
     # sign on the line, the refined one keeps its sign near the crossing
     v_u = np.asarray(e1.vu)
     tilt = math.atan2(v_u[1], v_u[0]) + 0.3
-    tilted = LineField.constant(None, "unstable", (math.cos(tilt), math.sin(tilt)))
+    tilted = LineField.constant(None, (math.cos(tilt), math.sin(tilt)))
     params = np.arange(-6, 7) * 0.05
-    tau2 = LeafSegment(base=np.zeros(2), params=params, points=params[:, None] * v_u,
-                       headings=np.tile(v_u, (len(params), 1)), field_label="unstable",
+    tau2 = LeafSegment(params=params, points=params[:, None] * v_u,
+                       headings=np.tile(v_u, (len(params), 1)),
                        field=tilted, step=0.05)
     # the first leaf crosses midway between two nodes; the second escapes
     starts = np.array([0.025 * v_u, 0.025 * v_u]) + np.array([[0.1], [0.5]]) * np.asarray(e1.vs)

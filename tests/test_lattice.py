@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anosov_lab.errors import NotHyperbolic
+from anosov_lab.errors import AnosovLabError, NotHyperbolic, NotInSL2Z
 from anosov_lab.lattice import (
     IntMatrix2,
     check_pair_hypothesis,
@@ -27,6 +27,13 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0  # golden ratio
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         IntMatrix2(1, 0, 0, 2)
+
+
+@pytest.mark.parametrize("entries", [(1, 0, 0, 2), (1, 0.5, 0, 1)])
+def test_bad_matrix_raises_typed_error(entries):
+    with pytest.raises(NotInSL2Z) as info:
+        IntMatrix2(*entries)
+    assert isinstance(info.value, AnosovLabError)
 
 
 def test_inverse_and_compose():

@@ -1,9 +1,11 @@
-"""Every function, class and method defined in the package is used somewhere.
+"""Every function, class and method defined in the package is used somewhere,
+and every defaulted parameter is set by some call.
 
 A name counts as used when it appears as a word in ``src/``, ``tests/`` or
 ``bench/`` more often than the package defines it: each ``def`` or
 ``class`` statement accounts for one occurrence of its own name.  Dunder names
-are called by Python itself and are skipped.
+are called by Python itself and are skipped.  A default that no call
+overrides is a constant, not a setting (see ``unset_parameters``).
 """
 
 import ast
@@ -40,3 +42,71 @@ def unused_names():
 
 def test_no_unused_definitions():
     assert unused_names() == []
+
+
+def _package_functions():
+    """(qualified name, FunctionDef) for every def of the package; methods
+    are qualified by their class, and a class's ``__init__`` also answers
+    to calls of the class name."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        item.owner = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = getattr(node, "owner", None)
+                qual = f"{path.stem}.{owner}.{node.name}" if owner else f"{path.stem}.{node.name}"
+                out.append((qual, node))
+    return out
+
+
+def _call_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def unset_parameters():
+    """Defaulted parameters of package functions that no call sets.
+
+    A call to a function or method of the same name (a class name counts
+    as its ``__init__``) sets a parameter by passing it by keyword, by
+    passing enough positional arguments (``self`` and ``cls`` not counted),
+    or by any ``*`` or ``**`` unpacking.
+    """
+    calls = {}
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(_call_name(node), []).append(node)
+    unset = []
+    for qual, fn in _package_functions():
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        if getattr(fn, "owner", None) and positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        if not defaulted:
+            continue
+        name = fn.owner if fn.name == "__init__" and getattr(fn, "owner", None) else fn.name
+        set_here = set()
+        for call in calls.get(name, []):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg is None for k in call.keywords):
+                set_here.update(defaulted)
+                break
+            set_here.update(positional[:len(call.args)])
+            set_here.update(k.arg for k in call.keywords)
+        unset += [f"{qual}({p})" for p in defaulted if p not in set_here]
+    return sorted(unset)
+
+
+def test_no_unset_parameters():
+    assert unset_parameters() == []
