@@ -4,7 +4,9 @@ Line fields are stored as angles mod pi (foliations are unoriented);
 orientation is reconstructed during leaf integration by heading
 continuity.  Leaves are integrated in the universal cover with fixed-step
 4th-order (RK4) steps, and reduced mod 1 only for field lookups, so
-crossing logic never wraps ambiguously.
+crossing logic never wraps ambiguously.  Many leaves of one field advance
+together, one field lookup per RK4 stage for all of them; each keeps the
+iterates it would take alone.
 """
 
 from __future__ import annotations
@@ -100,15 +102,29 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
     handle = g if label == "unstable" else g.inverse()
     seed_dir = eigen_data(handle.linear_part).vu
     pts = grid_points(n)
-    inv = handle.inverse()
-    orbit = [pts]
-    for _ in range(iters):
-        orbit.append(inv.apply(orbit[-1]))
+    # depth[j - 1] holds what the jacobian at the j-th backward orbit point
+    # needs: the point itself or, for a handle with a ``backward`` step (a
+    # ConjugatedMap), its phi^{-1} image, whose one solve also gives the
+    # next orbit point
+    backward = getattr(handle, "backward", None)
+    if backward is None:
+        inv = handle.inverse()
+        depth = [inv.apply(pts)]
+        for _ in range(iters - 1):
+            depth.append(inv.apply(depth[-1]))
+        jacobian = handle.jacobian
+    else:
+        x, _ = backward(pts)
+        depth = []
+        for _ in range(iters):
+            x, pre = backward(x)
+            depth.append(pre)
+        jacobian = handle.jacobian_at_preimage
 
     v = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters
     w = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters - 1
     for j in range(iters, 0, -1):
-        jac = handle.jacobian(orbit[j])
+        jac = jacobian(depth[j - 1])
         v = np.einsum("nij,nj->ni", jac, v)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         if j < iters:
@@ -131,6 +147,20 @@ def line_fields(handles, keys, n: int, iters: int) -> dict:
             for key in keys}
 
 
+def _failure(cls, message: str, rows, tags):
+    """Exception ``cls`` for failing rows of a stacked call; when the caller
+    tagged its rows, the message ends with the failing rows' tags."""
+    if tags is not None:
+        names = dict.fromkeys(tags[int(r)] for r in np.atleast_1d(rows))
+        message = f"{message} [{'; '.join(names)}]"
+    return cls(message)
+
+
+def _row_tags(tags, index):
+    """Tags of the rows of a stacked call, row r tagged tags[index[r]]."""
+    return None if tags is None else [tags[i] for i in index]
+
+
 def _aligned_direction(field: LineField, pts, headings):
     """Field directions at pts with signs matched to the given headings."""
     d = np.atleast_2d(field.direction_at(np.mod(pts, 1.0)))
@@ -141,7 +171,7 @@ def _aligned_direction(field: LineField, pts, headings):
 
 def _rk4_step(field: LineField, pts, headings, h):
     """One RK4 step of x' = field direction, batched; returns new points
-    and headings plus the worst heading alignment encountered.
+    and headings plus each row's worst heading alignment.
 
     ``h`` is one step for every row or an (m, 1) array of per-row steps."""
     k1, a1 = _aligned_direction(field, pts, headings)
@@ -149,25 +179,38 @@ def _rk4_step(field: LineField, pts, headings, h):
     k3, a3 = _aligned_direction(field, pts + 0.5 * h * k2, k2)
     k4, a4 = _aligned_direction(field, pts + h * k3, k3)
     new_pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    worst = min(float(np.min(a)) for a in (a1, a2, a3, a4))
-    return new_pts, k4, worst
+    return new_pts, k4, np.minimum(np.minimum(a1, a2), np.minimum(a3, a4))
 
 
-def _flow(field: LineField, starts, headings, n_steps: int, h: float):
-    """Batched leaf flow; returns points (n_steps+1, m, 2) and headings."""
+def _flow(field: LineField, starts, headings, n_steps, h, tags=None):
+    """Batched leaf flow; returns points and headings, each
+    (max n_steps + 1, m, 2).
+
+    Row i takes ``n_steps[i]`` RK4 steps of size ``h[i]``; either may be
+    one value for every row.  Each step evaluates only the rows that still
+    have steps to take, so every row takes the iterates of a flow of that
+    row alone; a row's entries past its last step repeat its end state.
+    ``tags`` (one per row) name the rows of a SignAmbiguity."""
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     hd = np.atleast_2d(np.asarray(headings, dtype=float)).copy()
     hd /= np.linalg.norm(hd, axis=1, keepdims=True)
-    traj = np.empty((n_steps + 1,) + pts.shape)
+    m = len(pts)
+    counts = np.broadcast_to(n_steps, (m,))
+    sizes = np.broadcast_to(np.asarray(h, dtype=float), (m,))[:, None]
+    total = int(counts.max())
+    traj = np.empty((total + 1, m, 2))
     heads = np.empty_like(traj)
     traj[0] = pts
     heads[0] = hd
-    for i in range(n_steps):
-        pts, hd, worst = _rk4_step(field, pts, hd, h)
-        if worst < math.cos(SIGN_CONTINUITY_LIMIT):
-            raise SignAmbiguity(
-                f"field direction flipped by more than {SIGN_CONTINUITY_LIMIT:.2f} rad at step {i}"
-            )
+    for i in range(total):
+        live = counts > i
+        pts[live], hd[live], worst = _rk4_step(field, pts[live], hd[live], sizes[live])
+        flipped = worst < math.cos(SIGN_CONTINUITY_LIMIT)
+        if flipped.any():
+            raise _failure(
+                SignAmbiguity,
+                f"field direction flipped by more than {SIGN_CONTINUITY_LIMIT:.2f} rad at step {i}",
+                np.flatnonzero(live)[flipped], tags)
         traj[i + 1] = pts
         heads[i + 1] = hd
     return traj, heads
@@ -196,19 +239,55 @@ class LeafSegment:
         return self.evaluate([s])[1][0]
 
     def evaluate(self, s):
-        """Positions and unit tangents, each (m, 2), at the parameters s.
+        """Positions and unit tangents, each (m, 2), at the parameters s;
+        the one-segment case of ``LeafBundle.evaluate``."""
+        return LeafBundle([self]).evaluate(s, 0)
+
+    def translated(self, offset) -> "LeafSegment":
+        """The same curve shifted by a deck translation (integer vector)."""
+        off = np.asarray(offset, dtype=float)
+        return LeafSegment(params=self.params.copy(), points=self.points + off,
+                           headings=self.headings.copy(), field=self.field, step=self.step)
+
+
+class LeafBundle:
+    """Leaf segments of one line field in padded arrays, so that points
+    tagged with a segment index are evaluated and projected together.
+
+    Segment t keeps its nodes 0..last[t]; a shorter segment is padded with
+    nodes at +inf, which are never the nearest node of a finite point.
+    """
+
+    def __init__(self, segments):
+        self.segments = list(segments)
+        self.field = self.segments[0].field
+        self.last = np.array([len(seg.params) - 1 for seg in self.segments])
+        self.step = np.array([seg.step for seg in self.segments])
+        shape = (len(self.segments), int(self.last.max()) + 1)
+        self.params = np.full(shape, np.inf)
+        self.points = np.full(shape + (2,), np.inf)
+        self.headings = np.zeros(shape + (2,))
+        for t, seg in enumerate(self.segments):
+            self.params[t, :len(seg.params)] = seg.params
+            self.points[t, :len(seg.params)] = seg.points
+            self.headings[t, :len(seg.params)] = seg.headings
+
+    def evaluate(self, s, which):
+        """Positions and unit tangents, each (m, 2), at the parameters s[i]
+        of the segments which[i] (one index may serve every parameter).
 
         Each parameter takes one RK4 sub-step of length |ds| from the
-        nearest stored node below it; parameters outside the segment step
-        from the end nodes, backward (against the heading) below the first.
+        nearest stored node below it; parameters outside their segment step
+        from its end nodes, backward (against the heading) below the first.
         All sub-steps run as one batch.
         """
         s = np.asarray(s, dtype=float)
-        idx = np.clip(np.floor((s - self.params[0]) / self.step + 1e-12),
-                      0, len(self.params) - 1).astype(int)
-        ds = s - self.params[idx]
-        pts = self.points[idx]
-        tangents = self.headings[idx]
+        which = np.broadcast_to(which, s.shape)
+        idx = np.clip(np.floor((s - self.params[which, 0]) / self.step[which] + 1e-12),
+                      0, self.last[which]).astype(int)
+        ds = s - self.params[which, idx]
+        pts = self.points[which, idx]
+        tangents = self.headings[which, idx]
         moved = np.abs(ds) >= 1e-15
         if moved.any():
             sign = np.where(ds[moved] < 0, -1.0, 1.0)[:, None]
@@ -218,109 +297,159 @@ class LeafSegment:
             tangents[moved] = sign * new_hd
         return pts, tangents
 
-    def translated(self, offset) -> "LeafSegment":
-        """The same curve shifted by a deck translation (integer vector)."""
-        off = np.asarray(offset, dtype=float)
-        return LeafSegment(params=self.params.copy(), points=self.points + off,
-                           headings=self.headings.copy(), field=self.field, step=self.step)
+
+def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_STEP,
+                     centered=False, tags=None) -> list:
+    """Fixed-step RK4 integration of the line field through each start, all
+    leaves in one batched ``_flow``; returns one LeafSegment per start.
+
+    Leaf i has signed length lengths[i].  A ``centered`` leaf (one flag for
+    every leaf or one per leaf) covers parameters [-|length|/2, |length|/2]
+    with the anchor at 0, and runs as two rows, its forward and backward
+    halves; any other leaf covers [0, length] as one row.  The initial
+    heading is the field's canonical direction at the start; a negative
+    length integrates against it.  A row of length L takes
+    max(1, round(L / step)) steps of the size that spreads them evenly, so
+    each leaf is bit-identical to ``integrate_leaf`` of it alone.  ``tags``
+    (one per leaf) name the leaves of a SignAmbiguity.
+    """
+    x = np.atleast_2d(np.asarray(starts, dtype=float))
+    count = len(x)
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (count,))
+    centered = np.broadcast_to(centered, (count,))
+    heading = np.atleast_2d(field.direction_at(np.mod(x, 1.0)))
+    # divide by the norm as the 1-D np.linalg.norm computes it, a BLAS dot;
+    # a stacked 1x2 @ 2x1 matmul is that dot per row, while
+    # np.linalg.norm(axis=1) rounds the last bit differently
+    heading = heading / np.sqrt(heading[:, None, :] @ heading[:, :, None])[:, 0]
+
+    # one row per one-sided leaf, a forward and a backward row per centered one
+    leaf, sign, row_len = [], [], []
+    for i in range(count):
+        if centered[i]:
+            half = abs(lengths[i]) / 2.0
+            leaf += [i, i]
+            sign += [1.0, -1.0]
+            row_len += [half, half]
+        else:
+            leaf.append(i)
+            sign.append(1.0 if lengths[i] >= 0 else -1.0)
+            row_len.append(abs(lengths[i]))
+    counts = np.array([max(1, int(round(length / step))) for length in row_len])
+    traj, heads = _flow(field, x[leaf], np.array(sign)[:, None] * heading[leaf], counts,
+                        np.array(row_len) / counts, _row_tags(tags, leaf))
+
+    def march(r):
+        n = counts[r]
+        return (np.linspace(0.0, row_len[r], n + 1), traj[:n + 1, r].copy(),
+                heads[:n + 1, r].copy())
+
+    segments = []
+    r = 0
+    for i in range(count):
+        if centered[i]:
+            fwd, bwd = march(r), march(r + 1)
+            params = np.concatenate([-bwd[0][::-1], fwd[0][1:]])
+            points = np.concatenate([bwd[1][::-1], fwd[1][1:]])
+            heads_i = np.concatenate([-bwd[2][::-1], fwd[2][1:]])
+            r += 2
+        else:
+            params, points, heads_i = march(r)
+            params = sign[r] * params
+            heads_i = sign[r] * heads_i
+            if sign[r] < 0:
+                params = params[::-1]
+                points = points[::-1]
+                heads_i = heads_i[::-1]
+            r += 1
+        # n_steps rounding makes the realized node spacing differ slightly
+        # from the requested step; record the actual spacing for lookups
+        segments.append(LeafSegment(params=params, points=points, headings=heads_i,
+                                    field=field, step=float(abs(params[1] - params[0]))))
+    return segments
 
 
 def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STEP,
                    centered: bool = False) -> LeafSegment:
-    """Fixed-step RK4 integration of the line field through x.
+    """Fixed-step RK4 integration of the line field through x: the one-leaf
+    case of ``integrate_leaves``.
 
     With ``centered`` the segment covers parameters [-length/2, length/2]
     with the anchor at 0; otherwise [0, length].  The initial heading is
     the field's canonical direction at x; negative ``length`` integrates
     against it.
     """
-    x = np.asarray(x, dtype=float)
-    heading = field.direction_at(np.mod(x, 1.0))
-    heading = heading / np.linalg.norm(heading)
-
-    if centered:
-        half = abs(length) / 2.0
-        fwd = _march(field, x, heading, half, step)
-        bwd = _march(field, x, -heading, half, step)
-        params = np.concatenate([-bwd[0][::-1], fwd[0][1:]])
-        points = np.concatenate([bwd[1][::-1], fwd[1][1:]])
-        heads = np.concatenate([-bwd[2][::-1], fwd[2][1:]])
-    else:
-        sign = 1.0 if length >= 0 else -1.0
-        params, points, heads = _march(field, x, sign * heading, abs(length), step)
-        params = sign * params
-        heads = sign * heads
-        if sign < 0:
-            params = params[::-1]
-            points = points[::-1]
-            heads = heads[::-1]
-    # n_steps rounding makes the realized node spacing differ slightly from
-    # the requested step; record the actual spacing for parameter lookups
-    return LeafSegment(params=params, points=points, headings=heads, field=field,
-                       step=float(abs(params[1] - params[0])))
-
-
-def _march(field, x, heading, length, step):
-    n_steps = max(1, int(round(length / step)))
-    traj, heads = _flow(field, x[None, :], heading[None, :], n_steps, length / n_steps)
-    params = np.linspace(0.0, length, n_steps + 1)
-    return params, traj[:, 0, :], heads[:, 0, :]
+    return integrate_leaves(field, [x], [length], step=step, centered=centered)[0]
 
 
 class CurveProjector:
-    """Arc-length projection and signed distance onto a leaf segment."""
+    """Arc-length projection and signed distance onto leaf segments of one
+    field, each point onto its own target segment."""
 
-    def __init__(self, tau: LeafSegment):
-        self.tau = tau
+    def __init__(self, targets):
+        """``targets`` is one LeafSegment or a sequence of them; ``tau`` is
+        the first (the target of a one-segment projector)."""
+        self.bundle = LeafBundle([targets] if isinstance(targets, LeafSegment) else targets)
+        self.tau = self.bundle.segments[0]
 
-    def project(self, x, refine: bool = True):
-        """Return (s, signed_distance, tangent) for points x of shape (m, 2).
+    def project(self, x, refine: bool = True, which=0):
+        """Return (s, signed_distance, tangent) for points x of shape (m, 2),
+        point i projected onto target which[i] (one index may serve all).
 
         Nearest-node search plus parabolic refinement of the squared
         distance; exact for straight segments.  With ``refine`` the foot
         points are recomputed by RK4 sub-steps from the nearest nodes, one
-        batched ``LeafSegment.evaluate`` call for all of x; without it the
+        batched ``LeafBundle.evaluate`` call for all of x; without it the
         foot is linearly interpolated between nodes, which is cheap and
         accurate to O(step^2) -- enough for sign tracking during leaf
-        marching.
+        marching.  Each point gets the result of a one-target projector of
+        its own target.
         """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        nodes = self.tau.points
-        heads = self.tau.headings
-        d2 = np.sum((pts[:, None, :] - nodes[None, :, :]) ** 2, axis=2)  # (m, nodes)
+        bundle = self.bundle
+        which = np.broadcast_to(which, (len(pts),))
+        # one target broadcasts its nodes; several are gathered per point
+        nodes = bundle.points[:1] if len(bundle.segments) == 1 else bundle.points[which]
+        diff = pts[:, None, :] - nodes
+        # the two squares added as np.sum over the last axis adds them, but
+        # without a reduction over a length-2 axis
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2  # (m, nodes)
         idx = np.argmin(d2, axis=1)
-        h = self.tau.step
-        interior = (idx > 0) & (idx < len(nodes) - 1)
-        offset = np.einsum("ni,ni->n", pts - nodes[idx], heads[idx]) / h
+        h = bundle.step[which]
+        last = bundle.last[which]
+        node = bundle.points[which, idx]
+        head = bundle.headings[which, idx]
+        interior = (idx > 0) & (idx < last)
+        offset = np.einsum("ni,ni->n", pts - node, head) / h
         offset[idx == 0] = np.minimum(offset[idx == 0], 0.0)
-        offset[idx == len(nodes) - 1] = np.maximum(offset[idx == len(nodes) - 1], 0.0)
+        offset[idx == last] = np.maximum(offset[idx == last], 0.0)
         if np.any(interior):
             k = idx[interior]
             dm, d0, dp = d2[interior, k - 1], d2[interior, k], d2[interior, k + 1]
             denom = dm - 2 * d0 + dp
             par = np.where(np.abs(denom) > 1e-30, 0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
             offset[interior] = np.clip(par, -1.0, 1.0)
-        s = self.tau.params[idx] + offset * h
+        s = bundle.params[which, idx] + offset * h
         if refine:
-            foot, tang = self.tau.evaluate(s)
+            foot, tang = bundle.evaluate(s, which)
             n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
             # a stacked 1x2 @ 2x1 matmul sums each row with the BLAS dot
             # kernel, as np.dot does on one point; einsum can round the last
             # bit differently
             dist = ((pts - foot)[:, None, :] @ n_vec[:, :, None])[:, 0, 0]
         else:
-            foot = nodes[idx] + (offset * h)[:, None] * heads[idx]
-            tang = heads[idx]
+            foot = node + (offset * h)[:, None] * head
+            tang = head
             n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
             dist = np.einsum("ni,ni->n", pts - foot, n_vec)
         return s, dist, tang
 
 
-def _initial_toward(field, starts, projector):
+def _initial_toward(field, starts, projector, which=0):
     """Headings pointing so the signed distance to the target shrinks."""
     starts = np.atleast_2d(starts)
     d = np.atleast_2d(field.direction_at(np.mod(starts, 1.0)))
-    _, dist, tang = projector.project(starts, refine=False)
+    _, dist, tang = projector.project(starts, refine=False, which=which)
     normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
     rate = np.einsum("ni,ni->n", d, normal)
     sign = -np.sign(dist * rate)
@@ -328,23 +457,31 @@ def _initial_toward(field, starts, projector):
     return d * sign[:, None]
 
 
-def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
-                     step: float):
-    """March leaves of ``field`` from ``starts`` until each crosses tau2.
+def _cross_to_target(field: LineField, starts, targets, budget, step: float,
+                     which=0, tags=None):
+    """March leaves of ``field`` from ``starts`` until each crosses its target.
 
-    All leaves advance together; a leaf stops at the first step whose
-    fast signed distance changes sign.  After the march the crossings of
-    all stopped leaves are refined in one batched bisection
-    (``_refine_crossings``), before any escape or tangency check.
+    ``targets`` is one LeafSegment or a sequence of them; row i marches
+    toward targets[which[i]] for at most ``budget[i]`` of arc length
+    (``which`` and ``budget`` may be one value for every row).  All leaves
+    advance together; a leaf stops at the first step whose fast signed
+    distance changes sign.  After the march the crossings of all stopped
+    leaves are refined in one batched bisection (``_refine_crossings``),
+    before any escape or tangency check.  Only marching rows are evaluated,
+    so a stacked call gives each row what a call with its target alone
+    gives it.
 
     Returns (s_prime, crossing_angle) arrays.  Raises LeafEscaped when a
-    leaf exhausts the budget, TangencySuspected for shallow crossings.
+    leaf exhausts its budget, TangencySuspected for shallow crossings;
+    ``tags`` (one per row) name the failing rows.
     """
-    proj = CurveProjector(tau2)
+    proj = CurveProjector(targets)
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
-    hd = _initial_toward(field, pts, proj)
-    _, dist, _ = proj.project(pts)
+    which = np.broadcast_to(which, (m,))
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), (m,))
+    hd = _initial_toward(field, pts, proj, which)
+    _, dist, _ = proj.project(pts, which=which)
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
@@ -352,53 +489,57 @@ def _cross_to_target(field: LineField, starts, tau2: LeafSegment, budget: float,
     # points starting on the curve cross at once
     on_curve = np.abs(dist) < 1e-13
     if np.any(on_curve):
-        s_here, _, tang = proj.project(pts[on_curve])
+        s_here, _, tang = proj.project(pts[on_curve], which=which[on_curve])
         s_out[on_curve] = s_here
         d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
         ang_out[on_curve] = line_angle(d_here, tang)
         active[on_curve] = False
 
-    n_steps = int(math.ceil(budget / step))
-    prev_pts = pts.copy()
-    prev_hd = hd.copy()
-    prev_dist = dist.copy()
+    n_steps = np.ceil(budget / step)
     # node and heading at the start of the step in which each leaf crossed
     crossed = np.zeros(m, dtype=bool)
     node_pts = np.empty_like(pts)
     node_hd = np.empty_like(pts)
-    for _ in range(n_steps):
-        if not active.any():
+    for i in range(int(n_steps.max())):
+        rows = np.flatnonzero(active & (n_steps > i))
+        if len(rows) == 0:
             break
-        new_pts = prev_pts.copy()
-        new_hd = prev_hd.copy()
-        stepped, hd_step, worst = _rk4_step(field, prev_pts[active], prev_hd[active], step)
-        if worst < math.cos(SIGN_CONTINUITY_LIMIT):
-            raise SignAmbiguity("field too rough along holonomy leaf")
-        new_pts[active] = stepped
-        new_hd[active] = hd_step
-        _, new_dist, _ = proj.project(new_pts, refine=False)
-        flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
-        node_pts[flipped] = prev_pts[flipped]
-        node_hd[flipped] = prev_hd[flipped]
-        crossed |= flipped
-        active &= ~flipped
-        prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
+        stepped, hd_step, worst = _rk4_step(field, pts[rows], hd[rows], step)
+        rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
+        if rough.any():
+            raise _failure(SignAmbiguity, "field too rough along holonomy leaf", rows[rough], tags)
+        _, new_dist, _ = proj.project(stepped, refine=False, which=which[rows])
+        flipped = (np.sign(new_dist) != np.sign(dist[rows])) & (dist[rows] != 0.0)
+        hit = rows[flipped]
+        node_pts[hit] = pts[hit]
+        node_hd[hit] = hd[hit]
+        crossed[hit] = True
+        active[hit] = False
+        pts[rows] = stepped
+        hd[rows] = hd_step
+        dist[rows] = new_dist
     if crossed.any():
-        s_out[crossed], ang_out[crossed] = _refine_crossings(
-            field, node_pts[crossed], node_hd[crossed], step, proj)
+        rows = np.flatnonzero(crossed)
+        s_out[rows], ang_out[rows] = _refine_crossings(
+            field, node_pts[rows], node_hd[rows], step, proj, which[rows],
+            _row_tags(tags, rows))
     if active.any():
-        raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal "
-                          f"within budget {budget}")
-    if np.any(ang_out < TANGENCY_THRESHOLD):
-        raise TangencySuspected(
-            f"min crossing angle {np.nanmin(ang_out):.4f} rad below {TANGENCY_THRESHOLD}"
-        )
+        raise _failure(LeafEscaped,
+                       f"{int(active.sum())} leaves did not reach the transversal "
+                       f"within budget {float(budget[active].max())}",
+                       np.flatnonzero(active), tags)
+    shallow = ang_out < TANGENCY_THRESHOLD
+    if shallow.any():
+        raise _failure(TangencySuspected,
+                       f"min crossing angle {np.nanmin(ang_out):.4f} rad below {TANGENCY_THRESHOLD}",
+                       np.flatnonzero(shallow), tags)
     return s_out, ang_out
 
 
-def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
+def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector, which=0,
+                      tags=None):
     """Bisection on the signed distance within one integration step, for
-    many leaves at once.
+    many leaves at once, row i against the target which[i] of ``proj``.
 
     Row i starts from the bracket [0, step] in the flow parameter from
     node_pts[i] along node_hds[i], widened to (-0.5, 1.5) * step and then
@@ -407,11 +548,13 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
     midpoints.  Each iteration evaluates only the rows still live, so every
     row takes the same iterates as a bisection of that leaf alone.
     Returns (s, crossing_angle) at the last midpoint of each row; raises
-    SignAmbiguity if some row's bracket cannot be restored.
+    SignAmbiguity, naming the rows by ``tags``, if some row's bracket
+    cannot be restored.
     """
     node_pts = np.atleast_2d(node_pts)
     node_hds = np.atleast_2d(node_hds)
     m = len(node_pts)
+    which = np.broadcast_to(which, (m,))
 
     def dist_at(rows, sigma):
         p = node_pts[rows]
@@ -419,7 +562,7 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
         moved = sigma != 0.0
         if moved.any():
             p[moved], h[moved], _ = _rk4_step(field, p[moved], h[moved], sigma[moved][:, None])
-        s_p, d, tang = proj.project(p)
+        s_p, d, tang = proj.project(p, which=which[rows])
         return d, s_p, h, tang
 
     every = np.arange(m)
@@ -442,7 +585,8 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector):
         d_lo[ok] = d_try_lo[flip]
         lost[ok] = False
     if lost.any():
-        raise SignAmbiguity("crossing bracket lost during refinement")
+        raise _failure(SignAmbiguity, "crossing bracket lost during refinement",
+                       np.flatnonzero(lost), tags)
 
     s_mid = np.empty(m)
     h_mid = np.empty((m, 2))
@@ -499,25 +643,52 @@ class HolonomyMap:
         return self._fwd.derivative()(s)
 
 
+def holonomies(field: LineField, tau1s, tau2s, budgets, step: float = DEFAULT_STEP,
+               span=None, tags=None) -> list:
+    """Holonomies of ``field`` from tau1s[j] to tau2s[j], every pair in one
+    march; returns one HolonomyMap per pair.
+
+    Pair j slides 25 sample points of tau1s[j] (over ``span``, else its
+    whole parameter range) along the leaves of ``field`` until each crosses
+    tau2s[j] within arc length budgets[j]: one ``_cross_to_target`` call
+    over the stacked targets, which locates the crossings by sign change
+    of the signed distance and refines them together in one batched
+    bisection.  Before any leaf moves, every transversal is checked to
+    make an angle of at least 0.1 rad with the field.  ``tags`` (one per
+    pair) name the failing pairs of an error.
+    """
+    count = len(tau2s)
+    segs = list(tau1s) + list(tau2s)
+    angle = line_angle(np.concatenate([seg.headings for seg in segs]),
+                       field.direction_at(np.mod(np.concatenate([seg.points for seg in segs]), 1.0)))
+    bounds = np.cumsum([len(seg.points) for seg in segs])[:-1]
+    worst = np.array([part.min() for part in np.split(angle, bounds)])
+    skew = np.flatnonzero(worst < 0.1)
+    if len(skew):
+        first = skew[0]
+        raise _failure(TangencySuspected,
+                       f"{'tau1' if first < count else 'tau2'} not transverse to the field "
+                       f"(min angle {worst[first]:.3f} rad)", skew % count, tags)
+    s_values = [np.linspace(*(tau1.param_range if span is None else span), 25)
+                for tau1 in tau1s]
+    pair = np.repeat(np.arange(count), 25)
+    starts, _ = LeafBundle(tau1s).evaluate(np.concatenate(s_values), pair)
+    s_primes, _ = _cross_to_target(field, starts, tau2s, np.repeat(budgets, 25), step,
+                                   which=pair, tags=_row_tags(tags, pair))
+    return [HolonomyMap(s_values[j], s_primes[25 * j:25 * (j + 1)]) for j in range(count)]
+
+
 def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
              budget: float = 3.0, step: float = DEFAULT_STEP, span=None) -> HolonomyMap:
-    """Holonomy of ``field`` from tau1 to tau2.
+    """Holonomy of ``field`` from tau1 to tau2: the one-pair case of
+    ``holonomies``.
 
     Slides 25 sample points of tau1 along the leaves of ``field`` until
     it crosses tau2; crossings are located by sign change of the signed
     distance, then refined together by one batched bisection after the
     march (``_cross_to_target``).
     """
-    lo, hi = tau1.param_range if span is None else span
-    for seg, name in ((tau1, "tau1"), (tau2, "tau2")):
-        angle = line_angle(seg.headings, field.direction_at(np.mod(seg.points, 1.0)))
-        if float(angle.min()) < 0.1:
-            raise TangencySuspected(f"{name} not transverse to the field "
-                                    f"(min angle {angle.min():.3f} rad)")
-    s_values = np.linspace(lo, hi, 25)
-    starts, _ = tau1.evaluate(s_values)
-    s_primes, _ = _cross_to_target(field, starts, tau2, budget, step)
-    return HolonomyMap(s_values, s_primes)
+    return holonomies(field, [tau1], [tau2], [budget], step=step, span=span)[0]
 
 
 class GraphMap:
@@ -540,6 +711,54 @@ class GraphMap:
         return float(self._interp.derivative()(u))
 
 
+def _graph_plan(bases, frame_u: LineField, target: LineField, eps: float, tags=None):
+    """Frame-axis length and target-leaf lengths of local graphs at ``bases``.
+
+    The axes and the crossing budgets have length 3 * 2 eps.  Each target
+    leaf covers u in [-eps, eps]: length 2 eps / cos of the angle between
+    target and frame_u at its base, padded.  Raises TangencySuspected,
+    naming the bases by ``tags``, where that angle is below 0.05 rad;
+    this runs before any leaf is integrated.
+    """
+    pts = np.mod(np.atleast_2d(bases), 1.0)
+    angle = line_angle(target.direction_at(pts), frame_u.direction_at(pts))
+    skew = np.flatnonzero(angle < 0.05)
+    if len(skew):
+        raise _failure(TangencySuspected, f"target not transverse to frame_u at z "
+                       f"(angle {angle[skew[0]]:.3f})", skew, tags)
+    reach = 2 * eps * 3.0
+    return reach, [2 * eps / max(math.cos(min(a, 1.0)), 0.3) * 1.5 for a in angle]
+
+
+def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u, axes_s, leaves,
+                      eps: float, reach: float, step: float, tags=None) -> list:
+    """Local graphs from integrated frame axes and target leaves, graph g
+    over axes_u[g], axes_s[g] and leaves[g]; returns one GraphMap each.
+
+    21 sample points of every target leaf are projected onto the frame
+    axes by integrating frame leaves to their crossings, within arc length
+    ``reach``: one stacked ``_cross_to_target`` call per frame field for
+    all graphs.  Raises ChartOverflow, naming the graphs by ``tags``, for
+    graphs whose samples do not cover u in [-eps, eps].
+    """
+    count = len(leaves)
+    graph = np.repeat(np.arange(count), 21)
+    row_tags = _row_tags(tags, graph)
+    t_vals = np.concatenate([np.linspace(leaf.params[0], leaf.params[-1], 21) for leaf in leaves])
+    pts, _ = LeafBundle(leaves).evaluate(t_vals, graph)
+    u_vals, _ = _cross_to_target(frame_s, pts, axes_u, reach, step, which=graph, tags=row_tags)
+    s_vals, _ = _cross_to_target(frame_u, pts, axes_s, reach, step, which=graph, tags=row_tags)
+    u_vals = u_vals.reshape(count, 21)
+    s_vals = s_vals.reshape(count, 21)
+    short = np.flatnonzero((u_vals.max(axis=1) < eps) | (u_vals.min(axis=1) > -eps))
+    if len(short):
+        u = u_vals[short[0]]
+        raise _failure(ChartOverflow, f"target leaf covers u in [{u.min():.4f}, {u.max():.4f}], "
+                       f"short of [-{eps}, {eps}]", short, tags)
+    keep = np.abs(u_vals) <= eps * 1.0001
+    return [GraphMap(u[k], s[k]) for u, s, k in zip(u_vals, s_vals, keep)]
+
+
 def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
                 eps: float, step: float = DEFAULT_STEP) -> GraphMap:
     """Graph map of the target leaf through z in the (frame_u, frame_s)
@@ -547,30 +766,17 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
 
     Each of 21 sample points of the target leaf is projected onto the frame
     axes by integrating frame leaves to their crossings; the axes and the
-    crossing budgets have length 3 * 2 eps.
+    crossing budgets have length 3 * 2 eps.  This is the one-graph case of
+    the phases ``_graph_plan``, ``integrate_leaves`` and
+    ``_graphs_on_leaves``, which ``rigidity.tangency_propagation_check``
+    runs for all of its graphs together.
     """
     z = np.asarray(z, dtype=float)
-    reach = 2 * eps * 3.0
+    reach, (leaf_len,) = _graph_plan(z, frame_u, target, eps)
     axis_u = integrate_leaf(frame_u, z, reach, step=step, centered=True)
     axis_s = integrate_leaf(frame_s, z, reach, step=step, centered=True)
-    angle = line_angle(target.direction_at(np.mod(z, 1.0)),
-                       frame_u.direction_at(np.mod(z, 1.0)))
-    if angle < 0.05:
-        raise TangencySuspected(f"target not transverse to frame_u at z (angle {angle:.3f})")
-    # cover u-range [-eps, eps]: leaf length eps / cos of worst angle, padded
-    leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
     leaf = integrate_leaf(target, z, leaf_len, step=step, centered=True)
-    t_vals = np.linspace(leaf.params[0], leaf.params[-1], 21)
-    pts, _ = leaf.evaluate(t_vals)
-    u_vals, _ = _cross_to_target(frame_s, pts, axis_u, budget=reach, step=step)
-    s_vals, _ = _cross_to_target(frame_u, pts, axis_s, budget=reach, step=step)
-    if u_vals.max() < eps or u_vals.min() > -eps:
-        raise ChartOverflow(
-            f"target leaf covers u in [{u_vals.min():.4f}, {u_vals.max():.4f}], "
-            f"short of [-{eps}, {eps}]"
-        )
-    keep = np.abs(u_vals) <= eps * 1.0001
-    return GraphMap(u_vals[keep], s_vals[keep])
+    return _graphs_on_leaves(frame_u, frame_s, [axis_u], [axis_s], [leaf], eps, reach, step)[0]
 
 
 def min_transversality_angle(f1: LineField, f2: LineField):
@@ -603,48 +809,63 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     Solves a v_u = b v_s + k over integer k with |k|_inf <= radius
     (k = 0 excluded as the trivial basepoint).  When nonlinear fields are
     supplied, each linear seed is refined by intersecting the integrated
-    leaves of the nonlinear map through z.
+    leaves of the nonlinear map through z; the leaves of each field for
+    all k run as one bundle, and all crossings are refined together
+    (``_refine_heteroclinic``).
     """
     z = np.asarray(z, dtype=float)
     if not 1 <= radius <= MAX_RADIUS:
         raise RadiusOutOfRange(f"radius {radius} outside [1, {MAX_RADIUS}]")
     v_u, v_s = e1.vu, e1.vs
     basis = np.column_stack([v_u, -v_s])
-    out = []
     ks = [(k1, k2) for k1 in range(-radius, radius + 1)
           for k2 in range(-radius, radius + 1) if (k1, k2) != (0, 0)]
-    for k in ks:
-        a, b = np.linalg.solve(basis, np.array(k, dtype=float))
-        if field_u is None:
-            point = np.mod(z + a * v_u, 1.0)
-            out.append(HeteroclinicPoint(point, float(a), float(b), k))
-        else:
-            out.append(_refine_heteroclinic(z, a, b, k, field_u, field_s, step))
+    seeds = [np.linalg.solve(basis, np.array(k, dtype=float)) for k in ks]
+    if field_u is None:
+        out = [HeteroclinicPoint(np.mod(z + a * v_u, 1.0), float(a), float(b), k)
+               for k, (a, b) in zip(ks, seeds)]
+    else:
+        out = _refine_heteroclinic(z, ks, seeds, field_u, field_s, step)
     out.sort(key=lambda h: h.lattice)
     return out
 
 
-def _refine_heteroclinic(z, a, b, k, field_u, field_s, step):
-    """Intersect the integrated unstable leaf with the k-translated stable leaf."""
+def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
+    """Intersect, for each lattice vector k, the integrated unstable leaf
+    through z with the k-translated stable leaf.
+
+    The stable and the unstable leaves of all k run as two bundles and all
+    crossings are refined in one ``_refine_crossings`` call.  The
+    sign-change scan projects each unstable leaf onto its own target, one
+    k at a time: its nodes x nodes distance table is the largest array of
+    the check.  Errors name the failing k.
+    """
     pad = 1.3
-    stable = integrate_leaf(field_s, z, 2 * abs(b) * pad + 0.2, step=step, centered=True)
-    target = stable.translated(np.array(k, dtype=float))
+    tags = [f"heteroclinic leaf k={k}" for k in ks]
+    starts = np.repeat(z[None, :], len(ks), axis=0)
+    stables = integrate_leaves(field_s, starts, [2 * abs(b) * pad + 0.2 for _, b in seeds],
+                               step=step, centered=True, tags=tags)
+    targets = [seg.translated(np.array(k, dtype=float)) for seg, k in zip(stables, ks)]
     # march the unstable leaf from near the seed toward the target
-    unstable = integrate_leaf(field_u, z, 2 * abs(a) * pad + 0.2, step=step, centered=True)
-    proj = CurveProjector(target)
-    _, dists, _ = proj.project(unstable.points)
-    sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
-    if len(sign_change) == 0:
-        raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
-    # pick the crossing closest to the linear prediction
-    cand = sign_change[np.argmin(np.abs(unstable.params[sign_change] - a))]
-    s_c, _ = _refine_crossings(field_u, unstable.points[cand], unstable.headings[cand],
-                               step, proj)
+    unstables = integrate_leaves(field_u, starts, [2 * abs(a) * pad + 0.2 for a, _ in seeds],
+                                 step=step, centered=True, tags=tags)
+    cand = []
+    for i, (unstable, target) in enumerate(zip(unstables, targets)):
+        _, dists, _ = CurveProjector(target).project(unstable.points)
+        sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
+        if len(sign_change) == 0:
+            raise _failure(LeafEscaped, "no stable-leaf crossing", i, tags)
+        # pick the crossing closest to the linear prediction
+        cand.append(sign_change[np.argmin(np.abs(unstable.params[sign_change] - seeds[i][0]))])
+    every = np.arange(len(ks))
+    b_ref, _ = _refine_crossings(field_u, np.array([u.points[c] for u, c in zip(unstables, cand)]),
+                                 np.array([u.headings[c] for u, c in zip(unstables, cand)]),
+                                 step, CurveProjector(targets), every, tags)
     # the bisection reports the target parameter; recover the point from it
-    b_ref = s_c[0]
-    pt = target.point_at(b_ref)
-    a_ref = CurveProjector(unstable).project(pt[None, :])[0][0]
-    return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(b_ref), k)
+    pts, _ = LeafBundle(targets).evaluate(b_ref, every)
+    a_ref = CurveProjector(unstables).project(pts, which=every)[0]
+    return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k)
+            for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 
 
 def verify_graph_transport(theta_z: GraphMap, theta_zp: GraphMap,

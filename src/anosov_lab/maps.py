@@ -162,6 +162,7 @@ class ConjugatedMap:
         self.phi = phi
         self.base = base
         self._A = base.matrix.as_array()
+        self._B = invert(base.matrix).as_array()
 
     @property
     def linear_part(self) -> IntMatrix2:
@@ -181,11 +182,19 @@ class ConjugatedMap:
 
     def jacobian(self, x):
         pts, single = _batched(x)
-        w = self.phi.inverse_lift(pts)
+        return _unbatch(self.jacobian_at_preimage(self.phi.inverse_lift(pts)), single)
+
+    def jacobian_at_preimage(self, w):
+        """jacobian at the points phi(w), from w = phi^{-1}(x) itself."""
         d_out = self.phi.derivative(w @ self._A.T)
         d_in = self.phi.derivative(w)
-        out = np.einsum("nij,jk,nkl->nil", d_out, self._A, _inv2(d_in))
-        return _unbatch(out, single)
+        return np.einsum("nij,jk,nkl->nil", d_out, self._A, _inv2(d_in))
+
+    def backward(self, x):
+        """inverse().apply(x) and w = phi^{-1}(x), for points x (n, 2), from
+        one phi^{-1} solve; jacobian_at_preimage(w) is then jacobian(x)."""
+        w = self.phi.inverse_lift(x)
+        return wrap_point(self.phi.lift(w @ self._B.T)), w
 
     def inverse(self):
         return ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))

@@ -26,15 +26,17 @@ from .errors import (
     SingularSystem,
 )
 from .foliations import (
+    LeafBundle,
     LeafSegment,
     LineField,
     _cross_to_target,
     _flow,
+    _graph_plan,
+    _graphs_on_leaves,
     heteroclinic_points,
-    holonomy,
-    integrate_leaf,
+    holonomies,
+    integrate_leaves,
     line_fields,
-    local_graph,
     min_transversality_angle,
     verify_graph_transport,
 )
@@ -155,41 +157,61 @@ class LinearizationResult:
         return self.g(self.action(t, self.g_inverse(z)))
 
 
-def _solve_t(S: TranslationAction, y: float, y0: float, t_range: float) -> float:
-    """Root of S(t, y) = y0 in t by bisection bracketing plus secant polish."""
+def _solve_t(S: TranslationAction, ys, y0: float, t_range: float) -> np.ndarray:
+    """Roots t(y) of S(t, y) = y0 for every node y of ys, by bisection
+    bracketing plus secant polish, all nodes at once.
 
-    def f(t):
-        return float(S(t, y)) - y0
+    Each node keeps the iterates of a solve of that node alone: it returns
+    early where f = S - y0 is exactly 0 at a bracket end or midpoint, takes
+    40 halvings of [-t_range, t_range], then up to 60 secant steps clipped
+    to that range, stopping where f repeats, |f| < 1e-12 or the step is
+    shorter than 1e-15.  Each round evaluates S on the live nodes only.
+    Raises RootBracketFailed naming the first y without a sign change.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n = len(ys)
 
-    lo, hi = -t_range, t_range
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise RootBracketFailed(f"no sign change for y={y} in t range +-{t_range}")
+    def f(t, rows):
+        return S(t, ys[rows]) - y0
+
+    every = np.arange(n)
+    lo = np.full(n, -t_range)
+    hi = np.full(n, t_range)
+    f_lo, f_hi = f(lo, every), f(hi, every)
+    out = np.where(f_lo == 0.0, lo, hi)
+    live = (f_lo != 0.0) & (f_hi != 0.0)
+    lost = live & (np.sign(f_lo) == np.sign(f_hi))
+    if lost.any():
+        raise RootBracketFailed(f"no sign change for y={float(ys[lost][0])} in t range +-{t_range}")
     for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    t0, t1 = lo, hi
-    f0, f1 = f_lo, f_hi
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        f_mid = f(mid, rows)
+        root = f_mid == 0.0
+        out[rows[root]] = mid[root]
+        live[rows[root]] = False
+        same = ~root & (np.sign(f_mid) == np.sign(f_lo[rows]))
+        lo[rows[same]], f_lo[rows[same]] = mid[same], f_mid[same]
+        other = ~root & ~same
+        hi[rows[other]], f_hi[rows[other]] = mid[other], f_mid[other]
+    polished = live.copy()
+    t0, f0, t1, f1 = lo, f_lo, hi, f_hi
     for _ in range(60):
-        if f1 == f0:
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
             break
-        t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        t2 = min(max(t2, -t_range), t_range)
-        f2 = f(t2)
-        t0, f0, t1, f1 = t1, f1, t2, f2
-        if abs(f2) < 1e-12 or abs(t1 - t0) < 1e-15:
-            break
-    return t1
+        flat = f1[rows] == f0[rows]
+        live[rows[flat]] = False
+        rows = rows[~flat]
+        t2 = t1[rows] - f1[rows] * (t1[rows] - t0[rows]) / (f1[rows] - f0[rows])
+        t2 = np.minimum(np.maximum(t2, -t_range), t_range)
+        f2 = f(t2, rows)
+        t0[rows], f0[rows], t1[rows], f1[rows] = t1[rows], f1[rows], t2, f2
+        live[rows[(np.abs(f2) < 1e-12) | (np.abs(t1[rows] - t0[rows]) < 1e-15)]] = False
+    out[polished] = t1[polished]
+    return out
 
 
 def linearize_translation_action(S: TranslationAction, y0: float, domain,
@@ -210,11 +232,8 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     n = max(8, int(math.ceil((hi - lo) / quad_spacing)))
     ys = np.linspace(lo, hi, n + 1)
 
-    t_of_y = np.array([_solve_t(S, float(y), y0, t_range) for y in ys])
-    integrand = np.array([
-        (float(S(t, y + FD_STEP)) - float(S(t, y - FD_STEP))) / (2 * FD_STEP)
-        for t, y in zip(t_of_y, ys)
-    ])
+    t_of_y = _solve_t(S, ys, y0, t_range)
+    integrand = (S(t_of_y, ys + FD_STEP) - S(t_of_y, ys - FD_STEP)) / (2 * FD_STEP)
     g_vals = cumulative_simpson(integrand, x=ys, initial=0.0)
     g_vals = g_vals - np.interp(y0, ys, g_vals)
     if not np.all(np.diff(g_vals) > 0):
@@ -360,43 +379,68 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     slopes and graphs.  The holonomies run between frame axes of length
     0.3 at z and 0.6 at z'.
 
+    The leaves of every lattice vector k run together, in phases with one
+    batched call per field each: the heteroclinic leaves through z (when
+    ``nonlinear``), the leaves from z to the lifts of each z', every frame
+    axis and target leaf of the local graphs at z and at each z', the
+    local-graph crossings, and the holonomies.  Each k gets the numbers a
+    check of that k alone would give.  An error from a stacked call keeps
+    its class and names the failing k and whether the row belongs to a
+    heteroclinic leaf, a local graph or a holonomy.
+
     Returns a list of PropagationRow, one per lattice vector.
     """
     z = np.asarray(z, dtype=float)
     fu = field_1u if nonlinear else None
     fs = field_1s if nonlinear else None
     hps = heteroclinic_points(z, e1, radius, field_u=fu, field_s=fs, step=step)
-    theta_z = local_graph(z, field_1u, field_1s, field_2s, eps, step=step)
-    axis_u_z = integrate_leaf(field_1u, z, 0.3, centered=True, step=step)
-    axis_s_z = integrate_leaf(field_1s, z, 0.3, centered=True, step=step)
+    ks = [hp.lattice for hp in hps]
+    n = len(hps)
+    if nonlinear:
+        # lifts of z' reached along the unstable / stable leaves from z
+        zp_u = _leaf_lifts(field_1u, z, [hp.u_param for hp in hps], step,
+                           [f"heteroclinic leaf k={k}" for k in ks])
+        zp_s = zp_u - np.array(ks, dtype=float)
+    else:
+        zp_u = np.array([z + hp.u_param * e1.vu for hp in hps])
+        zp_s = np.array([z + hp.s_param * e1.vs for hp in hps])
+
+    # graph 0 sits at z, graph 1 + j at the lift of the j-th z'
+    bases = np.vstack([z[None, :], zp_u])
+    graph_tags = ["local graph at z"] + [f"local graph k={k}" for k in ks]
+    hol_tags = [f"holonomy k={k}" for k in ks]
+    reach, leaf_lengths = _graph_plan(bases, field_1u, field_2s, eps, graph_tags)
+    # per frame field, one bundle: the holonomy axis at z, the axes of
+    # every local graph, and the holonomy axis at each z'
+    axis_tags = ["holonomy axis at z"] + graph_tags + hol_tags
+    lengths = [0.3] + [reach] * (n + 1) + [0.6] * n
+    axes_u = integrate_leaves(field_1u, np.vstack([z[None, :], bases, zp_s]), lengths,
+                              step=step, centered=True, tags=axis_tags)
+    axes_s = integrate_leaves(field_1s, np.vstack([z[None, :], bases, zp_u]), lengths,
+                              step=step, centered=True, tags=axis_tags)
+    leaves = integrate_leaves(field_2s, bases, leaf_lengths, step=step, centered=True,
+                              tags=graph_tags)
+    graphs = _graphs_on_leaves(field_1u, field_1s, axes_u[1:n + 2], axes_s[1:n + 2], leaves,
+                               eps, reach, step, graph_tags)
+    hols_s = holonomies(field_1s, [axes_u[0]] * n, axes_u[n + 2:],
+                        [abs(hp.s_param) * 1.5 + 0.5 for hp in hps], step=step,
+                        span=(-eps, eps), tags=hol_tags)
+    hols_u = holonomies(field_1u, [axes_s[0]] * n, axes_s[n + 2:],
+                        [abs(hp.u_param) * 1.5 + 0.5 for hp in hps], step=step,
+                        span=(-eps, eps), tags=hol_tags)
+    angles = line_angle(field_1u.direction_at(np.mod(zp_u, 1.0)),
+                        field_2s.direction_at(np.mod(zp_u, 1.0)))
+    theta_z = graphs[0]
     rows = []
-    for hp in hps:
-        if nonlinear:
-            # lifts of z' reached along the unstable / stable leaves from z
-            zp_u_lift = _leaf_lift(field_1u, z, hp.u_param, step)
-            zp_s_lift = zp_u_lift - np.array(hp.lattice, dtype=float)
-        else:
-            zp_u_lift = z + hp.u_param * e1.vu
-            zp_s_lift = z + hp.s_param * e1.vs
-        theta_zp = local_graph(zp_u_lift, field_1u, field_1s, field_2s, eps, step=step)
-        axis_u_zp = integrate_leaf(field_1u, zp_s_lift, 0.6, centered=True, step=step)
-        axis_s_zp = integrate_leaf(field_1s, zp_u_lift, 0.6, centered=True, step=step)
-        hol_s = holonomy(field_1s, axis_u_z, axis_u_zp,
-                         budget=abs(hp.s_param) * 1.5 + 0.5, step=step,
-                         span=(-eps, eps))
-        hol_u = holonomy(field_1u, axis_s_z, axis_s_zp,
-                         budget=abs(hp.u_param) * 1.5 + 0.5, step=step,
-                         span=(-eps, eps))
+    for hp, theta_zp, hol_s, hol_u, angle in zip(hps, graphs[1:], hols_s, hols_u, angles):
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
         d = 1e-3
         predicted = (hol_u(theta_z(hol_s.inverse(d))) - hol_u(theta_z(hol_s.inverse(-d)))) / (2 * d)
         measured = theta_zp.slope_at(0.0)
-        dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0))
-        dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0))
         rows.append(PropagationRow(
             lattice=hp.lattice,
             point=hp.point,
-            angle=float(line_angle(dir_u, dir_2s)),
+            angle=float(angle),
             measured_slope=float(measured),
             predicted_slope=float(predicted),
             transport_deviation=float(deviation),
@@ -404,10 +448,13 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     return rows
 
 
-def _leaf_lift(field: LineField, z, arc: float, step: float) -> np.ndarray:
-    """Lift coordinates of the point at signed arc length along the leaf."""
-    seg = integrate_leaf(field, z, 2 * abs(arc) + 4 * step, centered=True, step=step)
-    return seg.point_at(arc)
+def _leaf_lifts(field: LineField, z, arcs, step: float, tags) -> np.ndarray:
+    """Lift coordinates of the points at signed arc lengths arcs[i] along
+    the leaf through z, all leaves in one bundle."""
+    segs = integrate_leaves(field, np.repeat(z[None, :], len(arcs), axis=0),
+                            [2 * abs(arc) + 4 * step for arc in arcs], step=step,
+                            centered=True, tags=tags)
+    return LeafBundle(segs).evaluate(arcs, np.arange(len(arcs)))[0]
 
 
 DEFAULT_THRESHOLDS = {

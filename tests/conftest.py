@@ -55,3 +55,12 @@ def conj_g1(phi02, e1):
 @pytest.fixture(scope="session")
 def conj_g2(phi02, e2):
     return ConjugatedMap(phi02, e2)
+
+
+@pytest.fixture(scope="session")
+def conj_fields(conj_g1, conj_g2):
+    return {
+        "f1u": compute_line_field(conj_g1, "unstable"),
+        "f1s": compute_line_field(conj_g1, "stable"),
+        "f2s": compute_line_field(conj_g2, "stable"),
+    }

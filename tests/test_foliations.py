@@ -31,16 +31,7 @@ from anosov_lab.foliations import (
     min_transversality_angle,
     verify_graph_transport,
 )
-from anosov_lab.lattice import line_angle
-
-
-@pytest.fixture(scope="module")
-def conj_fields(conj_g1, conj_g2):
-    return {
-        "f1u": compute_line_field(conj_g1, "unstable"),
-        "f1s": compute_line_field(conj_g1, "stable"),
-        "f2s": compute_line_field(conj_g2, "stable"),
-    }
+from anosov_lab.lattice import eigen_data, grid_points, line_angle
 
 
 def test_constant_field_leaves_are_straight(e1, linear_fields):
@@ -79,6 +70,31 @@ def test_line_field_convergence_rate(conj_g1):
     coarse = compute_line_field(conj_g1, "unstable", n=64, iters=4, tol=1.0)
     fine = compute_line_field(conj_g1, "unstable", n=64, iters=8, tol=1.0)
     assert fine.converged_residual < coarse.converged_residual
+
+
+def _ref_line_field_theta(g, label, n, iters):
+    """The line-field transport with one inverse solve for the orbit and
+    another inside each jacobian."""
+    handle = g if label == "unstable" else g.inverse()
+    seed_dir = eigen_data(handle.linear_part).vu
+    orbit = [grid_points(n)]
+    for _ in range(iters):
+        orbit.append(handle.inverse().apply(orbit[-1]))
+    v = np.broadcast_to(seed_dir, orbit[0].shape).copy()
+    for j in range(iters, 0, -1):
+        v = np.einsum("nij,nj->ni", handle.jacobian(orbit[j]), v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi).reshape(n, n)
+
+
+@pytest.mark.parametrize("label", ["unstable", "stable"])
+def test_line_field_shared_inverse_matches_two_solves(conj_g1, label):
+    field = compute_line_field(conj_g1, label, n=32, iters=12)
+    assert np.array_equal(field.theta, _ref_line_field_theta(conj_g1, label, 32, 12))
+    x = grid_points(8)
+    back, w = conj_g1.backward(x)
+    assert np.array_equal(back, conj_g1.inverse().apply(x))
+    assert np.array_equal(conj_g1.jacobian_at_preimage(w), conj_g1.jacobian(x))
 
 
 def test_leaf_invariance_under_map(conj_g1, conj_fields):
@@ -289,7 +305,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
         new_pts = prev_pts.copy()
         new_hd = prev_hd.copy()
         stepped, hd_step, worst = _rk4_step(field, prev_pts[active], prev_hd[active], step)
-        if worst < math.cos(SIGN_CONTINUITY_LIMIT):
+        if worst.min() < math.cos(SIGN_CONTINUITY_LIMIT):
             raise SignAmbiguity("field too rough along holonomy leaf")
         new_pts[active] = stepped
         new_hd[active] = hd_step

@@ -1,0 +1,408 @@
+"""Leaf bundles against serial references.
+
+The references below are the one-leaf, one-target, one-lattice-vector
+versions of leaf integration, crossing, holonomy, local graphs,
+heteroclinic points and the tangency-propagation loop.  A bundle does the
+same arithmetic per row, so every comparison asserts equality bit for
+bit, not closeness.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from anosov_lab.errors import (
+    ChartOverflow,
+    LeafEscaped,
+    SignAmbiguity,
+    TangencySuspected,
+)
+from anosov_lab.foliations import (
+    SIGN_CONTINUITY_LIMIT,
+    TANGENCY_THRESHOLD,
+    CurveProjector,
+    GraphMap,
+    HeteroclinicPoint,
+    HolonomyMap,
+    LeafSegment,
+    LineField,
+    _cross_to_target,
+    _initial_toward,
+    _refine_crossings,
+    _rk4_step,
+    heteroclinic_points,
+    holonomies,
+    holonomy,
+    integrate_leaf,
+    integrate_leaves,
+    local_graph,
+    verify_graph_transport,
+)
+from anosov_lab.lattice import line_angle
+from anosov_lab.rigidity import PropagationRow, tangency_propagation_check
+
+STEP = 4e-3
+
+
+# --- serial references ------------------------------------------------------
+
+def _ref_march(field, x, heading, length, step):
+    n_steps = max(1, int(round(length / step)))
+    h = length / n_steps
+    pts = x[None, :].copy()
+    hd = heading[None, :].copy()
+    hd /= np.linalg.norm(hd, axis=1, keepdims=True)
+    traj = [pts[0]]
+    heads = [hd[0]]
+    for i in range(n_steps):
+        pts, hd, worst = _rk4_step(field, pts, hd, h)
+        if worst.min() < math.cos(SIGN_CONTINUITY_LIMIT):
+            raise SignAmbiguity(f"field direction flipped at step {i}")
+        traj.append(pts[0])
+        heads.append(hd[0])
+    return np.linspace(0.0, length, n_steps + 1), np.array(traj), np.array(heads)
+
+
+def _ref_integrate_leaf(field, x, length, step=1e-3, centered=False):
+    x = np.asarray(x, dtype=float)
+    heading = field.direction_at(np.mod(x, 1.0))
+    heading = heading / np.linalg.norm(heading)
+    if centered:
+        half = abs(length) / 2.0
+        fwd = _ref_march(field, x, heading, half, step)
+        bwd = _ref_march(field, x, -heading, half, step)
+        params = np.concatenate([-bwd[0][::-1], fwd[0][1:]])
+        points = np.concatenate([bwd[1][::-1], fwd[1][1:]])
+        heads = np.concatenate([-bwd[2][::-1], fwd[2][1:]])
+    else:
+        sign = 1.0 if length >= 0 else -1.0
+        params, points, heads = _ref_march(field, x, sign * heading, abs(length), step)
+        params = sign * params
+        heads = sign * heads
+        if sign < 0:
+            params, points, heads = params[::-1], points[::-1], heads[::-1]
+    return LeafSegment(params=params, points=points, headings=heads, field=field,
+                       step=float(abs(params[1] - params[0])))
+
+
+def _ref_cross_to_target(field, starts, tau2, budget, step):
+    """One target: every leaf marches together, crossings refined after."""
+    proj = CurveProjector(tau2)
+    pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    m = len(pts)
+    hd = _initial_toward(field, pts, proj)
+    _, dist, _ = proj.project(pts)
+    s_out = np.full(m, np.nan)
+    ang_out = np.full(m, np.nan)
+    active = np.ones(m, dtype=bool)
+    on_curve = np.abs(dist) < 1e-13
+    if np.any(on_curve):
+        s_here, _, tang = proj.project(pts[on_curve])
+        s_out[on_curve] = s_here
+        d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
+        ang_out[on_curve] = line_angle(d_here, tang)
+        active[on_curve] = False
+    prev_pts, prev_hd, prev_dist = pts.copy(), hd.copy(), dist.copy()
+    crossed = np.zeros(m, dtype=bool)
+    node_pts = np.empty_like(pts)
+    node_hd = np.empty_like(pts)
+    for _ in range(int(math.ceil(budget / step))):
+        if not active.any():
+            break
+        new_pts = prev_pts.copy()
+        new_hd = prev_hd.copy()
+        stepped, hd_step, worst = _rk4_step(field, prev_pts[active], prev_hd[active], step)
+        if worst.min() < math.cos(SIGN_CONTINUITY_LIMIT):
+            raise SignAmbiguity("field too rough along holonomy leaf")
+        new_pts[active] = stepped
+        new_hd[active] = hd_step
+        _, new_dist, _ = proj.project(new_pts, refine=False)
+        flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
+        node_pts[flipped] = prev_pts[flipped]
+        node_hd[flipped] = prev_hd[flipped]
+        crossed |= flipped
+        active &= ~flipped
+        prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
+    if crossed.any():
+        s_out[crossed], ang_out[crossed] = _refine_crossings(
+            field, node_pts[crossed], node_hd[crossed], step, proj)
+    if active.any():
+        raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
+    if np.any(ang_out < TANGENCY_THRESHOLD):
+        raise TangencySuspected("shallow crossing")
+    return s_out, ang_out
+
+
+def _ref_holonomy(field, tau1, tau2, budget, step, span):
+    for seg in (tau1, tau2):
+        angle = line_angle(seg.headings, field.direction_at(np.mod(seg.points, 1.0)))
+        if float(angle.min()) < 0.1:
+            raise TangencySuspected("transversal not transverse to the field")
+    s_values = np.linspace(span[0], span[1], 25)
+    starts, _ = tau1.evaluate(s_values)
+    s_primes, _ = _ref_cross_to_target(field, starts, tau2, budget, step)
+    return HolonomyMap(s_values, s_primes)
+
+
+def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
+    z = np.asarray(z, dtype=float)
+    reach = 2 * eps * 3.0
+    axis_u = _ref_integrate_leaf(frame_u, z, reach, step=step, centered=True)
+    axis_s = _ref_integrate_leaf(frame_s, z, reach, step=step, centered=True)
+    angle = line_angle(target.direction_at(np.mod(z, 1.0)),
+                       frame_u.direction_at(np.mod(z, 1.0)))
+    if angle < 0.05:
+        raise TangencySuspected("target not transverse to frame_u")
+    leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
+    leaf = _ref_integrate_leaf(target, z, leaf_len, step=step, centered=True)
+    t_vals = np.linspace(leaf.params[0], leaf.params[-1], 21)
+    pts, _ = leaf.evaluate(t_vals)
+    u_vals, _ = _ref_cross_to_target(frame_s, pts, axis_u, reach, step)
+    s_vals, _ = _ref_cross_to_target(frame_u, pts, axis_s, reach, step)
+    if u_vals.max() < eps or u_vals.min() > -eps:
+        raise ChartOverflow("target leaf does not cover the chart")
+    keep = np.abs(u_vals) <= eps * 1.0001
+    return GraphMap(u_vals[keep], s_vals[keep])
+
+
+def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
+    pad = 1.3
+    stable = _ref_integrate_leaf(field_s, z, 2 * abs(b) * pad + 0.2, step=step, centered=True)
+    target = stable.translated(np.array(k, dtype=float))
+    unstable = _ref_integrate_leaf(field_u, z, 2 * abs(a) * pad + 0.2, step=step, centered=True)
+    proj = CurveProjector(target)
+    _, dists, _ = proj.project(unstable.points)
+    sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
+    if len(sign_change) == 0:
+        raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
+    cand = sign_change[np.argmin(np.abs(unstable.params[sign_change] - a))]
+    s_c, _ = _refine_crossings(field_u, unstable.points[cand], unstable.headings[cand],
+                               step, proj)
+    pt = target.point_at(s_c[0])
+    a_ref = CurveProjector(unstable).project(pt[None, :])[0][0]
+    return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(s_c[0]), k)
+
+
+def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-3):
+    z = np.asarray(z, dtype=float)
+    basis = np.column_stack([e1.vu, -e1.vs])
+    out = []
+    for k1 in range(-radius, radius + 1):
+        for k2 in range(-radius, radius + 1):
+            k = (k1, k2)
+            if k == (0, 0):
+                continue
+            a, b = np.linalg.solve(basis, np.array(k, dtype=float))
+            if field_u is None:
+                out.append(HeteroclinicPoint(np.mod(z + a * e1.vu, 1.0), float(a), float(b), k))
+            else:
+                out.append(_ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step))
+    out.sort(key=lambda h: h.lattice)
+    return out
+
+
+def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=1,
+                                    eps=0.05, step=1e-3, nonlinear=False):
+    """The check one lattice vector at a time."""
+    z = np.asarray(z, dtype=float)
+    fu = field_1u if nonlinear else None
+    fs = field_1s if nonlinear else None
+    hps = _ref_heteroclinic_points(z, e1, radius, field_u=fu, field_s=fs, step=step)
+    theta_z = _ref_local_graph(z, field_1u, field_1s, field_2s, eps, step)
+    axis_u_z = _ref_integrate_leaf(field_1u, z, 0.3, centered=True, step=step)
+    axis_s_z = _ref_integrate_leaf(field_1s, z, 0.3, centered=True, step=step)
+    rows = []
+    for hp in hps:
+        if nonlinear:
+            arc = hp.u_param
+            seg = _ref_integrate_leaf(field_1u, z, 2 * abs(arc) + 4 * step, centered=True,
+                                      step=step)
+            zp_u_lift = seg.point_at(arc)
+            zp_s_lift = zp_u_lift - np.array(hp.lattice, dtype=float)
+        else:
+            zp_u_lift = z + hp.u_param * e1.vu
+            zp_s_lift = z + hp.s_param * e1.vs
+        theta_zp = _ref_local_graph(zp_u_lift, field_1u, field_1s, field_2s, eps, step)
+        axis_u_zp = _ref_integrate_leaf(field_1u, zp_s_lift, 0.6, centered=True, step=step)
+        axis_s_zp = _ref_integrate_leaf(field_1s, zp_u_lift, 0.6, centered=True, step=step)
+        hol_s = _ref_holonomy(field_1s, axis_u_z, axis_u_zp, abs(hp.s_param) * 1.5 + 0.5,
+                              step, (-eps, eps))
+        hol_u = _ref_holonomy(field_1u, axis_s_z, axis_s_zp, abs(hp.u_param) * 1.5 + 0.5,
+                              step, (-eps, eps))
+        deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
+        d = 1e-3
+        predicted = (hol_u(theta_z(hol_s.inverse(d))) - hol_u(theta_z(hol_s.inverse(-d)))) / (2 * d)
+        dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0))
+        dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0))
+        rows.append(PropagationRow(
+            lattice=hp.lattice, point=hp.point,
+            angle=float(line_angle(dir_u, dir_2s)),
+            measured_slope=float(theta_zp.slope_at(0.0)),
+            predicted_slope=float(predicted),
+            transport_deviation=float(deviation),
+        ))
+    return rows
+
+
+# --- comparisons ------------------------------------------------------------
+
+@pytest.fixture(params=["linear", "conjugated"])
+def fields(request):
+    """f1u, f1s, f2s of the linear action, or of the action conjugated by
+    phi = id + (0.02 sin 2 pi x2, 0)."""
+    return request.getfixturevalue(
+        "linear_fields" if request.param == "linear" else "conj_fields")
+
+
+def _assert_same_segment(got, want):
+    assert np.array_equal(got.params, want.params)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.headings, want.headings)
+    assert got.step == want.step
+
+
+def test_integrate_leaves_matches_serial_reference(fields):
+    f1u = fields["f1u"]
+    starts = np.array([[0.3, 0.6], [0.71, 0.12], [0.3, 0.6], [0.05, 0.9],
+                       [0.44, 0.2], [0.44, 0.2], [0.9, 0.35]])
+    # mixed lengths, a negative length, centered and one-sided leaves; the
+    # one-sided leaves of 0.1 and 0.1 + STEP take 25 and 26 steps
+    lengths = [0.5, -0.3, 0.21, 0.1, 0.1, 0.1 + STEP, 2 * 0.05]
+    centered = [True, False, True, False, False, False, True]
+    segs = integrate_leaves(f1u, starts, lengths, step=STEP, centered=centered)
+    counts = set()
+    for seg, x, length, c in zip(segs, starts, lengths, centered):
+        _assert_same_segment(seg, _ref_integrate_leaf(f1u, x, length, step=STEP, centered=c))
+        _assert_same_segment(integrate_leaf(f1u, x, length, step=STEP, centered=c), seg)
+        counts.add(len(seg.params))
+    assert {26, 27} <= counts
+
+
+def test_cross_to_target_stacked_matches_per_target(fields):
+    f1u, f1s = fields["f1u"], fields["f1s"]
+    # two targets with equal node counts and one with more
+    targets = integrate_leaves(f1u, [[0.3, 0.6], [0.5, 0.2], [0.1, 0.4]], [0.8, 0.8, 1.1],
+                               step=STEP, centered=True)
+    groups, which, budgets = [], [], []
+    for t, (tau, budget) in enumerate(zip(targets, (0.5, 0.35, 0.6))):
+        near = _ref_integrate_leaf(f1s, tau.point_at(0.1), 0.5, step=1e-3, centered=True)
+        starts = near.evaluate(np.linspace(-0.2, 0.2, 7 + t))[0]
+        groups.append(starts)
+        which += [t] * len(starts)
+        budgets += [budget] * len(starts)
+    s, angle = _cross_to_target(f1s, np.concatenate(groups), targets, np.array(budgets),
+                                STEP, which=np.array(which))
+    at = 0
+    for tau, starts, budget in zip(targets, groups, (0.5, 0.35, 0.6)):
+        s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau, budget, STEP)
+        assert np.array_equal(s[at:at + len(starts)], s_ref)
+        assert np.array_equal(angle[at:at + len(starts)], angle_ref)
+        at += len(starts)
+
+
+def test_cross_to_target_row_budget_escape(fields):
+    f1u, f1s = fields["f1u"], fields["f1s"]
+    tau = integrate_leaf(f1u, np.zeros(2), 0.6, step=STEP, centered=True)
+    near = integrate_leaf(f1s, np.zeros(2), 0.5, step=1e-3, centered=True)
+    starts = near.evaluate(np.array([0.05, -0.1, 0.15]))[0]
+    budgets = np.array([0.2, 0.2, 0.2])
+    s, _ = _cross_to_target(f1s, starts, [tau, tau], budgets, STEP, which=[0, 1, 0])
+    assert np.array_equal(s, _ref_cross_to_target(f1s, starts, tau, 0.2, STEP)[0])
+    # the third leaf is 0.15 from the transversal; with 0.1 of budget it escapes
+    budgets[2] = 0.1
+    with pytest.raises(LeafEscaped, match=r"^1 leaves did not reach .* within budget 0\.1 \[c\]$"):
+        _cross_to_target(f1s, starts, tau, budgets, STEP, tags=["a", "b", "c"])
+
+
+def test_holonomies_match_serial_reference(fields):
+    f1u, f1s = fields["f1u"], fields["f1s"]
+    tau1 = integrate_leaf(f1u, np.zeros(2), 0.3, step=STEP, centered=True)
+    tau2s = integrate_leaves(f1u, [[0.02, 0.31], [0.2, -0.15], [-0.25, 0.1]], [0.6, 0.6, 0.8],
+                             step=STEP, centered=True)
+    budgets = [0.9, 0.8, 1.2]
+    hols = holonomies(f1s, [tau1] * 3, tau2s, budgets, step=STEP, span=(-0.05, 0.05))
+    for hol, tau2, budget in zip(hols, tau2s, budgets):
+        ref = _ref_holonomy(f1s, tau1, tau2, budget, STEP, (-0.05, 0.05))
+        assert np.array_equal(hol.samples, ref.samples)
+        one = holonomy(f1s, tau1, tau2, budget=budget, step=STEP, span=(-0.05, 0.05))
+        assert np.array_equal(one.samples, ref.samples)
+
+
+def test_local_graph_matches_serial_reference(fields):
+    args = (fields["f1u"], fields["f1s"], fields["f2s"], 0.05)
+    for z in (np.zeros(2), np.array([0.37, 0.81])):
+        got = local_graph(z, *args, step=STEP)
+        want = _ref_local_graph(z, *args, STEP)
+        assert np.array_equal(got.u_values, want.u_values)
+        assert np.array_equal(got.s_values, want.s_values)
+
+
+def test_heteroclinic_points_match_serial_reference(conj_fields, e1):
+    got = heteroclinic_points(np.zeros(2), e1, 1, field_u=conj_fields["f1u"],
+                              field_s=conj_fields["f1s"], step=STEP)
+    want = _ref_heteroclinic_points(np.zeros(2), e1, 1, field_u=conj_fields["f1u"],
+                                    field_s=conj_fields["f1s"], step=STEP)
+    assert [h.lattice for h in got] == [h.lattice for h in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.point, w.point)
+        assert (g.u_param, g.s_param) == (w.u_param, w.s_param)
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want) == 8
+    for g, w in zip(got, want):
+        assert g.to_dict() == w.to_dict()
+        assert np.array_equal(g.point, w.point)
+
+
+def test_propagation_rows_match_serial_loop_linear(linear_fields, e1):
+    f = linear_fields
+    args = (f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1)
+    _assert_same_rows(tangency_propagation_check(*args, radius=1, step=STEP),
+                      _ref_tangency_propagation_check(*args, radius=1, step=STEP))
+
+
+def test_propagation_rows_match_serial_loop_nonlinear(conj_fields, e1):
+    f = conj_fields
+    args = (f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1)
+    _assert_same_rows(
+        tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True),
+        _ref_tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True))
+
+
+# --- errors of stacked calls name their lattice vectors and kinds ---------
+
+def test_stacked_tangency_names_local_graphs(linear_fields, e1):
+    f = linear_fields
+    # a target field equal to frame_u is tangent to it at every base point
+    with pytest.raises(TangencySuspected,
+                       match=r"\[local graph at z; local graph k=\(-1, -1\); .*"
+                             r"local graph k=\(1, 1\)\]$"):
+        tangency_propagation_check(f["f1u"], f["f1s"], f["f1u"], np.zeros(2), e1, step=STEP)
+
+
+def test_stacked_chart_overflow_names_local_graphs(linear_fields, e1):
+    f = linear_fields
+    # target leaves along frame_s itself all meet the u-axis at u = 0
+    with pytest.raises(ChartOverflow, match=r"\[local graph at z; .*local graph k=\(1, 1\)\]$"):
+        tangency_propagation_check(f["f1u"], f["f1s"], f["f1s"], np.zeros(2), e1, step=STEP)
+
+
+def test_stacked_escape_names_heteroclinic_leaf(linear_fields, e1):
+    f = linear_fields
+    # "unstable" leaves along the stable field never meet a stable translate
+    with pytest.raises(LeafEscaped, match=r"^no stable-leaf crossing \[heteroclinic leaf k=\(-1, -1\)\]$"):
+        tangency_propagation_check(f["f1s"], f["f1s"], f["f2s"], np.zeros(2), e1, step=STEP,
+                                   nonlinear=True)
+
+
+def test_stacked_sign_ambiguity_names_rows(linear_fields, e1):
+    f = linear_fields
+    # a field of random directions flips within a step on some leaf
+    rough = LineField(None, np.random.default_rng(3).random((128, 128)) * math.pi)
+    with pytest.raises(SignAmbiguity,
+                       match=r"\[(holonomy axis at z|(local graph|holonomy) (at z|k=\(-?\d, -?\d\)))"
+                             r"(; (holonomy axis at z|(local graph|holonomy) (at z|k=\(-?\d, -?\d\))))*\]$"):
+        tangency_propagation_check(f["f1u"], rough, f["f2s"], np.zeros(2), e1, step=STEP)
+
