@@ -21,6 +21,9 @@ from .lattice import IntMatrix2, eigen_data, is_hyperbolic
 from .maps import ConjugatedMap, Diffeo, PerturbedMap
 from .rigidity import DEFAULT_THRESHOLDS
 
+MIN_STEP = 1e-4
+MAX_FIELD_ITERS = 100
+
 DEFAULTS = {
     "group": {
         "generators": [[[2, 1], [1, 1]], [[1, 1], [1, 2]]],
@@ -218,11 +221,13 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
         n = res[key]
         if n < lo or n > hi or n & (n - 1):
             raise ConfigError(f"resolution.{key}", f"must be a power of two in [{lo}, {hi}]")
+    # a step sets a leaf's array length and step count
     for key in steps:
-        if not res[key] > 0:
-            raise ConfigError(f"resolution.{key}", "must be strictly positive")
-    if not res["field_iters"] > 0:
-        raise ConfigError("resolution.field_iters", "must be a positive integer")
+        if not res[key] >= MIN_STEP:
+            raise ConfigError(f"resolution.{key}", f"must be at least {MIN_STEP:g}")
+    # compute_line_field keeps field_iters arrays of field_n^2 x 2 doubles
+    if not 1 <= res["field_iters"] <= MAX_FIELD_ITERS:
+        raise ConfigError("resolution.field_iters", f"must be an integer in [1, {MAX_FIELD_ITERS}]")
     if not 1 <= res["max_period"] <= MAX_PERIOD:
         raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 
@@ -235,6 +240,9 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
            for key, value in doc["experiment"].items() if key not in ("name", "out_dir")}
     if not 1 <= exp["radius"] <= MAX_RADIUS:
         raise ConfigError("experiment.radius", f"must be an integer in [1, {MAX_RADIUS}]")
+    for key, hi in (("span", 1.0), ("eps", 0.25)):
+        if not 0 < exp[key] <= hi:
+            raise ConfigError(f"experiment.{key}", f"must lie in (0, {hi:g}]")
     # an explicit --out wins over the environment, which wins over the config
     resolved_out = out_dir or os.environ.get("ANOSOV_LAB_OUT") or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean

@@ -68,17 +68,15 @@ class LineField:
         return cls(owner, np.full((grid_size, grid_size), theta))
 
     def angle_at(self, x):
-        """Interpolated angle(s) in [0, pi)."""
-        emb = self._interp(np.asarray(x, dtype=float))
-        emb = np.atleast_2d(emb)
-        theta = 0.5 * np.arctan2(emb[:, 1], emb[:, 0]) % math.pi
-        return theta[0] if np.asarray(x).ndim == 1 else theta
+        """Interpolated angles in [0, pi), shape (n,), at the torus points
+        x of shape (n, 2)."""
+        emb = self._interp(x)
+        return 0.5 * np.arctan2(emb[:, 1], emb[:, 0]) % math.pi
 
     def direction_at(self, x):
-        """Canonical unit vectors for the interpolated angles."""
-        theta = np.atleast_1d(self.angle_at(x))
-        out = _unit(theta)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        """Canonical unit vectors (n, 2) for the interpolated angles at the
+        torus points x of shape (n, 2)."""
+        return _unit(self.angle_at(x))
 
     def invariance_error(self) -> float:
         """Max angular error of D g (field at x) against field at g(x) over
@@ -151,7 +149,7 @@ def _failure(cls, message: str, rows, tags):
     """Exception ``cls`` for failing rows of a stacked call; when the caller
     tagged its rows, the message ends with the failing rows' tags."""
     if tags is not None:
-        names = dict.fromkeys(tags[int(r)] for r in np.atleast_1d(rows))
+        names = dict.fromkeys(tags[int(r)] for r in rows)
         message = f"{message} [{'; '.join(names)}]"
     return cls(message)
 
@@ -163,7 +161,7 @@ def _row_tags(tags, index):
 
 def _aligned_direction(field: LineField, pts, headings):
     """Field directions at pts with signs matched to the given headings."""
-    d = np.atleast_2d(field.direction_at(np.mod(pts, 1.0)))
+    d = field.direction_at(np.mod(pts, 1.0))
     dots = np.einsum("ni,ni->n", d, headings)
     d = d * np.sign(dots)[:, None]
     return d, np.abs(dots)
@@ -191,9 +189,8 @@ def _flow(field: LineField, starts, headings, n_steps, h, tags=None):
     have steps to take, so every row takes the iterates of a flow of that
     row alone; a row's entries past its last step repeat its end state.
     ``tags`` (one per row) name the rows of a SignAmbiguity."""
-    pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    hd = np.atleast_2d(np.asarray(headings, dtype=float)).copy()
-    hd /= np.linalg.norm(hd, axis=1, keepdims=True)
+    pts = starts.copy()
+    hd = headings / np.linalg.norm(headings, axis=1, keepdims=True)
     m = len(pts)
     counts = np.broadcast_to(n_steps, (m,))
     sizes = np.broadcast_to(np.asarray(h, dtype=float), (m,))[:, None]
@@ -230,17 +227,11 @@ class LeafSegment:
     def param_range(self):
         return float(self.params[0]), float(self.params[-1])
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Position at parameter s, via one RK4 sub-step from the nearest
-        stored node below (single-step error ~ step^5)."""
-        return self.evaluate([s])[0][0]
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        return self.evaluate([s])[1][0]
-
     def evaluate(self, s):
-        """Positions and unit tangents, each (m, 2), at the parameters s;
-        the one-segment case of ``LeafBundle.evaluate``."""
+        """Positions and unit tangents, each (m, 2), at the parameters s,
+        each by one RK4 sub-step from the nearest stored node below
+        (single-step error ~ step^5); the one-segment case of
+        ``LeafBundle.evaluate``."""
         return LeafBundle([self]).evaluate(s, 0)
 
     def translated(self, offset) -> "LeafSegment":
@@ -300,8 +291,9 @@ class LeafBundle:
 
 def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_STEP,
                      centered=False, tags=None) -> list:
-    """Fixed-step RK4 integration of the line field through each start, all
-    leaves in one batched ``_flow``; returns one LeafSegment per start.
+    """Fixed-step RK4 integration of the line field through each start (a
+    float array (n, 2)), all leaves in one batched ``_flow``; returns one
+    LeafSegment per start.
 
     Leaf i has signed length lengths[i].  A ``centered`` leaf (one flag for
     every leaf or one per leaf) covers parameters [-|length|/2, |length|/2]
@@ -313,11 +305,10 @@ def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_ST
     each leaf is bit-identical to ``integrate_leaf`` of it alone.  ``tags``
     (one per leaf) name the leaves of a SignAmbiguity.
     """
-    x = np.atleast_2d(np.asarray(starts, dtype=float))
-    count = len(x)
+    count = len(starts)
     lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (count,))
     centered = np.broadcast_to(centered, (count,))
-    heading = np.atleast_2d(field.direction_at(np.mod(x, 1.0)))
+    heading = field.direction_at(np.mod(starts, 1.0))
     # divide by the norm as the 1-D np.linalg.norm computes it, a BLAS dot;
     # a stacked 1x2 @ 2x1 matmul is that dot per row, while
     # np.linalg.norm(axis=1) rounds the last bit differently
@@ -336,7 +327,7 @@ def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_ST
             sign.append(1.0 if lengths[i] >= 0 else -1.0)
             row_len.append(abs(lengths[i]))
     counts = np.array([max(1, int(round(length / step))) for length in row_len])
-    traj, heads = _flow(field, x[leaf], np.array(sign)[:, None] * heading[leaf], counts,
+    traj, heads = _flow(field, starts[leaf], np.array(sign)[:, None] * heading[leaf], counts,
                         np.array(row_len) / counts, _row_tags(tags, leaf))
 
     def march(r):
@@ -371,15 +362,15 @@ def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_ST
 
 def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STEP,
                    centered: bool = False) -> LeafSegment:
-    """Fixed-step RK4 integration of the line field through x: the one-leaf
-    case of ``integrate_leaves``.
+    """Fixed-step RK4 integration of the line field through the point x (a
+    float array (2,)): the one-leaf case of ``integrate_leaves``.
 
     With ``centered`` the segment covers parameters [-length/2, length/2]
     with the anchor at 0; otherwise [0, length].  The initial heading is
     the field's canonical direction at x; negative ``length`` integrates
     against it.
     """
-    return integrate_leaves(field, [x], [length], step=step, centered=centered)[0]
+    return integrate_leaves(field, x[None], [length], step=step, centered=centered)[0]
 
 
 class CurveProjector:
@@ -392,20 +383,19 @@ class CurveProjector:
         self.bundle = LeafBundle([targets] if isinstance(targets, LeafSegment) else targets)
         self.tau = self.bundle.segments[0]
 
-    def project(self, x, refine: bool = True, which=0):
-        """Return (s, signed_distance, tangent) for points x of shape (m, 2),
+    def project(self, pts, refine: bool = True, which=0):
+        """Return (s, signed_distance, tangent) for points pts of shape (m, 2),
         point i projected onto target which[i] (one index may serve all).
 
         Nearest-node search plus parabolic refinement of the squared
         distance; exact for straight segments.  With ``refine`` the foot
         points are recomputed by RK4 sub-steps from the nearest nodes, one
-        batched ``LeafBundle.evaluate`` call for all of x; without it the
+        batched ``LeafBundle.evaluate`` call for all points; without it the
         foot is linearly interpolated between nodes, which is cheap and
         accurate to O(step^2) -- enough for sign tracking during leaf
         marching.  Each point gets the result of a one-target projector of
         its own target.
         """
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
         bundle = self.bundle
         which = np.broadcast_to(which, (len(pts),))
         # one target broadcasts its nodes; several are gathered per point
@@ -447,8 +437,7 @@ class CurveProjector:
 
 def _initial_toward(field, starts, projector, which=0):
     """Headings pointing so the signed distance to the target shrinks."""
-    starts = np.atleast_2d(starts)
-    d = np.atleast_2d(field.direction_at(np.mod(starts, 1.0)))
+    d = field.direction_at(np.mod(starts, 1.0))
     _, dist, tang = projector.project(starts, refine=False, which=which)
     normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
     rate = np.einsum("ni,ni->n", d, normal)
@@ -476,7 +465,7 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
     ``tags`` (one per row) name the failing rows.
     """
     proj = CurveProjector(targets)
-    pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    pts = starts.copy()
     m = len(pts)
     which = np.broadcast_to(which, (m,))
     budget = np.broadcast_to(np.asarray(budget, dtype=float), (m,))
@@ -491,7 +480,7 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
     if np.any(on_curve):
         s_here, _, tang = proj.project(pts[on_curve], which=which[on_curve])
         s_out[on_curve] = s_here
-        d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
+        d_here = field.direction_at(np.mod(pts[on_curve], 1.0))
         ang_out[on_curve] = line_angle(d_here, tang)
         active[on_curve] = False
 
@@ -551,8 +540,6 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector, whi
     SignAmbiguity, naming the rows by ``tags``, if some row's bracket
     cannot be restored.
     """
-    node_pts = np.atleast_2d(node_pts)
-    node_hds = np.atleast_2d(node_hds)
     m = len(node_pts)
     which = np.broadcast_to(which, (m,))
 
@@ -720,7 +707,7 @@ def _graph_plan(bases, frame_u: LineField, target: LineField, eps: float, tags=N
     naming the bases by ``tags``, where that angle is below 0.05 rad;
     this runs before any leaf is integrated.
     """
-    pts = np.mod(np.atleast_2d(bases), 1.0)
+    pts = np.mod(bases, 1.0)
     angle = line_angle(target.direction_at(pts), frame_u.direction_at(pts))
     skew = np.flatnonzero(angle < 0.05)
     if len(skew):
@@ -772,7 +759,7 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
     runs for all of its graphs together.
     """
     z = np.asarray(z, dtype=float)
-    reach, (leaf_len,) = _graph_plan(z, frame_u, target, eps)
+    reach, (leaf_len,) = _graph_plan(z[None], frame_u, target, eps)
     axis_u = integrate_leaf(frame_u, z, reach, step=step, centered=True)
     axis_s = integrate_leaf(frame_s, z, reach, step=step, centered=True)
     leaf = integrate_leaf(target, z, leaf_len, step=step, centered=True)
@@ -854,7 +841,7 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
         _, dists, _ = CurveProjector(target).project(unstable.points)
         sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
         if len(sign_change) == 0:
-            raise _failure(LeafEscaped, "no stable-leaf crossing", i, tags)
+            raise _failure(LeafEscaped, "no stable-leaf crossing", [i], tags)
         # pick the crossing closest to the linear prediction
         cand.append(sign_change[np.argmin(np.abs(unstable.params[sign_change] - seeds[i][0]))])
     every = np.arange(len(ks))

@@ -77,58 +77,28 @@ class FourierPerturbation:
         return len(self.wavevectors) == 0 or not np.any(self.coefficients)
 
     def evaluate(self, x) -> np.ndarray:
-        """p(x) for x of shape (2,) or (n, 2); output matches."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        """p(x), shape (n, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
-            out = np.zeros_like(pts)
-        else:
-            phase = np.exp(1j * TWO_PI * (pts @ self.wavevectors.T.astype(float)))  # (n, m)
-            out = np.real(phase @ self.coefficients)  # (n, 2)
-        return out[0] if single else out
+            return np.zeros_like(x)
+        phase = np.exp(1j * TWO_PI * (x @ self.wavevectors.T.astype(float)))  # (n, m)
+        return np.real(phase @ self.coefficients)
 
     def derivative(self, x) -> np.ndarray:
-        """Jacobian D p(x): shape (2, 2) for a point, (n, 2, 2) batched."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
-            out = np.zeros((len(pts), 2, 2))
-        else:
-            phase = np.exp(1j * TWO_PI * (pts @ self.wavevectors.T.astype(float)))  # (n, m)
-            # d p_j / d x_l = sum_m c_mj (2 pi i k_ml) phase_m
-            grad = np.einsum(
-                "nm,mj,ml->njl",
-                phase,
-                self.coefficients,
-                1j * TWO_PI * self.wavevectors.astype(float),
-            )
-            out = np.real(grad)
-        return out[0] if single else out
+            return np.zeros((len(x), 2, 2))
+        phase = np.exp(1j * TWO_PI * (x @ self.wavevectors.T.astype(float)))  # (n, m)
+        # d p_j / d x_l = sum_m c_mj (2 pi i k_ml) phase_m
+        grad = np.einsum(
+            "nm,mj,ml->njl",
+            phase,
+            self.coefficients,
+            1j * TWO_PI * self.wavevectors.astype(float),
+        )
+        return np.real(grad)
 
     def scaled(self, factor: float) -> "FourierPerturbation":
         return FourierPerturbation(self.wavevectors.copy(), self.coefficients * factor)
-
-    def to_json_obj(self) -> list:
-        return [
-            {
-                "k": [int(k[0]), int(k[1])],
-                "re": [float(c[0].real), float(c[1].real)],
-                "im": [float(c[0].imag), float(c[1].imag)],
-            }
-            for k, c in zip(self.wavevectors, self.coefficients)
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FourierPerturbation":
-        if not obj:
-            return cls.zero()
-        kv = np.array([m["k"] for m in obj], dtype=np.int64)
-        cf = np.array(
-            [[complex(m["re"][0], m["im"][0]), complex(m["re"][1], m["im"][1])] for m in obj]
-        )
-        return cls(kv, cf)
 
 
 def _conjugate_closure(kv: np.ndarray, cf: np.ndarray):

@@ -24,11 +24,9 @@ class PeriodicBicubic:
         ]
 
     def __call__(self, x) -> np.ndarray:
-        """Evaluate at torus points of shape (2,) or (n, 2)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        coords = (pts.T * self.n) % self.n
+        """Values at the torus points x of shape (n, 2): shape (n, m), or
+        (n,) for scalar grid data."""
+        coords = (x.T * self.n) % self.n
         out = np.stack(
             [
                 ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
@@ -36,6 +34,4 @@ class PeriodicBicubic:
             ],
             axis=1,
         )
-        if out.shape[1] == 1:
-            out = out[:, 0]
-        return out[0] if single else out
+        return out[:, 0] if out.shape[1] == 1 else out

@@ -1,5 +1,5 @@
 """Nonlinear torus maps: perturbed automorphisms, diffeomorphisms id + q,
-conjugated actions, and cone-field verification of the Anosov property.
+conjugated maps, and cone-field verification of the Anosov property.
 
 Every map handle exposes the same duck-typed surface:
 
@@ -10,7 +10,8 @@ Every map handle exposes the same duck-typed surface:
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
     inverse()     -> handle of the inverse map
 
-All evaluators accept a single point (2,) or a batch (n, 2).
+Every evaluator takes a float batch of points x of shape (n, 2) and
+returns one value per point: points (n, 2) or matrices (n, 2, 2).
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ import numpy as np
 
 from .errors import Inconclusive, NotADiffeo
 from .fourier import FourierPerturbation
-from .lattice import HyperbolicElement, IntMatrix2, compose, eigen_data, invert, line_angle, wrap_point
+from .lattice import HyperbolicElement, IntMatrix2, eigen_data, invert, line_angle, wrap_point
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
-
-
-def _batched(x):
-    x = np.asarray(x, dtype=float)
-    return (np.atleast_2d(x), x.ndim == 1)
-
-
-def _unbatch(out, single):
-    return out[0] if single else out
 
 
 def _inv2(j, rhs=None):
@@ -79,21 +71,16 @@ class PerturbedMap:
         return self._matrix
 
     def lift(self, x):
-        pts, single = _batched(x)
-        out = pts @ self._A.T + self.perturbation.evaluate(pts)
-        return _unbatch(out, single)
+        return x @ self._A.T + self.perturbation.evaluate(x)
 
     def displacement(self, x):
-        pts, single = _batched(x)
-        return _unbatch(self.perturbation.evaluate(pts), single)
+        return self.perturbation.evaluate(x)
 
     def apply(self, x):
         return wrap_point(self.lift(x))
 
     def jacobian(self, x):
-        pts, single = _batched(x)
-        out = self._A[None, :, :] + self.perturbation.derivative(pts)
-        return _unbatch(out, single)
+        return self._A[None, :, :] + self.perturbation.derivative(x)
 
     def inverse(self):
         return InverseMap(self)
@@ -111,21 +98,16 @@ class InverseMap:
         return invert(self.forward.linear_part)
 
     def lift(self, y):
-        pts, single = _batched(y)
-        z = _newton_inverse(self.forward.lift, self.forward.jacobian, pts, pts @ self._B.T)
-        return _unbatch(z, single)
+        return _newton_inverse(self.forward.lift, self.forward.jacobian, y, y @ self._B.T)
 
     def displacement(self, y):
-        pts, single = _batched(y)
-        return _unbatch(self.lift(pts) - pts @ self._B.T, single)
+        return self.lift(y) - y @ self._B.T
 
     def apply(self, y):
         return wrap_point(self.lift(y))
 
     def jacobian(self, y):
-        pts, single = _batched(y)
-        z = self.lift(pts)
-        return _unbatch(_inv2(self.forward.jacobian(z)), single)
+        return _inv2(self.forward.jacobian(self.lift(y)))
 
     def inverse(self):
         return self.forward
@@ -140,19 +122,15 @@ class Diffeo:
         self.q = q
 
     def lift(self, x):
-        pts, single = _batched(x)
-        return _unbatch(pts + self.q.evaluate(pts), single)
+        return x + self.q.evaluate(x)
 
     def derivative(self, x):
-        pts, single = _batched(x)
-        out = np.eye(2)[None, :, :] + self.q.derivative(pts)
-        return _unbatch(out, single)
+        return np.eye(2)[None, :, :] + self.q.derivative(x)
 
     def inverse_lift(self, y):
         """Solve x + q(x) = y by Newton; the contraction bound makes the
         linear initial guess x = y sufficient."""
-        pts, single = _batched(y)
-        return _unbatch(_newton_inverse(self.lift, self.derivative, pts, pts.copy()), single)
+        return _newton_inverse(self.lift, self.derivative, y, y.copy())
 
 
 class ConjugatedMap:
@@ -169,20 +147,16 @@ class ConjugatedMap:
         return self.base.matrix
 
     def lift(self, x):
-        pts, single = _batched(x)
-        w = self.phi.inverse_lift(pts)
-        return _unbatch(self.phi.lift(w @ self._A.T), single)
+        return self.phi.lift(self.phi.inverse_lift(x) @ self._A.T)
 
     def displacement(self, x):
-        pts, single = _batched(x)
-        return _unbatch(self.lift(pts) - pts @ self._A.T, single)
+        return self.lift(x) - x @ self._A.T
 
     def apply(self, x):
         return wrap_point(self.lift(x))
 
     def jacobian(self, x):
-        pts, single = _batched(x)
-        return _unbatch(self.jacobian_at_preimage(self.phi.inverse_lift(pts)), single)
+        return self.jacobian_at_preimage(self.phi.inverse_lift(x))
 
     def jacobian_at_preimage(self, w):
         """jacobian at the points phi(w), from w = phi^{-1}(x) itself."""
@@ -198,74 +172,6 @@ class ConjugatedMap:
 
     def inverse(self):
         return ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))
-
-
-class ComposedMap:
-    """Composition outer o inner of two map handles (for group-action checks)."""
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-
-    @property
-    def linear_part(self) -> IntMatrix2:
-        return compose(self.outer.linear_part, self.inner.linear_part)
-
-    def lift(self, x):
-        return self.outer.lift(self.inner.lift(x))
-
-    def displacement(self, x):
-        pts, single = _batched(x)
-        A = self.linear_part.as_array()
-        return _unbatch(self.lift(pts) - pts @ A.T, single)
-
-    def apply(self, x):
-        return wrap_point(self.lift(x))
-
-    def jacobian(self, x):
-        pts, single = _batched(x)
-        j_in = self.inner.jacobian(pts)
-        j_out = self.outer.jacobian(self.inner.lift(pts))
-        return _unbatch(np.einsum("nij,njk->nik", j_out, j_in), single)
-
-    def inverse(self):
-        return ComposedMap(self.inner.inverse(), self.outer.inverse())
-
-
-@dataclass
-class MarkedAction:
-    """A marked action: generator elements with their nonlinear maps, plus
-    the diffeomorphism used to build it when known."""
-
-    generators: list  # of (HyperbolicElement, map handle)
-    marking: Diffeo | None = None
-
-    def map_for(self, element: HyperbolicElement):
-        for el, handle in self.generators:
-            if el.matrix == element.matrix:
-                return handle
-        raise KeyError(f"no generator for {element.matrix.rows()}")
-
-    def homotopy_check(self) -> bool:
-        """Each generator's lift commutes with deck translations by its
-        linear part (degree check), to 1e-8 on 16 random points."""
-        rng = np.random.default_rng(0)
-        pts = rng.random((16, 2))
-        for el, handle in self.generators:
-            A = el.matrix.as_array()
-            for k in ((1, 0), (0, 1)):
-                k = np.array(k, dtype=float)
-                lhs = handle.lift(pts + k)
-                rhs = handle.lift(pts) + A @ k
-                if np.max(np.abs(lhs - rhs)) > 1e-8:
-                    return False
-        return True
-
-
-def conjugated_action(phi: Diffeo, generators) -> MarkedAction:
-    """Marked action with generator maps phi o F(gamma, .) o phi^{-1}."""
-    gens = [(el, ConjugatedMap(phi, el)) for el in generators]
-    return MarkedAction(generators=gens, marking=phi)
 
 
 @dataclass(frozen=True)

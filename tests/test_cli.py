@@ -77,12 +77,23 @@ BAD_VALUES = (
        ("eigen", 'group.generators=[[[2,1],[1,"a"]]]', "group.generators[0]"),
        ("eigen", "group.generators=[[[2,1],[1]]]", "group.generators[0]")]
     + [("eigen", f"resolution.field_n={n}", "resolution.field_n") for n in (8, 100, 1024)]
+    # values that set an array size or a step count
+    + [("foliation", "resolution.leaf_step=1e-12", "resolution.leaf_step"),
+       ("lemma3", "experiment.eps=0", "experiment.eps"),
+       ("prop1", ("action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]',
+                  "experiment.span=-0.2"), "experiment.span"),
+       ("eigen", "resolution.leaf_step=5e-5", "resolution.leaf_step"),
+       ("eigen", "resolution.propagation_step=5e-5", "resolution.propagation_step"),
+       ("eigen", "resolution.field_iters=101", "resolution.field_iters"),
+       ("eigen", "experiment.span=1.5", "experiment.span"),
+       ("eigen", "experiment.eps=0.3", "experiment.eps")]
 )
 
 
 @pytest.mark.parametrize("command,override,key", BAD_VALUES)
 def test_bad_numeric_value_exit_one(tmp_path, capsys, command, override, key):
-    code, out = run(tmp_path, command, "--set", override)
+    sets = [override] if isinstance(override, str) else override
+    code, out = run(tmp_path, command, *[arg for item in sets for arg in ("--set", item)])
     assert code == 1
     err = capsys.readouterr().err
     assert f"'{key}'" in err

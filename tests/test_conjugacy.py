@@ -66,7 +66,7 @@ def test_uniqueness_from_different_seeds(e1, conj_g1):
 
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):
     h = solve_conjugacy(e1, linear_g1, n=64)
-    jac = h.secant_jacobian(np.array([0.3, 0.4]))
+    jac = h.secant_jacobian(np.array([[0.3, 0.4]]))
     assert np.allclose(jac, np.eye(2), atol=1e-10)
 
 
@@ -110,6 +110,42 @@ def test_holder_exponent_near_one_for_smooth(e1, h_conj):
     assert stderr < 1e-3
 
 
+def _ref_holder_exponent(h, direction, scales, seed=0):
+    """The per-point loop the batched estimate replaced, each lift of one
+    point as the one-row batch it was evaluated as."""
+    v = np.asarray(direction, dtype=float)
+    v = v / np.linalg.norm(v)
+    scales = np.asarray(scales, dtype=float)
+    rng = np.random.default_rng(seed)
+    base = rng.random((100, 2))
+    log_s = np.log(scales)
+    slopes = []
+    for x in base:
+        incs = np.array([np.linalg.norm(h.lift((x + d * v)[None])[0] - h.lift(x[None])[0])
+                         for d in scales])
+        slope = np.polyfit(log_s, np.log(incs), 1)[0]
+        slopes.append(slope)
+    slopes = np.array(slopes)
+    return float(slopes.mean()), float(slopes.std(ddof=1) / np.sqrt(len(slopes)))
+
+
+@pytest.fixture(scope="module")
+def holder_conjugacies(e1, linear_g1, h_conj, perturbed_g1):
+    # the three benchmark actions: linear, phi 0.02, and the perturbed
+    # contrast at the grid it runs on
+    return {"linear": solve_conjugacy(e1, linear_g1, n=256), "conjugated": h_conj,
+            "perturbed": solve_conjugacy(e1, perturbed_g1, n=1024)}
+
+
+@pytest.mark.parametrize("kind", ["linear", "conjugated", "perturbed"])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_holder_exponent_matches_per_point_reference(holder_conjugacies, e1, kind, seed):
+    h = holder_conjugacies[kind]
+    scales = np.geomspace(1e-4, 1e-2, 7)
+    assert estimate_holder_exponent(h, e1.vu, scales, seed=seed) == \
+        _ref_holder_exponent(h, e1.vu, scales, seed=seed)
+
+
 # --- scalar references for the batched periodic-orbit finder ---------------
 #
 # The per-candidate Fraction enumeration, the one-seed Newton loop and the
@@ -145,7 +181,7 @@ def _ref_group_orbits(g, points, n, tol=1e-8):
         orbit = [x]
         y = x
         while True:
-            y = wrap_point(np.atleast_2d(g.apply(y))[0])
+            y = wrap_point(g.apply(y[None])[0])
             d = [np.max(np.minimum(np.abs(y - r) % 1.0, 1.0 - np.abs(y - r) % 1.0))
                  for r in remaining]
             hit = [i for i, di in enumerate(d) if di < tol]
@@ -154,7 +190,7 @@ def _ref_group_orbits(g, points, n, tol=1e-8):
                 y = orbit[-1]
             else:
                 break
-        _, jac = _iterated_lift(g, orbit[0], n)
+        _, jac = _iterated_lift(g, orbit[0][None], n)
         eigs = np.linalg.eigvals(jac[0])
         eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)
         orbits.append(PeriodicOrbitData(
@@ -174,7 +210,7 @@ def _ref_find_periodic_points(g, a_elem, n, newton_tol=1e-12, max_newton=50):
         kv = np.array(k, dtype=float)
         converged = False
         for _ in range(max_newton):
-            fx, jac = _iterated_lift(g, x, n)
+            fx, jac = _iterated_lift(g, x[None], n)
             res = fx[0] - x - kv
             if np.max(np.abs(res)) < newton_tol:
                 converged = True

@@ -49,7 +49,7 @@ def test_leaf_point_at_interpolates(linear_fields, e1):
     seg = integrate_leaf(linear_fields["f1u"], np.zeros(2), 1.0, centered=True)
     v = np.asarray(e1.vu)
     for s in (-0.35, -0.1234, 0.0, 0.2718, 0.45):
-        assert np.allclose(seg.point_at(s), s * v, atol=1e-12)
+        assert np.allclose(seg.evaluate([s])[0][0], s * v, atol=1e-12)
 
 
 def test_leaf_reversal(linear_fields):
@@ -57,7 +57,7 @@ def test_leaf_reversal(linear_fields):
     fwd = integrate_leaf(linear_fields["f1s"], x, 0.5)
     bwd = integrate_leaf(linear_fields["f1s"], x, -0.5)
     # symmetric points are reflections through x
-    assert np.allclose(fwd.point_at(0.3) + bwd.point_at(-0.3), 2 * x, atol=1e-10)
+    assert np.allclose(fwd.evaluate([0.3])[0][0] + bwd.evaluate([-0.3])[0][0], 2 * x, atol=1e-10)
 
 
 def test_line_field_invariance(conj_fields):
@@ -353,14 +353,15 @@ def test_leaf_evaluate_matches_scalar_reference(frame_fields):
     assert np.array_equal(tangents, np.array([r[1] for r in ref]))
     assert np.array_equal(pts[0], seg.points[17])
     for si, (p, t) in zip(s, ref):
-        assert np.array_equal(seg.point_at(si), p)
-        assert np.array_equal(seg.tangent_at(si), t)
+        one_p, one_t = seg.evaluate([si])
+        assert np.array_equal(one_p[0], p)
+        assert np.array_equal(one_t[0], t)
 
 
 def test_project_refine_matches_scalar_reference(frame_fields):
     f1u, f1s = frame_fields
     tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
-    across = integrate_leaf(f1s, tau.point_at(0.05), 0.2, step=1e-3, centered=True)
+    across = integrate_leaf(f1s, tau.evaluate([0.05])[0][0], 0.2, step=1e-3, centered=True)
     x = np.concatenate([across.points[::7], tau.points[5:8], tau.points[[0, -1]] + 0.01])
     for got, want in zip(CurveProjector(tau).project(x), _ref_project(CurveProjector(tau), x)):
         assert np.array_equal(got, want)
@@ -373,7 +374,8 @@ def _nodes_around_crossing(f1u, f1s, step, offsets):
     tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.6, step=4e-3, centered=True)
     nodes, heads = [], []
     for k, a in enumerate(offsets):
-        leaf = integrate_leaf(f1s, tau.point_at(-0.2 + 0.037 * k), 0.1, step=step, centered=True)
+        base = tau.evaluate([-0.2 + 0.037 * k])[0][0]
+        leaf = integrate_leaf(f1s, base, 0.1, step=step, centered=True)
         p, t = leaf.evaluate([-a * step])
         nodes.append(p[0])
         heads.append(t[0])
@@ -406,7 +408,7 @@ def test_refine_crossings_lost_bracket_raises(frame_fields):
 def test_cross_to_target_matches_scalar_reference(frame_fields):
     f1u, f1s = frame_fields
     tau2 = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.8, step=4e-3, centered=True)
-    near = integrate_leaf(f1s, tau2.point_at(0.1), 0.5, step=1e-3, centered=True)
+    near = integrate_leaf(f1s, tau2.evaluate([0.1])[0][0], 0.5, step=1e-3, centered=True)
     # starts on both sides of tau2, and one on it
     starts = np.concatenate([near.evaluate(np.linspace(-0.2, 0.2, 9))[0],
                              tau2.points[[60]]])

@@ -72,16 +72,6 @@ def test_periodicity():
     assert np.allclose(p.evaluate(x), p.evaluate(x + np.array([3.0, -2.0])), atol=1e-12)
 
 
-def test_json_round_trip():
-    p = FourierPerturbation.from_sin_cos([
-        ((1, 0), (0.01, 0.0), (0.0, 0.02)),
-        ((0, 1), (0.0, 0.005), None),
-    ])
-    q = FourierPerturbation.from_json_obj(p.to_json_obj())
-    x = np.random.default_rng(7).random((30, 2))
-    assert np.allclose(p.evaluate(x), q.evaluate(x), atol=1e-15)
-
-
 def test_scaled():
     p = FourierPerturbation.from_sin_cos([((0, 1), (0.02, 0.0), None)])
     x = np.random.default_rng(8).random((10, 2))

@@ -66,7 +66,7 @@ def _ref_march(field, x, heading, length, step):
 
 def _ref_integrate_leaf(field, x, length, step=1e-3, centered=False):
     x = np.asarray(x, dtype=float)
-    heading = field.direction_at(np.mod(x, 1.0))
+    heading = field.direction_at(np.mod(x, 1.0)[None])[0]
     heading = heading / np.linalg.norm(heading)
     if centered:
         half = abs(length) / 2.0
@@ -150,8 +150,8 @@ def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
     reach = 2 * eps * 3.0
     axis_u = _ref_integrate_leaf(frame_u, z, reach, step=step, centered=True)
     axis_s = _ref_integrate_leaf(frame_s, z, reach, step=step, centered=True)
-    angle = line_angle(target.direction_at(np.mod(z, 1.0)),
-                       frame_u.direction_at(np.mod(z, 1.0)))
+    angle = line_angle(target.direction_at(np.mod(z, 1.0)[None])[0],
+                       frame_u.direction_at(np.mod(z, 1.0)[None])[0])
     if angle < 0.05:
         raise TangencySuspected("target not transverse to frame_u")
     leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
@@ -177,9 +177,9 @@ def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
     if len(sign_change) == 0:
         raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
     cand = sign_change[np.argmin(np.abs(unstable.params[sign_change] - a))]
-    s_c, _ = _refine_crossings(field_u, unstable.points[cand], unstable.headings[cand],
-                               step, proj)
-    pt = target.point_at(s_c[0])
+    s_c, _ = _refine_crossings(field_u, unstable.points[cand][None],
+                               unstable.headings[cand][None], step, proj)
+    pt = target.evaluate([s_c[0]])[0][0]
     a_ref = CurveProjector(unstable).project(pt[None, :])[0][0]
     return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(s_c[0]), k)
 
@@ -218,7 +218,7 @@ def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=
             arc = hp.u_param
             seg = _ref_integrate_leaf(field_1u, z, 2 * abs(arc) + 4 * step, centered=True,
                                       step=step)
-            zp_u_lift = seg.point_at(arc)
+            zp_u_lift = seg.evaluate([arc])[0][0]
             zp_s_lift = zp_u_lift - np.array(hp.lattice, dtype=float)
         else:
             zp_u_lift = z + hp.u_param * e1.vu
@@ -233,8 +233,8 @@ def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
         d = 1e-3
         predicted = (hol_u(theta_z(hol_s.inverse(d))) - hol_u(theta_z(hol_s.inverse(-d)))) / (2 * d)
-        dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0))
-        dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0))
+        dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
+        dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
         rows.append(PropagationRow(
             lattice=hp.lattice, point=hp.point,
             angle=float(line_angle(dir_u, dir_2s)),
@@ -282,11 +282,12 @@ def test_integrate_leaves_matches_serial_reference(fields):
 def test_cross_to_target_stacked_matches_per_target(fields):
     f1u, f1s = fields["f1u"], fields["f1s"]
     # two targets with equal node counts and one with more
-    targets = integrate_leaves(f1u, [[0.3, 0.6], [0.5, 0.2], [0.1, 0.4]], [0.8, 0.8, 1.1],
+    targets = integrate_leaves(f1u, np.array([[0.3, 0.6], [0.5, 0.2], [0.1, 0.4]]),
+                               [0.8, 0.8, 1.1],
                                step=STEP, centered=True)
     groups, which, budgets = [], [], []
     for t, (tau, budget) in enumerate(zip(targets, (0.5, 0.35, 0.6))):
-        near = _ref_integrate_leaf(f1s, tau.point_at(0.1), 0.5, step=1e-3, centered=True)
+        near = _ref_integrate_leaf(f1s, tau.evaluate([0.1])[0][0], 0.5, step=1e-3, centered=True)
         starts = near.evaluate(np.linspace(-0.2, 0.2, 7 + t))[0]
         groups.append(starts)
         which += [t] * len(starts)
@@ -318,7 +319,8 @@ def test_cross_to_target_row_budget_escape(fields):
 def test_holonomies_match_serial_reference(fields):
     f1u, f1s = fields["f1u"], fields["f1s"]
     tau1 = integrate_leaf(f1u, np.zeros(2), 0.3, step=STEP, centered=True)
-    tau2s = integrate_leaves(f1u, [[0.02, 0.31], [0.2, -0.15], [-0.25, 0.1]], [0.6, 0.6, 0.8],
+    tau2s = integrate_leaves(f1u, np.array([[0.02, 0.31], [0.2, -0.15], [-0.25, 0.1]]),
+                             [0.6, 0.6, 0.8],
                              step=STEP, centered=True)
     budgets = [0.9, 0.8, 1.2]
     hols = holonomies(f1s, [tau1] * 3, tau2s, budgets, step=STEP, span=(-0.05, 0.05))
