@@ -28,10 +28,9 @@ from .rigidity import (
     teichmuller_experiment,
 )
 
-EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_OBSTRUCTED = 2
-EXIT_INCONCLUSIVE = 3
+# every command sets report.verdict; the verdict alone sets the exit code
+EXIT_CODES = {"complete": 0, "smooth": 0, "obstructed": 2, "inconclusive": 3}
 
 
 def _require_pair(cfg: ExperimentConfig):
@@ -49,15 +48,14 @@ def _add_propagation_table(report: reports.RunReport, rows) -> None:
           r["predicted_slope"], r["transport_deviation"]) for r in rows])
 
 
-def cmd_eigen(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_eigen(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     e1, e2 = _require_pair(cfg)
     cert = check_pair_hypothesis(e1, e2)
     report.diagnostics.update(cert.to_dict())
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     handles = cfg.build_handles()
     e1 = cfg.generators[0]
     with report.time_block("solve_conjugacy"):
@@ -72,10 +70,9 @@ def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.add_table("conjugacy-field.csv", ("i", "j", "u1", "u2"),
                      reports.conjugacy_rows(h))
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     handles = cfg.build_handles()
     keys = ["f1u", "f1s"] + (["f2u", "f2s"] if len(handles) > 1 else [])
     with report.time_block("line_fields"):
@@ -89,10 +86,9 @@ def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.add_table("leaf-f1u.csv", ("s", "x", "y", "lift_x", "lift_y"),
                      reports.leaf_rows(leaf))
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     _require_pair(cfg)
     handles = cfg.build_handles()
     with report.time_block("line_fields"):
@@ -108,7 +104,6 @@ def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.diagnostics["min_cross_angle_rad"] = cross
     report.diagnostics["min_cross_angle_deg"] = math.degrees(cross)
     report.verdict = "complete" if cross >= cfg.thresholds["transversality"] else "inconclusive"
-    return EXIT_OK if report.verdict == "complete" else EXIT_INCONCLUSIVE
 
 
 def _synthetic_action(amp: float) -> TranslationAction:
@@ -116,7 +111,7 @@ def _synthetic_action(amp: float) -> TranslationAction:
     return TranslationAction.from_profile_samples(r, r + amp * np.sin(r))
 
 
-def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     if cfg.kind == "conjugated":
         handles = cfg.build_handles()
         e1 = cfg.generators[0]
@@ -148,10 +143,9 @@ def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.add_table("prop1-g.csv", ("y", "g"),
                      [(float(a), float(b)) for a, b in lin.g_nodes[::10]])
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     e1, e2 = _require_pair(cfg)
     handles = cfg.build_handles()
     lin = factor_translation_linear(e1, e2, cfg.slide_s)
@@ -170,10 +164,9 @@ def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> int:
         "t": num.translation_t, "deviation": num.numeric_deviation,
     }
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     _require_pair(cfg)
     handles = cfg.build_handles()
     with report.time_block("line_fields"):
@@ -190,10 +183,9 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> int:
         "min_angle_rad": min(r.angle for r in rows),
     })
     report.verdict = "complete"
-    return EXIT_OK
 
 
-def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     handles = cfg.build_handles()
     with report.time_block("periodic_data"):
         rep = compare_smooth_invariants(handles[0], cfg.generators[0], cfg.max_period)
@@ -205,10 +197,9 @@ def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> int:
     report.diagnostics["n_orbits"] = len(rep.rows)
     obstructed = rep.max_mismatch > cfg.thresholds["periodic_mismatch"]
     report.verdict = "obstructed" if obstructed else "complete"
-    return EXIT_OBSTRUCTED if obstructed else EXIT_OK
 
 
-def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> int:
+def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     e1 = cfg.generators[0]
     e2 = cfg.generators[1] if len(cfg.generators) > 1 else None
     handles = cfg.build_handles()
@@ -219,14 +210,13 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> int:
             e1, handles[0], e2 if g2 is not None else None, g2, phi=phi,
             thresholds=cfg.thresholds, grid_n=cfg.grid_n, field_n=cfg.field_n,
             field_iters=cfg.field_iters, max_period=cfg.max_period,
-            propagation_step=cfg.propagation_step, span=cfg.span, seed=cfg.seed)
+            propagation_step=cfg.propagation_step, span=cfg.span, seed=cfg.seed,
+            radius=cfg.radius, eps=cfg.eps)
     report.diagnostics.update(verdict.to_dict())
     prop = verdict.diagnostics.get("propagation_rows")
     if prop:
         _add_propagation_table(report, prop)
     report.verdict = verdict.verdict
-    return {"smooth": EXIT_OK, "obstructed": EXIT_OBSTRUCTED}.get(
-        verdict.verdict, EXIT_INCONCLUSIVE)
 
 
 COMMANDS = {
@@ -269,14 +259,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     report = reports.RunReport(cfg.echo(), args.command)
     try:
-        code = COMMANDS[args.command](cfg, report)
+        COMMANDS[args.command](cfg, report)
     except AnosovLabError as exc:
         report.diagnostics["failure"] = f"{type(exc).__name__}: {exc}"
         report.verdict = "inconclusive"
-        code = EXIT_INCONCLUSIVE
     report.write(cfg.out_dir)
     print(f"{args.command}: verdict={report.verdict} -> {cfg.out_dir}")
-    return code
+    return EXIT_CODES[report.verdict]
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Truncated Fourier perturbations of the torus.
 
-A perturbation is a trigonometric polynomial p: T^2 -> R^2 stored as a
-finite set of modes (k, c) with k an integer wavevector and c a complex
-coefficient 2-vector.  Realness is enforced by conjugate-symmetric
-closure at construction, so evaluation sums to a real vector exactly
-(up to roundoff, which we discard by taking the real part).
+A perturbation is a real trigonometric polynomial p: T^2 -> R^2 stored in
+the form a config gives it, p(x) = sum_k a_k sin 2 pi k.x + b_k cos 2 pi k.x,
+with one row of sin and cos amplitudes a_k, b_k in R^2 per distinct integer
+wavevector k.  Each k is kept in canonical sign, its leading nonzero entry
+positive: a term at -k folds into k with a -> -a (sin is odd) and b kept
+(cos is even), so a k term and a -k term add.  k = 0 carries cos only.
 """
 
 from __future__ import annotations
@@ -19,114 +20,82 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class FourierPerturbation:
-    """p(x) = sum_k c_k exp(2 pi i k.x), closed under k -> -k, c -> conj(c)."""
+    """p(x) = sum_k a_k sin 2 pi k.x + b_k cos 2 pi k.x over sorted canonical k."""
 
     wavevectors: np.ndarray  # (m, 2) int
-    coefficients: np.ndarray  # (m, 2) complex
+    sin_amps: np.ndarray  # (m, 2) float, a_k
+    cos_amps: np.ndarray  # (m, 2) float, b_k
     sup_bound: float = field(init=False, default=0.0)
     deriv_bound: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        kv = np.atleast_2d(np.asarray(self.wavevectors, dtype=np.int64))
-        cf = np.atleast_2d(np.asarray(self.coefficients, dtype=complex))
-        if kv.size == 0:
-            kv = np.zeros((0, 2), dtype=np.int64)
-            cf = np.zeros((0, 2), dtype=complex)
-        kv, cf = _conjugate_closure(kv, cf)
+        merged = {}  # canonical k -> [a_k, b_k]
+        for k, a, b in zip(np.reshape(self.wavevectors, (-1, 2)).tolist(),
+                           np.reshape(self.sin_amps, (-1, 2)).astype(float),
+                           np.reshape(self.cos_amps, (-1, 2)).astype(float)):
+            key = tuple(k)
+            if key < (0, 0):
+                key, a = (-k[0], -k[1]), -a
+            elif key == (0, 0):
+                a = np.zeros(2)
+            merged[key] = merged.get(key, 0.0) + np.array([a, b])
+        keys = sorted(key for key, rows in merged.items() if np.any(rows))
+        kv = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        amps = np.array([merged[key] for key in keys]).reshape(-1, 2, 2)
+        sa, ca = amps[:, 0].copy(), amps[:, 1].copy()
         object.__setattr__(self, "wavevectors", kv)
-        object.__setattr__(self, "coefficients", cf)
-        # triangle-inequality C^0 and C^1 bounds, componentwise sup then
-        # Euclidean norm across components / operator bound for D p
-        amp = np.abs(cf)  # (m, 2)
-        sup = float(np.linalg.norm(amp.sum(axis=0))) if len(kv) else 0.0
-        # |d p_j / d x_l| <= sum_k |c_kj| 2 pi |k_l|; bound the operator
-        # norm by the Frobenius norm of the entry-wise bound matrix
-        if len(kv):
-            entry = np.einsum("mj,ml->jl", amp, TWO_PI * np.abs(kv).astype(float))
-            deriv = float(np.linalg.norm(entry, 2))
-        else:
-            deriv = 0.0
-        object.__setattr__(self, "sup_bound", sup)
-        object.__setattr__(self, "deriv_bound", deriv)
+        object.__setattr__(self, "sin_amps", sa)
+        object.__setattr__(self, "cos_amps", ca)
+        # triangle-inequality C^0 and C^1 bounds: |a_kj sin + b_kj cos| <=
+        # hypot(a_kj, b_kj); componentwise sup then Euclidean norm across
+        # components
+        amp = np.hypot(sa, ca)  # (m, 2)
+        object.__setattr__(self, "sup_bound", float(np.linalg.norm(amp.sum(axis=0))))
+        # |d p_j / d x_l| <= sum_k hypot(a_kj, b_kj) 2 pi |k_l|; bound the
+        # operator norm by the spectral norm of the entry-wise bound matrix
+        entry = np.einsum("mj,ml->jl", amp, TWO_PI * np.abs(kv).astype(float))
+        object.__setattr__(self, "deriv_bound", float(np.linalg.norm(entry, 2)))
 
     @classmethod
     def zero(cls) -> "FourierPerturbation":
-        return cls(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=complex))
+        return cls(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 2)))
 
     @classmethod
     def from_sin_cos(cls, terms) -> "FourierPerturbation":
         """Build from real terms (k, amp_sin, amp_cos).
 
         Each term contributes amp_sin * sin(2 pi k.x) + amp_cos * cos(2 pi k.x)
-        (2-vector amplitudes; either may be None).
+        (2-vector amplitudes; either may be None); repeated and opposite
+        wavevectors add.
         """
-        kv, cf = [], []
-        for term in terms:
-            k = np.asarray(term[0], dtype=np.int64)
-            amp_sin = np.zeros(2) if term[1] is None else np.asarray(term[1], dtype=float)
-            amp_cos = np.zeros(2) if len(term) < 3 or term[2] is None else np.asarray(term[2], dtype=float)
-            # sin t = (e^{it} - e^{-it}) / 2i,  cos t = (e^{it} + e^{-it}) / 2
-            kv.append(k)
-            cf.append(amp_cos / 2.0 + amp_sin / (2.0j))
-        if not kv:
-            return cls.zero()
-        return cls(np.array(kv), np.array(cf))
+        terms = list(terms)
+        return cls(
+            np.array([t[0] for t in terms], dtype=np.int64),
+            np.array([np.zeros(2) if t[1] is None else t[1] for t in terms], dtype=float),
+            np.array([np.zeros(2) if t[2] is None else t[2] for t in terms], dtype=float))
 
     @property
     def is_zero(self) -> bool:
-        return len(self.wavevectors) == 0 or not np.any(self.coefficients)
+        return len(self.wavevectors) == 0
 
     def evaluate(self, x) -> np.ndarray:
         """p(x), shape (n, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
             return np.zeros_like(x)
-        phase = np.exp(1j * TWO_PI * (x @ self.wavevectors.T.astype(float)))  # (n, m)
-        return np.real(phase @ self.coefficients)
+        theta = TWO_PI * (x @ self.wavevectors.T.astype(float))  # (n, m)
+        return np.sin(theta) @ self.sin_amps + np.cos(theta) @ self.cos_amps
 
     def derivative(self, x) -> np.ndarray:
         """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
             return np.zeros((len(x), 2, 2))
-        phase = np.exp(1j * TWO_PI * (x @ self.wavevectors.T.astype(float)))  # (n, m)
-        # d p_j / d x_l = sum_m c_mj (2 pi i k_ml) phase_m
-        grad = np.einsum(
-            "nm,mj,ml->njl",
-            phase,
-            self.coefficients,
-            1j * TWO_PI * self.wavevectors.astype(float),
-        )
-        return np.real(grad)
+        theta = TWO_PI * (x @ self.wavevectors.T.astype(float))
+        # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
+        # the amplitude multiplies first, 2 pi k second
+        rate = (np.cos(theta)[:, :, None] * self.sin_amps
+                - np.sin(theta)[:, :, None] * self.cos_amps)  # (n, m, 2)
+        return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
 
     def scaled(self, factor: float) -> "FourierPerturbation":
-        return FourierPerturbation(self.wavevectors.copy(), self.coefficients * factor)
-
-
-def _conjugate_closure(kv: np.ndarray, cf: np.ndarray):
-    """Merge duplicate wavevectors and symmetrize so that p is real-valued.
-
-    The returned set satisfies c(-k) = conj(c(k)); a pure k=0 mode keeps
-    only its real part.
-    """
-    merged = {}
-    for k, c in zip(kv, cf):
-        key = (int(k[0]), int(k[1]))
-        merged[key] = merged.get(key, np.zeros(2, dtype=complex)) + c
-    closed = {}
-    for key, c in merged.items():
-        neg = (-key[0], -key[1])
-        if key == (0, 0):
-            closed[key] = closed.get(key, 0) + c.real.astype(complex)
-            continue
-        # Hermitian projection of the pair; a lone mode keeps its full
-        # amplitude with the conjugate partner implied
-        c_neg = merged.get(neg)
-        sym = c if c_neg is None else (c + np.conj(c_neg)) / 2.0
-        closed[key] = sym
-        closed[neg] = np.conj(sym)
-    if not closed:
-        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=complex)
-    keys = sorted(closed)
-    kv_out = np.array(keys, dtype=np.int64)
-    cf_out = np.array([closed[k] for k in keys])
-    keep = np.abs(cf_out).sum(axis=1) > 0
-    return kv_out[keep], cf_out[keep]
+        return FourierPerturbation(self.wavevectors.copy(), self.sin_amps * factor,
+                                   self.cos_amps * factor)

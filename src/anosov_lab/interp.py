@@ -9,29 +9,25 @@ from scipy import ndimage
 class PeriodicBicubic:
     """Bicubic spline interpolation of grid data with periodic wrap.
 
-    ``values`` has shape (N, N) or (N, N, m); sample i, j sits at the torus
-    point (i / N, j / N).
+    ``values`` has shape (N, N, m); sample i, j sits at the torus point
+    (i / N, j / N).
     """
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         self.n = values.shape[0]
-        if values.ndim == 2:
-            values = values[:, :, None]
         self._coeffs = [
             ndimage.spline_filter(values[:, :, m], order=3, mode="grid-wrap")
             for m in range(values.shape[2])
         ]
 
     def __call__(self, x) -> np.ndarray:
-        """Values at the torus points x of shape (n, 2): shape (n, m), or
-        (n,) for scalar grid data."""
+        """Values at the torus points x of shape (n, 2): shape (n, m)."""
         coords = (x.T * self.n) % self.n
-        out = np.stack(
+        return np.stack(
             [
                 ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
                 for c in self._coeffs
             ],
             axis=1,
         )
-        return out[:, 0] if out.shape[1] == 1 else out

@@ -505,7 +505,8 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                            grid_n: int = 256, field_n: int = 128,
                            field_iters: int = 40, max_period: int = 2,
                            propagation_step: float = 4e-3, span: float = 0.35,
-                           seed: int = 0) -> TeichmullerVerdict:
+                           seed: int = 0, radius: int = 1,
+                           eps: float = 0.05) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
     argument on the marked action generated by (g1, g2).
 
@@ -517,7 +518,8 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     heteroclinic points, linearize the induced translation action along
     both eigen-directions, and test refinement stability of the secant
     Jacobian of h.  ``phi``, when given, is the known smooth conjugacy
-    used for the independent Jacobian cross-check.
+    used for the independent Jacobian cross-check.  ``radius`` and ``eps``
+    are those of ``tangency_propagation_check``.
     """
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
@@ -587,7 +589,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                 h is not None and h.displacement.sup_norm > 1e-12
             rows = tangency_propagation_check(
                 fields["f1u"], fields["f1s"], fields["f2s"],
-                np.zeros(2), e1, radius=1,
+                np.zeros(2), e1, radius=radius, eps=eps,
                 step=propagation_step, nonlinear=nonlinear)
             lemma3 = max(r.transport_deviation for r in rows)
             diag["propagation_rows"] = [r.to_dict() for r in rows]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from anosov_lab.fourier import FourierPerturbation

@@ -1,15 +1,12 @@
 """Acceptance suite: one test per top-level criterion, each printing a
 single PASS/FAIL line with the measured values."""
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from anosov_lab.cli import main as cli_main
 from anosov_lab.conjugacy import (
-    compare_smooth_invariants,
     find_periodic_points,
     solve_conjugacy,
 )
@@ -20,7 +17,7 @@ from anosov_lab.foliations import (
     integrate_leaf,
     min_transversality_angle,
 )
-from anosov_lab.lattice import IntMatrix2, check_pair_hypothesis, eigen_data, power
+from anosov_lab.lattice import check_pair_hypothesis, eigen_data, power
 from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.rigidity import (
     TranslationAction,

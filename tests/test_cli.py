@@ -1,11 +1,9 @@
 import json
-import os
 
 import pytest
 
 from anosov_lab.cli import main
 from anosov_lab.config import load_config
-from anosov_lab.errors import ConfigError
 
 
 def run(tmp_path, *argv):
@@ -171,6 +169,32 @@ def test_periodic_data_obstructed_exit_two(tmp_path):
     doc = json.loads((out / "periodic-data-report.json").read_text())
     assert doc["verdict"] == "obstructed"
     assert doc["diagnostics"]["max_mismatch"] > 1e-4
+
+
+def test_periodic_data_opposite_modes_add(tmp_path):
+    """A k term and a -k term run as their sum: 0.01 sin 2 pi x2 listed at
+    k = (0, 1) and again, sign-flipped, at k = (0, -1) is 0.02 sin 2 pi x2."""
+    reports = []
+    for name, modes in (("pair", '[{"k":[0,1],"sin":[0.01,0]},{"k":[0,-1],"sin":[-0.01,0]}]'),
+                        ("single", '[{"k":[0,1],"sin":[0.02,0]}]')):
+        code, out = run(tmp_path / name, "periodic-data", "--set", "action.kind=perturbed",
+                        "--set", f"action.perturbation={modes}")
+        assert code == 2
+        reports.append(json.loads((out / "periodic-data-report.json").read_text()))
+    assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
+    assert reports[0]["diagnostics"]["max_mismatch"] > 0.02
+
+
+def test_teichmuller_honours_radius_and_eps(tmp_path):
+    extra = ("--set", "resolution.field_n=32", "--set", "resolution.grid_n=64",
+             "--set", "experiment.radius=2", "--set", "experiment.eps=0.04")
+    tables = []
+    for command in ("teichmuller", "lemma3"):
+        code, out = run(tmp_path / command, command, *extra)
+        assert code == 0
+        tables.append((out / "lemma3-propagation.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 1 + 24  # 24 heteroclinic points at radius 2
 
 
 def test_periodic_data_clean_exit_zero(tmp_path):

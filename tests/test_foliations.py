@@ -29,7 +29,6 @@ from anosov_lab.foliations import (
     integrate_leaf,
     local_graph,
     min_transversality_angle,
-    verify_graph_transport,
 )
 from anosov_lab.lattice import eigen_data, grid_points, line_angle
 

@@ -1,7 +1,133 @@
+import math
+
 import numpy as np
 import pytest
 
-from anosov_lab.fourier import FourierPerturbation
+from anosov_lab.fourier import TWO_PI, FourierPerturbation
+
+# --- reference: the complex-exponential form with conjugate closure --------
+
+
+def _conjugate_closure(kv, cf):
+    """Merge duplicate wavevectors and symmetrize so that p is real-valued:
+    c(-k) = conj(c(k)), and a pure k=0 mode keeps only its real part."""
+    merged = {}
+    for k, c in zip(kv, cf):
+        key = (int(k[0]), int(k[1]))
+        merged[key] = merged.get(key, np.zeros(2, dtype=complex)) + c
+    closed = {}
+    for key, c in merged.items():
+        neg = (-key[0], -key[1])
+        if key == (0, 0):
+            closed[key] = closed.get(key, 0) + c.real.astype(complex)
+            continue
+        c_neg = merged.get(neg)
+        sym = c if c_neg is None else (c + np.conj(c_neg)) / 2.0
+        closed[key] = sym
+        closed[neg] = np.conj(sym)
+    keys = sorted(closed)
+    kv_out = np.array(keys, dtype=np.int64)
+    cf_out = np.array([closed[k] for k in keys])
+    keep = np.abs(cf_out).sum(axis=1) > 0
+    return kv_out[keep], cf_out[keep]
+
+
+class ComplexReference:
+    """p(x) = sum_k c_k exp(2 pi i k.x), closed under k -> -k, c -> conj(c)."""
+
+    def __init__(self, terms):
+        kv = np.array([t[0] for t in terms], dtype=np.int64)
+        cf = np.array([(np.zeros(2) if t[2] is None else np.asarray(t[2])) / 2.0
+                       + (np.zeros(2) if t[1] is None else np.asarray(t[1])) / (2.0j)
+                       for t in terms])
+        self.kv, self.cf = _conjugate_closure(kv, cf)
+        amp = np.abs(self.cf)
+        self.sup_bound = float(np.linalg.norm(amp.sum(axis=0)))
+        entry = np.einsum("mj,ml->jl", amp, TWO_PI * np.abs(self.kv).astype(float))
+        self.deriv_bound = float(np.linalg.norm(entry, 2))
+
+    def evaluate(self, x):
+        phase = np.exp(1j * TWO_PI * (x @ self.kv.T.astype(float)))
+        return np.real(phase @ self.cf)
+
+    def derivative(self, x):
+        phase = np.exp(1j * TWO_PI * (x @ self.kv.T.astype(float)))
+        return np.real(np.einsum("nm,mj,ml->njl", phase, self.cf,
+                                 1j * TWO_PI * self.kv.astype(float)))
+
+
+REFERENCE_POINTS = np.random.default_rng(11).random((1 << 16, 2))
+PURE_KS = [(0, 1), (1, 0), (1, 1), (2, -1), (-1, 2)]
+PURE_MODES = ([[(k, (0.02, -0.013), None)] for k in PURE_KS]
+              + [[(k, None, (0.011, 0.025))] for k in PURE_KS])
+
+
+@pytest.mark.parametrize("terms", PURE_MODES)
+def test_pure_mode_bit_equal_to_complex_reference(terms):
+    p, ref = FourierPerturbation.from_sin_cos(terms), ComplexReference(terms)
+    x = REFERENCE_POINTS
+    assert np.array_equal(p.evaluate(x), ref.evaluate(x))
+    assert np.array_equal(p.derivative(x), ref.derivative(x))
+    assert p.sup_bound == ref.sup_bound
+    assert p.deriv_bound == ref.deriv_bound
+
+
+@pytest.mark.parametrize("terms", [
+    [((1, 1), (0.01, 0.02), (0.03, -0.01))],
+    [((-2, 1), (0.004, 0.0), (0.0, 0.007))],
+    [((0, 1), (0.01, 0.0), None), ((1, 0), None, (0.0, 0.02)),
+     ((2, -1), (0.001, 0.002), (0.003, 0.001))],
+    [((1, 2), (0.003, 0.001), None), ((-1, 0), (0.0, 0.005), (0.002, 0.0)),
+     ((3, 1), None, (0.001, -0.004))],
+])
+def test_mixed_and_multi_mode_match_complex_reference(terms):
+    p, ref = FourierPerturbation.from_sin_cos(terms), ComplexReference(terms)
+    x = REFERENCE_POINTS
+    assert np.max(np.abs(p.evaluate(x) - ref.evaluate(x))) <= 1e-15
+    assert np.max(np.abs(p.derivative(x) - ref.derivative(x))) <= 1e-15
+    if len(terms) == 1:
+        assert p.sup_bound == ref.sup_bound
+        assert p.deriv_bound == ref.deriv_bound
+
+
+def test_opposite_wavevectors_add():
+    pair = FourierPerturbation.from_sin_cos([((0, 1), (0.01, 0.0), None),
+                                             ((0, -1), (-0.01, 0.0), None)])
+    single = FourierPerturbation.from_sin_cos([((0, 1), (0.02, 0.0), None)])
+    x = REFERENCE_POINTS[:4096]
+    expected = np.column_stack([0.02 * np.sin(TWO_PI * x[:, 1]), np.zeros(len(x))])
+    assert np.allclose(pair.evaluate(x), expected, rtol=0, atol=1e-17)
+    assert np.array_equal(pair.wavevectors, single.wavevectors)
+    assert np.array_equal(pair.sin_amps, single.sin_amps)
+    assert np.array_equal(pair.cos_amps, single.cos_amps)
+    assert np.array_equal(pair.evaluate(x), single.evaluate(x))
+    assert np.array_equal(pair.derivative(x), single.derivative(x))
+    assert pair.deriv_bound == single.deriv_bound
+
+
+def test_terms_fold_to_canonical_rows():
+    p = FourierPerturbation.from_sin_cos([
+        ((-1, 2), (0.25, 0.0), (0.0, 0.5)),    # -> (1, -2), sin negated
+        ((1, -2), (0.75, 0.0), None),
+        ((0, -1), None, (0.125, 0.0)),         # cos is even
+        ((2, 0), (0.25, 0.0), None),
+        ((-2, 0), (0.25, 0.0), None),          # cancels the (2, 0) term
+        ((0, 0), (0.5, 0.0), (0.0, 0.0625)),   # sin 0 = 0
+    ])
+    assert p.wavevectors.tolist() == [[0, 0], [0, 1], [1, -2]]
+    assert p.sin_amps.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    assert p.cos_amps.tolist() == [[0.0, 0.0625], [0.125, 0.0], [0.0, 0.5]]
+
+
+def test_constant_mode_is_its_cos_amplitude():
+    p = FourierPerturbation.from_sin_cos([((0, 0), None, (0.003, -0.002))])
+    x = REFERENCE_POINTS[:16]
+    assert np.array_equal(p.evaluate(x), np.tile([0.003, -0.002], (16, 1)))
+    assert np.all(p.derivative(x) == 0.0)
+    assert p.sup_bound == pytest.approx(math.hypot(0.003, 0.002), abs=1e-18)
+    assert p.deriv_bound == 0.0
+
+
 
 
 def test_zero_perturbation():
@@ -29,15 +155,6 @@ def test_cos_mode_evaluates_real():
     expected = 0.25 * np.cos(2 * np.pi * (x[:, 0] + x[:, 1]))
     assert np.allclose(vals[:, 1], expected, atol=1e-14)
     assert np.allclose(vals[:, 0], 0.0, atol=1e-14)
-
-
-def test_values_are_real_for_any_coefficients():
-    rng = np.random.default_rng(3)
-    kv = np.array([[1, 0], [0, 2], [1, -1]])
-    cf = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    p = FourierPerturbation(kv, cf)
-    vals = p.evaluate(rng.random((40, 2)))
-    assert np.all(np.isreal(vals)) and np.all(np.isfinite(vals))
 
 
 def test_derivative_matches_finite_difference():

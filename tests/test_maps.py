@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from anosov_lab.errors import Inconclusive, NotADiffeo
+from anosov_lab.errors import NotADiffeo
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, eigen_data, invert
+from anosov_lab.lattice import invert
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,

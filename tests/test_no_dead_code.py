@@ -1,11 +1,13 @@
 """Every function, class and method defined in the package is used somewhere,
-and every defaulted parameter is set by some call.
+every defaulted parameter is set by some call, and every import is used.
 
 A name counts as used when it appears as a word in ``src/``, ``tests/`` or
 ``bench/`` more often than the package defines it: each ``def`` or
 ``class`` statement accounts for one occurrence of its own name.  Dunder names
 are called by Python itself and are skipped.  A default that no call
-overrides is a constant, not a setting (see ``unset_parameters``).
+overrides is a constant, not a setting (see ``unset_parameters``).  An
+imported name must be used in the file that imports it (see
+``unused_imports``).
 """
 
 import ast
@@ -110,3 +112,41 @@ def unset_parameters():
 
 def test_no_unset_parameters():
     assert unset_parameters() == []
+
+
+def _string_annotation_names(annotation):
+    """Names inside the string parts of an annotation, such as
+    ``"FourierPerturbation"``; ``ast.walk`` already sees the others."""
+    return {name.id
+            for sub in ast.walk(annotation)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            for name in ast.walk(ast.parse(sub.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def unused_imports():
+    """``path: name`` for every name an import in ``src/`` or ``tests/``
+    binds and its own file never reads (``from __future__`` skipped)."""
+    unused = []
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            bound, used = [], set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    bound += [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound += [a.asname or a.name for a in node.names]
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                # arguments and annotated assignments carry ``annotation``,
+                # functions ``returns``
+                for attr in ("annotation", "returns"):
+                    if getattr(node, attr, None) is not None:
+                        used |= _string_annotation_names(getattr(node, attr))
+            rel = path.relative_to(ROOT).as_posix()
+            unused += [f"{rel}: {name}" for name in bound if name not in used]
+    return sorted(unused)
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -10,7 +10,7 @@ from anosov_lab.errors import (
     SingularSystem,
 )
 from anosov_lab.foliations import integrate_leaf
-from anosov_lab.lattice import IntMatrix2, eigen_data, power
+from anosov_lab.lattice import eigen_data
 from anosov_lab.rigidity import (
     TranslationAction,
     _solve_t,
