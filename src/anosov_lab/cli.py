@@ -158,8 +158,7 @@ def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> None:
                          step=cfg.leaf_step, centered=True)
     with report.time_block("numeric_factorization"):
         num = factor_translation_numeric(
-            fields["f1s"], fields["f2s"], tau, e1, e2, cfg.slide_s,
-            span=(-0.1, 0.1), step=cfg.propagation_step)
+            fields["f1s"], fields["f2s"], tau, e1, e2, cfg.slide_s, step=cfg.propagation_step)
     report.diagnostics["numeric"] = {
         "t": num.translation_t, "deviation": num.numeric_deviation,
     }
@@ -175,7 +174,7 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
         rows = tangency_propagation_check(
             fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2),
             cfg.generators[0], radius=cfg.radius, eps=cfg.eps,
-            step=cfg.propagation_step, nonlinear=cfg.kind != "linear")
+            step=cfg.propagation_step, nonlinear=not handles[0].is_linear)
     _add_propagation_table(report, [r.to_dict() for r in rows])
     report.diagnostics.update({
         "n_heteroclinic": len(rows),

@@ -6,13 +6,13 @@ continuity.  Leaves are integrated in the universal cover with fixed-step
 4th-order (RK4) steps, and reduced mod 1 only for field lookups, so
 crossing logic never wraps ambiguously.  Many leaves of one field advance
 together, one field lookup per RK4 stage for all of them; each keeps the
-iterates it would take alone.
+iterates it would take alone.  A single leaf is a one-row ``LeafBundle``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -214,63 +214,43 @@ def _flow(field: LineField, starts, headings, n_steps, h, tags=None):
 
 
 @dataclass
-class LeafSegment:
-    """Arc-length-parametrized leaf curve in the universal cover."""
-
-    params: np.ndarray        # (m,) arc-length parameters, uniform spacing
-    points: np.ndarray        # (m, 2) lift coordinates
-    headings: np.ndarray      # (m, 2) unit tangents
-    field: LineField
-    step: float
-
-    @property
-    def param_range(self):
-        return float(self.params[0]), float(self.params[-1])
-
-    def evaluate(self, s):
-        """Positions and unit tangents, each (m, 2), at the parameters s,
-        each by one RK4 sub-step from the nearest stored node below
-        (single-step error ~ step^5); the one-segment case of
-        ``LeafBundle.evaluate``."""
-        return LeafBundle([self]).evaluate(s, 0)
-
-    def translated(self, offset) -> "LeafSegment":
-        """The same curve shifted by a deck translation (integer vector)."""
-        off = np.asarray(offset, dtype=float)
-        return LeafSegment(params=self.params.copy(), points=self.points + off,
-                           headings=self.headings.copy(), field=self.field, step=self.step)
-
-
 class LeafBundle:
-    """Leaf segments of one line field in padded arrays, so that points
-    tagged with a segment index are evaluated and projected together.
+    """Arc-length-parametrized leaf curves of one line field in the universal
+    cover, one per row of padded arrays; a single leaf is a one-row bundle.
 
-    Segment t keeps its nodes 0..last[t]; a shorter segment is padded with
-    nodes at +inf, which are never the nearest node of a finite point.
+    Row t keeps its nodes 0..last[t] at uniform parameter spacing step[t];
+    a shorter row is padded with +inf parameters and points and zero
+    headings: a padded node is never the nearest node of a finite point.
     """
 
-    def __init__(self, segments):
-        self.segments = list(segments)
-        self.field = self.segments[0].field
-        self.last = np.array([len(seg.params) - 1 for seg in self.segments])
-        self.step = np.array([seg.step for seg in self.segments])
-        shape = (len(self.segments), int(self.last.max()) + 1)
-        self.params = np.full(shape, np.inf)
-        self.points = np.full(shape + (2,), np.inf)
-        self.headings = np.zeros(shape + (2,))
-        for t, seg in enumerate(self.segments):
-            self.params[t, :len(seg.params)] = seg.params
-            self.points[t, :len(seg.params)] = seg.points
-            self.headings[t, :len(seg.params)] = seg.headings
+    params: np.ndarray        # (t, n) arc-length parameters
+    points: np.ndarray        # (t, n, 2) lift coordinates
+    headings: np.ndarray      # (t, n, 2) unit tangents
+    last: np.ndarray          # (t,) index of each row's last node
+    step: np.ndarray          # (t,) node spacing of each row
+    field: LineField
 
-    def evaluate(self, s, which):
+    def take(self, rows) -> "LeafBundle":
+        """The bundle of the given rows (repeats allowed), trimmed to the
+        longest of them."""
+        width = int(self.last[rows].max()) + 1
+        return LeafBundle(self.params[rows, :width], self.points[rows, :width],
+                          self.headings[rows, :width], self.last[rows], self.step[rows],
+                          self.field)
+
+    def translated(self, offsets) -> "LeafBundle":
+        """The same curves, row t shifted by the deck translation offsets[t]."""
+        return replace(self, points=self.points + np.asarray(offsets, dtype=float)[:, None, :])
+
+    def evaluate(self, s, which=0):
         """Positions and unit tangents, each (m, 2), at the parameters s[i]
-        of the segments which[i] (one index may serve every parameter).
+        of the rows which[i] (one index may serve every parameter).
 
         Each parameter takes one RK4 sub-step of length |ds| from the
-        nearest stored node below it; parameters outside their segment step
-        from its end nodes, backward (against the heading) below the first.
-        All sub-steps run as one batch.
+        nearest stored node below it (single-step error ~ step^5);
+        parameters outside their row step from its end nodes, backward
+        (against the heading) below the first.  All sub-steps run as one
+        batch.
         """
         s = np.asarray(s, dtype=float)
         which = np.broadcast_to(which, s.shape)
@@ -288,19 +268,72 @@ class LeafBundle:
             tangents[moved] = sign * new_hd
         return pts, tangents
 
+    def project(self, pts, refine: bool = True, which=0):
+        """Return (s, signed_distance, tangent) for points pts of shape (m, 2),
+        point i projected onto row which[i] (one index may serve all).
+
+        Nearest-node search plus parabolic refinement of the squared
+        distance; exact for straight leaves.  With ``refine`` the foot
+        points are recomputed by RK4 sub-steps from the nearest nodes, one
+        batched ``evaluate`` call for all points; without it the foot is
+        linearly interpolated between nodes, which is cheap and accurate to
+        O(step^2) -- enough for sign tracking during leaf marching.  Each
+        point gets the result of a projection onto its own row alone.
+        """
+        which = np.broadcast_to(which, (len(pts),))
+        # one row broadcasts its nodes; several are gathered per point
+        nodes = self.points[:1] if len(self.params) == 1 else self.points[which]
+        diff = pts[:, None, :] - nodes
+        # the two squares added as np.sum over the last axis adds them, but
+        # without a reduction over a length-2 axis
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2  # (m, nodes)
+        idx = np.argmin(d2, axis=1)
+        h = self.step[which]
+        last = self.last[which]
+        node = self.points[which, idx]
+        head = self.headings[which, idx]
+        interior = (idx > 0) & (idx < last)
+        offset = np.einsum("ni,ni->n", pts - node, head) / h
+        offset[idx == 0] = np.minimum(offset[idx == 0], 0.0)
+        offset[idx == last] = np.maximum(offset[idx == last], 0.0)
+        if np.any(interior):
+            k = idx[interior]
+            dm, d0, dp = d2[interior, k - 1], d2[interior, k], d2[interior, k + 1]
+            denom = dm - 2 * d0 + dp
+            par = np.where(np.abs(denom) > 1e-30, 0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
+            offset[interior] = np.clip(par, -1.0, 1.0)
+        s = self.params[which, idx] + offset * h
+        if refine:
+            foot, tang = self.evaluate(s, which)
+            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+            # a stacked 1x2 @ 2x1 matmul sums each row with the BLAS dot
+            # kernel, as np.dot does on one point; einsum can round the last
+            # bit differently
+            dist = ((pts - foot)[:, None, :] @ n_vec[:, :, None])[:, 0, 0]
+        else:
+            foot = node + (offset * h)[:, None] * head
+            tang = head
+            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+            dist = np.einsum("ni,ni->n", pts - foot, n_vec)
+        return s, dist, tang
+
+
+# the name bench/spans.py wraps for the projection's span
+CurveProjector = LeafBundle
+
 
 def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_STEP,
-                     centered=False, tags=None) -> list:
+                     centered=False, tags=None) -> LeafBundle:
     """Fixed-step RK4 integration of the line field through each start (a
-    float array (n, 2)), all leaves in one batched ``_flow``; returns one
-    LeafSegment per start.
+    float array (n, 2)), all leaves in one batched ``_flow``; returns the
+    bundle whose row i is the leaf through starts[i].
 
     Leaf i has signed length lengths[i].  A ``centered`` leaf (one flag for
     every leaf or one per leaf) covers parameters [-|length|/2, |length|/2]
-    with the anchor at 0, and runs as two rows, its forward and backward
-    halves; any other leaf covers [0, length] as one row.  The initial
-    heading is the field's canonical direction at the start; a negative
-    length integrates against it.  A row of length L takes
+    with the anchor at 0, and runs as two flow rows, its forward and
+    backward halves; any other leaf covers [0, length] as one flow row.
+    The initial heading is the field's canonical direction at the start; a
+    negative length integrates against it.  A flow row of length L takes
     max(1, round(L / step)) steps of the size that spreads them evenly, so
     each leaf is bit-identical to ``integrate_leaf`` of it alone.  ``tags``
     (one per leaf) name the leaves of a SignAmbiguity.
@@ -314,7 +347,7 @@ def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_ST
     # np.linalg.norm(axis=1) rounds the last bit differently
     heading = heading / np.sqrt(heading[:, None, :] @ heading[:, :, None])[:, 0]
 
-    # one row per one-sided leaf, a forward and a backward row per centered one
+    # one flow row per one-sided leaf, a forward and a backward one per centered one
     leaf, sign, row_len = [], [], []
     for i in range(count):
         if centered[i]:
@@ -330,115 +363,53 @@ def integrate_leaves(field: LineField, starts, lengths, step: float = DEFAULT_ST
     traj, heads = _flow(field, starts[leaf], np.array(sign)[:, None] * heading[leaf], counts,
                         np.array(row_len) / counts, _row_tags(tags, leaf))
 
-    def march(r):
+    def march(r):  # flow row r's nodes, signed, in increasing parameter order
         n = counts[r]
-        return (np.linspace(0.0, row_len[r], n + 1), traj[:n + 1, r].copy(),
-                heads[:n + 1, r].copy())
+        params = sign[r] * np.linspace(0.0, row_len[r], n + 1)
+        points, heads_r = traj[:n + 1, r], sign[r] * heads[:n + 1, r]
+        if sign[r] < 0:
+            return params[::-1], points[::-1], heads_r[::-1]
+        return params, points, heads_r
 
-    segments = []
+    # a leaf's last node index is the step count of its flow rows together
+    last = np.bincount(leaf, counts).astype(int)
+    shape = (count, int(last.max()) + 1)
+    params = np.full(shape, np.inf)
+    points = np.full(shape + (2,), np.inf)
+    headings = np.zeros(shape + (2,))
     r = 0
     for i in range(count):
         if centered[i]:
-            fwd, bwd = march(r), march(r + 1)
-            params = np.concatenate([-bwd[0][::-1], fwd[0][1:]])
-            points = np.concatenate([bwd[1][::-1], fwd[1][1:]])
-            heads_i = np.concatenate([-bwd[2][::-1], fwd[2][1:]])
+            bwd, fwd = march(r + 1), march(r)
+            row = [np.concatenate([b, f[1:]]) for b, f in zip(bwd, fwd)]
             r += 2
         else:
-            params, points, heads_i = march(r)
-            params = sign[r] * params
-            heads_i = sign[r] * heads_i
-            if sign[r] < 0:
-                params = params[::-1]
-                points = points[::-1]
-                heads_i = heads_i[::-1]
+            row = march(r)
             r += 1
-        # n_steps rounding makes the realized node spacing differ slightly
-        # from the requested step; record the actual spacing for lookups
-        segments.append(LeafSegment(params=params, points=points, headings=heads_i,
-                                    field=field, step=float(abs(params[1] - params[0]))))
-    return segments
+        params[i, :last[i] + 1], points[i, :last[i] + 1], headings[i, :last[i] + 1] = row
+    # n_steps rounding makes the realized node spacing differ slightly
+    # from the requested step; record the actual spacing for lookups
+    return LeafBundle(params, points, headings, last, np.abs(params[:, 1] - params[:, 0]),
+                      field)
 
 
 def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STEP,
-                   centered: bool = False) -> LeafSegment:
+                   centered: bool = False) -> LeafBundle:
     """Fixed-step RK4 integration of the line field through the point x (a
-    float array (2,)): the one-leaf case of ``integrate_leaves``.
+    float array (2,)): the one-row bundle of ``integrate_leaves``.
 
-    With ``centered`` the segment covers parameters [-length/2, length/2]
+    With ``centered`` the leaf covers parameters [-length/2, length/2]
     with the anchor at 0; otherwise [0, length].  The initial heading is
     the field's canonical direction at x; negative ``length`` integrates
     against it.
     """
-    return integrate_leaves(field, x[None], [length], step=step, centered=centered)[0]
+    return integrate_leaves(field, x[None], [length], step=step, centered=centered)
 
 
-class CurveProjector:
-    """Arc-length projection and signed distance onto leaf segments of one
-    field, each point onto its own target segment."""
-
-    def __init__(self, targets):
-        """``targets`` is one LeafSegment or a sequence of them; ``tau`` is
-        the first (the target of a one-segment projector)."""
-        self.bundle = LeafBundle([targets] if isinstance(targets, LeafSegment) else targets)
-        self.tau = self.bundle.segments[0]
-
-    def project(self, pts, refine: bool = True, which=0):
-        """Return (s, signed_distance, tangent) for points pts of shape (m, 2),
-        point i projected onto target which[i] (one index may serve all).
-
-        Nearest-node search plus parabolic refinement of the squared
-        distance; exact for straight segments.  With ``refine`` the foot
-        points are recomputed by RK4 sub-steps from the nearest nodes, one
-        batched ``LeafBundle.evaluate`` call for all points; without it the
-        foot is linearly interpolated between nodes, which is cheap and
-        accurate to O(step^2) -- enough for sign tracking during leaf
-        marching.  Each point gets the result of a one-target projector of
-        its own target.
-        """
-        bundle = self.bundle
-        which = np.broadcast_to(which, (len(pts),))
-        # one target broadcasts its nodes; several are gathered per point
-        nodes = bundle.points[:1] if len(bundle.segments) == 1 else bundle.points[which]
-        diff = pts[:, None, :] - nodes
-        # the two squares added as np.sum over the last axis adds them, but
-        # without a reduction over a length-2 axis
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2  # (m, nodes)
-        idx = np.argmin(d2, axis=1)
-        h = bundle.step[which]
-        last = bundle.last[which]
-        node = bundle.points[which, idx]
-        head = bundle.headings[which, idx]
-        interior = (idx > 0) & (idx < last)
-        offset = np.einsum("ni,ni->n", pts - node, head) / h
-        offset[idx == 0] = np.minimum(offset[idx == 0], 0.0)
-        offset[idx == last] = np.maximum(offset[idx == last], 0.0)
-        if np.any(interior):
-            k = idx[interior]
-            dm, d0, dp = d2[interior, k - 1], d2[interior, k], d2[interior, k + 1]
-            denom = dm - 2 * d0 + dp
-            par = np.where(np.abs(denom) > 1e-30, 0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
-            offset[interior] = np.clip(par, -1.0, 1.0)
-        s = bundle.params[which, idx] + offset * h
-        if refine:
-            foot, tang = bundle.evaluate(s, which)
-            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-            # a stacked 1x2 @ 2x1 matmul sums each row with the BLAS dot
-            # kernel, as np.dot does on one point; einsum can round the last
-            # bit differently
-            dist = ((pts - foot)[:, None, :] @ n_vec[:, :, None])[:, 0, 0]
-        else:
-            foot = node + (offset * h)[:, None] * head
-            tang = head
-            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-            dist = np.einsum("ni,ni->n", pts - foot, n_vec)
-        return s, dist, tang
-
-
-def _initial_toward(field, starts, projector, which=0):
-    """Headings pointing so the signed distance to the target shrinks."""
+def _initial_toward(field, starts, targets: LeafBundle, which=0):
+    """Headings pointing so the signed distance to the target row shrinks."""
     d = field.direction_at(np.mod(starts, 1.0))
-    _, dist, tang = projector.project(starts, refine=False, which=which)
+    _, dist, tang = targets.project(starts, refine=False, which=which)
     normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
     rate = np.einsum("ni,ni->n", d, normal)
     sign = -np.sign(dist * rate)
@@ -446,31 +417,29 @@ def _initial_toward(field, starts, projector, which=0):
     return d * sign[:, None]
 
 
-def _cross_to_target(field: LineField, starts, targets, budget, step: float,
+def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step: float,
                      which=0, tags=None):
     """March leaves of ``field`` from ``starts`` until each crosses its target.
 
-    ``targets`` is one LeafSegment or a sequence of them; row i marches
-    toward targets[which[i]] for at most ``budget[i]`` of arc length
-    (``which`` and ``budget`` may be one value for every row).  All leaves
-    advance together; a leaf stops at the first step whose fast signed
-    distance changes sign.  After the march the crossings of all stopped
-    leaves are refined in one batched bisection (``_refine_crossings``),
-    before any escape or tangency check.  Only marching rows are evaluated,
-    so a stacked call gives each row what a call with its target alone
-    gives it.
+    Row i marches toward the target row which[i] for at most ``budget[i]``
+    of arc length (``which`` and ``budget`` may be one value for every
+    row).  All leaves advance together; a leaf stops at the first step
+    whose fast signed distance changes sign.  After the march the crossings
+    of all stopped leaves are refined in one batched bisection
+    (``_refine_crossings``), before any escape or tangency check.  Only
+    marching rows are evaluated, so a stacked call gives each row what a
+    call with its target alone gives it.
 
     Returns (s_prime, crossing_angle) arrays.  Raises LeafEscaped when a
     leaf exhausts its budget, TangencySuspected for shallow crossings;
     ``tags`` (one per row) name the failing rows.
     """
-    proj = CurveProjector(targets)
     pts = starts.copy()
     m = len(pts)
     which = np.broadcast_to(which, (m,))
     budget = np.broadcast_to(np.asarray(budget, dtype=float), (m,))
-    hd = _initial_toward(field, pts, proj, which)
-    _, dist, _ = proj.project(pts, which=which)
+    hd = _initial_toward(field, pts, targets, which)
+    _, dist, _ = targets.project(pts, which=which)
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
@@ -478,7 +447,7 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
     # points starting on the curve cross at once
     on_curve = np.abs(dist) < 1e-13
     if np.any(on_curve):
-        s_here, _, tang = proj.project(pts[on_curve], which=which[on_curve])
+        s_here, _, tang = targets.project(pts[on_curve], which=which[on_curve])
         s_out[on_curve] = s_here
         d_here = field.direction_at(np.mod(pts[on_curve], 1.0))
         ang_out[on_curve] = line_angle(d_here, tang)
@@ -497,7 +466,7 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
         rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
         if rough.any():
             raise _failure(SignAmbiguity, "field too rough along holonomy leaf", rows[rough], tags)
-        _, new_dist, _ = proj.project(stepped, refine=False, which=which[rows])
+        _, new_dist, _ = targets.project(stepped, refine=False, which=which[rows])
         flipped = (np.sign(new_dist) != np.sign(dist[rows])) & (dist[rows] != 0.0)
         hit = rows[flipped]
         node_pts[hit] = pts[hit]
@@ -510,7 +479,7 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
     if crossed.any():
         rows = np.flatnonzero(crossed)
         s_out[rows], ang_out[rows] = _refine_crossings(
-            field, node_pts[rows], node_hd[rows], step, proj, which[rows],
+            field, node_pts[rows], node_hd[rows], step, targets, which[rows],
             _row_tags(tags, rows))
     if active.any():
         raise _failure(LeafEscaped,
@@ -525,10 +494,10 @@ def _cross_to_target(field: LineField, starts, targets, budget, step: float,
     return s_out, ang_out
 
 
-def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector, which=0,
+def _refine_crossings(field, node_pts, node_hds, step, targets: LeafBundle, which=0,
                       tags=None):
     """Bisection on the signed distance within one integration step, for
-    many leaves at once, row i against the target which[i] of ``proj``.
+    many leaves at once, row i against the target row which[i].
 
     Row i starts from the bracket [0, step] in the flow parameter from
     node_pts[i] along node_hds[i], widened to (-0.5, 1.5) * step and then
@@ -549,7 +518,7 @@ def _refine_crossings(field, node_pts, node_hds, step, proj: CurveProjector, whi
         moved = sigma != 0.0
         if moved.any():
             p[moved], h[moved], _ = _rk4_step(field, p[moved], h[moved], sigma[moved][:, None])
-        s_p, d, tang = proj.project(p, which=which[rows])
+        s_p, d, tang = targets.project(p, which=which[rows])
         return d, s_p, h, tang
 
     every = np.arange(m)
@@ -630,52 +599,54 @@ class HolonomyMap:
         return self._fwd.derivative()(s)
 
 
-def holonomies(field: LineField, tau1s, tau2s, budgets, step: float = DEFAULT_STEP,
-               span=None, tags=None) -> list:
-    """Holonomies of ``field`` from tau1s[j] to tau2s[j], every pair in one
-    march; returns one HolonomyMap per pair.
+def holonomies(field: LineField, tau1s: LeafBundle, tau2s: LeafBundle, budgets,
+               step: float = DEFAULT_STEP, *, span, tags=None) -> list:
+    """Holonomies of ``field`` from row j of tau1s to row j of tau2s, every
+    pair in one march; returns one HolonomyMap per pair.
 
-    Pair j slides 25 sample points of tau1s[j] (over ``span``, else its
-    whole parameter range) along the leaves of ``field`` until each crosses
-    tau2s[j] within arc length budgets[j]: one ``_cross_to_target`` call
-    over the stacked targets, which locates the crossings by sign change
-    of the signed distance and refines them together in one batched
-    bisection.  Before any leaf moves, every transversal is checked to
-    make an angle of at least 0.1 rad with the field.  ``tags`` (one per
-    pair) name the failing pairs of an error.
+    Pair j slides 25 sample points of tau1s row j, over the parameter
+    interval ``span``, along the leaves of ``field`` until each crosses
+    tau2s row j within arc length budgets[j]: one ``_cross_to_target``
+    call, which locates the crossings by sign change of the signed
+    distance and refines them together in one batched bisection.  Before
+    any leaf moves, every transversal is checked to make an angle of at
+    least 0.1 rad with the field.  ``tags`` (one per pair) name the failing
+    pairs of an error.
     """
-    count = len(tau2s)
-    segs = list(tau1s) + list(tau2s)
-    angle = line_angle(np.concatenate([seg.headings for seg in segs]),
-                       field.direction_at(np.mod(np.concatenate([seg.points for seg in segs]), 1.0)))
-    bounds = np.cumsum([len(seg.points) for seg in segs])[:-1]
-    worst = np.array([part.min() for part in np.split(angle, bounds)])
+    count = len(tau2s.params)
+    # every stored node of tau1s, then of tau2s, row by row
+    inside = [np.arange(b.params.shape[1]) <= b.last[:, None] for b in (tau1s, tau2s)]
+    angle = line_angle(
+        np.concatenate([b.headings[k] for b, k in zip((tau1s, tau2s), inside)]),
+        field.direction_at(np.mod(np.concatenate(
+            [b.points[k] for b, k in zip((tau1s, tau2s), inside)]), 1.0)))
+    row_starts = np.cumsum(np.r_[0, tau1s.last + 1, tau2s.last + 1])[:-1]
+    worst = np.minimum.reduceat(angle, row_starts)
     skew = np.flatnonzero(worst < 0.1)
     if len(skew):
         first = skew[0]
         raise _failure(TangencySuspected,
                        f"{'tau1' if first < count else 'tau2'} not transverse to the field "
                        f"(min angle {worst[first]:.3f} rad)", skew % count, tags)
-    s_values = [np.linspace(*(tau1.param_range if span is None else span), 25)
-                for tau1 in tau1s]
+    s_values = np.linspace(*span, 25)
     pair = np.repeat(np.arange(count), 25)
-    starts, _ = LeafBundle(tau1s).evaluate(np.concatenate(s_values), pair)
+    starts, _ = tau1s.evaluate(np.tile(s_values, count), pair)
     s_primes, _ = _cross_to_target(field, starts, tau2s, np.repeat(budgets, 25), step,
                                    which=pair, tags=_row_tags(tags, pair))
-    return [HolonomyMap(s_values[j], s_primes[25 * j:25 * (j + 1)]) for j in range(count)]
+    return [HolonomyMap(s_values, s_primes[25 * j:25 * (j + 1)]) for j in range(count)]
 
 
-def holonomy(field: LineField, tau1: LeafSegment, tau2: LeafSegment,
-             budget: float = 3.0, step: float = DEFAULT_STEP, span=None) -> HolonomyMap:
-    """Holonomy of ``field`` from tau1 to tau2: the one-pair case of
-    ``holonomies``.
+def holonomy(field: LineField, tau1: LeafBundle, tau2: LeafBundle,
+             budget: float = 3.0, step: float = DEFAULT_STEP, *, span) -> HolonomyMap:
+    """Holonomy of ``field`` from the one-row tau1 to the one-row tau2 over
+    the tau1 parameters ``span``: the one-pair case of ``holonomies``.
 
     Slides 25 sample points of tau1 along the leaves of ``field`` until
     it crosses tau2; crossings are located by sign change of the signed
     distance, then refined together by one batched bisection after the
     march (``_cross_to_target``).
     """
-    return holonomies(field, [tau1], [tau2], [budget], step=step, span=span)[0]
+    return holonomies(field, tau1, tau2, [budget], step=step, span=span)[0]
 
 
 class GraphMap:
@@ -717,10 +688,11 @@ def _graph_plan(bases, frame_u: LineField, target: LineField, eps: float, tags=N
     return reach, [2 * eps / max(math.cos(min(a, 1.0)), 0.3) * 1.5 for a in angle]
 
 
-def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u, axes_s, leaves,
-                      eps: float, reach: float, step: float, tags=None) -> list:
+def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u: LeafBundle,
+                      axes_s: LeafBundle, leaves: LeafBundle, eps: float, reach: float,
+                      step: float, tags=None) -> list:
     """Local graphs from integrated frame axes and target leaves, graph g
-    over axes_u[g], axes_s[g] and leaves[g]; returns one GraphMap each.
+    over row g of axes_u, axes_s and leaves; returns one GraphMap each.
 
     21 sample points of every target leaf are projected onto the frame
     axes by integrating frame leaves to their crossings, within arc length
@@ -728,11 +700,12 @@ def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u, axes_s, le
     all graphs.  Raises ChartOverflow, naming the graphs by ``tags``, for
     graphs whose samples do not cover u in [-eps, eps].
     """
-    count = len(leaves)
+    count = len(leaves.params)
     graph = np.repeat(np.arange(count), 21)
     row_tags = _row_tags(tags, graph)
-    t_vals = np.concatenate([np.linspace(leaf.params[0], leaf.params[-1], 21) for leaf in leaves])
-    pts, _ = LeafBundle(leaves).evaluate(t_vals, graph)
+    t_vals = np.linspace(leaves.params[:, 0], leaves.params[np.arange(count), leaves.last], 21,
+                         axis=1).ravel()
+    pts, _ = leaves.evaluate(t_vals, graph)
     u_vals, _ = _cross_to_target(frame_s, pts, axes_u, reach, step, which=graph, tags=row_tags)
     s_vals, _ = _cross_to_target(frame_u, pts, axes_s, reach, step, which=graph, tags=row_tags)
     u_vals = u_vals.reshape(count, 21)
@@ -763,7 +736,7 @@ def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
     axis_u = integrate_leaf(frame_u, z, reach, step=step, centered=True)
     axis_s = integrate_leaf(frame_s, z, reach, step=step, centered=True)
     leaf = integrate_leaf(target, z, leaf_len, step=step, centered=True)
-    return _graphs_on_leaves(frame_u, frame_s, [axis_u], [axis_s], [leaf], eps, reach, step)[0]
+    return _graphs_on_leaves(frame_u, frame_s, axis_u, axis_s, leaf, eps, reach, step)[0]
 
 
 def min_transversality_angle(f1: LineField, f2: LineField):
@@ -832,25 +805,25 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
     starts = np.repeat(z[None, :], len(ks), axis=0)
     stables = integrate_leaves(field_s, starts, [2 * abs(b) * pad + 0.2 for _, b in seeds],
                                step=step, centered=True, tags=tags)
-    targets = [seg.translated(np.array(k, dtype=float)) for seg, k in zip(stables, ks)]
+    targets = stables.translated(np.array(ks, dtype=float))
     # march the unstable leaf from near the seed toward the target
     unstables = integrate_leaves(field_u, starts, [2 * abs(a) * pad + 0.2 for a, _ in seeds],
                                  step=step, centered=True, tags=tags)
     cand = []
-    for i, (unstable, target) in enumerate(zip(unstables, targets)):
-        _, dists, _ = CurveProjector(target).project(unstable.points)
+    for i in range(len(ks)):
+        nodes = unstables.last[i] + 1
+        _, dists, _ = targets.take([i]).project(unstables.points[i, :nodes])
         sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
         if len(sign_change) == 0:
             raise _failure(LeafEscaped, "no stable-leaf crossing", [i], tags)
         # pick the crossing closest to the linear prediction
-        cand.append(sign_change[np.argmin(np.abs(unstable.params[sign_change] - seeds[i][0]))])
+        cand.append(sign_change[np.argmin(np.abs(unstables.params[i, sign_change] - seeds[i][0]))])
     every = np.arange(len(ks))
-    b_ref, _ = _refine_crossings(field_u, np.array([u.points[c] for u, c in zip(unstables, cand)]),
-                                 np.array([u.headings[c] for u, c in zip(unstables, cand)]),
-                                 step, CurveProjector(targets), every, tags)
+    b_ref, _ = _refine_crossings(field_u, unstables.points[every, cand],
+                                 unstables.headings[every, cand], step, targets, every, tags)
     # the bisection reports the target parameter; recover the point from it
-    pts, _ = LeafBundle(targets).evaluate(b_ref, every)
-    a_ref = CurveProjector(unstables).project(pts, which=every)[0]
+    pts, _ = targets.evaluate(b_ref, every)
+    a_ref = unstables.project(pts, which=every)[0]
     return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k)
             for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 

@@ -70,6 +70,10 @@ class PerturbedMap:
     def linear_part(self) -> IntMatrix2:
         return self._matrix
 
+    @property
+    def is_linear(self) -> bool:
+        return self.perturbation.is_zero
+
     def lift(self, x):
         return x @ self._A.T + self.perturbation.evaluate(x)
 
@@ -145,6 +149,11 @@ class ConjugatedMap:
     @property
     def linear_part(self) -> IntMatrix2:
         return self.base.matrix
+
+    @property
+    def is_linear(self) -> bool:
+        """True when phi is the identity, so the map is its linear part A."""
+        return self.phi.q.is_zero
 
     def lift(self, x):
         return self.phi.lift(self.phi.inverse_lift(x) @ self._A.T)

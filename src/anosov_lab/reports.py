@@ -7,6 +7,7 @@ files.  Diagnostic tables go to CSV with a header row.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -70,8 +71,9 @@ def line_field_rows(field):
             yield i, j, float(field.theta[i, j])
 
 
-def leaf_rows(segment):
-    for s, pt in zip(segment.params, segment.points):
+def leaf_rows(leaf):
+    """(s, x, y, lift_x, lift_y) per node of a one-row LeafBundle."""
+    for s, pt in zip(leaf.params[0], leaf.points[0]):
         x, y = np.mod(pt, 1.0)
         yield float(s), float(x), float(y), float(pt[0]), float(pt[1])
 
@@ -101,19 +103,14 @@ class RunReport:
         self.verdict: str | None = None
         self.tables: list = []  # (filename, header, rows-list)
 
+    @contextlib.contextmanager
     def time_block(self, label: str):
-        report = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                report.timings[label] = round(time.perf_counter() - self.start, 6)
-                return False
-
-        return _Timer()
+        """Record the wall time of the with-block under ``label``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[label] = round(time.perf_counter() - start, 6)
 
     def add_table(self, filename: str, header, rows) -> None:
         self.tables.append((filename, list(header), [tuple(r) for r in rows]))

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .foliations import (
     LeafBundle,
-    LeafSegment,
     LineField,
     _cross_to_target,
     _flow,
@@ -308,12 +307,13 @@ def factor_translation_linear(e1: HyperbolicElement, e2: HyperbolicElement,
 
 
 def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
-                               tau_ext: LeafSegment, e1: HyperbolicElement,
+                               tau_ext: LeafBundle, e1: HyperbolicElement,
                                e2: HyperbolicElement, s: float,
-                               span=None, step: float = 1e-3) -> FactorizationResult:
-    """Slide 9 samples of an unstable transversal along the first stable
-    foliation by leaf-length s, then along the second stable foliation
-    back to the (extended) unstable leaf.
+                               step: float = 1e-3) -> FactorizationResult:
+    """Slide 9 samples of the one-row unstable transversal ``tau_ext``, at
+    the parameters y in [-0.1, 0.1], along the first stable foliation by
+    leaf-length s, then along the second stable foliation back to the
+    (extended) unstable leaf.
 
     The composed motion is compared with the translation by the t
     predicted by the linear factorization.
@@ -324,9 +324,7 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
     scale_1s = float(np.linalg.norm(_slope_normalized(e1.vs)))
     scale_1u = float(np.linalg.norm(_slope_normalized(e1.vu)))
     arc_slide = s * scale_1s
-    lo, hi = span if span is not None else (
-        tau_ext.params[0] * 0.3, tau_ext.params[-1] * 0.3)
-    y_samples = np.linspace(lo, hi, 9)
+    y_samples = np.linspace(-0.1, 0.1, 9)
     if s == 0.0:
         landed = y_samples.copy()
         arc_t_pred = 0.0
@@ -420,12 +418,13 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
                               step=step, centered=True, tags=axis_tags)
     leaves = integrate_leaves(field_2s, bases, leaf_lengths, step=step, centered=True,
                               tags=graph_tags)
-    graphs = _graphs_on_leaves(field_1u, field_1s, axes_u[1:n + 2], axes_s[1:n + 2], leaves,
-                               eps, reach, step, graph_tags)
-    hols_s = holonomies(field_1s, [axes_u[0]] * n, axes_u[n + 2:],
+    graphs = _graphs_on_leaves(field_1u, field_1s, axes_u.take(range(1, n + 2)),
+                               axes_s.take(range(1, n + 2)), leaves, eps, reach, step, graph_tags)
+    at_zp = range(n + 2, 2 * n + 2)
+    hols_s = holonomies(field_1s, axes_u.take([0] * n), axes_u.take(at_zp),
                         [abs(hp.s_param) * 1.5 + 0.5 for hp in hps], step=step,
                         span=(-eps, eps), tags=hol_tags)
-    hols_u = holonomies(field_1u, [axes_s[0]] * n, axes_s[n + 2:],
+    hols_u = holonomies(field_1u, axes_s.take([0] * n), axes_s.take(at_zp),
                         [abs(hp.u_param) * 1.5 + 0.5 for hp in hps], step=step,
                         span=(-eps, eps), tags=hol_tags)
     angles = line_angle(field_1u.direction_at(np.mod(zp_u, 1.0)),
@@ -451,10 +450,10 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
 def _leaf_lifts(field: LineField, z, arcs, step: float, tags) -> np.ndarray:
     """Lift coordinates of the points at signed arc lengths arcs[i] along
     the leaf through z, all leaves in one bundle."""
-    segs = integrate_leaves(field, np.repeat(z[None, :], len(arcs), axis=0),
-                            [2 * abs(arc) + 4 * step for arc in arcs], step=step,
-                            centered=True, tags=tags)
-    return LeafBundle(segs).evaluate(arcs, np.arange(len(arcs)))[0]
+    leaves = integrate_leaves(field, np.repeat(z[None, :], len(arcs), axis=0),
+                              [2 * abs(arc) + 4 * step for arc in arcs], step=step,
+                              centered=True, tags=tags)
+    return leaves.evaluate(arcs, np.arange(len(arcs)))[0]
 
 
 DEFAULT_THRESHOLDS = {
@@ -585,12 +584,10 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     # --- Lemma 3: graph transport to heteroclinic points -------------------
     if fields:
         try:
-            nonlinear = getattr(g1, "displacement", None) is not None and \
-                h is not None and h.displacement.sup_norm > 1e-12
             rows = tangency_propagation_check(
                 fields["f1u"], fields["f1s"], fields["f2s"],
                 np.zeros(2), e1, radius=radius, eps=eps,
-                step=propagation_step, nonlinear=nonlinear)
+                step=propagation_step, nonlinear=not g1.is_linear)
             lemma3 = max(r.transport_deviation for r in rows)
             diag["propagation_rows"] = [r.to_dict() for r in rows]
             diag["propagation_min_angle"] = min(r.angle for r in rows)

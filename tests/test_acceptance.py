@@ -89,8 +89,7 @@ def test_criterion_4_holonomy_factorization(e1, e2, linear_fields):
     lin = factor_translation_linear(e1, e2, 1.0)
     tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 3.0, centered=True)
     num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0,
-        span=(-0.1, 0.1))
+        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0)
     t_err = abs(num.translation_t - lin.translation_t)
     ok = (num.numeric_deviation < 1e-8 and t_err < 1e-8
           and abs(lin.translation_t - (-0.8090170)) <= 1e-6)

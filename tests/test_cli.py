@@ -197,6 +197,20 @@ def test_teichmuller_honours_radius_and_eps(tmp_path):
     assert len(tables[0].splitlines()) == 1 + 24  # 24 heteroclinic points at radius 2
 
 
+def test_lemma3_matches_teichmuller_on_identity_conjugacy(tmp_path):
+    """With no diffeo terms the conjugated action is linear (phi = id), and
+    both commands run Lemma 3 on linear leaves alike."""
+    extra = ("--set", "action.kind=conjugated", "--set", "resolution.field_n=32",
+             "--set", "resolution.grid_n=64")
+    tables = []
+    for command in ("teichmuller", "lemma3"):
+        code, out = run(tmp_path / command, command, *extra)
+        assert code == 0
+        tables.append((out / "lemma3-propagation.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 1 + 8
+
+
 def test_periodic_data_clean_exit_zero(tmp_path):
     code, out = run(tmp_path, "periodic-data")
     assert code == 0

@@ -15,9 +15,8 @@ from anosov_lab.errors import (
 from anosov_lab.foliations import (
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
-    CurveProjector,
     HolonomyMap,
-    LeafSegment,
+    LeafBundle,
     LineField,
     _cross_to_target,
     _initial_toward,
@@ -35,13 +34,13 @@ from anosov_lab.lattice import eigen_data, grid_points, line_angle
 
 def test_constant_field_leaves_are_straight(e1, linear_fields):
     seg = integrate_leaf(linear_fields["f1u"], np.array([0.2, 0.3]), 1.0)
-    chords = seg.points - seg.points[0]
+    chords = seg.points[0] - seg.points[0, 0]
     v = np.asarray(e1.vu)
     cross = chords[:, 0] * v[1] - chords[:, 1] * v[0]
     assert np.max(np.abs(cross)) < 1e-12
     # arc-length parametrization: node spacing == parameter spacing
-    lens = np.linalg.norm(np.diff(seg.points, axis=0), axis=1)
-    assert np.allclose(lens, np.diff(seg.params), atol=1e-12)
+    lens = np.linalg.norm(np.diff(seg.points[0], axis=0), axis=1)
+    assert np.allclose(lens, np.diff(seg.params[0]), atol=1e-12)
 
 
 def test_leaf_point_at_interpolates(linear_fields, e1):
@@ -100,7 +99,7 @@ def test_leaf_invariance_under_map(conj_g1, conj_fields):
     # the image of an unstable leaf point stays on the unstable leaf
     # through the image basepoint: compare field directions along images
     seg = integrate_leaf(conj_fields["f1u"], np.array([0.15, 0.67]), 0.2)
-    img = conj_g1.lift(seg.points)
+    img = conj_g1.lift(seg.points[0])
     d = conj_fields["f1u"].direction_at(np.mod(img, 1.0))
     chords = np.diff(img, axis=0)
     chords = chords / np.linalg.norm(chords, axis=1, keepdims=True)
@@ -218,13 +217,14 @@ def test_graph_transport_smooth(conj_fields, e1):
 # close.
 
 def _ref_at(seg, s):
-    s0 = seg.params[0]
-    idx = int(np.clip(np.floor((s - s0) / seg.step + 1e-12), 0, len(seg.params) - 1))
-    ds = s - seg.params[idx]
+    params, points, headings = seg.params[0], seg.points[0], seg.headings[0]
+    s0 = params[0]
+    idx = int(np.clip(np.floor((s - s0) / seg.step[0] + 1e-12), 0, len(params) - 1))
+    ds = s - params[idx]
     if abs(ds) < 1e-15:
-        return seg.points[idx].copy(), seg.headings[idx].copy()
-    pt = seg.points[idx][None, :]
-    hd = seg.headings[idx][None, :]
+        return points[idx].copy(), headings[idx].copy()
+    pt = points[idx][None, :]
+    hd = headings[idx][None, :]
     if ds < 0:
         new_pt, new_hd, _ = _rk4_step(seg.field, pt, -hd, -ds)
         return new_pt[0], -new_hd[0]
@@ -238,7 +238,7 @@ def _ref_project(proj, x):
     dist = np.empty(len(pts))
     tang = np.empty((len(pts), 2))
     for i in range(len(pts)):
-        foot, t = _ref_at(proj.tau, s[i])
+        foot, t = _ref_at(proj, s[i])
         n_vec = np.array([-t[1], t[0]])
         dist[i] = float(np.dot(pts[i] - foot, n_vec))
         tang[i] = t
@@ -282,7 +282,7 @@ def _ref_bisect_crossing(field, node_pt, node_hd, step, proj):
 
 def _ref_cross_to_target(field, starts, tau2, budget, step,
                          tangency_threshold=TANGENCY_THRESHOLD):
-    proj = CurveProjector(tau2)
+    proj = tau2
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
     hd = _initial_toward(field, pts, proj)
@@ -333,24 +333,24 @@ def frame_fields(request):
 def test_leaf_evaluate_matches_scalar_reference(frame_fields):
     f1u, _ = frame_fields
     seg = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
-    lo, hi = seg.param_range
+    lo, hi = seg.params[0, 0], seg.params[0, -1]
     s = np.array([
-        seg.params[17],               # exactly on an interior node
-        seg.params[17] + 0.37 * seg.step,
+        seg.params[0, 17],            # exactly on an interior node
+        seg.params[0, 17] + 0.37 * seg.step[0],
         -0.1234,
         0.2718,
         lo,                           # the end nodes themselves
         hi,
-        lo - 0.3 * seg.step,          # clipped to the first node: negative ds
-        lo - 2.5 * seg.step,
-        hi + 0.4 * seg.step,          # clipped to the last node
-        hi + 3.0 * seg.step,
+        lo - 0.3 * seg.step[0],       # clipped to the first node: negative ds
+        lo - 2.5 * seg.step[0],
+        hi + 0.4 * seg.step[0],       # clipped to the last node
+        hi + 3.0 * seg.step[0],
     ])
     pts, tangents = seg.evaluate(s)
     ref = [_ref_at(seg, si) for si in s]
     assert np.array_equal(pts, np.array([r[0] for r in ref]))
     assert np.array_equal(tangents, np.array([r[1] for r in ref]))
-    assert np.array_equal(pts[0], seg.points[17])
+    assert np.array_equal(pts[0], seg.points[0, 17])
     for si, (p, t) in zip(s, ref):
         one_p, one_t = seg.evaluate([si])
         assert np.array_equal(one_p[0], p)
@@ -361,8 +361,8 @@ def test_project_refine_matches_scalar_reference(frame_fields):
     f1u, f1s = frame_fields
     tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
     across = integrate_leaf(f1s, tau.evaluate([0.05])[0][0], 0.2, step=1e-3, centered=True)
-    x = np.concatenate([across.points[::7], tau.points[5:8], tau.points[[0, -1]] + 0.01])
-    for got, want in zip(CurveProjector(tau).project(x), _ref_project(CurveProjector(tau), x)):
+    x = np.concatenate([across.points[0, ::7], tau.points[0, 5:8], tau.points[0, [0, -1]] + 0.01])
+    for got, want in zip(tau.project(x), _ref_project(tau, x)):
         assert np.array_equal(got, want)
 
 
@@ -378,7 +378,7 @@ def _nodes_around_crossing(f1u, f1s, step, offsets):
         p, t = leaf.evaluate([-a * step])
         nodes.append(p[0])
         heads.append(t[0])
-    return np.array(nodes), np.array(heads), CurveProjector(tau)
+    return np.array(nodes), np.array(heads), tau
 
 
 def test_refine_crossings_matches_scalar_reference(frame_fields):
@@ -410,7 +410,7 @@ def test_cross_to_target_matches_scalar_reference(frame_fields):
     near = integrate_leaf(f1s, tau2.evaluate([0.1])[0][0], 0.5, step=1e-3, centered=True)
     # starts on both sides of tau2, and one on it
     starts = np.concatenate([near.evaluate(np.linspace(-0.2, 0.2, 9))[0],
-                             tau2.points[[60]]])
+                             tau2.points[0, [60]]])
     for step in (4e-3, 1e-3):
         s, angle = _cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
         s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
@@ -450,9 +450,9 @@ def test_cross_to_target_lost_bracket_precedes_escape(e1, linear_fields):
     tilt = math.atan2(v_u[1], v_u[0]) + 0.3
     tilted = LineField.constant(None, (math.cos(tilt), math.sin(tilt)))
     params = np.arange(-6, 7) * 0.05
-    tau2 = LeafSegment(params=params, points=params[:, None] * v_u,
-                       headings=np.tile(v_u, (len(params), 1)),
-                       field=tilted, step=0.05)
+    tau2 = LeafBundle(params=params[None], points=(params[:, None] * v_u)[None],
+                      headings=np.tile(v_u, (1, len(params), 1)),
+                      last=np.array([len(params) - 1]), step=np.array([0.05]), field=tilted)
     # the first leaf crosses midway between two nodes; the second escapes
     starts = np.array([0.025 * v_u, 0.025 * v_u]) + np.array([[0.1], [0.5]]) * np.asarray(e1.vs)
     with pytest.raises(SignAmbiguity):

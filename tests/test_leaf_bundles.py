@@ -21,11 +21,10 @@ from anosov_lab.errors import (
 from anosov_lab.foliations import (
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
-    CurveProjector,
     GraphMap,
     HeteroclinicPoint,
     HolonomyMap,
-    LeafSegment,
+    LeafBundle,
     LineField,
     _cross_to_target,
     _initial_toward,
@@ -82,13 +81,14 @@ def _ref_integrate_leaf(field, x, length, step=1e-3, centered=False):
         heads = sign * heads
         if sign < 0:
             params, points, heads = params[::-1], points[::-1], heads[::-1]
-    return LeafSegment(params=params, points=points, headings=heads, field=field,
-                       step=float(abs(params[1] - params[0])))
+    return LeafBundle(params=params[None], points=points[None], headings=heads[None],
+                      last=np.array([len(params) - 1]),
+                      step=np.array([abs(params[1] - params[0])]), field=field)
 
 
 def _ref_cross_to_target(field, starts, tau2, budget, step):
     """One target: every leaf marches together, crossings refined after."""
-    proj = CurveProjector(tau2)
+    proj = tau2
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
     hd = _initial_toward(field, pts, proj)
@@ -136,7 +136,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step):
 
 def _ref_holonomy(field, tau1, tau2, budget, step, span):
     for seg in (tau1, tau2):
-        angle = line_angle(seg.headings, field.direction_at(np.mod(seg.points, 1.0)))
+        angle = line_angle(seg.headings[0], field.direction_at(np.mod(seg.points[0], 1.0)))
         if float(angle.min()) < 0.1:
             raise TangencySuspected("transversal not transverse to the field")
     s_values = np.linspace(span[0], span[1], 25)
@@ -156,7 +156,7 @@ def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
         raise TangencySuspected("target not transverse to frame_u")
     leaf_len = 2 * eps / max(math.cos(min(angle, 1.0)), 0.3) * 1.5
     leaf = _ref_integrate_leaf(target, z, leaf_len, step=step, centered=True)
-    t_vals = np.linspace(leaf.params[0], leaf.params[-1], 21)
+    t_vals = np.linspace(leaf.params[0, 0], leaf.params[0, -1], 21)
     pts, _ = leaf.evaluate(t_vals)
     u_vals, _ = _ref_cross_to_target(frame_s, pts, axis_u, reach, step)
     s_vals, _ = _ref_cross_to_target(frame_u, pts, axis_s, reach, step)
@@ -169,18 +169,18 @@ def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
 def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
     pad = 1.3
     stable = _ref_integrate_leaf(field_s, z, 2 * abs(b) * pad + 0.2, step=step, centered=True)
-    target = stable.translated(np.array(k, dtype=float))
+    target = stable.translated(np.array([k], dtype=float))
     unstable = _ref_integrate_leaf(field_u, z, 2 * abs(a) * pad + 0.2, step=step, centered=True)
-    proj = CurveProjector(target)
-    _, dists, _ = proj.project(unstable.points)
+    proj = target
+    _, dists, _ = proj.project(unstable.points[0])
     sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
     if len(sign_change) == 0:
         raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
-    cand = sign_change[np.argmin(np.abs(unstable.params[sign_change] - a))]
-    s_c, _ = _refine_crossings(field_u, unstable.points[cand][None],
-                               unstable.headings[cand][None], step, proj)
+    cand = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - a))]
+    s_c, _ = _refine_crossings(field_u, unstable.points[0, cand][None],
+                               unstable.headings[0, cand][None], step, proj)
     pt = target.evaluate([s_c[0]])[0][0]
-    a_ref = CurveProjector(unstable).project(pt[None, :])[0][0]
+    a_ref = unstable.project(pt[None, :])[0][0]
     return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(s_c[0]), k)
 
 
@@ -272,11 +272,29 @@ def test_integrate_leaves_matches_serial_reference(fields):
     centered = [True, False, True, False, False, False, True]
     segs = integrate_leaves(f1u, starts, lengths, step=STEP, centered=centered)
     counts = set()
-    for seg, x, length, c in zip(segs, starts, lengths, centered):
+    for i, (x, length, c) in enumerate(zip(starts, lengths, centered)):
+        seg = segs.take([i])
         _assert_same_segment(seg, _ref_integrate_leaf(f1u, x, length, step=STEP, centered=c))
         _assert_same_segment(integrate_leaf(f1u, x, length, step=STEP, centered=c), seg)
-        counts.add(len(seg.params))
+        counts.add(seg.params.shape[1])
     assert {26, 27} <= counts
+
+
+def test_project_ignores_padded_nodes(fields):
+    f1u = fields["f1u"]
+    # rows of 51, 151 and 101 nodes: the first and the last are padded, and
+    # no row passes within 0.02 of the origin
+    rows = integrate_leaves(f1u, np.array([[0.05, 0.1], [0.1, -0.05], [0.2, 0.2]]),
+                            [0.2, 0.6, 0.4], step=STEP, centered=True)
+    assert list(rows.last) == [50, 150, 100]
+    pts = np.random.default_rng(5).uniform(-0.01, 0.01, (12, 2))
+    which = np.arange(12) % 3
+    for refine in (True, False):
+        got = rows.project(pts, refine=refine, which=which)
+        for i, t in enumerate(which):
+            want = rows.take([t]).project(pts[i:i + 1], refine=refine)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[i:i + 1], w)
 
 
 def test_cross_to_target_stacked_matches_per_target(fields):
@@ -286,7 +304,8 @@ def test_cross_to_target_stacked_matches_per_target(fields):
                                [0.8, 0.8, 1.1],
                                step=STEP, centered=True)
     groups, which, budgets = [], [], []
-    for t, (tau, budget) in enumerate(zip(targets, (0.5, 0.35, 0.6))):
+    for t, budget in enumerate((0.5, 0.35, 0.6)):
+        tau = targets.take([t])
         near = _ref_integrate_leaf(f1s, tau.evaluate([0.1])[0][0], 0.5, step=1e-3, centered=True)
         starts = near.evaluate(np.linspace(-0.2, 0.2, 7 + t))[0]
         groups.append(starts)
@@ -295,7 +314,8 @@ def test_cross_to_target_stacked_matches_per_target(fields):
     s, angle = _cross_to_target(f1s, np.concatenate(groups), targets, np.array(budgets),
                                 STEP, which=np.array(which))
     at = 0
-    for tau, starts, budget in zip(targets, groups, (0.5, 0.35, 0.6)):
+    for t, (starts, budget) in enumerate(zip(groups, (0.5, 0.35, 0.6))):
+        tau = targets.take([t])
         s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau, budget, STEP)
         assert np.array_equal(s[at:at + len(starts)], s_ref)
         assert np.array_equal(angle[at:at + len(starts)], angle_ref)
@@ -308,7 +328,7 @@ def test_cross_to_target_row_budget_escape(fields):
     near = integrate_leaf(f1s, np.zeros(2), 0.5, step=1e-3, centered=True)
     starts = near.evaluate(np.array([0.05, -0.1, 0.15]))[0]
     budgets = np.array([0.2, 0.2, 0.2])
-    s, _ = _cross_to_target(f1s, starts, [tau, tau], budgets, STEP, which=[0, 1, 0])
+    s, _ = _cross_to_target(f1s, starts, tau.take([0, 0]), budgets, STEP, which=[0, 1, 0])
     assert np.array_equal(s, _ref_cross_to_target(f1s, starts, tau, 0.2, STEP)[0])
     # the third leaf is 0.15 from the transversal; with 0.1 of budget it escapes
     budgets[2] = 0.1
@@ -323,8 +343,9 @@ def test_holonomies_match_serial_reference(fields):
                              [0.6, 0.6, 0.8],
                              step=STEP, centered=True)
     budgets = [0.9, 0.8, 1.2]
-    hols = holonomies(f1s, [tau1] * 3, tau2s, budgets, step=STEP, span=(-0.05, 0.05))
-    for hol, tau2, budget in zip(hols, tau2s, budgets):
+    hols = holonomies(f1s, tau1.take([0, 0, 0]), tau2s, budgets, step=STEP, span=(-0.05, 0.05))
+    for j, (hol, budget) in enumerate(zip(hols, budgets)):
+        tau2 = tau2s.take([j])
         ref = _ref_holonomy(f1s, tau1, tau2, budget, STEP, (-0.05, 0.05))
         assert np.array_equal(hol.samples, ref.samples)
         one = holonomy(f1s, tau1, tau2, budget=budget, step=STEP, span=(-0.05, 0.05))

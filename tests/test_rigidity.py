@@ -197,8 +197,7 @@ def test_factor_numeric_matches_linear(e1, e2, linear_fields):
     tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 3.0, centered=True)
     lin = factor_translation_linear(e1, e2, 1.0)
     num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0,
-        span=(-0.1, 0.1))
+        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0)
     assert num.numeric_deviation < 1e-8
     assert num.translation_t == pytest.approx(lin.translation_t, abs=1e-10)
 
@@ -206,8 +205,7 @@ def test_factor_numeric_matches_linear(e1, e2, linear_fields):
 def test_factor_numeric_zero_slide(e1, e2, linear_fields):
     tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 2.0, centered=True)
     num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 0.0,
-        span=(-0.1, 0.1))
+        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 0.0)
     assert num.numeric_deviation < 1e-10
 
 
