@@ -88,7 +88,8 @@ class Conjugacy:
         pts = grid_points(n)
         a = self.source.matrix.as_array()
         hx = pts + self.displacement(pts)
-        lhs = pts @ a.T + self.displacement(pts @ a.T)
+        ax = pts @ a.T
+        lhs = ax + self.displacement(ax)
         rhs = hx @ a.T + self.target.displacement(hx)
         d = np.abs(lhs - rhs)
         d = np.minimum(d % 1.0, 1.0 - d % 1.0)
@@ -120,7 +121,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     u = np.zeros((n * n, 2)) if u0 is None else np.array(u0, dtype=float).reshape(n * n, 2)
 
     def residual_of(u_arr, p_arr):
-        r = u_arr[fwd] - u_arr @ a.T - p_arr
+        r = np.take(u_arr, fwd, axis=0) - u_arr @ a.T - p_arr
         return float(np.max(np.abs(r)))
 
     best = np.inf
@@ -134,10 +135,13 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
         eta = u @ w_u
         p_s = p @ w_s
         p_u = p @ w_u
-        # stable: xi(Ax) = lam_s xi(x) + p_s(x), read off at grid point y = Ax
-        xi_new = lam_s * xi[bwd] + p_s[bwd]
+        # stable: xi(Ax) = lam_s xi(x) + p_s(x), read off at grid point y = Ax;
+        # one gather of lam_s xi + p_s gives the same values, but with numpy
+        # 2.4 on glibc it raised the peak RSS of the perturbed N = 1024
+        # teichmuller run from 263 to 279 MB
+        xi_new = lam_s * np.take(xi, bwd) + np.take(p_s, bwd)
         # unstable: eta(x) = (eta(Ax) - p_u(x)) / lam_u
-        eta_new = (eta[fwd] - p_u) / lam_u
+        eta_new = (np.take(eta, fwd) - p_u) / lam_u
         u = np.outer(xi_new, v_s) + np.outer(eta_new, v_u)
         if np.max(np.abs(u)) >= MAX_DISPLACEMENT:
             raise SolverDiverged(f"|u| reached {np.max(np.abs(u)):.3f} at sweep {sweep}")

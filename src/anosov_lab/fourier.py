@@ -78,22 +78,48 @@ class FourierPerturbation:
     def is_zero(self) -> bool:
         return len(self.wavevectors) == 0
 
+    def _phases(self, x) -> np.ndarray:
+        """theta = 2 pi k.x, shape (n, m), at the points x of shape (n, 2)."""
+        return TWO_PI * (x @ self.wavevectors.T.astype(float))
+
     def evaluate(self, x) -> np.ndarray:
         """p(x), shape (n, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
             return np.zeros_like(x)
-        theta = TWO_PI * (x @ self.wavevectors.T.astype(float))  # (n, m)
+        theta = self._phases(x)
         return np.sin(theta) @ self.sin_amps + np.cos(theta) @ self.cos_amps
 
     def derivative(self, x) -> np.ndarray:
         """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
             return np.zeros((len(x), 2, 2))
-        theta = TWO_PI * (x @ self.wavevectors.T.astype(float))
+        theta = self._phases(x)
         # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
         # the amplitude multiplies first, 2 pi k second
         rate = (np.cos(theta)[:, :, None] * self.sin_amps
                 - np.sin(theta)[:, :, None] * self.cos_amps)  # (n, m, 2)
+        return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
+
+    # evaluate and derivative hold one trig array at a time, which keeps the
+    # peak memory of a million-point conjugacy sweep down; Newton, which
+    # needs value and derivative at the same points, shares one evaluation
+    def trig(self, x):
+        """(sin theta, cos theta), each (n, m), at theta = 2 pi k.x for the
+        points x of shape (n, 2): one trig evaluation, from which
+        value_from and derivative_from form p(x) and D p(x) with the
+        expressions of evaluate and derivative."""
+        theta = self._phases(x)
+        return np.sin(theta), np.cos(theta)
+
+    def value_from(self, trig) -> np.ndarray:
+        """p(x), shape (n, 2), from trig(x)."""
+        sin, cos = trig
+        return sin @ self.sin_amps + cos @ self.cos_amps
+
+    def derivative_from(self, trig) -> np.ndarray:
+        """D p(x), shape (n, 2, 2), from trig(x)."""
+        sin, cos = trig
+        rate = cos[:, :, None] * self.sin_amps - sin[:, :, None] * self.cos_amps
         return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
 
     def scaled(self, factor: float) -> "FourierPerturbation":

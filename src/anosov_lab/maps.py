@@ -43,16 +43,22 @@ def _inv2(j, rhs=None):
     return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
 
 
-def _newton_inverse(lift, jacobian, y, z):
+def _newton_inverse(linearize, y, z):
     """Solve lift(z) = y by Newton from the starting guess z.
 
-    The whole batch stops together, at the first iterate whose largest
-    |lift(z) - y| is below NEWTON_TOL, or after NEWTON_MAX_ITERS steps."""
+    ``linearize(z)`` returns lift(z) and a function that forms jacobian(z)
+    from the same sin and cos values, so each iterate evaluates the trig
+    functions once, and the Jacobian is formed only at an iterate that has
+    not converged.  The whole batch stops together, at the first iterate
+    whose largest |lift(z) - y| is below NEWTON_TOL, or after
+    NEWTON_MAX_ITERS steps, so a point's result can depend on its
+    batchmates (a per-row stop is still open, ROADMAP item 4)."""
     for _ in range(NEWTON_MAX_ITERS):
-        res = lift(z) - y
+        value, jacobian = linearize(z)
+        res = value - y
         if np.max(np.abs(res)) < NEWTON_TOL:
             break
-        z = z - _inv2(jacobian(z), res)
+        z = z - _inv2(jacobian(), res)
     return z
 
 
@@ -86,12 +92,20 @@ class PerturbedMap:
     def jacobian(self, x):
         return self._A[None, :, :] + self.perturbation.derivative(x)
 
+    def lift_and_jacobian(self, x):
+        """lift(x) and a function that returns jacobian(x), both formed
+        from one evaluation of the perturbation's trig values at x."""
+        p = self.perturbation
+        trig = p.trig(x)
+        return (x @ self._A.T + p.value_from(trig),
+                lambda: self._A[None, :, :] + p.derivative_from(trig))
+
     def inverse(self):
         return InverseMap(self)
 
 
 class InverseMap:
-    """Inverse of any map handle, evaluated by Newton on the forward lift."""
+    """Inverse of a PerturbedMap, evaluated by Newton on the forward lift."""
 
     def __init__(self, forward):
         self.forward = forward
@@ -102,7 +116,7 @@ class InverseMap:
         return invert(self.forward.linear_part)
 
     def lift(self, y):
-        return _newton_inverse(self.forward.lift, self.forward.jacobian, y, y @ self._B.T)
+        return _newton_inverse(self.forward.lift_and_jacobian, y, y @ self._B.T)
 
     def displacement(self, y):
         return self.lift(y) - y @ self._B.T
@@ -131,10 +145,17 @@ class Diffeo:
     def derivative(self, x):
         return np.eye(2)[None, :, :] + self.q.derivative(x)
 
+    def lift_and_derivative(self, x):
+        """lift(x) and a function that returns derivative(x), both formed
+        from one evaluation of q's trig values at x."""
+        trig = self.q.trig(x)
+        return (x + self.q.value_from(trig),
+                lambda: np.eye(2)[None, :, :] + self.q.derivative_from(trig))
+
     def inverse_lift(self, y):
         """Solve x + q(x) = y by Newton; the contraction bound makes the
         linear initial guess x = y sufficient."""
-        return _newton_inverse(self.lift, self.derivative, y, y.copy())
+        return _newton_inverse(self.lift_and_derivative, y, y.copy())
 
 
 class ConjugatedMap:
@@ -168,10 +189,23 @@ class ConjugatedMap:
         return self.jacobian_at_preimage(self.phi.inverse_lift(x))
 
     def jacobian_at_preimage(self, w):
-        """jacobian at the points phi(w), from w = phi^{-1}(x) itself."""
+        """jacobian at the points phi(w), from w = phi^{-1}(x) itself:
+        D phi(A w) A D phi(w)^{-1}, the 2x2 product written out.
+
+        Each entry (i, l) sums (d_out[i, j] A[j, k]) d_in_inv[k, l] over
+        (j, k) in row-major order, starting from +0.0, which is the order
+        and association of np.einsum("nij,jk,nkl->nil", ...) to the bit."""
         d_out = self.phi.derivative(w @ self._A.T)
-        d_in = self.phi.derivative(w)
-        return np.einsum("nij,jk,nkl->nil", d_out, self._A, _inv2(d_in))
+        d_in_inv = _inv2(self.phi.derivative(w))
+        out = np.empty_like(d_out)
+        for i in range(2):
+            for l in range(2):
+                acc = 0.0
+                for j in range(2):
+                    for k in range(2):
+                        acc = (d_out[:, i, j] * self._A[j, k]) * d_in_inv[:, k, l] + acc
+                out[:, i, l] = acc
+        return out
 
     def backward(self, x):
         """inverse().apply(x) and w = phi^{-1}(x), for points x (n, 2), from

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from anosov_lab.conjugacy import (
+    MAX_SWEEPS,
     PeriodicOrbitData,
+    _index_permutation,
     _iterated_lift,
     _lattice_seeds,
     compare_smooth_invariants,
@@ -15,7 +17,7 @@ from anosov_lab.conjugacy import (
 )
 from anosov_lab.errors import AnosovLabError, NewtonFailed, PeriodOutOfRange
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, power, wrap_point
+from anosov_lab.lattice import IntMatrix2, grid_points, invert, power, wrap_point
 from anosov_lab.maps import PerturbedMap
 from anosov_lab.rigidity import teichmuller_experiment
 
@@ -62,6 +64,49 @@ def test_uniqueness_from_different_seeds(e1, conj_g1):
     u0 = 0.01 * rng.standard_normal((n * n, 2))
     h1 = solve_conjugacy(e1, conj_g1, n=n, u0=u0)
     assert np.max(np.abs(h0.displacement.values - h1.displacement.values)) < 1e-8
+
+
+def _ref_solve(a_elem, g, n):
+    """solve_conjugacy's sweep with its fancy-index gathers, kept as it was
+    (a converging solve only): the displacement values and the residual."""
+    m = a_elem.matrix
+    a = m.as_array()
+    pts = grid_points(n)
+    fwd = _index_permutation(m, n)
+    bwd = _index_permutation(invert(m), n)
+    w_s, w_u = a_elem.dual_basis()
+    lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
+    u = np.zeros((n * n, 2))
+    for _ in range(MAX_SWEEPS):
+        p = g.displacement(pts + u)
+        res = float(np.max(np.abs(u[fwd] - u @ a.T - p)))
+        if res < 1e-9:
+            return u, res
+        xi, eta = u @ w_s, u @ w_u
+        p_s, p_u = p @ w_s, p @ w_u
+        u = (np.outer(lam_s * xi[bwd] + p_s[bwd], a_elem.vs)
+             + np.outer((eta[fwd] - p_u) / lam_u, a_elem.vu))
+    raise AssertionError("reference solve did not converge")
+
+
+def _ref_residual_on_grid(h, n):
+    pts = grid_points(n)
+    a = h.source.matrix.as_array()
+    hx = pts + h.displacement(pts)
+    lhs = pts @ a.T + h.displacement(pts @ a.T)
+    d = np.abs(lhs - (hx @ a.T + h.target.displacement(hx)))
+    return float(np.minimum(d % 1.0, 1.0 - d % 1.0).max())
+
+
+@pytest.mark.parametrize("handle, n", [("conj_g1", 256), ("perturbed_g1", 512)])
+def test_solve_matches_fancy_index_reference(request, e1, handle, n):
+    g = request.getfixturevalue(handle)
+    h = solve_conjugacy(e1, g, n=n)
+    u, res = _ref_solve(e1, g, n)
+    assert np.array_equal(h.displacement.values, u)
+    assert np.array_equal(np.signbit(h.displacement.values), np.signbit(u))
+    assert h.residual == res
+    assert h.residual_on_grid(96) == _ref_residual_on_grid(h, 96)
 
 
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):

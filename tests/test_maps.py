@@ -3,7 +3,7 @@ import pytest
 
 from anosov_lab.errors import NotADiffeo
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import invert
+from anosov_lab.lattice import IntMatrix2, eigen_data, invert
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -53,6 +53,12 @@ def perturbed(e1):
     p = FourierPerturbation.from_sin_cos([((0, 1), (0.004, 0.0), None),
                                           ((1, 0), None, (0.0, 0.003))])
     return PerturbedMap(e1, p)
+
+
+@pytest.fixture(scope="module")
+def phi_two_mode():
+    return Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (0.02, 0.0), None),
+                                                   ((1, 1), (0.0, 0.01), (0.005, 0.0))]))
 
 
 def test_linear_map_matches_matrix(linear_g1, e1):
@@ -132,8 +138,9 @@ def test_cone_margin_monotone_in_aperture(linear_g1, e1):
     assert margins[0] >= margins[1] >= margins[2]
 
 
-# --- references: the three inline 2x2 formulas and the two Newton loops that
-# _inv2 and _newton_inverse replace, kept as they were ---------------------
+# --- references: the three inline 2x2 formulas (the conjugated one a
+# three-operand einsum) and the two Newton loops that _inv2,
+# jacobian_at_preimage and _newton_inverse replace, kept as they were ------
 
 def _ref_solve2(j, rhs):
     det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
@@ -228,10 +235,13 @@ def test_jacobians_match_inline_inverses(perturbed, conj_g1):
                       _ref_conjugated_jacobian(conj_g1.inverse(), y))
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
-def test_newton_inverse_matches_both_loops(perturbed, phi02, n):
+@pytest.mark.parametrize("n", [1, 7, 300, 16384])
+def test_newton_inverse_matches_both_loops(perturbed, phi02, phi_two_mode, n):
+    # the loops evaluate lift and jacobian in two calls at each iterate;
+    # _newton_inverse forms both from one trig evaluation
     y = RNG.random((n, 2)) * 3.0 - 1.0
-    _assert_same_bits(phi02.inverse_lift(y), _ref_diffeo_inverse_lift(phi02, y))
+    for phi in (phi02, phi_two_mode):
+        _assert_same_bits(phi.inverse_lift(y), _ref_diffeo_inverse_lift(phi, y))
     handle = InverseMap(perturbed)
     _assert_same_bits(handle.lift(y), _ref_inverse_map_lift(handle, y))
 
@@ -242,3 +252,21 @@ def test_newton_inverse_returns_a_fresh_array(phi02):
     x = phi02.inverse_lift(y)
     x += 1.0
     assert np.all(y == 0.0)
+
+
+@pytest.mark.parametrize("phi_name", ["phi02", "phi_two_mode"])
+@pytest.mark.parametrize("rows", [((2, 1), (1, 1)), ((1, 1), (1, 2)), ((5, 2), (2, 1)),
+                                  ((2, 1), (5, 3))])
+def test_conjugated_jacobian_matches_einsum(request, phi_name, rows):
+    # with entries of A at most 2, d_out[i, j] A[j, k] is exact and the
+    # association of the written-out product does not show; an entry above
+    # 2 rounds.  D phi02 has its one inexact entry in row 0, column 1, so it
+    # meets only the second row of A: [[2, 1], [5, 3]] puts the 5 there
+    phi = request.getfixturevalue(phi_name)
+    x = np.random.default_rng(17).random((2000, 2)) * 3.0 - 1.0
+    # rows of signed zeros; phi02 fixes 0, so there they reach
+    # jacobian_at_preimage as they are
+    x[:4] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+    handle = ConjugatedMap(phi, eigen_data(IntMatrix2.from_rows(rows)))
+    for h in (handle, handle.inverse()):
+        _assert_same_bits(h.jacobian(x), _ref_conjugated_jacobian(h, x))
