@@ -93,21 +93,15 @@ class FourierPerturbation:
         """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""
         if self.is_zero:
             return np.zeros((len(x), 2, 2))
-        theta = self._phases(x)
-        # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
-        # the amplitude multiplies first, 2 pi k second
-        rate = (np.cos(theta)[:, :, None] * self.sin_amps
-                - np.sin(theta)[:, :, None] * self.cos_amps)  # (n, m, 2)
-        return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
+        return self.derivative_from(self.trig(x))
 
-    # evaluate and derivative hold one trig array at a time, which keeps the
-    # peak memory of a million-point conjugacy sweep down; Newton, which
-    # needs value and derivative at the same points, shares one evaluation
+    # evaluate holds one trig array at a time, which keeps the peak memory of
+    # a million-point conjugacy sweep down; Newton, which needs value and
+    # derivative at the same points, shares one evaluation
     def trig(self, x):
         """(sin theta, cos theta), each (n, m), at theta = 2 pi k.x for the
         points x of shape (n, 2): one trig evaluation, from which
-        value_from and derivative_from form p(x) and D p(x) with the
-        expressions of evaluate and derivative."""
+        value_from and derivative_from form p(x) and D p(x)."""
         theta = self._phases(x)
         return np.sin(theta), np.cos(theta)
 
@@ -119,6 +113,8 @@ class FourierPerturbation:
     def derivative_from(self, trig) -> np.ndarray:
         """D p(x), shape (n, 2, 2), from trig(x)."""
         sin, cos = trig
+        # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
+        # the amplitude multiplies first, 2 pi k second
         rate = cos[:, :, None] * self.sin_amps - sin[:, :, None] * self.cos_amps
         return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
 
