@@ -95,9 +95,10 @@ class FourierPerturbation:
             return np.zeros((len(x), 2, 2))
         return self.derivative_from(self.trig(x))
 
-    # evaluate holds one trig array at a time, which keeps the peak memory of
-    # a million-point conjugacy sweep down; Newton, which needs value and
-    # derivative at the same points, shares one evaluation
+    # evaluate holds one trig array at a time, which keeps down the peak
+    # memory of the conjugacy solve's million-point evaluations of p on the
+    # N = 1024 grid; Newton, which needs value and derivative at the same
+    # points, shares one evaluation
     def trig(self, x):
         """(sin theta, cos theta), each (n, m), at theta = 2 pi k.x for the
         points x of shape (n, 2): one trig evaluation, from which

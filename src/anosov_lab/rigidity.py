@@ -511,11 +511,14 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
 
     With a single generator (``e2 is None``) only the smooth-invariant
     obstruction is tested; a mismatch above threshold yields the verdict
-    ``obstructed``.  Otherwise the pipeline is: solve the conjugacy for
-    g1, compare periodic data, build all four invariant line fields,
-    measure pairwise transversality, transport local graphs to
-    heteroclinic points, linearize the induced translation action along
-    both eigen-directions, and test refinement stability of the secant
+    ``obstructed``, and otherwise an ``inconclusive`` verdict whose errors
+    say that only one generator map was given.  Otherwise the pipeline is:
+    solve the conjugacy for g1, compare periodic data, check the pair
+    hypothesis (when it fails, the errors name it and the line fields and
+    Lemma 3 are skipped), build all four invariant line fields, measure
+    pairwise transversality, transport local graphs to heteroclinic
+    points, linearize the induced translation action along both
+    eigen-directions, and test refinement stability of the secant
     Jacobian of h.  ``phi``, when given, is the known smooth conjugacy
     used for the independent Jacobian cross-check.  ``radius`` and ``eps``
     are those of ``tangency_propagation_check``.
@@ -559,27 +562,36 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
             errors.append(f"estimate_holder_exponent: {type(exc).__name__}: {exc}")
 
     if obstructed or e2 is None or g2 is None:
+        if not obstructed:
+            errors.append("pair: only one generator map was given, so the line fields, "
+                          "Lemma 3 and Proposition 1 were not run")
         verdict = "obstructed" if obstructed else "inconclusive"
         return TeichmullerVerdict(
             transversality_min_angle=angle_min, lemma3_deviation=lemma3,
             prop1_affinity_residual=prop1, jacobian_consistency=jac_stab,
             verdict=verdict, diagnostics=diag, errors=errors)
 
-    diag["pair_min_sine"] = check_pair_hypothesis(e1, e2).min_pairwise_sine
+    pair = check_pair_hypothesis(e1, e2)
+    diag["pair_min_sine"] = pair.min_pairwise_sine
 
     # --- the four invariant line fields and Lemma 2 ------------------------
     fields = {}
-    try:
-        fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
-        a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
-        a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
-        angle_min = min(a1, a2)
-        diag["transversality_pairs"] = {
-            "E1u_vs_E2s": (a1, tuple(np.asarray(at1, dtype=float))),
-            "E2u_vs_E1s": (a2, tuple(np.asarray(at2, dtype=float))),
-        }
-    except AnosovLabError as exc:
-        errors.append(f"line_fields: {type(exc).__name__}: {exc}")
+    if not pair.hypothesis_ok:
+        errors.append(f"pair_hypothesis: the eigen-directions of g1 and g2 are not pairwise "
+                      f"transverse (min sine {pair.min_pairwise_sine:g}), so the line fields "
+                      f"and Lemma 3 were not run")
+    else:
+        try:
+            fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
+            a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
+            a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
+            angle_min = min(a1, a2)
+            diag["transversality_pairs"] = {
+                "E1u_vs_E2s": (a1, tuple(np.asarray(at1, dtype=float))),
+                "E2u_vs_E1s": (a2, tuple(np.asarray(at2, dtype=float))),
+            }
+        except AnosovLabError as exc:
+            errors.append(f"line_fields: {type(exc).__name__}: {exc}")
 
     # --- Lemma 3: graph transport to heteroclinic points -------------------
     if fields:

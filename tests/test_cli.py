@@ -211,6 +211,30 @@ def test_lemma3_matches_teichmuller_on_identity_conjugacy(tmp_path):
     assert len(tables[0].splitlines()) == 1 + 8
 
 
+def _teichmuller_errors(tmp_path, generators):
+    code, out = run(tmp_path, "teichmuller", "--set", f"group.generators={generators}",
+                    "--set", "resolution.field_n=32", "--set", "resolution.grid_n=64")
+    doc = json.loads((out / "teichmuller-report.json").read_text())
+    assert (code, doc["verdict"]) == (3, "inconclusive")
+    return doc["diagnostics"]["errors"], doc["diagnostics"]["diagnostics"]
+
+
+def test_teichmuller_single_generator_names_the_missing_pair(tmp_path):
+    errors, _ = _teichmuller_errors(tmp_path, "[[[2,1],[1,1]]]")
+    assert errors == ["pair: only one generator map was given, so the line fields, "
+                      "Lemma 3 and Proposition 1 were not run"]
+
+
+def test_teichmuller_failed_pair_hypothesis_skips_line_fields(tmp_path):
+    errors, diag = _teichmuller_errors(tmp_path, "[[[2,1],[1,1]],[[2,1],[1,1]]]")
+    assert len(errors) == 1
+    assert errors[0].startswith("pair_hypothesis: ")
+    assert "(min sine 0)" in errors[0]
+    assert diag["pair_min_sine"] == 0.0
+    assert "transversality_pairs" not in diag and "propagation_rows" not in diag
+    assert "prop1" in diag  # Proposition 1 needs only g1
+
+
 def test_periodic_data_clean_exit_zero(tmp_path):
     code, out = run(tmp_path, "periodic-data")
     assert code == 0

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosov_lab.conjugacy import (
-    MAX_SWEEPS,
+    MAX_ITERATIONS,
     PeriodicOrbitData,
     _index_permutation,
+    _OrbitLayout,
     _iterated_lift,
     _lattice_seeds,
     compare_smooth_invariants,
@@ -17,8 +20,8 @@ from anosov_lab.conjugacy import (
 )
 from anosov_lab.errors import AnosovLabError, NewtonFailed, PeriodOutOfRange
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, grid_points, invert, power, wrap_point
-from anosov_lab.maps import PerturbedMap
+from anosov_lab.lattice import IntMatrix2, eigen_data, grid_points, invert, power, wrap_point
+from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.rigidity import teichmuller_experiment
 
 
@@ -67,8 +70,9 @@ def test_uniqueness_from_different_seeds(e1, conj_g1):
 
 
 def _ref_solve(a_elem, g, n):
-    """solve_conjugacy's sweep with its fancy-index gathers, kept as it was
-    (a converging solve only): the displacement values and the residual."""
+    """A Jacobi-sweep solve, one sweep per evaluation of p, with
+    fancy-index gathers (a converging solve only): the displacement values
+    and the residual."""
     m = a_elem.matrix
     a = m.as_array()
     pts = grid_points(n)
@@ -77,7 +81,7 @@ def _ref_solve(a_elem, g, n):
     w_s, w_u = a_elem.dual_basis()
     lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
     u = np.zeros((n * n, 2))
-    for _ in range(MAX_SWEEPS):
+    for _ in range(MAX_ITERATIONS):
         p = g.displacement(pts + u)
         res = float(np.max(np.abs(u[fwd] - u @ a.T - p)))
         if res < 1e-9:
@@ -100,13 +104,103 @@ def _ref_residual_on_grid(h, n):
 
 @pytest.mark.parametrize("handle, n", [("conj_g1", 256), ("perturbed_g1", 512)])
 def test_solve_matches_fancy_index_reference(request, e1, handle, n):
+    # both stop below the 1e-9 residual from different iterates, so u
+    # agrees to about that residual, not bit for bit
     g = request.getfixturevalue(handle)
     h = solve_conjugacy(e1, g, n=n)
     u, res = _ref_solve(e1, g, n)
-    assert np.array_equal(h.displacement.values, u)
-    assert np.array_equal(np.signbit(h.displacement.values), np.signbit(u))
-    assert h.residual == res
+    assert h.residual < 1e-9 and res < 1e-9
+    assert np.max(np.abs(h.displacement.values - u)) <= 2e-9
     assert h.residual_on_grid(96) == _ref_residual_on_grid(h, 96)
+
+
+@pytest.mark.parametrize("rows", [((2, 1), (1, 1)), ((2, 1), (5, 3)), ((5, 2), (2, 1))])
+@pytest.mark.parametrize("n", [64, 100, 256])
+def test_orbit_layout_rows_follow_the_permutation(rows, n):
+    m = IntMatrix2.from_rows(rows)
+    fwd = _index_permutation(m, n)
+    layout = _OrbitLayout(m, n)
+    assert np.array_equal(np.sort(layout.order), np.arange(n * n))
+    end, lengths = 0, []
+    for start, stop, length in layout.blocks:
+        assert start == end
+        block = layout.order[start:stop].reshape(-1, length)
+        # row k, column j holds A^j of the row's first index, and A^length
+        # closes the row; the first index is the row's smallest
+        assert np.array_equal(fwd[block], np.roll(block, -1, axis=1))
+        assert np.array_equal(block[:, 0], block.min(axis=1))
+        end, lengths = stop, lengths + [length]
+    assert end == n * n
+    assert lengths == sorted(set(lengths))
+    # shift(f, s) is f o A^s: f at the grid index s steps along the row
+    f = np.random.default_rng(n).standard_normal((n * n, 2))
+    for s in (1, -1, 5, 64):
+        perm = np.arange(n * n)
+        for _ in range(abs(s)):
+            perm = fwd[perm] if s > 0 else np.argsort(fwd)[perm]
+        out = layout.shift(layout.gather(f), s, np.empty_like(f))
+        assert np.array_equal(layout.scatter(out), f[perm])
+
+
+def _phi_sup_error(a_elem, phi, n):
+    h = solve_conjugacy(a_elem, ConjugatedMap(phi, a_elem), n=n)
+    pts = grid_points(n)
+    return h.residual, float(np.max(np.abs(h.lift(pts) - phi.lift(pts))))
+
+
+@pytest.mark.parametrize("amp", [0.12, 0.15])
+def test_solve_gives_phi_for_large_derivative(e1, amp):
+    # |Dq| = 2 pi amp = 0.75 and 0.94, near the bound 1 that config accepts;
+    # a Jacobi sweep per evaluation of p diverges on both
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
+    residual, err = _phi_sup_error(e1, phi, 128)
+    assert residual < 1e-9
+    assert err < 1e-8
+
+
+def test_solve_gives_phi_for_negative_trace():
+    # signed eigenvalues: both series alternate in sign
+    e = eigen_data(IntMatrix2.from_rows(((-2, -1), (-1, -1))))
+    assert e.signed_lambda_s < 0
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((1, 1), (0.01, -0.005), (0.0, 0.004))]))
+    _, err = _phi_sup_error(e, phi, 128)
+    assert err < 1e-8
+
+
+_wavevector = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda k: k != (0, 0))
+_amplitude = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(modes=st.lists(st.tuples(_wavevector, _amplitude, _amplitude), min_size=2, max_size=2),
+       bound=st.floats(0.01, 0.099))
+def test_solve_gives_phi_for_drawn_two_mode_diffeo(modes, bound):
+    q = FourierPerturbation.from_sin_cos(modes)
+    if q.deriv_bound < 1e-3:  # the modes cancel or vanish
+        return
+    phi = Diffeo(q.scaled(bound / q.deriv_bound))
+    e = eigen_data(IntMatrix2.from_rows(((2, 1), (1, 1))))
+    _, err = _phi_sup_error(e, phi, 128)
+    assert err < 1e-8
+
+
+@pytest.mark.parametrize("handle", ["conj_g1", "perturbed_g1", "two_mode_g1"])
+def test_reported_residual_is_the_grid_order_residual(request, e1, handle):
+    g = request.getfixturevalue(handle)
+    n = 128
+    h = solve_conjugacy(e1, g, n=n)
+    u = h.displacement.values
+    p = g.displacement(grid_points(n) + u)
+    r = u[_index_permutation(e1.matrix, n)] - u @ e1.matrix.as_array().T - p
+    assert h.residual == float(np.max(np.abs(r)))
+
+
+def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeypatch):
+    calls = []
+    displacement = perturbed_g1.displacement
+    monkeypatch.setattr(perturbed_g1, "displacement", lambda x: calls.append(len(x)) or displacement(x))
+    solve_conjugacy(e1, perturbed_g1, n=256)
+    assert 1 < len(calls) <= 6
 
 
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):
