@@ -122,7 +122,8 @@ class ExperimentConfig:
     prop1_profile_amp: float
 
     def echo(self) -> dict:
-        """The fully resolved document (defaults included)."""
+        """The fully resolved document (defaults included), without the
+        output directory."""
         return self.doc
 
     def build_phi(self) -> Diffeo | None:
@@ -246,7 +247,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     # an explicit --out wins over the environment, which wins over the config
     resolved_out = out_dir or os.environ.get("ANOSOV_LAB_OUT") or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean
-    doc["experiment"]["out_dir"] = resolved_out
+    # the echo leaves the output path out, so two directories get the same bytes
+    del doc["experiment"]["out_dir"]
     return ExperimentConfig(
         doc=doc,
         generators=elements,

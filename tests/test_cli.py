@@ -267,6 +267,16 @@ def test_config_echo_round_trip(tmp_path):
     assert cfg.echo()["resolution"] == echo["resolution"]
 
 
+def test_bundles_in_two_directories_are_byte_identical(tmp_path):
+    bundles = []
+    for name in ("a", "elsewhere"):
+        code, out = run(tmp_path / name, "eigen")
+        assert code == 0
+        bundles.append((out / "eigen-report.json").read_bytes())
+        assert "out_dir" not in json.loads(bundles[-1])["config_echo"]["experiment"]
+    assert bundles[0] == bundles[1]
+
+
 def test_determinism_byte_identical(tmp_path):
     out = tmp_path / "same"
     assert main(["factorize", "--out", str(out)]) == 0
