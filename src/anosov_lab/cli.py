@@ -204,13 +204,17 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     handles = cfg.build_handles()
     g2 = handles[1] if len(handles) > 1 and cfg.kind != "perturbed" else None
     phi = cfg.build_phi() if cfg.kind == "conjugated" else None
+    # g_i = A_i + p: two such maps need not commute, so they need not form
+    # the Z^2 action that the pair checks assume
+    unpaired = ("the second map of a perturbed pair is not used, since A1 + p and A2 + p need "
+                "not commute") if cfg.kind == "perturbed" and len(handles) > 1 else None
     with report.time_block("teichmuller"):
         verdict = teichmuller_experiment(
             e1, handles[0], e2 if g2 is not None else None, g2, phi=phi,
             thresholds=cfg.thresholds, grid_n=cfg.grid_n, field_n=cfg.field_n,
             field_iters=cfg.field_iters, max_period=cfg.max_period,
             propagation_step=cfg.propagation_step, span=cfg.span, seed=cfg.seed,
-            radius=cfg.radius, eps=cfg.eps)
+            radius=cfg.radius, eps=cfg.eps, unpaired=unpaired)
     report.diagnostics.update(verdict.to_dict())
     prop = verdict.diagnostics.get("propagation_rows")
     if prop:

@@ -122,8 +122,7 @@ class ExperimentConfig:
     prop1_profile_amp: float
 
     def echo(self) -> dict:
-        """The fully resolved document (defaults included), without the
-        output directory."""
+        """The fully resolved document (defaults included) but the output directory."""
         return self.doc
 
     def build_phi(self) -> Diffeo | None:

@@ -7,6 +7,10 @@ continuity.  Leaves are integrated in the universal cover with fixed-step
 crossing logic never wraps ambiguously.  Many leaves of one field advance
 together, one field lookup per RK4 stage for all of them; each keeps the
 iterates it would take alone.  A single leaf is a one-row ``LeafBundle``.
+
+A march brackets each crossing of a leaf with a transversal, at the first
+step whose fast signed distance changes sign; ``_hermite_crossings``
+intersects the leaf's and the transversal's cubic Hermite segments there.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import PeriodicBicubic
-from .lattice import eigen_data, grid_points, line_angle
+from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
 DEFAULT_STEP = 1e-3
 MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
+HERMITE_NEWTON_STEPS = 4  # from the bracket's linear guess, 2 reach rounding level
+SEGMENT_SLACK = 1e-9  # a crossing this far past a node stays on its segment
 
 
 def _unit(theta):
@@ -268,17 +274,16 @@ class LeafBundle:
             tangents[moved] = sign * new_hd
         return pts, tangents
 
-    def project(self, pts, refine: bool = True, which=0):
+    def project(self, pts, which=0):
         """Return (s, signed_distance, tangent) for points pts of shape (m, 2),
         point i projected onto row which[i] (one index may serve all).
 
         Nearest-node search plus parabolic refinement of the squared
-        distance; exact for straight leaves.  With ``refine`` the foot
-        points are recomputed by RK4 sub-steps from the nearest nodes, one
-        batched ``evaluate`` call for all points; without it the foot is
-        linearly interpolated between nodes, which is cheap and accurate to
-        O(step^2) -- enough for sign tracking during leaf marching.  Each
-        point gets the result of a projection onto its own row alone.
+        distance; exact for straight leaves.  The foot is linearly
+        interpolated along the nearest node's heading, accurate to
+        O(step^2): enough to bracket a crossing, which ``_hermite_crossings``
+        then solves.  Each point gets the result of a projection onto its
+        own row alone.
         """
         which = np.broadcast_to(which, (len(pts),))
         # one row broadcasts its nodes; several are gathered per point
@@ -303,19 +308,9 @@ class LeafBundle:
             par = np.where(np.abs(denom) > 1e-30, 0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
             offset[interior] = np.clip(par, -1.0, 1.0)
         s = self.params[which, idx] + offset * h
-        if refine:
-            foot, tang = self.evaluate(s, which)
-            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-            # a stacked 1x2 @ 2x1 matmul sums each row with the BLAS dot
-            # kernel, as np.dot does on one point; einsum can round the last
-            # bit differently
-            dist = ((pts - foot)[:, None, :] @ n_vec[:, :, None])[:, 0, 0]
-        else:
-            foot = node + (offset * h)[:, None] * head
-            tang = head
-            n_vec = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-            dist = np.einsum("ni,ni->n", pts - foot, n_vec)
-        return s, dist, tang
+        foot = node + (offset * h)[:, None] * head
+        n_vec = np.stack([-head[:, 1], head[:, 0]], axis=1)
+        return s, np.einsum("ni,ni->n", pts - foot, n_vec), head
 
 
 # the name bench/spans.py wraps for the projection's span
@@ -406,29 +401,20 @@ def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STE
     return integrate_leaves(field, x[None], [length], step=step, centered=centered)
 
 
-def _initial_toward(field, starts, targets: LeafBundle, which=0):
-    """Headings pointing so the signed distance to the target row shrinks."""
-    d = field.direction_at(np.mod(starts, 1.0))
-    _, dist, tang = targets.project(starts, refine=False, which=which)
-    normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-    rate = np.einsum("ni,ni->n", d, normal)
-    sign = -np.sign(dist * rate)
-    sign[sign == 0] = 1.0
-    return d * sign[:, None]
-
-
 def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step: float,
                      which=0, tags=None):
     """March leaves of ``field`` from ``starts`` until each crosses its target.
 
     Row i marches toward the target row which[i] for at most ``budget[i]``
     of arc length (``which`` and ``budget`` may be one value for every
-    row).  All leaves advance together; a leaf stops at the first step
-    whose fast signed distance changes sign.  After the march the crossings
-    of all stopped leaves are refined in one batched bisection
-    (``_refine_crossings``), before any escape or tangency check.  Only
-    marching rows are evaluated, so a stacked call gives each row what a
-    call with its target alone gives it.
+    row), starting in the direction in which its fast signed distance
+    (``LeafBundle.project``) shrinks.  All leaves advance together; a leaf
+    stops at the first step whose fast signed distance changes sign, so a
+    start on the target brackets in its first step.  After the march one
+    ``_hermite_crossings`` call solves the crossings of all stopped leaves,
+    before any escape or tangency check.  Only marching rows are
+    evaluated, so a stacked call gives each row what a call with its
+    target alone gives it.
 
     Returns (s_prime, crossing_angle) arrays.  Raises LeafEscaped when a
     leaf exhausts its budget, TangencySuspected for shallow crossings;
@@ -438,26 +424,21 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     m = len(pts)
     which = np.broadcast_to(which, (m,))
     budget = np.broadcast_to(np.asarray(budget, dtype=float), (m,))
-    hd = _initial_toward(field, pts, targets, which)
-    _, dist, _ = targets.project(pts, which=which)
+    foot, dist, tang = targets.project(pts, which=which)
+    # headings pointing so the signed distance to the target row shrinks
+    hd = field.direction_at(np.mod(pts, 1.0))
+    rate = np.einsum("ni,ni->n", hd, np.stack([-tang[:, 1], tang[:, 0]], axis=1))
+    sign = -np.sign(dist * rate)
+    sign[sign == 0] = 1.0
+    hd *= sign[:, None]
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
 
-    # points starting on the curve cross at once
-    on_curve = np.abs(dist) < 1e-13
-    if np.any(on_curve):
-        s_here, _, tang = targets.project(pts[on_curve], which=which[on_curve])
-        s_out[on_curve] = s_here
-        d_here = field.direction_at(np.mod(pts[on_curve], 1.0))
-        ang_out[on_curve] = line_angle(d_here, tang)
-        active[on_curve] = False
-
     n_steps = np.ceil(budget / step)
-    # node and heading at the start of the step in which each leaf crossed
-    crossed = np.zeros(m, dtype=bool)
-    node_pts = np.empty_like(pts)
-    node_hd = np.empty_like(pts)
+    # node, heading, fast distance and foot parameter at the start of the
+    # step in which each leaf crossed; the end of that step is its last state
+    before = (np.empty_like(pts), np.empty_like(pts), np.empty(m), np.empty(m))
     for i in range(int(n_steps.max())):
         rows = np.flatnonzero(active & (n_steps > i))
         if len(rows) == 0:
@@ -466,21 +447,18 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
         rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
         if rough.any():
             raise _failure(SignAmbiguity, "field too rough along holonomy leaf", rows[rough], tags)
-        _, new_dist, _ = targets.project(stepped, refine=False, which=which[rows])
-        flipped = (np.sign(new_dist) != np.sign(dist[rows])) & (dist[rows] != 0.0)
-        hit = rows[flipped]
-        node_pts[hit] = pts[hit]
-        node_hd[hit] = hd[hit]
-        crossed[hit] = True
+        new_foot, new_dist, _ = targets.project(stepped, which=which[rows])
+        hit = rows[np.sign(new_dist) != np.sign(dist[rows])]
+        for kept, now in zip(before, (pts, hd, dist, foot)):
+            kept[hit] = now[hit]
         active[hit] = False
-        pts[rows] = stepped
-        hd[rows] = hd_step
-        dist[rows] = new_dist
-    if crossed.any():
-        rows = np.flatnonzero(crossed)
-        s_out[rows], ang_out[rows] = _refine_crossings(
-            field, node_pts[rows], node_hd[rows], step, targets, which[rows],
-            _row_tags(tags, rows))
+        pts[rows], hd[rows], dist[rows], foot[rows] = stepped, hd_step, new_dist, new_foot
+    c = np.flatnonzero(~active)
+    if len(c):
+        _, s_out[c], ang_out[c], _ = _hermite_crossings(
+            field, (before[0][c], pts[c]), (before[1][c], hd[c]), np.full(len(c), step),
+            (before[2][c], dist[c]), (before[3][c], foot[c]), targets, which[c],
+            _row_tags(tags, c))
     if active.any():
         raise _failure(LeafEscaped,
                        f"{int(active.sum())} leaves did not reach the transversal "
@@ -494,75 +472,80 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     return s_out, ang_out
 
 
-def _refine_crossings(field, node_pts, node_hds, step, targets: LeafBundle, which=0,
-                      tags=None):
-    """Bisection on the signed distance within one integration step, for
-    many leaves at once, row i against the target row which[i].
+def _hermite_segments(field: LineField, p0, p1, h0, h1, spacing):
+    """Power-form coefficients (c0, c1, c2, c3), each (m, 2), of the cubic
+    Hermite segments t -> c0 + c1 t + c2 t^2 + c3 t^3, t in [0, 1], from p0
+    to p1, spacing apart in arc length, with the field's directions there
+    signed like the headings h0 and h1: one batched lookup."""
+    m = len(p0)
+    d, _ = _aligned_direction(field, np.concatenate([p0, p1]), np.concatenate([h0, h1]))
+    d0, d1 = spacing[:, None] * d[:m], spacing[:, None] * d[m:]
+    return p0, d0, 3 * (p1 - p0) - 2 * d0 - d1, d1 + d0 - 2 * (p1 - p0)
 
-    Row i starts from the bracket [0, step] in the flow parameter from
-    node_pts[i] along node_hds[i], widened to (-0.5, 1.5) * step and then
-    (-1, 2) * step if the refined distance has one sign at both ends, and
-    stops when |d| < 1e-10, the bracket is shorter than 1e-14, or after 80
-    midpoints.  Each iteration evaluates only the rows still live, so every
-    row takes the same iterates as a bisection of that leaf alone.
-    Returns (s, crossing_angle) at the last midpoint of each row; raises
-    SignAmbiguity, naming the rows by ``tags``, if some row's bracket
-    cannot be restored.
+
+def _cubic_at(coef, t):
+    """Points and t-derivatives, each (m, 2), of the cubics ``coef`` at t (m,)."""
+    c0, c1, c2, c3 = coef
+    t = t[:, None]
+    return c0 + t * (c1 + t * (c2 + t * c3)), c1 + t * (2 * c2 + 3 * t * c3)
+
+
+def _intersect(mover, target, sigma, tau):
+    """Newton in (sigma, tau) on mover(sigma) = target(tau): a fixed number
+    of steps, each a batched 2x2 solve, so no row depends on its batchmates."""
+    for _ in range(HERMITE_NEWTON_STEPS):
+        (m_pt, m_d), (t_pt, t_d) = _cubic_at(mover, sigma), _cubic_at(target, tau)
+        delta = _inv2(np.stack([m_d, -t_d], axis=2), m_pt - t_pt)
+        sigma, tau = sigma - delta[:, 0], tau - delta[:, 1]
+    return sigma, tau
+
+
+def _hermite_crossings(field: LineField, nodes, heads, spacing, dist, foot,
+                       targets: LeafBundle, which, tags=None):
+    """Crossings of leaf steps of ``field`` with their target rows, row i
+    against target row which[i], as intersections of two cubic Hermite
+    segments (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+
+    Row i's mover runs from nodes[0][i] to nodes[1][i], spacing[i] apart,
+    with headings heads[0][i] and heads[1][i]; there its fast signed
+    distances to the target, dist[0][i] and dist[1][i], differ in sign, and
+    foot[0][i] and foot[1][i] are its fast foot parameters.  The target
+    segment joins the two stored target nodes around the foot interpolated
+    at the linear zero of the distance.  When the solve leaves that segment
+    it moves once to the adjacent one.
+
+    Returns (sigma, s_prime, crossing_angle, point): the mover's fraction
+    of its step, the target parameter, the angle between the two curves and
+    the crossing point.  Raises SignAmbiguity, naming the rows by ``tags``,
+    for a crossing on neither segment.
     """
-    m = len(node_pts)
-    which = np.broadcast_to(which, (m,))
-
-    def dist_at(rows, sigma):
-        p = node_pts[rows]
-        h = node_hds[rows]
-        moved = sigma != 0.0
-        if moved.any():
-            p[moved], h[moved], _ = _rk4_step(field, p[moved], h[moved], sigma[moved][:, None])
-        s_p, d, tang = targets.project(p, which=which[rows])
-        return d, s_p, h, tang
-
-    every = np.arange(m)
-    lo = np.zeros(m)
-    hi = np.full(m, step)
-    d_lo = dist_at(every, lo)[0]
-    # the bracket comes from the fast (unrefined) distance; widen it a
-    # little if the refined distance disagrees near the endpoints
-    lost = np.sign(dist_at(every, hi)[0]) == np.sign(d_lo)
-    for lo_f, hi_f in ((-0.5, 1.5), (-1.0, 2.0)):
-        if not lost.any():
+    mover = _hermite_segments(field, *nodes, *heads, spacing)
+    sigma = dist[0] / (dist[0] - dist[1])
+    guess = foot[0] + sigma * (foot[1] - foot[0])
+    t_step = targets.step[which]
+    top = targets.last[which] - 1
+    node = np.clip(np.floor((guess - targets.params[which, 0]) / t_step), 0, top).astype(int)
+    tau = (guess - targets.params[which, node]) / t_step
+    angle, point = np.empty(len(which)), np.empty((len(which), 2))
+    rows = np.arange(len(which))
+    for moves in range(2):
+        sub = tuple(c[rows] for c in mover)
+        ends, w = (node[rows], node[rows] + 1), which[rows]
+        target = _hermite_segments(targets.field, *(targets.points[w, e] for e in ends),
+                                   *(targets.headings[w, e] for e in ends), t_step[rows])
+        sigma[rows], tau[rows] = _intersect(sub, target, sigma[rows], tau[rows])
+        point[rows], m_d = _cubic_at(sub, sigma[rows])
+        angle[rows] = line_angle(m_d, _cubic_at(target, tau[rows])[1])
+        rows = rows[~(np.abs(tau[rows] - 0.5) <= 0.5 + SEGMENT_SLACK)]
+        if len(rows) == 0 or moves:
             break
-        rows = np.flatnonzero(lost)
-        d_try_lo = dist_at(rows, np.full(len(rows), lo_f * step))[0]
-        d_try_hi = dist_at(rows, np.full(len(rows), hi_f * step))[0]
-        flip = np.sign(d_try_lo) != np.sign(d_try_hi)
-        ok = rows[flip]
-        lo[ok] = lo_f * step
-        hi[ok] = hi_f * step
-        d_lo[ok] = d_try_lo[flip]
-        lost[ok] = False
-    if lost.any():
-        raise _failure(SignAmbiguity, "crossing bracket lost during refinement",
-                       np.flatnonzero(lost), tags)
-
-    s_mid = np.empty(m)
-    h_mid = np.empty((m, 2))
-    t_mid = np.empty((m, 2))
-    live = np.ones(m, dtype=bool)
-    for _ in range(80):
-        rows = np.flatnonzero(live)
-        if len(rows) == 0:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        d_mid, s_mid[rows], h_mid[rows], t_mid[rows] = dist_at(rows, mid)
-        done = (np.abs(d_mid) < 1e-10) | ((hi[rows] - lo[rows]) < 1e-14)
-        same = np.sign(d_mid) == np.sign(d_lo[rows])
-        to_lo = ~done & same
-        lo[rows[to_lo]] = mid[to_lo]
-        d_lo[rows[to_lo]] = d_mid[to_lo]
-        to_hi = ~done & ~same
-        hi[rows[to_hi]] = mid[to_hi]
-        live[rows[done]] = False
-    return s_mid, line_angle(h_mid, t_mid)
+        moved = np.clip(node[rows] + np.where(tau[rows] < 0.5, -1, 1), 0, top[rows])
+        tau[rows] -= moved - node[rows]
+        node[rows] = moved
+    if len(rows):
+        raise _failure(SignAmbiguity, "crossing outside the target segment of its bracket "
+                       "and the adjacent one", rows, tags)
+    return sigma, targets.params[which, node] + tau * t_step, angle, point
 
 
 class HolonomyMap:
@@ -607,8 +590,8 @@ def holonomies(field: LineField, tau1s: LeafBundle, tau2s: LeafBundle, budgets,
     Pair j slides 25 sample points of tau1s row j, over the parameter
     interval ``span``, along the leaves of ``field`` until each crosses
     tau2s row j within arc length budgets[j]: one ``_cross_to_target``
-    call, which locates the crossings by sign change of the signed
-    distance and refines them together in one batched bisection.  Before
+    call, which brackets the crossings by sign change of the fast signed
+    distance and solves them together in one Hermite solve.  Before
     any leaf moves, every transversal is checked to make an angle of at
     least 0.1 rad with the field.  ``tags`` (one per pair) name the failing
     pairs of an error.
@@ -642,9 +625,9 @@ def holonomy(field: LineField, tau1: LeafBundle, tau2: LeafBundle,
     the tau1 parameters ``span``: the one-pair case of ``holonomies``.
 
     Slides 25 sample points of tau1 along the leaves of ``field`` until
-    it crosses tau2; crossings are located by sign change of the signed
-    distance, then refined together by one batched bisection after the
-    march (``_cross_to_target``).
+    it crosses tau2; crossings are bracketed by sign change of the fast
+    signed distance, then solved together as intersections of cubic
+    Hermite segments after the march (``_cross_to_target``).
     """
     return holonomies(field, tau1, tau2, [budget], step=step, span=span)[0]
 
@@ -770,7 +753,7 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     (k = 0 excluded as the trivial basepoint).  When nonlinear fields are
     supplied, each linear seed is refined by intersecting the integrated
     leaves of the nonlinear map through z; the leaves of each field for
-    all k run as one bundle, and all crossings are refined together
+    all k run as one bundle, and one Hermite solve finds all crossings
     (``_refine_heteroclinic``).
     """
     z = np.asarray(z, dtype=float)
@@ -794,11 +777,12 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
     """Intersect, for each lattice vector k, the integrated unstable leaf
     through z with the k-translated stable leaf.
 
-    The stable and the unstable leaves of all k run as two bundles and all
-    crossings are refined in one ``_refine_crossings`` call.  The
-    sign-change scan projects each unstable leaf onto its own target, one
-    k at a time: its nodes x nodes distance table is the largest array of
-    the check.  Errors name the failing k.
+    The stable and the unstable leaves of all k run as two bundles.  A
+    scan of the fast signed distance of each unstable leaf's nodes to its
+    own target, one k at a time, finds the sign change nearest the linear
+    prediction; its nodes x nodes distance table is the largest array of
+    the check.  One ``_hermite_crossings`` call then solves every crossing,
+    giving both arc lengths a and b.  Errors name the failing k.
     """
     pad = 1.3
     tags = [f"heteroclinic leaf k={k}" for k in ks]
@@ -809,21 +793,25 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
     # march the unstable leaf from near the seed toward the target
     unstables = integrate_leaves(field_u, starts, [2 * abs(a) * pad + 0.2 for a, _ in seeds],
                                  step=step, centered=True, tags=tags)
-    cand = []
+    cand, near = [], []
     for i in range(len(ks)):
         nodes = unstables.last[i] + 1
-        _, dists, _ = targets.take([i]).project(unstables.points[i, :nodes])
+        feet, dists, _ = targets.take([i]).project(unstables.points[i, :nodes])
         sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
         if len(sign_change) == 0:
             raise _failure(LeafEscaped, "no stable-leaf crossing", [i], tags)
         # pick the crossing closest to the linear prediction
-        cand.append(sign_change[np.argmin(np.abs(unstables.params[i, sign_change] - seeds[i][0]))])
+        c = sign_change[np.argmin(np.abs(unstables.params[i, sign_change] - seeds[i][0]))]
+        cand.append(c)
+        near.append((dists[c:c + 2], feet[c:c + 2]))
     every = np.arange(len(ks))
-    b_ref, _ = _refine_crossings(field_u, unstables.points[every, cand],
-                                 unstables.headings[every, cand], step, targets, every, tags)
-    # the bisection reports the target parameter; recover the point from it
-    pts, _ = targets.evaluate(b_ref, every)
-    a_ref = unstables.project(pts, which=every)[0]
+    ends = (np.array(cand), np.array(cand) + 1)
+    dist, foot = np.transpose(near, (1, 2, 0))
+    sigma, b_ref, _, pts = _hermite_crossings(
+        field_u, [unstables.points[every, e] for e in ends],
+        [unstables.headings[every, e] for e in ends], unstables.step, dist, foot, targets,
+        every, tags)
+    a_ref = unstables.params[every, ends[0]] + sigma * unstables.step
     return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k)
             for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 

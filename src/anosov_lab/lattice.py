@@ -221,6 +221,20 @@ def line_angle(a, b):
     return np.arctan2(cross, dots)
 
 
+def _inv2(j, rhs=None):
+    """adj(j) / det(j) for a batch of 2x2 matrices j (n, 2, 2), or with
+    ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs."""
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
+    if rhs is None:
+        out = np.empty_like(j)
+        for r in range(2):
+            for c in range(2):
+                out[:, r, c] = adj[r][c] / det
+        return out
+    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
+
+
 def grid_points(n: int) -> np.ndarray:
     """The N x N torus grid points (i / N, j / N), flat and row-major in (i, j)."""
     axis = np.arange(n) / n

@@ -23,24 +23,11 @@ import numpy as np
 
 from .errors import Inconclusive, NotADiffeo
 from .fourier import FourierPerturbation
-from .lattice import HyperbolicElement, IntMatrix2, eigen_data, invert, line_angle, wrap_point
+from .lattice import (HyperbolicElement, IntMatrix2, _inv2, eigen_data, invert, line_angle,
+                      wrap_point)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
-
-
-def _inv2(j, rhs=None):
-    """adj(j) / det(j) for a batch of 2x2 matrices j (n, 2, 2), or with
-    ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs."""
-    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
-    if rhs is None:
-        out = np.empty_like(j)
-        for r in range(2):
-            for c in range(2):
-                out[:, r, c] = adj[r][c] / det
-        return out
-    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
 
 
 def _newton_inverse(linearize, y, z):

@@ -505,14 +505,16 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                            field_iters: int = 40, max_period: int = 2,
                            propagation_step: float = 4e-3, span: float = 0.35,
                            seed: int = 0, radius: int = 1,
-                           eps: float = 0.05) -> TeichmullerVerdict:
+                           eps: float = 0.05,
+                           unpaired: str | None = None) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
     argument on the marked action generated by (g1, g2).
 
     With a single generator (``e2 is None``) only the smooth-invariant
     obstruction is tested; a mismatch above threshold yields the verdict
     ``obstructed``, and otherwise an ``inconclusive`` verdict whose errors
-    say that only one generator map was given.  Otherwise the pipeline is:
+    say why there is no pair: ``unpaired`` or, when it is None, that only
+    one generator map was given.  Otherwise the pipeline is:
     solve the conjugacy for g1, compare periodic data, check the pair
     hypothesis (when it fails, the errors name it and the line fields and
     Lemma 3 are skipped), build all four invariant line fields, measure
@@ -563,7 +565,8 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
 
     if obstructed or e2 is None or g2 is None:
         if not obstructed:
-            errors.append("pair: only one generator map was given, so the line fields, "
+            reason = unpaired or "only one generator map was given"
+            errors.append(f"pair: {reason}, so the line fields, "
                           "Lemma 3 and Proposition 1 were not run")
         verdict = "obstructed" if obstructed else "inconclusive"
         return TeichmullerVerdict(

@@ -225,6 +225,18 @@ def test_teichmuller_single_generator_names_the_missing_pair(tmp_path):
                       "Lemma 3 and Proposition 1 were not run"]
 
 
+def test_teichmuller_perturbed_pair_says_why_the_second_map_is_unused(tmp_path):
+    # a perturbation too small to be obstructed by period-2 data
+    code, out = run(tmp_path, "teichmuller", "--set", "action.kind=perturbed",
+                    "--set", 'action.perturbation=[{"k":[0,1],"sin":[1e-7,0]}]',
+                    "--set", "resolution.field_n=32", "--set", "resolution.grid_n=64")
+    doc = json.loads((out / "teichmuller-report.json").read_text())
+    assert (code, doc["verdict"]) == (3, "inconclusive")
+    assert doc["diagnostics"]["errors"] == [
+        "pair: the second map of a perturbed pair is not used, since A1 + p and A2 + p need "
+        "not commute, so the line fields, Lemma 3 and Proposition 1 were not run"]
+
+
 def test_teichmuller_failed_pair_hypothesis_skips_line_fields(tmp_path):
     errors, diag = _teichmuller_errors(tmp_path, "[[[2,1],[1,1]],[[2,1],[1,1]]]")
     assert len(errors) == 1

@@ -1,0 +1,53 @@
+"""Leaf crossings against closed forms.
+
+For the linear action every leaf is straight, so a crossing is exact up to
+rounding.  For the action conjugated by phi = id + (0.02 sin 2 pi x2, 0)
+every leaf is the phi-image of a straight line: the leaf of E^u through
+phi(x) is t -> phi(x + t v_u), and likewise for E^s.  So heteroclinic
+points and holonomy landing points are phi-images of intersections of
+lines.  The bounds leave about a factor of two over the measured errors.
+"""
+
+import numpy as np
+
+from anosov_lab.foliations import heteroclinic_points, holonomy, integrate_leaf
+from anosov_lab.rigidity import factor_translation_numeric
+
+STEP = 4e-3
+
+
+def _torus_gap(x, y):
+    d = np.abs(x - y) % 1.0
+    return np.max(np.minimum(d, 1.0 - d))
+
+
+def test_conjugated_heteroclinic_points_are_phi_images(conj_fields, phi02, e1):
+    got = heteroclinic_points(np.zeros(2), e1, 2, field_u=conj_fields["f1u"],
+                              field_s=conj_fields["f1s"], step=STEP)
+    linear = heteroclinic_points(np.zeros(2), e1, 2)
+    assert [h.lattice for h in got] == [h.lattice for h in linear] and len(got) == 24
+    exact = phi02.lift(np.array([h.u_param * e1.vu for h in linear]))
+    gaps = [_torus_gap(h.point, x) for h, x in zip(got, exact)]
+    assert max(gaps) < 5e-10
+
+
+def test_linear_factorization_is_exact(linear_fields, e1, e2):
+    tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 3.0, step=1e-3, centered=True)
+    num = factor_translation_numeric(linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2,
+                                     1.0, step=STEP)
+    assert num.numeric_deviation <= 1e-13
+
+
+def test_conjugated_holonomy_lands_on_line_intersection(conj_fields, phi02, e1):
+    # tau1 and tau2 are the unstable leaves through phi(0) = 0 and phi(w),
+    # w = 0.2 v_s; the stable leaf through phi(x), x on the first line,
+    # meets tau2 at phi(x + w)
+    w = 0.2 * e1.vs
+    tau1 = integrate_leaf(conj_fields["f1u"], np.zeros(2), 0.6, step=STEP, centered=True)
+    tau2 = integrate_leaf(conj_fields["f1u"], phi02.lift(w[None])[0], 0.8, step=STEP,
+                          centered=True)
+    hol = holonomy(conj_fields["f1s"], tau1, tau2, span=(-0.1, 0.1), step=STEP)
+    starts, _ = tau1.evaluate(hol.samples[:, 0])
+    landed, _ = tau2.evaluate(hol.samples[:, 1])
+    expected = phi02.inverse_lift(starts) + w
+    assert np.max(np.abs(phi02.inverse_lift(landed) - expected)) < 1e-9

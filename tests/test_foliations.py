@@ -13,14 +13,15 @@ from anosov_lab.errors import (
     TangencySuspected,
 )
 from anosov_lab.foliations import (
+    HERMITE_NEWTON_STEPS,
+    SEGMENT_SLACK,
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
     HolonomyMap,
-    LeafBundle,
     LineField,
+    _aligned_direction,
     _cross_to_target,
-    _initial_toward,
-    _refine_crossings,
+    _hermite_crossings,
     _rk4_step,
     compute_line_field,
     heteroclinic_points,
@@ -211,8 +212,8 @@ def test_graph_transport_smooth(conj_fields, e1):
     assert min(r.angle for r in rows) > 0.05
 
 
-# --- Scalar reference for the batched leaf evaluation and crossing
-# refinement, one point at a time.  The batched code does the same
+# --- Scalar reference for the batched leaf evaluation, projection and
+# crossing solve, one point at a time.  The batched code does the same
 # arithmetic per point, so results must be equal bit for bit, not merely
 # close.
 
@@ -233,51 +234,78 @@ def _ref_at(seg, s):
 
 
 def _ref_project(proj, x):
+    """Nearest node, parabolic offset and linear foot, point by point."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    s, _, _ = proj.project(pts, refine=False)  # foot parameters do not depend on refine
+    params, points, headings = proj.params[0], proj.points[0], proj.headings[0]
+    h, last = proj.step[0], proj.last[0]
+    s = np.empty(len(pts))
     dist = np.empty(len(pts))
     tang = np.empty((len(pts), 2))
-    for i in range(len(pts)):
-        foot, t = _ref_at(proj, s[i])
-        n_vec = np.array([-t[1], t[0]])
-        dist[i] = float(np.dot(pts[i] - foot, n_vec))
-        tang[i] = t
+    for i, p in enumerate(pts):
+        d2 = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in points]
+        k = int(np.argmin(d2))
+        node, head = points[k], headings[k]
+        if 0 < k < last:
+            denom = d2[k - 1] - 2 * d2[k] + d2[k + 1]
+            offset = 0.5 * (d2[k - 1] - d2[k + 1]) / denom if abs(denom) > 1e-30 else 0.0
+            offset = min(max(offset, -1.0), 1.0)
+        else:
+            offset = ((p[0] - node[0]) * head[0] + (p[1] - node[1]) * head[1]) / h
+            offset = min(offset, 0.0) if k == 0 else max(offset, 0.0)
+        s[i] = params[k] + offset * h
+        foot = node + (offset * h) * head
+        dist[i] = (p[0] - foot[0]) * -head[1] + (p[1] - foot[1]) * head[0]
+        tang[i] = head
     return s, dist, tang
 
 
-def _ref_bisect_crossing(field, node_pt, node_hd, step, proj):
-    def dist_at(sigma):
-        if sigma == 0.0:
-            p = node_pt[None, :]
-            h = node_hd[None, :]
-        else:
-            p, h, _ = _rk4_step(field, node_pt[None, :], node_hd[None, :], sigma)
-        s_p, d, tang = _ref_project(proj, p)
-        return float(d[0]), float(s_p[0]), h[0], tang[0]
+def _ref_cubic(field, p0, p1, h0, h1, spacing):
+    d, _ = _aligned_direction(field, np.array([p0, p1]), np.array([h0, h1]))
+    d0, d1 = spacing * d[0], spacing * d[1]
+    chord = p1 - p0
+    return p0, d0, 3 * chord - 2 * d0 - d1, d1 + d0 - 2 * chord
 
-    lo, hi = 0.0, step
-    d_lo = dist_at(lo)[0]
-    if np.sign(dist_at(hi)[0]) == np.sign(d_lo):
-        widened = False
-        for lo_try, hi_try in ((-0.5 * step, 1.5 * step), (-step, 2 * step)):
-            if np.sign(dist_at(lo_try)[0]) != np.sign(dist_at(hi_try)[0]):
-                lo, hi = lo_try, hi_try
-                d_lo = dist_at(lo)[0]
-                widened = True
-                break
-        if not widened:
-            raise SignAmbiguity("crossing bracket lost during refinement")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d_mid, s_mid, h_mid, t_mid = dist_at(mid)
-        if abs(d_mid) < 1e-10 or (hi - lo) < 1e-14:
-            break
-        if np.sign(d_mid) == np.sign(d_lo):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    angle = line_angle(h_mid[None, :], t_mid[None, :])[0]
-    return s_mid, angle
+
+def _ref_cubic_at(coef, t):
+    c0, c1, c2, c3 = coef
+    return c0 + t * (c1 + t * (c2 + t * c3)), c1 + t * (2 * c2 + 3 * t * c3)
+
+
+def _ref_newton(mover, target, sigma, tau):
+    for _ in range(HERMITE_NEWTON_STEPS):
+        (mx, my), (mdx, mdy) = _ref_cubic_at(mover, sigma)
+        (tx, ty), (tdx, tdy) = _ref_cubic_at(target, tau)
+        rx, ry = mx - tx, my - ty
+        det = mdx * -tdy - -tdx * mdy
+        sigma = sigma - (-tdy * rx - -tdx * ry) / det
+        tau = tau - (-mdy * rx + mdx * ry) / det
+    return sigma, tau
+
+
+def _ref_hermite_crossing(field, p0, p1, h0, h1, spacing, dist, foot, proj):
+    """The crossing of one mover step with the one-row proj."""
+    mover = _ref_cubic(field, p0, p1, h0, h1, spacing)
+    sigma = dist[0] / (dist[0] - dist[1])
+    guess = foot[0] + sigma * (foot[1] - foot[0])
+    t_step, last = proj.step[0], proj.last[0]
+
+    def target_at(node):
+        return _ref_cubic(proj.field, proj.points[0, node], proj.points[0, node + 1],
+                          proj.headings[0, node], proj.headings[0, node + 1], t_step)
+
+    node = int(np.clip(np.floor((guess - proj.params[0, 0]) / t_step), 0, last - 1))
+    tau = (guess - proj.params[0, node]) / t_step
+    sigma, tau = _ref_newton(mover, target_at(node), sigma, tau)
+    if not abs(tau - 0.5) <= 0.5 + SEGMENT_SLACK:
+        moved = int(np.clip(node + (-1 if tau < 0.5 else 1), 0, last - 1))
+        sigma, tau = _ref_newton(mover, target_at(moved), sigma, tau - (moved - node))
+        node = moved
+        if not abs(tau - 0.5) <= 0.5 + SEGMENT_SLACK:
+            raise SignAmbiguity("crossing outside the target segments")
+    m_d = _ref_cubic_at(mover, sigma)[1]
+    t_d = _ref_cubic_at(target_at(node), tau)[1]
+    s_prime = proj.params[0, node] + tau * t_step
+    return s_prime, line_angle(m_d[None, :], t_d[None, :])[0]
 
 
 def _ref_cross_to_target(field, starts, tau2, budget, step,
@@ -285,19 +313,15 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
     proj = tau2
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
-    hd = _initial_toward(field, pts, proj)
-    _, dist, _ = _ref_project(proj, pts)
+    prev_foot, prev_dist, tang = _ref_project(proj, pts)
+    hd = np.atleast_2d(field.direction_at(np.mod(pts, 1.0)))
+    for i in range(m):
+        rate = hd[i, 0] * -tang[i, 1] + hd[i, 1] * tang[i, 0]
+        hd[i] *= -np.sign(prev_dist[i] * rate) or 1.0
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
-    on_curve = np.abs(dist) < 1e-13
-    if np.any(on_curve):
-        s_here, _, tang = _ref_project(proj, pts[on_curve])
-        s_out[on_curve] = s_here
-        d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
-        ang_out[on_curve] = line_angle(d_here, tang)
-        active[on_curve] = False
-    prev_pts, prev_hd, prev_dist = pts.copy(), hd.copy(), dist.copy()
+    prev_pts, prev_hd = pts.copy(), hd
     for _ in range(int(math.ceil(budget / step))):
         if not active.any():
             break
@@ -308,12 +332,14 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
             raise SignAmbiguity("field too rough along holonomy leaf")
         new_pts[active] = stepped
         new_hd[active] = hd_step
-        _, new_dist, _ = proj.project(new_pts, refine=False)
-        flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
+        new_foot, new_dist, _ = _ref_project(proj, new_pts)
+        flipped = active & (np.sign(new_dist) != np.sign(prev_dist))
         for i in np.where(flipped)[0]:
-            s_out[i], ang_out[i] = _ref_bisect_crossing(field, prev_pts[i], prev_hd[i], step, proj)
+            s_out[i], ang_out[i] = _ref_hermite_crossing(
+                field, prev_pts[i], new_pts[i], prev_hd[i], new_hd[i], step,
+                (prev_dist[i], new_dist[i]), (prev_foot[i], new_foot[i]), proj)
             active[i] = False
-        prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
+        prev_pts, prev_hd, prev_dist, prev_foot = new_pts, new_hd, new_dist, new_foot
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
     if np.any(ang_out < tangency_threshold):
@@ -358,6 +384,7 @@ def test_leaf_evaluate_matches_scalar_reference(frame_fields):
 
 
 def test_project_refine_matches_scalar_reference(frame_fields):
+    # the parabolic refinement of the nearest-node offset and the linear foot
     f1u, f1s = frame_fields
     tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
     across = integrate_leaf(f1s, tau.evaluate([0.05])[0][0], 0.2, step=1e-3, centered=True)
@@ -366,10 +393,12 @@ def test_project_refine_matches_scalar_reference(frame_fields):
         assert np.array_equal(got, want)
 
 
-def _nodes_around_crossing(f1u, f1s, step, offsets):
-    """Nodes on stable leaves through points of an unstable transversal,
-    each ``offset * step`` before its crossing (negative: past it), with
-    headings toward the transversal, and the transversal's projector."""
+def _steps_around_crossing(f1u, f1s, step, offsets):
+    """Steps of ``step`` along stable leaves through points of an unstable
+    transversal, each starting ``offset * step`` before its crossing
+    (negative: past it) with headings toward the transversal: both ends'
+    nodes and headings, (2, m, 2) each, and fast distances and foot
+    parameters, (2, m) each; and the transversal."""
     tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.6, step=4e-3, centered=True)
     nodes, heads = [], []
     for k, a in enumerate(offsets):
@@ -378,30 +407,40 @@ def _nodes_around_crossing(f1u, f1s, step, offsets):
         p, t = leaf.evaluate([-a * step])
         nodes.append(p[0])
         heads.append(t[0])
-    return np.array(nodes), np.array(heads), tau
+    nodes, heads = np.array(nodes), np.array(heads)
+    ends, end_heads, _ = _rk4_step(f1s, nodes, heads, step)
+    foot, dist = np.empty((2, len(offsets))), np.empty((2, len(offsets)))
+    for e, p in enumerate((nodes, ends)):
+        foot[e], dist[e], _ = tau.project(p)
+    return np.array([nodes, ends]), np.array([heads, end_heads]), dist, foot, tau
 
 
 def test_refine_crossings_matches_scalar_reference(frame_fields):
+    # the Hermite solve of bracketed crossings
     f1u, f1s = frame_fields
     step = 4e-3
-    # inside [0, step]; 0.3 and 0.7 step past the crossing, which need the
-    # first and the second widened bracket
+    # inside [0, step], and 0.3 and 0.7 step past the crossing
     offsets = [0.5, 0.05, 0.93, -0.3, -0.7, 0.25]
-    nodes, heads, proj = _nodes_around_crossing(f1u, f1s, step, offsets)
-    s, angle = _refine_crossings(f1s, nodes, heads, step, proj)
-    ref = [_ref_bisect_crossing(f1s, n, h, step, proj) for n, h in zip(nodes, heads)]
+    nodes, heads, dist, foot, tau = _steps_around_crossing(f1u, f1s, step, offsets)
+    m = len(offsets)
+    sigma, s, angle, point = _hermite_crossings(f1s, nodes, heads, np.full(m, step), dist,
+                                                foot, tau, np.zeros(m, dtype=int))
+    ref = [_ref_hermite_crossing(f1s, nodes[0, i], nodes[1, i], heads[0, i], heads[1, i], step,
+                                 dist[:, i], foot[:, i], tau) for i in range(m)]
     assert np.array_equal(s, np.array([r[0] for r in ref]))
     assert np.array_equal(angle, np.array([r[1] for r in ref]))
-
-
-def test_refine_crossings_lost_bracket_raises(frame_fields):
-    f1u, f1s = frame_fields
-    step = 4e-3
-    nodes, heads, proj = _nodes_around_crossing(f1u, f1s, step, [0.5, 6.0, 0.25])
-    with pytest.raises(SignAmbiguity):
-        _ref_bisect_crossing(f1s, nodes[1], heads[1], step, proj)
-    with pytest.raises(SignAmbiguity, match="bracket lost"):
-        _refine_crossings(f1s, nodes, heads, step, proj)
+    # a foot guess one target node too far: the first solve leaves the
+    # target segment, and the second, on the adjacent one, finds the crossing
+    far = foot[:, :1] + tau.step[0]
+    _, s_far, _, _ = _hermite_crossings(f1s, nodes[:, :1], heads[:, :1], np.array([step]),
+                                        dist[:, :1], far, tau, np.zeros(1, dtype=int))
+    ref_far = _ref_hermite_crossing(f1s, nodes[0, 0], nodes[1, 0], heads[0, 0], heads[1, 0],
+                                    step, dist[:, 0], far[:, 0], tau)[0]
+    assert s_far[0] == ref_far
+    assert abs(s_far[0] - s[0]) < 1e-12
+    # the crossing point is the transversal's point at s, sigma of a step along the mover
+    assert np.max(np.abs(tau.evaluate(s)[0] - point)) < 1e-10
+    assert np.all((sigma > -1.0) & (sigma < 2.0))
 
 
 def test_cross_to_target_matches_scalar_reference(frame_fields):
@@ -442,20 +481,17 @@ def test_cross_to_target_shallow_crossing_raises(e1, linear_fields):
         _cross_to_target(shallow, starts, tau2, budget=0.3, step=1e-3)
 
 
-def test_cross_to_target_lost_bracket_precedes_escape(e1, linear_fields):
-    # a transversal whose stored nodes lie on a straight line but whose
-    # sub-steps follow a field tilted by 0.3 rad: the fast distance changes
-    # sign on the line, the refined one keeps its sign near the crossing
-    v_u = np.asarray(e1.vu)
-    tilt = math.atan2(v_u[1], v_u[0]) + 0.3
-    tilted = LineField.constant(None, (math.cos(tilt), math.sin(tilt)))
-    params = np.arange(-6, 7) * 0.05
-    tau2 = LeafBundle(params=params[None], points=(params[:, None] * v_u)[None],
-                      headings=np.tile(v_u, (1, len(params), 1)),
-                      last=np.array([len(params) - 1]), step=np.array([0.05]), field=tilted)
-    # the first leaf crosses midway between two nodes; the second escapes
-    starts = np.array([0.025 * v_u, 0.025 * v_u]) + np.array([[0.1], [0.5]]) * np.asarray(e1.vs)
+def test_cross_to_target_crossing_off_target_raises(e1, linear_fields):
+    # the fast distance extends the transversal's end nodes along their
+    # headings, so a leaf crossing that extension 0.05 past the last node
+    # brackets a crossing that no target segment holds
+    f1s = linear_fields["f1s"]
+    v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)
+    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.2, step=4e-3, centered=True)
+    # inside, past the end, and out of reach
+    starts = np.array([0.02 * v_u + 0.05 * v_s, 0.15 * v_u + 0.05 * v_s, -0.05 * v_u + 0.5 * v_s])
     with pytest.raises(SignAmbiguity):
-        _ref_cross_to_target(linear_fields["f1s"], starts[:1], tau2, budget=0.2, step=1e-3)
-    with pytest.raises(SignAmbiguity, match="bracket lost"):
-        _cross_to_target(linear_fields["f1s"], starts, tau2, budget=0.2, step=1e-3)
+        _ref_cross_to_target(f1s, starts[1:2], tau2, budget=0.2, step=4e-3)
+    # the crossing solve runs before the escape check
+    with pytest.raises(SignAmbiguity, match=r"^crossing outside .*\[b\]$"):
+        _cross_to_target(f1s, starts, tau2, budget=0.2, step=4e-3, tags=["a", "b", "c"])

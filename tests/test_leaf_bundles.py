@@ -1,7 +1,8 @@
 """Leaf bundles against serial references.
 
 The references below are the one-leaf, one-target, one-lattice-vector
-versions of leaf integration, crossing, holonomy, local graphs,
+versions of leaf integration, crossing (one Hermite solve per leaf),
+holonomy, local graphs,
 heteroclinic points and the tangency-propagation loop.  A bundle does the
 same arithmetic per row, so every comparison asserts equality bit for
 bit, not closeness.
@@ -27,8 +28,7 @@ from anosov_lab.foliations import (
     LeafBundle,
     LineField,
     _cross_to_target,
-    _initial_toward,
-    _refine_crossings,
+    _hermite_crossings,
     _rk4_step,
     heteroclinic_points,
     holonomies,
@@ -87,26 +87,17 @@ def _ref_integrate_leaf(field, x, length, step=1e-3, centered=False):
 
 
 def _ref_cross_to_target(field, starts, tau2, budget, step):
-    """One target: every leaf marches together, crossings refined after."""
-    proj = tau2
+    """One target: every leaf marches together, crossings solved after."""
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
-    hd = _initial_toward(field, pts, proj)
-    _, dist, _ = proj.project(pts)
+    prev_foot, prev_dist, tang = tau2.project(pts)
+    hd = field.direction_at(np.mod(pts, 1.0))
+    sign = -np.sign(prev_dist * np.einsum("ni,ni->n", hd, np.stack([-tang[:, 1], tang[:, 0]], axis=1)))
+    sign[sign == 0] = 1.0
+    prev_pts, prev_hd = pts, hd * sign[:, None]
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
-    on_curve = np.abs(dist) < 1e-13
-    if np.any(on_curve):
-        s_here, _, tang = proj.project(pts[on_curve])
-        s_out[on_curve] = s_here
-        d_here = np.atleast_2d(field.direction_at(np.mod(pts[on_curve], 1.0)))
-        ang_out[on_curve] = line_angle(d_here, tang)
-        active[on_curve] = False
-    prev_pts, prev_hd, prev_dist = pts.copy(), hd.copy(), dist.copy()
-    crossed = np.zeros(m, dtype=bool)
-    node_pts = np.empty_like(pts)
-    node_hd = np.empty_like(pts)
     for _ in range(int(math.ceil(budget / step))):
         if not active.any():
             break
@@ -117,16 +108,15 @@ def _ref_cross_to_target(field, starts, tau2, budget, step):
             raise SignAmbiguity("field too rough along holonomy leaf")
         new_pts[active] = stepped
         new_hd[active] = hd_step
-        _, new_dist, _ = proj.project(new_pts, refine=False)
-        flipped = active & (np.sign(new_dist) != np.sign(prev_dist)) & (prev_dist != 0.0)
-        node_pts[flipped] = prev_pts[flipped]
-        node_hd[flipped] = prev_hd[flipped]
-        crossed |= flipped
-        active &= ~flipped
-        prev_pts, prev_hd, prev_dist = new_pts, new_hd, new_dist
-    if crossed.any():
-        s_out[crossed], ang_out[crossed] = _refine_crossings(
-            field, node_pts[crossed], node_hd[crossed], step, proj)
+        new_foot, new_dist, _ = tau2.project(new_pts)
+        for i in np.flatnonzero(active & (np.sign(new_dist) != np.sign(prev_dist))):
+            _, s_c, ang_c, _ = _hermite_crossings(
+                field, (prev_pts[i:i + 1], new_pts[i:i + 1]), (prev_hd[i:i + 1], new_hd[i:i + 1]),
+                np.array([step]), np.array([[prev_dist[i]], [new_dist[i]]]),
+                np.array([[prev_foot[i]], [new_foot[i]]]), tau2, np.zeros(1, dtype=int))
+            s_out[i], ang_out[i] = s_c[0], ang_c[0]
+            active[i] = False
+        prev_pts, prev_hd, prev_dist, prev_foot = new_pts, new_hd, new_dist, new_foot
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
     if np.any(ang_out < TANGENCY_THRESHOLD):
@@ -171,17 +161,17 @@ def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
     stable = _ref_integrate_leaf(field_s, z, 2 * abs(b) * pad + 0.2, step=step, centered=True)
     target = stable.translated(np.array([k], dtype=float))
     unstable = _ref_integrate_leaf(field_u, z, 2 * abs(a) * pad + 0.2, step=step, centered=True)
-    proj = target
-    _, dists, _ = proj.project(unstable.points[0])
+    feet, dists, _ = target.project(unstable.points[0])
     sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
     if len(sign_change) == 0:
         raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
-    cand = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - a))]
-    s_c, _ = _refine_crossings(field_u, unstable.points[0, cand][None],
-                               unstable.headings[0, cand][None], step, proj)
-    pt = target.evaluate([s_c[0]])[0][0]
-    a_ref = unstable.project(pt[None, :])[0][0]
-    return HeteroclinicPoint(np.mod(pt, 1.0), float(a_ref), float(s_c[0]), k)
+    c = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - a))]
+    sigma, b_ref, _, pt = _hermite_crossings(
+        field_u, unstable.points[:, [c, c + 1]].transpose(1, 0, 2),
+        unstable.headings[:, [c, c + 1]].transpose(1, 0, 2), unstable.step,
+        dists[c:c + 2, None], feet[c:c + 2, None], target, np.zeros(1, dtype=int))
+    a_ref = unstable.params[0, c] + sigma[0] * unstable.step[0]
+    return HeteroclinicPoint(np.mod(pt[0], 1.0), float(a_ref), float(b_ref[0]), k)
 
 
 def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-3):
@@ -289,12 +279,11 @@ def test_project_ignores_padded_nodes(fields):
     assert list(rows.last) == [50, 150, 100]
     pts = np.random.default_rng(5).uniform(-0.01, 0.01, (12, 2))
     which = np.arange(12) % 3
-    for refine in (True, False):
-        got = rows.project(pts, refine=refine, which=which)
-        for i, t in enumerate(which):
-            want = rows.take([t]).project(pts[i:i + 1], refine=refine)
-            for g, w in zip(got, want):
-                assert np.array_equal(g[i:i + 1], w)
+    got = rows.project(pts, which=which)
+    for i, t in enumerate(which):
+        want = rows.take([t]).project(pts[i:i + 1])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[i:i + 1], w)
 
 
 def test_cross_to_target_stacked_matches_per_target(fields):

@@ -3,7 +3,7 @@ import pytest
 
 from anosov_lab.errors import NotADiffeo
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, eigen_data, invert
+from anosov_lab.lattice import IntMatrix2, _inv2, eigen_data, invert
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -12,7 +12,6 @@ from anosov_lab.maps import (
     Diffeo,
     InverseMap,
     PerturbedMap,
-    _inv2,
     verify_anosov_cones,
 )
 
