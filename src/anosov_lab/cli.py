@@ -77,6 +77,7 @@ def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     keys = ["f1u", "f1s"] + (["f2u", "f2s"] if len(handles) > 1 else [])
     with report.time_block("line_fields"):
         fields = line_fields(handles, keys, cfg.field_n, cfg.field_iters)
+    report.diagnostics["line_field_depths"] = {key: f.depth for key, f in fields.items()}
     for key, field in fields.items():
         report.add_table(f"field-{key}.csv", ("i", "j", "theta"),
                          reports.line_field_rows(field))
@@ -264,7 +265,8 @@ def main(argv=None) -> int:
     try:
         COMMANDS[args.command](cfg, report)
     except AnosovLabError as exc:
-        report.diagnostics["failure"] = f"{type(exc).__name__}: {exc}"
+        stage = f"{report.failed_stage}: " if report.failed_stage else ""
+        report.diagnostics["failure"] = f"{stage}{type(exc).__name__}: {exc}"
         report.verdict = "inconclusive"
     report.write(cfg.out_dir)
     print(f"{args.command}: verdict={report.verdict} -> {cfg.out_dir}")

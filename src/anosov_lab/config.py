@@ -225,7 +225,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     for key in steps:
         if not res[key] >= MIN_STEP:
             raise ConfigError(f"resolution.{key}", f"must be at least {MIN_STEP:g}")
-    # compute_line_field keeps field_iters arrays of field_n^2 x 2 doubles
+    # field_iters caps the line-field transport depth; no array is kept per
+    # depth, so the cap bounds only time
     if not 1 <= res["field_iters"] <= MAX_FIELD_ITERS:
         raise ConfigError("resolution.field_iters", f"must be an integer in [1, {MAX_FIELD_ITERS}]")
     if not 1 <= res["max_period"] <= MAX_PERIOD:

@@ -58,11 +58,13 @@ def _fold_angle(theta):
 class LineField:
     """Unit direction field mod pi on an N x N grid, owned by a torus map."""
 
-    def __init__(self, owner, theta: np.ndarray, converged_residual: float = 0.0):
+    def __init__(self, owner, theta: np.ndarray, converged_residual: float = 0.0,
+                 depth: int = 0):
         self.owner = owner
         self.theta = np.asarray(theta, dtype=float)  # (N, N), [0, pi)
         self.grid_size = self.theta.shape[0]
         self.converged_residual = converged_residual
+        self.depth = depth  # backward-orbit depth the transport reached
         # interpolate the double-angle embedding so the mod-pi topology is smooth
         self._interp = PeriodicBicubic(
             np.stack([np.cos(2 * self.theta), np.sin(2 * self.theta)], axis=-1)
@@ -95,51 +97,55 @@ class LineField:
         return float(np.max(line_angle(pushed, target)))
 
 
+def _pushed_seeds(handle, pts):
+    """Yield (v_d, residual_d) for d = 1, 2, ...: the handle's unstable
+    seed direction pushed to the points pts (n, 2) from depth d of their
+    backward orbit, v_d = P_d seed / |P_d seed| with P_d = J_1 ... J_d and
+    J_d the jacobian at the d-th backward orbit point, and the largest
+    angle between v_d and v_{d-1} (v_0 = seed).
+
+    P_d is kept per point, rescaled so that P_d seed is a unit vector, and
+    each product is written out as 2x2 arithmetic; no depth is stored."""
+    seed = eigen_data(handle.linear_part).vu
+    v_prev = np.broadcast_to(seed, pts.shape)
+    prod = None
+    for jac in handle.backward_jacobians(pts):
+        if prod is None:
+            prod = jac
+        else:  # (prod jac)[i, l] = prod[i, 0] jac[0, l] + prod[i, 1] jac[1, l]
+            prod = prod[:, :, 0, None] * jac[:, None, 0] + prod[:, :, 1, None] * jac[:, None, 1]
+        v = prod[:, :, 0] * seed[0] + prod[:, :, 1] * seed[1]
+        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        v /= norm
+        prod = prod / norm[:, :, None]
+        yield v, float(np.max(line_angle(v, v_prev)))
+        v_prev = v
+
+
 def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
                        tol: float = 1e-8) -> LineField:
-    """Converged stable or unstable line field of an Anosov map handle.
+    """Converged stable or unstable line field of an Anosov map handle on
+    the n x n grid.
 
-    The unstable direction at x is the push-forward of a seed direction
-    along the backward orbit; the stable field is the unstable field of
-    the inverse map.  Convergence compares transport depths k and k-1.
-    """
+    The unstable direction at x is the limit of the seed direction (the
+    unstable eigen-direction of the linear part) pushed forward from
+    deeper and deeper points of the backward orbit of x; the stable field
+    is the unstable field of the inverse map.  The handle's
+    ``backward_jacobians`` gives the orbit's jacobians one depth at a time,
+    and the transport stops at the first depth d whose largest angle
+    between the pushes from depths d and d - 1 is at most ``tol``.  That
+    change falls by about lambda_u^-2 per depth, so the field is then
+    within about tol lambda_u^-2 / (1 - lambda_u^-2) of its limit.
+    ``iters`` caps the depth: NotConverged is raised only there."""
     handle = g if label == "unstable" else g.inverse()
-    seed_dir = eigen_data(handle.linear_part).vu
-    pts = grid_points(n)
-    # depth[j - 1] holds what the jacobian at the j-th backward orbit point
-    # needs: the point itself or, for a handle with a ``backward`` step (a
-    # ConjugatedMap), its phi^{-1} image, whose one solve also gives the
-    # next orbit point
-    backward = getattr(handle, "backward", None)
-    if backward is None:
-        inv = handle.inverse()
-        depth = [inv.apply(pts)]
-        for _ in range(iters - 1):
-            depth.append(inv.apply(depth[-1]))
-        jacobian = handle.jacobian
-    else:
-        x, _ = backward(pts)
-        depth = []
-        for _ in range(iters):
-            x, pre = backward(x)
-            depth.append(pre)
-        jacobian = handle.jacobian_at_preimage
-
-    v = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters
-    w = np.broadcast_to(seed_dir, pts.shape).copy()   # depth iters - 1
-    for j in range(iters, 0, -1):
-        jac = jacobian(depth[j - 1])
-        v = np.einsum("nij,nj->ni", jac, v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        if j < iters:
-            w = np.einsum("nij,nj->ni", jac, w)
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-
-    residual = float(np.max(line_angle(v, w)))
-    if residual > tol:
-        raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} after {iters} iterations")
+    for depth, (v, residual) in enumerate(_pushed_seeds(handle, grid_points(n)), start=1):
+        if residual <= tol:
+            break
+        if depth == iters:
+            raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} at the depth cap "
+                               f"resolution.field_iters = {iters}")
     theta = _fold_angle(np.arctan2(v[:, 1], v[:, 0])).reshape(n, n)
-    return LineField(g, theta, converged_residual=residual)
+    return LineField(g, theta, converged_residual=residual, depth=depth)
 
 
 def line_fields(handles, keys, n: int, iters: int) -> dict:

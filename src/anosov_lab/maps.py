@@ -8,6 +8,8 @@ Every map handle exposes the same duck-typed surface:
     displacement(x) -> lift(x) - A x, a periodic function
     apply(x)      -> lift(x) mod 1
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
+    backward_jacobians(x) -> the jacobians along the backward orbit of x,
+                     one depth at a time (a generator)
     inverse()     -> handle of the inverse map
 
 Every evaluator takes a float batch of points x of shape (n, 2) and
@@ -87,6 +89,14 @@ class PerturbedMap:
         return (x @ self._A.T + p.value_from(trig),
                 lambda: self._A[None, :, :] + p.derivative_from(trig))
 
+    def backward_jacobians(self, x):
+        """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
+        d = 1, 2, ..., with one Newton inverse per depth."""
+        inv = self.inverse()
+        while True:
+            x = inv.apply(x)
+            yield self.jacobian(x)
+
     def inverse(self):
         return InverseMap(self)
 
@@ -113,6 +123,17 @@ class InverseMap:
 
     def jacobian(self, y):
         return _inv2(self.forward.jacobian(self.lift(y)))
+
+    def backward_jacobians(self, y):
+        """jacobian(y_d) along the backward orbit of this inverse map, which
+        is the forward map's orbit y_d = forward(y_{d-1}), d = 1, 2, ...:
+        the jacobian at y_d is D forward(y_{d-1})^{-1}, formed at the point
+        in hand, so no Newton solve is made; the forward lift and jacobian
+        share one trig evaluation."""
+        while True:
+            value, jacobian = self.forward.lift_and_jacobian(y)
+            yield _inv2(jacobian())
+            y = wrap_point(value)
 
     def inverse(self):
         return self.forward
@@ -145,6 +166,24 @@ class Diffeo:
         return _newton_inverse(self.lift_and_derivative, y, y.copy())
 
 
+def _conjugated_jacobian(d_out, A, d_in_inv):
+    """d_out A d_in_inv for batches d_out, d_in_inv (n, 2, 2) and one A,
+    the 2x2 product written out.
+
+    Each entry (i, l) sums (d_out[i, j] A[j, k]) d_in_inv[k, l] over
+    (j, k) in row-major order, starting from +0.0, which is the order and
+    association of np.einsum("nij,jk,nkl->nil", ...) to the bit."""
+    out = np.empty_like(d_out)
+    for i in range(2):
+        for l in range(2):
+            acc = 0.0
+            for j in range(2):
+                for k in range(2):
+                    acc = (d_out[:, i, j] * A[j, k]) * d_in_inv[:, k, l] + acc
+            out[:, i, l] = acc
+    return out
+
+
 class ConjugatedMap:
     """g = phi o A o phi^{-1} for a linear hyperbolic A and a diffeo phi."""
 
@@ -173,32 +212,25 @@ class ConjugatedMap:
         return wrap_point(self.lift(x))
 
     def jacobian(self, x):
-        return self.jacobian_at_preimage(self.phi.inverse_lift(x))
-
-    def jacobian_at_preimage(self, w):
-        """jacobian at the points phi(w), from w = phi^{-1}(x) itself:
-        D phi(A w) A D phi(w)^{-1}, the 2x2 product written out.
-
-        Each entry (i, l) sums (d_out[i, j] A[j, k]) d_in_inv[k, l] over
-        (j, k) in row-major order, starting from +0.0, which is the order
-        and association of np.einsum("nij,jk,nkl->nil", ...) to the bit."""
-        d_out = self.phi.derivative(w @ self._A.T)
-        d_in_inv = _inv2(self.phi.derivative(w))
-        out = np.empty_like(d_out)
-        for i in range(2):
-            for l in range(2):
-                acc = 0.0
-                for j in range(2):
-                    for k in range(2):
-                        acc = (d_out[:, i, j] * self._A[j, k]) * d_in_inv[:, k, l] + acc
-                out[:, i, l] = acc
-        return out
-
-    def backward(self, x):
-        """inverse().apply(x) and w = phi^{-1}(x), for points x (n, 2), from
-        one phi^{-1} solve; jacobian_at_preimage(w) is then jacobian(x)."""
         w = self.phi.inverse_lift(x)
-        return wrap_point(self.phi.lift(w @ self._B.T)), w
+        return _conjugated_jacobian(self.phi.derivative(w @ self._A.T), self._A,
+                                    _inv2(self.phi.derivative(w)))
+
+    def backward_jacobians(self, x):
+        """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
+        d = 1, 2, ..., walked in phi's chart: w_d = phi^{-1}(x_d) is
+        A^{-1} w_{d-1} up to an integer vector, since phi - id is periodic,
+        so the one phi^{-1} solve at x serves every depth.  A w_d is
+        w_{d-1} up to an integer vector, so D phi(w_{d-1}) is the
+        D phi(A w_d) factor of depth d: D phi is evaluated once per orbit
+        point and used at two depths."""
+        w = self.phi.inverse_lift(x)
+        d_prev = self.phi.derivative(w)
+        while True:
+            w = wrap_point(w @ self._B.T)
+            d_here = self.phi.derivative(w)
+            yield _conjugated_jacobian(d_prev, self._A, _inv2(d_here))
+            d_prev = d_here
 
     def inverse(self):
         return ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))

@@ -102,13 +102,18 @@ class RunReport:
         self.timings: dict = {}
         self.verdict: str | None = None
         self.tables: list = []  # (filename, header, rows-list)
+        self.failed_stage: str | None = None
 
     @contextlib.contextmanager
     def time_block(self, label: str):
-        """Record the wall time of the with-block under ``label``."""
+        """Record the wall time of the with-block under ``label``; an
+        exception leaving the block makes ``label`` the failed stage."""
         start = time.perf_counter()
         try:
             yield
+        except Exception:
+            self.failed_stage = self.failed_stage or label
+            raise
         finally:
             self.timings[label] = round(time.perf_counter() - start, 6)
 

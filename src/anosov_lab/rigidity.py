@@ -586,6 +586,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     else:
         try:
             fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
+            diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
             a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
             a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
             angle_min = min(a1, a2)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from anosov_lab.fourier import FourierPerturbation
@@ -37,6 +39,13 @@ def linear_fields(linear_g1, linear_g2):
         "f2u": compute_line_field(linear_g2, "unstable"),
         "f2s": compute_line_field(linear_g2, "stable"),
     }
+
+
+@pytest.fixture(scope="session")
+def perturbed_g1(e1):
+    # ||Dp||_inf = 0.03
+    p = FourierPerturbation.from_sin_cos([((0, 1), (0.03 / (2 * math.pi), 0.0), None)])
+    return PerturbedMap(e1, p)
 
 
 @pytest.fixture(scope="session")

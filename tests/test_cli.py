@@ -289,13 +289,38 @@ def test_bundles_in_two_directories_are_byte_identical(tmp_path):
     assert bundles[0] == bundles[1]
 
 
+CONJUGATED_02 = ("--set", "action.kind=conjugated",
+                 "--set", 'action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]')
+SMALL = ("--set", "resolution.field_n=32", "--set", "resolution.grid_n=64")
+
+
 def test_determinism_byte_identical(tmp_path):
-    out = tmp_path / "same"
-    assert main(["factorize", "--out", str(out)]) == 0
-    first = (out / "factorize-report.json").read_bytes()
-    assert main(["factorize", "--out", str(out)]) == 0
-    second = (out / "factorize-report.json").read_bytes()
-    assert first == second
+    for argv in (("factorize",), ("foliation",) + CONJUGATED_02 + SMALL, ("teichmuller",) + SMALL):
+        out = tmp_path / "same"
+        name = argv[0]
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        first = (out / f"{name}-report.json").read_bytes()
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        second = (out / f"{name}-report.json").read_bytes()
+        assert first == second
+        diag = json.loads(first)["diagnostics"]
+        if name == "foliation":  # the conjugated transport stops at depth 9 or 10
+            assert diag["line_field_depths"] == {"f1u": 9, "f1s": 10, "f2u": 10, "f2s": 9}
+        if name == "teichmuller":  # A v_u is along v_u: depth 1
+            assert diag["diagnostics"]["line_field_depths"] == {
+                "f1u": 1, "f1s": 1, "f2u": 1, "f2s": 1}
+
+
+@pytest.mark.parametrize("command", ["teichmuller", "foliation"])
+def test_line_fields_not_converged_at_the_cap_exit_three(tmp_path, capsys, command):
+    code, out = run(tmp_path, command, *CONJUGATED_02, *SMALL,
+                    "--set", "resolution.field_iters=3")
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    diag = json.loads((out / f"{command}-report.json").read_text())["diagnostics"]
+    message = diag["errors"][0] if command == "teichmuller" else diag["failure"]
+    assert message.startswith("line_fields: NotConverged: angular change ")
+    assert message.endswith("> 1.0e-08 at the depth cap resolution.field_iters = 3")
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from anosov_lab.conjugacy import (
     MAX_ITERATIONS,
@@ -24,17 +23,12 @@ from anosov_lab.lattice import IntMatrix2, eigen_data, grid_points, invert, powe
 from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.rigidity import teichmuller_experiment
 
+from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
+
 
 @pytest.fixture(scope="module")
 def h_conj(e1, conj_g1):
     return solve_conjugacy(e1, conj_g1, n=256)
-
-
-@pytest.fixture(scope="module")
-def perturbed_g1(e1):
-    # ||Dp||_inf = 0.03
-    p = FourierPerturbation.from_sin_cos([((0, 1), (0.03 / (2 * np.pi), 0.0), None)])
-    return PerturbedMap(e1, p)
 
 
 def test_zero_perturbation_gives_identity(e1, linear_g1):
@@ -167,18 +161,12 @@ def test_solve_gives_phi_for_negative_trace():
     assert err < 1e-8
 
 
-_wavevector = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda k: k != (0, 0))
-_amplitude = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-
-
 @settings(max_examples=10, derandomize=True, deadline=None)
-@given(modes=st.lists(st.tuples(_wavevector, _amplitude, _amplitude), min_size=2, max_size=2),
-       bound=st.floats(0.01, 0.099))
+@given(modes=TWO_MODES, bound=BOUNDS)
 def test_solve_gives_phi_for_drawn_two_mode_diffeo(modes, bound):
-    q = FourierPerturbation.from_sin_cos(modes)
-    if q.deriv_bound < 1e-3:  # the modes cancel or vanish
+    phi = two_mode_diffeo(modes, bound)
+    if phi is None:
         return
-    phi = Diffeo(q.scaled(bound / q.deriv_bound))
     e = eigen_data(IntMatrix2.from_rows(((2, 1), (1, 1))))
     _, err = _phi_sup_error(e, phi, 128)
     assert err < 1e-8

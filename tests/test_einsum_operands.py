@@ -2,7 +2,7 @@
 
 numpy runs a three-operand contraction through its generic loop, several
 times slower than the same 2x2 products written out (see
-``ConjugatedMap.jacobian_at_preimage``).  Two-operand calls are fine.
+``maps._conjugated_jacobian``).  Two-operand calls are fine.
 """
 
 import ast

@@ -8,6 +8,7 @@ from anosov_lab.errors import (
     DomainMismatch,
     LeafEscaped,
     NonMonotoneG,
+    NotConverged,
     RadiusOutOfRange,
     SignAmbiguity,
     TangencySuspected,
@@ -22,6 +23,7 @@ from anosov_lab.foliations import (
     _aligned_direction,
     _cross_to_target,
     _hermite_crossings,
+    _pushed_seeds,
     _rk4_step,
     compute_line_field,
     heteroclinic_points,
@@ -65,15 +67,31 @@ def test_line_field_invariance(conj_fields):
 
 
 def test_line_field_convergence_rate(conj_g1):
-    # transport error contracts like lambda_u^{-2k}: depth k vs k-1
-    coarse = compute_line_field(conj_g1, "unstable", n=64, iters=4, tol=1.0)
-    fine = compute_line_field(conj_g1, "unstable", n=64, iters=8, tol=1.0)
-    assert fine.converged_residual < coarse.converged_residual
+    # the change between depths d and d - 1 contracts like lambda_u^-2 = 0.146
+    for handle in (conj_g1, conj_g1.inverse()):
+        residuals = [r for _, (_, r) in zip(range(12), _pushed_seeds(handle, grid_points(64)))]
+        ratios = np.array(residuals[1:]) / np.array(residuals[:-1])
+        assert np.all((ratios >= 0.08) & (ratios <= 0.25)), ratios
+
+
+def test_line_field_depth_grows_as_tol_shrinks(conj_g1):
+    fields = [compute_line_field(conj_g1, "unstable", n=64, iters=40, tol=tol)
+              for tol in (1e-4, 1e-6, 1e-8, 1e-10)]
+    depths = [f.depth for f in fields]
+    assert depths == sorted(set(depths)), depths
+    for f, tol in zip(fields, (1e-4, 1e-6, 1e-8, 1e-10)):
+        assert f.converged_residual <= tol
+
+
+def test_line_field_not_converged_at_the_cap_names_it(conj_g1):
+    with pytest.raises(NotConverged, match=r"> 1\.0e-08 at the depth cap "
+                       r"resolution\.field_iters = 3"):
+        compute_line_field(conj_g1, "unstable", n=16, iters=3)
 
 
 def _ref_line_field_theta(g, label, n, iters):
     """The line-field transport with one inverse solve for the orbit and
-    another inside each jacobian."""
+    another inside each jacobian, pushed forward from depth ``iters``."""
     handle = g if label == "unstable" else g.inverse()
     seed_dir = eigen_data(handle.linear_part).vu
     orbit = [grid_points(n)]
@@ -86,14 +104,38 @@ def _ref_line_field_theta(g, label, n, iters):
     return np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi).reshape(n, n)
 
 
+def _angle_gap(a, b):
+    d = np.abs(a - b)
+    return float(np.max(np.minimum(d, math.pi - d)))
+
+
+def _assert_matches_full_depth_transport(g, label):
+    # stopped at the first depth within tol = 1e-8, the field is within
+    # about 0.17 tol of the depth-40 push
+    field = compute_line_field(g, label, n=32, iters=40)
+    assert 2 <= field.depth < 40
+    assert _angle_gap(field.theta, _ref_line_field_theta(g, label, 32, 40)) < 2e-9
+
+
 @pytest.mark.parametrize("label", ["unstable", "stable"])
 def test_line_field_shared_inverse_matches_two_solves(conj_g1, label):
-    field = compute_line_field(conj_g1, label, n=32, iters=12)
-    assert np.array_equal(field.theta, _ref_line_field_theta(conj_g1, label, 32, 12))
-    x = grid_points(8)
-    back, w = conj_g1.backward(x)
-    assert np.array_equal(back, conj_g1.inverse().apply(x))
-    assert np.array_equal(conj_g1.jacobian_at_preimage(w), conj_g1.jacobian(x))
+    # one phi^{-1} solve walks the whole orbit in phi's chart
+    _assert_matches_full_depth_transport(conj_g1, label)
+
+
+@pytest.mark.parametrize("label", ["unstable", "stable"])
+def test_perturbed_line_field_matches_full_depth_transport(perturbed_g1, label):
+    # the stable field steps the forward map and inverts its jacobian
+    _assert_matches_full_depth_transport(perturbed_g1, label)
+
+
+@pytest.mark.parametrize("label", ["unstable", "stable"])
+def test_linear_line_field_is_the_full_depth_transport(linear_g1, label):
+    # A v_u is along v_u, so the transport stops at depth 1 on the bits of
+    # the depth-40 push
+    field = compute_line_field(linear_g1, label, n=16, iters=40)
+    assert field.depth == 1
+    assert np.array_equal(field.theta, _ref_line_field_theta(linear_g1, label, 16, 40))
 
 
 def test_leaf_invariance_under_map(conj_g1, conj_fields):

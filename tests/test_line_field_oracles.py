@@ -1,0 +1,49 @@
+"""Line fields against their closed form.
+
+For g = phi A phi^{-1} with phi = id + q, the unstable field at x lies
+along D phi(phi^{-1} x) v_u and the stable field along
+D phi(phi^{-1} x) v_s, where v_u and v_s are the eigen-directions of A.
+The transport stops at the first depth whose change is at most
+tol = 1e-8, and the change falls by about lambda_u^-2 = 0.146 per depth,
+so the field is within about 0.17 tol of its limit; the bound is 0.2 tol.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+
+from anosov_lab.foliations import _unit, line_fields
+from anosov_lab.lattice import grid_points, line_angle
+from anosov_lab.maps import ConjugatedMap
+
+from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
+
+BOUND = 2e-9  # 0.2 tol
+
+
+def _oracle_errors(phi, e1, e2, n):
+    """Largest angle from the closed form, per field key."""
+    fields = line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)),
+                         ("f1u", "f1s", "f2u", "f2s"), n, 40)
+    d = phi.derivative(phi.inverse_lift(grid_points(n)))
+    eigen = {"1": e1, "2": e2}
+    errors = {}
+    for key, field in fields.items():
+        e = eigen[key[1]]
+        exact = d @ np.asarray(e.vu if key[2] == "u" else e.vs)
+        errors[key] = float(np.max(line_angle(_unit(field.theta.ravel()), exact)))
+    return errors
+
+
+def test_conjugated_fields_are_dphi_images_of_eigenlines(phi02, e1, e2):
+    errors = _oracle_errors(phi02, e1, e2, 128)
+    assert max(errors.values()) < BOUND, errors
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(modes=TWO_MODES, bound=BOUNDS)
+def test_fields_of_drawn_two_mode_diffeo_are_dphi_images(e1, e2, modes, bound):
+    phi = two_mode_diffeo(modes, bound)
+    if phi is None:
+        return
+    errors = _oracle_errors(phi, e1, e2, 32)
+    assert max(errors.values()) < BOUND, errors

@@ -139,7 +139,7 @@ def test_cone_margin_monotone_in_aperture(linear_g1, e1):
 
 # --- references: the three inline 2x2 formulas (the conjugated one a
 # three-operand einsum) and the two Newton loops that _inv2,
-# jacobian_at_preimage and _newton_inverse replace, kept as they were ------
+# _conjugated_jacobian and _newton_inverse replace, kept as they were ------
 
 def _ref_solve2(j, rhs):
     det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
@@ -264,8 +264,24 @@ def test_conjugated_jacobian_matches_einsum(request, phi_name, rows):
     phi = request.getfixturevalue(phi_name)
     x = np.random.default_rng(17).random((2000, 2)) * 3.0 - 1.0
     # rows of signed zeros; phi02 fixes 0, so there they reach
-    # jacobian_at_preimage as they are
+    # _conjugated_jacobian as they are
     x[:4] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
     handle = ConjugatedMap(phi, eigen_data(IntMatrix2.from_rows(rows)))
     for h in (handle, handle.inverse()):
         _assert_same_bits(h.jacobian(x), _ref_conjugated_jacobian(h, x))
+
+
+@pytest.mark.parametrize("name", ["perturbed", "inverse_perturbed", "conjugated",
+                                  "inverse_conjugated"])
+def test_backward_jacobians_are_jacobians_along_the_backward_orbit(perturbed, conj_g1, name):
+    handle = {"perturbed": perturbed, "inverse_perturbed": InverseMap(perturbed),
+              "conjugated": conj_g1, "inverse_conjugated": conj_g1.inverse()}[name]
+    x = RNG.random((64, 2))
+    orbit = x
+    for depth, jac in zip(range(1, 7), handle.backward_jacobians(x)):
+        orbit = handle.inverse().apply(orbit)
+        expected = handle.jacobian(orbit)
+        if name == "perturbed":  # the same Newton inverse and jacobian
+            _assert_same_bits(jac, expected)
+        else:  # the orbit found another way: rounding grows like lambda_u^depth
+            assert np.max(np.abs(jac - expected)) < 1e-12, depth
