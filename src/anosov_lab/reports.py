@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .errors import IoError
+from .errors import AnosovLabError, IoError
 
 
 def _jsonable(obj):
@@ -107,11 +107,11 @@ class RunReport:
     @contextlib.contextmanager
     def time_block(self, label: str):
         """Record the wall time of the with-block under ``label``; an
-        exception leaving the block makes ``label`` the failed stage."""
+        AnosovLabError leaving the block makes ``label`` the failed stage."""
         start = time.perf_counter()
         try:
             yield
-        except Exception:
+        except AnosovLabError:
             self.failed_stage = self.failed_stage or label
             raise
         finally:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -69,18 +70,17 @@ def test_line_field_invariance(conj_fields):
 def test_line_field_convergence_rate(conj_g1):
     # the change between depths d and d - 1 contracts like lambda_u^-2 = 0.146
     for handle in (conj_g1, conj_g1.inverse()):
-        residuals = [r for _, (_, r) in zip(range(12), _pushed_seeds(handle, grid_points(64)))]
+        residuals = [r for _, r in itertools.islice(_pushed_seeds(handle, grid_points(64)), 12)]
         ratios = np.array(residuals[1:]) / np.array(residuals[:-1])
         assert np.all((ratios >= 0.08) & (ratios <= 0.25)), ratios
 
 
 def test_line_field_depth_grows_as_tol_shrinks(conj_g1):
-    fields = [compute_line_field(conj_g1, "unstable", n=64, iters=40, tol=tol)
-              for tol in (1e-4, 1e-6, 1e-8, 1e-10)]
+    tols = (1e-4, 1e-6, 1e-8, 1e-10)
+    fields = [compute_line_field(conj_g1, "unstable", n=64, iters=40, tol=tol) for tol in tols]
     depths = [f.depth for f in fields]
     assert depths == sorted(set(depths)), depths
-    for f, tol in zip(fields, (1e-4, 1e-6, 1e-8, 1e-10)):
-        assert f.converged_residual <= tol
+    assert all(f.converged_residual <= tol for f, tol in zip(fields, tols))
 
 
 def test_line_field_not_converged_at_the_cap_names_it(conj_g1):
