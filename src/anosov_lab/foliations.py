@@ -11,6 +11,8 @@ iterates it would take alone.  A single leaf is a one-row ``LeafBundle``.
 A march brackets each crossing of a leaf with a transversal, at the first
 step whose fast signed distance changes sign; ``_hermite_crossings``
 intersects the leaf's and the transversal's cubic Hermite segments there.
+Each step of a march projects onto the transversal through a window of
+nodes around the last step's foot (``LeafBundle.project``).
 """
 
 from __future__ import annotations
@@ -40,14 +42,18 @@ DEFAULT_STEP = 1e-3
 MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
 HERMITE_NEWTON_STEPS = 4  # from the bracket's linear guess, 2 reach rounding level
 SEGMENT_SLACK = 1e-9  # a crossing this far past a node stays on its segment
+WINDOW = 3  # nodes on each side of a hint that a hinted projection searches
 
 
 def _unit(theta):
     """Unit vector for an angle mod pi, canonical sign: positive first
     coordinate, positive second if the first vanishes."""
-    v = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    v = np.empty(np.shape(theta) + (2,))
+    np.cos(theta, out=v[..., 0])
+    np.sin(theta, out=v[..., 1])
     flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
-    return np.where(flip[..., None], -v, v)
+    np.negative(v, out=v, where=flip[..., None])
+    return v
 
 
 def _fold_angle(theta):
@@ -175,7 +181,7 @@ def _aligned_direction(field: LineField, pts, headings):
     """Field directions at pts with signs matched to the given headings."""
     d = field.direction_at(np.mod(pts, 1.0))
     dots = np.einsum("ni,ni->n", d, headings)
-    d = d * np.sign(dots)[:, None]
+    d *= np.sign(dots)[:, None]
     return d, np.abs(dots)
 
 
@@ -280,43 +286,74 @@ class LeafBundle:
             tangents[moved] = sign * new_hd
         return pts, tangents
 
-    def project(self, pts, which=0):
+    def _nearest(self, pts, which, last, near=None):
+        """Index of each point's nearest node of its row (which, last: each
+        point's row and that row's last node index), and the squared
+        distances (m, 3) from the point to the nodes before, at and after it
+        (meaningful where the node is interior).
+
+        Without hints every node of the row is searched.  With node hints
+        ``near``, clipped to the row, only the nodes within WINDOW of the
+        hint are; a point whose nearest of them sits on an inner edge of
+        that window is searched again over its whole row."""
+        if near is None:
+            # one row broadcasts its nodes; several are gathered per point
+            nodes = self.points[:1] if len(self.params) == 1 else self.points[which]
+        else:
+            near = np.minimum(np.maximum(near, 0), last)
+            lo, hi = np.maximum(near - WINDOW, 0), np.minimum(near + WINDOW, last)
+            cols = np.minimum(lo[:, None] + np.arange(2 * WINDOW + 1), hi[:, None])
+            cols += (which * self.points.shape[1])[:, None]  # into the flattened rows
+            nodes = np.take(self.points.reshape(-1, 2), cols, axis=0)
+        # each coordinate's difference squared, the two squares added as np.sum
+        # over a last axis of length 2 adds them, but without that reduction
+        d2 = (pts[:, None, 0] - nodes[..., 0]) ** 2 + (pts[:, None, 1] - nodes[..., 1]) ** 2
+        col = d2.argmin(axis=1)
+        # the table's entries at col - 1, col and col + 1 of each point's row
+        at = np.arange(0, d2.size, d2.shape[1]) + col
+        around = np.take(d2, at[:, None] + np.arange(-1, 2), mode="clip")
+        if near is None:
+            return col, around
+        idx = np.minimum(lo + col, hi)
+        edge = np.flatnonzero(((col == 0) & (lo > 0)) | ((idx == hi) & (hi < last)))
+        if len(edge):
+            idx[edge], around[edge] = self._nearest(pts[edge], which[edge], last[edge])
+        return idx, around
+
+    def project(self, pts, which=0, near=None):
         """Return (s, signed_distance, tangent) for points pts of shape (m, 2),
         point i projected onto row which[i] (one index may serve all).
 
         Nearest-node search plus parabolic refinement of the squared
-        distance; exact for straight leaves.  The foot is linearly
-        interpolated along the nearest node's heading, accurate to
-        O(step^2): enough to bracket a crossing, which ``_hermite_crossings``
-        then solves.  Each point gets the result of a projection onto its
-        own row alone.
+        distance; exact for straight leaves.  ``near`` (one node index per
+        point, or None) hints where each nearest node is: the search then
+        covers the 2 WINDOW + 1 nodes around the hint and falls back to the
+        whole row only for points whose nearest of them is on an inner edge
+        of that window, so a hint changes the cost, never the result.  The
+        foot is linearly interpolated along the nearest node's heading,
+        accurate to O(step^2): enough to bracket a crossing, which
+        ``_hermite_crossings`` then solves.  Each point gets the result of a
+        projection onto its own row alone.
         """
         which = np.broadcast_to(which, (len(pts),))
-        # one row broadcasts its nodes; several are gathered per point
-        nodes = self.points[:1] if len(self.params) == 1 else self.points[which]
-        diff = pts[:, None, :] - nodes
-        # the two squares added as np.sum over the last axis adds them, but
-        # without a reduction over a length-2 axis
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2  # (m, nodes)
-        idx = np.argmin(d2, axis=1)
-        h = self.step[which]
         last = self.last[which]
+        idx, around = self._nearest(pts, which, last, near)
+        h = self.step[which]
         node = self.points[which, idx]
         head = self.headings[which, idx]
-        interior = (idx > 0) & (idx < last)
         offset = np.einsum("ni,ni->n", pts - node, head) / h
-        offset[idx == 0] = np.minimum(offset[idx == 0], 0.0)
-        offset[idx == last] = np.maximum(offset[idx == last], 0.0)
-        if np.any(interior):
-            k = idx[interior]
-            dm, d0, dp = d2[interior, k - 1], d2[interior, k], d2[interior, k + 1]
+        np.minimum(offset, 0.0, out=offset, where=idx == 0)
+        np.maximum(offset, 0.0, out=offset, where=idx == last)
+        interior = (idx > 0) & (idx < last)
+        if interior.any():
+            dm, d0, dp = around[interior].T
             denom = dm - 2 * d0 + dp
             par = np.where(np.abs(denom) > 1e-30, 0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
             offset[interior] = np.clip(par, -1.0, 1.0)
-        s = self.params[which, idx] + offset * h
-        foot = node + (offset * h)[:, None] * head
-        n_vec = np.stack([-head[:, 1], head[:, 0]], axis=1)
-        return s, np.einsum("ni,ni->n", pts - foot, n_vec), head
+        shift = offset * h
+        foot = node + shift[:, None] * head
+        n_vec = head[:, ::-1] * (-1.0, 1.0)  # the normal (-head_y, head_x)
+        return self.params[which, idx] + shift, np.einsum("ni,ni->n", pts - foot, n_vec), head
 
 
 # the name bench/spans.py wraps for the projection's span
@@ -416,9 +453,12 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     row), starting in the direction in which its fast signed distance
     (``LeafBundle.project``) shrinks.  All leaves advance together; a leaf
     stops at the first step whose fast signed distance changes sign, so a
-    start on the target brackets in its first step.  After the march one
-    ``_hermite_crossings`` call solves the crossings of all stopped leaves,
-    before any escape or tangency check.  Only marching rows are
+    start on the target brackets in its first step.  Each step's
+    projection is hinted with the node nearest the row's last foot
+    parameter (a foot moves by at most one march step per step), so it
+    searches a window of nodes instead of the whole target row.  After the
+    march one ``_hermite_crossings`` call solves the crossings of all
+    stopped leaves, before any escape or tangency check.  Only marching rows are
     evaluated, so a stacked call gives each row what a call with its
     target alone gives it.
 
@@ -453,11 +493,14 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
         rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
         if rough.any():
             raise _failure(SignAmbiguity, "field too rough along holonomy leaf", rows[rough], tags)
-        new_foot, new_dist, _ = targets.project(stepped, which=which[rows])
+        w = which[rows]
+        near = np.rint((foot[rows] - targets.params[w, 0]) / targets.step[w]).astype(int)
+        new_foot, new_dist, _ = targets.project(stepped, which=w, near=near)
         hit = rows[np.sign(new_dist) != np.sign(dist[rows])]
-        for kept, now in zip(before, (pts, hd, dist, foot)):
-            kept[hit] = now[hit]
-        active[hit] = False
+        if len(hit):
+            for kept, now in zip(before, (pts, hd, dist, foot)):
+                kept[hit] = now[hit]
+            active[hit] = False
         pts[rows], hd[rows], dist[rows], foot[rows] = stepped, hd_step, new_dist, new_foot
     c = np.flatnonzero(~active)
     if len(c):

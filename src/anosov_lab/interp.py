@@ -22,12 +22,12 @@ class PeriodicBicubic:
         ]
 
     def __call__(self, x) -> np.ndarray:
-        """Values at the torus points x of shape (n, 2): shape (n, m)."""
+        """Values at the torus points x of shape (n, 2): shape (n, m), the
+        transposed view of one (m, n) array that each channel's
+        ``map_coordinates`` call writes its row of."""
         coords = (x.T * self.n) % self.n
-        return np.stack(
-            [
-                ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
-                for c in self._coeffs
-            ],
-            axis=1,
-        )
+        out = np.empty((len(self._coeffs), len(x)))
+        for c, row in zip(self._coeffs, out):
+            ndimage.map_coordinates(c, coords, output=row, order=3, mode="grid-wrap",
+                                    prefilter=False)
+        return out.T

@@ -1,16 +1,19 @@
-"""Leaf crossings against closed forms.
+"""Leaves and leaf crossings against closed forms.
 
 For the linear action every leaf is straight, so a crossing is exact up to
 rounding.  For the action conjugated by phi = id + (0.02 sin 2 pi x2, 0)
 every leaf is the phi-image of a straight line: the leaf of E^u through
-phi(x) is t -> phi(x + t v_u), and likewise for E^s.  So heteroclinic
-points and holonomy landing points are phi-images of intersections of
-lines.  The bounds leave about a factor of two over the measured errors.
+phi(x) is t -> phi(x + t v_u), and likewise for E^s.  So integrated leaves
+map under phi^-1 onto straight lines, and heteroclinic points and holonomy
+landing points are phi-images of intersections of lines.  The bounds leave
+about a factor of two over the measured errors.
 """
+
+import math
 
 import numpy as np
 
-from anosov_lab.foliations import heteroclinic_points, holonomy, integrate_leaf
+from anosov_lab.foliations import heteroclinic_points, holonomy, integrate_leaf, integrate_leaves
 from anosov_lab.rigidity import factor_translation_numeric
 
 STEP = 4e-3
@@ -51,3 +54,24 @@ def test_conjugated_holonomy_lands_on_line_intersection(conj_fields, phi02, e1):
     landed, _ = tau2.evaluate(hol.samples[:, 1])
     expected = phi02.inverse_lift(starts) + w
     assert np.max(np.abs(phi02.inverse_lift(landed) - expected)) < 1e-9
+
+
+def _leaf_gap(field, phi, vu, step):
+    """Largest distance of phi^-1 of the nodes of leaves of ``field``
+    through phi(x) from the lines x + t v_u, over four x; each leaf is
+    centered, of length 1.6."""
+    xs = np.array([[0.1, 0.2], [0.37, 0.81], [0.6, 0.45], [0.9, 0.05]])
+    leaves = integrate_leaves(field, phi.lift(xs), 1.6, step=step, centered=True)
+    normal = np.array([-vu[1], vu[0]])
+    return max(float(np.max(np.abs((phi.inverse_lift(leaves.points[i, :last + 1]) - x) @ normal)))
+               for i, (x, last) in enumerate(zip(xs, leaves.last)))
+
+
+def test_conjugated_leaves_are_phi_images_of_lines(conj_fields, phi02, e1):
+    vu = np.asarray(e1.vu)
+    # at the propagation step the field's own error sets the gap (1.9e-10)
+    assert _leaf_gap(conj_fields["f1u"], phi02, vu, STEP) < 5e-10
+    # at coarse steps RK4's step^4 error dominates it (1.4e-6 at step 0.2)
+    gaps = [_leaf_gap(conj_fields["f1u"], phi02, vu, h) for h in (0.4, 0.2, 0.1)]
+    orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert all(3.5 <= p <= 4.5 for p in orders), (gaps, orders)

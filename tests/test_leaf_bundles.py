@@ -5,15 +5,18 @@ versions of leaf integration, crossing (one Hermite solve per leaf),
 holonomy, local graphs,
 heteroclinic points and the tangency-propagation loop.  A bundle does the
 same arithmetic per row, so every comparison asserts equality bit for
-bit, not closeness.
+bit, not closeness.  A projection with node hints is compared with the
+whole-row search the same way.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from anosov_lab.errors import (
+    AnosovLabError,
     ChartOverflow,
     LeafEscaped,
     SignAmbiguity,
@@ -22,6 +25,7 @@ from anosov_lab.errors import (
 from anosov_lab.foliations import (
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
+    WINDOW,
     GraphMap,
     HeteroclinicPoint,
     HolonomyMap,
@@ -35,11 +39,15 @@ from anosov_lab.foliations import (
     holonomy,
     integrate_leaf,
     integrate_leaves,
+    line_fields,
     local_graph,
     verify_graph_transport,
 )
 from anosov_lab.lattice import line_angle
+from anosov_lab.maps import ConjugatedMap
 from anosov_lab.rigidity import PropagationRow, tangency_propagation_check
+
+from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
 
 STEP = 4e-3
 
@@ -381,6 +389,118 @@ def test_propagation_rows_match_serial_loop_nonlinear(conj_fields, e1):
     _assert_same_rows(
         tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True),
         _ref_tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True))
+
+
+# --- projections with node hints against the whole-row search -------------
+
+def _assert_same_bits(got, want):
+    """(s, signed distance, tangent) equal bit for bit, sign bits included."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(np.ascontiguousarray(g).view(np.uint64),
+                              np.ascontiguousarray(w).view(np.uint64))
+
+
+def _assert_hints_change_nothing(bundle, pts, which, near):
+    _assert_same_bits(bundle.project(pts, which=which, near=near),
+                      bundle.project(pts, which=which))
+
+
+def _around_nodes(bundle, t, nodes):
+    """Points on, beside and past the given nodes of row t: each node, the
+    node moved 1e-3 to either side of the row, and, at the row's ends, the
+    node moved two node spacings further along the row."""
+    p, hd = bundle.points[t, nodes], bundle.headings[t, nodes]
+    normal = np.stack([-hd[:, 1], hd[:, 0]], axis=1)
+    out = [p, p + 1e-3 * normal, p - 1e-3 * normal]
+    along = np.where(nodes == 0, -2.0, np.where(nodes == bundle.last[t], 2.0, 0.0))
+    out.append(p + (along * bundle.step[t])[:, None] * hd + 5e-4 * normal)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("nodes", [2, 5])
+def test_hinted_projection_on_a_row_shorter_than_the_window(fields, nodes):
+    row = integrate_leaf(fields["f1u"], np.array([0.3, 0.6]), (nodes - 1) * STEP, step=STEP)
+    assert row.last[0] == nodes - 1 < 2 * WINDOW
+    pts = _around_nodes(row, 0, np.arange(nodes))
+    # every hint, and hints past either end, which the window clips to the row
+    for hint in range(-2, nodes + 2):
+        _assert_hints_change_nothing(row, pts, 0, np.full(len(pts), hint))
+
+
+def test_hinted_projection_on_padded_rows(fields):
+    # rows of 51, 151 and 101 nodes: the first and the last are padded
+    rows = integrate_leaves(fields["f1u"], np.array([[0.05, 0.1], [0.1, -0.05], [0.2, 0.2]]),
+                            [0.2, 0.6, 0.4], step=STEP, centered=True)
+    assert list(rows.last) == [50, 150, 100]
+    pts, which, near = [], [], []
+    for t, last in enumerate(rows.last):
+        nodes = np.array([0, 1, 2, 4, last // 2, last - 4, last - 1, last])
+        p = _around_nodes(rows, t, nodes)
+        for shift in range(-WINDOW - 1, WINDOW + 2):
+            pts.append(p)
+            which += [t] * len(p)
+            near.append(np.tile(nodes, 4) + shift)
+    _assert_hints_change_nothing(rows, np.concatenate(pts), np.array(which),
+                                 np.concatenate(near))
+
+
+def test_hint_far_from_the_nearest_node_falls_back_to_the_whole_row(fields):
+    row = integrate_leaf(fields["f1u"], np.zeros(2), 0.6, step=STEP, centered=True)
+    last = int(row.last[0])
+    nodes = np.array([20, 75, 130])
+    pts = _around_nodes(row, 0, nodes)
+    nearest = np.tile(nodes, 4)
+    # hints at both ends of the row and 10 nodes off to either side: the
+    # window misses the nearest node, and its nearest is on an inner edge
+    for near in (np.zeros_like(nearest), np.full_like(nearest, last), nearest - 10,
+                 nearest + 10):
+        _assert_hints_change_nothing(row, pts, 0, near)
+
+
+def _hinted_projections(run):
+    """Every projection with node hints that ``run()`` makes, as (bundle,
+    points, rows, hints); an AnosovLabError ends ``run`` early."""
+    calls = []
+    project = LeafBundle.project
+
+    def recording(self, pts, which=0, near=None):
+        if near is not None:
+            calls.append((self, pts.copy(), np.copy(which), near.copy()))
+        return project(self, pts, which, near)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LeafBundle, "project", recording)
+        try:
+            run()
+        except AnosovLabError:
+            pass
+    return calls
+
+
+def _assert_march_hints_change_nothing(f, e1, nonlinear):
+    calls = _hinted_projections(lambda: tangency_propagation_check(
+        f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, radius=1, step=STEP,
+        nonlinear=nonlinear))
+    assert calls
+    for bundle, pts, which, near in calls:
+        _assert_hints_change_nothing(bundle, pts, which, near)
+
+
+@pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
+def test_every_march_projection_is_the_whole_row_projection(request, e1, name, nonlinear):
+    _assert_march_hints_change_nothing(request.getfixturevalue(name), e1, nonlinear)
+
+
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(modes=TWO_MODES, bound=BOUNDS)
+def test_march_projections_of_drawn_two_mode_diffeo(e1, e2, modes, bound):
+    phi = two_mode_diffeo(modes, bound)
+    if phi is None:
+        return
+    fields = line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)),
+                         ("f1u", "f1s", "f2s"), 32, 40)
+    _assert_march_hints_change_nothing(fields, e1, nonlinear=True)
 
 
 # --- errors of stacked calls name their lattice vectors and kinds ---------

@@ -1,0 +1,89 @@
+"""The field-lookup kernels against the forms they replaced.
+
+``foliations._unit`` writes cos and sin into one array and negates the
+flipped rows in place, and ``PeriodicBicubic.__call__`` writes each channel
+into one preallocated array and returns its transpose.  The references
+below are the ``np.stack`` and ``np.where`` forms they replaced.  The
+arithmetic is the same, so every comparison is bit for bit, sign bits
+included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from anosov_lab.conjugacy import DisplacementField
+from anosov_lab.foliations import _unit
+
+SIZES = [1, 7, 300, 16384]
+# 0, pi/2 and its neighbours, the last angle below pi, and -0.0
+SPECIAL_ANGLES = [0.0, math.pi / 2, np.nextafter(math.pi / 2, 0.0),
+                  np.nextafter(math.pi / 2, 4.0), np.nextafter(math.pi, 0.0), -0.0]
+
+
+def _ref_unit(theta):
+    v = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
+    return np.where(flip[..., None], -v, v)
+
+
+def _ref_bicubic(interp, x):
+    coords = (x.T * interp.n) % interp.n
+    return np.stack(
+        [ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
+         for c in interp._coeffs],
+        axis=1,
+    )
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("theta", SPECIAL_ANGLES)
+def test_unit_at_special_angles(theta):
+    _assert_same_bits(_unit(np.array([theta])), _ref_unit(np.array([theta])))
+    assert np.signbit(_unit(np.array([-0.0]))[0]).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_unit_matches_stack_and_where(size):
+    rng = np.random.default_rng(size)
+    # angles of a line field, and angles of either sign past pi
+    for theta in (rng.uniform(0.0, math.pi, size), rng.uniform(-7.0, 7.0, size)):
+        theta[:len(SPECIAL_ANGLES)] = SPECIAL_ANGLES[:size]
+        _assert_same_bits(_unit(theta), _ref_unit(theta))
+
+
+def test_unit_of_a_field_grid(conj_fields):
+    theta = conj_fields["f1u"].theta
+    _assert_same_bits(_unit(theta), _ref_unit(theta))
+
+
+def _grids(field):
+    """A line field's interpolator and a displacement field's."""
+    n = 64
+    x, y = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
+    values = np.stack([0.02 * np.sin(2 * np.pi * y) + 0.01 * np.cos(2 * np.pi * (x + 2 * y)),
+                       -0.015 * np.sin(2 * np.pi * (x - y))], axis=-1)
+    return {"line field": field._interp,
+            "displacement": DisplacementField(n, values.reshape(n * n, 2)).interpolator()}
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_bicubic_matches_stacked_channels(conj_fields, size):
+    rng = np.random.default_rng(size)
+    x = rng.uniform(-1.0, 2.0, (size, 2))
+    # grid nodes, the origin's neighbours below 1 and points of negative sign
+    special = np.array([[0.0, 0.0], [-0.0, 0.5], [np.nextafter(1.0, 0.0), 0.25],
+                        [0.5, np.nextafter(1.0, 0.0)], [-1e-17, 3 / 128], [0.125, -0.75]])
+    x[:len(special)] = special[:size]
+    for name, interp in _grids(conj_fields["f1u"]).items():
+        got = interp(x)
+        _assert_same_bits(got, _ref_bicubic(interp, x))
+        assert got.shape == (size, 2), name
+

@@ -1,0 +1,67 @@
+"""Print one sha256 per report file of a fixed set of ``anosov-lab`` runs.
+
+    PYTHONPATH=src python3 tools/bundle_digests.py > digests.txt
+
+The runs are all nine subcommands on the default config and on the action
+conjugated by phi = id + (0.02 sin 2 pi x2, 0), and ``teichmuller`` on the
+overrides of each benchmark workload (bench/workloads.py, seed 1).  Each
+run writes into its own temporary ``--out``; the timings sidecars
+(``*-timings.json``), which hold wall times, are left out.  Every other
+file of a bundle is deterministic, so two checkouts write the same bundles
+exactly when the outputs of this script for them are equal: run it once
+with each checkout's ``src`` on PYTHONPATH and ``diff`` the two outputs.
+The package imported is named on standard error.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import anosov_lab  # noqa: E402
+from anosov_lab.cli import COMMANDS, main  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEED = 1
+# the conjugated workload's action, on the default experiment settings
+PHI = [s for s in WORKLOADS["teichmuller-conjugated"].overrides(SEED)
+       if not s.startswith("experiment.")]
+
+
+def _sets(overrides):
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+def runs():
+    """(label, argv without --out) of every run, in a fixed order."""
+    for config, overrides in (("default", []), ("phi-0.02", PHI)):
+        for command in COMMANDS:
+            yield f"{config}/{command}", [command, *_sets(overrides)]
+    for name, workload in WORKLOADS.items():
+        yield f"{name}/teichmuller", ["teichmuller", *_sets(workload.overrides(SEED))]
+
+
+def digests(label, argv):
+    """The run's exit code, then '<sha256>  <label>/<file>' for each file of
+    its bundle, timings left out."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", out])
+        files = sorted(p for p in Path(out).rglob("*")
+                       if p.is_file() and not p.name.endswith("-timings.json"))
+        lines = [f"exit {code}  {label}"]
+        lines += [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {label}/{p.relative_to(out)}"
+                  for p in files]
+    return lines
+
+
+if __name__ == "__main__":
+    print(f"anosov_lab from {Path(anosov_lab.__file__).parent}", file=sys.stderr)
+    for label, argv in runs():
+        print("\n".join(digests(label, argv)), flush=True)
