@@ -75,7 +75,8 @@ class RootBracketFailed(AnosovLabError):
 
 class NonMonotoneG(AnosovLabError):
     """Samples that must be strictly monotone are not: the integrated
-    linearizing coordinate g, a translation profile or a holonomy."""
+    linearizing coordinate g, a translation profile, a holonomy or the u
+    values of a local graph."""
 
 
 class SingularSystem(AnosovLabError):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ChartOverflow,
@@ -33,7 +32,7 @@ from .errors import (
     SignAmbiguity,
     TangencySuspected,
 )
-from .interp import PeriodicBicubic
+from .interp import PeriodicBicubic, pchip
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
@@ -612,10 +611,10 @@ class HolonomyMap:
         else:
             raise NonMonotoneG("holonomy samples are not strictly monotone")
         self.samples = np.column_stack([s, sp])
-        self._fwd = PchipInterpolator(s, sp)
+        self._fwd = pchip(s, sp)
         inv_s = sp if self.increasing else sp[::-1]
         inv_v = s if self.increasing else s[::-1]
-        self._inv = PchipInterpolator(inv_s, inv_v)
+        self._inv = pchip(inv_s, inv_v)
 
     @property
     def domain(self):
@@ -628,7 +627,7 @@ class HolonomyMap:
         return self._inv(s_prime)
 
     def derivative(self, s):
-        return self._fwd.derivative()(s)
+        return self._fwd.derivative(s)
 
 
 def holonomies(field: LineField, tau1s: LeafBundle, tau2s: LeafBundle, budgets,
@@ -688,7 +687,10 @@ class GraphMap:
         order = np.argsort(u_values)
         self.u_values = np.asarray(u_values, dtype=float)[order]
         self.s_values = np.asarray(s_values, dtype=float)[order]
-        self._interp = PchipInterpolator(self.u_values, self.s_values)
+        repeat = np.flatnonzero(np.diff(self.u_values) <= 0)
+        if len(repeat):
+            raise NonMonotoneG(f"local graph samples repeat u = {self.u_values[repeat[0]]:.6g}")
+        self._interp = pchip(self.u_values, self.s_values)
 
     @property
     def domain(self):
@@ -698,7 +700,7 @@ class GraphMap:
         return self._interp(u)
 
     def slope_at(self, u):
-        return float(self._interp.derivative()(u))
+        return float(self._interp.derivative(u))
 
 
 def _graph_plan(bases, frame_u: LineField, target: LineField, eps: float, tags=None):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .conjugacy import Conjugacy, compare_smooth_invariants, estimate_holder_exponent, solve_conjugacy
 from .errors import (
@@ -39,6 +37,7 @@ from .foliations import (
     min_transversality_angle,
     verify_graph_transport,
 )
+from .interp import not_a_knot_spline
 from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
@@ -59,11 +58,11 @@ class TranslationAction:
         v = np.asarray(psi_values, dtype=float)
         if not (np.all(np.diff(v) > 0) or np.all(np.diff(v) < 0)):
             raise NonMonotoneG("profile samples are not strictly monotone")
-        fwd = CubicSpline(r, v)
+        fwd = not_a_knot_spline(r, v)
         if v[1] > v[0]:
-            inv = CubicSpline(v, r)
+            inv = not_a_knot_spline(v, r)
         else:
-            inv = CubicSpline(v[::-1], r[::-1])
+            inv = not_a_knot_spline(v[::-1], r[::-1])
         return cls(fwd, inv, (float(v.min()), float(v.max())))
 
     def __call__(self, t, y):
@@ -213,6 +212,34 @@ def _solve_t(S: TranslationAction, ys, y0: float, t_range: float) -> np.ndarray:
     return out
 
 
+def _simpson_pieces(f, dx):
+    """Simpson integral over the first interval of each consecutive pair,
+    [x_i, x_{i+1}], from the quadratic through x_i, x_{i+1}, x_{i+2}."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * f[:-2] + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                      - x21x21_x31x32 * f[2:])
+
+
+def _cumulative_simpson(f, x):
+    """Cumulative integral of the samples f over the increasing nodes x
+    (at least 3), starting at 0: interval i is integrated by the quadratic
+    through its own nodes and the next one's for even i, the previous
+    one's for odd i and the last interval, and the pieces are summed in
+    order (Cartwright's cumulative Simpson, the arithmetic of SciPy's
+    ``cumulative_simpson`` with ``initial=0``)."""
+    dx = np.diff(x)
+    ahead = _simpson_pieces(f, dx)
+    behind = _simpson_pieces(f[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])  # + 0.0: no -0.0 sums
+
+
 def linearize_translation_action(S: TranslationAction, y0: float, domain,
                                  quad_spacing: float = 1e-3,
                                  t_max: float | None = None) -> LinearizationResult:
@@ -233,12 +260,12 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
 
     t_of_y = _solve_t(S, ys, y0, t_range)
     integrand = (S(t_of_y, ys + FD_STEP) - S(t_of_y, ys - FD_STEP)) / (2 * FD_STEP)
-    g_vals = cumulative_simpson(integrand, x=ys, initial=0.0)
+    g_vals = _cumulative_simpson(integrand, ys)
     g_vals = g_vals - np.interp(y0, ys, g_vals)
     if not np.all(np.diff(g_vals) > 0):
         raise NonMonotoneG("integrated coordinate g is not strictly increasing")
-    g_spline = CubicSpline(ys, g_vals)
-    g_inv = CubicSpline(g_vals, ys)
+    g_spline = not_a_knot_spline(ys, g_vals)
+    g_inv = not_a_knot_spline(g_vals, ys)
 
     # test lattice: keep S(t, g^{-1}(z)) inside the sampled domain
     if t_max is None:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anosov_lab
 from anosov_lab.cli import main
 from anosov_lab.config import load_config
 
@@ -337,3 +341,17 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert code == 0
     assert (out / "eigen-report.json").is_file()
     assert not env_out.exists()
+
+
+def test_cli_import_loads_only_ndimage_of_scipy():
+    """Importing the driver loads none of the heavy SciPy subpackages: the
+    1-D cubics and cumulative Simpson are the package's own, and only
+    ``scipy.ndimage`` serves the bicubic lookups."""
+    src = str(Path(anosov_lab.__file__).resolve().parents[1])
+    heavy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse"]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import anosov_lab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
