@@ -11,8 +11,13 @@ iterates it would take alone.  A single leaf is a one-row ``LeafBundle``.
 A march brackets each crossing of a leaf with a transversal, at the first
 step whose fast signed distance changes sign; ``_hermite_crossings``
 intersects the leaf's and the transversal's cubic Hermite segments there.
-Each step of a march projects onto the transversal through a window of
-nodes around the last step's foot (``LeafBundle.project``).
+Rows that start on one leaf with one heading share one march, so each
+distinct leaf is integrated once whatever the number of transversals it
+is bracketed against.  A row projects onto its transversal, through a
+window of nodes around its last foot (``LeafBundle.project``), only at
+steps where its fast signed distance can change sign: that distance moves
+by at most LIPSCHITZ = 2 steps per step (about one is measured), so a row
+far from its transversal skips most projections.
 """
 
 from __future__ import annotations
@@ -42,6 +47,16 @@ MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
 HERMITE_NEWTON_STEPS = 4  # from the bracket's linear guess, 2 reach rounding level
 SEGMENT_SLACK = 1e-9  # a crossing this far past a node stays on its segment
 WINDOW = 3  # nodes on each side of a hint that a hinted projection searches
+# Bound on the change of a march's fast signed distance D per unit of arc
+# length, which lets a march skip projections (``_cross_to_target``).
+# Within one nearest-node cell D(p) = (p - x_n) . n_n is 1-Lipschitz, and
+# an RK4 step of size h moves a point by at most h; switching nodes moves D
+# by O(h^2) on a curved target.  The largest |change of D| per step, over
+# the step, along every march of ``tangency_propagation_check`` (steps 4e-3
+# and 1e-3, fields on 32- to 128-point grids): 1.000000 on the linear
+# action and on phi = id + (a sin 2 pi x2, 0), a = 0.02 and 0.03; 1.000004
+# on a two-mode phi; 1.000002 on phi = id + (0, 0.03 sin 2 pi x1).
+LIPSCHITZ = 2.0
 
 
 def _unit(theta):
@@ -444,68 +459,98 @@ def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STE
 
 
 def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step: float,
-                     which=0, tags=None):
-    """March leaves of ``field`` from ``starts`` until each crosses its target.
+                     which=0, tags=None, leaf=None):
+    """March leaves of ``field`` until each row crosses its target.
 
-    Row i marches toward the target row which[i] for at most ``budget[i]``
-    of arc length (``which`` and ``budget`` may be one value for every
-    row), starting in the direction in which its fast signed distance
-    (``LeafBundle.project``) shrinks.  All leaves advance together; a leaf
-    stops at the first step whose fast signed distance changes sign, so a
-    start on the target brackets in its first step.  Each step's
-    projection is hinted with the node nearest the row's last foot
-    parameter (a foot moves by at most one march step per step), so it
-    searches a window of nodes instead of the whole target row.  After the
-    march one ``_hermite_crossings`` call solves the crossings of all
-    stopped leaves, before any escape or tangency check.  Only marching rows are
-    evaluated, so a stacked call gives each row what a call with its
-    target alone gives it.
+    Row r marches the leaf through starts[leaf[r]] (by default its own
+    start, leaf[r] = r) toward the target row which[r] for at most
+    ``budget[r]`` of arc length (``which`` and ``budget`` may be one value
+    for every row), starting in the direction in which its fast signed
+    distance (``LeafBundle.project``) shrinks.  Rows with the same leaf
+    index and heading share one march: that leaf takes RK4 steps while any
+    of its rows is live, and a row's bracket states are its leaf's states
+    at the row's stop step.  A row stops at the first step whose fast
+    signed distance changes sign, so a start on the target brackets in its
+    first step.
 
-    Returns (s_prime, crossing_angle) arrays.  Raises LeafEscaped when a
-    leaf exhausts its budget, TangencySuspected for shallow crossings;
+    A row projects a state only where it or the next one can change sign.
+    The fast distance moves by at most LIPSCHITZ * step per step, so with
+    D_j the distance at the row's last projected state j, a state k can
+    differ in sign from D_j only if LIPSCHITZ * step * (k - j) >= |D_j|.
+    State i + 1 is projected when that holds for k = i + 2.  So the state
+    before each sign change is itself projected, and a row stops at the
+    step, with the bracket, that a march projecting every state finds.
+    Each projection is hinted with the node nearest the row's last foot
+    parameter, so it searches a window of nodes instead of the whole
+    target row.  After the march one ``_hermite_crossings`` call solves the
+    crossings of all stopped rows, before any escape or tangency check.
+    Every row gets what a call with that row alone gives it.
+
+    Returns (s_prime, crossing_angle) arrays.  Raises SignAmbiguity naming
+    every live row of a leaf whose field direction flips, LeafEscaped when
+    a row exhausts its budget, TangencySuspected for shallow crossings;
     ``tags`` (one per row) name the failing rows.
     """
-    pts = starts.copy()
-    m = len(pts)
+    leaf = np.arange(len(starts)) if leaf is None else np.asarray(leaf)
+    m = len(leaf)
     which = np.broadcast_to(which, (m,))
     budget = np.broadcast_to(np.asarray(budget, dtype=float), (m,))
-    foot, dist, tang = targets.project(pts, which=which)
+    foot, dist, tang = targets.project(starts[leaf], which=which)
     # headings pointing so the signed distance to the target row shrinks
-    hd = field.direction_at(np.mod(pts, 1.0))
-    rate = np.einsum("ni,ni->n", hd, np.stack([-tang[:, 1], tang[:, 0]], axis=1))
+    hd = field.direction_at(np.mod(starts, 1.0))
+    rate = np.einsum("ni,ni->n", hd[leaf], np.stack([-tang[:, 1], tang[:, 0]], axis=1))
     sign = -np.sign(dist * rate)
     sign[sign == 0] = 1.0
-    hd *= sign[:, None]
-    s_out = np.full(m, np.nan)
-    ang_out = np.full(m, np.nan)
+    # one march per (leaf, heading); row r rides march[r]
+    keys, march = np.unique(2 * leaf + (sign > 0), return_inverse=True)
+    pts = starts[keys // 2]
+    hd = hd[keys // 2] * np.where(keys % 2, 1.0, -1.0)[:, None]
     active = np.ones(m, dtype=bool)
-
+    projected = np.zeros(m)  # the step of each row's last projected state
     n_steps = np.ceil(budget / step)
-    # node, heading, fast distance and foot parameter at the start of the
-    # step in which each leaf crossed; the end of that step is its last state
-    before = (np.empty_like(pts), np.empty_like(pts), np.empty(m), np.empty(m))
+    # node, heading, fast distance and foot parameter at the start and at the
+    # end of the step in which each row crossed
+    before = (np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m))
+    after = (np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m))
+    at = np.empty(len(keys), dtype=int)  # each march's index in the step's batch
     for i in range(int(n_steps.max())):
-        rows = np.flatnonzero(active & (n_steps > i))
-        if len(rows) == 0:
+        live = active & (n_steps > i)
+        stepping = np.zeros(len(keys), dtype=bool)
+        stepping[march[live]] = True
+        marches = np.flatnonzero(stepping)
+        if len(marches) == 0:
             break
-        stepped, hd_step, worst = _rk4_step(field, pts[rows], hd[rows], step)
+        stepped, hd_step, worst = _rk4_step(field, pts[marches], hd[marches], step)
         rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
         if rough.any():
-            raise _failure(SignAmbiguity, "field too rough along holonomy leaf", rows[rough], tags)
-        w = which[rows]
-        near = np.rint((foot[rows] - targets.params[w, 0]) / targets.step[w]).astype(int)
-        new_foot, new_dist, _ = targets.project(stepped, which=w, near=near)
-        hit = rows[np.sign(new_dist) != np.sign(dist[rows])]
-        if len(hit):
-            for kept, now in zip(before, (pts, hd, dist, foot)):
-                kept[hit] = now[hit]
-            active[hit] = False
-        pts[rows], hd[rows], dist[rows], foot[rows] = stepped, hd_step, new_dist, new_foot
+            on_rough = np.zeros(len(keys), dtype=bool)
+            on_rough[marches[rough]] = True
+            raise _failure(SignAmbiguity, "field too rough along holonomy leaf",
+                           np.flatnonzero(live & on_rough[march]), tags)
+        rows = np.flatnonzero(live & (LIPSCHITZ * step * (i + 2 - projected) >= np.abs(dist)))
+        if len(rows):
+            at[marches] = np.arange(len(marches))
+            w, mr = which[rows], march[rows]
+            near = np.rint((foot[rows] - targets.params[w, 0]) / targets.step[w]).astype(int)
+            new_pts, new_hd = stepped[at[mr]], hd_step[at[mr]]
+            new_foot, new_dist, _ = targets.project(new_pts, which=w, near=near)
+            hit = np.sign(new_dist) != np.sign(dist[rows])
+            if hit.any():
+                r = rows[hit]
+                for kept, now in zip(before, (pts[mr[hit]], hd[mr[hit]], dist[r], foot[r])):
+                    kept[r] = now
+                for kept, now in zip(after, (new_pts, new_hd, new_dist, new_foot)):
+                    kept[r] = now[hit]
+                active[r] = False
+            dist[rows], foot[rows], projected[rows] = new_dist, new_foot, i + 1
+        pts[marches], hd[marches] = stepped, hd_step
+    s_out = np.full(m, np.nan)
+    ang_out = np.full(m, np.nan)
     c = np.flatnonzero(~active)
     if len(c):
+        nodes, heads, dists, feet = ((b[c], a[c]) for b, a in zip(before, after))
         _, s_out[c], ang_out[c], _ = _hermite_crossings(
-            field, (before[0][c], pts[c]), (before[1][c], hd[c]), np.full(len(c), step),
-            (before[2][c], dist[c]), (before[3][c], foot[c]), targets, which[c],
+            field, nodes, heads, np.full(len(c), step), dists, feet, targets, which[c],
             _row_tags(tags, c))
     if active.any():
         raise _failure(LeafEscaped,
@@ -630,29 +675,33 @@ class HolonomyMap:
         return self._fwd.derivative(s)
 
 
-def holonomies(field: LineField, tau1s: LeafBundle, tau2s: LeafBundle, budgets,
+def holonomies(field: LineField, tau1: LeafBundle, tau2s: LeafBundle, budgets,
                step: float = DEFAULT_STEP, *, span, tags=None) -> list:
-    """Holonomies of ``field`` from row j of tau1s to row j of tau2s, every
-    pair in one march; returns one HolonomyMap per pair.
+    """Holonomies of ``field`` from the one-row tau1 to each row j of tau2s,
+    every pair in one march; returns one HolonomyMap per pair.
 
-    Pair j slides 25 sample points of tau1s row j, over the parameter
-    interval ``span``, along the leaves of ``field`` until each crosses
-    tau2s row j within arc length budgets[j]: one ``_cross_to_target``
-    call, which brackets the crossings by sign change of the fast signed
-    distance and solves them together in one Hermite solve.  Before
-    any leaf moves, every transversal is checked to make an angle of at
-    least 0.1 rad with the field.  ``tags`` (one per pair) name the failing
-    pairs of an error.
+    25 sample points of tau1, over the parameter interval ``span``, slide
+    along the leaves of ``field`` until each crosses tau2s row j within arc
+    length budgets[j]: one ``_cross_to_target`` call, with one row per
+    (sample, pair) and the sample as its leaf index.  So each of the 25
+    leaves marches once per heading whatever the number of pairs, and a
+    row projects onto its target only where it can cross it; the crossings
+    are solved together in one Hermite solve.  Before any leaf moves,
+    every transversal is checked to make an angle of at least 0.1 rad with
+    the field.  ``tags`` (one per pair) name the failing pairs of an error;
+    a tau1 that is not transverse fails every pair.
     """
     count = len(tau2s.params)
-    # every stored node of tau1s, then of tau2s, row by row
-    inside = [np.arange(b.params.shape[1]) <= b.last[:, None] for b in (tau1s, tau2s)]
+    # every stored node of tau1, then of tau2s, row by row
+    inside = [np.arange(b.params.shape[1]) <= b.last[:, None] for b in (tau1, tau2s)]
     angle = line_angle(
-        np.concatenate([b.headings[k] for b, k in zip((tau1s, tau2s), inside)]),
+        np.concatenate([b.headings[k] for b, k in zip((tau1, tau2s), inside)]),
         field.direction_at(np.mod(np.concatenate(
-            [b.points[k] for b, k in zip((tau1s, tau2s), inside)]), 1.0)))
-    row_starts = np.cumsum(np.r_[0, tau1s.last + 1, tau2s.last + 1])[:-1]
+            [b.points[k] for b, k in zip((tau1, tau2s), inside)]), 1.0)))
+    row_starts = np.cumsum(np.r_[0, tau1.last + 1, tau2s.last + 1])[:-1]
     worst = np.minimum.reduceat(angle, row_starts)
+    # tau1 then tau2s, each per pair
+    worst = np.concatenate([np.repeat(worst[:1], count), worst[1:]])
     skew = np.flatnonzero(worst < 0.1)
     if len(skew):
         first = skew[0]
@@ -661,9 +710,10 @@ def holonomies(field: LineField, tau1s: LeafBundle, tau2s: LeafBundle, budgets,
                        f"(min angle {worst[first]:.3f} rad)", skew % count, tags)
     s_values = np.linspace(*span, 25)
     pair = np.repeat(np.arange(count), 25)
-    starts, _ = tau1s.evaluate(np.tile(s_values, count), pair)
+    starts, _ = tau1.evaluate(s_values)
     s_primes, _ = _cross_to_target(field, starts, tau2s, np.repeat(budgets, 25), step,
-                                   which=pair, tags=_row_tags(tags, pair))
+                                   which=pair, tags=_row_tags(tags, pair),
+                                   leaf=np.tile(np.arange(25), count))
     return [HolonomyMap(s_values, s_primes[25 * j:25 * (j + 1)]) for j in range(count)]
 
 

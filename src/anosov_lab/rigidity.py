@@ -448,10 +448,10 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     graphs = _graphs_on_leaves(field_1u, field_1s, axes_u.take(range(1, n + 2)),
                                axes_s.take(range(1, n + 2)), leaves, eps, reach, step, graph_tags)
     at_zp = range(n + 2, 2 * n + 2)
-    hols_s = holonomies(field_1s, axes_u.take([0] * n), axes_u.take(at_zp),
+    hols_s = holonomies(field_1s, axes_u.take([0]), axes_u.take(at_zp),
                         [abs(hp.s_param) * 1.5 + 0.5 for hp in hps], step=step,
                         span=(-eps, eps), tags=hol_tags)
-    hols_u = holonomies(field_1u, axes_s.take([0] * n), axes_s.take(at_zp),
+    hols_u = holonomies(field_1u, axes_s.take([0]), axes_s.take(at_zp),
                         [abs(hp.u_param) * 1.5 + 0.5 for hp in hps], step=step,
                         span=(-eps, eps), tags=hol_tags)
     angles = line_angle(field_1u.direction_at(np.mod(zp_u, 1.0)),

@@ -22,7 +22,9 @@ from anosov_lab.errors import (
     SignAmbiguity,
     TangencySuspected,
 )
+from anosov_lab import foliations
 from anosov_lab.foliations import (
+    LIPSCHITZ,
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
     WINDOW,
@@ -44,7 +46,8 @@ from anosov_lab.foliations import (
     verify_graph_transport,
 )
 from anosov_lab.lattice import line_angle
-from anosov_lab.maps import ConjugatedMap
+from anosov_lab.fourier import FourierPerturbation
+from anosov_lab.maps import ConjugatedMap, Diffeo
 from anosov_lab.rigidity import PropagationRow, tangency_propagation_check
 
 from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
@@ -94,8 +97,13 @@ def _ref_integrate_leaf(field, x, length, step=1e-3, centered=False):
                       step=np.array([abs(params[1] - params[0])]), field=field)
 
 
-def _ref_cross_to_target(field, starts, tau2, budget, step):
-    """One target: every leaf marches together, crossings solved after."""
+def _ref_cross_to_target(field, starts, tau2, budget, step, record=None):
+    """One target: every leaf marches together and projects every state,
+    crossings solved after.  ``record``, a dict, receives each row's stop
+    step ('stop', -1 for a row that escapes), its bracket ('bracket':
+    nodes and fast distances before and after the stop step), 's' and
+    'angle', and the largest |change of the fast distance| in one step
+    over the step ('jump'), all as they stand when the march ends."""
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
     prev_foot, prev_dist, tang = tau2.project(pts)
@@ -106,7 +114,11 @@ def _ref_cross_to_target(field, starts, tau2, budget, step):
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
     active = np.ones(m, dtype=bool)
-    for _ in range(int(math.ceil(budget / step))):
+    stop = np.full(m, -1)
+    bracket = (np.full((m, 2), np.nan), np.full((m, 2), np.nan), np.full(m, np.nan),
+               np.full(m, np.nan))
+    jump = 0.0
+    for k in range(int(math.ceil(budget / step))):
         if not active.any():
             break
         new_pts = prev_pts.copy()
@@ -117,14 +129,20 @@ def _ref_cross_to_target(field, starts, tau2, budget, step):
         new_pts[active] = stepped
         new_hd[active] = hd_step
         new_foot, new_dist, _ = tau2.project(new_pts)
+        jump = max(jump, float(np.max(np.abs(new_dist - prev_dist)[active])) / step)
         for i in np.flatnonzero(active & (np.sign(new_dist) != np.sign(prev_dist))):
             _, s_c, ang_c, _ = _hermite_crossings(
                 field, (prev_pts[i:i + 1], new_pts[i:i + 1]), (prev_hd[i:i + 1], new_hd[i:i + 1]),
                 np.array([step]), np.array([[prev_dist[i]], [new_dist[i]]]),
                 np.array([[prev_foot[i]], [new_foot[i]]]), tau2, np.zeros(1, dtype=int))
             s_out[i], ang_out[i] = s_c[0], ang_c[0]
+            stop[i] = k
+            for kept, now in zip(bracket, (prev_pts[i], new_pts[i], prev_dist[i], new_dist[i])):
+                kept[i] = now
             active[i] = False
         prev_pts, prev_hd, prev_dist, prev_foot = new_pts, new_hd, new_dist, new_foot
+    if record is not None:
+        record.update(stop=stop, bracket=bracket, s=s_out, angle=ang_out, jump=jump)
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
     if np.any(ang_out < TANGENCY_THRESHOLD):
@@ -340,7 +358,7 @@ def test_holonomies_match_serial_reference(fields):
                              [0.6, 0.6, 0.8],
                              step=STEP, centered=True)
     budgets = [0.9, 0.8, 1.2]
-    hols = holonomies(f1s, tau1.take([0, 0, 0]), tau2s, budgets, step=STEP, span=(-0.05, 0.05))
+    hols = holonomies(f1s, tau1, tau2s, budgets, step=STEP, span=(-0.05, 0.05))
     for j, (hol, budget) in enumerate(zip(hols, budgets)):
         tau2 = tau2s.take([j])
         ref = _ref_holonomy(f1s, tau1, tau2, budget, STEP, (-0.05, 0.05))
@@ -538,3 +556,226 @@ def test_stacked_sign_ambiguity_names_rows(linear_fields, e1):
                              r"(; (holonomy axis at z|(local graph|holonomy) (at z|k=\(-?\d, -?\d\))))*\]$"):
         tangency_propagation_check(f["f1u"], rough, f["f2s"], np.zeros(2), e1, step=STEP)
 
+
+
+# --- shared leaves and skipped projections against every-step marches ------
+
+def _march_setup(field_u, field_s, z=(0.3, 0.6)):
+    """Starts on an unstable axis through z, and unstable target rows
+    through the points of the stable leaf through z at arc lengths 0.12,
+    -0.2, 0.3 and 0: stable leaves from each start cross every target, on
+    either side, and each start sits on the last target."""
+    z = np.asarray(z, dtype=float)
+    axis = integrate_leaf(field_u, z, 0.3, step=STEP, centered=True)
+    starts = axis.evaluate(np.linspace(-0.1, 0.1, 7))[0]
+    bases = _offsets_along(field_s, z, [0.12, -0.2, 0.3, 0.0])
+    return starts, integrate_leaves(field_u, bases, 0.8, step=STEP, centered=True)
+
+
+def _offsets_along(field, base, dists):
+    """Points at the given arc lengths from base along the leaf of field."""
+    leaf = integrate_leaf(field, base, 2.2 * max(abs(d) for d in dists), step=1e-3,
+                          centered=True)
+    return leaf.evaluate(np.asarray(dists, dtype=float))[0]
+
+
+def _stacked_march(field, starts, targets, budgets, which, leaf):
+    """``_cross_to_target`` on stacked rows with shared leaves, tagged by row
+    number: (s, angle, brackets, escaped rows).  The brackets, nodes and
+    fast distances before and after each crossing row's stop step, are
+    those of its Hermite solve; with escaped rows, s and angle are NaN but
+    for the rows the solve reached."""
+    m = len(leaf)
+    solves = []
+
+    def capturing(field, nodes, heads, spacing, dist, foot, targets, which, tags=None):
+        out = hermite(field, nodes, heads, spacing, dist, foot, targets, which, tags)
+        solves.append(([np.copy(nodes[0]), np.copy(nodes[1]), np.copy(dist[0]),
+                        np.copy(dist[1])], [int(t) for t in tags], out))
+        return out
+
+    hermite = foliations._hermite_crossings
+    escaped = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliations, "_hermite_crossings", capturing)
+        try:
+            _cross_to_target(field, starts, targets, budgets, STEP, which=which,
+                             tags=[str(r) for r in range(m)], leaf=leaf)
+        except LeafEscaped as exc:
+            escaped = [int(t) for t in str(exc).rsplit("[", 1)[1][:-1].split("; ")]
+    (bracket, crossed, (_, s_c, ang_c, _)), = solves
+    s, angle = np.full(m, np.nan), np.full(m, np.nan)
+    s[crossed], angle[crossed] = s_c, ang_c
+    return s, angle, dict(zip(crossed, zip(*bracket))), escaped
+
+
+def _assert_march_matches_every_step_reference(field, starts, targets, budgets, which, leaf):
+    """Each row of the stacked march stops at the step, with the bracket, s
+    and angle, of the every-step reference and of ``_cross_to_target``
+    marching that row alone."""
+    s, angle, brackets, escaped = _stacked_march(field, starts, targets, budgets, which, leaf)
+    for r, (x, t, budget) in enumerate(zip(starts[leaf], which, budgets)):
+        record = {}
+        try:
+            _ref_cross_to_target(field, x[None], targets.take([t]), budget, STEP, record)
+        except LeafEscaped:
+            pass
+        if record["stop"][0] < 0:
+            assert r in escaped
+            continue
+        assert r not in escaped and record["stop"][0] >= 0
+        for got, want in zip(brackets[r], record["bracket"]):
+            assert np.array_equal(got, want[0])
+        assert (s[r], angle[r]) == (record["s"][0], record["angle"][0])
+        alone = _cross_to_target(field, x[None], targets.take([t]), budget, STEP)
+        assert (s[r], angle[r]) == (alone[0][0], alone[1][0])
+    return escaped
+
+
+def _all_pairs(starts, targets, budget):
+    """Every (start, target) row, rows of one start sharing its leaf index."""
+    n, count = len(starts), len(targets.params)
+    return np.full(n * count, budget), np.tile(np.arange(count), n), np.repeat(np.arange(n), count)
+
+
+@pytest.fixture(scope="module")
+def curved_fields(e1, e2):
+    """f1u and f1s of the action conjugated by phi = id + (0, 0.03 sin 2 pi x1),
+    the most curved leaves among the measured actions."""
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((1, 0), (0.0, 0.03), None)]))
+    return line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)), ("f1u", "f1s"), 128, 30)
+
+
+def test_skipped_projections_match_every_step_march_on_curved_leaves(curved_fields):
+    f1u, f1s = curved_fields["f1u"], curved_fields["f1s"]
+    starts, targets = _march_setup(f1u, f1s)
+    assert not _assert_march_matches_every_step_reference(
+        f1s, starts, targets, *_all_pairs(starts, targets, 0.5))
+
+
+def test_skipped_projections_match_every_step_march_past_a_budget(curved_fields):
+    f1u, f1s = curved_fields["f1u"], curved_fields["f1s"]
+    starts, targets = _march_setup(f1u, f1s)
+    # 0.25 of arc length reaches the targets at 0.12, -0.2 and 0 from every
+    # start, but not the one at 0.3
+    budgets, which, leaf = _all_pairs(starts, targets, 0.25)
+    escaped = _assert_march_matches_every_step_reference(f1s, starts, targets, budgets, which,
+                                                         leaf)
+    assert list(which[escaped]) == [2] * len(starts)
+
+
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(modes=TWO_MODES, bound=BOUNDS)
+def test_skipped_projections_match_every_step_march_of_drawn_two_mode_diffeo(e1, e2, modes,
+                                                                              bound):
+    phi = two_mode_diffeo(modes, bound)
+    if phi is None:
+        return
+    fields = line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)), ("f1u", "f1s"), 32, 40)
+    starts, targets = _march_setup(fields["f1u"], fields["f1s"])
+    _assert_march_matches_every_step_reference(fields["f1s"], starts, targets,
+                                               *_all_pairs(starts, targets, 0.5))
+
+
+@pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
+def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(request, e1, name,
+                                                                           nonlinear):
+    fields = request.getfixturevalue(name)
+    # every march of the default check, once more through the every-step
+    # reference, which records the largest change of the fast distance
+    jumps = []
+
+    def every_step(field, starts, targets, budget, step, which=0, tags=None, leaf=None):
+        s, angle = cross(field, starts, targets, budget, step, which, tags, leaf)
+        rows = starts if leaf is None else starts[leaf]
+        which = np.broadcast_to(which, (len(rows),))
+        for t in np.unique(which):
+            record = {}
+            _ref_cross_to_target(field, rows[which == t], targets.take([t]),
+                                 float(np.max(budget)), step, record)
+            assert np.array_equal(s[which == t], record["s"])
+            assert np.array_equal(angle[which == t], record["angle"])
+            jumps.append(record["jump"])
+        return s, angle
+
+    cross = foliations._cross_to_target
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliations, "_cross_to_target", every_step)
+        tangency_propagation_check(fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1,
+                                   step=STEP, nonlinear=nonlinear)
+    # local graphs at z and at 8 points z', each through both frame fields,
+    # and both holonomies of each z'
+    assert len(jumps) == 2 * 9 + 2 * 8
+    # within a factor 2 / 1.1 of LIPSCHITZ, whose skipping rests on this bound
+    assert max(jumps) <= 1.1
+    assert LIPSCHITZ >= 1.8 * max(jumps)
+
+
+def _count_march_rows(run):
+    """The rows of each ``_rk4_step`` call ``run()`` makes."""
+    rows = []
+    step = foliations._rk4_step
+
+    def counting(field, pts, headings, h):
+        rows.append(len(pts))
+        return step(field, pts, headings, h)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foliations, "_rk4_step", counting)
+        run()
+    return rows
+
+
+def test_twin_rows_share_a_march_and_only_the_escaped_row_is_named(linear_fields):
+    f1u, f1s = linear_fields["f1u"], linear_fields["f1s"]
+    z = np.array([0.3, 0.6])
+    # two targets on one side of z: both rows take one heading on one leaf
+    targets = integrate_leaves(f1u, _offsets_along(f1s, z, [0.08, 0.2]), 0.6, step=STEP,
+                               centered=True)
+
+    def run():
+        with pytest.raises(LeafEscaped,
+                           match=r"^1 leaves did not reach .* within budget 0\.1 \[b\]$"):
+            _cross_to_target(f1s, z[None], targets, [0.3, 0.1], STEP, which=[0, 1],
+                             tags=["a", "b"], leaf=[0, 0])
+
+    rows = _count_march_rows(run)
+    assert set(rows) == {1}
+    s, angle = _cross_to_target(f1s, z[None], targets, [0.3, 0.3], STEP, which=[0, 1],
+                                leaf=[0, 0])
+    for t in range(2):
+        alone = _cross_to_target(f1s, z[None], targets.take([t]), 0.3, STEP)
+        assert (s[t], angle[t]) == (alone[0][0], alone[1][0])
+
+
+def test_rows_of_one_start_with_opposite_headings_march_apart(linear_fields):
+    f1u, f1s = linear_fields["f1u"], linear_fields["f1s"]
+    z = np.array([0.3, 0.6])
+    targets = integrate_leaves(f1u, _offsets_along(f1s, z, [0.1, -0.15]), 0.6, step=STEP,
+                               centered=True)
+    got = []
+    rows = _count_march_rows(lambda: got.extend(_cross_to_target(
+        f1s, z[None], targets, 0.3, STEP, which=[0, 1], leaf=[0, 0])))
+    # two marches until the nearer target is crossed, then one
+    assert rows[0] == 2 and rows[-1] == 1
+    s, angle = got
+    for t in range(2):
+        alone = _cross_to_target(f1s, z[None], targets.take([t]), 0.3, STEP)
+        assert (s[t], angle[t]) == (alone[0][0], alone[1][0])
+
+
+def test_rough_shared_leaf_names_every_row_on_it(linear_fields, e1):
+    f1u = linear_fields["f1u"]
+    # the stable direction everywhere but in a patch around (0.5, 0.5), where
+    # neighbouring nodes alternate between horizontal and vertical
+    n = 128
+    theta = np.full((n, n), math.atan2(e1.vs[1], e1.vs[0]) % math.pi)
+    i, j = np.meshgrid(np.arange(56, 72), np.arange(56, 72), indexing="ij")
+    theta[i, j] = (i + j) % 2 * (math.pi / 2)
+    rough = LineField(None, theta)
+    starts = np.array([[0.5, 0.5], [0.1, 0.1]])
+    targets = integrate_leaves(f1u, starts + 0.05 * np.asarray(e1.vs), 0.6, step=STEP,
+                               centered=True)
+    with pytest.raises(SignAmbiguity, match=r"^field too rough along holonomy leaf \[a; c\]$"):
+        _cross_to_target(rough, starts, targets.take([0, 1, 1]), 0.3, 0.01, which=[0, 1, 2],
+                         tags=["a", "b", "c"], leaf=[0, 1, 0])
