@@ -512,27 +512,22 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     # end of the step in which each row crossed
     before = (np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m))
     after = (np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m))
-    at = np.empty(len(keys), dtype=int)  # each march's index in the step's batch
     for i in range(int(n_steps.max())):
         live = active & (n_steps > i)
-        stepping = np.zeros(len(keys), dtype=bool)
-        stepping[march[live]] = True
-        marches = np.flatnonzero(stepping)
+        marches = np.unique(march[live])
         if len(marches) == 0:
             break
         stepped, hd_step, worst = _rk4_step(field, pts[marches], hd[marches], step)
         rough = worst < math.cos(SIGN_CONTINUITY_LIMIT)
         if rough.any():
-            on_rough = np.zeros(len(keys), dtype=bool)
-            on_rough[marches[rough]] = True
             raise _failure(SignAmbiguity, "field too rough along holonomy leaf",
-                           np.flatnonzero(live & on_rough[march]), tags)
+                           np.flatnonzero(live & np.isin(march, marches[rough])), tags)
         rows = np.flatnonzero(live & (LIPSCHITZ * step * (i + 2 - projected) >= np.abs(dist)))
         if len(rows):
-            at[marches] = np.arange(len(marches))
             w, mr = which[rows], march[rows]
             near = np.rint((foot[rows] - targets.params[w, 0]) / targets.step[w]).astype(int)
-            new_pts, new_hd = stepped[at[mr]], hd_step[at[mr]]
+            at = np.searchsorted(marches, mr)  # each row's march in this step's batch
+            new_pts, new_hd = stepped[at], hd_step[at]
             new_foot, new_dist, _ = targets.project(new_pts, which=w, near=near)
             hit = np.sign(new_dist) != np.sign(dist[rows])
             if hit.any():
