@@ -205,10 +205,11 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     handles = cfg.build_handles()
     g2 = handles[1] if len(handles) > 1 and cfg.kind != "perturbed" else None
     phi = cfg.build_phi() if cfg.kind == "conjugated" else None
-    # g_i = A_i + p: two such maps need not commute, so they need not form
-    # the Z^2 action that the pair checks assume
-    unpaired = ("the second map of a perturbed pair is not used, since A1 + p and A2 + p need "
-                "not commute") if cfg.kind == "perturbed" and len(handles) > 1 else None
+    # the pair checks assume that one h conjugates both maps; h is solved
+    # from g1 alone, and nothing yet tests it against g2 = A2 + p
+    unpaired = ("the second map of a perturbed pair is not used, since h is solved from the "
+                "first map alone and not tested against the second"
+                ) if cfg.kind == "perturbed" and len(handles) > 1 else None
     with report.time_block("teichmuller"):
         verdict = teichmuller_experiment(
             e1, handles[0], e2 if g2 is not None else None, g2, phi=phi,

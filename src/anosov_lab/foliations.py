@@ -37,7 +37,7 @@ from .errors import (
     SignAmbiguity,
     TangencySuspected,
 )
-from .interp import PeriodicBicubic, pchip
+from .interp import PeriodicBicubic, not_a_knot_spline
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
@@ -637,7 +637,13 @@ def _hermite_crossings(field: LineField, nodes, heads, spacing, dist, foot,
 
 
 class HolonomyMap:
-    """Monotone parameter correspondence between two transversals."""
+    """Monotone parameter correspondence between two transversals.
+
+    Both directions are not-a-knot cubic splines through the samples
+    (s, s'), so ``derivative`` is the spline's and the Lemma 3 slope
+    follows from the chain rule.  Samples that are not strictly monotone
+    raise NonMonotoneG.
+    """
 
     def __init__(self, s_values: np.ndarray, s_primes: np.ndarray):
         order = np.argsort(s_values)
@@ -651,10 +657,10 @@ class HolonomyMap:
         else:
             raise NonMonotoneG("holonomy samples are not strictly monotone")
         self.samples = np.column_stack([s, sp])
-        self._fwd = pchip(s, sp)
+        self._fwd = not_a_knot_spline(s, sp)
         inv_s = sp if self.increasing else sp[::-1]
         inv_v = s if self.increasing else s[::-1]
-        self._inv = pchip(inv_s, inv_v)
+        self._inv = not_a_knot_spline(inv_s, inv_v)
 
     @property
     def domain(self):
@@ -726,16 +732,25 @@ def holonomy(field: LineField, tau1: LeafBundle, tau2: LeafBundle,
 
 
 class GraphMap:
-    """Local graph of one foliation's leaf over a transverse leaf frame."""
+    """Local graph of one foliation's leaf over a transverse leaf frame:
+    s as a not-a-knot cubic spline in u through the samples (u, s) that
+    lie in the chart u in [-eps, eps].
+
+    Fewer than the spline's 4 samples raise ChartOverflow, and a repeated
+    u raises NonMonotoneG.
+    """
 
     def __init__(self, u_values: np.ndarray, s_values: np.ndarray):
+        if len(u_values) < 4:
+            raise ChartOverflow(f"local graph has {len(u_values)} samples in [-eps, eps], "
+                                "short of the 4 its spline needs")
         order = np.argsort(u_values)
         self.u_values = np.asarray(u_values, dtype=float)[order]
         self.s_values = np.asarray(s_values, dtype=float)[order]
         repeat = np.flatnonzero(np.diff(self.u_values) <= 0)
         if len(repeat):
             raise NonMonotoneG(f"local graph samples repeat u = {self.u_values[repeat[0]]:.6g}")
-        self._interp = pchip(self.u_values, self.s_values)
+        self._interp = not_a_knot_spline(self.u_values, self.s_values)
 
     @property
     def domain(self):

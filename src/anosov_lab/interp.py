@@ -1,10 +1,11 @@
-"""Periodic bicubic interpolation on uniform N x N torus grids, and
-piecewise cubics on the line: monotone PCHIP curves and not-a-knot
-splines.
+"""Periodic bicubic interpolation on uniform N x N torus grids, and the
+not-a-knot cubic spline on the line.
 
-The 1-D cubics do the arithmetic of SciPy's ``PchipInterpolator`` and
-``CubicSpline`` (default not-a-knot ends) operation for operation, and
-agree with them to the bit; of SciPy, only ``ndimage`` is imported.
+The spline is the one cubic family of the program: it serves the Lemma 3
+holonomy and graph maps and the Proposition 1 profiles and coordinates.
+It does the arithmetic of SciPy's ``CubicSpline`` (default not-a-knot
+ends) operation for operation, and agrees with it to the bit; of SciPy,
+only ``ndimage`` is imported.
 """
 
 from __future__ import annotations
@@ -81,56 +82,20 @@ class HermiteCubic:
         return (0.0 + c2 + 2 * c1 * s + 3 * c0 * (s * s)).reshape(u.shape)
 
 
-def _knots(x, y, least: int):
-    """x and y as float arrays, checked: 1-D, equal lengths, at least
-    ``least`` knots, finite, x strictly increasing."""
+def _knots(x, y):
+    """x and y as float arrays, checked: 1-D, equal lengths, at least 4
+    knots, finite, x strictly increasing."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x and y must be 1-D of one length, got {x.shape} and {y.shape}")
-    if len(x) < least:
-        raise ValueError(f"need at least {least} knots, got {len(x)}")
+    if len(x) < 4:
+        raise ValueError(f"need at least 4 knots, got {len(x)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing")
     return x, y
-
-
-def _edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, zeroed where its sign differs from
-    the end chord's and capped at 3 m0 where the chords change sign."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pchip(x, y) -> HermiteCubic:
-    """The monotone cubic through (x, y) (PCHIP; Fritsch & Butland, SIAM J.
-    Sci. Stat. Comput. 5 (1984) 300-304).
-
-    An interior slope is the weighted harmonic mean of the two chord
-    slopes, or 0 where they differ in sign or one is 0; the end slopes are
-    ``_edge_slope``'s.  Two knots give the line through them.
-    """
-    x, y = _knots(x, y, 2)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        return HermiteCubic(x, y, np.array([m[0], m[0]]))
-    sm = np.sign(m)
-    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _edge_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
-    return HermiteCubic(x, y, d)
 
 
 def not_a_knot_spline(x, y) -> HermiteCubic:
@@ -142,7 +107,7 @@ def not_a_knot_spline(x, y) -> HermiteCubic:
     i + 1 where the subdiagonal entry is the larger (on near-uniform knots
     it never is, and the sweep is Thomas's), then back substitution.
     """
-    x, y = _knots(x, y, 4)
+    x, y = _knots(x, y)
     dx = np.diff(x)
     slope = np.diff(y) / dx
     # row i: sub[i - 1] s[i - 1] + diag[i] s[i] + sup[i] s[i + 1] = rhs[i]

@@ -249,15 +249,3 @@ def wrap_point(x) -> np.ndarray:
     y[y >= 1.0] -= 1.0
     return y
 
-
-def torus_distance(x, y) -> float:
-    """Sup-norm distance on the torus (wrap-aware)."""
-    d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    d = np.minimum(d % 1.0, 1.0 - d % 1.0)
-    return float(np.max(d))
-
-
-def standard_action_apply(m: IntMatrix2, x) -> np.ndarray:
-    """(m @ x) mod 1, the standard linear action on the torus."""
-    x = np.asarray(x, dtype=float)
-    return wrap_point(x @ m.as_array().T)

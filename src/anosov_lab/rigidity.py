@@ -413,6 +413,10 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     its class and names the failing k and whether the row belongs to a
     heteroclinic leaf, a local graph or a holonomy.
 
+    The graphs and holonomies are not-a-knot cubic splines.  The predicted
+    slope at z' is the chain rule of theta_z' = hol_u o theta_z o hol_s^-1
+    at 0: hol_u'(theta_z(u0)) theta_z'(u0) / hol_s'(u0), u0 = hol_s^-1(0).
+
     Returns a list of PropagationRow, one per lattice vector.
     """
     z = np.asarray(z, dtype=float)
@@ -460,8 +464,8 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     rows = []
     for hp, theta_zp, hol_s, hol_u, angle in zip(hps, graphs[1:], hols_s, hols_u, angles):
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
-        d = 1e-3
-        predicted = (hol_u(theta_z(hol_s.inverse(d))) - hol_u(theta_z(hol_s.inverse(-d)))) / (2 * d)
+        u0 = hol_s.inverse(0.0)
+        predicted = hol_u.derivative(theta_z(u0)) * theta_z.slope_at(u0) / hol_s.derivative(u0)
         measured = theta_zp.slope_at(0.0)
         rows.append(PropagationRow(
             lattice=hp.lattice,

@@ -237,8 +237,9 @@ def test_teichmuller_perturbed_pair_says_why_the_second_map_is_unused(tmp_path):
     doc = json.loads((out / "teichmuller-report.json").read_text())
     assert (code, doc["verdict"]) == (3, "inconclusive")
     assert doc["diagnostics"]["errors"] == [
-        "pair: the second map of a perturbed pair is not used, since A1 + p and A2 + p need "
-        "not commute, so the line fields, Lemma 3 and Proposition 1 were not run"]
+        "pair: the second map of a perturbed pair is not used, since h is solved from the "
+        "first map alone and not tested against the second, so the line fields, Lemma 3 and "
+        "Proposition 1 were not run"]
 
 
 def test_teichmuller_failed_pair_hypothesis_skips_line_fields(tmp_path):

@@ -250,7 +250,9 @@ def test_graph_transport_smooth(conj_fields, e1):
         conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
         np.zeros(2), e1, radius=1, step=4e-3, nonlinear=True)
     assert len(rows) == 8
-    assert max(r.transport_deviation for r in rows) < 1e-3
+    # the spline maps and the chain-rule slope put both at the leaves' accuracy
+    assert max(r.transport_deviation for r in rows) <= 1e-9
+    assert max(r.slope_difference for r in rows) <= 1e-7
     assert min(r.angle for r in rows) > 0.05
 
 

@@ -1,17 +1,16 @@
-"""The 1-D cubics of ``interp`` and the cumulative Simpson of ``rigidity``
-against closed forms and against the SciPy routines they replace.
+"""The not-a-knot spline of ``interp`` and the cumulative Simpson of
+``rigidity`` against closed forms and against the SciPy routines they
+replace.
 
-PCHIP reproduces linear data and keeps monotone data monotone, and the
-not-a-knot spline reproduces cubics.  Cumulative Simpson integrates
-quadratics exactly on any grid; on a cubic, each interval's quadratic
-misses by a multiple of the third derivative times the step to the
-fourth, which cancels only within an equal-step pair of intervals, so
-cubics are exact at the even nodes of a uniform grid.
+The spline reproduces cubics.  Cumulative Simpson integrates quadratics
+exactly on any grid; on a cubic, each interval's quadratic misses by a
+multiple of the third derivative times the step to the fourth, which
+cancels only within an equal-step pair of intervals, so cubics are exact
+at the even nodes of a uniform grid.
 
-Against ``PchipInterpolator``, ``CubicSpline`` and ``cumulative_simpson``
-the arithmetic is the same operation for operation; the comparisons allow
-2 ulp so that they also hold on SciPy releases whose compiled kernels
-round differently.
+Against ``CubicSpline`` and ``cumulative_simpson`` the arithmetic is the
+same operation for operation; the comparisons allow 2 ulp so that they
+also hold on SciPy releases whose compiled kernels round differently.
 """
 
 import numpy as np
@@ -19,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
-from anosov_lab.errors import NonMonotoneG
+from anosov_lab.errors import ChartOverflow, NonMonotoneG
 from anosov_lab.foliations import GraphMap
-from anosov_lab.interp import not_a_knot_spline, pchip
+from anosov_lab.interp import not_a_knot_spline
 from anosov_lab.rigidity import _cumulative_simpson
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -74,14 +73,6 @@ CASES = _cases()
 
 
 @pytest.mark.parametrize("name,x,y", CASES, ids=[c[0] for c in CASES])
-def test_pchip_matches_scipy(name, x, y):
-    got, want = pchip(x, y), PchipInterpolator(x, y)
-    u = _beyond(x)
-    _assert_within_2ulp(got(u), want(u))
-    _assert_within_2ulp(got.derivative(u), want.derivative()(u))
-
-
-@pytest.mark.parametrize("name,x,y", CASES, ids=[c[0] for c in CASES])
 def test_not_a_knot_spline_matches_scipy(name, x, y):
     got, want = not_a_knot_spline(x, y), CubicSpline(x, y)
     u = _beyond(x)
@@ -94,43 +85,11 @@ def test_cumulative_simpson_matches_scipy(name, x, y):
     _assert_within_2ulp(_cumulative_simpson(y, x), cumulative_simpson(y, x=x, initial=0.0))
 
 
-def test_two_point_pchip_is_the_chord():
-    got, want = pchip([0.5, 2.0], [1.0, -2.0]), PchipInterpolator([0.5, 2.0], [1.0, -2.0])
-    u = np.array([-1.0, 0.5, 1.0, 2.0, 3.0])
-    _assert_within_2ulp(got(u), want(u))
-    _assert_within_2ulp(got.derivative(u), np.full(5, -2.0))
-
-
 def test_scalar_argument_gives_a_0d_array_as_scipy_does():
     x, y = np.arange(5.0), np.array([0.0, 1.0, 3.0, 3.5, 6.0])
-    for got, want in ((pchip(x, y), PchipInterpolator(x, y)),
-                      (not_a_knot_spline(x, y), CubicSpline(x, y))):
-        assert got(1.5).shape == want(1.5).shape == ()
-        assert got(1.5) == want(1.5)
-
-
-@SETTINGS
-@given(gaps=GAPS, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
-def test_pchip_reproduces_linear_data_to_rounding(gaps, a, b):
-    x = _grid(gaps)
-    p = pchip(x, a * x + b)
-    u = _beyond(x)
-    assert np.max(np.abs(p(u) - (a * u + b))) <= 1e-12
-    assert np.max(np.abs(p.derivative(u) - a)) <= 1e-10
-
-
-@SETTINGS
-@given(gaps=GAPS, rises=st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=20, max_size=20))
-def test_pchip_keeps_monotone_data_monotone(gaps, rises):
-    x = _grid(gaps)
-    y = np.concatenate([[0.0], np.cumsum(rises[:len(x) - 1])])
-    u = np.linspace(x[0], x[-1], 2001)
-    v = pchip(x, y)(u)
-    assert np.all(np.diff(v) >= -1e-13)
-    # no overshoot: each piece stays between its end values
-    piece = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
-    assert np.all((v >= y[piece] - 1e-13) & (v <= y[piece + 1] + 1e-13))
-    assert np.all(np.diff(pchip(x, -y)(u)) <= 1e-13)
+    got, want = not_a_knot_spline(x, y), CubicSpline(x, y)
+    assert got(1.5).shape == want(1.5).shape == ()
+    assert got(1.5) == want(1.5)
 
 
 @SETTINGS
@@ -164,9 +123,8 @@ def test_cumulative_simpson_is_exact_for_cubics_at_even_nodes(pairs, c):
 
 
 def test_knots_must_increase_strictly():
-    for build in (pchip, not_a_knot_spline):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            build([0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        not_a_knot_spline([0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
 def test_spline_rejects_fewer_than_four_knots():
@@ -178,4 +136,10 @@ def test_spline_rejects_fewer_than_four_knots():
 def test_graph_map_with_a_repeated_u_is_non_monotone():
     u = np.array([-0.01, 0.0, 0.0, 0.01])
     with pytest.raises(NonMonotoneG, match="local graph samples repeat u = 0"):
+        GraphMap(u, 0.5 * u)
+
+
+def test_graph_map_on_three_samples_overflows_the_chart():
+    u = np.array([-0.01, 0.0, 0.01])
+    with pytest.raises(ChartOverflow, match="local graph has 3 samples in"):
         GraphMap(u, 0.5 * u)

@@ -13,8 +13,6 @@ from anosov_lab.lattice import (
     is_hyperbolic,
     line_angle,
     power,
-    standard_action_apply,
-    torus_distance,
     wrap_point,
 )
 
@@ -108,15 +106,10 @@ def test_certificate_serialization_fields():
         assert key in doc
 
 
-def test_wrap_and_distance():
+def test_wrap_point():
     assert np.allclose(wrap_point(np.array([1.25, -0.25])), [0.25, 0.75])
-    assert torus_distance(np.array([0.95, 0.0]), np.array([0.05, 0.0])) == pytest.approx(0.1)
-
-
-def test_standard_action_apply():
-    x = np.array([0.3, 0.7])
-    y = standard_action_apply(G1, x)
-    assert np.allclose(y, np.mod(G1.as_array() @ x, 1.0))
+    # np.mod(-1e-17, 1.0) rounds to 1.0, which wraps to 0
+    assert np.array_equal(wrap_point(np.array([-1e-17, 0.5])), [0.0, 0.5])
 
 
 def test_line_angle_parallel_antiparallel_perpendicular():

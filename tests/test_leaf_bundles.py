@@ -247,8 +247,8 @@ def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=
         hol_u = _ref_holonomy(field_1u, axis_s_z, axis_s_zp, abs(hp.u_param) * 1.5 + 0.5,
                               step, (-eps, eps))
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
-        d = 1e-3
-        predicted = (hol_u(theta_z(hol_s.inverse(d))) - hol_u(theta_z(hol_s.inverse(-d)))) / (2 * d)
+        u0 = hol_s.inverse(0.0)
+        predicted = hol_u.derivative(theta_z(u0)) * theta_z.slope_at(u0) / hol_s.derivative(u0)
         dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
         dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
         rows.append(PropagationRow(
