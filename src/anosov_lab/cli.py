@@ -180,6 +180,7 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     report.diagnostics.update({
         "n_heteroclinic": len(rows),
         "max_transport_deviation": max(r.transport_deviation for r in rows),
+        "max_slope_deviation": max(r.slope_difference for r in rows),
         "min_angle_rad": min(r.angle for r in rows),
     })
     report.verdict = "complete"

@@ -41,7 +41,7 @@ DEFAULTS = {
         "field_n": 128,
         "field_iters": 40,
         "leaf_step": 1e-3,
-        "propagation_step": 4e-3,
+        "propagation_step": 8e-3,
         "max_period": 2,
     },
     "thresholds": dict(DEFAULT_THRESHOLDS),

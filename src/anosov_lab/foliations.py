@@ -17,7 +17,8 @@ is bracketed against.  A row projects onto its transversal, through a
 window of nodes around its last foot (``LeafBundle.project``), only at
 steps where its fast signed distance can change sign: that distance moves
 by at most LIPSCHITZ = 2 steps per step (about one is measured), so a row
-far from its transversal skips most projections.
+far from its transversal skips most projections.  Its node hint is its
+last foot advanced by its displacement since, along the target's tangent.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ WINDOW = 3  # nodes on each side of a hint that a hinted projection searches
 # the step, along every march of ``tangency_propagation_check`` (steps 4e-3
 # and 1e-3, fields on 32- to 128-point grids): 1.000000 on the linear
 # action and on phi = id + (a sin 2 pi x2, 0), a = 0.02 and 0.03; 1.000004
-# on a two-mode phi; 1.000002 on phi = id + (0, 0.03 sin 2 pi x1).
+# on a two-mode phi; 1.000002 on phi = id + (0, 0.03 sin 2 pi x1).  At the
+# default step 8e-3 (32- and 128-point grids): 1.000000 linear, 1.000001
+# and 1.000005 at a = 0.02 and 0.03, 1.000020 on the two-mode
+# phi = id + (0.03 sin 2 pi x2, 0.01 sin 2 pi (x1 + x2)), 1.000000 on the last.
 LIPSCHITZ = 2.0
 
 
@@ -481,10 +485,12 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     before each sign change is itself projected, and a row stops at the
     step, with the bracket, that a march projecting every state finds.
     Each projection is hinted with the node nearest the row's last foot
-    parameter, so it searches a window of nodes instead of the whole
-    target row.  After the march one ``_hermite_crossings`` call solves the
-    crossings of all stopped rows, before any escape or tangency check.
-    Every row gets what a call with that row alone gives it.
+    parameter advanced by the row's displacement since its last projection
+    along the target's tangent there, so it searches a window of nodes
+    instead of the whole target row, also after skipped projections.
+    After the march one ``_hermite_crossings`` call solves the crossings of
+    all stopped rows, before any escape or tangency check.  Every row gets
+    what a call with that row alone gives it.
 
     Returns (s_prime, crossing_angle) arrays.  Raises SignAmbiguity naming
     every live row of a leaf whose field direction flips, LeafEscaped when
@@ -501,6 +507,7 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     rate = np.einsum("ni,ni->n", hd[leaf], np.stack([-tang[:, 1], tang[:, 0]], axis=1))
     sign = -np.sign(dist * rate)
     sign[sign == 0] = 1.0
+    seen = starts[leaf]  # each row's state at its last projection
     # one march per (leaf, heading); row r rides march[r]
     keys, march = np.unique(2 * leaf + (sign > 0), return_inverse=True)
     pts = starts[keys // 2]
@@ -525,10 +532,12 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
         rows = np.flatnonzero(live & (LIPSCHITZ * step * (i + 2 - projected) >= np.abs(dist)))
         if len(rows):
             w, mr = which[rows], march[rows]
-            near = np.rint((foot[rows] - targets.params[w, 0]) / targets.step[w]).astype(int)
             at = np.searchsorted(marches, mr)  # each row's march in this step's batch
             new_pts, new_hd = stepped[at], hd_step[at]
-            new_foot, new_dist, _ = targets.project(new_pts, which=w, near=near)
+            # the last foot advanced by the row's displacement since, along the target there
+            ahead = foot[rows] + np.einsum("ni,ni->n", new_pts - seen[rows], tang[rows])
+            near = np.rint((ahead - targets.params[w, 0]) / targets.step[w]).astype(int)
+            new_foot, new_dist, new_tang = targets.project(new_pts, which=w, near=near)
             hit = np.sign(new_dist) != np.sign(dist[rows])
             if hit.any():
                 r = rows[hit]
@@ -538,6 +547,7 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
                     kept[r] = now[hit]
                 active[r] = False
             dist[rows], foot[rows], projected[rows] = new_dist, new_foot, i + 1
+            seen[rows], tang[rows] = new_pts, new_tang
         pts[marches], hd[marches] = stepped, hd_step
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
@@ -854,6 +864,7 @@ class HeteroclinicPoint:
     u_param: float         # a: arc length along the unstable leaf from z
     s_param: float         # b: arc length along the stable leaf from z
     lattice: tuple         # the integer vector k of the cover equation
+    lift: np.ndarray       # the point on the lift of the unstable leaf from z
 
 
 def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
@@ -861,10 +872,11 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     """Transverse intersections of the unstable and stable leaves through z.
 
     Solves a v_u = b v_s + k over integer k with |k|_inf <= radius
-    (k = 0 excluded as the trivial basepoint).  When nonlinear fields are
-    supplied, each linear seed is refined by intersecting the integrated
-    leaves of the nonlinear map through z; the leaves of each field for
-    all k run as one bundle, and one Hermite solve finds all crossings
+    (k = 0 excluded as the trivial basepoint); each point's lift is then
+    z + a v_u.  When nonlinear fields are supplied, each linear seed is
+    refined by intersecting the integrated leaves of the nonlinear map
+    through z: one stable and one unstable leaf serve every k, and one
+    Hermite solve finds all crossings, whose points are the lifts
     (``_refine_heteroclinic``).
     """
     z = np.asarray(z, dtype=float)
@@ -876,7 +888,7 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
           for k2 in range(-radius, radius + 1) if (k1, k2) != (0, 0)]
     seeds = [np.linalg.solve(basis, np.array(k, dtype=float)) for k in ks]
     if field_u is None:
-        out = [HeteroclinicPoint(np.mod(z + a * v_u, 1.0), float(a), float(b), k)
+        out = [HeteroclinicPoint(np.mod(z + a * v_u, 1.0), float(a), float(b), k, z + a * v_u)
                for k, (a, b) in zip(ks, seeds)]
     else:
         out = _refine_heteroclinic(z, ks, seeds, field_u, field_s, step)
@@ -888,42 +900,46 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
     """Intersect, for each lattice vector k, the integrated unstable leaf
     through z with the k-translated stable leaf.
 
-    The stable and the unstable leaves of all k run as two bundles.  A
-    scan of the fast signed distance of each unstable leaf's nodes to its
-    own target, one k at a time, finds the sign change nearest the linear
-    prediction; its nodes x nodes distance table is the largest array of
-    the check.  One ``_hermite_crossings`` call then solves every crossing,
-    giving both arc lengths a and b.  Errors name the failing k.
+    One stable and one unstable leaf through z are integrated, each at
+    the longest length any k needs, and serve every k: row k of the
+    targets is the stable leaf translated by k, and row k of the movers
+    is the unstable leaf.  A scan of the fast signed distance of the
+    unstable leaf's nodes to each target, one k at a time, finds the sign
+    change nearest the linear prediction; its nodes x nodes distance table
+    is the largest array of the check.  One ``_hermite_crossings`` call
+    then solves every crossing, giving both arc lengths a and b and the
+    crossing point on the unstable leaf's lift.  Errors name the failing
+    k; a leaf that serves every k names them all.
     """
     pad = 1.3
     tags = [f"heteroclinic leaf k={k}" for k in ks]
-    starts = np.repeat(z[None, :], len(ks), axis=0)
-    stables = integrate_leaves(field_s, starts, [2 * abs(b) * pad + 0.2 for _, b in seeds],
-                               step=step, centered=True, tags=tags)
-    targets = stables.translated(np.array(ks, dtype=float))
-    # march the unstable leaf from near the seed toward the target
-    unstables = integrate_leaves(field_u, starts, [2 * abs(a) * pad + 0.2 for a, _ in seeds],
-                                 step=step, centered=True, tags=tags)
+    count = len(ks)
+    leaf_tags = ["; ".join(tags)]
+    stable = integrate_leaves(field_s, z[None], max(2 * abs(b) * pad + 0.2 for _, b in seeds),
+                              step=step, centered=True, tags=leaf_tags)
+    unstable = integrate_leaves(field_u, z[None], max(2 * abs(a) * pad + 0.2 for a, _ in seeds),
+                                step=step, centered=True, tags=leaf_tags)
+    targets = stable.take([0] * count).translated(np.array(ks, dtype=float))
+    movers = unstable.take([0] * count)
     cand, near = [], []
-    for i in range(len(ks)):
-        nodes = unstables.last[i] + 1
-        feet, dists, _ = targets.take([i]).project(unstables.points[i, :nodes])
+    for i in range(count):
+        feet, dists, _ = targets.take([i]).project(unstable.points[0])
         sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
         if len(sign_change) == 0:
             raise _failure(LeafEscaped, "no stable-leaf crossing", [i], tags)
         # pick the crossing closest to the linear prediction
-        c = sign_change[np.argmin(np.abs(unstables.params[i, sign_change] - seeds[i][0]))]
+        c = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - seeds[i][0]))]
         cand.append(c)
         near.append((dists[c:c + 2], feet[c:c + 2]))
-    every = np.arange(len(ks))
+    every = np.arange(count)
     ends = (np.array(cand), np.array(cand) + 1)
     dist, foot = np.transpose(near, (1, 2, 0))
     sigma, b_ref, _, pts = _hermite_crossings(
-        field_u, [unstables.points[every, e] for e in ends],
-        [unstables.headings[every, e] for e in ends], unstables.step, dist, foot, targets,
+        field_u, [movers.points[every, e] for e in ends],
+        [movers.headings[every, e] for e in ends], movers.step, dist, foot, targets,
         every, tags)
-    a_ref = unstables.params[every, ends[0]] + sigma * unstables.step
-    return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k)
+    a_ref = movers.params[every, ends[0]] + sigma * movers.step
+    return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k, pt)
             for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 
 

@@ -406,9 +406,12 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
 
     The leaves of every lattice vector k run together, in phases with one
     batched call per field each: the heteroclinic leaves through z (when
-    ``nonlinear``), the leaves from z to the lifts of each z', every frame
-    axis and target leaf of the local graphs at z and at each z', the
-    local-graph crossings, and the holonomies.  Each k gets the numbers a
+    ``nonlinear``; one per field serves every k), every frame axis and
+    target leaf of the local graphs at z and at each z', the local-graph
+    crossings, and the holonomies.  The lift of each z' on the unstable
+    leaf from z is the crossing point of its heteroclinic solve (z + a v_u
+    for the linear action), and its lift on the stable leaf is that point
+    minus k (z + b v_s for the linear action).  Each k gets the numbers a
     check of that k alone would give.  An error from a stacked call keeps
     its class and names the failing k and whether the row belongs to a
     heteroclinic leaf, a local graph or a holonomy.
@@ -425,13 +428,11 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     hps = heteroclinic_points(z, e1, radius, field_u=fu, field_s=fs, step=step)
     ks = [hp.lattice for hp in hps]
     n = len(hps)
+    # lifts of z' reached along the unstable / stable leaves from z
+    zp_u = np.array([hp.lift for hp in hps])
     if nonlinear:
-        # lifts of z' reached along the unstable / stable leaves from z
-        zp_u = _leaf_lifts(field_1u, z, [hp.u_param for hp in hps], step,
-                           [f"heteroclinic leaf k={k}" for k in ks])
         zp_s = zp_u - np.array(ks, dtype=float)
     else:
-        zp_u = np.array([z + hp.u_param * e1.vu for hp in hps])
         zp_s = np.array([z + hp.s_param * e1.vs for hp in hps])
 
     # graph 0 sits at z, graph 1 + j at the lift of the j-th z'
@@ -478,15 +479,6 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     return rows
 
 
-def _leaf_lifts(field: LineField, z, arcs, step: float, tags) -> np.ndarray:
-    """Lift coordinates of the points at signed arc lengths arcs[i] along
-    the leaf through z, all leaves in one bundle."""
-    leaves = integrate_leaves(field, np.repeat(z[None, :], len(arcs), axis=0),
-                              [2 * abs(arc) + 4 * step for arc in arcs], step=step,
-                              centered=True, tags=tags)
-    return leaves.evaluate(arcs, np.arange(len(arcs)))[0]
-
-
 DEFAULT_THRESHOLDS = {
     "transversality": 0.05,      # rad, Lemma-2 margin
     "lemma3": 1e-3,              # graph-transport deviation
@@ -502,6 +494,7 @@ class TeichmullerVerdict:
 
     transversality_min_angle: float
     lemma3_deviation: float
+    lemma3_slope_deviation: float  # max |measured - predicted slope| at the z'
     prop1_affinity_residual: float
     jacobian_consistency: float
     verdict: str                 # smooth | obstructed | inconclusive
@@ -512,6 +505,7 @@ class TeichmullerVerdict:
         return {
             "transversality_min_angle": self.transversality_min_angle,
             "lemma3_deviation": self.lemma3_deviation,
+            "lemma3_slope_deviation": self.lemma3_slope_deviation,
             "prop1_affinity_residual": self.prop1_affinity_residual,
             "jacobian_consistency": self.jacobian_consistency,
             "verdict": self.verdict,
@@ -534,7 +528,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                            phi=None, thresholds: dict | None = None,
                            grid_n: int = 256, field_n: int = 128,
                            field_iters: int = 40, max_period: int = 2,
-                           propagation_step: float = 4e-3, span: float = 0.35,
+                           propagation_step: float = 8e-3, span: float = 0.35,
                            seed: int = 0, radius: int = 1,
                            eps: float = 0.05,
                            unpaired: str | None = None) -> TeichmullerVerdict:
@@ -564,6 +558,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     nan = float("nan")
     angle_min = nan
     lemma3 = nan
+    lemma3_slope = nan
     prop1 = nan
     jac_stab = nan
 
@@ -602,8 +597,8 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
         verdict = "obstructed" if obstructed else "inconclusive"
         return TeichmullerVerdict(
             transversality_min_angle=angle_min, lemma3_deviation=lemma3,
-            prop1_affinity_residual=prop1, jacobian_consistency=jac_stab,
-            verdict=verdict, diagnostics=diag, errors=errors)
+            lemma3_slope_deviation=lemma3_slope, prop1_affinity_residual=prop1,
+            jacobian_consistency=jac_stab, verdict=verdict, diagnostics=diag, errors=errors)
 
     pair = check_pair_hypothesis(e1, e2)
     diag["pair_min_sine"] = pair.min_pairwise_sine
@@ -636,6 +631,7 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                 np.zeros(2), e1, radius=radius, eps=eps,
                 step=propagation_step, nonlinear=not g1.is_linear)
             lemma3 = max(r.transport_deviation for r in rows)
+            lemma3_slope = max(r.slope_difference for r in rows)
             diag["propagation_rows"] = [r.to_dict() for r in rows]
             diag["propagation_min_angle"] = min(r.angle for r in rows)
         except AnosovLabError as exc:
@@ -680,5 +676,5 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     verdict = "smooth" if (checks and not errors) else "inconclusive"
     return TeichmullerVerdict(
         transversality_min_angle=float(angle_min), lemma3_deviation=float(lemma3),
-        prop1_affinity_residual=float(prop1), jacobian_consistency=float(jac_stab),
-        verdict=verdict, diagnostics=diag, errors=errors)
+        lemma3_slope_deviation=float(lemma3_slope), prop1_affinity_residual=float(prop1),
+        jacobian_consistency=float(jac_stab), verdict=verdict, diagnostics=diag, errors=errors)

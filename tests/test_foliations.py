@@ -246,14 +246,16 @@ def test_graph_transport_linear(linear_fields, e1):
 
 def test_graph_transport_smooth(conj_fields, e1):
     from anosov_lab.rigidity import tangency_propagation_check
-    rows = tangency_propagation_check(
-        conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
-        np.zeros(2), e1, radius=1, step=4e-3, nonlinear=True)
-    assert len(rows) == 8
-    # the spline maps and the chain-rule slope put both at the leaves' accuracy
-    assert max(r.transport_deviation for r in rows) <= 1e-9
-    assert max(r.slope_difference for r in rows) <= 1e-7
-    assert min(r.angle for r in rows) > 0.05
+    # at the default propagation step 8e-3 and at half of it
+    for step in (4e-3, 8e-3):
+        rows = tangency_propagation_check(
+            conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
+            np.zeros(2), e1, radius=1, step=step, nonlinear=True)
+        assert len(rows) == 8
+        # the spline maps and the chain-rule slope put both at the leaves' accuracy
+        assert max(r.transport_deviation for r in rows) <= 1e-9, step
+        assert max(r.slope_difference for r in rows) <= 1e-7, step
+        assert min(r.angle for r in rows) > 0.05
 
 
 # --- Scalar reference for the batched leaf evaluation, projection and

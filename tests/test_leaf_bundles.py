@@ -182,11 +182,10 @@ def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
     return GraphMap(u_vals[keep], s_vals[keep])
 
 
-def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
-    pad = 1.3
-    stable = _ref_integrate_leaf(field_s, z, 2 * abs(b) * pad + 0.2, step=step, centered=True)
+def _ref_refine_heteroclinic(z, a, k, stable, unstable, field_u):
+    """The crossing of the unstable leaf through z with the stable one
+    translated by k, nearest the linear prediction a."""
     target = stable.translated(np.array([k], dtype=float))
-    unstable = _ref_integrate_leaf(field_u, z, 2 * abs(a) * pad + 0.2, step=step, centered=True)
     feet, dists, _ = target.project(unstable.points[0])
     sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
     if len(sign_change) == 0:
@@ -197,23 +196,34 @@ def _ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step):
         unstable.headings[:, [c, c + 1]].transpose(1, 0, 2), unstable.step,
         dists[c:c + 2, None], feet[c:c + 2, None], target, np.zeros(1, dtype=int))
     a_ref = unstable.params[0, c] + sigma[0] * unstable.step[0]
-    return HeteroclinicPoint(np.mod(pt[0], 1.0), float(a_ref), float(b_ref[0]), k)
+    return HeteroclinicPoint(np.mod(pt[0], 1.0), float(a_ref), float(b_ref[0]), k, pt[0])
 
 
 def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-3):
+    """One lattice vector at a time, against one stable and one unstable
+    leaf through z of the longest length any k needs."""
     z = np.asarray(z, dtype=float)
     basis = np.column_stack([e1.vu, -e1.vs])
-    out = []
+    seeds = {}
     for k1 in range(-radius, radius + 1):
         for k2 in range(-radius, radius + 1):
-            k = (k1, k2)
-            if k == (0, 0):
-                continue
-            a, b = np.linalg.solve(basis, np.array(k, dtype=float))
-            if field_u is None:
-                out.append(HeteroclinicPoint(np.mod(z + a * e1.vu, 1.0), float(a), float(b), k))
-            else:
-                out.append(_ref_refine_heteroclinic(z, a, b, k, field_u, field_s, step))
+            if (k1, k2) != (0, 0):
+                seeds[k1, k2] = np.linalg.solve(basis, np.array((k1, k2), dtype=float))
+    if field_u is not None:
+        pad = 1.3
+        stable = _ref_integrate_leaf(field_s, z, max(2 * abs(b) * pad + 0.2
+                                                     for _, b in seeds.values()),
+                                     step=step, centered=True)
+        unstable = _ref_integrate_leaf(field_u, z, max(2 * abs(a) * pad + 0.2
+                                                       for a, _ in seeds.values()),
+                                       step=step, centered=True)
+    out = []
+    for k, (a, b) in seeds.items():
+        if field_u is None:
+            out.append(HeteroclinicPoint(np.mod(z + a * e1.vu, 1.0), float(a), float(b), k,
+                                         z + a * e1.vu))
+        else:
+            out.append(_ref_refine_heteroclinic(z, a, k, stable, unstable, field_u))
     out.sort(key=lambda h: h.lattice)
     return out
 
@@ -231,10 +241,7 @@ def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=
     rows = []
     for hp in hps:
         if nonlinear:
-            arc = hp.u_param
-            seg = _ref_integrate_leaf(field_1u, z, 2 * abs(arc) + 4 * step, centered=True,
-                                      step=step)
-            zp_u_lift = seg.evaluate([arc])[0][0]
+            zp_u_lift = hp.lift
             zp_s_lift = zp_u_lift - np.array(hp.lattice, dtype=float)
         else:
             zp_u_lift = z + hp.u_param * e1.vu
@@ -384,6 +391,7 @@ def test_heteroclinic_points_match_serial_reference(conj_fields, e1):
     assert [h.lattice for h in got] == [h.lattice for h in want]
     for g, w in zip(got, want):
         assert np.array_equal(g.point, w.point)
+        assert np.array_equal(g.lift, w.lift)
         assert (g.u_param, g.s_param) == (w.u_param, w.s_param)
 
 
@@ -508,6 +516,36 @@ def _assert_march_hints_change_nothing(f, e1, nonlinear):
 @pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
 def test_every_march_projection_is_the_whole_row_projection(request, e1, name, nonlinear):
     _assert_march_hints_change_nothing(request.getfixturevalue(name), e1, nonlinear)
+
+
+@pytest.mark.parametrize("step", [4e-3, 8e-3])
+def test_march_hints_keep_every_nearest_node_in_the_window(conj_fields, e1, step):
+    # on phi 0.02 the last foot, unmoved, was more than WINDOW nodes from the
+    # nearest node for 456 of 6,028 hinted points at 4e-3 and 170 of 5,196
+    # at 8e-3; advanced along the target by the row's displacement, none is
+    points = {"hinted": 0, "searched again": 0}
+    hinted = [False]
+    nearest = LeafBundle._nearest
+
+    def counting(self, pts, which, last, near=None):
+        if hinted[0]:
+            points["searched again"] += len(pts)
+        if near is None:
+            return nearest(self, pts, which, last)
+        points["hinted"] += len(pts)
+        hinted[0] = True
+        try:
+            return nearest(self, pts, which, last, near)
+        finally:
+            hinted[0] = False
+
+    f = conj_fields
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LeafBundle, "_nearest", counting)
+        tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, step=step,
+                                   nonlinear=True)
+    assert points["hinted"] > 5_000
+    assert points["searched again"] == 0
 
 
 @settings(max_examples=5, derandomize=True, deadline=None)
@@ -677,9 +715,10 @@ def test_skipped_projections_match_every_step_march_of_drawn_two_mode_diffeo(e1,
                                                *_all_pairs(starts, targets, 0.5))
 
 
+@pytest.mark.parametrize("step", [4e-3, 8e-3])
 @pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
 def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(request, e1, name,
-                                                                           nonlinear):
+                                                                           nonlinear, step):
     fields = request.getfixturevalue(name)
     # every march of the default check, once more through the every-step
     # reference, which records the largest change of the fast distance
@@ -702,7 +741,7 @@ def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(reques
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foliations, "_cross_to_target", every_step)
         tangency_propagation_check(fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1,
-                                   step=STEP, nonlinear=nonlinear)
+                                   step=step, nonlinear=nonlinear)
     # local graphs at z and at 8 points z', each through both frame fields,
     # and both holonomies of each z'
     assert len(jumps) == 2 * 9 + 2 * 8

@@ -1,23 +1,35 @@
-"""Work-count guard for the Lemma 3 marches of a default ``teichmuller`` run.
+"""Work-count guard for the Lemma 3 marches of ``teichmuller`` runs.
 
 The counts are deterministic: a run projects onto transversals and steps
 leaves the same number of times on every machine.  Each bound sits a
-little above the count of a march that integrates each distinct holonomy
-leaf once and projects a row only where it can cross (132 projections of
-6,812 points, 34,548 holonomy RK4 row-steps), and far below the counts of
-a march that steps every (sample, target) row and projects it at every
-step (742, 82,784 and 77,584).
+little above the count at the default propagation step, 8e-3, of a march
+that integrates each distinct leaf once and projects a row only where it
+can cross.  At the step 4e-3, with one stable and one unstable
+heteroclinic leaf per lattice vector and the unstable leaves integrated
+again to the lifts of z', the default linear run made 132 projections of
+6,812 points and 34,548 holonomy RK4 row-steps, and the run on the action
+conjugated by phi = id + (0.02 sin 2 pi x2, 0) made 2,210 RK4 steps in
+Lemma 3, 8,800 heteroclinic row-steps among them.
 """
+
+import json
 
 from anosov_lab import foliations, rigidity
 from anosov_lab.cli import main
 
+PHI_02 = ["--set", "action.kind=conjugated",
+          "--set", "action.diffeo=" + json.dumps([{"k": [0, 1], "sin": [0.02, 0]}])]
 
-def test_default_teichmuller_run_projects_and_steps_within_bounds(tmp_path, monkeypatch):
-    counts = {"project_calls": 0, "project_points": 0, "holonomy_row_steps": 0}
-    in_holonomies = [False]
-    project, rk4_step, holonomies = (foliations.LeafBundle.project, foliations._rk4_step,
-                                     rigidity.holonomies)
+
+def _teichmuller_work(tmp_path, monkeypatch, args):
+    """Projections and RK4 steps of one in-process ``teichmuller`` run: calls
+    and points of ``LeafBundle.project``, and ``_rk4_step`` calls and rows
+    within ``tangency_propagation_check``, within ``holonomies`` and
+    within ``heteroclinic_points``."""
+    counts = dict.fromkeys(("project_calls", "project_points", "lemma3_steps",
+                            "holonomy_row_steps", "heteroclinic_row_steps"), 0)
+    stage = set()
+    project, rk4_step = foliations.LeafBundle.project, foliations._rk4_step
 
     def counting_project(self, pts, which=0, near=None):
         counts["project_calls"] += 1
@@ -25,23 +37,42 @@ def test_default_teichmuller_run_projects_and_steps_within_bounds(tmp_path, monk
         return project(self, pts, which, near)
 
     def counting_step(field, pts, headings, h):
-        if in_holonomies[0]:
-            counts["holonomy_row_steps"] += len(pts)
+        counts["lemma3_steps"] += "lemma3" in stage
+        counts["holonomy_row_steps"] += len(pts) * ("holonomy" in stage)
+        counts["heteroclinic_row_steps"] += len(pts) * ("heteroclinic" in stage)
         return rk4_step(field, pts, headings, h)
 
-    def flagged_holonomies(*args, **kwargs):
-        in_holonomies[0] = True
-        try:
-            return holonomies(*args, **kwargs)
-        finally:
-            in_holonomies[0] = False
+    def flagged(name, run):
+        def wrapper(*args, **kwargs):
+            stage.add(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                stage.discard(name)
+        return wrapper
 
     monkeypatch.delenv("ANOSOV_LAB_OUT", raising=False)
     monkeypatch.setattr(foliations.LeafBundle, "project", counting_project)
     monkeypatch.setattr(foliations, "_rk4_step", counting_step)
-    monkeypatch.setattr(rigidity, "holonomies", flagged_holonomies)
-    assert main(["teichmuller", "--out", str(tmp_path)]) == 0
+    for name, attr in (("lemma3", "tangency_propagation_check"), ("holonomy", "holonomies"),
+                       ("heteroclinic", "heteroclinic_points")):
+        monkeypatch.setattr(rigidity, attr, flagged(name, getattr(rigidity, attr)))
+    assert main(["teichmuller", *args, "--out", str(tmp_path)]) == 0
+    return counts
+
+
+def test_default_teichmuller_run_projects_and_steps_within_bounds(tmp_path, monkeypatch):
+    counts = _teichmuller_work(tmp_path, monkeypatch, [])
     assert counts["holonomy_row_steps"] > 0
-    assert counts["project_calls"] <= 150
-    assert counts["project_points"] <= 8_000
-    assert counts["holonomy_row_steps"] <= 36_000
+    # 100 projections of 5,980 points and 17,348 holonomy row-steps
+    assert counts["project_calls"] <= 105
+    assert counts["project_points"] <= 6_100
+    assert counts["holonomy_row_steps"] <= 17_500
+
+
+def test_conjugated_teichmuller_run_steps_each_heteroclinic_leaf_once(tmp_path, monkeypatch):
+    counts = _teichmuller_work(tmp_path, monkeypatch, PHI_02)
+    assert counts["heteroclinic_row_steps"] > 0
+    # 936 RK4 steps, 944 row-steps of them on the two heteroclinic leaves
+    assert counts["lemma3_steps"] <= 950
+    assert counts["heteroclinic_row_steps"] <= 950
