@@ -7,6 +7,7 @@ Exit codes: 0 complete (or verdict smooth), 2 verdict obstructed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -29,7 +30,8 @@ from .rigidity import (
 )
 
 EXIT_USAGE = 1
-# every command sets report.verdict; the verdict alone sets the exit code
+# main starts every run at "complete" and a command may set another
+# verdict; the verdict alone sets the exit code
 EXIT_CODES = {"complete": 0, "smooth": 0, "obstructed": 2, "inconclusive": 3}
 
 
@@ -52,7 +54,6 @@ def cmd_eigen(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     e1, e2 = _require_pair(cfg)
     cert = check_pair_hypothesis(e1, e2)
     report.diagnostics.update(cert.to_dict())
-    report.verdict = "complete"
 
 
 def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -69,7 +70,6 @@ def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     })
     report.add_table("conjugacy-field.csv", ("i", "j", "u1", "u2"),
                      reports.conjugacy_rows(h))
-    report.verdict = "complete"
 
 
 def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -86,7 +86,6 @@ def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> None:
                           step=cfg.leaf_step, centered=True)
     report.add_table("leaf-f1u.csv", ("s", "x", "y", "lift_x", "lift_y"),
                      reports.leaf_rows(leaf))
-    report.verdict = "complete"
 
 
 def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -104,7 +103,8 @@ def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None
     cross = min(rows[0][1], rows[1][1])
     report.diagnostics["min_cross_angle_rad"] = cross
     report.diagnostics["min_cross_angle_deg"] = math.degrees(cross)
-    report.verdict = "complete" if cross >= cfg.thresholds["transversality"] else "inconclusive"
+    if not cross >= cfg.thresholds["transversality"]:  # a nan angle too
+        report.verdict = "inconclusive"
 
 
 def _synthetic_action(amp: float) -> TranslationAction:
@@ -143,7 +143,6 @@ def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     })
     report.add_table("prop1-g.csv", ("y", "g"),
                      [(float(a), float(b)) for a, b in lin.g_nodes[::10]])
-    report.verdict = "complete"
 
 
 def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -163,7 +162,6 @@ def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     report.diagnostics["numeric"] = {
         "t": num.translation_t, "deviation": num.numeric_deviation,
     }
-    report.verdict = "complete"
 
 
 def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -183,7 +181,6 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
         "max_slope_deviation": max(r.slope_difference for r in rows),
         "min_angle_rad": min(r.angle for r in rows),
     })
-    report.verdict = "complete"
 
 
 def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -196,8 +193,9 @@ def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> None:
         reports.periodic_rows(rep))
     report.diagnostics["max_mismatch"] = rep.max_mismatch
     report.diagnostics["n_orbits"] = len(rep.rows)
-    obstructed = rep.max_mismatch > cfg.thresholds["periodic_mismatch"]
-    report.verdict = "obstructed" if obstructed else "complete"
+    if rep.max_mismatch > cfg.thresholds["periodic_mismatch"]:
+        report.verdict = "obstructed"
+    rep.check_converged()
 
 
 def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -213,12 +211,12 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
                 ) if cfg.kind == "perturbed" and len(handles) > 1 else None
     with report.time_block("teichmuller"):
         verdict = teichmuller_experiment(
-            e1, handles[0], e2 if g2 is not None else None, g2, phi=phi,
+            e1, handles[0], e2, g2, phi=phi,
             thresholds=cfg.thresholds, grid_n=cfg.grid_n, field_n=cfg.field_n,
             field_iters=cfg.field_iters, max_period=cfg.max_period,
             propagation_step=cfg.propagation_step, span=cfg.span, seed=cfg.seed,
             radius=cfg.radius, eps=cfg.eps, unpaired=unpaired)
-    report.diagnostics.update(verdict.to_dict())
+    report.diagnostics.update(dataclasses.asdict(verdict))
     prop = verdict.diagnostics.get("propagation_rows")
     if prop:
         _add_propagation_table(report, prop)
@@ -264,12 +262,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = reports.RunReport(cfg.echo(), args.command)
+    report.verdict = "complete"
     try:
         COMMANDS[args.command](cfg, report)
     except AnosovLabError as exc:
         stage = f"{report.failed_stage}: " if report.failed_stage else ""
         report.diagnostics["failure"] = f"{stage}{type(exc).__name__}: {exc}"
-        report.verdict = "inconclusive"
+        # a failure leaves an obstruction found before it standing
+        if report.verdict != "obstructed":
+            report.verdict = "inconclusive"
     report.write(cfg.out_dir)
     print(f"{args.command}: verdict={report.verdict} -> {cfg.out_dir}")
     return EXIT_CODES[report.verdict]

@@ -420,7 +420,14 @@ class MismatchReport:
 
     rows: list  # dicts: period, point, mult_u, mult_s, mismatch
     max_mismatch: float
-    failures: list
+    failures: list  # a NewtonFailed per seed whose Newton diverged
+
+    def check_converged(self) -> None:
+        """Raise one NewtonFailed, naming how many seeds diverged and the
+        first of them, when any did."""
+        if self.failures:
+            raise NewtonFailed(f"{len(self.failures)} periodic seeds did not converge, "
+                               f"first: {self.failures[0]}")
 
 
 def compare_smooth_invariants(g, a_elem: HyperbolicElement, max_period: int) -> MismatchReport:

@@ -11,6 +11,7 @@ the conjugated action L = g o S o g^{-1} is affine, L(t, z) = z + alpha t.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,18 +502,6 @@ class TeichmullerVerdict:
     diagnostics: dict
     errors: list
 
-    def to_dict(self) -> dict:
-        return {
-            "transversality_min_angle": self.transversality_min_angle,
-            "lemma3_deviation": self.lemma3_deviation,
-            "lemma3_slope_deviation": self.lemma3_slope_deviation,
-            "prop1_affinity_residual": self.prop1_affinity_residual,
-            "jacobian_consistency": self.jacobian_consistency,
-            "verdict": self.verdict,
-            "diagnostics": self.diagnostics,
-            "errors": list(self.errors),
-        }
-
 
 def _prop1_along(h: Conjugacy, direction, span: float, quad_spacing: float):
     """Linearize the translation action induced by h along the eigenline
@@ -521,6 +510,17 @@ def _prop1_along(h: Conjugacy, direction, span: float, quad_spacing: float):
     lo, hi = S.y_domain
     return S, linearize_translation_action(S, 0.0, (0.6 * lo, 0.6 * hi),
                                            quad_spacing=quad_spacing)
+
+
+@contextmanager
+def _stage(errors: list, name: str):
+    """Run one named stage of ``teichmuller_experiment``: an AnosovLabError
+    raised in it becomes the entry ``"name: Type: message"`` of ``errors``,
+    and the stages after it still run."""
+    try:
+        yield
+    except AnosovLabError as exc:
+        errors.append(f"{name}: {type(exc).__name__}: {exc}")
 
 
 def teichmuller_experiment(e1: HyperbolicElement, g1,
@@ -533,148 +533,124 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
                            eps: float = 0.05,
                            unpaired: str | None = None) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
-    argument on the marked action generated by (g1, g2).
+    argument on the marked action generated by (g1, g2), as named stages:
+    ``solve_conjugacy`` (h for g1), ``compare_smooth_invariants``
+    (periodic data; a mismatch above threshold makes the run
+    ``obstructed``), ``estimate_holder_exponent`` (of h) and, for a pair
+    (``e2`` and ``g2`` given) that is not obstructed, ``line_fields`` (the
+    four invariant line fields and Lemma 2 transversality, run only when
+    ``check_pair_hypothesis`` holds), ``tangency_propagation`` (Lemma 3),
+    ``prop1`` (the translation action of h linearized along both
+    eigen-directions) and ``jacobian`` (refinement stability of the
+    secant Jacobian of h and, with ``phi``, the known smooth conjugacy,
+    its distance from D phi).  A stage whose input failed is skipped.
 
-    With a single generator (``e2 is None``) only the smooth-invariant
-    obstruction is tested; a mismatch above threshold yields the verdict
-    ``obstructed``, and otherwise an ``inconclusive`` verdict whose errors
-    say why there is no pair: ``unpaired`` or, when it is None, that only
-    one generator map was given.  Otherwise the pipeline is:
-    solve the conjugacy for g1, compare periodic data, check the pair
-    hypothesis (when it fails, the errors name it and the line fields and
-    Lemma 3 are skipped), build all four invariant line fields, measure
-    pairwise transversality, transport local graphs to heteroclinic
-    points, linearize the induced translation action along both
-    eigen-directions, and test refinement stability of the secant
-    Jacobian of h.  ``phi``, when given, is the known smooth conjugacy
-    used for the independent Jacobian cross-check.  ``radius`` and ``eps``
-    are those of ``tangency_propagation_check``.
+    An AnosovLabError ends only its own stage, as the ``errors`` entry
+    ``"<stage>: <ExceptionType>: <message>"``; periodic seeds whose Newton
+    diverged make one ``compare_smooth_invariants: NewtonFailed: ...``
+    entry.  A run without a pair says why in a ``pair: ...`` entry
+    (``unpaired`` or, when it is None, that only one generator map was
+    given), a failed pair hypothesis in a ``pair_hypothesis: ...`` entry.
+    The verdict is ``obstructed``, else ``smooth`` when ``errors`` is
+    empty and every measure is within its threshold, else
+    ``inconclusive``.  ``radius`` and ``eps`` are those of
+    ``tangency_propagation_check``.
     """
     thr = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)
     diag: dict = {"thresholds": dict(thr)}
     errors: list[str] = []
-    nan = float("nan")
-    angle_min = nan
-    lemma3 = nan
-    lemma3_slope = nan
-    prop1 = nan
-    jac_stab = nan
+    # the measures of the stages that did not run stay nan
+    measures = dict.fromkeys(("transversality_min_angle", "lemma3_deviation",
+                              "lemma3_slope_deviation", "prop1_affinity_residual",
+                              "jacobian_consistency"), float("nan"))
 
-    # --- conjugacy for the first generator ---------------------------------
     h = None
-    try:
+    with _stage(errors, "solve_conjugacy"):
         h = solve_conjugacy(e1, g1, n=grid_n)
         diag["conjugacy_sup_norm"] = h.displacement.sup_norm
         diag["conjugacy_residual"] = h.residual_on_grid(64)
-    except AnosovLabError as exc:
-        errors.append(f"solve_conjugacy: {type(exc).__name__}: {exc}")
 
-    # --- periodic-data obstruction (contrast channel) ----------------------
     obstructed = False
-    try:
+    with _stage(errors, "compare_smooth_invariants"):
         report = compare_smooth_invariants(g1, e1, max_period)
         diag["periodic_max_mismatch"] = report.max_mismatch
         diag["periodic_rows"] = report.rows
         obstructed = report.max_mismatch > thr["periodic_mismatch"]
-    except AnosovLabError as exc:
-        errors.append(f"compare_smooth_invariants: {type(exc).__name__}: {exc}")
+        report.check_converged()
     if h is not None:
-        try:
-            exponent, stderr = estimate_holder_exponent(
+        with _stage(errors, "estimate_holder_exponent"):
+            diag["holder_exponent"], diag["holder_stderr"] = estimate_holder_exponent(
                 h, e1.vu, scales=np.geomspace(1e-4, 1e-2, 7), seed=seed)
-            diag["holder_exponent"] = exponent
-            diag["holder_stderr"] = stderr
-        except AnosovLabError as exc:
-            errors.append(f"estimate_holder_exponent: {type(exc).__name__}: {exc}")
 
-    if obstructed or e2 is None or g2 is None:
-        if not obstructed:
-            reason = unpaired or "only one generator map was given"
-            errors.append(f"pair: {reason}, so the line fields, "
-                          "Lemma 3 and Proposition 1 were not run")
-        verdict = "obstructed" if obstructed else "inconclusive"
-        return TeichmullerVerdict(
-            transversality_min_angle=angle_min, lemma3_deviation=lemma3,
-            lemma3_slope_deviation=lemma3_slope, prop1_affinity_residual=prop1,
-            jacobian_consistency=jac_stab, verdict=verdict, diagnostics=diag, errors=errors)
+    paired = not obstructed and e2 is not None and g2 is not None
+    if not (paired or obstructed):
+        errors.append(f"pair: {unpaired or 'only one generator map was given'}, so the line "
+                      "fields, Lemma 3 and Proposition 1 were not run")
+    if paired:
+        pair = check_pair_hypothesis(e1, e2)
+        diag["pair_min_sine"] = pair.min_pairwise_sine
+        fields = {}
+        if not pair.hypothesis_ok:
+            errors.append(f"pair_hypothesis: the eigen-directions of g1 and g2 are not pairwise "
+                          f"transverse (min sine {pair.min_pairwise_sine:g}), so the line fields "
+                          f"and Lemma 3 were not run")
+        else:
+            with _stage(errors, "line_fields"):
+                fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
+                diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
+                a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
+                a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
+                measures["transversality_min_angle"] = min(a1, a2)
+                diag["transversality_pairs"] = {
+                    "E1u_vs_E2s": (a1, tuple(np.asarray(at1, dtype=float))),
+                    "E2u_vs_E1s": (a2, tuple(np.asarray(at2, dtype=float))),
+                }
 
-    pair = check_pair_hypothesis(e1, e2)
-    diag["pair_min_sine"] = pair.min_pairwise_sine
+        if fields:
+            with _stage(errors, "tangency_propagation"):
+                rows = tangency_propagation_check(
+                    fields["f1u"], fields["f1s"], fields["f2s"],
+                    np.zeros(2), e1, radius=radius, eps=eps,
+                    step=propagation_step, nonlinear=not g1.is_linear)
+                measures["lemma3_deviation"] = max(r.transport_deviation for r in rows)
+                measures["lemma3_slope_deviation"] = max(r.slope_difference for r in rows)
+                diag["propagation_rows"] = [r.to_dict() for r in rows]
+                diag["propagation_min_angle"] = min(r.angle for r in rows)
 
-    # --- the four invariant line fields and Lemma 2 ------------------------
-    fields = {}
-    if not pair.hypothesis_ok:
-        errors.append(f"pair_hypothesis: the eigen-directions of g1 and g2 are not pairwise "
-                      f"transverse (min sine {pair.min_pairwise_sine:g}), so the line fields "
-                      f"and Lemma 3 were not run")
-    else:
-        try:
-            fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
-            diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
-            a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
-            a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
-            angle_min = min(a1, a2)
-            diag["transversality_pairs"] = {
-                "E1u_vs_E2s": (a1, tuple(np.asarray(at1, dtype=float))),
-                "E2u_vs_E1s": (a2, tuple(np.asarray(at2, dtype=float))),
-            }
-        except AnosovLabError as exc:
-            errors.append(f"line_fields: {type(exc).__name__}: {exc}")
+        if h is not None:
+            with _stage(errors, "prop1"):
+                S_u, lin_u = _prop1_along(h, e1.vu, span, 2e-3)
+                _, lin_s = _prop1_along(h, e1.vs, span, 2e-3)
+                measures["prop1_affinity_residual"] = max(lin_u.affinity_residual,
+                                                          lin_s.affinity_residual)
+                reg = verify_action_regularity(
+                    S_u, np.linspace(0.0, 0.1, 5),
+                    np.linspace(0.55 * S_u.y_domain[0], 0.55 * S_u.y_domain[1], 21))
+                diag["prop1"] = {
+                    "alpha_unstable": lin_u.alpha, "alpha_stable": lin_s.alpha,
+                    "residual_unstable": lin_u.affinity_residual,
+                    "residual_stable": lin_s.affinity_residual,
+                    "regularity_refinement_sup": reg.refinement_sup,
+                }
 
-    # --- Lemma 3: graph transport to heteroclinic points -------------------
-    if fields:
-        try:
-            rows = tangency_propagation_check(
-                fields["f1u"], fields["f1s"], fields["f2s"],
-                np.zeros(2), e1, radius=radius, eps=eps,
-                step=propagation_step, nonlinear=not g1.is_linear)
-            lemma3 = max(r.transport_deviation for r in rows)
-            lemma3_slope = max(r.slope_difference for r in rows)
-            diag["propagation_rows"] = [r.to_dict() for r in rows]
-            diag["propagation_min_angle"] = min(r.angle for r in rows)
-        except AnosovLabError as exc:
-            errors.append(f"tangency_propagation: {type(exc).__name__}: {exc}")
-
-    # --- Proposition 1 along both eigen-directions -------------------------
-    if h is not None:
-        try:
-            S_u, lin_u = _prop1_along(h, e1.vu, span, 2e-3)
-            _, lin_s = _prop1_along(h, e1.vs, span, 2e-3)
-            prop1 = max(lin_u.affinity_residual, lin_s.affinity_residual)
-            reg = verify_action_regularity(
-                S_u, np.linspace(0.0, 0.1, 5),
-                np.linspace(0.55 * S_u.y_domain[0], 0.55 * S_u.y_domain[1], 21))
-            diag["prop1"] = {
-                "alpha_unstable": lin_u.alpha, "alpha_stable": lin_s.alpha,
-                "residual_unstable": lin_u.affinity_residual,
-                "residual_stable": lin_s.affinity_residual,
-                "regularity_refinement_sup": reg.refinement_sup,
-            }
-        except AnosovLabError as exc:
-            errors.append(f"prop1: {type(exc).__name__}: {exc}")
-
-    # --- C^1 conclusion: secant-Jacobian refinement stability --------------
-    if h is not None:
-        rng = np.random.default_rng(seed)
-        pts = rng.random((25, 2))
-        coarse = h.secant_jacobian(pts, delta=1e-4)
-        fine = h.secant_jacobian(pts, delta=5e-5)
-        jac_stab = float(np.max(np.abs(fine - coarse)))
-        diag["jacobian_refinement_sup"] = jac_stab
-        if phi is not None:
-            exact = phi.derivative(pts)
-            diag["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - exact)))
+            with _stage(errors, "jacobian"):
+                pts = np.random.default_rng(seed).random((25, 2))
+                coarse = h.secant_jacobian(pts, delta=1e-4)
+                fine = h.secant_jacobian(pts, delta=5e-5)
+                jac_stab = float(np.max(np.abs(fine - coarse)))
+                measures["jacobian_consistency"] = jac_stab
+                diag["jacobian_refinement_sup"] = jac_stab
+                if phi is not None:
+                    diag["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - phi.derivative(pts))))
 
     checks = (
-        angle_min >= thr["transversality"]
-        and lemma3 <= thr["lemma3"]
-        and prop1 <= thr["prop1_residual"]
-        and jac_stab <= thr["jacobian"]
+        measures["transversality_min_angle"] >= thr["transversality"]
+        and measures["lemma3_deviation"] <= thr["lemma3"]
+        and measures["prop1_affinity_residual"] <= thr["prop1_residual"]
+        and measures["jacobian_consistency"] <= thr["jacobian"]
     )
-    verdict = "smooth" if (checks and not errors) else "inconclusive"
-    return TeichmullerVerdict(
-        transversality_min_angle=float(angle_min), lemma3_deviation=float(lemma3),
-        lemma3_slope_deviation=float(lemma3_slope), prop1_affinity_residual=float(prop1),
-        jacobian_consistency=float(jac_stab), verdict=verdict, diagnostics=diag, errors=errors)
+    verdict = ("obstructed" if obstructed
+               else "smooth" if checks and not errors else "inconclusive")
+    return TeichmullerVerdict(**measures, verdict=verdict, diagnostics=diag, errors=errors)

@@ -189,6 +189,30 @@ def test_periodic_data_opposite_modes_add(tmp_path):
     assert reports[0]["diagnostics"]["max_mismatch"] > 0.02
 
 
+def test_periodic_data_diverged_seeds_exit_three(tmp_path):
+    """phi = id + (0.15 sin 2 pi x2, 0): Newton diverges from 2 of the 5
+    period-2 seeds; the 3 orbits found still make the table."""
+    code, out = run(tmp_path, "periodic-data", "--set", "action.kind=conjugated",
+                    "--set", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]')
+    doc = json.loads((out / "periodic-data-report.json").read_text())
+    assert (code, doc["verdict"]) == (3, "inconclusive")
+    assert doc["diagnostics"]["failure"] == (
+        "NewtonFailed: 2 periodic seeds did not converge, first: seed (0.6, 0.2) for k=(3, 2), "
+        "period 2")
+    assert doc["diagnostics"]["n_orbits"] == 3
+    assert len((out / "periodic-data.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_periodic_data_obstruction_stands_with_diverged_seeds(tmp_path):
+    code, out = run(tmp_path, "periodic-data", "--set", "action.kind=perturbed",
+                    "--set", 'action.perturbation=[{"k":[0,1],"sin":[0.4,0]}]',
+                    "--set", "resolution.max_period=3")
+    doc = json.loads((out / "periodic-data-report.json").read_text())
+    assert (code, doc["verdict"]) == (2, "obstructed")
+    assert doc["diagnostics"]["failure"].startswith(
+        "NewtonFailed: 8 periodic seeds did not converge, first: ")
+
+
 def test_teichmuller_honours_radius_and_eps(tmp_path):
     extra = ("--set", "resolution.field_n=32", "--set", "resolution.grid_n=64",
              "--set", "experiment.radius=2", "--set", "experiment.eps=0.04")

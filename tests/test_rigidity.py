@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anosov_lab.conjugacy import solve_conjugacy
+from anosov_lab import rigidity
+from anosov_lab.conjugacy import Conjugacy, solve_conjugacy
 from anosov_lab.errors import (
     AnosovLabError,
     DomainMismatch,
@@ -10,7 +11,9 @@ from anosov_lab.errors import (
     SingularSystem,
 )
 from anosov_lab.foliations import integrate_leaf
+from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import eigen_data
+from anosov_lab.maps import ConjugatedMap, Diffeo
 from anosov_lab.rigidity import (
     TranslationAction,
     _solve_t,
@@ -232,7 +235,57 @@ def test_teichmuller_obstructed_for_single_generator(e1, perturbed_contrast):
 
 @pytest.fixture(scope="module")
 def perturbed_contrast(e1):
-    from anosov_lab.fourier import FourierPerturbation
     from anosov_lab.maps import PerturbedMap
     p = FourierPerturbation.from_sin_cos([((0, 1), (0.03 / (2 * np.pi), 0.0), None)])
     return PerturbedMap(e1, p)
+
+
+class Planted(AnosovLabError):
+    """A failure planted in one stage of ``teichmuller_experiment``."""
+
+
+def _fail(*args, **kwargs):
+    raise Planted("planted")
+
+
+# stage -> (its callee as anosov_lab.rigidity sees it, the diagnostic it
+# writes, the stages that need its output)
+STAGES = {
+    "solve_conjugacy": ("solve_conjugacy", "conjugacy_sup_norm",
+                        {"estimate_holder_exponent", "prop1", "jacobian"}),
+    "compare_smooth_invariants": ("compare_smooth_invariants", "periodic_max_mismatch", set()),
+    "estimate_holder_exponent": ("estimate_holder_exponent", "holder_exponent", set()),
+    "line_fields": ("line_fields", "line_field_depths", {"tangency_propagation"}),
+    "tangency_propagation": ("tangency_propagation_check", "propagation_rows", set()),
+    "prop1": ("_prop1_along", "prop1", set()),
+    "jacobian": (None, "jacobian_refinement_sup", set()),  # Conjugacy.secant_jacobian
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_teichmuller_failed_stage_leaves_the_others(monkeypatch, e1, e2, linear_g1, linear_g2,
+                                                    stage):
+    callee, _, needs_it = STAGES[stage]
+    if callee is None:
+        monkeypatch.setattr(Conjugacy, "secant_jacobian", _fail)
+    else:
+        monkeypatch.setattr(rigidity, callee, _fail)
+    verdict = teichmuller_experiment(e1, linear_g1, e2, linear_g2, grid_n=64, field_n=32)
+    assert verdict.errors == [f"{stage}: Planted: planted"]
+    assert verdict.verdict == "inconclusive"
+    reported = {name for name, (_, key, _) in STAGES.items() if key in verdict.diagnostics}
+    assert reported == set(STAGES) - {stage} - needs_it
+
+
+def test_teichmuller_names_diverged_periodic_seeds(e1):
+    """phi = id + (0.15 sin 2 pi x2, 0): Newton diverges from 2 of the 5
+    period-2 seeds, and the 3 orbits found are not an obstruction."""
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (0.15, 0.0), None)]))
+    verdict = teichmuller_experiment(e1, ConjugatedMap(phi, e1), grid_n=64, max_period=2)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.errors[0] == (
+        "compare_smooth_invariants: NewtonFailed: 2 periodic seeds did not converge, "
+        "first: seed (0.6, 0.2) for k=(3, 2), period 2")
+    assert verdict.errors[1].startswith("pair: only one generator map was given")
+    assert len(verdict.errors) == 2
+    assert len(verdict.diagnostics["periodic_rows"]) == 3

@@ -3,8 +3,10 @@
     PYTHONPATH=src python3 tools/bundle_digests.py > digests.txt
 
 The runs are all nine subcommands on the default config and on the action
-conjugated by phi = id + (0.02 sin 2 pi x2, 0), and ``teichmuller`` on the
-overrides of each benchmark workload (bench/workloads.py, seed 1).  Each
+conjugated by phi = id + (0.02 sin 2 pi x2, 0), ``teichmuller`` on the
+overrides of each benchmark workload (bench/workloads.py, seed 1), and
+``teichmuller`` on six configs that end in ``inconclusive`` or
+``obstructed``, so that the error paths of its stages are covered.  Each
 run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -32,6 +34,23 @@ SEED = 1
 # the conjugated workload's action, on the default experiment settings
 PHI = [s for s in WORKLOADS["teichmuller-conjugated"].overrides(SEED)
        if not s.startswith("experiment.")]
+# teichmuller runs that are not smooth, and where each one ends
+ERROR_PATHS = {
+    # pair: only one generator map was given
+    "one-generator": ["group.generators=[[[2,1],[1,1]]]"],
+    # pair: the second map of a perturbed pair is not used
+    "perturbed-pair-1e-6": ["action.kind=perturbed",
+                            'action.perturbation=[{"k":[0,1],"sin":[1e-6,0]}]'],
+    # obstructed by period-2 data
+    "perturbed-1e-2": ["action.kind=perturbed",
+                       'action.perturbation=[{"k":[0,1],"sin":[1e-2,0]}]'],
+    # pair_hypothesis: the eigen-directions are not pairwise transverse
+    "equal-generators": ["group.generators=[[[2,1],[1,1]],[[2,1],[1,1]]]"],
+    # line_fields: NotConverged at the depth cap
+    "phi-0.02-field-iters-3": [*PHI, "resolution.field_iters=3"],
+    # tangency_propagation: ChartOverflow of a local-graph target leaf
+    "phi-0.05": ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.05,0]}]'],
+}
 
 
 def _sets(overrides):
@@ -45,6 +64,8 @@ def runs():
             yield f"{config}/{command}", [command, *_sets(overrides)]
     for name, workload in WORKLOADS.items():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(workload.overrides(SEED))]
+    for name, overrides in ERROR_PATHS.items():
+        yield f"{name}/teichmuller", ["teichmuller", *_sets(overrides)]
 
 
 def digests(label, argv):
