@@ -1,7 +1,8 @@
 """Command-line driver: config-described experiments to report bundles.
 
 Exit codes: 0 complete (or verdict smooth), 2 verdict obstructed,
-3 verdict inconclusive or hard sub-experiment failure, 1 usage/config error.
+3 verdict inconclusive or hard sub-experiment failure, 1 usage or config error
+or an output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import reports
 from .conjugacy import compare_smooth_invariants, solve_conjugacy
 from .config import ExperimentConfig, load_config
-from .errors import AnosovLabError, ConfigError
+from .errors import AnosovLabError, ConfigError, IoError
 from .foliations import integrate_leaf, line_fields, min_transversality_angle
 from .lattice import check_pair_hypothesis
 from .rigidity import (
@@ -109,7 +110,7 @@ def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None
 
 def _synthetic_action(amp: float) -> TranslationAction:
     r = np.arange(-3.0, 3.0 + 5e-4, 1e-3)
-    return TranslationAction.from_profile_samples(r, r + amp * np.sin(r))
+    return TranslationAction(r, r + amp * np.sin(r))
 
 
 def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> None:
@@ -271,7 +272,11 @@ def main(argv=None) -> int:
         # a failure leaves an obstruction found before it standing
         if report.verdict != "obstructed":
             report.verdict = "inconclusive"
-    report.write(cfg.out_dir)
+    try:
+        report.write(cfg.out_dir)
+    except IoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{args.command}: verdict={report.verdict} -> {cfg.out_dir}")
     return EXIT_CODES[report.verdict]
 

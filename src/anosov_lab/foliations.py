@@ -38,7 +38,7 @@ from .errors import (
     SignAmbiguity,
     TangencySuspected,
 )
-from .interp import PeriodicBicubic, not_a_knot_spline
+from .interp import HermiteCubic, MonotoneCubic, PeriodicBicubic, not_a_knot_spline
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
@@ -646,50 +646,10 @@ def _hermite_crossings(field: LineField, nodes, heads, spacing, dist, foot,
     return sigma, targets.params[which, node] + tau * t_step, angle, point
 
 
-class HolonomyMap:
-    """Monotone parameter correspondence between two transversals.
-
-    Both directions are not-a-knot cubic splines through the samples
-    (s, s'), so ``derivative`` is the spline's and the Lemma 3 slope
-    follows from the chain rule.  Samples that are not strictly monotone
-    raise NonMonotoneG.
-    """
-
-    def __init__(self, s_values: np.ndarray, s_primes: np.ndarray):
-        order = np.argsort(s_values)
-        s = np.asarray(s_values, dtype=float)[order]
-        sp = np.asarray(s_primes, dtype=float)[order]
-        d = np.diff(sp)
-        if np.all(d > 0):
-            self.increasing = True
-        elif np.all(d < 0):
-            self.increasing = False
-        else:
-            raise NonMonotoneG("holonomy samples are not strictly monotone")
-        self.samples = np.column_stack([s, sp])
-        self._fwd = not_a_knot_spline(s, sp)
-        inv_s = sp if self.increasing else sp[::-1]
-        inv_v = s if self.increasing else s[::-1]
-        self._inv = not_a_knot_spline(inv_s, inv_v)
-
-    @property
-    def domain(self):
-        return float(self.samples[0, 0]), float(self.samples[-1, 0])
-
-    def __call__(self, s):
-        return self._fwd(s)
-
-    def inverse(self, s_prime):
-        return self._inv(s_prime)
-
-    def derivative(self, s):
-        return self._fwd.derivative(s)
-
-
 def holonomies(field: LineField, tau1: LeafBundle, tau2s: LeafBundle, budgets,
                step: float = DEFAULT_STEP, *, span, tags=None) -> list:
     """Holonomies of ``field`` from the one-row tau1 to each row j of tau2s,
-    every pair in one march; returns one HolonomyMap per pair.
+    every pair in one march; returns one MonotoneCubic per pair.
 
     25 sample points of tau1, over the parameter interval ``span``, slide
     along the leaves of ``field`` until each crosses tau2s row j within arc
@@ -725,11 +685,11 @@ def holonomies(field: LineField, tau1: LeafBundle, tau2s: LeafBundle, budgets,
     s_primes, _ = _cross_to_target(field, starts, tau2s, np.repeat(budgets, 25), step,
                                    which=pair, tags=_row_tags(tags, pair),
                                    leaf=np.tile(np.arange(25), count))
-    return [HolonomyMap(s_values, s_primes[25 * j:25 * (j + 1)]) for j in range(count)]
+    return [MonotoneCubic(s_values, row, "holonomy") for row in s_primes.reshape(count, 25)]
 
 
 def holonomy(field: LineField, tau1: LeafBundle, tau2: LeafBundle,
-             budget: float = 3.0, step: float = DEFAULT_STEP, *, span) -> HolonomyMap:
+             budget: float = 3.0, step: float = DEFAULT_STEP, *, span) -> MonotoneCubic:
     """Holonomy of ``field`` from the one-row tau1 to the one-row tau2 over
     the tau1 parameters ``span``: the one-pair case of ``holonomies``.
 
@@ -741,36 +701,23 @@ def holonomy(field: LineField, tau1: LeafBundle, tau2: LeafBundle,
     return holonomies(field, tau1, tau2, [budget], step=step, span=span)[0]
 
 
-class GraphMap:
+def _graph_map(u, s) -> HermiteCubic:
     """Local graph of one foliation's leaf over a transverse leaf frame:
-    s as a not-a-knot cubic spline in u through the samples (u, s) that
-    lie in the chart u in [-eps, eps].
+    s as the not-a-knot cubic spline in u through the samples (u, s) that
+    lie in the chart u in [-eps, eps], taken in increasing u.
 
     Fewer than the spline's 4 samples raise ChartOverflow, and a repeated
     u raises NonMonotoneG.
     """
-
-    def __init__(self, u_values: np.ndarray, s_values: np.ndarray):
-        if len(u_values) < 4:
-            raise ChartOverflow(f"local graph has {len(u_values)} samples in [-eps, eps], "
-                                "short of the 4 its spline needs")
-        order = np.argsort(u_values)
-        self.u_values = np.asarray(u_values, dtype=float)[order]
-        self.s_values = np.asarray(s_values, dtype=float)[order]
-        repeat = np.flatnonzero(np.diff(self.u_values) <= 0)
-        if len(repeat):
-            raise NonMonotoneG(f"local graph samples repeat u = {self.u_values[repeat[0]]:.6g}")
-        self._interp = not_a_knot_spline(self.u_values, self.s_values)
-
-    @property
-    def domain(self):
-        return float(self.u_values[0]), float(self.u_values[-1])
-
-    def __call__(self, u):
-        return self._interp(u)
-
-    def slope_at(self, u):
-        return float(self._interp.derivative(u))
+    if len(u) < 4:
+        raise ChartOverflow(f"local graph has {len(u)} samples in [-eps, eps], "
+                            "short of the 4 its spline needs")
+    order = np.argsort(u)
+    u, s = u[order], s[order]
+    repeat = np.flatnonzero(np.diff(u) <= 0)
+    if len(repeat):
+        raise NonMonotoneG(f"local graph samples repeat u = {u[repeat[0]]:.6g}")
+    return not_a_knot_spline(u, s)
 
 
 def _graph_plan(bases, frame_u: LineField, target: LineField, eps: float, tags=None):
@@ -796,7 +743,7 @@ def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u: LeafBundle
                       axes_s: LeafBundle, leaves: LeafBundle, eps: float, reach: float,
                       step: float, tags=None) -> list:
     """Local graphs from integrated frame axes and target leaves, graph g
-    over row g of axes_u, axes_s and leaves; returns one GraphMap each.
+    over row g of axes_u, axes_s and leaves; returns one spline each.
 
     21 sample points of every target leaf are projected onto the frame
     axes by integrating frame leaves to their crossings, within arc length
@@ -820,11 +767,11 @@ def _graphs_on_leaves(frame_u: LineField, frame_s: LineField, axes_u: LeafBundle
         raise _failure(ChartOverflow, f"target leaf covers u in [{u.min():.4f}, {u.max():.4f}], "
                        f"short of [-{eps}, {eps}]", short, tags)
     keep = np.abs(u_vals) <= eps * 1.0001
-    return [GraphMap(u[k], s[k]) for u, s, k in zip(u_vals, s_vals, keep)]
+    return [_graph_map(u[k], s[k]) for u, s, k in zip(u_vals, s_vals, keep)]
 
 
 def local_graph(z, frame_u: LineField, frame_s: LineField, target: LineField,
-                eps: float, step: float = DEFAULT_STEP) -> GraphMap:
+                eps: float, step: float = DEFAULT_STEP) -> HermiteCubic:
     """Graph map of the target leaf through z in the (frame_u, frame_s)
     leaf coordinates at z.
 
@@ -943,8 +890,8 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
             for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 
 
-def verify_graph_transport(theta_z: GraphMap, theta_zp: GraphMap,
-                           hol_s: HolonomyMap, hol_u: HolonomyMap) -> float:
+def verify_graph_transport(theta_z: HermiteCubic, theta_zp: HermiteCubic,
+                           hol_s: MonotoneCubic, hol_u: MonotoneCubic) -> float:
     """Sup deviation of the graph-transport identity
     theta_z' = hol_u o theta_z o hol_s^{-1} over 41 points of the common
     domain.
@@ -959,16 +906,11 @@ def verify_graph_transport(theta_z: GraphMap, theta_zp: GraphMap,
     u_back = hol_s.inverse(t)
     d_lo, d_hi = theta_z.domain
     ok = (u_back >= d_lo) & (u_back <= d_hi)
-    if ok.any():
-        s_mid = theta_z(u_back[ok])
-        h_lo, h_hi = hol_u.domain
-        inner = (s_mid >= h_lo) & (s_mid <= h_hi)
-        ok_idx = np.where(ok)[0][inner]
-    else:
-        ok_idx = np.array([], dtype=int)
-    if len(ok_idx) == 0:
+    s_mid = theta_z(u_back[ok])
+    h_lo, h_hi = hol_u.domain
+    inner = (s_mid >= h_lo) & (s_mid <= h_hi)
+    if not inner.any():
         raise DomainMismatch("empty common domain for graph transport")
-    t = t[ok_idx]
-    predicted = hol_u(theta_z(hol_s.inverse(t)))
-    measured = theta_zp(t)
+    predicted = hol_u(s_mid[inner])
+    measured = theta_zp(t[ok][inner])
     return float(np.max(np.abs(predicted - measured)))

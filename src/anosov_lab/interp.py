@@ -1,17 +1,20 @@
 """Periodic bicubic interpolation on uniform N x N torus grids, and the
 not-a-knot cubic spline on the line.
 
-The spline is the one cubic family of the program: it serves the Lemma 3
-holonomy and graph maps and the Proposition 1 profiles and coordinates.
-It does the arithmetic of SciPy's ``CubicSpline`` (default not-a-knot
-ends) operation for operation, and agrees with it to the bit; of SciPy,
-only ``ndimage`` is imported.
+The spline is the one cubic family of the program: a Lemma 3 local graph
+is one, and ``MonotoneCubic``, a spline paired with its inverse, is each
+Lemma 3 holonomy and the Proposition 1 profiles and coordinate g.  It does
+the arithmetic of SciPy's ``CubicSpline`` (default not-a-knot ends)
+operation for operation, and agrees with it to the bit; of SciPy, only
+``ndimage`` is imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
+
+from .errors import NonMonotoneG
 
 
 class PeriodicBicubic:
@@ -58,6 +61,10 @@ class HermiteCubic:
         self.x = x
         self.c = np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]))
         self._inner = x[1:-1].copy()
+
+    @property
+    def domain(self):
+        return float(self.x[0]), float(self.x[-1])
 
     def _pieces(self, u):
         """Coefficients of the piece of each u, and s = u - its left knot.
@@ -146,3 +153,37 @@ def not_a_knot_spline(x, y) -> HermiteCubic:
     for i in range(n - 2, -1, -1):
         s[i] = (s[i] - sup[i] * s[i + 1] - fill[i] * s[i + 2]) / diag[i]
     return HermiteCubic(x, y, np.array(s[:-1]))
+
+
+class MonotoneCubic:
+    """A strictly monotone map y(x) on strictly increasing knots x, and its
+    inverse: the not-a-knot splines through (x, y) and through (y, x), the
+    latter's knots reversed where y decreases.
+
+    ``derivative`` is the forward spline's.  Samples that are not strictly
+    monotone raise NonMonotoneG, naming them by ``what``, before either
+    spline is built.
+    """
+
+    def __init__(self, x, y, what: str):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        d = np.diff(self.y)
+        if not (np.all(d > 0) or np.all(d < 0)):
+            raise NonMonotoneG(f"{what} samples are not strictly monotone")
+        self._fwd = not_a_knot_spline(self.x, self.y)
+        up = slice(None, None, 1 if d[0] > 0 else -1)  # the inverse's knots increasing
+        self._inv = not_a_knot_spline(self.y[up], self.x[up])
+
+    @property
+    def domain(self):
+        return float(self.x[0]), float(self.x[-1])
+
+    def __call__(self, x):
+        return self._fwd(x)
+
+    def inverse(self, y):
+        return self._inv(y)
+
+    def derivative(self, x):
+        return self._fwd.derivative(x)

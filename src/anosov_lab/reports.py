@@ -25,12 +25,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
     if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
         return None
     return obj
@@ -138,7 +138,10 @@ class RunReport:
         Timings vary run to run, so they go to a separate sidecar file and
         stay out of the deterministic report.
         """
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"{out_dir}: {exc}")
         written = []
         for filename, header, rows in self.tables:
             path = os.path.join(out_dir, filename)

@@ -38,7 +38,7 @@ from .foliations import (
     min_transversality_angle,
     verify_graph_transport,
 )
-from .interp import not_a_knot_spline
+from .interp import MonotoneCubic
 from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
@@ -46,28 +46,15 @@ FD_STEP = 1e-5  # centered-difference step of dS/dy
 
 class TranslationAction:
     """An action S(t, y) conjugate to rigid translations by a monotone
-    profile psi: S(t, y) = psi(psi^{-1}(y) + t)."""
+    profile psi: S(t, y) = psi(psi^{-1}(y) + t), psi the MonotoneCubic
+    through the samples (r, psi(r))."""
 
-    def __init__(self, psi, psi_inv, y_domain):
-        self.psi = psi
-        self.psi_inv = psi_inv
-        self.y_domain = (float(y_domain[0]), float(y_domain[1]))
-
-    @classmethod
-    def from_profile_samples(cls, r_values, psi_values):
-        r = np.asarray(r_values, dtype=float)
-        v = np.asarray(psi_values, dtype=float)
-        if not (np.all(np.diff(v) > 0) or np.all(np.diff(v) < 0)):
-            raise NonMonotoneG("profile samples are not strictly monotone")
-        fwd = not_a_knot_spline(r, v)
-        if v[1] > v[0]:
-            inv = not_a_knot_spline(v, r)
-        else:
-            inv = not_a_knot_spline(v[::-1], r[::-1])
-        return cls(fwd, inv, (float(v.min()), float(v.max())))
+    def __init__(self, r_values, psi_values):
+        self.psi = MonotoneCubic(r_values, psi_values, "profile")
+        self.y_domain = (float(self.psi.y.min()), float(self.psi.y.max()))
 
     def __call__(self, t, y):
-        return self.psi(self.psi_inv(y) + t)
+        return self.psi(self.psi.inverse(y) + t)
 
     def flow_defect(self, t, s, y_values) -> float:
         """Sup of |S(t+s, y) - S(t, S(s, y))| over the samples."""
@@ -102,7 +89,7 @@ def translation_action_from_conjugacy(h: Conjugacy, base, direction,
     seg = half_sum + (half_sum - full) / 3.0  # Richardson: O(dr^4) arc length
     psi = np.concatenate([[0.0], np.cumsum(seg)])
     psi -= np.interp(0.0, r, psi)  # anchor: psi(0) = 0
-    return TranslationAction.from_profile_samples(r, psi)
+    return TranslationAction(r, psi)
 
 
 @dataclass
@@ -144,16 +131,19 @@ class LinearizationResult:
     """Output of the translation-pseudogroup linearization."""
 
     alpha: float
-    g_nodes: np.ndarray        # (m, 2): y and g(y) samples
     affinity_residual: float
     y0: float
-    g: object = field(repr=False, default=None)        # callable
-    g_inverse: object = field(repr=False, default=None)
-    action: TranslationAction = field(repr=False, default=None)
+    g: MonotoneCubic = field(repr=False)  # knots: the quadrature nodes y and g(y)
+    action: TranslationAction = field(repr=False)
+
+    @property
+    def g_nodes(self) -> np.ndarray:
+        """(m, 2): y and g(y) samples."""
+        return np.column_stack([self.g.x, self.g.y])
 
     def conjugated(self, t, z):
         """L(t, z) = g(S(t, g^{-1}(z)))."""
-        return self.g(self.action(t, self.g_inverse(z)))
+        return self.g(self.action(t, self.g.inverse(z)))
 
 
 def _solve_t(S: TranslationAction, ys, y0: float, t_range: float) -> np.ndarray:
@@ -265,8 +255,7 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     g_vals = g_vals - np.interp(y0, ys, g_vals)
     if not np.all(np.diff(g_vals) > 0):
         raise NonMonotoneG("integrated coordinate g is not strictly increasing")
-    g_spline = not_a_knot_spline(ys, g_vals)
-    g_inv = not_a_knot_spline(g_vals, ys)
+    g = MonotoneCubic(ys, g_vals, "coordinate g")
 
     # test lattice: keep S(t, g^{-1}(z)) inside the sampled domain
     if t_max is None:
@@ -277,12 +266,12 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
 
     rows_t, rows_dz = [], []
     for t in t_grid:
-        y_back = g_inv(z_grid)
+        y_back = g.inverse(z_grid)
         y_img = S(t, y_back)
         ok = (y_img >= lo) & (y_img <= hi) & (y_back >= lo + 0.0) & (y_back <= hi)
         if not np.any(ok):
             continue
-        l_vals = g_spline(np.asarray(y_img)[ok])
+        l_vals = g(np.asarray(y_img)[ok])
         rows_t.append(np.full(int(np.sum(ok)), t))
         rows_dz.append(l_vals - z_grid[ok])
     tt = np.concatenate(rows_t)
@@ -290,16 +279,8 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     denom = float(np.dot(tt, tt))
     alpha = float(np.dot(tt, dz) / denom) if denom > 0 else float("nan")
     residual = float(np.max(np.abs(dz - alpha * tt)))
-    result = LinearizationResult(
-        alpha=alpha,
-        g_nodes=np.column_stack([ys, g_vals]),
-        affinity_residual=residual,
-        y0=float(y0),
-        g=g_spline,
-        g_inverse=g_inv,
-        action=S,
-    )
-    return result
+    return LinearizationResult(alpha=alpha, affinity_residual=residual, y0=float(y0), g=g,
+                               action=S)
 
 
 @dataclass
@@ -467,8 +448,8 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     for hp, theta_zp, hol_s, hol_u, angle in zip(hps, graphs[1:], hols_s, hols_u, angles):
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
         u0 = hol_s.inverse(0.0)
-        predicted = hol_u.derivative(theta_z(u0)) * theta_z.slope_at(u0) / hol_s.derivative(u0)
-        measured = theta_zp.slope_at(0.0)
+        predicted = hol_u.derivative(theta_z(u0)) * theta_z.derivative(u0) / hol_s.derivative(u0)
+        measured = theta_zp.derivative(0.0)
         rows.append(PropagationRow(
             lattice=hp.lattice,
             point=hp.point,

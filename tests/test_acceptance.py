@@ -69,7 +69,7 @@ def test_criterion_2_conjugacy_solver(e1, phi02, conj_g1, linear_g1):
 
 def test_criterion_3_prop1_pipeline():
     r = np.arange(-3.0, 3.0 + 5e-4, 1e-3)
-    S = TranslationAction.from_profile_samples(r, r + 0.1 * np.sin(r))
+    S = TranslationAction(r, r + 0.1 * np.sin(r))
     lin = linearize_translation_action(S, 0.0, (-0.5, 0.5))
     alpha_err = abs(lin.alpha - 1.1)
     z = np.linspace(-0.2, 0.2, 9)

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anosov_lab
+from anosov_lab import reports
 from anosov_lab.cli import main
 from anosov_lab.config import load_config
 
@@ -89,6 +91,9 @@ BAD_VALUES = (
        ("eigen", "resolution.field_iters=101", "resolution.field_iters"),
        ("eigen", "experiment.span=1.5", "experiment.span"),
        ("eigen", "experiment.eps=0.3", "experiment.eps")]
+    # the output directory is checked whichever of --out, ANOSOV_LAB_OUT
+    # and the config wins
+    + [("eigen", f"experiment.out_dir={v}", "experiment.out_dir") for v in ("5", "null", '""')]
 )
 
 
@@ -101,6 +106,30 @@ def test_bad_numeric_value_exit_one(tmp_path, capsys, command, override, key):
     assert f"'{key}'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_unwritable_out_dir_exit_one(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = main(["eigen", "--out", str(blocker / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "sub") in err
+    assert "Traceback" not in err
+
+
+def test_numpy_nan_is_written_as_null(tmp_path):
+    """NaN is not JSON: a numpy NaN scalar is written as null, as a Python
+    NaN and a NaN inside an array are."""
+    path = tmp_path / "nan.json"
+    reports.dump_json({"np": np.float64("nan"), "np32": np.float32("nan"),
+                       "py": float("nan"), "array": np.array([1.0, np.nan])}, str(path))
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc == {"array": [1.0, None], "np": None, "np32": None, "py": None}
 
 
 def test_integral_float_accepted_for_integer_key(tmp_path):

@@ -56,8 +56,8 @@ def test_conjugated_holonomy_lands_on_line_intersection(conj_fields, phi02, e1):
         tau2 = integrate_leaf(conj_fields["f1u"], phi02.lift(w[None])[0], 0.8, step=step,
                               centered=True)
         hol = holonomy(conj_fields["f1s"], tau1, tau2, span=(-0.1, 0.1), step=step)
-        starts, _ = tau1.evaluate(hol.samples[:, 0])
-        landed, _ = tau2.evaluate(hol.samples[:, 1])
+        starts, _ = tau1.evaluate(hol.x)
+        landed, _ = tau2.evaluate(hol.y)
         expected = phi02.inverse_lift(starts) + w
         assert np.max(np.abs(phi02.inverse_lift(landed) - expected)) < 1e-9, step
 

@@ -19,7 +19,6 @@ from anosov_lab.foliations import (
     SEGMENT_SLACK,
     SIGN_CONTINUITY_LIMIT,
     TANGENCY_THRESHOLD,
-    HolonomyMap,
     LineField,
     _aligned_direction,
     _cross_to_target,
@@ -33,6 +32,7 @@ from anosov_lab.foliations import (
     local_graph,
     min_transversality_angle,
 )
+from anosov_lab.interp import MonotoneCubic
 from anosov_lab.lattice import eigen_data, grid_points, line_angle
 
 
@@ -193,7 +193,8 @@ def test_min_transversality_rejects_different_grids():
 
 def test_holonomy_map_rejects_non_monotone_samples():
     with pytest.raises(NonMonotoneG) as info:
-        HolonomyMap(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.2, 0.1]))
+        MonotoneCubic(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.2, 0.1]), "holonomy")
+    assert str(info.value) == "holonomy samples are not strictly monotone"
     assert isinstance(info.value, AnosovLabError)
 
 
@@ -210,7 +211,7 @@ def test_local_graph_slope_oracle(linear_fields):
     # v_2^s = a v_1^u + b v_1^s with slope b/a = 2 for the standard pair
     theta = local_graph(np.zeros(2), linear_fields["f1u"], linear_fields["f1s"],
                         linear_fields["f2s"], 0.05)
-    assert theta.slope_at(0.0) == pytest.approx(2.0, abs=1e-8)
+    assert float(theta.derivative(0.0)) == pytest.approx(2.0, abs=1e-8)
     assert theta(0.0) == pytest.approx(0.0, abs=1e-10)
 
 

@@ -1,6 +1,6 @@
 """The not-a-knot spline of ``interp`` and the cumulative Simpson of
 ``rigidity`` against closed forms and against the SciPy routines they
-replace.
+replace, and ``MonotoneCubic`` against the two splines it pairs.
 
 The spline reproduces cubics.  Cumulative Simpson integrates quadratics
 exactly on any grid; on a cubic, each interval's quadratic misses by a
@@ -21,8 +21,8 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from anosov_lab.errors import ChartOverflow, NonMonotoneG
-from anosov_lab.foliations import GraphMap
-from anosov_lab.interp import not_a_knot_spline
+from anosov_lab.foliations import _graph_map
+from anosov_lab.interp import MonotoneCubic, not_a_knot_spline
 from anosov_lab.rigidity import _cumulative_simpson
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -102,6 +102,33 @@ def test_not_a_knot_spline_reproduces_cubics(gaps, c):
     assert np.max(np.abs(spline.derivative(u) - np.polyval(np.polyder(c), u))) <= 1e-11
 
 
+MONOTONE = [case for case in CASES if case[0] in (
+    "decreasing", "profile, 701 knots", "decreasing profile, 701 knots",
+    "coordinate g, 212 knots")]
+
+
+@pytest.mark.parametrize("name,x,y", MONOTONE, ids=[c[0] for c in MONOTONE])
+def test_monotone_cubic_is_the_spline_and_its_inverse(name, x, y):
+    """Forward: the spline through (x, y); inverse: through (y, x), knots
+    reversed where y decreases; coefficient for coefficient."""
+    cubic = MonotoneCubic(x, y, name)
+    fwd = not_a_knot_spline(x, y)
+    inv = not_a_knot_spline(y, x) if y[1] > y[0] else not_a_knot_spline(y[::-1], x[::-1])
+    assert np.array_equal(cubic._fwd.c, fwd.c) and np.array_equal(cubic._inv.c, inv.c)
+    assert np.array_equal(cubic._inv.x, inv.x)
+    u, v = _beyond(x), _beyond(inv.x)
+    assert np.array_equal(cubic(u), fwd(u))
+    assert np.array_equal(cubic.derivative(u), fwd.derivative(u))
+    assert np.array_equal(cubic.inverse(v), inv(v))
+    assert cubic.domain == (x[0], x[-1])
+    assert np.max(np.abs(cubic.inverse(cubic(x)) - x)) <= 1e-9 * np.ptp(x)
+
+
+def test_monotone_cubic_names_its_non_monotone_samples():
+    with pytest.raises(NonMonotoneG, match="^profile samples are not strictly monotone$"):
+        MonotoneCubic(np.arange(5.0), np.array([0.0, 2.0, 1.0, 3.0, 4.0]), "profile")
+
+
 def _simpson_error(x, c):
     integral = np.polyint(c)
     exact = np.polyval(integral, x) - np.polyval(integral, x[0])
@@ -136,10 +163,10 @@ def test_spline_rejects_fewer_than_four_knots():
 def test_graph_map_with_a_repeated_u_is_non_monotone():
     u = np.array([-0.01, 0.0, 0.0, 0.01])
     with pytest.raises(NonMonotoneG, match="local graph samples repeat u = 0"):
-        GraphMap(u, 0.5 * u)
+        _graph_map(u, 0.5 * u)
 
 
 def test_graph_map_on_three_samples_overflows_the_chart():
     u = np.array([-0.01, 0.0, 0.01])
     with pytest.raises(ChartOverflow, match="local graph has 3 samples in"):
-        GraphMap(u, 0.5 * u)
+        _graph_map(u, 0.5 * u)

@@ -28,7 +28,7 @@ from anosov_lab.rigidity import (
 
 def _profile_action(fn, lo=-3.0, hi=3.0, step=1e-3):
     r = np.arange(lo, hi + step / 2, step)
-    return TranslationAction.from_profile_samples(r, fn(r))
+    return TranslationAction(r, fn(r))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def test_action_identity_and_flow(sine_action):
 def test_nonmonotone_profile_rejected():
     r = np.linspace(-1, 1, 101)
     with pytest.raises(NonMonotoneG):
-        TranslationAction.from_profile_samples(r, np.sin(4 * r))
+        TranslationAction(r, np.sin(4 * r))
 
 
 def test_linearize_rejects_y0_outside_domain():
