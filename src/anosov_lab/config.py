@@ -244,8 +244,9 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     for key, hi in (("span", 1.0), ("eps", 0.25)):
         if not 0 < exp[key] <= hi:
             raise ConfigError(f"experiment.{key}", f"must lie in (0, {hi:g}]")
-    if not (isinstance(doc["experiment"]["out_dir"], str) and doc["experiment"]["out_dir"]):
-        raise ConfigError("experiment.out_dir", "must be a non-empty path string")
+    for key in ("name", "out_dir"):
+        if not (isinstance(doc["experiment"][key], str) and doc["experiment"][key]):
+            raise ConfigError(f"experiment.{key}", "must be a non-empty string")
     # an explicit --out wins over the environment, which wins over the config
     resolved_out = out_dir or os.environ.get("ANOSOV_LAB_OUT") or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean

@@ -34,9 +34,9 @@ DIVERGENCE_PATIENCE = 10
 def _index_permutation(m: IntMatrix2, n: int) -> np.ndarray:
     """Flat index permutation of the N x N grid under x -> m x mod 1."""
     idx = np.arange(n)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    ti = (m.a * ii + m.b * jj) % n
-    tj = (m.c * ii + m.d * jj) % n
+    i, j = idx[:, None], idx[None, :]
+    ti = (m.a * i + m.b * j) % n
+    tj = (m.c * i + m.d * j) % n
     return (ti * n + tj).ravel()
 
 
@@ -375,19 +375,46 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int =
     return _group_orbits(g, wrap_point(x[converged]), n), failures
 
 
+def _near_matches(images: np.ndarray, points: np.ndarray, tol: float) -> list:
+    """For each image, the ascending indices of the points within tol of it
+    in the wrapped sup distance; images and points lie in [0,1)^2.
+
+    Candidates come from a sorted search on the first coordinate, in
+    windows around y - 1, y and y + 1 so that the seam at 0 = 1 is
+    covered; the exact distance test then runs on the candidates only.
+    """
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    # windows twice as wide as tol: the exact test below decides
+    y = (images[:, 0] + np.array([[-1.0], [0.0], [1.0]])).ravel()
+    lo = np.searchsorted(first, y - 2 * tol, side="left")
+    count = np.searchsorted(first, y + 2 * tol, side="right") - lo
+    i = np.repeat(np.tile(np.arange(len(images)), 3), count)
+    j = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
+    d = np.abs(images[i] - points[j]) % 1.0
+    near = np.max(np.minimum(d, 1.0 - d), axis=1) < tol
+    i, j = i[near], j[near]
+    keep = np.lexsort((j, i))
+    i, j = i[keep], j[keep]
+    bounds = np.searchsorted(i, np.arange(len(images) + 1))
+    j = j.tolist()
+    return [j[bounds[k]:bounds[k + 1]] for k in range(len(images))]
+
+
 def _group_orbits(g, points: np.ndarray, n: int):
     """Partition period-n points into orbits of g and attach multipliers.
 
     g is applied once to all points.  Each orbit starts at the first point
     not yet taken, in input order, and follows the images: a step takes the
     first untaken point within 1e-8 (wrapped sup distance) of the current
-    image, and the orbit closes when none is left.  The multipliers come
-    from one D g^n product over all orbit heads.
+    image, and the orbit closes when none is left.  The points near each
+    image are found once, before the walk.  The multipliers come from one
+    D g^n product and one eigvals call over all orbit heads.
     """
     if not len(points):
         return []
-    images = g.apply(points)
-    taken = np.zeros(len(points), dtype=bool)
+    matches = _near_matches(g.apply(points), points, 1e-8)
+    taken = [False] * len(points)
     members = []
     for head in range(len(points)):
         if taken[head]:
@@ -395,17 +422,16 @@ def _group_orbits(g, points: np.ndarray, n: int):
         taken[head] = True
         orbit = [head]
         while True:
-            d = np.abs(images[orbit[-1]] - points) % 1.0
-            hit = np.flatnonzero(~taken & (np.max(np.minimum(d, 1.0 - d), axis=1) < 1e-8))
-            if not len(hit):
+            nxt = next((k for k in matches[orbit[-1]] if not taken[k]), None)
+            if nxt is None:
                 break
-            taken[hit[0]] = True
-            orbit.append(hit[0])
+            taken[nxt] = True
+            orbit.append(nxt)
         members.append(orbit)
     _, jac = _iterated_lift(g, points[[orbit[0] for orbit in members]], n)
     orbits = []
-    for orbit, j in zip(members, jac):
-        eigs = sorted(np.real_if_close(np.linalg.eigvals(j)), key=abs, reverse=True)
+    for orbit, eigs in zip(members, np.linalg.eigvals(jac)):
+        eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)
         orbits.append(PeriodicOrbitData(
             period=n,
             points=points[orbit],

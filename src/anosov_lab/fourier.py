@@ -83,11 +83,19 @@ class FourierPerturbation:
         return TWO_PI * (x @ self.wavevectors.T.astype(float))
 
     def evaluate(self, x) -> np.ndarray:
-        """p(x), shape (n, 2), at the points x of shape (n, 2)."""
+        """p(x), shape (n, 2), at the points x of shape (n, 2).
+
+        A sin or cos term whose amplitudes are all zero is skipped; the
+        nonzero terms are summed in sin, cos order, as over both.
+        """
         if self.is_zero:
             return np.zeros_like(x)
         theta = self._phases(x)
-        return np.sin(theta) @ self.sin_amps + np.cos(theta) @ self.cos_amps
+        # __post_init__ drops all-zero rows, so at least one term is left
+        terms = [trig(theta) @ amps
+                 for trig, amps in ((np.sin, self.sin_amps), (np.cos, self.cos_amps))
+                 if amps.any()]
+        return terms[0] + terms[1] if len(terms) == 2 else terms[0]
 
     def derivative(self, x) -> np.ndarray:
         """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""

@@ -94,6 +94,7 @@ BAD_VALUES = (
     # the output directory is checked whichever of --out, ANOSOV_LAB_OUT
     # and the config wins
     + [("eigen", f"experiment.out_dir={v}", "experiment.out_dir") for v in ("5", "null", '""')]
+    + [("eigen", f"experiment.name={v}", "experiment.name") for v in ("5", "null", '""')]
 )
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from anosov_lab import conjugacy
 from anosov_lab.conjugacy import (
     MAX_ITERATIONS,
     PeriodicOrbitData,
     _index_permutation,
+    _group_orbits,
     _OrbitLayout,
     _iterated_lift,
     _lattice_seeds,
@@ -134,6 +136,23 @@ def test_orbit_layout_rows_follow_the_permutation(rows, n):
             perm = fwd[perm] if s > 0 else np.argsort(fwd)[perm]
         out = layout.shift(layout.gather(f), s, np.empty_like(f))
         assert np.array_equal(layout.scatter(out), f[perm])
+
+
+def _ref_index_permutation(m, n):
+    idx = np.arange(n, dtype=np.int64)
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+    return (((m.a * ii + m.b * jj) % n) * n + (m.c * ii + m.d * jj) % n).ravel()
+
+
+# large powers of A: a i + b j reaches 10^11 for A^20 at N = 1024
+@pytest.mark.parametrize("k", [1, 15, 20])
+def test_index_permutation_matches_meshgrid(k):
+    m = power(IntMatrix2.from_rows(((2, 1), (1, 1))), k)
+    for n in (64, 256, 1024):
+        fwd = _index_permutation(m, n)
+        assert np.array_equal(fwd, _ref_index_permutation(m, n))
+        order = _OrbitLayout(m, n).order
+        assert np.array_equal(np.bincount(order, minlength=n * n), np.ones(n * n, dtype=int))
 
 
 def _phi_sup_error(a_elem, phi, n):
@@ -391,6 +410,46 @@ def test_batched_finder_matches_scalar_reference(request, e1, handle, n):
         assert orb.period == ref.period == n
         assert np.array_equal(orb.points, ref.points)
         assert orb.multipliers == ref.multipliers
+
+
+def _assert_same_orbits(orbits, ref_orbits):
+    assert len(orbits) == len(ref_orbits)
+    for orb, ref in zip(orbits, ref_orbits):
+        assert orb.period == ref.period
+        assert np.array_equal(orb.points, ref.points)
+        assert orb.multipliers == ref.multipliers
+
+
+def _finder_points(monkeypatch, g, e1, n):
+    """The converged, wrapped points the finder hands to _group_orbits."""
+    seen = []
+    monkeypatch.setattr(conjugacy, "_group_orbits",
+                        lambda g, points, n: seen.append(points) or _group_orbits(g, points, n))
+    find_periodic_points(g, e1, n)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("handle", ["perturbed_g1", "two_mode_g1"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_group_orbits_matches_scan_reference(request, monkeypatch, e1, handle, n):
+    g = request.getfixturevalue(handle)
+    points = _finder_points(monkeypatch, g, e1, n)
+    shuffled = points[np.random.default_rng(n).permutation(len(points))]
+    for pts in (points, shuffled):
+        _assert_same_orbits(_group_orbits(g, pts, n), _ref_group_orbits(g, pts, n))
+
+
+def test_group_orbits_duplicates_and_seam_match_scan_reference(e1, linear_g1, perturbed_g1):
+    # the fixed point (0, 0) listed twice and four points within 1e-9 of it
+    # across the 0/1 seam, and a period-2 orbit of A with a point listed
+    # twice: each chain of near points is walked into one orbit
+    points = np.array([[0.0, 0.0], [1.0 - 5e-10, 0.0], [0.2, 0.4], [0.0, 1.0 - 5e-10],
+                       [5e-10, 1.0 - 5e-10], [0.8, 0.6], [0.0, 0.0], [0.2, 0.4],
+                       [1.0 - 1e-9, 1.0 - 1e-9]])
+    for g in (linear_g1, perturbed_g1):
+        _assert_same_orbits(_group_orbits(g, points, 2), _ref_group_orbits(g, points, 2))
+    assert [len(o.points) for o in _group_orbits(linear_g1, points, 2)] == [6, 3]
 
 
 def _wrapped_sup(a, b):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosov_lab import fourier
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
 
 # --- reference: the complex-exponential form with conjugate closure --------
@@ -88,6 +91,64 @@ def test_mixed_and_multi_mode_match_complex_reference(terms):
     if len(terms) == 1:
         assert p.sup_bound == ref.sup_bound
         assert p.deriv_bound == ref.deriv_bound
+
+
+# a term is sin-only, cos-only or both; an amplitude component may be zero
+_AMP = st.tuples(st.sampled_from([0.0, 0.003, -0.02]), st.floats(-0.05, 0.05))
+_TERM = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                  st.one_of(st.none(), _AMP), st.one_of(st.none(), _AMP))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(_TERM, min_size=1, max_size=4), n=st.sampled_from([1, 2, 7, 300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_evaluate_equals_full_trig_formula(terms, n, seed):
+    # evaluate skips a sin or cos term whose amplitudes are all zero; the
+    # sum is the same to the bit
+    p = FourierPerturbation.from_sin_cos(terms)
+    x = np.random.default_rng(seed).random((n, 2))
+    theta = p._phases(x)
+    expected = np.sin(theta) @ p.sin_amps + np.cos(theta) @ p.cos_amps
+    assert np.array_equal(p.evaluate(x), expected)
+
+
+class _CountingNumpy:
+    """numpy as a module sees it, counting the values passed to sin and cos."""
+
+    def __init__(self):
+        self.values = {"sin": 0, "cos": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.values:
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.values[name] += np.size(x)
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("terms, sin_rows, cos_rows", [
+    ([((0, 1), (0.0047, 0.0), None)], 1, 0),
+    ([((0, 1), (0.01, 0.0), None), ((1, 1), (0.0, 0.002), None)], 2, 0),
+    ([((1, 0), None, (0.0, 0.02))], 0, 1),
+    # a term with any nonzero amplitude is taken at every wavevector
+    ([((0, 1), (0.01, 0.0), None), ((1, 0), None, (0.0, 0.02))], 2, 2),
+])
+def test_evaluate_skips_a_term_whose_amplitudes_are_zero(monkeypatch, terms,
+                                                         sin_rows, cos_rows):
+    p = FourierPerturbation.from_sin_cos(terms)
+    x = REFERENCE_POINTS[:1000]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(fourier, "np", counting)
+    p.evaluate(x)
+    assert counting.values == {"sin": sin_rows * len(x), "cos": cos_rows * len(x)}
+    # Newton's shared evaluation takes both at every wavevector
+    counting.values = {"sin": 0, "cos": 0}
+    p.trig(x)
+    rows = len(p.wavevectors)
+    assert counting.values == {"sin": rows * len(x), "cos": rows * len(x)}
 
 
 def test_opposite_wavevectors_add():
