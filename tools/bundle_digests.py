@@ -6,7 +6,9 @@ The runs are all nine subcommands on the default config and on the action
 conjugated by phi = id + (0.02 sin 2 pi x2, 0), ``teichmuller`` on the
 overrides of each benchmark workload (bench/workloads.py, seed 1), and
 ``teichmuller`` on six configs that end in ``inconclusive`` or
-``obstructed``, so that the error paths of its stages are covered.  Each
+``obstructed``, so that the error paths of its stages are covered, and
+the other subcommands on eight configs on which they fail, so that their
+failure strings are covered too.  Each
 run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -53,6 +55,27 @@ ERROR_PATHS = {
 }
 
 
+PHI_FIELD_ITERS_3 = ERROR_PATHS["phi-0.02-field-iters-3"]
+# (label, subcommand, overrides) of subcommand runs that fail, and how
+SUBCOMMAND_ERROR_PATHS = (
+    # ChartOverflow of a local-graph target leaf
+    ("phi-0.05", "lemma3", ERROR_PATHS["phi-0.05"]),
+    # RootBracketFailed in the linearization
+    ("phi-0.10", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.1,0]}]']),
+    # NonMonotoneG: the integrated coordinate g is not increasing
+    ("phi-0.15", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
+    # NewtonFailed: 2 periodic seeds diverge
+    ("phi-0.15", "periodic-data",
+     ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
+    # NotConverged at the depth cap
+    ("phi-0.02-field-iters-3", "foliation", PHI_FIELD_ITERS_3),
+    ("phi-0.02-field-iters-3", "transversality", PHI_FIELD_ITERS_3),
+    ("phi-0.02-field-iters-3", "factorize", PHI_FIELD_ITERS_3),
+    # a subcommand that needs a pair, given one generator
+    ("one-generator", "eigen", ERROR_PATHS["one-generator"]),
+)
+
+
 def _sets(overrides):
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -66,6 +89,8 @@ def runs():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(workload.overrides(SEED))]
     for name, overrides in ERROR_PATHS.items():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(overrides)]
+    for name, command, overrides in SUBCOMMAND_ERROR_PATHS:
+        yield f"{name}/{command}", [command, *_sets(overrides)]
 
 
 def digests(label, argv):
