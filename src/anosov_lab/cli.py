@@ -1,8 +1,17 @@
 """Command-line driver: config-described experiments to report bundles.
 
-Exit codes: 0 complete (or verdict smooth), 2 verdict obstructed,
-3 verdict inconclusive or hard sub-experiment failure, 1 usage or config error
-or an output directory that cannot be written.
+Each subcommand runs stages of the table in ``anosov_lab.rigidity``
+through its one runner, then a writer turns what they made into the
+report's diagnostics, tables and verdict.  A stage's failure is the entry
+``"<stage>: <ExceptionType>: <message>"``; the first one is the report's
+``diagnostics.failure`` (``teichmuller`` lists them all under ``errors``).
+
+Exit codes: 0 complete, or verdict smooth; 2 verdict obstructed, which a
+later failure leaves standing; 3 verdict inconclusive: a stage failed, a
+check fell short of its threshold, or ``teichmuller`` could not decide;
+1 usage or config error (also a subcommand that needs a generator pair
+given one generator) or an output directory that cannot be written, with
+an ``error: ...`` line on standard error and no report bundle.
 """
 
 from __future__ import annotations
@@ -11,35 +20,37 @@ import argparse
 import dataclasses
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import reports
-from .conjugacy import compare_smooth_invariants, solve_conjugacy
 from .config import ExperimentConfig, load_config
 from .errors import AnosovLabError, ConfigError, IoError
-from .foliations import integrate_leaf, line_fields, min_transversality_angle
+from .foliations import integrate_leaf, min_transversality_angle
 from .lattice import check_pair_hypothesis
 from .rigidity import (
-    TranslationAction,
-    _prop1_along,
+    FACTORIZATION,
+    LINE_FIELDS,
+    PERIODIC,
+    PROP1_ALONG_H,
+    PROP1_SYNTHETIC,
+    PROPAGATION,
+    SOLVE,
+    RunContext,
     factor_translation_linear,
-    factor_translation_numeric,
-    linearize_translation_action,
-    tangency_propagation_check,
-    teichmuller_experiment,
+    obstructed,
+    run_stages,
+    teichmuller_stages,
+    teichmuller_verdict,
 )
 
 EXIT_USAGE = 1
-# main starts every run at "complete" and a command may set another
-# verdict; the verdict alone sets the exit code
+# the writer may set a verdict other than "complete"; the verdict alone
+# sets the exit code
 EXIT_CODES = {"complete": 0, "smooth": 0, "obstructed": 2, "inconclusive": 3}
-
-
-def _require_pair(cfg: ExperimentConfig):
-    if len(cfg.generators) < 2:
-        raise ConfigError("group.generators", "this experiment needs two generators")
-    return cfg.generators[0], cfg.generators[1]
+ALL_FIELDS = ("f1u", "f1s", "f2u", "f2s")
+PAIR_FIELDS = ("f1u", "f1s", "f2s")
 
 
 def _add_propagation_table(report: reports.RunReport, rows) -> None:
@@ -51,49 +62,46 @@ def _add_propagation_table(report: reports.RunReport, rows) -> None:
           r["predicted_slope"], r["transport_deviation"]) for r in rows])
 
 
-def cmd_eigen(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    e1, e2 = _require_pair(cfg)
-    cert = check_pair_hypothesis(e1, e2)
-    report.diagnostics.update(cert.to_dict())
+# Writers: (ctx, report) -> None.  A writer reports nothing of a product
+# that its stage failed to make.
+
+def _write_eigen(ctx: RunContext, report: reports.RunReport) -> None:
+    report.diagnostics.update(check_pair_hypothesis(*ctx.cfg.generators[:2]).to_dict())
 
 
-def cmd_conjugacy(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    handles = cfg.build_handles()
-    e1 = cfg.generators[0]
-    with report.time_block("solve_conjugacy"):
-        h = solve_conjugacy(e1, handles[0], n=cfg.grid_n)
-    residual = h.residual_on_grid(64)
+def _write_conjugacy(ctx: RunContext, report: reports.RunReport) -> None:
+    h = ctx.made.get("h")
+    if h is None:
+        return
     report.diagnostics.update({
-        "N": cfg.grid_n,
-        "matrix": cfg.generators[0].matrix.rows(),
+        "N": ctx.cfg.grid_n,
+        "matrix": ctx.cfg.generators[0].matrix.rows(),
         "sup_norm": h.displacement.sup_norm,
-        "residual": residual,
+        "residual": h.residual_on_grid(64),
     })
     report.add_table("conjugacy-field.csv", ("i", "j", "u1", "u2"),
                      reports.conjugacy_rows(h))
 
 
-def cmd_foliation(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    handles = cfg.build_handles()
-    keys = ["f1u", "f1s"] + (["f2u", "f2s"] if len(handles) > 1 else [])
-    with report.time_block("line_fields"):
-        fields = line_fields(handles, keys, cfg.field_n, cfg.field_iters)
+def _write_foliation(ctx: RunContext, report: reports.RunReport) -> None:
+    fields = ctx.made.get("fields")
+    if fields is None:
+        return
     report.diagnostics["line_field_depths"] = {key: f.depth for key, f in fields.items()}
     for key, field in fields.items():
         report.add_table(f"field-{key}.csv", ("i", "j", "theta"),
                          reports.line_field_rows(field))
         report.diagnostics[f"{key}_invariance_error"] = field.invariance_error()
     leaf = integrate_leaf(fields["f1u"], np.zeros(2), 1.0,
-                          step=cfg.leaf_step, centered=True)
+                          step=ctx.cfg.leaf_step, centered=True)
     report.add_table("leaf-f1u.csv", ("s", "x", "y", "lift_x", "lift_y"),
                      reports.leaf_rows(leaf))
 
 
-def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    _require_pair(cfg)
-    handles = cfg.build_handles()
-    with report.time_block("line_fields"):
-        fields = line_fields(handles, ["f1u", "f1s", "f2u", "f2s"], cfg.field_n, cfg.field_iters)
+def _write_transversality(ctx: RunContext, report: reports.RunReport) -> None:
+    fields = ctx.made.get("fields")
+    if fields is None:
+        return
     rows = []
     for a, b in (("f1u", "f2s"), ("f2u", "f1s"), ("f1u", "f1s"), ("f2u", "f2s")):
         angle, at = min_transversality_angle(fields[a], fields[b])
@@ -104,29 +112,15 @@ def cmd_transversality(cfg: ExperimentConfig, report: reports.RunReport) -> None
     cross = min(rows[0][1], rows[1][1])
     report.diagnostics["min_cross_angle_rad"] = cross
     report.diagnostics["min_cross_angle_deg"] = math.degrees(cross)
-    if not cross >= cfg.thresholds["transversality"]:  # a nan angle too
+    if not cross >= ctx.cfg.thresholds["transversality"]:  # a nan angle too
         report.verdict = "inconclusive"
 
 
-def _synthetic_action(amp: float) -> TranslationAction:
-    r = np.arange(-3.0, 3.0 + 5e-4, 1e-3)
-    return TranslationAction(r, r + amp * np.sin(r))
-
-
-def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    if cfg.kind == "conjugated":
-        handles = cfg.build_handles()
-        e1 = cfg.generators[0]
-        with report.time_block("solve_conjugacy"):
-            h = solve_conjugacy(e1, handles[0], n=cfg.grid_n)
-        with report.time_block("linearize"):
-            _, lin = _prop1_along(h, e1.vu, cfg.span, 1e-3)
-        report.diagnostics["source"] = "conjugacy"
-    else:
-        with report.time_block("linearize"):
-            lin = linearize_translation_action(_synthetic_action(cfg.prop1_profile_amp),
-                                               0.0, (-0.5, 0.5))
-        report.diagnostics["source"] = "synthetic-profile"
+def _write_prop1(ctx: RunContext, report: reports.RunReport) -> None:
+    lin = ctx.made.get("linearization")
+    if lin is None:
+        return
+    report.diagnostics["source"] = "conjugacy" if "h" in ctx.made else "synthetic-profile"
     # cocycle identity on the affine conjugated action, over the g-image of
     # the middle half of the linearized domain (ends: first and last nodes)
     lo, hi = lin.g_nodes[0, 0], lin.g_nodes[-1, 0]
@@ -146,35 +140,22 @@ def cmd_prop1(cfg: ExperimentConfig, report: reports.RunReport) -> None:
                      [(float(a), float(b)) for a, b in lin.g_nodes[::10]])
 
 
-def cmd_factorize(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    e1, e2 = _require_pair(cfg)
-    handles = cfg.build_handles()
-    lin = factor_translation_linear(e1, e2, cfg.slide_s)
+def _write_factorize(ctx: RunContext, report: reports.RunReport) -> None:
+    lin = factor_translation_linear(*ctx.cfg.generators[:2], ctx.cfg.slide_s)
     report.diagnostics["linear"] = {
         "s": lin.slide_s, "r": lin.slide_r, "t": lin.translation_t,
     }
-    with report.time_block("line_fields"):
-        fields = line_fields(handles, ["f1u", "f1s", "f2s"], cfg.field_n, cfg.field_iters)
-    tau = integrate_leaf(fields["f1u"], np.zeros(2), 3.0,
-                         step=cfg.leaf_step, centered=True)
-    with report.time_block("numeric_factorization"):
-        num = factor_translation_numeric(
-            fields["f1s"], fields["f2s"], tau, e1, e2, cfg.slide_s, step=cfg.propagation_step)
-    report.diagnostics["numeric"] = {
-        "t": num.translation_t, "deviation": num.numeric_deviation,
-    }
+    num = ctx.made.get("factorization")
+    if num is not None:
+        report.diagnostics["numeric"] = {
+            "t": num.translation_t, "deviation": num.numeric_deviation,
+        }
 
 
-def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    _require_pair(cfg)
-    handles = cfg.build_handles()
-    with report.time_block("line_fields"):
-        fields = line_fields(handles, ["f1u", "f1s", "f2s"], cfg.field_n, cfg.field_iters)
-    with report.time_block("propagation"):
-        rows = tangency_propagation_check(
-            fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2),
-            cfg.generators[0], radius=cfg.radius, eps=cfg.eps,
-            step=cfg.propagation_step, nonlinear=not handles[0].is_linear)
+def _write_lemma3(ctx: RunContext, report: reports.RunReport) -> None:
+    rows = ctx.made.get("propagation")
+    if rows is None:
+        return
     _add_propagation_table(report, [r.to_dict() for r in rows])
     report.diagnostics.update({
         "n_heteroclinic": len(rows),
@@ -184,39 +165,22 @@ def cmd_lemma3(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     })
 
 
-def cmd_periodic_data(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    handles = cfg.build_handles()
-    with report.time_block("periodic_data"):
-        rep = compare_smooth_invariants(handles[0], cfg.generators[0], cfg.max_period)
+def _write_periodic_data(ctx: RunContext, report: reports.RunReport) -> None:
+    rep = ctx.made.get("periodic")
+    if rep is None:
+        return
     report.add_table(
         "periodic-data.csv",
         ("period", "point_x", "point_y", "mult_u", "mult_s", "mismatch"),
         reports.periodic_rows(rep))
     report.diagnostics["max_mismatch"] = rep.max_mismatch
     report.diagnostics["n_orbits"] = len(rep.rows)
-    if rep.max_mismatch > cfg.thresholds["periodic_mismatch"]:
+    if obstructed(ctx):
         report.verdict = "obstructed"
-    rep.check_converged()
 
 
-def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
-    e1 = cfg.generators[0]
-    e2 = cfg.generators[1] if len(cfg.generators) > 1 else None
-    handles = cfg.build_handles()
-    g2 = handles[1] if len(handles) > 1 and cfg.kind != "perturbed" else None
-    phi = cfg.build_phi() if cfg.kind == "conjugated" else None
-    # the pair checks assume that one h conjugates both maps; h is solved
-    # from g1 alone, and nothing yet tests it against g2 = A2 + p
-    unpaired = ("the second map of a perturbed pair is not used, since h is solved from the "
-                "first map alone and not tested against the second"
-                ) if cfg.kind == "perturbed" and len(handles) > 1 else None
-    with report.time_block("teichmuller"):
-        verdict = teichmuller_experiment(
-            e1, handles[0], e2, g2, phi=phi,
-            thresholds=cfg.thresholds, grid_n=cfg.grid_n, field_n=cfg.field_n,
-            field_iters=cfg.field_iters, max_period=cfg.max_period,
-            propagation_step=cfg.propagation_step, span=cfg.span, seed=cfg.seed,
-            radius=cfg.radius, eps=cfg.eps, unpaired=unpaired)
+def _write_teichmuller(ctx: RunContext, report: reports.RunReport) -> None:
+    verdict = teichmuller_verdict(ctx)
     report.diagnostics.update(dataclasses.asdict(verdict))
     prop = verdict.diagnostics.get("propagation_rows")
     if prop:
@@ -224,17 +188,52 @@ def cmd_teichmuller(cfg: ExperimentConfig, report: reports.RunReport) -> None:
     report.verdict = verdict.verdict
 
 
+def _prop1_stages(ctx: RunContext):
+    # h exists for a conjugated action; another one gets a synthetic profile
+    return (SOLVE, PROP1_ALONG_H) if ctx.cfg.kind == "conjugated" else (PROP1_SYNTHETIC,)
+
+
+class Command(NamedTuple):
+    stages: tuple | Callable  # the stages it runs, or a function of the context giving them
+    write: Callable           # its writer
+    fields: tuple = ()        # the line fields its line_fields stage computes
+    pair: bool = False        # it needs two generators
+
+
 COMMANDS = {
-    "eigen": cmd_eigen,
-    "conjugacy": cmd_conjugacy,
-    "foliation": cmd_foliation,
-    "transversality": cmd_transversality,
-    "prop1": cmd_prop1,
-    "factorize": cmd_factorize,
-    "lemma3": cmd_lemma3,
-    "periodic-data": cmd_periodic_data,
-    "teichmuller": cmd_teichmuller,
+    "eigen": Command((), _write_eigen, pair=True),
+    "conjugacy": Command((SOLVE,), _write_conjugacy),
+    "foliation": Command((LINE_FIELDS,), _write_foliation, ALL_FIELDS),
+    "transversality": Command((LINE_FIELDS,), _write_transversality, ALL_FIELDS, pair=True),
+    "prop1": Command(_prop1_stages, _write_prop1),
+    "factorize": Command((LINE_FIELDS, FACTORIZATION), _write_factorize, PAIR_FIELDS, pair=True),
+    "lemma3": Command((LINE_FIELDS, PROPAGATION), _write_lemma3, PAIR_FIELDS, pair=True),
+    "periodic-data": Command((PERIODIC,), _write_periodic_data),
+    "teichmuller": Command(teichmuller_stages, _write_teichmuller, ALL_FIELDS),
 }
+
+
+def _run(command: Command, cfg: ExperimentConfig, report: reports.RunReport) -> None:
+    """Run the command's stages on one context and write its report; the
+    context, with h and the line fields, is dropped on return."""
+    handles = cfg.build_handles()
+    # a field of a generator that is not there is not computed
+    ctx = RunContext(cfg, handles, cfg.build_phi() if cfg.kind == "conjugated" else None,
+                     tuple(key for key in command.fields if int(key[1]) <= len(handles)))
+    stages = command.stages(ctx) if callable(command.stages) else command.stages
+    run_stages(ctx, stages)
+    report.verdict = "complete"
+    try:
+        command.write(ctx, report)
+    except AnosovLabError as exc:
+        ctx.errors.append(f"{type(exc).__name__}: {exc}")
+    report.timings = ctx.timings
+    # teichmuller lists every error and weighs them into its own verdict
+    if ctx.errors and "errors" not in report.diagnostics:
+        report.diagnostics["failure"] = ctx.errors[0]
+        # a failure leaves an obstruction found before it standing
+        if report.verdict != "obstructed":
+            report.verdict = "inconclusive"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,21 +256,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, args.overrides, out_dir=args.out)
+        if command.pair and len(cfg.generators) < 2:
+            raise ConfigError("group.generators", "this experiment needs two generators")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = reports.RunReport(cfg.echo(), args.command)
-    report.verdict = "complete"
-    try:
-        COMMANDS[args.command](cfg, report)
-    except AnosovLabError as exc:
-        stage = f"{report.failed_stage}: " if report.failed_stage else ""
-        report.diagnostics["failure"] = f"{stage}{type(exc).__name__}: {exc}"
-        # a failure leaves an obstruction found before it standing
-        if report.verdict != "obstructed":
-            report.verdict = "inconclusive"
+    _run(command, cfg, report)
     try:
         report.write(cfg.out_dir)
     except IoError as exc:

@@ -19,7 +19,6 @@ from .foliations import MAX_RADIUS
 from .fourier import FourierPerturbation
 from .lattice import IntMatrix2, eigen_data, is_hyperbolic
 from .maps import ConjugatedMap, Diffeo, PerturbedMap
-from .rigidity import DEFAULT_THRESHOLDS
 
 MIN_STEP = 1e-4
 MAX_FIELD_ITERS = 100
@@ -44,9 +43,15 @@ DEFAULTS = {
         "propagation_step": 8e-3,
         "max_period": 2,
     },
-    "thresholds": dict(DEFAULT_THRESHOLDS),
+    # the verdict thresholds
+    "thresholds": {
+        "transversality": 0.05,      # rad, Lemma-2 margin
+        "lemma3": 1e-3,              # graph-transport deviation
+        "prop1_residual": 1e-6,      # affinity residual of L
+        "jacobian": 1e-3,            # secant-Jacobian refinement stability
+        "periodic_mismatch": 1e-4,   # smooth-invariant obstruction
+    },
     "experiment": {
-        "name": "teichmuller",
         "out_dir": "anosov-lab-out",
         "seed": 0,
         "eps": 0.05,
@@ -238,15 +243,14 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"thresholds.{key}", "tolerances must be strictly positive")
 
     exp = {key: _number(value, f"experiment.{key}", integer=key in ("seed", "radius"))
-           for key, value in doc["experiment"].items() if key not in ("name", "out_dir")}
+           for key, value in doc["experiment"].items() if key != "out_dir"}
     if not 1 <= exp["radius"] <= MAX_RADIUS:
         raise ConfigError("experiment.radius", f"must be an integer in [1, {MAX_RADIUS}]")
     for key, hi in (("span", 1.0), ("eps", 0.25)):
         if not 0 < exp[key] <= hi:
             raise ConfigError(f"experiment.{key}", f"must lie in (0, {hi:g}]")
-    for key in ("name", "out_dir"):
-        if not (isinstance(doc["experiment"][key], str) and doc["experiment"][key]):
-            raise ConfigError(f"experiment.{key}", "must be a non-empty string")
+    if not (isinstance(doc["experiment"]["out_dir"], str) and doc["experiment"]["out_dir"]):
+        raise ConfigError("experiment.out_dir", "must be a non-empty string")
     # an explicit --out wins over the environment, which wins over the config
     resolved_out = out_dir or os.environ.get("ANOSOV_LAB_OUT") or doc["experiment"]["out_dir"]
     doc = json.loads(json.dumps(doc))  # deep copy, JSON-clean

@@ -7,14 +7,12 @@ files.  Diagnostic tables go to CSV with a header row.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import time
 
 import numpy as np
 
-from .errors import AnosovLabError, IoError
+from .errors import IoError
 
 
 def _jsonable(obj):
@@ -99,23 +97,9 @@ class RunReport:
         self.config_echo = config_echo
         self.name = name
         self.diagnostics: dict = {}
-        self.timings: dict = {}
+        self.timings: dict = {}  # wall seconds by stage name
         self.verdict: str | None = None
         self.tables: list = []  # (filename, header, rows-list)
-        self.failed_stage: str | None = None
-
-    @contextlib.contextmanager
-    def time_block(self, label: str):
-        """Record the wall time of the with-block under ``label``; an
-        AnosovLabError leaving the block makes ``label`` the failed stage."""
-        start = time.perf_counter()
-        try:
-            yield
-        except AnosovLabError:
-            self.failed_stage = self.failed_stage or label
-            raise
-        finally:
-            self.timings[label] = round(time.perf_counter() - start, 6)
 
     def add_table(self, filename: str, header, rows) -> None:
         self.tables.append((filename, list(header), [tuple(r) for r in rows]))

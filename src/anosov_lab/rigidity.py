@@ -6,16 +6,22 @@ parameter interval, conjugate to the rigid translations by a monotone
 profile.  The linearization algorithm recovers the conjugating coordinate
 g by integrating the measured partial derivative of S and verifies that
 the conjugated action L = g o S o g^{-1} is affine, L(t, z) = z + alpha t.
+
+Every experiment runs as named stages (``Stage``) over one ``RunContext``
+through one runner, ``run_stages``; ``teichmuller_stages`` is the
+end-to-end pass and ``teichmuller_verdict`` its verdict.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import ExperimentConfig, load_config
 from .conjugacy import Conjugacy, compare_smooth_invariants, estimate_holder_exponent, solve_conjugacy
 from .errors import (
     AnosovLabError,
@@ -33,6 +39,7 @@ from .foliations import (
     _graphs_on_leaves,
     heteroclinic_points,
     holonomies,
+    integrate_leaf,
     integrate_leaves,
     line_fields,
     min_transversality_angle,
@@ -461,15 +468,6 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     return rows
 
 
-DEFAULT_THRESHOLDS = {
-    "transversality": 0.05,      # rad, Lemma-2 margin
-    "lemma3": 1e-3,              # graph-transport deviation
-    "prop1_residual": 1e-6,      # affinity residual of L
-    "jacobian": 1e-3,            # secant-Jacobian refinement stability
-    "periodic_mismatch": 1e-4,   # smooth-invariant obstruction
-}
-
-
 @dataclass
 class TeichmullerVerdict:
     """Outcome of the end-to-end triviality experiment."""
@@ -493,145 +491,240 @@ def _prop1_along(h: Conjugacy, direction, span: float, quad_spacing: float):
                                            quad_spacing=quad_spacing)
 
 
-@contextmanager
-def _stage(errors: list, name: str):
-    """Run one named stage of ``teichmuller_experiment``: an AnosovLabError
-    raised in it becomes the entry ``"name: Type: message"`` of ``errors``,
-    and the stages after it still run."""
-    try:
-        yield
-    except AnosovLabError as exc:
-        errors.append(f"{name}: {type(exc).__name__}: {exc}")
+@dataclass
+class RunContext:
+    """One run's inputs and what its stages made: ``made`` holds their
+    products by name, ``errors`` their failures, ``timings`` their wall
+    times."""
+
+    cfg: ExperimentConfig  # the generators, the action kind and the settings
+    handles: list          # the map of each generator
+    phi: object = None     # the known smooth conjugacy, if any
+    field_keys: tuple = ("f1u", "f1s", "f2u", "f2s")  # what the line_fields stage computes
+    made: dict = field(default_factory=dict)
+    errors: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
+
+
+class Stage(NamedTuple):
+    name: str
+    needs: tuple    # products of earlier stages it reads from ctx.made
+    run: Callable   # ctx -> None; puts its own products in ctx.made
+
+
+# Stage functions reach their callees through this module's globals at run
+# time, so a callee rebound here is the one every run calls.
+
+def _solve_conjugacy(ctx: RunContext) -> None:
+    ctx.made["h"] = solve_conjugacy(ctx.cfg.generators[0], ctx.handles[0], n=ctx.cfg.grid_n)
+
+
+def _compare_smooth_invariants(ctx: RunContext) -> None:
+    report = compare_smooth_invariants(ctx.handles[0], ctx.cfg.generators[0], ctx.cfg.max_period)
+    ctx.made["periodic"] = report  # its orbits stand when some seeds diverged
+    report.check_converged()
+
+
+def _estimate_holder_exponent(ctx: RunContext) -> None:
+    ctx.made["holder"] = estimate_holder_exponent(ctx.made["h"], ctx.cfg.generators[0].vu,
+                                                  scales=np.geomspace(1e-4, 1e-2, 7),
+                                                  seed=ctx.cfg.seed)
+
+
+def _line_fields(ctx: RunContext) -> None:
+    ctx.made["fields"] = line_fields(ctx.handles, ctx.field_keys, ctx.cfg.field_n,
+                                     ctx.cfg.field_iters)
+
+
+def _tangency_propagation(ctx: RunContext) -> None:
+    fields, cfg = ctx.made["fields"], ctx.cfg
+    ctx.made["propagation"] = tangency_propagation_check(
+        fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), cfg.generators[0],
+        radius=cfg.radius, eps=cfg.eps, step=cfg.propagation_step,
+        nonlinear=not ctx.handles[0].is_linear)
+
+
+def _prop1(ctx: RunContext) -> None:
+    """Both eigen-directions at quadrature spacing 2e-3, and the regularity
+    of the unstable action."""
+    h, e1 = ctx.made["h"], ctx.cfg.generators[0]
+    S_u, lin_u = _prop1_along(h, e1.vu, ctx.cfg.span, 2e-3)
+    _, lin_s = _prop1_along(h, e1.vs, ctx.cfg.span, 2e-3)
+    reg = verify_action_regularity(
+        S_u, np.linspace(0.0, 0.1, 5),
+        np.linspace(0.55 * S_u.y_domain[0], 0.55 * S_u.y_domain[1], 21))
+    ctx.made["prop1"] = {
+        "alpha_unstable": lin_u.alpha, "alpha_stable": lin_s.alpha,
+        "residual_unstable": lin_u.affinity_residual,
+        "residual_stable": lin_s.affinity_residual,
+        "regularity_refinement_sup": reg.refinement_sup,
+    }
+
+
+def _jacobian(ctx: RunContext) -> None:
+    """Refinement stability of the secant Jacobian of h and, with ``phi``,
+    its distance from D phi, on 25 random points."""
+    h, pts = ctx.made["h"], np.random.default_rng(ctx.cfg.seed).random((25, 2))
+    coarse = h.secant_jacobian(pts, delta=1e-4)
+    fine = h.secant_jacobian(pts, delta=5e-5)
+    jac = {"jacobian_refinement_sup": float(np.max(np.abs(fine - coarse)))}
+    if ctx.phi is not None:
+        jac["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - ctx.phi.derivative(pts))))
+    ctx.made["jacobian"] = jac
+
+
+def _prop1_along_h(ctx: RunContext) -> None:
+    """The unstable direction at quadrature spacing 1e-3."""
+    _, ctx.made["linearization"] = _prop1_along(ctx.made["h"], ctx.cfg.generators[0].vu,
+                                                ctx.cfg.span, 1e-3)
+
+
+def _prop1_synthetic(ctx: RunContext) -> None:
+    """The profile r + amp sin r, sampled at spacing 1e-3."""
+    r = np.arange(-3.0, 3.0 + 5e-4, 1e-3)
+    S = TranslationAction(r, r + ctx.cfg.prop1_profile_amp * np.sin(r))
+    ctx.made["linearization"] = linearize_translation_action(S, 0.0, (-0.5, 0.5))
+
+
+def _numeric_factorization(ctx: RunContext) -> None:
+    fields, cfg = ctx.made["fields"], ctx.cfg
+    tau = integrate_leaf(fields["f1u"], np.zeros(2), 3.0, step=cfg.leaf_step, centered=True)
+    ctx.made["factorization"] = factor_translation_numeric(
+        fields["f1s"], fields["f2s"], tau, *cfg.generators[:2], cfg.slide_s,
+        step=cfg.propagation_step)
+
+
+# The stage table.  TEICHMULLER is the end-to-end pass; the prop1 and
+# factorize subcommands have their own last stage.
+SOLVE = Stage("solve_conjugacy", (), _solve_conjugacy)
+PERIODIC = Stage("compare_smooth_invariants", (), _compare_smooth_invariants)
+HOLDER = Stage("estimate_holder_exponent", ("h",), _estimate_holder_exponent)
+LINE_FIELDS = Stage("line_fields", (), _line_fields)
+PROPAGATION = Stage("tangency_propagation", ("fields",), _tangency_propagation)
+PROP1 = Stage("prop1", ("h",), _prop1)
+JACOBIAN = Stage("jacobian", ("h",), _jacobian)
+TEICHMULLER = (SOLVE, PERIODIC, HOLDER, LINE_FIELDS, PROPAGATION, PROP1, JACOBIAN)
+PROP1_ALONG_H = Stage("prop1", ("h",), _prop1_along_h)
+PROP1_SYNTHETIC = Stage("prop1", (), _prop1_synthetic)
+FACTORIZATION = Stage("numeric_factorization", ("fields",), _numeric_factorization)
+
+
+def run_stages(ctx: RunContext, stages) -> None:
+    """The stage runner: run ``stages`` in order, skipping a stage that
+    needs a product an earlier stage failed to make.  Each stage's wall
+    time goes to ``ctx.timings`` under its name, and an AnosovLabError it
+    raises becomes the ``ctx.errors`` entry ``"<stage>: <Type>: <message>"``;
+    the stages after it still run."""
+    for stage in stages:
+        if not all(need in ctx.made for need in stage.needs):
+            continue
+        start = time.perf_counter()
+        try:
+            stage.run(ctx)
+        except AnosovLabError as exc:
+            ctx.errors.append(f"{stage.name}: {type(exc).__name__}: {exc}")
+        finally:
+            ctx.timings[stage.name] = round(time.perf_counter() - start, 6)
+
+
+def obstructed(ctx: RunContext) -> bool:
+    """Whether the periodic data found differ by more than their threshold."""
+    periodic = ctx.made.get("periodic")
+    return (periodic is not None
+            and periodic.max_mismatch > ctx.cfg.thresholds["periodic_mismatch"])
+
+
+def teichmuller_stages(ctx: RunContext):
+    """The stages of the teichmuller pass, each yielded once the ones
+    before it have run: the first three of TEICHMULLER, then, for a pair
+    that periodic data do not obstruct, ``line_fields`` and
+    ``tangency_propagation`` (only when ``check_pair_hypothesis`` holds),
+    ``prop1`` and ``jacobian``.  A run without a pair says why in a
+    ``pair: ...`` entry, a failed pair hypothesis in a
+    ``pair_hypothesis: ...`` entry."""
+    yield from TEICHMULLER[:3]
+    if obstructed(ctx):
+        return
+    if len(ctx.cfg.generators) < 2 or len(ctx.handles) < 2 or ctx.cfg.kind == "perturbed":
+        # the pair checks assume that one h conjugates both maps; h is solved
+        # from g1 alone, and nothing yet tests it against g2 = A2 + p
+        why = ("the second map of a perturbed pair is not used, since h is solved from the "
+               "first map alone and not tested against the second"
+               ) if len(ctx.handles) > 1 else "only one generator map was given"
+        ctx.errors.append(f"pair: {why}, so the line fields, Lemma 3 and Proposition 1 "
+                          "were not run")
+        return
+    pair = ctx.made["pair"] = check_pair_hypothesis(*ctx.cfg.generators[:2])
+    if pair.hypothesis_ok:
+        yield from (LINE_FIELDS, PROPAGATION)
+    else:
+        ctx.errors.append(f"pair_hypothesis: the eigen-directions of g1 and g2 are not pairwise "
+                          f"transverse (min sine {pair.min_pairwise_sine:g}), so the line fields "
+                          f"and Lemma 3 were not run")
+    yield from (PROP1, JACOBIAN)
+
+
+def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
+    """``obstructed`` when periodic data differ by more than their
+    threshold, else ``smooth`` when ``ctx.errors`` is empty and every
+    measure is within its threshold, else ``inconclusive``.  The measures
+    of the stages that did not run stay nan."""
+    thr, made = ctx.cfg.thresholds, ctx.made
+    diag: dict = {"thresholds": dict(thr)}
+    transversality = lemma3 = slope = prop1 = jacobian = float("nan")
+    if "h" in made:
+        diag["conjugacy_sup_norm"] = made["h"].displacement.sup_norm
+        diag["conjugacy_residual"] = made["h"].residual_on_grid(64)
+    if "periodic" in made:
+        diag["periodic_max_mismatch"] = made["periodic"].max_mismatch
+        diag["periodic_rows"] = made["periodic"].rows
+    if "holder" in made:
+        diag["holder_exponent"], diag["holder_stderr"] = made["holder"]
+    if "pair" in made:
+        diag["pair_min_sine"] = made["pair"].min_pairwise_sine
+    if "fields" in made:
+        fields = made["fields"]
+        diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
+        a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
+        a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
+        transversality = min(a1, a2)
+        diag["transversality_pairs"] = {"E1u_vs_E2s": (a1, tuple(at1)),
+                                        "E2u_vs_E1s": (a2, tuple(at2))}
+    if "propagation" in made:
+        rows = made["propagation"]
+        lemma3 = max(r.transport_deviation for r in rows)
+        slope = max(r.slope_difference for r in rows)
+        diag["propagation_rows"] = [r.to_dict() for r in rows]
+        diag["propagation_min_angle"] = min(r.angle for r in rows)
+    if "prop1" in made:
+        diag["prop1"] = made["prop1"]
+        prop1 = max(made["prop1"]["residual_unstable"], made["prop1"]["residual_stable"])
+    if "jacobian" in made:
+        diag.update(made["jacobian"])
+        jacobian = made["jacobian"]["jacobian_refinement_sup"]
+    smooth = (transversality >= thr["transversality"] and lemma3 <= thr["lemma3"]
+              and prop1 <= thr["prop1_residual"] and jacobian <= thr["jacobian"])
+    verdict = ("obstructed" if obstructed(ctx)
+               else "smooth" if smooth and not ctx.errors else "inconclusive")
+    return TeichmullerVerdict(transversality, lemma3, slope, prop1, jacobian, verdict, diag,
+                              list(ctx.errors))
 
 
 def teichmuller_experiment(e1: HyperbolicElement, g1,
-                           e2: HyperbolicElement | None = None, g2=None,
-                           phi=None, thresholds: dict | None = None,
-                           grid_n: int = 256, field_n: int = 128,
-                           field_iters: int = 40, max_period: int = 2,
-                           propagation_step: float = 8e-3, span: float = 0.35,
-                           seed: int = 0, radius: int = 1,
-                           eps: float = 0.05,
-                           unpaired: str | None = None) -> TeichmullerVerdict:
+                           e2: HyperbolicElement | None = None, g2=None, phi=None,
+                           **settings) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
-    argument on the marked action generated by (g1, g2), as named stages:
-    ``solve_conjugacy`` (h for g1), ``compare_smooth_invariants``
-    (periodic data; a mismatch above threshold makes the run
-    ``obstructed``), ``estimate_holder_exponent`` (of h) and, for a pair
-    (``e2`` and ``g2`` given) that is not obstructed, ``line_fields`` (the
-    four invariant line fields and Lemma 2 transversality, run only when
-    ``check_pair_hypothesis`` holds), ``tangency_propagation`` (Lemma 3),
+    argument on the marked action generated by (g1, g2) as the teichmuller
+    pass: ``solve_conjugacy`` (h for g1), ``compare_smooth_invariants``
+    (periodic data), ``estimate_holder_exponent`` (of h), ``line_fields``
+    (Lemma 2 transversality), ``tangency_propagation`` (Lemma 3),
     ``prop1`` (the translation action of h linearized along both
-    eigen-directions) and ``jacobian`` (refinement stability of the
-    secant Jacobian of h and, with ``phi``, the known smooth conjugacy,
-    its distance from D phi).  A stage whose input failed is skipped.
-
-    An AnosovLabError ends only its own stage, as the ``errors`` entry
-    ``"<stage>: <ExceptionType>: <message>"``; periodic seeds whose Newton
-    diverged make one ``compare_smooth_invariants: NewtonFailed: ...``
-    entry.  A run without a pair says why in a ``pair: ...`` entry
-    (``unpaired`` or, when it is None, that only one generator map was
-    given), a failed pair hypothesis in a ``pair_hypothesis: ...`` entry.
-    The verdict is ``obstructed``, else ``smooth`` when ``errors`` is
-    empty and every measure is within its threshold, else
-    ``inconclusive``.  ``radius`` and ``eps`` are those of
-    ``tangency_propagation_check``.
-    """
-    thr = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
-    diag: dict = {"thresholds": dict(thr)}
-    errors: list[str] = []
-    # the measures of the stages that did not run stay nan
-    measures = dict.fromkeys(("transversality_min_angle", "lemma3_deviation",
-                              "lemma3_slope_deviation", "prop1_affinity_residual",
-                              "jacobian_consistency"), float("nan"))
-
-    h = None
-    with _stage(errors, "solve_conjugacy"):
-        h = solve_conjugacy(e1, g1, n=grid_n)
-        diag["conjugacy_sup_norm"] = h.displacement.sup_norm
-        diag["conjugacy_residual"] = h.residual_on_grid(64)
-
-    obstructed = False
-    with _stage(errors, "compare_smooth_invariants"):
-        report = compare_smooth_invariants(g1, e1, max_period)
-        diag["periodic_max_mismatch"] = report.max_mismatch
-        diag["periodic_rows"] = report.rows
-        obstructed = report.max_mismatch > thr["periodic_mismatch"]
-        report.check_converged()
-    if h is not None:
-        with _stage(errors, "estimate_holder_exponent"):
-            diag["holder_exponent"], diag["holder_stderr"] = estimate_holder_exponent(
-                h, e1.vu, scales=np.geomspace(1e-4, 1e-2, 7), seed=seed)
-
-    paired = not obstructed and e2 is not None and g2 is not None
-    if not (paired or obstructed):
-        errors.append(f"pair: {unpaired or 'only one generator map was given'}, so the line "
-                      "fields, Lemma 3 and Proposition 1 were not run")
-    if paired:
-        pair = check_pair_hypothesis(e1, e2)
-        diag["pair_min_sine"] = pair.min_pairwise_sine
-        fields = {}
-        if not pair.hypothesis_ok:
-            errors.append(f"pair_hypothesis: the eigen-directions of g1 and g2 are not pairwise "
-                          f"transverse (min sine {pair.min_pairwise_sine:g}), so the line fields "
-                          f"and Lemma 3 were not run")
-        else:
-            with _stage(errors, "line_fields"):
-                fields = line_fields((g1, g2), ("f1u", "f1s", "f2u", "f2s"), field_n, field_iters)
-                diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
-                a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
-                a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
-                measures["transversality_min_angle"] = min(a1, a2)
-                diag["transversality_pairs"] = {
-                    "E1u_vs_E2s": (a1, tuple(np.asarray(at1, dtype=float))),
-                    "E2u_vs_E1s": (a2, tuple(np.asarray(at2, dtype=float))),
-                }
-
-        if fields:
-            with _stage(errors, "tangency_propagation"):
-                rows = tangency_propagation_check(
-                    fields["f1u"], fields["f1s"], fields["f2s"],
-                    np.zeros(2), e1, radius=radius, eps=eps,
-                    step=propagation_step, nonlinear=not g1.is_linear)
-                measures["lemma3_deviation"] = max(r.transport_deviation for r in rows)
-                measures["lemma3_slope_deviation"] = max(r.slope_difference for r in rows)
-                diag["propagation_rows"] = [r.to_dict() for r in rows]
-                diag["propagation_min_angle"] = min(r.angle for r in rows)
-
-        if h is not None:
-            with _stage(errors, "prop1"):
-                S_u, lin_u = _prop1_along(h, e1.vu, span, 2e-3)
-                _, lin_s = _prop1_along(h, e1.vs, span, 2e-3)
-                measures["prop1_affinity_residual"] = max(lin_u.affinity_residual,
-                                                          lin_s.affinity_residual)
-                reg = verify_action_regularity(
-                    S_u, np.linspace(0.0, 0.1, 5),
-                    np.linspace(0.55 * S_u.y_domain[0], 0.55 * S_u.y_domain[1], 21))
-                diag["prop1"] = {
-                    "alpha_unstable": lin_u.alpha, "alpha_stable": lin_s.alpha,
-                    "residual_unstable": lin_u.affinity_residual,
-                    "residual_stable": lin_s.affinity_residual,
-                    "regularity_refinement_sup": reg.refinement_sup,
-                }
-
-            with _stage(errors, "jacobian"):
-                pts = np.random.default_rng(seed).random((25, 2))
-                coarse = h.secant_jacobian(pts, delta=1e-4)
-                fine = h.secant_jacobian(pts, delta=5e-5)
-                jac_stab = float(np.max(np.abs(fine - coarse)))
-                measures["jacobian_consistency"] = jac_stab
-                diag["jacobian_refinement_sup"] = jac_stab
-                if phi is not None:
-                    diag["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - phi.derivative(pts))))
-
-    checks = (
-        measures["transversality_min_angle"] >= thr["transversality"]
-        and measures["lemma3_deviation"] <= thr["lemma3"]
-        and measures["prop1_affinity_residual"] <= thr["prop1_residual"]
-        and measures["jacobian_consistency"] <= thr["jacobian"]
-    )
-    verdict = ("obstructed" if obstructed
-               else "smooth" if checks and not errors else "inconclusive")
-    return TeichmullerVerdict(**measures, verdict=verdict, diagnostics=diag, errors=errors)
+    eigen-directions) and ``jacobian`` (the secant Jacobian of h); see
+    ``teichmuller_stages`` for which of them run, ``run_stages`` for how a
+    failure is reported and ``teichmuller_verdict`` for the verdict.
+    ``settings`` are ExperimentConfig fields, by default those of the
+    default config."""
+    cfg = replace(load_config(), generators=[e for e in (e1, e2) if e is not None], **settings)
+    ctx = RunContext(cfg, [g for g in (g1, g2) if g is not None], phi)
+    run_stages(ctx, teichmuller_stages(ctx))
+    return teichmuller_verdict(ctx)

@@ -94,7 +94,11 @@ BAD_VALUES = (
     # the output directory is checked whichever of --out, ANOSOV_LAB_OUT
     # and the config wins
     + [("eigen", f"experiment.out_dir={v}", "experiment.out_dir") for v in ("5", "null", '""')]
+    # experiment.name is no config key: any value is an unknown key
     + [("eigen", f"experiment.name={v}", "experiment.name") for v in ("5", "null", '""')]
+    # the subcommands that need a generator pair, given one generator
+    + [(command, "group.generators=[[[2,1],[1,1]]]", "group.generators")
+       for command in ("eigen", "transversality", "factorize", "lemma3")]
 )
 
 
@@ -227,8 +231,8 @@ def test_periodic_data_diverged_seeds_exit_three(tmp_path):
     doc = json.loads((out / "periodic-data-report.json").read_text())
     assert (code, doc["verdict"]) == (3, "inconclusive")
     assert doc["diagnostics"]["failure"] == (
-        "NewtonFailed: 2 periodic seeds did not converge, first: seed (0.6, 0.2) for k=(3, 2), "
-        "period 2")
+        "compare_smooth_invariants: NewtonFailed: 2 periodic seeds did not converge, first: "
+        "seed (0.6, 0.2) for k=(3, 2), period 2")
     assert doc["diagnostics"]["n_orbits"] == 3
     assert len((out / "periodic-data.csv").read_text().splitlines()) == 1 + 3
 
@@ -240,7 +244,7 @@ def test_periodic_data_obstruction_stands_with_diverged_seeds(tmp_path):
     doc = json.loads((out / "periodic-data-report.json").read_text())
     assert (code, doc["verdict"]) == (2, "obstructed")
     assert doc["diagnostics"]["failure"].startswith(
-        "NewtonFailed: 8 periodic seeds did not converge, first: ")
+        "compare_smooth_invariants: NewtonFailed: 8 periodic seeds did not converge, first: ")
 
 
 def test_teichmuller_honours_radius_and_eps(tmp_path):
@@ -410,3 +414,31 @@ def test_cli_import_loads_only_ndimage_of_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+PERTURBED_OBSTRUCTED = ("--set", "action.kind=perturbed", "--set",
+                        'action.perturbation=[{"k":[0,1],"sin":[0.0047746482927568605,0]}]')
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (("eigen",), []),
+    (("conjugacy", *SMALL), ["solve_conjugacy"]),
+    (("foliation", *SMALL), ["line_fields"]),
+    (("transversality", *SMALL), ["line_fields"]),
+    (("prop1",), ["prop1"]),
+    (("prop1", *CONJUGATED_02, *SMALL), ["prop1", "solve_conjugacy"]),
+    (("factorize", *SMALL), ["line_fields", "numeric_factorization"]),
+    (("lemma3", *SMALL), ["line_fields", "tangency_propagation"]),
+    (("periodic-data",), ["compare_smooth_invariants"]),
+    (("teichmuller",), ["compare_smooth_invariants", "estimate_holder_exponent", "jacobian",
+                        "line_fields", "prop1", "solve_conjugacy", "tangency_propagation"]),
+    (("teichmuller", *PERTURBED_OBSTRUCTED, *SMALL),
+     ["compare_smooth_invariants", "estimate_holder_exponent", "solve_conjugacy"]),
+])
+def test_timings_are_keyed_by_the_stages_run(tmp_path, argv, stages):
+    code, out = run(tmp_path, *argv)
+    assert code in (0, 2)
+    name = argv[0]
+    doc = json.loads((out / f"{name}-report.json").read_text())
+    timings = json.loads((out / f"{name}-timings.json").read_text())["timings_seconds"]
+    assert doc["timings_present"] == sorted(timings) == stages

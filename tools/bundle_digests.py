@@ -71,7 +71,8 @@ SUBCOMMAND_ERROR_PATHS = (
     ("phi-0.02-field-iters-3", "foliation", PHI_FIELD_ITERS_3),
     ("phi-0.02-field-iters-3", "transversality", PHI_FIELD_ITERS_3),
     ("phi-0.02-field-iters-3", "factorize", PHI_FIELD_ITERS_3),
-    # a subcommand that needs a pair, given one generator
+    # a subcommand that needs a pair, given one generator: a config error,
+    # so exit 1 and no bundle
     ("one-generator", "eigen", ERROR_PATHS["one-generator"]),
 )
 
