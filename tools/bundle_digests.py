@@ -8,7 +8,11 @@ overrides of each benchmark workload (bench/workloads.py, seed 1), and
 ``teichmuller`` on six configs that end in ``inconclusive`` or
 ``obstructed``, so that the error paths of its stages are covered, and
 the other subcommands on eight configs on which they fail, so that their
-failure strings are covered too.  Each
+failure strings are covered too.  Three more runs walk map code that the
+others do not: ``foliation`` on a perturbed action (the Newton inverse
+and ``backward_jacobians`` of ``PerturbedMap`` and ``InverseMap``), and
+``teichmuller`` and ``foliation`` on an action conjugated by a two-mode
+phi (D phi summed over two wavevectors).  Each
 run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -77,6 +81,20 @@ SUBCOMMAND_ERROR_PATHS = (
 )
 
 
+# (label, subcommand, overrides) of runs on map paths the runs above miss
+MAP_PATHS = (
+    # the config of CI's "Line fields of a perturbed map" smoke run
+    ("perturbed-field-n-64", "foliation",
+     ["action.kind=perturbed",
+      'action.perturbation=[{"k":[0,1],"sin":[0.0047746482927568605,0]}]',
+      "resolution.field_n=64"]),
+    *(("two-mode-phi", command,
+       ["action.kind=conjugated",
+        'action.diffeo=[{"k":[0,1],"sin":[0.03,0]},{"k":[1,1],"sin":[0,0.01]}]'])
+      for command in ("teichmuller", "foliation")),
+)
+
+
 def _sets(overrides):
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -90,7 +108,7 @@ def runs():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(workload.overrides(SEED))]
     for name, overrides in ERROR_PATHS.items():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(overrides)]
-    for name, command, overrides in SUBCOMMAND_ERROR_PATHS:
+    for name, command, overrides in (*SUBCOMMAND_ERROR_PATHS, *MAP_PATHS):
         yield f"{name}/{command}", [command, *_sets(overrides)]
 
 
