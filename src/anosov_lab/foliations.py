@@ -39,7 +39,7 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import HermiteCubic, MonotoneCubic, PeriodicBicubic, not_a_knot_spline
-from .lattice import _inv2, eigen_data, grid_points, line_angle
+from .lattice import _empty2x2, _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
@@ -129,19 +129,28 @@ def _pushed_seeds(handle, pts):
     angle between v_d and v_{d-1} (v_0 = seed).
 
     P_d is kept per point, rescaled so that P_d seed is a unit vector, and
-    each product is written out as 2x2 arithmetic; no depth is stored."""
+    each product is written out as 2x2 arithmetic, plane by plane in the
+    layout of ``_empty2x2``; no depth is stored."""
     seed = eigen_data(handle.linear_part).vu
+    n = len(pts)
     v_prev = np.broadcast_to(seed, pts.shape)
     prod = None
     for jac in handle.backward_jacobians(pts):
         if prod is None:
             prod = jac
         else:  # (prod jac)[i, l] = prod[i, 0] jac[0, l] + prod[i, 1] jac[1, l]
-            prod = prod[:, :, 0, None] * jac[:, None, 0] + prod[:, :, 1, None] * jac[:, None, 1]
-        v = prod[:, :, 0] * seed[0] + prod[:, :, 1] * seed[1]
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        v /= norm
-        prod = prod / norm[:, :, None]
+            prod, old = _empty2x2(n), prod
+            for i in range(2):
+                for l in range(2):
+                    np.add(old[:, i, 0] * jac[:, 0, l], old[:, i, 1] * jac[:, 1, l],
+                           out=prod[:, i, l])
+        v = np.empty((2, n)).T
+        for i in range(2):
+            np.add(prod[:, i, 0] * seed[0], prod[:, i, 1] * seed[1], out=v[:, i])
+        # |v| as np.linalg.norm reduces it: v0 v0 + v1 v1, no +0.0 start
+        norm = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+        v /= norm[:, None]
+        prod = prod / norm[:, None, None]
         yield v, float(np.max(line_angle(v, v_prev)))
         v_prev = v
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattice import _empty2x2
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -98,9 +100,8 @@ class FourierPerturbation:
         return terms[0] + terms[1] if len(terms) == 2 else terms[0]
 
     def derivative(self, x) -> np.ndarray:
-        """Jacobians D p(x), shape (n, 2, 2), at the points x of shape (n, 2)."""
-        if self.is_zero:
-            return np.zeros((len(x), 2, 2))
+        """Jacobians D p(x), shape (n, 2, 2) in the layout of
+        ``lattice._empty2x2``, at the points x of shape (n, 2)."""
         return self.derivative_from(self.trig(x))
 
     # evaluate holds one trig array at a time, which keeps down the peak
@@ -120,12 +121,19 @@ class FourierPerturbation:
         return sin @ self.sin_amps + cos @ self.cos_amps
 
     def derivative_from(self, trig) -> np.ndarray:
-        """D p(x), shape (n, 2, 2), from trig(x)."""
+        """D p(x), shape (n, 2, 2) in the layout of ``lattice._empty2x2``,
+        from trig(x)."""
         sin, cos = trig
         # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
-        # the amplitude multiplies first, 2 pi k second
-        rate = cos[:, :, None] * self.sin_amps - sin[:, :, None] * self.cos_amps
-        return np.einsum("nmj,ml->njl", rate, TWO_PI * self.wavevectors.astype(float))
+        # the amplitude multiplies first, 2 pi k second, and each sum over k
+        # starts from +0.0
+        k = TWO_PI * self.wavevectors.astype(float)
+        out = _empty2x2(len(sin))
+        for j in range(2):
+            rate = cos * self.sin_amps[:, j] - sin * self.cos_amps[:, j]
+            for l in range(2):
+                np.einsum("nm,m->n", rate, k[:, l], out=out[:, j, l])
+        return out
 
     def scaled(self, factor: float) -> "FourierPerturbation":
         return FourierPerturbation(self.wavevectors.copy(), self.sin_amps * factor,

@@ -221,18 +221,31 @@ def line_angle(a, b):
     return np.arctan2(cross, dots)
 
 
+def _empty2x2(n: int) -> np.ndarray:
+    """An uninitialised batch of n 2x2 matrices, shape (n, 2, 2), in
+    component-major memory: a view of a C-contiguous (2, 2, n) block, so
+    that each entry [:, r, c] is one contiguous plane.  Every batch of
+    matrices the maps and foliations form is laid out this way, and their
+    kernels work entry by entry on the planes."""
+    return np.empty((2, 2, n)).transpose(2, 0, 1)
+
+
 def _inv2(j, rhs=None):
     """adj(j) / det(j) for a batch of 2x2 matrices j (n, 2, 2), or with
-    ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs."""
+    ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs.
+    The inverses come in the layout of ``_empty2x2``."""
     det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
     adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
     if rhs is None:
-        out = np.empty_like(j)
+        out = _empty2x2(len(j))
         for r in range(2):
             for c in range(2):
-                out[:, r, c] = adj[r][c] / det
+                np.divide(adj[r][c], det, out=out[:, r, c])
         return out
-    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
+    out = np.empty_like(rhs)
+    for r, (a0, a1) in enumerate(adj):
+        np.divide(a0 * rhs[:, 0] + a1 * rhs[:, 1], det, out=out[:, r])
+    return out
 
 
 def grid_points(n: int) -> np.ndarray:

@@ -13,7 +13,10 @@ Every map handle exposes the same duck-typed surface:
     inverse()     -> handle of the inverse map
 
 Every evaluator takes a float batch of points x of shape (n, 2) and
-returns one value per point: points (n, 2) or matrices (n, 2, 2).
+returns one value per point: points (n, 2) or matrices (n, 2, 2).  Every
+batch of matrices is laid out component-major (``lattice._empty2x2``):
+each entry [:, r, c] is one contiguous plane, and the 2x2 kernels here
+work plane by plane.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 
 from .errors import Inconclusive, NotADiffeo
 from .fourier import FourierPerturbation
-from .lattice import (HyperbolicElement, IntMatrix2, _inv2, eigen_data, invert, line_angle,
-                      wrap_point)
+from .lattice import (HyperbolicElement, IntMatrix2, _empty2x2, _inv2, eigen_data, invert,
+                      line_angle, wrap_point)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
@@ -41,7 +44,7 @@ def _newton_inverse(linearize, y, z):
     not converged.  The whole batch stops together, at the first iterate
     whose largest |lift(z) - y| is below NEWTON_TOL, or after
     NEWTON_MAX_ITERS steps, so a point's result can depend on its
-    batchmates (a per-row stop is still open, ROADMAP item 2)."""
+    batchmates (a per-row stop is still open, ROADMAP item 3)."""
     for _ in range(NEWTON_MAX_ITERS):
         value, jacobian = linearize(z)
         res = value - y
@@ -49,6 +52,13 @@ def _newton_inverse(linearize, y, z):
             break
         z = z - _inv2(jacobian(), res)
     return z
+
+
+def _plus(d, m):
+    """The batch d (n, 2, 2) plus the one 2x2 matrix m, added in place,
+    which keeps d's layout and allocates nothing."""
+    d += m
+    return d
 
 
 class PerturbedMap:
@@ -79,7 +89,7 @@ class PerturbedMap:
         return wrap_point(self.lift(x))
 
     def jacobian(self, x):
-        return self._A[None, :, :] + self.perturbation.derivative(x)
+        return _plus(self.perturbation.derivative(x), self._A)
 
     def lift_and_jacobian(self, x):
         """lift(x) and a function that returns jacobian(x), both formed
@@ -87,7 +97,7 @@ class PerturbedMap:
         p = self.perturbation
         trig = p.trig(x)
         return (x @ self._A.T + p.value_from(trig),
-                lambda: self._A[None, :, :] + p.derivative_from(trig))
+                lambda: _plus(p.derivative_from(trig), self._A))
 
     def backward_jacobians(self, x):
         """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
@@ -151,14 +161,14 @@ class Diffeo:
         return x + self.q.evaluate(x)
 
     def derivative(self, x):
-        return np.eye(2)[None, :, :] + self.q.derivative(x)
+        return _plus(self.q.derivative(x), np.eye(2))
 
     def lift_and_derivative(self, x):
         """lift(x) and a function that returns derivative(x), both formed
         from one evaluation of q's trig values at x."""
         trig = self.q.trig(x)
         return (x + self.q.value_from(trig),
-                lambda: np.eye(2)[None, :, :] + self.q.derivative_from(trig))
+                lambda: _plus(self.q.derivative_from(trig), np.eye(2)))
 
     def inverse_lift(self, y):
         """Solve x + q(x) = y by Newton; the contraction bound makes the
@@ -168,19 +178,23 @@ class Diffeo:
 
 def _conjugated_jacobian(d_out, A, d_in_inv):
     """d_out A d_in_inv for batches d_out, d_in_inv (n, 2, 2) and one A,
-    the 2x2 product written out.
+    the 2x2 product written out plane by plane into the layout of
+    ``_empty2x2``.
 
     Each entry (i, l) sums (d_out[i, j] A[j, k]) d_in_inv[k, l] over
     (j, k) in row-major order, starting from +0.0, which is the order and
     association of np.einsum("nij,jk,nkl->nil", ...) to the bit."""
-    out = np.empty_like(d_out)
+    out = _empty2x2(len(d_out))
+    term = np.empty(len(d_out))
     for i in range(2):
         for l in range(2):
-            acc = 0.0
+            acc = out[:, i, l]
+            acc[...] = 0.0
             for j in range(2):
                 for k in range(2):
-                    acc = (d_out[:, i, j] * A[j, k]) * d_in_inv[:, k, l] + acc
-            out[:, i, l] = acc
+                    np.multiply(d_out[:, i, j], A[j, k], out=term)
+                    term *= d_in_inv[:, k, l]
+                    acc += term
     return out
 
 

@@ -2,7 +2,9 @@
 
 numpy runs a three-operand contraction through its generic loop, several
 times slower than the same 2x2 products written out (see
-``maps._conjugated_jacobian``).  Two-operand calls are fine.
+``maps._conjugated_jacobian``, which writes them plane by plane into the
+component-major layout of ``lattice._empty2x2``).  Two-operand calls are
+fine.
 """
 
 import ast

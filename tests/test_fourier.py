@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from anosov_lab import fourier
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
 
+from test_maps import _ref_derivative
+
 # --- reference: the complex-exponential form with conjugate closure --------
 
 
@@ -71,6 +73,7 @@ def test_pure_mode_bit_equal_to_complex_reference(terms):
     x = REFERENCE_POINTS
     assert np.array_equal(p.evaluate(x), ref.evaluate(x))
     assert np.array_equal(p.derivative(x), ref.derivative(x))
+    assert np.array_equal(p.derivative(x), _ref_derivative(p, x))
     assert p.sup_bound == ref.sup_bound
     assert p.deriv_bound == ref.deriv_bound
 
@@ -88,6 +91,7 @@ def test_mixed_and_multi_mode_match_complex_reference(terms):
     x = REFERENCE_POINTS
     assert np.max(np.abs(p.evaluate(x) - ref.evaluate(x))) <= 1e-15
     assert np.max(np.abs(p.derivative(x) - ref.derivative(x))) <= 1e-15
+    assert np.array_equal(p.derivative(x), _ref_derivative(p, x))
     if len(terms) == 1:
         assert p.sup_bound == ref.sup_bound
         assert p.deriv_bound == ref.deriv_bound

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from anosov_lab.errors import NotADiffeo
-from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, _inv2, eigen_data, invert
+from anosov_lab.foliations import compute_line_field
+from anosov_lab.fourier import TWO_PI, FourierPerturbation
+from anosov_lab.lattice import (IntMatrix2, _inv2, eigen_data, grid_points, invert, line_angle,
+                                wrap_point)
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -137,9 +139,31 @@ def test_cone_margin_monotone_in_aperture(linear_g1, e1):
     assert margins[0] >= margins[1] >= margins[2]
 
 
-# --- references: the three inline 2x2 formulas (the conjugated one a
-# three-operand einsum) and the two Newton loops that _inv2,
-# _conjugated_jacobian and _newton_inverse replace, kept as they were ------
+# --- references: the (n, 2, 2) arithmetic that the component-major
+# kernels replace, kept as it was: the derivative einsum, the three inline
+# 2x2 formulas (the conjugated one a three-operand einsum), the two Newton
+# loops and the line-field transport ---------------------------------------
+
+def _ref_derivative(p, x, m=None):
+    """D p(x) by the one "nmj,ml->njl" einsum, plus the 2x2 matrix m."""
+    if p.is_zero:
+        d = np.zeros((len(x), 2, 2))
+    else:
+        sin, cos = p.trig(x)
+        rate = cos[:, :, None] * p.sin_amps - sin[:, :, None] * p.cos_amps
+        d = np.einsum("nmj,ml->njl", rate, TWO_PI * p.wavevectors.astype(float))
+    return d if m is None else m[None, :, :] + d
+
+
+def _ref_inv2(j):
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    inv = np.empty_like(j)
+    inv[:, 0, 0] = j[:, 1, 1] / det
+    inv[:, 0, 1] = -j[:, 0, 1] / det
+    inv[:, 1, 0] = -j[:, 1, 0] / det
+    inv[:, 1, 1] = j[:, 0, 0] / det
+    return inv
+
 
 def _ref_solve2(j, rhs):
     det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
@@ -148,32 +172,25 @@ def _ref_solve2(j, rhs):
     return np.stack([v0, v1], axis=1)
 
 
+def _ref_perturbed_jacobian(g, x):
+    return _ref_derivative(g.perturbation, x, g.linear_part.as_array())
+
+
+def _ref_dphi(phi, x):
+    return _ref_derivative(phi.q, x, np.eye(2))
+
+
 def _ref_inverse_map_jacobian(handle, y):
     pts = np.atleast_2d(np.asarray(y, dtype=float))
-    z = handle.lift(pts)
-    jf = np.atleast_3d(handle.forward.jacobian(z)).reshape(-1, 2, 2)
-    det = jf[:, 0, 0] * jf[:, 1, 1] - jf[:, 0, 1] * jf[:, 1, 0]
-    inv = np.empty_like(jf)
-    inv[:, 0, 0] = jf[:, 1, 1] / det
-    inv[:, 0, 1] = -jf[:, 0, 1] / det
-    inv[:, 1, 0] = -jf[:, 1, 0] / det
-    inv[:, 1, 1] = jf[:, 0, 0] / det
-    return inv
+    return _ref_inv2(_ref_perturbed_jacobian(handle.forward, handle.lift(pts)))
 
 
 def _ref_conjugated_jacobian(handle, x):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     A = handle.base.matrix.as_array()
-    w = handle.phi.inverse_lift(pts)
-    d_out = np.atleast_3d(handle.phi.derivative(w @ A.T)).reshape(-1, 2, 2)
-    d_in = np.atleast_3d(handle.phi.derivative(w)).reshape(-1, 2, 2)
-    det = d_in[:, 0, 0] * d_in[:, 1, 1] - d_in[:, 0, 1] * d_in[:, 1, 0]
-    d_in_inv = np.empty_like(d_in)
-    d_in_inv[:, 0, 0] = d_in[:, 1, 1] / det
-    d_in_inv[:, 0, 1] = -d_in[:, 0, 1] / det
-    d_in_inv[:, 1, 0] = -d_in[:, 1, 0] / det
-    d_in_inv[:, 1, 1] = d_in[:, 0, 0] / det
-    return np.einsum("nij,jk,nkl->nil", d_out, A, d_in_inv)
+    w = _ref_diffeo_inverse_lift(handle.phi, pts)
+    d_out = _ref_dphi(handle.phi, w @ A.T)
+    return np.einsum("nij,jk,nkl->nil", d_out, A, _ref_inv2(_ref_dphi(handle.phi, w)))
 
 
 def _ref_inverse_map_lift(handle, y):
@@ -183,7 +200,7 @@ def _ref_inverse_map_lift(handle, y):
         res = handle.forward.lift(z) - pts
         if np.max(np.abs(res)) < NEWTON_TOL:
             break
-        z = z - _ref_solve2(np.atleast_3d(handle.forward.jacobian(z)).reshape(-1, 2, 2), res)
+        z = z - _ref_solve2(_ref_perturbed_jacobian(handle.forward, z), res)
     return z
 
 
@@ -194,9 +211,54 @@ def _ref_diffeo_inverse_lift(phi, y):
         res = x + phi.q.evaluate(x) - pts
         if np.max(np.abs(res)) < NEWTON_TOL:
             break
-        jac = np.eye(2)[None, :, :] + phi.q.derivative(x)
-        x = x - _ref_solve2(jac, res)
+        x = x - _ref_solve2(_ref_dphi(phi, x), res)
     return x
+
+
+def _ref_backward_jacobians(handle, x):
+    """Each handle kind's backward_jacobians, from the references above."""
+    if isinstance(handle, PerturbedMap):
+        inv = handle.inverse()
+        while True:
+            x = wrap_point(_ref_inverse_map_lift(inv, x))
+            yield _ref_perturbed_jacobian(handle, x)
+    elif isinstance(handle, InverseMap):
+        while True:
+            yield _ref_inv2(_ref_perturbed_jacobian(handle.forward, x))
+            x = wrap_point(handle.forward.lift(x))
+    else:
+        A = handle.base.matrix.as_array()
+        B = invert(handle.base.matrix).as_array()
+        w = _ref_diffeo_inverse_lift(handle.phi, x)
+        d_prev = _ref_dphi(handle.phi, w)
+        while True:
+            w = wrap_point(w @ B.T)
+            d_here = _ref_dphi(handle.phi, w)
+            yield np.einsum("nij,jk,nkl->nil", d_prev, A, _ref_inv2(d_here))
+            d_prev = d_here
+
+
+def _ref_pushed_seeds(handle, pts):
+    seed = eigen_data(handle.linear_part).vu
+    v_prev = np.broadcast_to(seed, pts.shape)
+    prod = None
+    for jac in _ref_backward_jacobians(handle, pts):
+        if prod is None:
+            prod = jac
+        else:
+            prod = prod[:, :, 0, None] * jac[:, None, 0] + prod[:, :, 1, None] * jac[:, None, 1]
+        v = prod[:, :, 0] * seed[0] + prod[:, :, 1] * seed[1]
+        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        v /= norm
+        prod = prod / norm[:, :, None]
+        yield v, float(np.max(line_angle(v, v_prev)))
+        v_prev = v
+
+
+def _ref_unstable_theta(handle, n, tol=1e-8):
+    for v, residual in _ref_pushed_seeds(handle, grid_points(n)):
+        if residual <= tol:
+            return np.mod(np.arctan2(v[:, 1], v[:, 0]), np.pi).reshape(n, n)
 
 
 def _assert_same_bits(new, ref):
@@ -215,14 +277,7 @@ def test_inv2_matches_inline_formulas():
     rhs[::3, 0] = 0.0
     rhs[1::3, 1] = -0.0
     _assert_same_bits(_inv2(j, rhs), _ref_solve2(j, rhs))
-    # the two inline inverses were the same code: adj(j) / det(j) entrywise
-    inv = np.empty_like(j)
-    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    inv[:, 0, 0] = j[:, 1, 1] / det
-    inv[:, 0, 1] = -j[:, 0, 1] / det
-    inv[:, 1, 0] = -j[:, 1, 0] / det
-    inv[:, 1, 1] = j[:, 0, 0] / det
-    _assert_same_bits(_inv2(j), inv)
+    _assert_same_bits(_inv2(j), _ref_inv2(j))
 
 
 def test_jacobians_match_inline_inverses(perturbed, conj_g1):
@@ -269,6 +324,17 @@ def test_conjugated_jacobian_matches_einsum(request, phi_name, rows):
     handle = ConjugatedMap(phi, eigen_data(IntMatrix2.from_rows(rows)))
     for h in (handle, handle.inverse()):
         _assert_same_bits(h.jacobian(x), _ref_conjugated_jacobian(h, x))
+
+
+@pytest.mark.parametrize("name", ["conjugated", "inverse_conjugated", "two_mode", "perturbed",
+                                  "inverse_perturbed"])
+def test_line_field_matches_the_reference_transport(perturbed, conj_g1, phi_two_mode, e1,
+                                                    name):
+    g = {"conjugated": conj_g1, "inverse_conjugated": conj_g1.inverse(),
+         "two_mode": ConjugatedMap(phi_two_mode, e1), "perturbed": perturbed,
+         "inverse_perturbed": InverseMap(perturbed)}[name]
+    theta = compute_line_field(g, "unstable", n=32).theta
+    _assert_same_bits(theta, _ref_unstable_theta(g, 32))
 
 
 @pytest.mark.parametrize("name", ["perturbed", "inverse_perturbed", "conjugated",

@@ -1,4 +1,5 @@
-"""Work-count guard for the Lemma 3 marches of ``teichmuller`` runs.
+"""Work-count guards for the Lemma 3 marches of ``teichmuller`` runs and
+for the trig evaluations of the line-field transport.
 
 The counts are deterministic: a run projects onto transversals and steps
 leaves the same number of times on every machine.  Each bound sits a
@@ -10,12 +11,19 @@ again to the lifts of z', the default linear run made 132 projections of
 6,812 points and 34,548 holonomy RK4 row-steps, and the run on the action
 conjugated by phi = id + (0.02 sin 2 pi x2, 0) made 2,210 RK4 steps in
 Lemma 3, 8,800 heteroclinic row-steps among them.
+
+A line field evaluates the trig values of its map's Fourier terms once
+per Jacobian batch and Newton iterate, never twice at one point.
 """
 
 import json
 
+import pytest
+
 from anosov_lab import foliations, rigidity
 from anosov_lab.cli import main
+from anosov_lab.fourier import FourierPerturbation
+from anosov_lab.maps import InverseMap
 
 PHI_02 = ["--set", "action.kind=conjugated",
           "--set", "action.diffeo=" + json.dumps([{"k": [0, 1], "sin": [0.02, 0]}])]
@@ -76,3 +84,27 @@ def test_conjugated_teichmuller_run_steps_each_heteroclinic_leaf_once(tmp_path, 
     # 936 RK4 steps, 944 row-steps of them on the two heteroclinic leaves
     assert counts["lemma3_steps"] <= 950
     assert counts["heteroclinic_row_steps"] <= 950
+
+
+@pytest.mark.parametrize("name, calls, depth", [
+    # 2 Newton iterates for the one phi^-1 solve, D phi at that point, and
+    # D phi once per depth
+    ("conj_g1", 12, 9),
+    # one forward lift and Jacobian per depth
+    ("inverse_perturbed", 9, 9),
+    # per depth, 3 Newton iterates of the inverse and the Jacobian
+    ("perturbed_g1", 32, 8),
+])
+def test_line_field_evaluates_trig_once_per_batch(request, monkeypatch, name, calls, depth):
+    g = (InverseMap(request.getfixturevalue("perturbed_g1")) if name == "inverse_perturbed"
+         else request.getfixturevalue(name))
+    count = [0]
+    trig = FourierPerturbation.trig
+
+    def counting_trig(self, x):
+        count[0] += 1
+        return trig(self, x)
+
+    monkeypatch.setattr(FourierPerturbation, "trig", counting_trig)
+    field = foliations.compute_line_field(g, "unstable", n=32)
+    assert (count[0], field.depth) == (calls, depth)
