@@ -144,7 +144,7 @@ def _pushed_seeds(handle, pts):
                 for l in range(2):
                     np.add(old[:, i, 0] * jac[:, 0, l], old[:, i, 1] * jac[:, 1, l],
                            out=prod[:, i, l])
-        v = np.empty((2, n)).T
+        v = np.empty((n, 2))
         for i in range(2):
             np.add(prod[:, i, 0] * seed[0], prod[:, i, 1] * seed[1], out=v[:, i])
         # |v| as np.linalg.norm reduces it: v0 v0 + v1 v1, no +0.0 start

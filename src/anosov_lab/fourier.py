@@ -102,6 +102,10 @@ class FourierPerturbation:
     def derivative(self, x) -> np.ndarray:
         """Jacobians D p(x), shape (n, 2, 2) in the layout of
         ``lattice._empty2x2``, at the points x of shape (n, 2)."""
+        if self.is_zero:
+            out = _empty2x2(len(x))
+            out.fill(0.0)
+            return out
         return self.derivative_from(self.trig(x))
 
     # evaluate holds one trig array at a time, which keeps down the peak

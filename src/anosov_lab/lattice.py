@@ -242,10 +242,7 @@ def _inv2(j, rhs=None):
             for c in range(2):
                 np.divide(adj[r][c], det, out=out[:, r, c])
         return out
-    out = np.empty_like(rhs)
-    for r, (a0, a1) in enumerate(adj):
-        np.divide(a0 * rhs[:, 0] + a1 * rhs[:, 1], det, out=out[:, r])
-    return out
+    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
 
 
 def grid_points(n: int) -> np.ndarray:
