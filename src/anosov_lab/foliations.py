@@ -103,7 +103,9 @@ class LineField:
         """Interpolated angles in [0, pi), shape (n,), at the torus points
         x of shape (n, 2)."""
         emb = self._interp(x)
-        return 0.5 * np.arctan2(emb[:, 1], emb[:, 0]) % math.pi
+        theta = np.arctan2(emb[:, 1], emb[:, 0])
+        theta *= 0.5
+        return np.remainder(theta, math.pi, out=theta)
 
     def direction_at(self, x):
         """Canonical unit vectors (n, 2) for the interpolated angles at the
@@ -205,8 +207,16 @@ def _row_tags(tags, index):
 
 
 def _aligned_direction(field: LineField, pts, headings):
-    """Field directions at pts with signs matched to the given headings."""
-    d = field.direction_at(np.mod(pts, 1.0))
+    """Field directions at pts with signs matched to the given headings.
+
+    The directions are not put in canonical sign first: the alignment
+    overrides any sign, and (-d).h = -(d.h) exactly, so a row comes out
+    with the same bits either way unless its alignment is exactly 0,
+    where the flow raises SignAmbiguity."""
+    theta = field.angle_at(np.mod(pts, 1.0))
+    d = np.empty((len(theta), 2))
+    np.cos(theta, out=d[:, 0])
+    np.sin(theta, out=d[:, 1])
     dots = np.einsum("ni,ni->n", d, headings)
     d *= np.sign(dots)[:, None]
     return d, np.abs(dots)

@@ -120,9 +120,13 @@ class FourierPerturbation:
         return np.sin(theta), np.cos(theta)
 
     def value_from(self, trig) -> np.ndarray:
-        """p(x), shape (n, 2), from trig(x)."""
-        sin, cos = trig
-        return sin @ self.sin_amps + cos @ self.cos_amps
+        """p(x), shape (n, 2), from trig(x), skipping a term whose
+        amplitudes are all zero as ``evaluate`` does."""
+        terms = [t @ amps for t, amps in zip(trig, (self.sin_amps, self.cos_amps))
+                 if amps.any()]
+        if not terms:  # the zero perturbation
+            return np.zeros((len(trig[0]), 2))
+        return terms[0] + terms[1] if len(terms) == 2 else terms[0]
 
     def derivative_from(self, trig) -> np.ndarray:
         """D p(x), shape (n, 2, 2) in the layout of ``lattice._empty2x2``,
@@ -130,11 +134,18 @@ class FourierPerturbation:
         sin, cos = trig
         # d p_j / d x_l = sum_k (a_kj cos theta - b_kj sin theta) 2 pi k_l;
         # the amplitude multiplies first, 2 pi k second, and each sum over k
-        # starts from +0.0
+        # starts from +0.0, so a term skipped for all-zero amplitudes, which
+        # only moves the signs of zeros in the rate, leaves the same bits
         k = TWO_PI * self.wavevectors.astype(float)
+        has_sin, has_cos = self.sin_amps.any(), self.cos_amps.any()
         out = _empty2x2(len(sin))
         for j in range(2):
-            rate = cos * self.sin_amps[:, j] - sin * self.cos_amps[:, j]
+            if has_sin and has_cos:
+                rate = cos * self.sin_amps[:, j] - sin * self.cos_amps[:, j]
+            elif has_sin:
+                rate = cos * self.sin_amps[:, j]
+            else:
+                rate = sin * -self.cos_amps[:, j]
             for l in range(2):
                 np.einsum("nm,m->n", rate, k[:, l], out=out[:, j, l])
         return out

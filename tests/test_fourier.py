@@ -116,6 +116,59 @@ def test_evaluate_equals_full_trig_formula(terms, n, seed):
     assert np.array_equal(p.evaluate(x), expected)
 
 
+def _ref_value_from(p, trig):
+    sin, cos = trig
+    return sin @ p.sin_amps + cos @ p.cos_amps
+
+
+def _ref_derivative_from(p, trig):
+    sin, cos = trig
+    k = TWO_PI * p.wavevectors.astype(float)
+    out = np.empty((len(sin), 2, 2))
+    for j in range(2):
+        rate = cos * p.sin_amps[:, j] - sin * p.cos_amps[:, j]
+        for l in range(2):
+            np.einsum("nm,m->n", rate, k[:, l], out=out[:, j, l])
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+# points where a phase is exactly 0, so that sin is +0.0 and a product with
+# a negative amplitude is -0.0, beside random points of either sign
+SIGNED_ZERO_POINTS = np.concatenate([
+    np.array([[0.0, 0.0], [-0.0, -0.0], [0.5, 0.0], [0.0, 0.5], [-0.25, 0.75]]),
+    np.random.default_rng(12).uniform(-1.0, 1.0, (4091, 2))])
+
+
+@pytest.mark.parametrize("terms", [
+    [((0, 1), (0.02, 0.0), None)],                        # sin only, a zero column
+    [((0, 1), (-0.02, 0.0), None)],                       # negative amplitude
+    [((1, 1), (0.01, -0.02), None)],
+    [((1, 0), None, (0.0, 0.02))],                        # cos only, a zero column
+    [((2, -1), None, (-0.011, 0.025))],
+    [((1, 1), (0.01, 0.02), (0.03, -0.01))],              # mixed
+    [((0, 1), (0.03, 0.0), None), ((1, 1), (0.0, 0.01), None)],   # two-mode sin
+    [((0, 1), (0.01, 0.0), None), ((1, 0), None, (0.0, 0.02)),
+     ((2, -1), (0.001, 0.002), (0.003, 0.001))],          # multi-mode, mixed
+    [((0, 0), None, (0.003, -0.002))],                    # the constant mode
+    [((0, 1), (0.02, 0.0), None), ((0, -1), (0.02, 0.0), None)],  # cancels to zero
+    [],                                                   # zero
+])
+def test_value_and_derivative_from_match_both_terms(terms):
+    # value_from and derivative_from skip a sin or cos term whose amplitudes
+    # are all zero; the results are those over both terms, sign bits included
+    p = (FourierPerturbation.from_sin_cos(terms) if terms else FourierPerturbation.zero())
+    for x in (SIGNED_ZERO_POINTS, REFERENCE_POINTS[:1], REFERENCE_POINTS[:7]):
+        trig = p.trig(x)
+        _assert_same_bits(p.value_from(trig), _ref_value_from(p, trig))
+        _assert_same_bits(p.derivative_from(trig), _ref_derivative_from(p, trig))
+
+
 class _CountingNumpy:
     """numpy as a module sees it, counting the values passed to sin and cos."""
 

@@ -10,7 +10,9 @@ heteroclinic leaf per lattice vector and the unstable leaves integrated
 again to the lifts of z', the default linear run made 132 projections of
 6,812 points and 34,548 holonomy RK4 row-steps, and the run on the action
 conjugated by phi = id + (0.02 sin 2 pi x2, 0) made 2,210 RK4 steps in
-Lemma 3, 8,800 heteroclinic row-steps among them.
+Lemma 3, 8,800 heteroclinic row-steps among them.  The field lookups
+(``LineField.angle_at`` calls and points) are pinned exactly: a lookup
+that moves off that path, or a change in their number, fails.
 
 A line field evaluates the trig values of its map's Fourier terms once
 per Jacobian batch and Newton iterate, never twice at one point.
@@ -30,14 +32,22 @@ PHI_02 = ["--set", "action.kind=conjugated",
 
 
 def _teichmuller_work(tmp_path, monkeypatch, args):
-    """Projections and RK4 steps of one in-process ``teichmuller`` run: calls
-    and points of ``LeafBundle.project``, and ``_rk4_step`` calls and rows
-    within ``tangency_propagation_check``, within ``holonomies`` and
-    within ``heteroclinic_points``."""
-    counts = dict.fromkeys(("project_calls", "project_points", "lemma3_steps",
-                            "holonomy_row_steps", "heteroclinic_row_steps"), 0)
+    """Field lookups, projections and RK4 steps of one in-process
+    ``teichmuller`` run: calls and points of ``LineField.angle_at`` and of
+    ``LeafBundle.project``, and ``_rk4_step`` calls and rows within
+    ``tangency_propagation_check``, within ``holonomies`` and within
+    ``heteroclinic_points``."""
+    counts = dict.fromkeys(("lookup_calls", "lookup_points", "project_calls",
+                            "project_points", "lemma3_steps", "holonomy_row_steps",
+                            "heteroclinic_row_steps"), 0)
     stage = set()
+    angle_at = foliations.LineField.angle_at
     project, rk4_step = foliations.LeafBundle.project, foliations._rk4_step
+
+    def counting_angle_at(self, x):
+        counts["lookup_calls"] += 1
+        counts["lookup_points"] += len(x)
+        return angle_at(self, x)
 
     def counting_project(self, pts, which=0, near=None):
         counts["project_calls"] += 1
@@ -60,6 +70,7 @@ def _teichmuller_work(tmp_path, monkeypatch, args):
         return wrapper
 
     monkeypatch.delenv("ANOSOV_LAB_OUT", raising=False)
+    monkeypatch.setattr(foliations.LineField, "angle_at", counting_angle_at)
     monkeypatch.setattr(foliations.LeafBundle, "project", counting_project)
     monkeypatch.setattr(foliations, "_rk4_step", counting_step)
     for name, attr in (("lemma3", "tangency_propagation_check"), ("holonomy", "holonomies"),
@@ -76,6 +87,8 @@ def test_default_teichmuller_run_projects_and_steps_within_bounds(tmp_path, monk
     assert counts["project_calls"] <= 105
     assert counts["project_points"] <= 6_100
     assert counts["holonomy_row_steps"] <= 17_500
+    # direction_at and the marching lookup each make one angle_at call
+    assert (counts["lookup_calls"], counts["lookup_points"]) == (1_885, 94_033)
 
 
 def test_conjugated_teichmuller_run_steps_each_heteroclinic_leaf_once(tmp_path, monkeypatch):
@@ -84,6 +97,7 @@ def test_conjugated_teichmuller_run_steps_each_heteroclinic_leaf_once(tmp_path, 
     # 936 RK4 steps, 944 row-steps of them on the two heteroclinic leaves
     assert counts["lemma3_steps"] <= 950
     assert counts["heteroclinic_row_steps"] <= 950
+    assert (counts["lookup_calls"], counts["lookup_points"]) == (3_770, 97_207)
 
 
 @pytest.mark.parametrize("name, calls, depth", [
