@@ -573,6 +573,21 @@ def _jacobian(ctx: RunContext) -> None:
     ctx.made["jacobian"] = jac
 
 
+def _verdict(ctx: RunContext) -> None:
+    """The measures only the teichmuller verdict reads: the conjugacy
+    residual of h on the 64-point grid, and the smallest angles between
+    E1u and E2s and between E2u and E1s."""
+    made = ctx.made
+    if "h" in made:
+        made["conjugacy_residual"] = made["h"].residual_on_grid(64)
+    if "fields" in made:
+        fields = made["fields"]
+        made["transversality_pairs"] = {
+            "E1u_vs_E2s": min_transversality_angle(fields["f1u"], fields["f2s"]),
+            "E2u_vs_E1s": min_transversality_angle(fields["f2u"], fields["f1s"]),
+        }
+
+
 def _prop1_along_h(ctx: RunContext) -> None:
     """The unstable direction at quadrature spacing 1e-3."""
     _, ctx.made["linearization"] = _prop1_along(ctx.made["h"], ctx.cfg.generators[0].vu,
@@ -594,8 +609,9 @@ def _numeric_factorization(ctx: RunContext) -> None:
         step=cfg.propagation_step)
 
 
-# The stage table.  TEICHMULLER is the end-to-end pass; the prop1 and
-# factorize subcommands have their own last stage.
+# The stage table.  TEICHMULLER is the end-to-end pass, VERDICT the last
+# stage of every teichmuller run; the prop1 and factorize subcommands have
+# their own last stage.
 SOLVE = Stage("solve_conjugacy", (), _solve_conjugacy)
 PERIODIC = Stage("compare_smooth_invariants", (), _compare_smooth_invariants)
 HOLDER = Stage("estimate_holder_exponent", ("h",), _estimate_holder_exponent)
@@ -604,6 +620,7 @@ PROPAGATION = Stage("tangency_propagation", ("fields",), _tangency_propagation)
 PROP1 = Stage("prop1", ("h",), _prop1)
 JACOBIAN = Stage("jacobian", ("h",), _jacobian)
 TEICHMULLER = (SOLVE, PERIODIC, HOLDER, LINE_FIELDS, PROPAGATION, PROP1, JACOBIAN)
+VERDICT = Stage("verdict", (), _verdict)
 PROP1_ALONG_H = Stage("prop1", ("h",), _prop1_along_h)
 PROP1_SYNTHETIC = Stage("prop1", (), _prop1_synthetic)
 FACTORIZATION = Stage("numeric_factorization", ("fields",), _numeric_factorization)
@@ -639,12 +656,18 @@ def teichmuller_stages(ctx: RunContext):
     before it have run: the first three of TEICHMULLER, then, for a pair
     that periodic data do not obstruct, ``line_fields`` and
     ``tangency_propagation`` (only when ``check_pair_hypothesis`` holds),
-    ``prop1`` and ``jacobian``.  A run without a pair says why in a
-    ``pair: ...`` entry, a failed pair hypothesis in a
-    ``pair_hypothesis: ...`` entry."""
+    ``prop1`` and ``jacobian``, and last ``verdict`` in every run.  A run
+    without a pair says why in a ``pair: ...`` entry, a failed pair
+    hypothesis in a ``pair_hypothesis: ...`` entry."""
     yield from TEICHMULLER[:3]
-    if obstructed(ctx):
-        return
+    if not obstructed(ctx):
+        yield from _pair_stages(ctx)
+    yield VERDICT
+
+
+def _pair_stages(ctx: RunContext):
+    """The stages of the teichmuller pass after periodic data that need
+    the generator pair."""
     if len(ctx.cfg.generators) < 2 or len(ctx.handles) < 2 or ctx.cfg.kind == "perturbed":
         # the pair checks assume that one h conjugates both maps; h is solved
         # from g1 alone, and nothing yet tests it against g2 = A2 + p
@@ -667,14 +690,16 @@ def teichmuller_stages(ctx: RunContext):
 def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     """``obstructed`` when periodic data differ by more than their
     threshold, else ``smooth`` when ``ctx.errors`` is empty and every
-    measure is within its threshold, else ``inconclusive``.  The measures
-    of the stages that did not run stay nan."""
+    measure is within its threshold, else ``inconclusive``.  It only reads
+    what the stages made, its own measures included (the ``verdict``
+    stage); the measures of the stages that did not run stay nan."""
     thr, made = ctx.cfg.thresholds, ctx.made
     diag: dict = {"thresholds": dict(thr)}
     transversality = lemma3 = slope = prop1 = jacobian = float("nan")
     if "h" in made:
         diag["conjugacy_sup_norm"] = made["h"].displacement.sup_norm
-        diag["conjugacy_residual"] = made["h"].residual_on_grid(64)
+    if "conjugacy_residual" in made:
+        diag["conjugacy_residual"] = made["conjugacy_residual"]
     if "periodic" in made:
         diag["periodic_max_mismatch"] = made["periodic"].max_mismatch
         diag["periodic_rows"] = made["periodic"].rows
@@ -683,13 +708,12 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     if "pair" in made:
         diag["pair_min_sine"] = made["pair"].min_pairwise_sine
     if "fields" in made:
-        fields = made["fields"]
-        diag["line_field_depths"] = {key: f.depth for key, f in fields.items()}
-        a1, at1 = min_transversality_angle(fields["f1u"], fields["f2s"])
-        a2, at2 = min_transversality_angle(fields["f2u"], fields["f1s"])
-        transversality = min(a1, a2)
-        diag["transversality_pairs"] = {"E1u_vs_E2s": (a1, tuple(at1)),
-                                        "E2u_vs_E1s": (a2, tuple(at2))}
+        diag["line_field_depths"] = {key: f.depth for key, f in made["fields"].items()}
+    if "transversality_pairs" in made:
+        pairs = made["transversality_pairs"]
+        transversality = min(angle for angle, _ in pairs.values())
+        diag["transversality_pairs"] = {key: (angle, tuple(at))
+                                        for key, (angle, at) in pairs.items()}
     if "propagation" in made:
         rows = made["propagation"]
         lemma3 = max(r.transport_deviation for r in rows)

@@ -431,9 +431,10 @@ PERTURBED_OBSTRUCTED = ("--set", "action.kind=perturbed", "--set",
     (("lemma3", *SMALL), ["line_fields", "tangency_propagation"]),
     (("periodic-data",), ["compare_smooth_invariants"]),
     (("teichmuller",), ["compare_smooth_invariants", "estimate_holder_exponent", "jacobian",
-                        "line_fields", "prop1", "solve_conjugacy", "tangency_propagation"]),
+                        "line_fields", "prop1", "solve_conjugacy", "tangency_propagation",
+                        "verdict"]),
     (("teichmuller", *PERTURBED_OBSTRUCTED, *SMALL),
-     ["compare_smooth_invariants", "estimate_holder_exponent", "solve_conjugacy"]),
+     ["compare_smooth_invariants", "estimate_holder_exponent", "solve_conjugacy", "verdict"]),
 ])
 def test_timings_are_keyed_by_the_stages_run(tmp_path, argv, stages):
     code, out = run(tmp_path, *argv)
@@ -442,3 +443,41 @@ def test_timings_are_keyed_by_the_stages_run(tmp_path, argv, stages):
     doc = json.loads((out / f"{name}-report.json").read_text())
     timings = json.loads((out / f"{name}-timings.json").read_text())["timings_seconds"]
     assert doc["timings_present"] == sorted(timings) == stages
+
+
+def test_teichmuller_verdict_measures_nothing_itself(tmp_path, monkeypatch):
+    # the conjugacy residual and the transversality angles run in the
+    # verdict stage, so its timing holds them; the verdict only formats
+    from anosov_lab import cli, rigidity
+    from anosov_lab.conjugacy import Conjugacy
+
+    calls = []
+    residual, angle = Conjugacy.residual_on_grid, rigidity.min_transversality_angle
+    verdict = cli.teichmuller_verdict
+
+    def counting_residual(self, n):
+        calls.append("residual")
+        return residual(self, n)
+
+    def counting_angle(f1, f2):
+        calls.append("angle")
+        return angle(f1, f2)
+
+    def checked_verdict(ctx):
+        before = len(calls)
+        result = verdict(ctx)
+        assert len(calls) == before
+        return result
+
+    monkeypatch.setattr(Conjugacy, "residual_on_grid", counting_residual)
+    monkeypatch.setattr(rigidity, "min_transversality_angle", counting_angle)
+    monkeypatch.setattr(cli, "teichmuller_verdict", checked_verdict)
+    code, out = run(tmp_path, "teichmuller", *SMALL)
+    assert code == 0
+    assert calls == ["residual", "angle", "angle"]
+    verdict_doc = json.loads((out / "teichmuller-report.json").read_text())["diagnostics"]
+    diag = verdict_doc["diagnostics"]
+    assert diag["conjugacy_residual"] < 1e-9
+    assert set(diag["transversality_pairs"]) == {"E1u_vs_E2s", "E2u_vs_E1s"}
+    assert verdict_doc["transversality_min_angle"] == min(
+        a for a, _ in diag["transversality_pairs"].values())
