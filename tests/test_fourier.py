@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anosov_lab import fourier
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
 
+from test_lookup_kernels import _assert_same_bits
 from test_maps import _ref_derivative
 
 # --- reference: the complex-exponential form with conjugate closure --------
@@ -130,12 +131,6 @@ def _ref_derivative_from(p, trig):
         for l in range(2):
             np.einsum("nm,m->n", rate, k[:, l], out=out[:, j, l])
     return out
-
-
-def _assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                          np.ascontiguousarray(want).view(np.uint64))
 
 
 # points where a phase is exactly 0, so that sin is +0.0 and a product with
