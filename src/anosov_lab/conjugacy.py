@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NewtonFailed, PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
-from .lattice import HyperbolicElement, IntMatrix2, grid_points, power, wrap_point
+from .lattice import HyperbolicElement, IntMatrix2, grid_points, power, row_blocks, wrap_point
 
 MAX_DISPLACEMENT = 0.5
 MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
@@ -169,6 +169,34 @@ class Conjugacy:
         return float(d.max())
 
 
+def _lift_into(out: np.ndarray, u: np.ndarray, n: int, order: np.ndarray | None) -> np.ndarray:
+    """h = id + u at the points of ``grid_points(n)`` into out, (N*N, 2),
+    with u and out in grid order, or in the order whose grid index at
+    each row is order; the grid points are rebuilt a row block at a time,
+    with the bits of grid_points."""
+    index = np.arange(n * n) if order is None else order
+    for rows in row_blocks(len(index)):
+        o = index[rows]
+        i = o // n
+        np.divide(i, n, out=out[rows, 0])
+        np.subtract(o, np.multiply(i, n, out=i), out=i)
+        np.divide(i, n, out=out[rows, 1])
+        out[rows] += u[rows]
+    return out
+
+
+def _residual(u: np.ndarray, u_a: np.ndarray, p: np.ndarray, a: np.ndarray) -> float:
+    """sup |u o A - A u - p|, formed a row block at a time."""
+    blocks = row_blocks(len(u))
+    sups = np.empty(len(blocks))
+    for k, rows in enumerate(blocks):
+        r = u[rows] @ a.T
+        np.subtract(u_a[rows], r, out=r)
+        r -= p[rows]
+        sups[k] = np.max(np.abs(r, out=r))
+    return float(np.max(sups))
+
+
 def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
                     u0: np.ndarray | None = None) -> Conjugacy:
     """Solve h o A = g o h for the identity-homotopic conjugacy h = id + u.
@@ -188,41 +216,41 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     layout.  Raises SolverDiverged when the residual stops decreasing for
     DIVERGENCE_PATIENCE consecutive iterations or the displacement leaves
     the admissible ball.
+
+    Besides p, an iteration holds u, one (N*N, 2) point buffer, the three
+    (N*N,) series arrays and the layout: the buffer takes the points h in
+    turn, then u o A, then |u|.
     """
     m = a_elem.matrix
     a = m.as_array()
-    pts = grid_points(n)
     w_s, w_u = a_elem.dual_basis()
     v_s, v_u = a_elem.vs, a_elem.vu
     lam_s = a_elem.signed_lambda_s
     lam_u = a_elem.signed_lambda_u
 
-    if u0 is None:
-        u, u_a = np.zeros((n * n, 2)), 0.0  # u o A of the zero start
-    else:
-        u = np.array(u0, dtype=float).reshape(n * n, 2)
-        u_a = np.take(u, _index_permutation(m, n), axis=0)
+    u = np.zeros((n * n, 2)) if u0 is None else np.array(u0, dtype=float).reshape(n * n, 2)
+    buf = np.empty((n * n, 2))
     layout = None
     best = np.inf
     stall = 0
     for it in range(MAX_ITERATIONS):
-        p = g.displacement(pts + u)
+        p = g.displacement(_lift_into(buf, u, n, None if layout is None else layout.order))
         if layout is not None:
-            u_a = layout.shift(u, 1, u_a)
-        # r and p are dropped as soon as they are used: held across the
-        # next evaluation of p they raise the peak memory of the N = 1024 solve
-        r = u @ a.T
-        np.subtract(u_a, r, out=r)
-        r -= p
-        res = float(np.max(np.abs(r, out=r)))
-        del r
+            layout.shift(u, 1, buf)
+        elif u0 is None:
+            buf.fill(0.0)  # u o A of the zero start
+        else:
+            np.take(u, _index_permutation(m, n), axis=0, out=buf)
+        res = _residual(u, buf, p, a)
         if res < 1e-9:
+            del p, buf
             values = u if layout is None else layout.scatter(u)
             return Conjugacy(DisplacementField(n, values), a_elem, g, res)
         if layout is None:
+            del buf
             layout = _OrbitLayout(m, n)
-            pts, p = layout.gather(pts), layout.gather(p)
-            u, u_a = np.empty_like(p), np.empty_like(p)
+            p = layout.gather(p)
+            buf = np.empty_like(p)
             xi, eta, tmp = np.empty(n * n), np.empty(n * n), np.empty(n * n)
         # xi = sum_k lam_s^k p_s o A^(-k-1), eta = -sum_k lam_u^(-k-1) p_u o A^k
         layout.shift(np.dot(p, w_s, out=tmp), -1, xi)
@@ -232,12 +260,14 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
         eta /= -lam_u
         layout.geometric_sum(eta, 1.0 / lam_u, 1, tmp)
         # u = xi v_s + eta v_u, a column at a time: broadcasting over rows
-        # of length 2 runs its inner loop on 2 elements and is 3x slower
+        # of length 2 runs its inner loop on 2 elements and is 3x slower;
+        # the previous u, in grid or orbit order, is overwritten whole
         for j in range(2):
             np.multiply(xi, v_s[j], out=tmp)
             np.add(tmp, eta * v_u[j], out=u[:, j])
-        if np.max(np.abs(u)) >= MAX_DISPLACEMENT:
-            raise SolverDiverged(f"|u| reached {np.max(np.abs(u)):.3f} at iteration {it}")
+        size = np.max(np.abs(u, out=buf))
+        if size >= MAX_DISPLACEMENT:
+            raise SolverDiverged(f"|u| reached {size:.3f} at iteration {it}")
         if res < best - 1e-16:
             best = res
             stall = 0

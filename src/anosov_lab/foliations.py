@@ -212,8 +212,9 @@ def _aligned_direction(field: LineField, pts, headings):
     The directions are not put in canonical sign first: the alignment
     overrides any sign, and (-d).h = -(d.h) exactly, so a row comes out
     with the same bits either way unless its alignment is exactly 0,
-    where the flow raises SignAmbiguity."""
-    theta = field.angle_at(np.mod(pts, 1.0))
+    where the flow raises SignAmbiguity.  pts - floor(pts) has the bits
+    of np.mod(pts, 1.0) at a fraction of its cost (``lattice.wrap_point``)."""
+    theta = field.angle_at(pts - np.floor(pts))
     d = np.empty((len(theta), 2))
     np.cos(theta, out=d[:, 0])
     np.sin(theta, out=d[:, 1])

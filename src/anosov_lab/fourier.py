@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import _empty2x2
+from .lattice import _empty2x2, row_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,16 +88,24 @@ class FourierPerturbation:
         """p(x), shape (n, 2), at the points x of shape (n, 2).
 
         A sin or cos term whose amplitudes are all zero is skipped; the
-        nonzero terms are summed in sin, cos order, as over both.
+        nonzero terms are summed in sin, cos order, as over both.  The
+        points are taken in ``lattice.row_blocks``, so the phase and trig
+        tables hold at most ROW_BLOCK x m values, and each block has the
+        bits of one whole-batch evaluation.
         """
         if self.is_zero:
             return np.zeros_like(x)
-        theta = self._phases(x)
         # __post_init__ drops all-zero rows, so at least one term is left
-        terms = [trig(theta) @ amps
-                 for trig, amps in ((np.sin, self.sin_amps), (np.cos, self.cos_amps))
-                 if amps.any()]
-        return terms[0] + terms[1] if len(terms) == 2 else terms[0]
+        (first, first_amps), *rest = [
+            (trig, amps) for trig, amps in ((np.sin, self.sin_amps), (np.cos, self.cos_amps))
+            if amps.any()]
+        out = np.empty((len(x), 2))
+        for rows in row_blocks(len(x)):
+            theta = self._phases(x[rows])
+            np.matmul(first(theta), first_amps, out=out[rows])
+            for trig, amps in rest:
+                out[rows] += trig(theta) @ amps
+        return out
 
     def derivative(self, x) -> np.ndarray:
         """Jacobians D p(x), shape (n, 2, 2) in the layout of
@@ -108,10 +116,8 @@ class FourierPerturbation:
             return out
         return self.derivative_from(self.trig(x))
 
-    # evaluate holds one trig array at a time, which keeps down the peak
-    # memory of the conjugacy solve's million-point evaluations of p on the
-    # N = 1024 grid; Newton, which needs value and derivative at the same
-    # points, shares one evaluation
+    # Newton, which needs value and derivative at the same points, shares
+    # one trig evaluation over the whole batch
     def trig(self, x):
         """(sin theta, cos theta), each (n, m), at theta = 2 pi k.x for the
         points x of shape (n, 2): one trig evaluation, from which

@@ -253,9 +253,29 @@ def grid_points(n: int) -> np.ndarray:
 
 
 def wrap_point(x) -> np.ndarray:
-    """Reduce to the half-open fundamental domain [0,1)^2."""
-    y = np.mod(np.asarray(x, dtype=float), 1.0)
-    # mod can return 1.0 for tiny negative inputs
-    y[y >= 1.0] -= 1.0
-    return y
+    """Reduce to the half-open fundamental domain [0,1)^2.
+
+    x - floor(x) has the bits of np.mod(x, 1.0) at a fraction of its cost:
+    for x >= 0 both are exact, and for x < 0 both round the same real
+    number x - floor(x) once."""
+    x = np.asarray(x, dtype=float)
+    y = np.floor(x)
+    np.subtract(x, y, out=y)
+    # a tiny negative x rounds to 1.0
+    return np.subtract(y, 1.0, out=y, where=y >= 1.0)
+
+
+# rows per block of a computation streamed over an (n, 2) batch
+ROW_BLOCK = 2 ** 14
+
+
+def row_blocks(n: int):
+    """Slices of range(n) in blocks of ROW_BLOCK rows, the last of which
+    takes a one-row tail: a one-row (1, 2) @ (2, k) matmul may round
+    differently from the batched kernel, while blocks of two or more rows
+    give the bits of one whole-batch product."""
+    stops = list(range(ROW_BLOCK, n, ROW_BLOCK))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return [slice(start, stop) for start, stop in zip([0, *stops], [*stops, n])]
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,90 @@ def test_reported_residual_is_the_grid_order_residual(request, e1, handle):
     p = g.displacement(grid_points(n) + u)
     r = u[_index_permutation(e1.matrix, n)] - u @ e1.matrix.as_array().T - p
     assert h.residual == float(np.max(np.abs(r)))
+
+
+def _ref_solve_conjugacy(a_elem, g, n, u0=None):
+    """solve_conjugacy with whole-grid arrays (a converging solve only):
+    the orbit-order grid gathered once, u o A in its own array and the
+    residual formed over the whole grid; the displacement values in grid
+    order and the residual."""
+    m = a_elem.matrix
+    a = m.as_array()
+    pts = grid_points(n)
+    w_s, w_u = a_elem.dual_basis()
+    v_s, v_u = a_elem.vs, a_elem.vu
+    lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
+    if u0 is None:
+        u, u_a = np.zeros((n * n, 2)), 0.0
+    else:
+        u = np.array(u0, dtype=float).reshape(n * n, 2)
+        u_a = np.take(u, _index_permutation(m, n), axis=0)
+    layout = None
+    for _ in range(MAX_ITERATIONS):
+        p = g.displacement(pts + u)
+        if layout is not None:
+            u_a = layout.shift(u, 1, u_a)
+        r = u @ a.T
+        np.subtract(u_a, r, out=r)
+        r -= p
+        res = float(np.max(np.abs(r, out=r)))
+        if res < 1e-9:
+            return (u if layout is None else layout.scatter(u)), res
+        if layout is None:
+            layout = _OrbitLayout(m, n)
+            pts, p = layout.gather(pts), layout.gather(p)
+            u, u_a = np.empty_like(p), np.empty_like(p)
+            xi, eta, tmp = np.empty(n * n), np.empty(n * n), np.empty(n * n)
+        layout.shift(np.dot(p, w_s, out=tmp), -1, xi)
+        layout.geometric_sum(xi, lam_s, -1, tmp)
+        np.dot(p, w_u, out=eta)
+        eta /= -lam_u
+        layout.geometric_sum(eta, 1.0 / lam_u, 1, tmp)
+        for j in range(2):
+            np.multiply(xi, v_s[j], out=tmp)
+            np.add(tmp, eta * v_u[j], out=u[:, j])
+    raise AssertionError("reference solve did not converge")
+
+
+@pytest.fixture(scope="module")
+def negative_trace():
+    e = eigen_data(IntMatrix2.from_rows(((-2, -1), (-1, -1))))
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((1, 1), (0.01, -0.005), (0.0, 0.004))]))
+    return e, ConjugatedMap(phi, e)
+
+
+@pytest.mark.parametrize("n", [64, 100, 256])
+@pytest.mark.parametrize("handle, start", [
+    ("linear_g1", False), ("conj_g1", False), ("perturbed_g1", False),
+    ("two_mode_g1", False), ("negative_trace", False),
+    ("conj_g1", True), ("perturbed_g1", True),
+])
+def test_solve_matches_whole_grid_reference_bit_for_bit(request, e1, handle, start, n):
+    # the solve streams the grid, u o A and the residual through one point
+    # buffer and row blocks; every iterate keeps its bits
+    g = request.getfixturevalue(handle)
+    a_elem = e1
+    if handle == "negative_trace":
+        a_elem, g = g
+    u0 = (1e-3 * np.random.default_rng(n).standard_normal((n * n, 2))) if start else None
+    h = solve_conjugacy(a_elem, g, n=n, u0=u0)
+    values, res = _ref_solve_conjugacy(a_elem, g, n, u0)
+    assert np.array_equal(h.displacement.values.view(np.uint64), values.view(np.uint64))
+    assert np.float64(h.residual).view(np.uint64) == np.float64(res).view(np.uint64)
+
+
+def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
+    # u, one point buffer, the three series arrays, the layout's order and
+    # p come to 80 B per grid point; whole-grid arrays for the gathered
+    # grid, u o A and the residual took 128
+    n = 512
+    tracemalloc.start()
+    try:
+        solve_conjugacy(e1, perturbed_g1, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * n * n
 
 
 def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeypatch):

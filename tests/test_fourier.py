@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from anosov_lab import fourier
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
+from anosov_lab.lattice import ROW_BLOCK
 
 from test_lookup_kernels import _assert_same_bits
 from test_maps import _ref_derivative
@@ -115,6 +117,58 @@ def test_evaluate_equals_full_trig_formula(terms, n, seed):
     theta = p._phases(x)
     expected = np.sin(theta) @ p.sin_amps + np.cos(theta) @ p.cos_amps
     assert np.array_equal(p.evaluate(x), expected)
+
+
+def _ref_evaluate(p, x):
+    """evaluate over the whole batch at once, in one block."""
+    theta = p._phases(x)
+    terms = [trig(theta) @ amps
+             for trig, amps in ((np.sin, p.sin_amps), (np.cos, p.cos_amps))
+             if amps.any()]
+    return terms[0] + terms[1] if len(terms) == 2 else terms[0]
+
+
+_BLOCK_KS = [(0, 1), (1, 0), (1, 1), (2, -1), (-1, 2), (3, 1)]
+
+
+def _block_terms(m, kind):
+    """m wavevectors, each with sin, cos or (mixed) both amplitudes."""
+    rng = np.random.default_rng(m)
+    terms = []
+    for i, k in enumerate(_BLOCK_KS[:m]):
+        sin, cos = tuple(rng.uniform(-0.02, 0.02, 2)), tuple(rng.uniform(-0.02, 0.02, 2))
+        if kind == "sin" or (kind == "mixed" and i % 2):
+            cos = None
+        elif kind == "cos" or (kind == "mixed" and m > 1):
+            sin = None
+        terms.append((k, sin, cos))
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos", "mixed"])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_evaluate_in_row_blocks_matches_one_block(m, kind):
+    # tails of 0, 1, 2 and 3 rows past a block; a one-row tail joins the
+    # block before it
+    p = FourierPerturbation.from_sin_cos(_block_terms(m, kind))
+    x = np.random.default_rng(13).uniform(-1.0, 1.0, (2 * ROW_BLOCK + 3, 2))
+    for n in (ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK + 3):
+        _assert_same_bits(p.evaluate(x[:n]), _ref_evaluate(p, x[:n]))
+
+
+def test_evaluate_peak_memory_per_point():
+    # the phase and trig tables of one row block beside the (n, 2) output;
+    # whole-batch tables of a 6-mode p took 128 B per point
+    p = FourierPerturbation.from_sin_cos(_block_terms(6, "mixed"))
+    n = 1 << 18
+    x = np.random.default_rng(14).random((n, 2))
+    tracemalloc.start()
+    try:
+        p.evaluate(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n
 
 
 def _ref_value_from(p, trig):

@@ -112,6 +112,27 @@ def test_wrap_point():
     assert np.array_equal(wrap_point(np.array([-1e-17, 0.5])), [0.0, 0.5])
 
 
+def _ref_wrap_point(x):
+    y = np.mod(np.asarray(x, dtype=float), 1.0)
+    y[y >= 1.0] -= 1.0
+    return y
+
+
+def test_wrap_point_matches_mod_bit_for_bit():
+    # 2^21 magnitudes log-uniform over [1e-20, 1e20] of either sign, plus
+    # signed zeros, integers and the extremes of the negative range
+    rng = np.random.default_rng(21)
+    x = 10.0 ** rng.uniform(-20.0, 20.0, 1 << 21) * rng.choice([-1.0, 1.0], 1 << 21)
+    special = [0.0, -0.0, -1e-20, 1e-20, 1.0, -1.0, 3.0, -7.0, 2.0 ** 52, -(2.0 ** 53),
+               2.0 ** 53, -5e-324, 5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), -0.5]
+    x = np.concatenate([x, special]).reshape(-1, 2)
+    got = wrap_point(x)
+    assert np.array_equal(got.view(np.uint64), _ref_wrap_point(x).view(np.uint64))
+    assert np.all((got >= 0.0) & (got < 1.0))
+    # the marching lookup wraps with x - floor(x), no fix-up: np.mod's bits
+    assert np.array_equal((x - np.floor(x)).view(np.uint64), np.mod(x, 1.0).view(np.uint64))
+
+
 def test_line_angle_parallel_antiparallel_perpendicular():
     v = np.array([3.0, 4.0])   # exact products, so the zeros are exact
     w = np.array([-4.0, 3.0])
