@@ -228,7 +228,11 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     lam_s = a_elem.signed_lambda_s
     lam_u = a_elem.signed_lambda_u
 
-    u = np.zeros((n * n, 2)) if u0 is None else np.array(u0, dtype=float).reshape(n * n, 2)
+    if u0 is None:
+        u = np.zeros((n * n, 2))
+    else:
+        # a C-ordered copy: scatter views each row of u as one complex128 item
+        u = np.array(u0, dtype=float, order="C").reshape(n * n, 2)
     buf = np.empty((n * n, 2))
     layout = None
     best = np.inf

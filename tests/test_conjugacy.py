@@ -273,6 +273,18 @@ def test_solve_matches_whole_grid_reference_bit_for_bit(request, e1, handle, sta
     assert np.float64(h.residual).view(np.uint64) == np.float64(res).view(np.uint64)
 
 
+def test_solve_accepts_a_fortran_ordered_start(e1, conj_g1):
+    # PeriodicBicubic returns a transposed view, so an interpolated h is a
+    # Fortran-ordered start; the solve gives the bits of its C-ordered copy
+    n = 128
+    u0 = solve_conjugacy(e1, conj_g1, n=64).displacement(grid_points(n))
+    assert not u0.flags.c_contiguous
+    h = solve_conjugacy(e1, conj_g1, n=n, u0=u0)
+    h_c = solve_conjugacy(e1, conj_g1, n=n, u0=np.ascontiguousarray(u0))
+    assert np.array_equal(h.displacement.values.view(np.uint64),
+                          h_c.displacement.values.view(np.uint64))
+
+
 def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
     # u, one point buffer, the three series arrays, the layout's order and
     # p come to 80 B per grid point; whole-grid arrays for the gathered
