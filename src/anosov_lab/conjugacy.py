@@ -13,6 +13,14 @@ A-orbits of the grid: the stable one forward (factor lambda_s), the
 unstable one backward (factor 1/lambda_u).  The solve lays the grid out
 orbit by orbit, sums both series exactly by doubling, and iterates only the
 re-evaluation of p(h).
+
+When h is smooth, as it is for an action smoothly conjugate to the linear
+one, a coarse grid already resolves it, and the N-grid solve needs only to
+polish the coarse solution (nested iteration).  ``coarse_start`` solves on
+the COARSE_N grid and reads the spectrum of that solution: when its
+high-frequency band is below the solve's stop it returns the bicubic
+interpolant on the N grid as a start, and otherwise None, so that the N
+solve starts cold.  Either way the N solve stops at the same residual.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ MAX_DISPLACEMENT = 0.5
 MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
 MAX_ITERATIONS = 2000
 DIVERGENCE_PATIENCE = 10
+RESIDUAL_STOP = 1e-9  # the solve stops once sup |u o A - A u - p(h)| is below it
+COARSE_N = 64  # the grid of coarse_start's solve: the smallest grid_n the config accepts
+SMOOTH_BAND = 16  # coarse_start reads the modes with max(|k1|, |k2|) >= SMOOTH_BAND
 
 
 def _index_permutation(m: IntMatrix2, n: int) -> np.ndarray:
@@ -217,6 +228,13 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     DIVERGENCE_PATIENCE consecutive iterations or the displacement leaves
     the admissible ball.
 
+    The ``solve_conjugacy`` stage passes ``coarse_start``'s u0: the
+    COARSE_N solution interpolated onto the N grid when the high band of
+    its spectrum is below the stop (a smooth h), and None, a cold start,
+    for a linear action, a Hölder h or a coarse SolverDiverged.  The stop
+    is the same from either start, so the start sets the work, not the
+    tolerance of h.
+
     Besides p, an iteration holds u, one (N*N, 2) point buffer, the three
     (N*N,) series arrays and the layout: the buffer takes the points h in
     turn, then u o A, then |u|.
@@ -246,7 +264,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
         else:
             np.take(u, _index_permutation(m, n), axis=0, out=buf)
         res = _residual(u, buf, p, a)
-        if res < 1e-9:
+        if res < RESIDUAL_STOP:
             del p, buf
             values = u if layout is None else layout.scatter(u)
             return Conjugacy(DisplacementField(n, values), a_elem, g, res)
@@ -280,6 +298,37 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
             if stall >= DIVERGENCE_PATIENCE:
                 raise SolverDiverged(f"residual stalled at {res:.3e} after {it + 1} iterations")
     raise SolverDiverged(f"residual {res:.3e} > 1e-9 after {MAX_ITERATIONS} iterations")
+
+
+def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
+    """A start u0 for the N-grid solve of h o A = g o h: the solution on
+    the COARSE_N grid, interpolated onto the N grid and C-ordered, when its
+    spectrum shows a smooth h; otherwise None, and the N solve starts cold.
+
+    The start is declined when N is not finer than COARSE_N; when the
+    coarse solve raises SolverDiverged; when the coarse u is exactly 0, as
+    for a linear action, before any FFT or interpolation; and when a
+    coefficient |u^(k)| / COARSE_N^2 of the band max(|k1|, |k2|) >=
+    SMOOTH_BAND reaches RESIDUAL_STOP.  The band of a smooth h holds
+    about 1e-12; that of the Hölder h of a perturbed action 1e-6 to 6e-5,
+    where the interpolant is a start that the N solve takes longer to
+    polish than it takes to solve cold.  The top shell alone can read
+    below the stop on a Hölder h, so the whole band is read.
+    """
+    if n <= COARSE_N:
+        return None
+    try:
+        coarse = solve_conjugacy(a_elem, g, n=COARSE_N).displacement
+    except SolverDiverged:
+        return None
+    if not coarse.values.any():
+        return None
+    u_hat = np.fft.fft2(coarse.values.reshape(COARSE_N, COARSE_N, 2), axes=(0, 1))
+    k = np.abs(np.fft.fftfreq(COARSE_N, 1.0 / COARSE_N))
+    band = np.maximum.outer(k, k) >= SMOOTH_BAND
+    if np.max(np.abs(u_hat[band])) / COARSE_N ** 2 >= RESIDUAL_STOP:
+        return None
+    return np.ascontiguousarray(coarse(grid_points(n)))
 
 
 def estimate_holder_exponent(h: Conjugacy, direction, scales, seed: int = 0):

@@ -22,7 +22,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .conjugacy import Conjugacy, compare_smooth_invariants, estimate_holder_exponent, solve_conjugacy
+from .conjugacy import (
+    Conjugacy,
+    coarse_start,
+    compare_smooth_invariants,
+    estimate_holder_exponent,
+    solve_conjugacy,
+)
 from .errors import (
     AnosovLabError,
     DomainMismatch,
@@ -516,7 +522,9 @@ class Stage(NamedTuple):
 # time, so a callee rebound here is the one every run calls.
 
 def _solve_conjugacy(ctx: RunContext) -> None:
-    ctx.made["h"] = solve_conjugacy(ctx.cfg.generators[0], ctx.handles[0], n=ctx.cfg.grid_n)
+    """h for g1 on the grid_n grid, started from ``coarse_start``."""
+    e1, g1, n = ctx.cfg.generators[0], ctx.handles[0], ctx.cfg.grid_n
+    ctx.made["h"] = solve_conjugacy(e1, g1, n=n, u0=coarse_start(e1, g1, n))
 
 
 def _compare_smooth_invariants(ctx: RunContext) -> None:

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from anosov_lab import conjugacy
+from anosov_lab.config import load_config
 from anosov_lab.conjugacy import (
+    COARSE_N,
     MAX_ITERATIONS,
     PeriodicOrbitData,
     _index_permutation,
@@ -15,16 +18,17 @@ from anosov_lab.conjugacy import (
     _OrbitLayout,
     _iterated_lift,
     _lattice_seeds,
+    coarse_start,
     compare_smooth_invariants,
     estimate_holder_exponent,
     find_periodic_points,
     solve_conjugacy,
 )
-from anosov_lab.errors import AnosovLabError, NewtonFailed, PeriodOutOfRange
+from anosov_lab.errors import AnosovLabError, NewtonFailed, PeriodOutOfRange, SolverDiverged
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import IntMatrix2, eigen_data, grid_points, invert, power, wrap_point
 from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
-from anosov_lab.rigidity import teichmuller_experiment
+from anosov_lab.rigidity import SOLVE, RunContext, run_stages, teichmuller_experiment
 
 from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
 
@@ -156,8 +160,13 @@ def test_index_permutation_matches_meshgrid(k):
         assert np.array_equal(np.bincount(order, minlength=n * n), np.ones(n * n, dtype=int))
 
 
-def _phi_sup_error(a_elem, phi, n):
-    h = solve_conjugacy(a_elem, ConjugatedMap(phi, a_elem), n=n)
+def _phi_sup_error(a_elem, phi, n, coarse=False):
+    """The residual and sup |h - phi| on the grid of the solve, started
+    cold or, with coarse, from ``coarse_start``, which must give a start."""
+    g = ConjugatedMap(phi, a_elem)
+    u0 = coarse_start(a_elem, g, n) if coarse else None
+    assert (u0 is not None) == coarse
+    h = solve_conjugacy(a_elem, g, n=n, u0=u0)
     pts = grid_points(n)
     return h.residual, float(np.max(np.abs(h.lift(pts) - phi.lift(pts))))
 
@@ -168,6 +177,15 @@ def test_solve_gives_phi_for_large_derivative(e1, amp):
     # a Jacobi sweep per evaluation of p diverges on both
     phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
     residual, err = _phi_sup_error(e1, phi, 128)
+    assert residual < 1e-9
+    assert err < 1e-8
+
+
+@pytest.mark.parametrize("amp", [0.02, 0.15])
+def test_solve_from_coarse_start_gives_phi(e1, amp):
+    # the bounds of the cold solve
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
+    residual, err = _phi_sup_error(e1, phi, 128, coarse=True)
     assert residual < 1e-9
     assert err < 1e-8
 
@@ -188,8 +206,9 @@ def test_solve_gives_phi_for_drawn_two_mode_diffeo(modes, bound):
     if phi is None:
         return
     e = eigen_data(IntMatrix2.from_rows(((2, 1), (1, 1))))
-    _, err = _phi_sup_error(e, phi, 128)
-    assert err < 1e-8
+    for coarse in (False, True):
+        _, err = _phi_sup_error(e, phi, 128, coarse)
+        assert err < 1e-8
 
 
 @pytest.mark.parametrize("handle", ["conj_g1", "perturbed_g1", "two_mode_g1"])
@@ -305,6 +324,65 @@ def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeyp
     monkeypatch.setattr(perturbed_g1, "displacement", lambda x: calls.append(len(x)) or displacement(x))
     solve_conjugacy(e1, perturbed_g1, n=256)
     assert 1 < len(calls) <= 6
+
+
+def _stage_h(a_elem, g, n):
+    """h of the solve_conjugacy stage on g at grid_n n; the stage records
+    no error."""
+    ctx = RunContext(replace(load_config(), generators=[a_elem], grid_n=n), [g])
+    run_stages(ctx, [SOLVE])
+    assert ctx.errors == []
+    return ctx.made["h"]
+
+
+def _same_bits(h, h_ref):
+    return (np.array_equal(h.displacement.values.view(np.uint64),
+                           h_ref.displacement.values.view(np.uint64))
+            and np.float64(h.residual).view(np.uint64) == np.float64(h_ref.residual).view(np.uint64))
+
+
+def test_coarse_start_declined_for_holder_h(e1, perturbed_g1):
+    # the band max(|k1|, |k2|) >= 16 of the coarse u reads about 1e-6 here
+    n = 256
+    assert coarse_start(e1, perturbed_g1, n) is None
+    assert _same_bits(_stage_h(e1, perturbed_g1, n), solve_conjugacy(e1, perturbed_g1, n=n))
+
+
+def test_coarse_start_declined_for_linear_action_before_fft(e1, linear_g1, monkeypatch):
+    calls = []
+    fft2, bicubic = np.fft.fft2, conjugacy.PeriodicBicubic
+    monkeypatch.setattr(np.fft, "fft2", lambda *a, **k: calls.append("fft2") or fft2(*a, **k))
+    monkeypatch.setattr(conjugacy, "PeriodicBicubic",
+                        lambda *a: calls.append("bicubic") or bicubic(*a))
+    assert coarse_start(e1, linear_g1, 256) is None
+    assert calls == []
+
+
+def test_coarse_start_declined_on_the_coarse_grid(e1, conj_g1):
+    assert coarse_start(e1, conj_g1, COARSE_N) is None
+
+
+def test_coarse_divergence_falls_back_to_the_cold_solve(e1, conj_g1, monkeypatch):
+    solve = conjugacy.solve_conjugacy
+
+    def diverging_on_the_coarse_grid(a_elem, g, n=256, u0=None):
+        if n == COARSE_N:
+            raise SolverDiverged("coarse")
+        return solve(a_elem, g, n=n, u0=u0)
+
+    monkeypatch.setattr(conjugacy, "solve_conjugacy", diverging_on_the_coarse_grid)
+    n = 128
+    assert _same_bits(_stage_h(e1, conj_g1, n), solve(e1, conj_g1, n=n))
+
+
+def test_stage_fine_solve_evaluates_p_at_most_three_times(e1, conj_g1, monkeypatch):
+    # from the coarse start the fine solve evaluates p twice; cold, 9 times
+    n = 256
+    calls = []
+    displacement = conj_g1.displacement
+    monkeypatch.setattr(conj_g1, "displacement", lambda x: calls.append(len(x)) or displacement(x))
+    _stage_h(e1, conj_g1, n)
+    assert 1 <= calls.count(n * n) <= 3
 
 
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):
