@@ -12,9 +12,10 @@ failure strings are covered too.  Three more runs walk map code that the
 others do not: ``foliation`` on a perturbed action (the Newton inverse
 and ``backward_jacobians`` of ``PerturbedMap`` and ``InverseMap``), and
 ``teichmuller`` and ``foliation`` on an action conjugated by a two-mode
-phi (D phi summed over two wavevectors).  Two last runs solve the
-conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action, and at
-``grid_n`` 1024 on a two-mode perturbation p.  Each
+phi (D phi summed over two wavevectors).  Three last runs solve the
+conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action, at the default
+``grid_n`` on the phi 0.15 action, and at ``grid_n`` 1024 on a two-mode
+perturbation p.  Each
 run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -96,6 +97,10 @@ MAP_PATHS = (
       for command in ("teichmuller", "foliation")),
     # the conjugacy solve of the phi 0.02 action on a second, finer grid
     ("phi-0.02-grid-512", "conjugacy", [*PHI, "resolution.grid_n=512"]),
+    # the conjugacy solve of the phi 0.15 action, |Dq| = 0.94, where the
+    # start from the coarse solve lies closest to the solve's stop
+    ("phi-0.15", "conjugacy",
+     ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
     # the N = 1024 conjugacy solve on a two-mode p, one of whose terms is
     # mixed, so that the evaluation of p runs on more than one wavevector
     ("two-mode-p-grid-1024", "conjugacy",
