@@ -18,9 +18,12 @@ When h is smooth, as it is for an action smoothly conjugate to the linear
 one, a coarse grid already resolves it, and the N-grid solve needs only to
 polish the coarse solution (nested iteration).  ``coarse_start`` solves on
 the COARSE_N grid and reads the spectrum of that solution: when its
-high-frequency band is below the solve's stop it returns the bicubic
-interpolant on the N grid as a start, and otherwise None, so that the N
-solve starts cold.  Either way the N solve stops at the same residual.
+high-frequency band is below the solve's stop it zero-pads that spectrum
+onto the N grid, whose inverse FFT is the band-limited interpolant and the
+start, and otherwise returns None, so that the N solve starts cold.  From
+the spectral start of a smooth h the N solve usually stops at its first
+evaluation of p and builds no orbit layout.  Either way the N solve stops
+at the same residual.
 """
 
 from __future__ import annotations
@@ -229,11 +232,12 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     the admissible ball.
 
     The ``solve_conjugacy`` stage passes ``coarse_start``'s u0: the
-    COARSE_N solution interpolated onto the N grid when the high band of
-    its spectrum is below the stop (a smooth h), and None, a cold start,
-    for a linear action, a Hölder h or a coarse SolverDiverged.  The stop
-    is the same from either start, so the start sets the work, not the
-    tolerance of h.
+    COARSE_N solution's spectrum zero-padded onto the N grid when its high
+    band is below the stop (a smooth h), and None, a cold start, for a
+    linear action, a Hölder h or a coarse SolverDiverged.  From the
+    spectral start the first check usually passes, so the N solve
+    evaluates p once.  The stop is the same from either start, so the
+    start sets the work, not the tolerance of h.
 
     Besides p, an iteration holds u, one (N*N, 2) point buffer, the three
     (N*N,) series arrays and the layout: the buffer takes the points h in
@@ -301,19 +305,29 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
 
 
 def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
-    """A start u0 for the N-grid solve of h o A = g o h: the solution on
-    the COARSE_N grid, interpolated onto the N grid and C-ordered, when its
-    spectrum shows a smooth h; otherwise None, and the N solve starts cold.
+    """A start u0, (N*N, 2) and C-ordered, for the N-grid solve of
+    h o A = g o h: the solution on the COARSE_N grid, zero-padded in
+    Fourier space onto the N grid, when its spectrum shows a smooth h;
+    otherwise None, and the N solve starts cold.
 
-    The start is declined when N is not finer than COARSE_N; when the
-    coarse solve raises SolverDiverged; when the coarse u is exactly 0, as
-    for a linear action, before any FFT or interpolation; and when a
-    coefficient |u^(k)| / COARSE_N^2 of the band max(|k1|, |k2|) >=
-    SMOOTH_BAND reaches RESIDUAL_STOP.  The band of a smooth h holds
-    about 1e-12; that of the Hölder h of a perturbed action 1e-6 to 6e-5,
-    where the interpolant is a start that the N solve takes longer to
-    polish than it takes to solve cold.  The top shell alone can read
-    below the stop on a Hölder h, so the whole band is read.
+    One real FFT of the coarse u gives its Fourier coefficients
+    u^(k) = sum_x u(x) e^(-2 pi i k.x) / COARSE_N^2.  The start is declined
+    when N is not finer than COARSE_N; when the coarse solve raises
+    SolverDiverged; when the coarse u is exactly 0, as for a linear action,
+    before any FFT; and when a coefficient |u^(k)| of the band
+    max(|k1|, |k2|) >= SMOOTH_BAND reaches RESIDUAL_STOP.  u is real, so
+    its half spectrum holds the band maximum of the whole.  The band of a
+    smooth h holds about 1e-12; that of the Hölder h of a perturbed action
+    1e-6 to 6e-5, where a start is one the N solve takes longer to polish
+    than it takes to solve cold.  The top shell alone can read below the
+    stop on a Hölder h, so the whole band is read.
+
+    Otherwise the modes with |k1|, |k2| < COARSE_N / 2 are the start's
+    spectrum on the N grid, every other mode 0, and one inverse real FFT
+    evaluates that trigonometric polynomial at the N grid points: the
+    band-limited interpolant of the coarse u.  The Nyquist row and column
+    lie in the band, below the stop, and are dropped.  From a smooth h the
+    N solve then usually stops at its first evaluation of p.
     """
     if n <= COARSE_N:
         return None
@@ -323,12 +337,18 @@ def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
         return None
     if not coarse.values.any():
         return None
-    u_hat = np.fft.fft2(coarse.values.reshape(COARSE_N, COARSE_N, 2), axes=(0, 1))
-    k = np.abs(np.fft.fftfreq(COARSE_N, 1.0 / COARSE_N))
-    band = np.maximum.outer(k, k) >= SMOOTH_BAND
-    if np.max(np.abs(u_hat[band])) / COARSE_N ** 2 >= RESIDUAL_STOP:
+    u_hat = np.fft.rfft2(coarse.values.reshape(COARSE_N, COARSE_N, 2), axes=(0, 1),
+                         norm="forward")
+    k1 = np.abs(np.fft.fftfreq(COARSE_N, 1.0 / COARSE_N))
+    k2 = np.fft.rfftfreq(COARSE_N, 1.0 / COARSE_N)
+    if np.max(np.abs(u_hat[np.maximum.outer(k1, k2) >= SMOOTH_BAND])) >= RESIDUAL_STOP:
         return None
-    return np.ascontiguousarray(coarse(grid_points(n)))
+    half = COARSE_N // 2
+    padded = np.zeros((n, n // 2 + 1, 2), dtype=complex)
+    padded[:half, :half] = u_hat[:half, :half]
+    padded[n - half + 1:, :half] = u_hat[half + 1:, :half]
+    u0 = np.fft.irfft2(padded, s=(n, n), axes=(0, 1), norm="forward")
+    return np.ascontiguousarray(u0).reshape(n * n, 2)
 
 
 def estimate_holder_exponent(h: Conjugacy, direction, scales, seed: int = 0):

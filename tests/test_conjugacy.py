@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from anosov_lab import conjugacy
 from anosov_lab.config import load_config
@@ -195,8 +195,9 @@ def test_solve_gives_phi_for_negative_trace():
     e = eigen_data(IntMatrix2.from_rows(((-2, -1), (-1, -1))))
     assert e.signed_lambda_s < 0
     phi = Diffeo(FourierPerturbation.from_sin_cos([((1, 1), (0.01, -0.005), (0.0, 0.004))]))
-    _, err = _phi_sup_error(e, phi, 128)
-    assert err < 1e-8
+    for coarse in (False, True):
+        _, err = _phi_sup_error(e, phi, 128, coarse)
+        assert err < 1e-8
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -350,10 +351,10 @@ def test_coarse_start_declined_for_holder_h(e1, perturbed_g1):
 
 def test_coarse_start_declined_for_linear_action_before_fft(e1, linear_g1, monkeypatch):
     calls = []
-    fft2, bicubic = np.fft.fft2, conjugacy.PeriodicBicubic
-    monkeypatch.setattr(np.fft, "fft2", lambda *a, **k: calls.append("fft2") or fft2(*a, **k))
-    monkeypatch.setattr(conjugacy, "PeriodicBicubic",
-                        lambda *a: calls.append("bicubic") or bicubic(*a))
+    for name in ("rfft2", "irfft2"):
+        fft = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, name=name, fft=fft, **k: calls.append(name) or fft(*a, **k))
     assert coarse_start(e1, linear_g1, 256) is None
     assert calls == []
 
@@ -375,14 +376,78 @@ def test_coarse_divergence_falls_back_to_the_cold_solve(e1, conj_g1, monkeypatch
     assert _same_bits(_stage_h(e1, conj_g1, n), solve(e1, conj_g1, n=n))
 
 
-def test_stage_fine_solve_evaluates_p_at_most_three_times(e1, conj_g1, monkeypatch):
-    # from the coarse start the fine solve evaluates p twice; cold, 9 times
-    n = 256
+def _stage_evaluations_of_p(a_elem, g, n):
+    """How many times the solve_conjugacy stage at grid_n n evaluates p on
+    the N*N grid."""
     calls = []
-    displacement = conj_g1.displacement
-    monkeypatch.setattr(conj_g1, "displacement", lambda x: calls.append(len(x)) or displacement(x))
-    _stage_h(e1, conj_g1, n)
-    assert 1 <= calls.count(n * n) <= 3
+    displacement = g.displacement
+    g.displacement = lambda x: calls.append(len(x)) or displacement(x)
+    try:
+        _stage_h(a_elem, g, n)
+    finally:
+        del g.displacement
+    return calls.count(n * n)
+
+
+@pytest.mark.parametrize("amp", [0.02, 0.15])
+def test_stage_fine_solve_evaluates_p_once(e1, conj_g1, amp):
+    # from the spectral start the fine solve stops at its first check; from
+    # the bicubic interpolant it evaluated p 2 and 21 times, cold 9 and 80
+    if amp == 0.02:
+        g = conj_g1
+    else:
+        g = ConjugatedMap(Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)])), e1)
+    assert _stage_evaluations_of_p(e1, g, 256) == 1
+
+
+@settings(max_examples=1, derandomize=True, deadline=None)
+@given(modes=TWO_MODES, bound=BOUNDS)
+def test_stage_fine_solve_evaluates_p_once_for_drawn_two_mode_diffeo(modes, bound):
+    phi = two_mode_diffeo(modes, bound)
+    assume(phi is not None)
+    e = eigen_data(IntMatrix2.from_rows(((2, 1), (1, 1))))
+    assert _stage_evaluations_of_p(e, ConjugatedMap(phi, e), 256) == 1
+
+
+def _coarse_start_of(a_elem, g, coarse_u, n, monkeypatch):
+    """coarse_start at n with the coarse solve's u replaced by coarse_u,
+    (COARSE_N**2, 2)."""
+    def solve_to_coarse_u(a_elem, g, n=256, u0=None):
+        assert n == COARSE_N
+        return conjugacy.Conjugacy(conjugacy.DisplacementField(n, coarse_u), a_elem, g, 0.0)
+
+    monkeypatch.setattr(conjugacy, "solve_conjugacy", solve_to_coarse_u)
+    return coarse_start(a_elem, g, n)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_coarse_start_is_exact_on_a_trigonometric_polynomial(e1, conj_g1, n, monkeypatch):
+    # every mode has max(|k1|, |k2|) < SMOOTH_BAND, so zero-padding the
+    # coarse spectrum reproduces the polynomial at the N grid points
+    q = FourierPerturbation.from_sin_cos([
+        ((0, 1), (0.02, 0.0), None),
+        ((15, -7), (0.01, -0.003), (0.004, 0.002)),
+        ((-3, 15), None, (0.0, 0.015)),
+        ((11, 11), (0.005, 0.005), (-0.002, 0.001)),
+    ])
+    u0 = _coarse_start_of(e1, conj_g1, q.evaluate(grid_points(COARSE_N)), n, monkeypatch)
+    assert np.max(np.abs(u0 - q.evaluate(grid_points(n)))) < 1e-14
+
+
+def test_coarse_start_builds_no_bicubic_interpolant(e1, conj_g1, monkeypatch):
+    calls = []
+    bicubic = conjugacy.PeriodicBicubic
+    monkeypatch.setattr(conjugacy, "PeriodicBicubic", lambda *a: calls.append(1) or bicubic(*a))
+    assert coarse_start(e1, conj_g1, 256) is not None
+    assert calls == []
+
+
+def test_coarse_start_is_a_c_ordered_float_grid(e1, conj_g1):
+    n = 256
+    u0 = coarse_start(e1, conj_g1, n)
+    assert u0.shape == (n * n, 2)
+    assert u0.dtype == np.float64
+    assert u0.flags.c_contiguous
 
 
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):
