@@ -390,14 +390,11 @@ def _stage_evaluations_of_p(a_elem, g, n):
 
 
 @pytest.mark.parametrize("amp", [0.02, 0.15])
-def test_stage_fine_solve_evaluates_p_once(e1, conj_g1, amp):
+def test_stage_fine_solve_evaluates_p_once(e1, amp):
     # from the spectral start the fine solve stops at its first check; from
     # the bicubic interpolant it evaluated p 2 and 21 times, cold 9 and 80
-    if amp == 0.02:
-        g = conj_g1
-    else:
-        g = ConjugatedMap(Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)])), e1)
-    assert _stage_evaluations_of_p(e1, g, 256) == 1
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
+    assert _stage_evaluations_of_p(e1, ConjugatedMap(phi, e1), 256) == 1
 
 
 @settings(max_examples=1, derandomize=True, deadline=None)
@@ -407,17 +404,6 @@ def test_stage_fine_solve_evaluates_p_once_for_drawn_two_mode_diffeo(modes, boun
     assume(phi is not None)
     e = eigen_data(IntMatrix2.from_rows(((2, 1), (1, 1))))
     assert _stage_evaluations_of_p(e, ConjugatedMap(phi, e), 256) == 1
-
-
-def _coarse_start_of(a_elem, g, coarse_u, n, monkeypatch):
-    """coarse_start at n with the coarse solve's u replaced by coarse_u,
-    (COARSE_N**2, 2)."""
-    def solve_to_coarse_u(a_elem, g, n=256, u0=None):
-        assert n == COARSE_N
-        return conjugacy.Conjugacy(conjugacy.DisplacementField(n, coarse_u), a_elem, g, 0.0)
-
-    monkeypatch.setattr(conjugacy, "solve_conjugacy", solve_to_coarse_u)
-    return coarse_start(a_elem, g, n)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -430,21 +416,20 @@ def test_coarse_start_is_exact_on_a_trigonometric_polynomial(e1, conj_g1, n, mon
         ((-3, 15), None, (0.0, 0.015)),
         ((11, 11), (0.005, 0.005), (-0.002, 0.001)),
     ])
-    u0 = _coarse_start_of(e1, conj_g1, q.evaluate(grid_points(COARSE_N)), n, monkeypatch)
+    coarse = conjugacy.DisplacementField(COARSE_N, q.evaluate(grid_points(COARSE_N)))
+    monkeypatch.setattr(conjugacy, "solve_conjugacy",
+                        lambda a_elem, g, n: conjugacy.Conjugacy(coarse, a_elem, g, 0.0))
+    u0 = coarse_start(e1, conj_g1, n)
     assert np.max(np.abs(u0 - q.evaluate(grid_points(n)))) < 1e-14
 
 
-def test_coarse_start_builds_no_bicubic_interpolant(e1, conj_g1, monkeypatch):
+def test_coarse_start_is_a_c_ordered_grid_without_a_bicubic_build(e1, conj_g1, monkeypatch):
     calls = []
     bicubic = conjugacy.PeriodicBicubic
     monkeypatch.setattr(conjugacy, "PeriodicBicubic", lambda *a: calls.append(1) or bicubic(*a))
-    assert coarse_start(e1, conj_g1, 256) is not None
-    assert calls == []
-
-
-def test_coarse_start_is_a_c_ordered_float_grid(e1, conj_g1):
     n = 256
     u0 = coarse_start(e1, conj_g1, n)
+    assert calls == []
     assert u0.shape == (n * n, 2)
     assert u0.dtype == np.float64
     assert u0.flags.c_contiguous
