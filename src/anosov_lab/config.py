@@ -246,6 +246,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
            for key, value in doc["experiment"].items() if key != "out_dir"}
     if not 1 <= exp["radius"] <= MAX_RADIUS:
         raise ConfigError("experiment.radius", f"must be an integer in [1, {MAX_RADIUS}]")
+    if exp["seed"] < 0:
+        raise ConfigError("experiment.seed", "must be a non-negative integer")
     for key, hi in (("span", 1.0), ("eps", 0.25)):
         if not 0 < exp[key] <= hi:
             raise ConfigError(f"experiment.{key}", f"must lie in (0, {hi:g}]")

@@ -215,8 +215,8 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
                     u0: np.ndarray | None = None) -> Conjugacy:
     """Solve h o A = g o h for the identity-homotopic conjugacy h = id + u.
 
-    Each iteration evaluates p at h = id + u on the grid and stops once
-    the residual sup |u o A - A u - p(h)| is below 1e-9.  Otherwise it
+    Each iteration evaluates p at h = id + u on the grid and stops once the
+    residual sup |u o A - A u - p(h)| is below RESIDUAL_STOP.  Otherwise it
     replaces u by the exact solution of the linear equation with p(h) held
     fixed, in the eigenbasis of A:
 
@@ -301,7 +301,8 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
             stall += 1
             if stall >= DIVERGENCE_PATIENCE:
                 raise SolverDiverged(f"residual stalled at {res:.3e} after {it + 1} iterations")
-    raise SolverDiverged(f"residual {res:.3e} > 1e-9 after {MAX_ITERATIONS} iterations")
+    raise SolverDiverged(f"residual {res:.3e} > {RESIDUAL_STOP:g} after {MAX_ITERATIONS} "
+                         "iterations")
 
 
 def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:

@@ -23,10 +23,6 @@ class SolverDiverged(AnosovLabError):
     """Conjugacy fixed-point iteration stopped making progress."""
 
 
-class Inconclusive(AnosovLabError):
-    """Cone-field margin too close to 1 to call either way."""
-
-
 class NotConverged(AnosovLabError):
     """Line-field iteration did not reach the angular tolerance."""
 

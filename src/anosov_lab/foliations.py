@@ -74,11 +74,6 @@ def _unit(theta):
     return v
 
 
-def _fold_angle(theta):
-    """Reduce to [0, pi)."""
-    return np.mod(theta, math.pi)
-
-
 class LineField:
     """Unit direction field mod pi on an N x N grid, owned by a torus map."""
 
@@ -179,7 +174,7 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
         if depth == iters:
             raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} at the depth cap "
                                f"resolution.field_iters = {iters}")
-    theta = _fold_angle(np.arctan2(v[:, 1], v[:, 0])).reshape(n, n)
+    theta = np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi).reshape(n, n)
     return LineField(g, theta, converged_residual=residual, depth=depth)
 
 

@@ -27,7 +27,6 @@ class FourierPerturbation:
     wavevectors: np.ndarray  # (m, 2) int
     sin_amps: np.ndarray  # (m, 2) float, a_k
     cos_amps: np.ndarray  # (m, 2) float, b_k
-    sup_bound: float = field(init=False, default=0.0)
     deriv_bound: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -48,13 +47,11 @@ class FourierPerturbation:
         object.__setattr__(self, "wavevectors", kv)
         object.__setattr__(self, "sin_amps", sa)
         object.__setattr__(self, "cos_amps", ca)
-        # triangle-inequality C^0 and C^1 bounds: |a_kj sin + b_kj cos| <=
-        # hypot(a_kj, b_kj); componentwise sup then Euclidean norm across
-        # components
+        # triangle-inequality C^1 bound: |a_kj sin + b_kj cos| <=
+        # hypot(a_kj, b_kj), so |d p_j / d x_l| <= sum_k hypot(a_kj, b_kj)
+        # 2 pi |k_l|; bound the operator norm by the spectral norm of the
+        # entry-wise bound matrix
         amp = np.hypot(sa, ca)  # (m, 2)
-        object.__setattr__(self, "sup_bound", float(np.linalg.norm(amp.sum(axis=0))))
-        # |d p_j / d x_l| <= sum_k hypot(a_kj, b_kj) 2 pi |k_l|; bound the
-        # operator norm by the spectral norm of the entry-wise bound matrix
         entry = np.einsum("mj,ml->jl", amp, TWO_PI * np.abs(kv).astype(float))
         object.__setattr__(self, "deriv_bound", float(np.linalg.norm(entry, 2)))
 

@@ -1,5 +1,5 @@
-"""Nonlinear torus maps: perturbed automorphisms, diffeomorphisms id + q,
-conjugated maps, and cone-field verification of the Anosov property.
+"""Nonlinear torus maps: perturbed automorphisms, diffeomorphisms id + q
+and conjugated maps.
 
 Every map handle exposes the same duck-typed surface:
 
@@ -21,15 +21,12 @@ work plane by plane.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import Inconclusive, NotADiffeo
+from .errors import NotADiffeo
 from .fourier import FourierPerturbation
 from .lattice import (HyperbolicElement, IntMatrix2, _empty2x2, _inv2, eigen_data, invert,
-                      line_angle, wrap_point)
+                      wrap_point)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
@@ -64,10 +61,8 @@ def _plus(d, m):
 class PerturbedMap:
     """g = A + p with A a hyperbolic automorphism and p a Fourier perturbation."""
 
-    def __init__(self, base, perturbation: FourierPerturbation):
-        # base may be a HyperbolicElement or a bare IntMatrix2 (the cone
-        # checker needs non-hyperbolic counterexamples too)
-        self._matrix = base if isinstance(base, IntMatrix2) else base.matrix
+    def __init__(self, base: HyperbolicElement, perturbation: FourierPerturbation):
+        self._matrix = base.matrix
         self.perturbation = perturbation
         self._A = self._matrix.as_array()
 
@@ -248,74 +243,3 @@ class ConjugatedMap:
 
     def inverse(self):
         return ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))
-
-
-@dataclass(frozen=True)
-class ConeParams:
-    """Aperture (radians) around a center direction, and orbit length."""
-
-    aperture: float
-    direction: tuple
-    iterations: int = 20
-
-    def __post_init__(self):
-        if not 0.0 < self.aperture < math.pi / 2:
-            raise ValueError("aperture must lie in (0, pi/2)")
-
-
-def _rotate(v, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
-def _cone_check(handle, center, aperture, orbit_len):
-    """Invariance and minimal expansion of the cone field under the handle's
-    jacobian, for 9 directions spanning the cone, along forward orbits of the
-    128 x 128 grid of cell centres.
-
-    Returns (invariant, min_expansion).
-    """
-    center = np.asarray(center, dtype=float)
-    center = center / np.linalg.norm(center)
-    angles = np.linspace(-aperture, aperture, 9)
-    dirs = np.stack([_rotate(center, a) for a in angles])  # (m, 2)
-
-    axis = (np.arange(128) + 0.5) / 128
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-
-    invariant = True
-    min_exp = np.inf
-    for _ in range(orbit_len):
-        jac = handle.jacobian(pts)
-        images = np.einsum("nij,mj->nmi", jac, dirs)
-        norms = np.linalg.norm(images, axis=2)
-        min_exp = min(min_exp, float(norms.min()))
-        if float(line_angle(images, center).max()) >= aperture:
-            invariant = False
-            break
-        pts = handle.apply(pts)
-    return invariant, min_exp
-
-
-def verify_anosov_cones(handle, params: ConeParams):
-    """Check the Anosov property via strict cone invariance and expansion.
-
-    The unstable cone around ``params.direction`` is checked under the map;
-    the stable cone (around the stable eigen-direction of the linear part)
-    is checked dually under the inverse map.  Returns (ok, margin) where
-    margin is the smaller of the two one-step expansion factors.
-    """
-    ok_u, exp_u = _cone_check(handle, params.direction, params.aperture, params.iterations)
-    margin = exp_u
-    if ok_u:
-        stable_dir = eigen_data(handle.linear_part).vs
-        inv = handle.inverse()
-        ok_s, exp_s = _cone_check(inv, stable_dir, params.aperture, params.iterations)
-        margin = min(exp_u, exp_s)
-        ok = ok_u and ok_s
-    else:
-        ok = False
-    if ok and abs(margin - 1.0) <= 1e-6:
-        raise Inconclusive(f"expansion margin {margin} within 1e-6 of 1; refine aperture or grid")
-    return (ok and margin > 1.0), margin

@@ -31,6 +31,7 @@ from .conjugacy import (
 )
 from .errors import (
     AnosovLabError,
+    ChartOverflow,
     DomainMismatch,
     NonMonotoneG,
     RootBracketFailed,
@@ -69,15 +70,6 @@ class TranslationAction:
     def __call__(self, t, y):
         return self.psi(self.psi.inverse(y) + t)
 
-    def flow_defect(self, t, s, y_values) -> float:
-        """Sup of |S(t+s, y) - S(t, S(s, y))| over the samples."""
-        y = np.asarray(y_values, dtype=float)
-        return float(np.max(np.abs(self(t + s, y) - self(t, self(s, y)))))
-
-    def identity_defect(self, y_values) -> float:
-        y = np.asarray(y_values, dtype=float)
-        return float(np.max(np.abs(self(0.0, y) - y)))
-
 
 def translation_action_from_conjugacy(h: Conjugacy, base, direction,
                                       span: float) -> TranslationAction:
@@ -105,19 +97,10 @@ def translation_action_from_conjugacy(h: Conjugacy, base, direction,
     return TranslationAction(r, psi)
 
 
-@dataclass
-class RegularityReport:
-    """Refinement stability and modulus of continuity of dS/dy."""
-
-    refinement_sup: float
-    modulus_of_continuity: float
-    d_field: np.ndarray  # (n_t, n_y) coarse finite-difference field
-
-
-def verify_action_regularity(S: TranslationAction, t_values, y_values) -> RegularityReport:
-    """Finite-difference field D(t, y) ~ dS/dy on the grid and on a
-    2x-refined y-grid; reports sup |D_fine - D_coarse| and the discrete
-    modulus of continuity of D."""
+def verify_action_regularity(S: TranslationAction, t_values, y_values) -> float:
+    """Refinement stability of dS/dy: sup |D_fine - D_coarse| between
+    centered differences D(t, y) ~ dS/dy at steps FD_STEP and FD_STEP / 2
+    on the (t, y) grid."""
     t_values = np.asarray(t_values, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
 
@@ -129,14 +112,7 @@ def verify_action_regularity(S: TranslationAction, t_values, y_values) -> Regula
 
     coarse = d_field(y_values, FD_STEP)
     fine = d_field(y_values, FD_STEP / 2.0)
-    refinement = float(np.max(np.abs(fine - coarse)))
-    osc = 0.0
-    if coarse.shape[1] > 1:
-        osc = max(osc, float(np.max(np.abs(np.diff(coarse, axis=1)))))
-    if coarse.shape[0] > 1:
-        osc = max(osc, float(np.max(np.abs(np.diff(coarse, axis=0)))))
-    return RegularityReport(refinement_sup=refinement, modulus_of_continuity=osc,
-                            d_field=coarse)
+    return float(np.max(np.abs(fine - coarse)))
 
 
 @dataclass
@@ -351,6 +327,13 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
         landed = y_samples.copy()
         arc_t_pred = 0.0
     else:
+        arc_t_pred = linear.translation_t * scale_1u
+        # the predicted landings must lie on tau_ext before any leaf moves
+        lo, hi = y_samples[0] + arc_t_pred, y_samples[-1] + arc_t_pred
+        t_lo, t_hi = float(tau_ext.params[0, 0]), float(tau_ext.params[0, tau_ext.last[0]])
+        if lo < t_lo or hi > t_hi:
+            raise ChartOverflow(f"slide s = {s:g} predicts landings in [{lo:.6g}, {hi:.6g}], "
+                                f"outside the transversal's parameters [{t_lo:.6g}, {t_hi:.6g}]")
         starts, _ = tau_ext.evaluate(y_samples)
         # leg 1: fixed arc-length slide along the first stable foliation,
         # signed so positive s moves along the canonical stable direction;
@@ -362,7 +345,6 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
         # leg 2: holonomy along the second stable foliation back to the leaf
         budget = abs(linear.slide_r) * 3.0 + 0.3
         landed, _ = _cross_to_target(field_2s, mids, tau_ext, budget=budget, step=step)
-        arc_t_pred = linear.translation_t * scale_1u
     deviation = float(np.max(np.abs(landed - (y_samples + arc_t_pred))))
     implied_t = float(np.mean(landed - y_samples)) / scale_1u
     return FactorizationResult(slide_s=float(s), slide_r=linear.slide_r,
@@ -558,14 +540,14 @@ def _prop1(ctx: RunContext) -> None:
     h, e1 = ctx.made["h"], ctx.cfg.generators[0]
     S_u, lin_u = _prop1_along(h, e1.vu, ctx.cfg.span, 2e-3)
     _, lin_s = _prop1_along(h, e1.vs, ctx.cfg.span, 2e-3)
-    reg = verify_action_regularity(
+    reg_sup = verify_action_regularity(
         S_u, np.linspace(0.0, 0.1, 5),
         np.linspace(0.55 * S_u.y_domain[0], 0.55 * S_u.y_domain[1], 21))
     ctx.made["prop1"] = {
         "alpha_unstable": lin_u.alpha, "alpha_stable": lin_s.alpha,
         "residual_unstable": lin_u.affinity_residual,
         "residual_stable": lin_s.affinity_residual,
-        "regularity_refinement_sup": reg.refinement_sup,
+        "regularity_refinement_sup": reg_sup,
     }
 
 

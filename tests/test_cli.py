@@ -99,6 +99,8 @@ BAD_VALUES = (
     # the subcommands that need a generator pair, given one generator
     + [(command, "group.generators=[[[2,1],[1,1]]]", "group.generators")
        for command in ("eigen", "transversality", "factorize", "lemma3")]
+    # a negative seed would reach np.random.default_rng, which rejects it
+    + [("teichmuller", "experiment.seed=-1", "experiment.seed")]
 )
 
 
@@ -384,6 +386,17 @@ def test_line_fields_not_converged_at_the_cap_exit_three(tmp_path, capsys, comma
     message = diag["errors"][0] if command == "teichmuller" else diag["failure"]
     assert message.startswith("line_fields: NotConverged: angular change ")
     assert message.endswith("> 1.0e-08 at the depth cap resolution.field_iters = 3")
+
+
+@pytest.mark.parametrize("slide_s", ["2", "-2"])
+def test_slide_landing_off_the_transversal_exit_three(tmp_path, capsys, slide_s):
+    """The transversal covers parameters +-1.5; a slide of 2 predicts
+    landings near -+1.9, so no leaf is marched."""
+    code, out = run(tmp_path, "factorize", *SMALL, "--set", f"experiment.slide_s={slide_s}")
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    diag = json.loads((out / "factorize-report.json").read_text())["diagnostics"]
+    assert diag["failure"].startswith("numeric_factorization: ChartOverflow: ")
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

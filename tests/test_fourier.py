@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -50,7 +49,6 @@ class ComplexReference:
                        for t in terms])
         self.kv, self.cf = _conjugate_closure(kv, cf)
         amp = np.abs(self.cf)
-        self.sup_bound = float(np.linalg.norm(amp.sum(axis=0)))
         entry = np.einsum("mj,ml->jl", amp, TWO_PI * np.abs(self.kv).astype(float))
         self.deriv_bound = float(np.linalg.norm(entry, 2))
 
@@ -77,7 +75,6 @@ def test_pure_mode_bit_equal_to_complex_reference(terms):
     assert np.array_equal(p.evaluate(x), ref.evaluate(x))
     assert np.array_equal(p.derivative(x), ref.derivative(x))
     assert np.array_equal(p.derivative(x), _ref_derivative(p, x))
-    assert p.sup_bound == ref.sup_bound
     assert p.deriv_bound == ref.deriv_bound
 
 
@@ -96,7 +93,6 @@ def test_mixed_and_multi_mode_match_complex_reference(terms):
     assert np.max(np.abs(p.derivative(x) - ref.derivative(x))) <= 1e-15
     assert np.array_equal(p.derivative(x), _ref_derivative(p, x))
     if len(terms) == 1:
-        assert p.sup_bound == ref.sup_bound
         assert p.deriv_bound == ref.deriv_bound
 
 
@@ -291,7 +287,6 @@ def test_constant_mode_is_its_cos_amplitude():
     x = REFERENCE_POINTS[:16]
     assert np.array_equal(p.evaluate(x), np.tile([0.003, -0.002], (16, 1)))
     assert np.all(p.derivative(x) == 0.0)
-    assert p.sup_bound == pytest.approx(math.hypot(0.003, 0.002), abs=1e-18)
     assert p.deriv_bound == 0.0
 
 
@@ -301,7 +296,6 @@ def test_zero_perturbation():
     p = FourierPerturbation.zero()
     x = np.random.default_rng(0).random((7, 2))
     assert np.all(p.evaluate(x) == 0.0)
-    assert p.sup_bound == 0.0
     assert p.deriv_bound == 0.0
     assert p.is_zero
 
@@ -346,7 +340,6 @@ def test_bounds_dominate_samples():
         ((1, 1), None, (0.0, 0.015)),
     ])
     x = np.random.default_rng(5).random((500, 2))
-    assert np.max(np.abs(p.evaluate(x))) <= p.sup_bound + 1e-12
     assert np.max(np.abs(p.derivative(x))) <= p.deriv_bound + 1e-12
 
 

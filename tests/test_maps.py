@@ -9,12 +9,10 @@ from anosov_lab.lattice import (IntMatrix2, _inv2, eigen_data, grid_points, inve
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
-    ConeParams,
     ConjugatedMap,
     Diffeo,
     InverseMap,
     PerturbedMap,
-    verify_anosov_cones,
 )
 
 RNG = np.random.default_rng(11)
@@ -109,34 +107,6 @@ def test_conjugated_map_is_conjugate(conj_g1, phi02, e1):
     lhs = conj_g1.lift(phi02.lift(x))
     rhs = phi02.lift(x @ e1.matrix.as_array().T)
     assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_cone_verification_linear(linear_g1, e1):
-    params = ConeParams(aperture=0.5, direction=tuple(e1.vu))
-    ok, margin = verify_anosov_cones(linear_g1, params)
-    assert ok
-    assert margin > 1.5  # expansion at least lambda_u cos(aperture)-ish
-
-
-def test_cone_verification_perturbed(perturbed, e1):
-    params = ConeParams(aperture=0.5, direction=tuple(e1.vu))
-    ok, margin = verify_anosov_cones(perturbed, params)
-    assert ok and margin > 1.2
-
-
-def test_cone_verification_conjugated(conj_g1, e1):
-    params = ConeParams(aperture=0.6, direction=tuple(e1.vu))
-    ok, margin = verify_anosov_cones(conj_g1, params)
-    assert ok and margin > 1.1
-
-
-def test_cone_margin_monotone_in_aperture(linear_g1, e1):
-    margins = []
-    for ap in (0.2, 0.5, 0.8):
-        _, m = verify_anosov_cones(linear_g1, ConeParams(aperture=ap, direction=tuple(e1.vu)))
-        margins.append(m)
-    # wider cones admit directions closer to the stable one: weaker expansion
-    assert margins[0] >= margins[1] >= margins[2]
 
 
 # --- references: the (n, 2, 2) arithmetic that the component-major

@@ -39,8 +39,9 @@ def sine_action():
 
 def test_action_identity_and_flow(sine_action):
     y = np.linspace(-0.5, 0.5, 21)
-    assert sine_action.identity_defect(y) < 1e-12
-    assert sine_action.flow_defect(0.07, 0.13, y) < 1e-8
+    S = sine_action
+    assert np.max(np.abs(S(0.0, y) - y)) < 1e-12
+    assert np.max(np.abs(S(0.07 + 0.13, y) - S(0.07, S(0.13, y)))) < 1e-8
 
 
 def test_nonmonotone_profile_rejected():
@@ -157,15 +158,14 @@ def test_cocycle_identity(sine_action):
 
 def test_regularity_of_rigid_translation():
     S = _profile_action(lambda r: r)
-    rep = verify_action_regularity(S, np.linspace(0, 0.1, 4), np.linspace(-0.4, 0.4, 17))
-    assert np.allclose(rep.d_field, 1.0, atol=1e-10)
-    assert rep.modulus_of_continuity < 1e-10
+    sup = verify_action_regularity(S, np.linspace(0, 0.1, 4), np.linspace(-0.4, 0.4, 17))
+    assert sup < 1e-10
 
 
 def test_regularity_smooth_profile(sine_action):
-    rep = verify_action_regularity(sine_action, np.linspace(0, 0.1, 4),
+    sup = verify_action_regularity(sine_action, np.linspace(0, 0.1, 4),
                                    np.linspace(-0.4, 0.4, 17))
-    assert rep.refinement_sup < 1e-4
+    assert sup < 1e-4
 
 
 def test_factor_linear_zero(e1, e2):
@@ -223,8 +223,8 @@ def test_translation_action_flow_from_smooth_conjugacy(e1, conj_g1):
     h = solve_conjugacy(e1, conj_g1, n=256)
     S = translation_action_from_conjugacy(h, np.zeros(2), e1.vu, 0.3)
     y = np.linspace(-0.1, 0.1, 9)
-    assert S.identity_defect(y) < 1e-12
-    assert S.flow_defect(0.04, 0.06, y) < 1e-8
+    assert np.max(np.abs(S(0.0, y) - y)) < 1e-12
+    assert np.max(np.abs(S(0.04 + 0.06, y) - S(0.04, S(0.06, y)))) < 1e-8
 
 
 def test_teichmuller_obstructed_for_single_generator(e1, perturbed_contrast):
