@@ -76,7 +76,7 @@ def _write_conjugacy(ctx: RunContext, report: reports.RunReport) -> None:
     report.diagnostics.update({
         "N": ctx.cfg.grid_n,
         "matrix": ctx.cfg.generators[0].matrix.rows(),
-        "sup_norm": h.displacement.sup_norm,
+        "sup_norm": h.sup_norm,
         "residual": h.residual_on_grid(64),
     })
     report.add_table("conjugacy-field.csv", ("i", "j", "u1", "u2"),
@@ -123,7 +123,7 @@ def _write_prop1(ctx: RunContext, report: reports.RunReport) -> None:
     report.diagnostics["source"] = "conjugacy" if "h" in ctx.made else "synthetic-profile"
     # cocycle identity on the affine conjugated action, over the g-image of
     # the middle half of the linearized domain (ends: first and last nodes)
-    lo, hi = lin.g_nodes[0, 0], lin.g_nodes[-1, 0]
+    lo, hi = lin.g.x[0], lin.g.x[-1]
     z = np.linspace(lin.g(lo * 0.5), lin.g(hi * 0.5), 9)
     t_vals = np.linspace(0.0, 0.05, 4)
     cocycle = max(
@@ -137,7 +137,7 @@ def _write_prop1(ctx: RunContext, report: reports.RunReport) -> None:
         "y0": lin.y0,
     })
     report.add_table("prop1-g.csv", ("y", "g"),
-                     [(float(a), float(b)) for a, b in lin.g_nodes[::10]])
+                     [(float(a), float(b)) for a, b in zip(lin.g.x[::10], lin.g.y[::10])])
 
 
 def _write_factorize(ctx: RunContext, report: reports.RunReport) -> None:
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = reports.RunReport(cfg.echo(), args.command)
+    report = reports.RunReport(cfg.doc, args.command)
     _run(command, cfg, report)
     try:
         report.write(cfg.out_dir)

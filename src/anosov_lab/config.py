@@ -106,7 +106,7 @@ def apply_overrides(doc: dict, pairs) -> dict:
 class ExperimentConfig:
     """Validated, fully-defaulted run configuration."""
 
-    doc: dict = field(repr=False)
+    doc: dict = field(repr=False)  # the resolved document, defaults in, out_dir left out
     generators: list          # HyperbolicElement per group generator
     kind: str
     diffeo_q: FourierPerturbation
@@ -125,10 +125,6 @@ class ExperimentConfig:
     slide_s: float
     span: float
     prop1_profile_amp: float
-
-    def echo(self) -> dict:
-        """The fully resolved document (defaults included) but the output directory."""
-        return self.doc
 
     def build_phi(self) -> Diffeo | None:
         if self.diffeo_q.is_zero:
@@ -165,14 +161,23 @@ def _pair(value, key: str, integer: bool = False) -> list:
 
 
 def _sin_cos_terms(spec, path: str) -> FourierPerturbation:
+    """Modes {k, sin, cos}, int64 holding k and -k, as a FourierPerturbation."""
+    if not isinstance(spec, list):
+        raise ConfigError(path, "must be a list of modes")
     terms = []
     for i, item in enumerate(spec):
         here = f"{path}[{i}]"
         if not isinstance(item, dict) or "k" not in item:
             raise ConfigError(here, "each mode needs a wavevector 'k'")
+        unknown = sorted(set(item) - {"k", "sin", "cos"})
+        if unknown:
+            raise ConfigError(f"{here}.{unknown[0]}", "unknown key")
+        k = _pair(item["k"], f"{here}.k", integer=True)
+        if max(abs(k[0]), abs(k[1])) >= 2 ** 63:
+            raise ConfigError(f"{here}.k", "|entry| must be below 2**63")
         amps = [None if item.get(name) is None else _pair(item[name], f"{here}.{name}")
                 for name in ("sin", "cos")]
-        terms.append((_pair(item["k"], f"{here}.k", integer=True), *amps))
+        terms.append((k, *amps))
     return FourierPerturbation.from_sin_cos(terms) if terms else FourierPerturbation.zero()
 
 
@@ -216,8 +221,8 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     scale = _number(doc["action"]["scale"], "action.scale")
     q = _sin_cos_terms(doc["action"]["diffeo"], "action.diffeo").scaled(scale)
     p = _sin_cos_terms(doc["action"]["perturbation"], "action.perturbation").scaled(scale)
-    if kind == "conjugated" and q.deriv_bound >= 1.0:
-        raise ConfigError("action.diffeo", f"||Dq|| bound {q.deriv_bound:.3f} >= 1: not a diffeo")
+    if kind == "conjugated" and not q.deriv_bound < 1.0:  # a nan bound too
+        raise ConfigError("action.diffeo", f"||Dq|| bound {q.deriv_bound:.3g} not < 1: not a diffeo")
 
     steps = ("leaf_step", "propagation_step")
     res = {key: _number(value, f"resolution.{key}", integer=key not in steps)

@@ -28,7 +28,7 @@ at the same residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,38 +124,28 @@ class _OrbitLayout:
         return f
 
 
-@dataclass
-class DisplacementField:
-    """Periodic displacement u on an N x N grid with bicubic interpolation."""
+class Conjugacy:
+    """h = id + u conjugating A to g, u on the N x N grid and bicubic off it."""
 
-    grid_size: int
-    values: np.ndarray  # (N*N, 2) flat, row-major in (i, j)
-
-    _interp: PeriodicBicubic | None = field(default=None, repr=False)
-
-    def interpolator(self) -> PeriodicBicubic:
-        if self._interp is None:
-            n = self.grid_size
-            self._interp = PeriodicBicubic(self.values.reshape(n, n, 2))
-        return self._interp
-
-    def __call__(self, x) -> np.ndarray:
-        return self.interpolator()(x)
+    def __init__(self, grid_size: int, values: np.ndarray, source: HyperbolicElement,
+                 target, residual: float):
+        self.grid_size = grid_size
+        self.values = values  # u, (N*N, 2) flat, row-major in (i, j)
+        self.source = source
+        self.target = target
+        self.residual = residual
+        self._interp = None
 
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-
-class Conjugacy:
-    """h = id + u conjugating the linear model A to the nonlinear map g."""
-
-    def __init__(self, displacement: DisplacementField, source: HyperbolicElement,
-                 target, residual: float):
-        self.displacement = displacement
-        self.source = source
-        self.target = target
-        self.residual = residual
+    def displacement(self, x) -> np.ndarray:
+        """u, shape (n, 2), at the points x of shape (n, 2)."""
+        if self._interp is None:
+            n = self.grid_size
+            self._interp = PeriodicBicubic(self.values.reshape(n, n, 2))
+        return self._interp(x)
 
     def lift(self, x):
         """h(x), shape (n, 2), at the points x of shape (n, 2)."""
@@ -271,7 +261,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
         if res < RESIDUAL_STOP:
             del p, buf
             values = u if layout is None else layout.scatter(u)
-            return Conjugacy(DisplacementField(n, values), a_elem, g, res)
+            return Conjugacy(n, values, a_elem, g, res)
         if layout is None:
             del buf
             layout = _OrbitLayout(m, n)
@@ -333,7 +323,7 @@ def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
     if n <= COARSE_N:
         return None
     try:
-        coarse = solve_conjugacy(a_elem, g, n=COARSE_N).displacement
+        coarse = solve_conjugacy(a_elem, g, n=COARSE_N)
     except SolverDiverged:
         return None
     if not coarse.values.any():
@@ -381,14 +371,6 @@ class PeriodicOrbitData:
     period: int
     points: np.ndarray  # (n, 2)
     multipliers: tuple  # (mult_u, mult_s), sorted by |.| descending
-
-    @property
-    def mult_u(self) -> float:
-        return self.multipliers[0]
-
-    @property
-    def mult_s(self) -> float:
-        return self.multipliers[1]
 
 
 def _k2_interval(a: int, b: int, d: int, lo: int, hi: int):
@@ -573,13 +555,14 @@ def compare_smooth_invariants(g, a_elem: HyperbolicElement, max_period: int) -> 
         orbits, failures = find_periodic_points(g, a_elem, n)
         all_failures.extend(failures)
         for orb in orbits:
-            mism = abs(np.log(abs(orb.mult_u)) - n * log_lam) / (n * log_lam)
+            mult_u, mult_s = orb.multipliers
+            mism = abs(np.log(abs(mult_u)) - n * log_lam) / (n * log_lam)
             rows.append({
                 "period": n,
                 "point_x": float(orb.points[0][0]),
                 "point_y": float(orb.points[0][1]),
-                "mult_u": float(orb.mult_u),
-                "mult_s": float(orb.mult_s),
+                "mult_u": float(mult_u),
+                "mult_s": float(mult_s),
                 "mismatch": float(mism),
             })
     max_mism = max((r["mismatch"] for r in rows), default=0.0)

@@ -77,22 +77,15 @@ def _unit(theta):
 class LineField:
     """Unit direction field mod pi on an N x N grid, owned by a torus map."""
 
-    def __init__(self, owner, theta: np.ndarray, converged_residual: float = 0.0,
-                 depth: int = 0):
+    def __init__(self, owner, theta: np.ndarray, depth: int = 0):
         self.owner = owner
         self.theta = np.asarray(theta, dtype=float)  # (N, N), [0, pi)
         self.grid_size = self.theta.shape[0]
-        self.converged_residual = converged_residual
         self.depth = depth  # backward-orbit depth the transport reached
         # interpolate the double-angle embedding so the mod-pi topology is smooth
         self._interp = PeriodicBicubic(
             np.stack([np.cos(2 * self.theta), np.sin(2 * self.theta)], axis=-1)
         )
-
-    @classmethod
-    def constant(cls, owner, direction, grid_size: int = 2) -> "LineField":
-        theta = math.atan2(direction[1], direction[0]) % math.pi
-        return cls(owner, np.full((grid_size, grid_size), theta))
 
     def angle_at(self, x):
         """Interpolated angles in [0, pi), shape (n,), at the torus points
@@ -175,7 +168,7 @@ def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
             raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} at the depth cap "
                                f"resolution.field_iters = {iters}")
     theta = np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi).reshape(n, n)
-    return LineField(g, theta, converged_residual=residual, depth=depth)
+    return LineField(g, theta, depth=depth)
 
 
 def line_fields(handles, keys, n: int, iters: int) -> dict:
@@ -822,11 +815,11 @@ def min_transversality_angle(f1: LineField, f2: LineField):
 class HeteroclinicPoint:
     """A point of W^u(z) cap W^s(z), with its leaf parameters and lattice tag."""
 
-    point: np.ndarray      # torus representative in [0,1)^2
     u_param: float         # a: arc length along the unstable leaf from z
     s_param: float         # b: arc length along the stable leaf from z
     lattice: tuple         # the integer vector k of the cover equation
     lift: np.ndarray       # the point on the lift of the unstable leaf from z
+    lift_s: np.ndarray     # the point on the lift of the stable leaf from z: lift - k
 
 
 def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
@@ -834,12 +827,13 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     """Transverse intersections of the unstable and stable leaves through z.
 
     Solves a v_u = b v_s + k over integer k with |k|_inf <= radius
-    (k = 0 excluded as the trivial basepoint); each point's lift is then
-    z + a v_u.  When nonlinear fields are supplied, each linear seed is
-    refined by intersecting the integrated leaves of the nonlinear map
-    through z: one stable and one unstable leaf serve every k, and one
-    Hermite solve finds all crossings, whose points are the lifts
-    (``_refine_heteroclinic``).
+    (k = 0 excluded as the trivial basepoint); each point's lifts on the
+    unstable and stable leaves from z are then z + a v_u and z + b v_s.
+    When nonlinear fields are supplied, each linear seed is refined by
+    intersecting the integrated leaves of the nonlinear map through z: one
+    stable and one unstable leaf serve every k, and one Hermite solve finds
+    all crossings, whose points are the unstable lifts; the stable lifts
+    are those less k (``_refine_heteroclinic``).
     """
     z = np.asarray(z, dtype=float)
     if not 1 <= radius <= MAX_RADIUS:
@@ -850,7 +844,7 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
           for k2 in range(-radius, radius + 1) if (k1, k2) != (0, 0)]
     seeds = [np.linalg.solve(basis, np.array(k, dtype=float)) for k in ks]
     if field_u is None:
-        out = [HeteroclinicPoint(np.mod(z + a * v_u, 1.0), float(a), float(b), k, z + a * v_u)
+        out = [HeteroclinicPoint(float(a), float(b), k, z + a * v_u, z + float(b) * v_s)
                for k, (a, b) in zip(ks, seeds)]
     else:
         out = _refine_heteroclinic(z, ks, seeds, field_u, field_s, step)
@@ -901,7 +895,7 @@ def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
         [movers.headings[every, e] for e in ends], movers.step, dist, foot, targets,
         every, tags)
     a_ref = movers.params[every, ends[0]] + sigma * movers.step
-    return [HeteroclinicPoint(np.mod(pt, 1.0), float(a), float(b), k, pt)
+    return [HeteroclinicPoint(float(a), float(b), k, pt, pt - np.array(k, dtype=float))
             for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
 
 

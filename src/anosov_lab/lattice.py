@@ -33,11 +33,6 @@ class IntMatrix2:
         if self.det != 1:
             raise NotInSL2Z(f"determinant {self.det} != 1, not in SL(2,Z)")
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix2":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

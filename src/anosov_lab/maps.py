@@ -148,8 +148,8 @@ class Diffeo:
     """phi = id + q, invertible when the derivative bound of q is below 1."""
 
     def __init__(self, q: FourierPerturbation):
-        if q.deriv_bound >= 1.0:
-            raise NotADiffeo(f"derivative bound {q.deriv_bound:.3f} >= 1")
+        if not q.deriv_bound < 1.0:  # a nan bound too
+            raise NotADiffeo(f"derivative bound {q.deriv_bound:.3g} is not below 1")
         self.q = q
 
     def lift(self, x):

@@ -77,8 +77,8 @@ def leaf_rows(leaf):
 
 
 def conjugacy_rows(h):
-    n = h.displacement.grid_size
-    u = h.displacement.values.reshape(n, n, 2)
+    n = h.grid_size
+    u = h.values.reshape(n, n, 2)
     for i in range(n):
         for j in range(n):
             yield i, j, float(u[i, j, 0]), float(u[i, j, 1])

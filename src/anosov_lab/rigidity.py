@@ -125,11 +125,6 @@ class LinearizationResult:
     g: MonotoneCubic = field(repr=False)  # knots: the quadrature nodes y and g(y)
     action: TranslationAction = field(repr=False)
 
-    @property
-    def g_nodes(self) -> np.ndarray:
-        """(m, 2): y and g(y) samples."""
-        return np.column_stack([self.g.x, self.g.y])
-
     def conjugated(self, t, z):
         """L(t, z) = g(S(t, g^{-1}(z)))."""
         return self.g(self.action(t, self.g.inverse(z)))
@@ -354,7 +349,6 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
 @dataclass
 class PropagationRow:
     lattice: tuple
-    point: np.ndarray
     angle: float              # between E_1^u and E_2^s at z'
     measured_slope: float
     predicted_slope: float
@@ -365,7 +359,7 @@ class PropagationRow:
         return abs(self.measured_slope - self.predicted_slope)
 
     def to_dict(self) -> dict:
-        """The row as reported: every field but the point."""
+        """The row as reported."""
         return {"lattice": self.lattice, "angle": self.angle,
                 "measured_slope": self.measured_slope,
                 "predicted_slope": self.predicted_slope,
@@ -375,7 +369,7 @@ class PropagationRow:
 def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
                                field_2s: LineField, z, e1: HyperbolicElement,
                                radius: int = 1, eps: float = 0.05,
-                               step: float = 1e-3, nonlinear: bool = False):
+                               step: float = 1e-3):
     """Transport the local graph of the second stable foliation from z to
     each heteroclinic point z' and compare predicted against measured
     slopes and graphs.  The holonomies run between frame axes of length
@@ -383,15 +377,16 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
 
     The leaves of every lattice vector k run together, in phases with one
     batched call per field each: the heteroclinic leaves through z (when
-    ``nonlinear``; one per field serves every k), every frame axis and
-    target leaf of the local graphs at z and at each z', the local-graph
-    crossings, and the holonomies.  The lift of each z' on the unstable
-    leaf from z is the crossing point of its heteroclinic solve (z + a v_u
-    for the linear action), and its lift on the stable leaf is that point
-    minus k (z + b v_s for the linear action).  Each k gets the numbers a
-    check of that k alone would give.  An error from a stacked call keeps
-    its class and names the failing k and whether the row belongs to a
-    heteroclinic leaf, a local graph or a holonomy.
+    the map owning ``field_1u`` is not linear; one per field serves every
+    k), every frame axis and target leaf of the local graphs at z and at
+    each z', the local-graph crossings, and the holonomies.  The lift of
+    each z' on the unstable leaf from z is the crossing point of its
+    heteroclinic solve (z + a v_u for the linear action), and its lift on
+    the stable leaf is that point minus k (z + b v_s for the linear
+    action).  Each k gets the numbers a check of that k alone would give.
+    An error from a stacked call keeps its class and names the failing k
+    and whether the row belongs to a heteroclinic leaf, a local graph or a
+    holonomy.
 
     The graphs and holonomies are not-a-knot cubic splines.  The predicted
     slope at z' is the chain rule of theta_z' = hol_u o theta_z o hol_s^-1
@@ -400,17 +395,14 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     Returns a list of PropagationRow, one per lattice vector.
     """
     z = np.asarray(z, dtype=float)
-    fu = field_1u if nonlinear else None
-    fs = field_1s if nonlinear else None
-    hps = heteroclinic_points(z, e1, radius, field_u=fu, field_s=fs, step=step)
+    # the linear action's heteroclinic points have a closed form
+    leaf_fields = () if field_1u.owner.is_linear else (field_1u, field_1s)
+    hps = heteroclinic_points(z, e1, radius, *leaf_fields, step=step)
     ks = [hp.lattice for hp in hps]
     n = len(hps)
     # lifts of z' reached along the unstable / stable leaves from z
     zp_u = np.array([hp.lift for hp in hps])
-    if nonlinear:
-        zp_s = zp_u - np.array(ks, dtype=float)
-    else:
-        zp_s = np.array([z + hp.s_param * e1.vs for hp in hps])
+    zp_s = np.array([hp.lift_s for hp in hps])
 
     # graph 0 sits at z, graph 1 + j at the lift of the j-th z'
     bases = np.vstack([z[None, :], zp_u])
@@ -447,7 +439,6 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
         measured = theta_zp.derivative(0.0)
         rows.append(PropagationRow(
             lattice=hp.lattice,
-            point=hp.point,
             angle=float(angle),
             measured_slope=float(measured),
             predicted_slope=float(predicted),
@@ -530,8 +521,7 @@ def _tangency_propagation(ctx: RunContext) -> None:
     fields, cfg = ctx.made["fields"], ctx.cfg
     ctx.made["propagation"] = tangency_propagation_check(
         fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), cfg.generators[0],
-        radius=cfg.radius, eps=cfg.eps, step=cfg.propagation_step,
-        nonlinear=not ctx.handles[0].is_linear)
+        radius=cfg.radius, eps=cfg.eps, step=cfg.propagation_step)
 
 
 def _prop1(ctx: RunContext) -> None:
@@ -687,7 +677,7 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     diag: dict = {"thresholds": dict(thr)}
     transversality = lemma3 = slope = prop1 = jacobian = float("nan")
     if "h" in made:
-        diag["conjugacy_sup_norm"] = made["h"].displacement.sup_norm
+        diag["conjugacy_sup_norm"] = made["h"].sup_norm
     if "conjugacy_residual" in made:
         diag["conjugacy_residual"] = made["conjugacy_residual"]
     if "periodic" in made:

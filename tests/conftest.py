@@ -13,12 +13,12 @@ GAMMA2 = ((1, 1), (1, 2))
 
 @pytest.fixture(scope="session")
 def e1():
-    return eigen_data(IntMatrix2.from_rows(GAMMA1))
+    return eigen_data(IntMatrix2(*GAMMA1[0], *GAMMA1[1]))
 
 
 @pytest.fixture(scope="session")
 def e2():
-    return eigen_data(IntMatrix2.from_rows(GAMMA2))
+    return eigen_data(IntMatrix2(*GAMMA2[0], *GAMMA2[1]))
 
 
 @pytest.fixture(scope="session")

@@ -55,13 +55,13 @@ def test_criterion_1_pair_hypothesis(e1, e2):
 
 def test_criterion_2_conjugacy_solver(e1, phi02, conj_g1, linear_g1):
     h = solve_conjugacy(e1, conj_g1, n=256)
-    n = h.displacement.grid_size
+    n = h.grid_size
     idx = np.arange(n * n)
     grid = np.column_stack([(idx // n) / n, (idx % n) / n])
     sup_dist = float(np.max(np.abs(h.lift(grid) - phi02.lift(grid))))
     residual = h.residual_on_grid(64)
     h0 = solve_conjugacy(e1, linear_g1, n=256)
-    zero_sup = h0.displacement.sup_norm
+    zero_sup = h0.sup_norm
     ok = sup_dist < 1e-6 and residual < 1e-9 and zero_sup == 0.0
     _verdict(2, "conjugacy solver", ok,
              f"sup|h-phi|={sup_dist:.3e} residual={residual:.3e} u_zero={zero_sup}")
@@ -132,7 +132,7 @@ def test_criterion_6_lemma3_transport(linear_fields, e1, conj_g1, conj_g2):
     }
     rows_smooth = tangency_propagation_check(
         fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1,
-        radius=1, step=4e-3, nonlinear=True)
+        radius=1, step=4e-3)
     dev_smooth = max(r.transport_deviation for r in rows_smooth)
     ok = (len(rows_lin) == 8 and dev_lin < 1e-8
           and len(rows_smooth) >= 8 and dev_smooth < 1e-3)

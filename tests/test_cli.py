@@ -101,6 +101,16 @@ BAD_VALUES = (
        for command in ("eigen", "transversality", "factorize", "lemma3")]
     # a negative seed would reach np.random.default_rng, which rejects it
     + [("teichmuller", "experiment.seed=-1", "experiment.seed")]
+    # a mode list must be a list of modes with the keys k, sin and cos only,
+    # and int64 must hold each k
+    + [("eigen", "action.diffeo=5", "action.diffeo"),
+       ("eigen", "action.diffeo=null", "action.diffeo"),
+       ("eigen", 'action.perturbation="abc"', "action.perturbation"),
+       ("eigen", 'action.diffeo=[{"k":[0,1],"tan":[0.01,0]}]', "action.diffeo[0].tan"),
+       ("eigen", 'action.diffeo=[{"k":[1e30,1],"sin":[0.001,0]}]', "action.diffeo[0].k")]
+    # the derivative bound of this q is nan, which is not below 1
+    + [("eigen", ("action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[1e308,0]}]'),
+        "action.diffeo")]
 )
 
 
@@ -341,7 +351,7 @@ def test_config_echo_round_trip(tmp_path):
     path.write_text(json.dumps(echo))
     cfg = load_config(str(path))
     assert cfg.grid_n == 128
-    assert cfg.echo()["resolution"] == echo["resolution"]
+    assert cfg.doc["resolution"] == echo["resolution"]
 
 
 def test_bundles_in_two_directories_are_byte_identical(tmp_path):

@@ -33,7 +33,7 @@ def test_conjugated_heteroclinic_points_are_phi_images(conj_fields, phi02, e1):
                                   field_s=conj_fields["f1s"], step=step)
         assert [h.lattice for h in got] == [h.lattice for h in linear] and len(got) == 24
         # the points, and their lifts on the unstable leaf through phi(0) = 0
-        gaps = [_torus_gap(h.point, x) for h, x in zip(got, exact)]
+        gaps = [_torus_gap(np.mod(h.lift, 1.0), x) for h, x in zip(got, exact)]
         assert max(gaps) < 5e-10, step
         assert np.max(np.abs(np.array([h.lift for h in got]) - exact)) < 5e-10, step
 

@@ -80,7 +80,12 @@ def test_line_field_depth_grows_as_tol_shrinks(conj_g1):
     fields = [compute_line_field(conj_g1, "unstable", n=64, iters=40, tol=tol) for tol in tols]
     depths = [f.depth for f in fields]
     assert depths == sorted(set(depths)), depths
-    assert all(f.converged_residual <= tol for f, tol in zip(fields, tols))
+    # each depth d is the first whose change is within its tol
+    changes = [r for _, r in itertools.islice(_pushed_seeds(conj_g1, grid_points(64)),
+                                              max(depths))]
+    for d, tol in zip(depths, tols):
+        assert changes[d - 1] <= tol, (d, tol)
+        assert d == 1 or changes[d - 2] > tol, (d, tol)
 
 
 def test_line_field_not_converged_at_the_cap_names_it(conj_g1):
@@ -184,8 +189,8 @@ def test_min_transversality_oracle(linear_fields):
 
 
 def test_min_transversality_rejects_different_grids():
-    f2 = LineField.constant(None, (1.0, 0.0), grid_size=2)
-    f4 = LineField.constant(None, (0.0, 1.0), grid_size=4)
+    f2 = LineField(None, np.zeros((2, 2)))
+    f4 = LineField(None, np.full((4, 4), math.pi / 2))
     with pytest.raises(DomainMismatch) as info:
         min_transversality_angle(f2, f4)
     assert isinstance(info.value, AnosovLabError)
@@ -235,6 +240,19 @@ def test_heteroclinic_solves_lattice_equation(e1):
         assert np.linalg.norm(resid) < 1e-10
 
 
+def test_heteroclinic_lifts_differ_by_the_lattice_vector(conj_fields, e1):
+    # closed form, as on the linear action: z + a v_u and z + b v_s
+    for hp in heteroclinic_points(np.zeros(2), e1, 3):
+        assert np.max(np.abs(hp.lift - hp.lift_s - hp.lattice)) <= 1e-15
+    # refined: the crossing point on the unstable leaf, less k exactly; the
+    # difference back is k to rounding (one ulp off at k = (-2, 2))
+    refined = heteroclinic_points(np.zeros(2), e1, 2, field_u=conj_fields["f1u"],
+                                  field_s=conj_fields["f1s"], step=4e-3)
+    for hp in refined:
+        assert np.array_equal(hp.lift_s, hp.lift - np.array(hp.lattice, dtype=float))
+        assert np.max(np.abs(hp.lift - hp.lift_s - hp.lattice)) <= 1e-15
+
+
 def test_graph_transport_linear(linear_fields, e1):
     from anosov_lab.rigidity import tangency_propagation_check
     rows = tangency_propagation_check(
@@ -251,7 +269,7 @@ def test_graph_transport_smooth(conj_fields, e1):
     for step in (4e-3, 8e-3):
         rows = tangency_propagation_check(
             conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
-            np.zeros(2), e1, radius=1, step=step, nonlinear=True)
+            np.zeros(2), e1, radius=1, step=step)
         assert len(rows) == 8
         # the spline maps and the chain-rule slope put both at the leaves' accuracy
         assert max(r.transport_deviation for r in rows) <= 1e-9, step
@@ -521,7 +539,7 @@ def test_cross_to_target_reports_escaped_leaf_count(linear_fields):
 def test_cross_to_target_shallow_crossing_raises(e1, linear_fields):
     v_u = np.asarray(e1.vu)
     tilt = math.atan2(v_u[1], v_u[0]) + 0.005
-    shallow = LineField.constant(None, (math.cos(tilt), math.sin(tilt)))
+    shallow = LineField(None, np.full((2, 2), tilt))
     tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
     starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [5e-4, -3e-4])
     with pytest.raises(TangencySuspected):

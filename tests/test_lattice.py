@@ -16,8 +16,8 @@ from anosov_lab.lattice import (
     wrap_point,
 )
 
-G1 = IntMatrix2.from_rows(((2, 1), (1, 1)))
-G2 = IntMatrix2.from_rows(((1, 1), (1, 2)))
+G1 = IntMatrix2(2, 1, 1, 1)
+G2 = IntMatrix2(1, 1, 1, 2)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0  # golden ratio
 
@@ -35,14 +35,14 @@ def test_bad_matrix_raises_typed_error(entries):
 
 
 def test_inverse_and_compose():
-    assert compose(G1, invert(G1)) == IntMatrix2.from_rows(((1, 0), (0, 1)))
+    assert compose(G1, invert(G1)) == IntMatrix2(1, 0, 0, 1)
     assert power(G1, 3) == compose(G1, compose(G1, G1))
     assert power(G1, -1) == invert(G1)
 
 
 def test_hyperbolicity_detection():
     assert is_hyperbolic(G1) and is_hyperbolic(G2)
-    rotation = IntMatrix2.from_rows(((0, -1), (1, 0)))
+    rotation = IntMatrix2(0, -1, 1, 0)
     assert not is_hyperbolic(rotation)
     with pytest.raises(NotHyperbolic):
         eigen_data(rotation)

@@ -196,7 +196,8 @@ def _ref_refine_heteroclinic(z, a, k, stable, unstable, field_u):
         unstable.headings[:, [c, c + 1]].transpose(1, 0, 2), unstable.step,
         dists[c:c + 2, None], feet[c:c + 2, None], target, np.zeros(1, dtype=int))
     a_ref = unstable.params[0, c] + sigma[0] * unstable.step[0]
-    return HeteroclinicPoint(np.mod(pt[0], 1.0), float(a_ref), float(b_ref[0]), k, pt[0])
+    return HeteroclinicPoint(float(a_ref), float(b_ref[0]), k, pt[0],
+                             pt[0] - np.array(k, dtype=float))
 
 
 def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-3):
@@ -220,8 +221,8 @@ def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-
     out = []
     for k, (a, b) in seeds.items():
         if field_u is None:
-            out.append(HeteroclinicPoint(np.mod(z + a * e1.vu, 1.0), float(a), float(b), k,
-                                         z + a * e1.vu))
+            out.append(HeteroclinicPoint(float(a), float(b), k, z + a * e1.vu,
+                                         z + float(b) * e1.vs))
         else:
             out.append(_ref_refine_heteroclinic(z, a, k, stable, unstable, field_u))
     out.sort(key=lambda h: h.lattice)
@@ -259,7 +260,7 @@ def _ref_tangency_propagation_check(field_1u, field_1s, field_2s, z, e1, radius=
         dir_u = field_1u.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
         dir_2s = field_2s.direction_at(np.mod(zp_u_lift, 1.0)[None])[0]
         rows.append(PropagationRow(
-            lattice=hp.lattice, point=hp.point,
+            lattice=hp.lattice,
             angle=float(line_angle(dir_u, dir_2s)),
             measured_slope=float(theta_zp.derivative(0.0)),
             predicted_slope=float(predicted),
@@ -390,8 +391,8 @@ def test_heteroclinic_points_match_serial_reference(conj_fields, e1):
                                     field_s=conj_fields["f1s"], step=STEP)
     assert [h.lattice for h in got] == [h.lattice for h in want]
     for g, w in zip(got, want):
-        assert np.array_equal(g.point, w.point)
         assert np.array_equal(g.lift, w.lift)
+        assert np.array_equal(g.lift_s, w.lift_s)
         assert (g.u_param, g.s_param) == (w.u_param, w.s_param)
 
 
@@ -399,7 +400,6 @@ def _assert_same_rows(got, want):
     assert len(got) == len(want) == 8
     for g, w in zip(got, want):
         assert g.to_dict() == w.to_dict()
-        assert np.array_equal(g.point, w.point)
 
 
 def test_propagation_rows_match_serial_loop_linear(linear_fields, e1):
@@ -413,7 +413,7 @@ def test_propagation_rows_match_serial_loop_nonlinear(conj_fields, e1):
     f = conj_fields
     args = (f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1)
     _assert_same_rows(
-        tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True),
+        tangency_propagation_check(*args, radius=1, step=STEP),
         _ref_tangency_propagation_check(*args, radius=1, step=STEP, nonlinear=True))
 
 
@@ -504,18 +504,17 @@ def _hinted_projections(run):
     return calls
 
 
-def _assert_march_hints_change_nothing(f, e1, nonlinear):
+def _assert_march_hints_change_nothing(f, e1):
     calls = _hinted_projections(lambda: tangency_propagation_check(
-        f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, radius=1, step=STEP,
-        nonlinear=nonlinear))
+        f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, radius=1, step=STEP))
     assert calls
     for bundle, pts, which, near in calls:
         _assert_hints_change_nothing(bundle, pts, which, near)
 
 
-@pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
-def test_every_march_projection_is_the_whole_row_projection(request, e1, name, nonlinear):
-    _assert_march_hints_change_nothing(request.getfixturevalue(name), e1, nonlinear)
+@pytest.mark.parametrize("name", ["linear_fields", "conj_fields"])
+def test_every_march_projection_is_the_whole_row_projection(request, e1, name):
+    _assert_march_hints_change_nothing(request.getfixturevalue(name), e1)
 
 
 @pytest.mark.parametrize("step", [4e-3, 8e-3])
@@ -542,8 +541,7 @@ def test_march_hints_keep_every_nearest_node_in_the_window(conj_fields, e1, step
     f = conj_fields
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LeafBundle, "_nearest", counting)
-        tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, step=step,
-                                   nonlinear=True)
+        tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1, step=step)
     assert points["hinted"] > 5_000
     assert points["searched again"] == 0
 
@@ -556,7 +554,7 @@ def test_march_projections_of_drawn_two_mode_diffeo(e1, e2, modes, bound):
         return
     fields = line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)),
                          ("f1u", "f1s", "f2s"), 32, 40)
-    _assert_march_hints_change_nothing(fields, e1, nonlinear=True)
+    _assert_march_hints_change_nothing(fields, e1)
 
 
 # --- errors of stacked calls name their lattice vectors and kinds ---------
@@ -577,12 +575,11 @@ def test_stacked_chart_overflow_names_local_graphs(linear_fields, e1):
         tangency_propagation_check(f["f1u"], f["f1s"], f["f1s"], np.zeros(2), e1, step=STEP)
 
 
-def test_stacked_escape_names_heteroclinic_leaf(linear_fields, e1):
-    f = linear_fields
+def test_stacked_escape_names_heteroclinic_leaf(conj_fields, e1):
+    f = conj_fields
     # "unstable" leaves along the stable field never meet a stable translate
     with pytest.raises(LeafEscaped, match=r"^no stable-leaf crossing \[heteroclinic leaf k=\(-1, -1\)\]$"):
-        tangency_propagation_check(f["f1s"], f["f1s"], f["f2s"], np.zeros(2), e1, step=STEP,
-                                   nonlinear=True)
+        tangency_propagation_check(f["f1s"], f["f1s"], f["f2s"], np.zeros(2), e1, step=STEP)
 
 
 def test_stacked_sign_ambiguity_names_rows(linear_fields, e1):
@@ -716,9 +713,9 @@ def test_skipped_projections_match_every_step_march_of_drawn_two_mode_diffeo(e1,
 
 
 @pytest.mark.parametrize("step", [4e-3, 8e-3])
-@pytest.mark.parametrize("name, nonlinear", [("linear_fields", False), ("conj_fields", True)])
+@pytest.mark.parametrize("name", ["linear_fields", "conj_fields"])
 def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(request, e1, name,
-                                                                           nonlinear, step):
+                                                                           step):
     fields = request.getfixturevalue(name)
     # every march of the default check, once more through the every-step
     # reference, which records the largest change of the fast distance
@@ -741,7 +738,7 @@ def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(reques
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foliations, "_cross_to_target", every_step)
         tangency_propagation_check(fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1,
-                                   step=step, nonlinear=nonlinear)
+                                   step=step)
     # local graphs at z and at 8 points z', each through both frame fields,
     # and both holonomies of each z'
     assert len(jumps) == 2 * 9 + 2 * 8

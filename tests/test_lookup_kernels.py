@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from anosov_lab.conjugacy import DisplacementField
 from anosov_lab.errors import SignAmbiguity
 from anosov_lab.foliations import LineField, _aligned_direction, _flow, _unit
+from anosov_lab.interp import PeriodicBicubic
 
 SIZES = [1, 7, 300, 16384]
 # 0, pi/2 and its neighbours, the last angle below pi, and -0.0
@@ -77,7 +77,7 @@ def _grids(field):
     values = np.stack([0.02 * np.sin(2 * np.pi * y) + 0.01 * np.cos(2 * np.pi * (x + 2 * y)),
                        -0.015 * np.sin(2 * np.pi * (x - y))], axis=-1)
     return {"line field": field._interp,
-            "displacement": DisplacementField(n, values.reshape(n * n, 2)).interpolator()}
+            "displacement": PeriodicBicubic(values)}
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -178,7 +178,7 @@ def test_aligned_direction_at_zero_alignment_differs_only_in_zero_signs():
 
 
 @pytest.mark.parametrize("field", [
-    LineField.constant(None, (1.0, 0.0)),
+    LineField(None, np.zeros((2, 2))),
     _FixedAngles([np.nextafter(math.pi, 0.0)]),
 ])
 def test_flow_raises_sign_ambiguity_at_zero_alignment(field):

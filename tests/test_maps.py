@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ def test_diffeo_contract(phi02):
 def test_diffeo_rejects_large_derivative():
     q = FourierPerturbation.from_sin_cos([((0, 1), (0.5, 0.0), None)])  # ||Dq|| ~ pi
     with pytest.raises(NotADiffeo):
+        Diffeo(q)
+
+
+def test_diffeo_rejects_nan_derivative_bound():
+    q = FourierPerturbation.from_sin_cos([((0, 1), (1e308, 0.0), None)])
+    assert math.isnan(q.deriv_bound)
+    with pytest.raises(NotADiffeo, match="derivative bound nan is not below 1"):
         Diffeo(q)
 
 
@@ -291,7 +300,7 @@ def test_conjugated_jacobian_matches_einsum(request, phi_name, rows):
     # rows of signed zeros; phi02 fixes 0, so there they reach
     # _conjugated_jacobian as they are
     x[:4] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
-    handle = ConjugatedMap(phi, eigen_data(IntMatrix2.from_rows(rows)))
+    handle = ConjugatedMap(phi, eigen_data(IntMatrix2(*rows[0], *rows[1])))
     for h in (handle, handle.inverse()):
         _assert_same_bits(h.jacobian(x), _ref_conjugated_jacobian(h, x))
 
