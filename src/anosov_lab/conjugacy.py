@@ -283,7 +283,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
             np.add(tmp, eta * v_u[j], out=u[:, j])
         size = np.max(np.abs(u, out=buf))
         if size >= MAX_DISPLACEMENT:
-            raise SolverDiverged(f"|u| reached {size:.3f} at iteration {it}")
+            raise SolverDiverged(f"|u| reached {size:.3g} at iteration {it}")
         if res < best - 1e-16:
             best = res
             stall = 0

@@ -11,6 +11,8 @@ iterates it would take alone.  A single leaf is a one-row ``LeafBundle``.
 A march brackets each crossing of a leaf with a transversal, at the first
 step whose fast signed distance changes sign; ``_hermite_crossings``
 intersects the leaf's and the transversal's cubic Hermite segments there.
+Holonomies, local graphs and heteroclinic points all find their crossings
+this one way, through ``_cross_to_target``.
 Rows that start on one leaf with one heading share one march, so each
 distinct leaf is integrated once whatever the number of transversals it
 is bracketed against.  A row projects onto its transversal, through a
@@ -500,10 +502,12 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
     all stopped rows, before any escape or tangency check.  Every row gets
     what a call with that row alone gives it.
 
-    Returns (s_prime, crossing_angle) arrays.  Raises SignAmbiguity naming
-    every live row of a leaf whose field direction flips, LeafEscaped when
-    a row exhausts its budget, TangencySuspected for shallow crossings;
-    ``tags`` (one per row) name the failing rows.
+    Returns (s_prime, point): each row's target parameter, and the crossing
+    point on its leaf's cubic Hermite segment, (m, 2).  Raises
+    SignAmbiguity naming every live row of a leaf whose field direction
+    flips, LeafEscaped when a row exhausts its budget, TangencySuspected
+    for crossing angles below TANGENCY_THRESHOLD; ``tags`` (one per row)
+    name the failing rows.
     """
     leaf = np.arange(len(starts)) if leaf is None else np.asarray(leaf)
     m = len(leaf)
@@ -559,10 +563,11 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
         pts[marches], hd[marches] = stepped, hd_step
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
+    pt_out = np.full((m, 2), np.nan)
     c = np.flatnonzero(~active)
     if len(c):
         nodes, heads, dists, feet = ((b[c], a[c]) for b, a in zip(before, after))
-        _, s_out[c], ang_out[c], _ = _hermite_crossings(
+        s_out[c], ang_out[c], pt_out[c] = _hermite_crossings(
             field, nodes, heads, np.full(len(c), step), dists, feet, targets, which[c],
             _row_tags(tags, c))
     if active.any():
@@ -575,7 +580,7 @@ def _cross_to_target(field: LineField, starts, targets: LeafBundle, budget, step
         raise _failure(TangencySuspected,
                        f"min crossing angle {np.nanmin(ang_out):.4f} rad below {TANGENCY_THRESHOLD}",
                        np.flatnonzero(shallow), tags)
-    return s_out, ang_out
+    return s_out, pt_out
 
 
 def _hermite_segments(field: LineField, p0, p1, h0, h1, spacing):
@@ -620,10 +625,10 @@ def _hermite_crossings(field: LineField, nodes, heads, spacing, dist, foot,
     at the linear zero of the distance.  When the solve leaves that segment
     it moves once to the adjacent one.
 
-    Returns (sigma, s_prime, crossing_angle, point): the mover's fraction
-    of its step, the target parameter, the angle between the two curves and
-    the crossing point.  Raises SignAmbiguity, naming the rows by ``tags``,
-    for a crossing on neither segment.
+    Returns (s_prime, crossing_angle, point): the target parameter, the
+    angle between the two curves and the crossing point on the mover.
+    Raises SignAmbiguity, naming the rows by ``tags``, for a crossing on
+    neither segment.
     """
     mover = _hermite_segments(field, *nodes, *heads, spacing)
     sigma = dist[0] / (dist[0] - dist[1])
@@ -651,7 +656,7 @@ def _hermite_crossings(field: LineField, nodes, heads, spacing, dist, foot,
     if len(rows):
         raise _failure(SignAmbiguity, "crossing outside the target segment of its bracket "
                        "and the adjacent one", rows, tags)
-    return sigma, targets.params[which, node] + tau * t_step, angle, point
+    return targets.params[which, node] + tau * t_step, angle, point
 
 
 def holonomies(field: LineField, tau1: LeafBundle, tau2s: LeafBundle, budgets,
@@ -815,8 +820,8 @@ def min_transversality_angle(f1: LineField, f2: LineField):
 class HeteroclinicPoint:
     """A point of W^u(z) cap W^s(z), with its leaf parameters and lattice tag."""
 
-    u_param: float         # a: arc length along the unstable leaf from z
-    s_param: float         # b: arc length along the stable leaf from z
+    u_param: float         # a of the linear seed a v_u = b v_s + k
+    s_param: float         # b of the linear seed
     lattice: tuple         # the integer vector k of the cover equation
     lift: np.ndarray       # the point on the lift of the unstable leaf from z
     lift_s: np.ndarray     # the point on the lift of the stable leaf from z: lift - k
@@ -827,13 +832,17 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
     """Transverse intersections of the unstable and stable leaves through z.
 
     Solves a v_u = b v_s + k over integer k with |k|_inf <= radius
-    (k = 0 excluded as the trivial basepoint); each point's lifts on the
-    unstable and stable leaves from z are then z + a v_u and z + b v_s.
-    When nonlinear fields are supplied, each linear seed is refined by
-    intersecting the integrated leaves of the nonlinear map through z: one
-    stable and one unstable leaf serve every k, and one Hermite solve finds
-    all crossings, whose points are the unstable lifts; the stable lifts
-    are those less k (``_refine_heteroclinic``).
+    (k = 0 excluded as the trivial basepoint); these linear seeds are each
+    point's ``u_param`` and ``s_param``, and its lifts on the unstable and
+    stable leaves from z are z + a v_u and z + b v_s.  When nonlinear
+    fields are supplied, the lifts are those of the integrated leaves of
+    the nonlinear map instead: one stable leaf through z, integrated once
+    at the longest length any k needs and translated by each k, is the
+    target of one ``_cross_to_target`` call, in which the unstable leaf
+    from z marches once per heading for every k within arc length
+    1.3 |a| + 0.1.  Each crossing point is the unstable lift, and the
+    stable lift is that point less k.  Errors name the failing k; the
+    stable leaf, which serves every k, names them all.
     """
     z = np.asarray(z, dtype=float)
     if not 1 <= radius <= MAX_RADIUS:
@@ -844,59 +853,23 @@ def heteroclinic_points(z, e1, radius: int, field_u: LineField | None = None,
           for k2 in range(-radius, radius + 1) if (k1, k2) != (0, 0)]
     seeds = [np.linalg.solve(basis, np.array(k, dtype=float)) for k in ks]
     if field_u is None:
-        out = [HeteroclinicPoint(float(a), float(b), k, z + a * v_u, z + float(b) * v_s)
-               for k, (a, b) in zip(ks, seeds)]
+        lifts = [z + a * v_u for a, _ in seeds]
+        lifts_s = [z + float(b) * v_s for _, b in seeds]
     else:
-        out = _refine_heteroclinic(z, ks, seeds, field_u, field_s, step)
-    out.sort(key=lambda h: h.lattice)
-    return out
-
-
-def _refine_heteroclinic(z, ks, seeds, field_u, field_s, step):
-    """Intersect, for each lattice vector k, the integrated unstable leaf
-    through z with the k-translated stable leaf.
-
-    One stable and one unstable leaf through z are integrated, each at
-    the longest length any k needs, and serve every k: row k of the
-    targets is the stable leaf translated by k, and row k of the movers
-    is the unstable leaf.  A scan of the fast signed distance of the
-    unstable leaf's nodes to each target, one k at a time, finds the sign
-    change nearest the linear prediction; its nodes x nodes distance table
-    is the largest array of the check.  One ``_hermite_crossings`` call
-    then solves every crossing, giving both arc lengths a and b and the
-    crossing point on the unstable leaf's lift.  Errors name the failing
-    k; a leaf that serves every k names them all.
-    """
-    pad = 1.3
-    tags = [f"heteroclinic leaf k={k}" for k in ks]
-    count = len(ks)
-    leaf_tags = ["; ".join(tags)]
-    stable = integrate_leaves(field_s, z[None], max(2 * abs(b) * pad + 0.2 for _, b in seeds),
-                              step=step, centered=True, tags=leaf_tags)
-    unstable = integrate_leaves(field_u, z[None], max(2 * abs(a) * pad + 0.2 for a, _ in seeds),
-                                step=step, centered=True, tags=leaf_tags)
-    targets = stable.take([0] * count).translated(np.array(ks, dtype=float))
-    movers = unstable.take([0] * count)
-    cand, near = [], []
-    for i in range(count):
-        feet, dists, _ = targets.take([i]).project(unstable.points[0])
-        sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
-        if len(sign_change) == 0:
-            raise _failure(LeafEscaped, "no stable-leaf crossing", [i], tags)
-        # pick the crossing closest to the linear prediction
-        c = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - seeds[i][0]))]
-        cand.append(c)
-        near.append((dists[c:c + 2], feet[c:c + 2]))
-    every = np.arange(count)
-    ends = (np.array(cand), np.array(cand) + 1)
-    dist, foot = np.transpose(near, (1, 2, 0))
-    sigma, b_ref, _, pts = _hermite_crossings(
-        field_u, [movers.points[every, e] for e in ends],
-        [movers.headings[every, e] for e in ends], movers.step, dist, foot, targets,
-        every, tags)
-    a_ref = movers.params[every, ends[0]] + sigma * movers.step
-    return [HeteroclinicPoint(float(a), float(b), k, pt, pt - np.array(k, dtype=float))
-            for pt, a, b, k in zip(pts, a_ref, b_ref, ks)]
+        pad = 1.3
+        tags = [f"heteroclinic leaf k={k}" for k in ks]
+        count = len(ks)
+        offsets = np.array(ks, dtype=float)
+        stable = integrate_leaves(field_s, z[None], max(2 * abs(b) * pad + 0.2 for _, b in seeds),
+                                  step=step, centered=True, tags=["; ".join(tags)])
+        _, lifts = _cross_to_target(field_u, z[None], stable.take([0] * count).translated(offsets),
+                                    [abs(a) * pad + 0.1 for a, _ in seeds], step,
+                                    which=np.arange(count), tags=tags,
+                                    leaf=np.zeros(count, dtype=int))
+        lifts_s = lifts - offsets
+    # ks, and so the points, are in increasing lexicographic order
+    return [HeteroclinicPoint(float(a), float(b), k, lift, lift_s)
+            for k, (a, b), lift, lift_s in zip(ks, seeds, lifts, lifts_s)]
 
 
 def verify_graph_transport(theta_z: HermiteCubic, theta_zp: HermiteCubic,

@@ -376,14 +376,16 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     0.3 at z and 0.6 at z'.
 
     The leaves of every lattice vector k run together, in phases with one
-    batched call per field each: the heteroclinic leaves through z (when
-    the map owning ``field_1u`` is not linear; one per field serves every
-    k), every frame axis and target leaf of the local graphs at z and at
-    each z', the local-graph crossings, and the holonomies.  The lift of
-    each z' on the unstable leaf from z is the crossing point of its
-    heteroclinic solve (z + a v_u for the linear action), and its lift on
-    the stable leaf is that point minus k (z + b v_s for the linear
-    action).  Each k gets the numbers a check of that k alone would give.
+    batched call per field each: the heteroclinic crossings (when the map
+    owning ``field_1u`` is not linear: one stable leaf through z, translated
+    by each k, and one march of the unstable leaf from z per heading, in
+    one ``_cross_to_target`` call), every frame axis and target leaf of
+    the local graphs at z and at each z', the local-graph crossings, and
+    the holonomies.  The lift of each z' on the unstable leaf from z is its
+    heteroclinic crossing point (z + a v_u for the linear action), and its
+    lift on the stable leaf is that point minus k (z + b v_s for the linear
+    action).  The holonomy budgets are sized from the linear seeds a and b.
+    Each k gets the numbers a check of that k alone would give.
     An error from a stacked call keeps its class and names the failing k
     and whether the row belongs to a heteroclinic leaf, a local graph or a
     holonomy.
@@ -670,9 +672,13 @@ def _pair_stages(ctx: RunContext):
 def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     """``obstructed`` when periodic data differ by more than their
     threshold, else ``smooth`` when ``ctx.errors`` is empty and every
-    measure is within its threshold, else ``inconclusive``.  It only reads
-    what the stages made, its own measures included (the ``verdict``
-    stage); the measures of the stages that did not run stay nan."""
+    measure is within its threshold, else ``inconclusive``.  An
+    ``inconclusive`` verdict with no stage error lists one entry
+    ``"verdict: <measure> <value> > thresholds.<key> = <threshold>"`` (``<``
+    for the transversality angle) per check that fell short.  It only
+    reads what the stages made, its own measures included (the
+    ``verdict`` stage); the measures of the stages that did not run stay
+    nan."""
     thr, made = ctx.cfg.thresholds, ctx.made
     diag: dict = {"thresholds": dict(thr)}
     transversality = lemma3 = slope = prop1 = jacobian = float("nan")
@@ -706,12 +712,21 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     if "jacobian" in made:
         diag.update(made["jacobian"])
         jacobian = made["jacobian"]["jacobian_refinement_sup"]
-    smooth = (transversality >= thr["transversality"] and lemma3 <= thr["lemma3"]
-              and prop1 <= thr["prop1_residual"] and jacobian <= thr["jacobian"])
+    # each check's verdict field, measure, threshold key and whether the
+    # measure must be at least (else at most) its threshold; nan falls short
+    checks = (("transversality_min_angle", transversality, "transversality", True),
+              ("lemma3_deviation", lemma3, "lemma3", False),
+              ("prop1_affinity_residual", prop1, "prop1_residual", False),
+              ("jacobian_consistency", jacobian, "jacobian", False))
+    short = [f"verdict: {name} {value:.3g} {'<' if least else '>'} thresholds.{key} = "
+             f"{thr[key]:g}" for name, value, key, least in checks
+             if not (value >= thr[key] if least else value <= thr[key])]
     verdict = ("obstructed" if obstructed(ctx)
-               else "smooth" if smooth and not ctx.errors else "inconclusive")
+               else "inconclusive" if short or ctx.errors else "smooth")
+    # a run that fell short only of thresholds names each check
+    errors = short if verdict == "inconclusive" and not ctx.errors else list(ctx.errors)
     return TeichmullerVerdict(transversality, lemma3, slope, prop1, jacobian, verdict, diag,
-                              list(ctx.errors))
+                              errors)
 
 
 def teichmuller_experiment(e1: HyperbolicElement, g1,

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -396,6 +397,30 @@ def test_line_fields_not_converged_at_the_cap_exit_three(tmp_path, capsys, comma
     message = diag["errors"][0] if command == "teichmuller" else diag["failure"]
     assert message.startswith("line_fields: NotConverged: angular change ")
     assert message.endswith("> 1.0e-08 at the depth cap resolution.field_iters = 3")
+
+
+def test_diverged_solve_names_the_size_briefly(tmp_path, capsys):
+    # p of amplitude 1e308 blows u up in the first sweep
+    code, out = run(tmp_path, "conjugacy", "--set", "action.kind=perturbed",
+                    "--set", 'action.perturbation=[{"k":[0,1],"sin":[1e308,0]}]')
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    failure = json.loads((out / "conjugacy-report.json").read_text())["diagnostics"]["failure"]
+    assert re.search(r"\|u\| reached \S+ at iteration", failure), failure
+    assert len(failure) < 120, failure
+
+
+def test_teichmuller_inconclusive_on_thresholds_names_each_check(tmp_path):
+    code, out = run(tmp_path, "teichmuller", *SMALL, "--set", "thresholds.lemma3=1e-300",
+                    "--set", "thresholds.transversality=2")
+    assert code == 3
+    doc = json.loads((out / "teichmuller-report.json").read_text())["diagnostics"]
+    assert doc["verdict"] == "inconclusive"
+    thresholds = doc["diagnostics"]["thresholds"]
+    fell_short = (("transversality_min_angle", "<", "transversality"),
+                  ("lemma3_deviation", ">", "lemma3"))
+    assert doc["errors"] == [f"verdict: {name} {doc[name]:.3g} {sign} thresholds.{key} = "
+                             f"{thresholds[key]:g}" for name, sign, key in fell_short]
 
 
 @pytest.mark.parametrize("slide_s", ["2", "-2"])

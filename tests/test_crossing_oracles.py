@@ -14,7 +14,15 @@ import math
 
 import numpy as np
 
-from anosov_lab.foliations import heteroclinic_points, holonomy, integrate_leaf, integrate_leaves
+from anosov_lab.foliations import (
+    compute_line_field,
+    heteroclinic_points,
+    holonomy,
+    integrate_leaf,
+    integrate_leaves,
+)
+from anosov_lab.fourier import FourierPerturbation
+from anosov_lab.maps import ConjugatedMap, Diffeo
 from anosov_lab.rigidity import factor_translation_numeric
 
 STEPS = (4e-3, 8e-3)
@@ -36,6 +44,21 @@ def test_conjugated_heteroclinic_points_are_phi_images(conj_fields, phi02, e1):
         gaps = [_torus_gap(np.mod(h.lift, 1.0), x) for h, x in zip(got, exact)]
         assert max(gaps) < 5e-10, step
         assert np.max(np.abs(np.array([h.lift for h in got]) - exact)) < 5e-10, step
+
+
+def test_strongly_conjugated_heteroclinic_points_are_phi_images(e1):
+    # phi = id + (0.15 sin 2 pi x2, 0), |D q| = 0.94: the lifts of the
+    # default radius are 4.5e-9 from the phi-images at the step 8e-3 and
+    # 4.9e-9 at 4e-3
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (0.15, 0.0), None)]))
+    g1 = ConjugatedMap(phi, e1)
+    fields = [compute_line_field(g1, label) for label in ("unstable", "stable")]
+    linear = heteroclinic_points(np.zeros(2), e1, 1)
+    exact = phi.lift(np.array([h.lift for h in linear]))
+    for step in STEPS:
+        got = heteroclinic_points(np.zeros(2), e1, 1, *fields, step=step)
+        assert [h.lattice for h in got] == [h.lattice for h in linear]
+        assert np.max(np.abs(np.array([h.lift for h in got]) - exact)) < 1e-8, step
 
 
 def test_linear_factorization_is_exact(linear_fields, e1, e2):

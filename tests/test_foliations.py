@@ -367,10 +367,10 @@ def _ref_hermite_crossing(field, p0, p1, h0, h1, spacing, dist, foot, proj):
         node = moved
         if not abs(tau - 0.5) <= 0.5 + SEGMENT_SLACK:
             raise SignAmbiguity("crossing outside the target segments")
-    m_d = _ref_cubic_at(mover, sigma)[1]
+    point, m_d = _ref_cubic_at(mover, sigma)
     t_d = _ref_cubic_at(target_at(node), tau)[1]
     s_prime = proj.params[0, node] + tau * t_step
-    return s_prime, line_angle(m_d[None, :], t_d[None, :])[0]
+    return s_prime, line_angle(m_d[None, :], t_d[None, :])[0], point
 
 
 def _ref_cross_to_target(field, starts, tau2, budget, step,
@@ -385,6 +385,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
         hd[i] *= -np.sign(prev_dist[i] * rate) or 1.0
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
+    pt_out = np.full((m, 2), np.nan)
     active = np.ones(m, dtype=bool)
     prev_pts, prev_hd = pts.copy(), hd
     for _ in range(int(math.ceil(budget / step))):
@@ -400,7 +401,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
         new_foot, new_dist, _ = _ref_project(proj, new_pts)
         flipped = active & (np.sign(new_dist) != np.sign(prev_dist))
         for i in np.where(flipped)[0]:
-            s_out[i], ang_out[i] = _ref_hermite_crossing(
+            s_out[i], ang_out[i], pt_out[i] = _ref_hermite_crossing(
                 field, prev_pts[i], new_pts[i], prev_hd[i], new_hd[i], step,
                 (prev_dist[i], new_dist[i]), (prev_foot[i], new_foot[i]), proj)
             active[i] = False
@@ -409,7 +410,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step,
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
     if np.any(ang_out < tangency_threshold):
         raise TangencySuspected("shallow crossing")
-    return s_out, ang_out
+    return s_out, pt_out
 
 
 @pytest.fixture(params=["linear", "conjugated"])
@@ -488,24 +489,28 @@ def test_refine_crossings_matches_scalar_reference(frame_fields):
     offsets = [0.5, 0.05, 0.93, -0.3, -0.7, 0.25]
     nodes, heads, dist, foot, tau = _steps_around_crossing(f1u, f1s, step, offsets)
     m = len(offsets)
-    sigma, s, angle, point = _hermite_crossings(f1s, nodes, heads, np.full(m, step), dist,
-                                                foot, tau, np.zeros(m, dtype=int))
+    s, angle, point = _hermite_crossings(f1s, nodes, heads, np.full(m, step), dist, foot, tau,
+                                         np.zeros(m, dtype=int))
     ref = [_ref_hermite_crossing(f1s, nodes[0, i], nodes[1, i], heads[0, i], heads[1, i], step,
                                  dist[:, i], foot[:, i], tau) for i in range(m)]
     assert np.array_equal(s, np.array([r[0] for r in ref]))
     assert np.array_equal(angle, np.array([r[1] for r in ref]))
+    assert np.array_equal(point, np.array([r[2] for r in ref]))
     # a foot guess one target node too far: the first solve leaves the
     # target segment, and the second, on the adjacent one, finds the crossing
     far = foot[:, :1] + tau.step[0]
-    _, s_far, _, _ = _hermite_crossings(f1s, nodes[:, :1], heads[:, :1], np.array([step]),
+    s_far, _, _ = _hermite_crossings(f1s, nodes[:, :1], heads[:, :1], np.array([step]),
                                         dist[:, :1], far, tau, np.zeros(1, dtype=int))
     ref_far = _ref_hermite_crossing(f1s, nodes[0, 0], nodes[1, 0], heads[0, 0], heads[1, 0],
                                     step, dist[:, 0], far[:, 0], tau)[0]
     assert s_far[0] == ref_far
     assert abs(s_far[0] - s[0]) < 1e-12
-    # the crossing point is the transversal's point at s, sigma of a step along the mover
+    # the crossing point is the transversal's point at s, at a fraction in
+    # (-1, 2) of a step along the mover's chord
     assert np.max(np.abs(tau.evaluate(s)[0] - point)) < 1e-10
-    assert np.all((sigma > -1.0) & (sigma < 2.0))
+    chord = nodes[1] - nodes[0]
+    along = np.einsum("ni,ni->n", point - nodes[0], chord) / np.einsum("ni,ni->n", chord, chord)
+    assert np.all((along > -1.0) & (along < 2.0))
 
 
 def test_cross_to_target_matches_scalar_reference(frame_fields):
@@ -516,10 +521,10 @@ def test_cross_to_target_matches_scalar_reference(frame_fields):
     starts = np.concatenate([near.evaluate(np.linspace(-0.2, 0.2, 9))[0],
                              tau2.points[0, [60]]])
     for step in (4e-3, 1e-3):
-        s, angle = _cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
-        s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
+        s, point = _cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
+        s_ref, point_ref = _ref_cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
         assert np.array_equal(s, s_ref)
-        assert np.array_equal(angle, angle_ref)
+        assert np.array_equal(point, point_ref)
 
 
 def _offsets_along(field, base, dists):

@@ -2,8 +2,8 @@
 
 The references below are the one-leaf, one-target, one-lattice-vector
 versions of leaf integration, crossing (one Hermite solve per leaf),
-holonomy, local graphs,
-heteroclinic points and the tangency-propagation loop.  A bundle does the
+holonomy, local graphs, heteroclinic points (one ``_cross_to_target`` call
+per lattice vector) and the tangency-propagation loop.  A bundle does the
 same arithmetic per row, so every comparison asserts equality bit for
 bit, not closeness.  A projection with node hints is compared with the
 whole-row search the same way.
@@ -101,9 +101,10 @@ def _ref_cross_to_target(field, starts, tau2, budget, step, record=None):
     """One target: every leaf marches together and projects every state,
     crossings solved after.  ``record``, a dict, receives each row's stop
     step ('stop', -1 for a row that escapes), its bracket ('bracket':
-    nodes and fast distances before and after the stop step), 's' and
-    'angle', and the largest |change of the fast distance| in one step
-    over the step ('jump'), all as they stand when the march ends."""
+    nodes and fast distances before and after the stop step), 's',
+    'angle' and 'point', and the largest |change of the fast distance| in
+    one step over the step ('jump'), all as they stand when the march
+    ends."""
     pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     m = len(pts)
     prev_foot, prev_dist, tang = tau2.project(pts)
@@ -113,6 +114,7 @@ def _ref_cross_to_target(field, starts, tau2, budget, step, record=None):
     prev_pts, prev_hd = pts, hd * sign[:, None]
     s_out = np.full(m, np.nan)
     ang_out = np.full(m, np.nan)
+    pt_out = np.full((m, 2), np.nan)
     active = np.ones(m, dtype=bool)
     stop = np.full(m, -1)
     bracket = (np.full((m, 2), np.nan), np.full((m, 2), np.nan), np.full(m, np.nan),
@@ -131,23 +133,24 @@ def _ref_cross_to_target(field, starts, tau2, budget, step, record=None):
         new_foot, new_dist, _ = tau2.project(new_pts)
         jump = max(jump, float(np.max(np.abs(new_dist - prev_dist)[active])) / step)
         for i in np.flatnonzero(active & (np.sign(new_dist) != np.sign(prev_dist))):
-            _, s_c, ang_c, _ = _hermite_crossings(
+            s_c, ang_c, pt_c = _hermite_crossings(
                 field, (prev_pts[i:i + 1], new_pts[i:i + 1]), (prev_hd[i:i + 1], new_hd[i:i + 1]),
                 np.array([step]), np.array([[prev_dist[i]], [new_dist[i]]]),
                 np.array([[prev_foot[i]], [new_foot[i]]]), tau2, np.zeros(1, dtype=int))
-            s_out[i], ang_out[i] = s_c[0], ang_c[0]
+            s_out[i], ang_out[i], pt_out[i] = s_c[0], ang_c[0], pt_c[0]
             stop[i] = k
             for kept, now in zip(bracket, (prev_pts[i], new_pts[i], prev_dist[i], new_dist[i])):
                 kept[i] = now
             active[i] = False
         prev_pts, prev_hd, prev_dist, prev_foot = new_pts, new_hd, new_dist, new_foot
     if record is not None:
-        record.update(stop=stop, bracket=bracket, s=s_out, angle=ang_out, jump=jump)
+        record.update(stop=stop, bracket=bracket, s=s_out, angle=ang_out, point=pt_out,
+                      jump=jump)
     if active.any():
         raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
     if np.any(ang_out < TANGENCY_THRESHOLD):
         raise TangencySuspected("shallow crossing")
-    return s_out, ang_out
+    return s_out, pt_out
 
 
 def _ref_holonomy(field, tau1, tau2, budget, step, span):
@@ -182,27 +185,10 @@ def _ref_local_graph(z, frame_u, frame_s, target, eps, step):
     return _graph_map(u_vals[keep], s_vals[keep])
 
 
-def _ref_refine_heteroclinic(z, a, k, stable, unstable, field_u):
-    """The crossing of the unstable leaf through z with the stable one
-    translated by k, nearest the linear prediction a."""
-    target = stable.translated(np.array([k], dtype=float))
-    feet, dists, _ = target.project(unstable.points[0])
-    sign_change = np.where(np.sign(dists[:-1]) != np.sign(dists[1:]))[0]
-    if len(sign_change) == 0:
-        raise LeafEscaped(f"no stable-leaf crossing for lattice vector {k}")
-    c = sign_change[np.argmin(np.abs(unstable.params[0, sign_change] - a))]
-    sigma, b_ref, _, pt = _hermite_crossings(
-        field_u, unstable.points[:, [c, c + 1]].transpose(1, 0, 2),
-        unstable.headings[:, [c, c + 1]].transpose(1, 0, 2), unstable.step,
-        dists[c:c + 2, None], feet[c:c + 2, None], target, np.zeros(1, dtype=int))
-    a_ref = unstable.params[0, c] + sigma[0] * unstable.step[0]
-    return HeteroclinicPoint(float(a_ref), float(b_ref[0]), k, pt[0],
-                             pt[0] - np.array(k, dtype=float))
-
-
 def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-3):
-    """One lattice vector at a time, against one stable and one unstable
-    leaf through z of the longest length any k needs."""
+    """One lattice vector at a time: the unstable leaf from z marched alone
+    to the stable leaf through z, of the longest length any k needs,
+    translated by k."""
     z = np.asarray(z, dtype=float)
     basis = np.column_stack([e1.vu, -e1.vs])
     seeds = {}
@@ -215,16 +201,16 @@ def _ref_heteroclinic_points(z, e1, radius, field_u=None, field_s=None, step=1e-
         stable = _ref_integrate_leaf(field_s, z, max(2 * abs(b) * pad + 0.2
                                                      for _, b in seeds.values()),
                                      step=step, centered=True)
-        unstable = _ref_integrate_leaf(field_u, z, max(2 * abs(a) * pad + 0.2
-                                                       for a, _ in seeds.values()),
-                                       step=step, centered=True)
     out = []
     for k, (a, b) in seeds.items():
         if field_u is None:
             out.append(HeteroclinicPoint(float(a), float(b), k, z + a * e1.vu,
                                          z + float(b) * e1.vs))
-        else:
-            out.append(_ref_refine_heteroclinic(z, a, k, stable, unstable, field_u))
+            continue
+        offset = np.array(k, dtype=float)
+        _, point = _cross_to_target(field_u, z[None], stable.translated(offset[None]),
+                                    abs(a) * pad + 0.1, step)
+        out.append(HeteroclinicPoint(float(a), float(b), k, point[0], point[0] - offset))
     out.sort(key=lambda h: h.lattice)
     return out
 
@@ -334,14 +320,14 @@ def test_cross_to_target_stacked_matches_per_target(fields):
         groups.append(starts)
         which += [t] * len(starts)
         budgets += [budget] * len(starts)
-    s, angle = _cross_to_target(f1s, np.concatenate(groups), targets, np.array(budgets),
+    s, point = _cross_to_target(f1s, np.concatenate(groups), targets, np.array(budgets),
                                 STEP, which=np.array(which))
     at = 0
     for t, (starts, budget) in enumerate(zip(groups, (0.5, 0.35, 0.6))):
         tau = targets.take([t])
-        s_ref, angle_ref = _ref_cross_to_target(f1s, starts, tau, budget, STEP)
+        s_ref, point_ref = _ref_cross_to_target(f1s, starts, tau, budget, STEP)
         assert np.array_equal(s[at:at + len(starts)], s_ref)
-        assert np.array_equal(angle[at:at + len(starts)], angle_ref)
+        assert np.array_equal(point[at:at + len(starts)], point_ref)
         at += len(starts)
 
 
@@ -577,8 +563,11 @@ def test_stacked_chart_overflow_names_local_graphs(linear_fields, e1):
 
 def test_stacked_escape_names_heteroclinic_leaf(conj_fields, e1):
     f = conj_fields
-    # "unstable" leaves along the stable field never meet a stable translate
-    with pytest.raises(LeafEscaped, match=r"^no stable-leaf crossing \[heteroclinic leaf k=\(-1, -1\)\]$"):
+    # "unstable" leaves along the stable field never meet a stable translate,
+    # so the march toward every k escapes
+    with pytest.raises(LeafEscaped,
+                       match=r"^8 leaves did not reach the transversal within budget \S+ "
+                             r"\[heteroclinic leaf k=\(-1, -1\); .*heteroclinic leaf k=\(1, 1\)\]$"):
         tangency_propagation_check(f["f1s"], f["f1s"], f["f2s"], np.zeros(2), e1, step=STEP)
 
 
@@ -616,9 +605,9 @@ def _offsets_along(field, base, dists):
 
 def _stacked_march(field, starts, targets, budgets, which, leaf):
     """``_cross_to_target`` on stacked rows with shared leaves, tagged by row
-    number: (s, angle, brackets, escaped rows).  The brackets, nodes and
+    number: (s, point, brackets, escaped rows).  The brackets, nodes and
     fast distances before and after each crossing row's stop step, are
-    those of its Hermite solve; with escaped rows, s and angle are NaN but
+    those of its Hermite solve; with escaped rows, s and point are NaN but
     for the rows the solve reached."""
     m = len(leaf)
     solves = []
@@ -638,17 +627,17 @@ def _stacked_march(field, starts, targets, budgets, which, leaf):
                              tags=[str(r) for r in range(m)], leaf=leaf)
         except LeafEscaped as exc:
             escaped = [int(t) for t in str(exc).rsplit("[", 1)[1][:-1].split("; ")]
-    (bracket, crossed, (_, s_c, ang_c, _)), = solves
-    s, angle = np.full(m, np.nan), np.full(m, np.nan)
-    s[crossed], angle[crossed] = s_c, ang_c
-    return s, angle, dict(zip(crossed, zip(*bracket))), escaped
+    (bracket, crossed, (s_c, _, pt_c)), = solves
+    s, point = np.full(m, np.nan), np.full((m, 2), np.nan)
+    s[crossed], point[crossed] = s_c, pt_c
+    return s, point, dict(zip(crossed, zip(*bracket))), escaped
 
 
 def _assert_march_matches_every_step_reference(field, starts, targets, budgets, which, leaf):
     """Each row of the stacked march stops at the step, with the bracket, s
-    and angle, of the every-step reference and of ``_cross_to_target``
-    marching that row alone."""
-    s, angle, brackets, escaped = _stacked_march(field, starts, targets, budgets, which, leaf)
+    and crossing point, of the every-step reference and of
+    ``_cross_to_target`` marching that row alone."""
+    s, point, brackets, escaped = _stacked_march(field, starts, targets, budgets, which, leaf)
     for r, (x, t, budget) in enumerate(zip(starts[leaf], which, budgets)):
         record = {}
         try:
@@ -661,9 +650,9 @@ def _assert_march_matches_every_step_reference(field, starts, targets, budgets, 
         assert r not in escaped and record["stop"][0] >= 0
         for got, want in zip(brackets[r], record["bracket"]):
             assert np.array_equal(got, want[0])
-        assert (s[r], angle[r]) == (record["s"][0], record["angle"][0])
+        assert s[r] == record["s"][0] and np.array_equal(point[r], record["point"][0])
         alone = _cross_to_target(field, x[None], targets.take([t]), budget, STEP)
-        assert (s[r], angle[r]) == (alone[0][0], alone[1][0])
+        assert s[r] == alone[0][0] and np.array_equal(point[r], alone[1][0])
     return escaped
 
 
@@ -722,7 +711,7 @@ def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(reques
     jumps = []
 
     def every_step(field, starts, targets, budget, step, which=0, tags=None, leaf=None):
-        s, angle = cross(field, starts, targets, budget, step, which, tags, leaf)
+        s, point = cross(field, starts, targets, budget, step, which, tags, leaf)
         rows = starts if leaf is None else starts[leaf]
         which = np.broadcast_to(which, (len(rows),))
         for t in np.unique(which):
@@ -730,9 +719,9 @@ def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(reques
             _ref_cross_to_target(field, rows[which == t], targets.take([t]),
                                  float(np.max(budget)), step, record)
             assert np.array_equal(s[which == t], record["s"])
-            assert np.array_equal(angle[which == t], record["angle"])
+            assert np.array_equal(point[which == t], record["point"])
             jumps.append(record["jump"])
-        return s, angle
+        return s, point
 
     cross = foliations._cross_to_target
     with pytest.MonkeyPatch.context() as patch:
@@ -740,8 +729,9 @@ def test_fast_distance_moves_at_most_a_step_per_step_along_lemma3_marches(reques
         tangency_propagation_check(fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1,
                                    step=step)
     # local graphs at z and at 8 points z', each through both frame fields,
-    # and both holonomies of each z'
-    assert len(jumps) == 2 * 9 + 2 * 8
+    # both holonomies of each z', and on curved leaves the heteroclinic
+    # crossing of each z'
+    assert len(jumps) == 2 * 9 + 2 * 8 + 8 * (name == "conj_fields")
     # within a factor 2 / 1.1 of LIPSCHITZ, whose skipping rests on this bound
     assert max(jumps) <= 1.1
     assert LIPSCHITZ >= 1.8 * max(jumps)
@@ -777,11 +767,11 @@ def test_twin_rows_share_a_march_and_only_the_escaped_row_is_named(linear_fields
 
     rows = _count_march_rows(run)
     assert set(rows) == {1}
-    s, angle = _cross_to_target(f1s, z[None], targets, [0.3, 0.3], STEP, which=[0, 1],
+    s, point = _cross_to_target(f1s, z[None], targets, [0.3, 0.3], STEP, which=[0, 1],
                                 leaf=[0, 0])
     for t in range(2):
         alone = _cross_to_target(f1s, z[None], targets.take([t]), 0.3, STEP)
-        assert (s[t], angle[t]) == (alone[0][0], alone[1][0])
+        assert s[t] == alone[0][0] and np.array_equal(point[t], alone[1][0])
 
 
 def test_rows_of_one_start_with_opposite_headings_march_apart(linear_fields):
@@ -794,10 +784,10 @@ def test_rows_of_one_start_with_opposite_headings_march_apart(linear_fields):
         f1s, z[None], targets, 0.3, STEP, which=[0, 1], leaf=[0, 0])))
     # two marches until the nearer target is crossed, then one
     assert rows[0] == 2 and rows[-1] == 1
-    s, angle = got
+    s, point = got
     for t in range(2):
         alone = _cross_to_target(f1s, z[None], targets.take([t]), 0.3, STEP)
-        assert (s[t], angle[t]) == (alone[0][0], alone[1][0])
+        assert s[t] == alone[0][0] and np.array_equal(point[t], alone[1][0])
 
 
 def test_rough_shared_leaf_names_every_row_on_it(linear_fields, e1):
