@@ -65,10 +65,6 @@ class DomainMismatch(AnosovLabError):
     a point outside the interval it must lie in, or fields on different grids."""
 
 
-class RootBracketFailed(AnosovLabError):
-    """Could not bracket the root t(y) within the allowed range."""
-
-
 class NonMonotoneG(AnosovLabError):
     """Samples that must be strictly monotone are not: the integrated
     linearizing coordinate g, a translation profile, a holonomy or the u

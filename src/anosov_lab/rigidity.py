@@ -34,7 +34,6 @@ from .errors import (
     ChartOverflow,
     DomainMismatch,
     NonMonotoneG,
-    RootBracketFailed,
     SingularSystem,
 )
 from .foliations import (
@@ -69,6 +68,11 @@ class TranslationAction:
 
     def __call__(self, t, y):
         return self.psi(self.psi.inverse(y) + t)
+
+    def time_to(self, y0, ys):
+        """The times t(y) with S(t(y), y) = y0 for the y of ys, in closed
+        form: S then reads psi at psi^{-1}(y0), inside its knots."""
+        return self.psi.inverse(y0) - self.psi.inverse(ys)
 
 
 def translation_action_from_conjugacy(h: Conjugacy, base, direction,
@@ -130,63 +134,6 @@ class LinearizationResult:
         return self.g(self.action(t, self.g.inverse(z)))
 
 
-def _solve_t(S: TranslationAction, ys, y0: float, t_range: float) -> np.ndarray:
-    """Roots t(y) of S(t, y) = y0 for every node y of ys, by bisection
-    bracketing plus secant polish, all nodes at once.
-
-    Each node keeps the iterates of a solve of that node alone: it returns
-    early where f = S - y0 is exactly 0 at a bracket end or midpoint, takes
-    40 halvings of [-t_range, t_range], then up to 60 secant steps clipped
-    to that range, stopping where f repeats, |f| < 1e-12 or the step is
-    shorter than 1e-15.  Each round evaluates S on the live nodes only.
-    Raises RootBracketFailed naming the first y without a sign change.
-    """
-    ys = np.asarray(ys, dtype=float)
-    n = len(ys)
-
-    def f(t, rows):
-        return S(t, ys[rows]) - y0
-
-    every = np.arange(n)
-    lo = np.full(n, -t_range)
-    hi = np.full(n, t_range)
-    f_lo, f_hi = f(lo, every), f(hi, every)
-    out = np.where(f_lo == 0.0, lo, hi)
-    live = (f_lo != 0.0) & (f_hi != 0.0)
-    lost = live & (np.sign(f_lo) == np.sign(f_hi))
-    if lost.any():
-        raise RootBracketFailed(f"no sign change for y={float(ys[lost][0])} in t range +-{t_range}")
-    for _ in range(40):
-        rows = np.flatnonzero(live)
-        if len(rows) == 0:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        f_mid = f(mid, rows)
-        root = f_mid == 0.0
-        out[rows[root]] = mid[root]
-        live[rows[root]] = False
-        same = ~root & (np.sign(f_mid) == np.sign(f_lo[rows]))
-        lo[rows[same]], f_lo[rows[same]] = mid[same], f_mid[same]
-        other = ~root & ~same
-        hi[rows[other]], f_hi[rows[other]] = mid[other], f_mid[other]
-    polished = live.copy()
-    t0, f0, t1, f1 = lo, f_lo, hi, f_hi
-    for _ in range(60):
-        rows = np.flatnonzero(live)
-        if len(rows) == 0:
-            break
-        flat = f1[rows] == f0[rows]
-        live[rows[flat]] = False
-        rows = rows[~flat]
-        t2 = t1[rows] - f1[rows] * (t1[rows] - t0[rows]) / (f1[rows] - f0[rows])
-        t2 = np.minimum(np.maximum(t2, -t_range), t_range)
-        f2 = f(t2, rows)
-        t0[rows], f0[rows], t1[rows], f1[rows] = t1[rows], f1[rows], t2, f2
-        live[rows[(np.abs(f2) < 1e-12) | (np.abs(t1[rows] - t0[rows]) < 1e-15)]] = False
-    out[polished] = t1[polished]
-    return out
-
-
 def _simpson_pieces(f, dx):
     """Simpson integral over the first interval of each consecutive pair,
     [x_i, x_{i+1}], from the quadratic through x_i, x_{i+1}, x_{i+2}."""
@@ -220,7 +167,8 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
                                  t_max: float | None = None) -> LinearizationResult:
     """Linearize a weakly smooth translation action.
 
-    Steps: (1) solve S(t(y), y) = y0 for each quadrature node; (2) measure
+    Steps: (1) read t(y) with S(t(y), y) = y0 off the profile for each
+    quadrature node, t(y) = psi^{-1}(y0) - psi^{-1}(y); (2) measure
     the integrand dS/dy at (t(y), y) by centered differences; (3) integrate
     it by composite Simpson to get the coordinate g; (4) conjugate,
     L = g o S o g^{-1}, on an 11 x 11 test lattice; (5) fit alpha by least
@@ -229,11 +177,10 @@ def linearize_translation_action(S: TranslationAction, y0: float, domain,
     lo, hi = float(domain[0]), float(domain[1])
     if not lo <= y0 <= hi:
         raise DomainMismatch(f"y0={y0} outside domain [{lo}, {hi}]")
-    t_range = 4.0 * (hi - lo)
     n = max(8, int(math.ceil((hi - lo) / quad_spacing)))
     ys = np.linspace(lo, hi, n + 1)
 
-    t_of_y = _solve_t(S, ys, y0, t_range)
+    t_of_y = S.time_to(y0, ys)
     integrand = (S(t_of_y, ys + FD_STEP) - S(t_of_y, ys - FD_STEP)) / (2 * FD_STEP)
     g_vals = _cumulative_simpson(integrand, ys)
     g_vals = g_vals - np.interp(y0, ys, g_vals)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import subprocess
@@ -209,6 +210,58 @@ def test_prop1_alpha(tmp_path):
     assert code == 0
     doc = json.loads((out / "prop1-report.json").read_text())
     assert doc["diagnostics"]["alpha"] == pytest.approx(1.1, abs=1e-6)
+
+
+def _bench_oracles():
+    """bench/oracles.py: closed forms that do not import anosov_lab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = _bench_oracles()
+_, _, V_U, V_S = ORACLES.eigen(((2, 1), (1, 1)))  # of the default g1
+
+
+def _conjugated_by(modes):
+    return ("--set", "action.kind=conjugated", "--set", f"action.diffeo={json.dumps(modes)}")
+
+
+@pytest.mark.parametrize("amp", [0.05, 0.08, 0.10, 0.15])
+def test_prop1_alpha_on_strong_phi(tmp_path, amp):
+    """phi = id + (a sin 2 pi x2, 0): alpha is |D phi(0) v_u|; measured
+    errors 3.6e-9, 3.0e-9, 5.4e-9 and 9.7e-9."""
+    modes = [{"k": [0, 1], "sin": [amp, 0]}]
+    code, out = run(tmp_path, "prop1", *_conjugated_by(modes))
+    assert code == 0
+    doc = json.loads((out / "prop1-report.json").read_text())
+    assert doc["diagnostics"]["alpha"] == pytest.approx(ORACLES.conjugated_alpha(modes, V_U),
+                                                        abs=2e-7)
+
+
+@pytest.mark.parametrize("modes", [[{"k": [1, -1], "sin": [0, 0.01]}],
+                                   [{"k": [0, 2], "sin": [0.005, 0]}]])
+def test_teichmuller_smooth_on_a_mode_phi(tmp_path, modes):
+    code, out = run(tmp_path, "teichmuller", *_conjugated_by(modes))
+    doc = json.loads((out / "teichmuller-report.json").read_text())
+    assert (code, doc["verdict"], doc["diagnostics"]["errors"]) == (0, "smooth", [])
+
+
+@pytest.mark.parametrize("amp", [0.10, 0.15])
+def test_teichmuller_prop1_on_strong_phi(tmp_path, amp):
+    """Only Lemma 3 and periodic data may fail at these phi; Prop 1's alphas
+    are |D phi(0) v| along both eigen-directions (worst error measured
+    3.0e-8)."""
+    modes = [{"k": [0, 1], "sin": [amp, 0]}]
+    _, out = run(tmp_path, "teichmuller", *_conjugated_by(modes))
+    doc = json.loads((out / "teichmuller-report.json").read_text())
+    assert all(e.startswith(("tangency_propagation: ", "compare_smooth_invariants: "))
+               for e in doc["diagnostics"]["errors"])
+    prop1 = doc["diagnostics"]["diagnostics"]["prop1"]
+    for alpha, v in ((prop1["alpha_unstable"], V_U), (prop1["alpha_stable"], V_S)):
+        assert alpha == pytest.approx(ORACLES.conjugated_alpha(modes, v), abs=2e-7)
 
 
 def test_periodic_data_obstructed_exit_two(tmp_path):

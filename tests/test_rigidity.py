@@ -7,7 +7,6 @@ from anosov_lab.errors import (
     AnosovLabError,
     DomainMismatch,
     NonMonotoneG,
-    RootBracketFailed,
     SingularSystem,
 )
 from anosov_lab.foliations import integrate_leaf
@@ -16,7 +15,6 @@ from anosov_lab.lattice import eigen_data
 from anosov_lab.maps import ConjugatedMap, Diffeo
 from anosov_lab.rigidity import (
     TranslationAction,
-    _solve_t,
     factor_translation_linear,
     factor_translation_numeric,
     linearize_translation_action,
@@ -88,62 +86,25 @@ def test_alpha_from_disjoint_subdomains(sine_action):
     assert lin_a.alpha == pytest.approx(lin_b.alpha, abs=1e-8)
 
 
-def _ref_solve_t(S, y, y0, t_range):
-    """One node: bisection bracketing plus secant polish."""
-
-    def f(t):
-        return float(S(t, y)) - y0
-
-    lo, hi = -t_range, t_range
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise RootBracketFailed(f"no sign change for y={y}")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    t0, t1, f0, f1 = lo, hi, f_lo, f_hi
-    for _ in range(60):
-        if f1 == f0:
-            break
-        t2 = min(max(t1 - f1 * (t1 - t0) / (f1 - f0), -t_range), t_range)
-        f2 = f(t2)
-        t0, f0, t1, f1 = t1, f1, t2, f2
-        if abs(f2) < 1e-12 or abs(t1 - t0) < 1e-15:
-            break
-    return t1
+@pytest.fixture(scope="module")
+def h_profiles(e1):
+    """The actions of h along v_u and v_s through 0, as the prop1 stage
+    builds them, for phi = id + (a sin 2 pi x2, 0) at a = 0.02 and 0.15."""
+    actions = []
+    for amp in (0.02, 0.15):
+        phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
+        h = solve_conjugacy(e1, ConjugatedMap(phi, e1), n=256)
+        actions += [rigidity._prop1_along(h, v, 0.35, 2e-3) for v in (e1.vu, e1.vs)]
+    return actions
 
 
-def test_solve_t_matches_scalar_reference(sine_action):
-    ys = np.linspace(-0.5, 0.5, 101)
+def test_time_to_lands_on_y0_at_every_node(sine_action, h_profiles):
     doubling = _profile_action(lambda r: 2.0 * r)
-    cases = [
-        (sine_action, 0.0, ys),
-        (doubling, 0.13, ys),
-        # node 0.3 has its root exactly at the first midpoint, t = 0
-        (sine_action, float(sine_action(0.0, 0.3)), np.append(ys, 0.3)),
-        # node 0.2 has its root exactly at the bracket end t = -4
-        (sine_action, float(sine_action(-4.0, 0.2)), np.linspace(-0.5, 0.2, 8)),
-    ]
-    for S, y0, nodes in cases:
-        got = _solve_t(S, nodes, y0, 4.0)
-        want = np.array([_ref_solve_t(S, float(y), y0, 4.0) for y in nodes])
-        assert np.array_equal(got, want)
-    assert got[-1] == -4.0
-
-
-def test_solve_t_names_first_unbracketed_y(sine_action):
-    with pytest.raises(RootBracketFailed, match=r"^no sign change for y=2\.5 in t range \+-0\.5$"):
-        _solve_t(sine_action, np.array([0.0, 0.1, 2.5, 3.0]), 0.0, 0.5)
+    cases = [(S, linearize_translation_action(S, y0, (-0.5, 0.5)))
+             for S, y0 in ((sine_action, 0.0), (doubling, 0.13))]
+    for S, lin in cases + h_profiles:
+        ys = lin.g.x  # the quadrature nodes
+        assert np.max(np.abs(S(S.time_to(lin.y0, ys), ys) - lin.y0)) <= 1e-15
 
 
 def test_cocycle_identity(sine_action):

@@ -6,17 +6,18 @@ The runs are all nine subcommands on the default config and on the action
 conjugated by phi = id + (0.02 sin 2 pi x2, 0), ``teichmuller`` on the
 overrides of each benchmark workload (bench/workloads.py, seed 1), and
 ``teichmuller`` on six configs that end in ``inconclusive`` or
-``obstructed``, so that the error paths of its stages are covered, and
-the other subcommands on eight configs on which they fail, so that their
-failure strings are covered too.  Three more runs walk map code that the
-others do not: ``foliation`` on a perturbed action (the Newton inverse
-and ``backward_jacobians`` of ``PerturbedMap`` and ``InverseMap``), and
-``teichmuller`` and ``foliation`` on an action conjugated by a two-mode
-phi (D phi summed over two wavevectors).  Three last runs solve the
-conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action, at the default
-``grid_n`` on the phi 0.15 action, and at ``grid_n`` 1024 on a two-mode
-perturbation p.  Each
-run writes into its own temporary ``--out``; the timings sidecars
+``obstructed``, so that the error paths of its stages are covered, the
+other subcommands in six runs that fail, so that their failure strings are
+covered too, and ``prop1`` at phi 0.10 and 0.15.  Three more runs walk map
+code that the others do not: ``foliation`` on a perturbed action (the
+Newton inverse and ``backward_jacobians`` of ``PerturbedMap`` and
+``InverseMap``), and ``teichmuller`` and ``foliation`` on an action
+conjugated by a two-mode phi (D phi summed over two wavevectors).  Three
+runs solve the conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action,
+at the default ``grid_n`` on the phi 0.15 action, and at ``grid_n`` 1024
+on a two-mode perturbation p.  Two last runs are ``teichmuller`` on phi
+of one mode other than (0, 1), (1, -1) and (0, 2), which end ``smooth``.
+Each run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
 exactly when the outputs of this script for them are equal: run it once
@@ -63,13 +64,13 @@ ERROR_PATHS = {
 
 
 PHI_FIELD_ITERS_3 = ERROR_PATHS["phi-0.02-field-iters-3"]
-# (label, subcommand, overrides) of subcommand runs that fail, and how
+# (label, subcommand, overrides) of subcommand runs that fail, and how,
+# and of Prop 1 at strong phi
 SUBCOMMAND_ERROR_PATHS = (
     # ChartOverflow of a local-graph target leaf
     ("phi-0.05", "lemma3", ERROR_PATHS["phi-0.05"]),
-    # RootBracketFailed in the linearization
+    # Prop 1 at strong phi, where Lemma 3 fails
     ("phi-0.10", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.1,0]}]']),
-    # NonMonotoneG: the integrated coordinate g is not increasing
     ("phi-0.15", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
     # NewtonFailed: 2 periodic seeds diverge
     ("phi-0.15", "periodic-data",
@@ -108,6 +109,11 @@ MAP_PATHS = (
       'action.perturbation=[{"k":[0,1],"sin":[0.003,0]},'
       '{"k":[1,1],"sin":[0,0.002],"cos":[0.001,0]}]',
       "resolution.grid_n=1024"]),
+    # teichmuller on phi of one mode other than (0, 1), which ends smooth
+    ("mode-1-m1", "teichmuller",
+     ["action.kind=conjugated", 'action.diffeo=[{"k":[1,-1],"sin":[0,0.01]}]']),
+    ("mode-0-2", "teichmuller",
+     ["action.kind=conjugated", 'action.diffeo=[{"k":[0,2],"sin":[0.005,0]}]']),
 )
 
 
