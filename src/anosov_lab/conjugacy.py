@@ -419,17 +419,6 @@ def _lattice_seeds(m_n: IntMatrix2, n: int):
     return seeds
 
 
-def _iterated_lift(g, x, n: int):
-    """(g^n)(x) on the lift, plus the chain-rule Jacobian product."""
-    jac = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
-    z = x
-    for _ in range(n):
-        j_here = g.jacobian(z)
-        jac = np.einsum("nij,njk->nik", j_here, jac)
-        z = g.lift(z)
-    return z, jac
-
-
 def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int = 50):
     """All points of period dividing n, via Newton on g^n(x) = x + k.
 
@@ -448,7 +437,7 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int =
     converged = np.zeros(len(seeds), dtype=bool)
     live = np.arange(len(seeds))
     for _ in range(max_newton):
-        fx, jac = _iterated_lift(g, x[live], n)
+        fx, jac = g.orbit(x[live], n)
         res = fx - x[live] - kv[live]
         done = np.max(np.abs(res), axis=1) < 1e-12
         converged[live[done]] = True
@@ -514,7 +503,7 @@ def _group_orbits(g, points: np.ndarray, n: int):
             taken[nxt] = True
             orbit.append(nxt)
         members.append(orbit)
-    _, jac = _iterated_lift(g, points[[orbit[0] for orbit in members]], n)
+    _, jac = g.orbit(points[[orbit[0] for orbit in members]], n)
     orbits = []
     for orbit, eigs in zip(members, np.linalg.eigvals(jac)):
         eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)

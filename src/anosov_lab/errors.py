@@ -24,15 +24,12 @@ class SolverDiverged(AnosovLabError):
 
 
 class NotConverged(AnosovLabError):
-    """Line-field iteration did not reach the angular tolerance."""
+    """An iteration stopped short of its tolerance: a line field at its
+    depth cap, or a shooting solve whose last Newton step is too large."""
 
 
 class SignAmbiguity(AnosovLabError):
     """Field direction jumped by more than pi/2 between integration steps."""
-
-
-class LeafEscaped(AnosovLabError):
-    """Leaf integration exhausted its length budget without a crossing."""
 
 
 class TangencySuspected(AnosovLabError):
@@ -57,7 +54,7 @@ class SeedEnumerationFailed(AnosovLabError):
 
 
 class ChartOverflow(AnosovLabError):
-    """A leaf or translate left the local chart before the domain was covered."""
+    """The predicted landings of a slide leave the transversal's parameters."""
 
 
 class DomainMismatch(AnosovLabError):

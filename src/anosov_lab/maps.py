@@ -10,6 +10,8 @@ Every map handle exposes the same duck-typed surface:
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
     backward_jacobians(x) -> the jacobians along the backward orbit of x,
                      one depth at a time (a generator)
+    orbit(x, n)   -> the n-th iterate of the lift and its derivative, for
+                     n >= 0: (points (n, 2), matrices (n, 2, 2))
     inverse()     -> handle of the inverse map
 
 Every evaluator takes a float batch of points x of shape (n, 2) and
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import NotADiffeo
 from .fourier import FourierPerturbation
 from .lattice import (HyperbolicElement, IntMatrix2, _empty2x2, _inv2, eigen_data, invert,
-                      wrap_point)
+                      power, wrap_point)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
@@ -41,7 +43,7 @@ def _newton_inverse(linearize, y, z):
     not converged.  The whole batch stops together, at the first iterate
     whose largest |lift(z) - y| is below NEWTON_TOL, or after
     NEWTON_MAX_ITERS steps, so a point's result can depend on its
-    batchmates (a per-row stop is still open, ROADMAP item 3)."""
+    batchmates (a per-row stop is still open, ROADMAP item 7)."""
     for _ in range(NEWTON_MAX_ITERS):
         value, jacobian = linearize(z)
         res = value - y
@@ -49,6 +51,17 @@ def _newton_inverse(linearize, y, z):
             break
         z = z - _inv2(jacobian(), res)
     return z
+
+
+def _stepped_orbit(step, x, n: int):
+    """G^n(x) on the lift and the chain-rule product D G^n(x) by n explicit
+    steps; ``step(z)`` returns the jacobian at z and the image of z."""
+    jac = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+    z = x
+    for _ in range(n):
+        j_here, z = step(z)
+        jac = np.einsum("nij,njk->nik", j_here, jac)
+    return z, jac
 
 
 def _plus(d, m):
@@ -94,6 +107,10 @@ class PerturbedMap:
         return (x @ self._A.T + p.value_from(trig),
                 lambda: _plus(p.derivative_from(trig), self._A))
 
+    def orbit(self, x, n: int):
+        """g^n(x) and D g^n(x) by n steps of ``jacobian`` and ``lift``."""
+        return _stepped_orbit(lambda z: (self.jacobian(z), self.lift(z)), x, n)
+
     def backward_jacobians(self, x):
         """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
         d = 1, 2, ..., with one Newton inverse per depth."""
@@ -128,6 +145,19 @@ class InverseMap:
 
     def jacobian(self, y):
         return _inv2(self.forward.jacobian(self.lift(y)))
+
+    def orbit(self, y, n: int):
+        """The n-th iterate of this inverse map and its derivative by n
+        steps.  Each step solves the Newton inverse at the point reduced
+        mod 1 and adds back B k for the integer part k, since
+        lift(y + k) = lift(y) + B k; so the solve reaches its stop on an
+        orbit that grows like lambda_u^n.  The jacobian at the point is that
+        of the forward map at the step's image, inverted."""
+        def step(z):
+            k = np.floor(z)
+            image = self.lift(z - k)
+            return _inv2(self.forward.jacobian(image)), image + k @ self._B.T
+        return _stepped_orbit(step, y, n)
 
     def backward_jacobians(self, y):
         """jacobian(y_d) along the backward orbit of this inverse map, which
@@ -224,6 +254,19 @@ class ConjugatedMap:
         w = self.phi.inverse_lift(x)
         return _conjugated_jacobian(self.phi.derivative(w @ self._A.T), self._A,
                                     _inv2(self.phi.derivative(w)))
+
+    def orbit(self, x, n: int):
+        """g^n(x) = phi(A^n w) and D g^n(x) = D phi(A^n w) A^n D phi(w)^-1
+        with w = phi^{-1}(x): one phi^{-1} solve for every n.  A^n scales
+        an error of w by up to lambda_u^n, so w takes one more Newton step
+        past the solve's stop, with the D phi(w) that the jacobian uses."""
+        a_n = power(self.base.matrix, n).as_array()
+        w = self.phi.inverse_lift(x)
+        value, derivative = self.phi.lift_and_derivative(w)
+        d_in_inv = _inv2(derivative())
+        w = w - np.einsum("nij,nj->ni", d_in_inv, value - x)
+        image, d_out = self.phi.lift_and_derivative(w @ a_n.T)
+        return image, _conjugated_jacobian(d_out(), a_n, d_in_inv)
 
     def backward_jacobians(self, x):
         """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),

@@ -39,15 +39,13 @@ from .errors import (
 from .foliations import (
     LeafBundle,
     LineField,
-    _cross_to_target,
     _flow,
-    _graph_plan,
-    _graphs_on_leaves,
+    _line,
     heteroclinic_points,
-    holonomies,
+    holonomy,
     integrate_leaf,
-    integrate_leaves,
     line_fields,
+    local_graph,
     min_transversality_angle,
     verify_graph_transport,
 )
@@ -55,6 +53,7 @@ from .interp import MonotoneCubic
 from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
+HOLONOMY_SAMPLES = 49  # samples of each Lemma 3 holonomy
 
 
 class TranslationAction:
@@ -252,8 +251,9 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
                                step: float = 1e-3) -> FactorizationResult:
     """Slide 9 samples of the one-row unstable transversal ``tau_ext``, at
     the parameters y in [-0.1, 0.1], along the first stable foliation by
-    leaf-length s, then along the second stable foliation back to the
-    (extended) unstable leaf.
+    leaf-length s (an RK4 flow of step ``step``), then along the second
+    stable foliation back to the (extended) unstable leaf (``holonomy`` on
+    the map owning ``field_2s``, whose stable leaves they are).
 
     The composed motion is compared with the translation by the t
     predicted by the linear factorization.
@@ -284,9 +284,9 @@ def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
         headings = math.copysign(1.0, arc_slide) * field_1s.direction_at(np.mod(starts, 1.0))
         traj, _ = _flow(field_1s, starts, headings, n_steps, abs(arc_slide) / n_steps)
         mids = traj[-1]
-        # leg 2: holonomy along the second stable foliation back to the leaf
-        budget = abs(linear.slide_r) * 3.0 + 0.3
-        landed, _ = _cross_to_target(field_2s, mids, tau_ext, budget=budget, step=step)
+        # leg 2: holonomy along the second stable foliation back to the
+        # leaf, shot from the predicted landings
+        landed = holonomy(field_2s.owner, mids, tau_ext.evaluate, y_samples + arc_t_pred)
     deviation = float(np.max(np.abs(landed - (y_samples + arc_t_pred))))
     implied_t = float(np.mean(landed - y_samples)) / scale_1u
     return FactorizationResult(slide_s=float(s), slide_r=linear.slide_r,
@@ -315,27 +315,32 @@ class PropagationRow:
 
 def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
                                field_2s: LineField, z, e1: HyperbolicElement,
-                               radius: int = 1, eps: float = 0.05,
-                               step: float = 1e-3):
+                               radius: int = 1, eps: float = 0.05):
     """Transport the local graph of the second stable foliation from z to
     each heteroclinic point z' and compare predicted against measured
-    slopes and graphs.  The holonomies run between frame axes of length
-    0.3 at z and 0.6 at z'.
+    slopes and graphs.
 
-    The leaves of every lattice vector k run together, in phases with one
-    batched call per field each: the heteroclinic crossings (when the map
-    owning ``field_1u`` is not linear: one stable leaf through z, translated
-    by each k, and one march of the unstable leaf from z per heading, in
-    one ``_cross_to_target`` call), every frame axis and target leaf of
-    the local graphs at z and at each z', the local-graph crossings, and
-    the holonomies.  The lift of each z' on the unstable leaf from z is its
-    heteroclinic crossing point (z + a v_u for the linear action), and its
-    lift on the stable leaf is that point minus k (z + b v_s for the linear
-    action).  The holonomy budgets are sized from the linear seeds a and b.
-    Each k gets the numbers a check of that k alone would give.
-    An error from a stacked call keeps its class and names the failing k
-    and whether the row belongs to a heteroclinic leaf, a local graph or a
-    holonomy.
+    The fields name the foliations: the maps owning ``field_1u`` and
+    ``field_2s`` are g1 and g2, and every crossing is shot on them
+    (``foliations._shoot``).  The heteroclinic points are those of g1's
+    leaves (``heteroclinic_points``), in closed form when g1 is linear.
+    The lift of each z' on the unstable leaf from z is its heteroclinic
+    point, and its lift on the stable leaf is that point minus k.  The
+    frame at z and at each z' is two straight axes through it along the
+    directions of ``field_1u`` and ``field_1s`` there, and the target
+    leaves' directions, of ``field_2s``, seed the local graphs.  The
+    identity theta_z' = hol_u o theta_z o hol_s^-1 holds for any
+    transversals used the same way at z and z', so the axes need not be
+    leaves; ``measured_slope`` is the slope of the graph at z' in these
+    straight-axis coordinates, which agree with the leaf coordinates to
+    first order at z', since the axes are tangent to the leaves there.
+    hol_s carries the u-axis at z along the stable leaves of g1 to the
+    u-axis at the stable lift of z', hol_u the s-axis at z along the
+    unstable leaves to the s-axis at the unstable lift, each at
+    HOLONOMY_SAMPLES points of [-eps, eps].  Every object of every lattice
+    vector comes from one batched call; an error keeps its class and names
+    the failing k and whether the row belongs to a heteroclinic point, a
+    local graph or a holonomy.
 
     The graphs and holonomies are not-a-knot cubic splines.  The predicted
     slope at z' is the chain rule of theta_z' = hol_u o theta_z o hol_s^-1
@@ -344,9 +349,9 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     Returns a list of PropagationRow, one per lattice vector.
     """
     z = np.asarray(z, dtype=float)
+    g1, g2 = field_1u.owner, field_2s.owner
     # the linear action's heteroclinic points have a closed form
-    leaf_fields = () if field_1u.owner.is_linear else (field_1u, field_1s)
-    hps = heteroclinic_points(z, e1, radius, *leaf_fields, step=step)
+    hps = heteroclinic_points(z, e1, radius, None if g1.is_linear else g1)
     ks = [hp.lattice for hp in hps]
     n = len(hps)
     # lifts of z' reached along the unstable / stable leaves from z
@@ -355,33 +360,26 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
 
     # graph 0 sits at z, graph 1 + j at the lift of the j-th z'
     bases = np.vstack([z[None, :], zp_u])
-    graph_tags = ["local graph at z"] + [f"local graph k={k}" for k in ks]
-    hol_tags = [f"holonomy k={k}" for k in ks]
-    reach, leaf_lengths = _graph_plan(bases, field_1u, field_2s, eps, graph_tags)
-    # per frame field, one bundle: the holonomy axis at z, the axes of
-    # every local graph, and the holonomy axis at each z'
-    axis_tags = ["holonomy axis at z"] + graph_tags + hol_tags
-    lengths = [0.3] + [reach] * (n + 1) + [0.6] * n
-    axes_u = integrate_leaves(field_1u, np.vstack([z[None, :], bases, zp_s]), lengths,
-                              step=step, centered=True, tags=axis_tags)
-    axes_s = integrate_leaves(field_1s, np.vstack([z[None, :], bases, zp_u]), lengths,
-                              step=step, centered=True, tags=axis_tags)
-    leaves = integrate_leaves(field_2s, bases, leaf_lengths, step=step, centered=True,
-                              tags=graph_tags)
-    graphs = _graphs_on_leaves(field_1u, field_1s, axes_u.take(range(1, n + 2)),
-                               axes_s.take(range(1, n + 2)), leaves, eps, reach, step, graph_tags)
-    at_zp = range(n + 2, 2 * n + 2)
-    hols_s = holonomies(field_1s, axes_u.take([0]), axes_u.take(at_zp),
-                        [abs(hp.s_param) * 1.5 + 0.5 for hp in hps], step=step,
-                        span=(-eps, eps), tags=hol_tags)
-    hols_u = holonomies(field_1u, axes_s.take([0]), axes_s.take(at_zp),
-                        [abs(hp.u_param) * 1.5 + 0.5 for hp in hps], step=step,
-                        span=(-eps, eps), tags=hol_tags)
-    angles = line_angle(field_1u.direction_at(np.mod(zp_u, 1.0)),
-                        field_2s.direction_at(np.mod(zp_u, 1.0)))
+    at = np.mod(bases, 1.0)
+    e_u, e_s, e_t = (f.direction_at(at) for f in (field_1u, field_1s, field_2s))
+    graphs = local_graph(bases, np.stack([e_u, e_s], axis=1), e_t, g1, g2, eps,
+                         ["local graph at z"] + [f"local graph k={k}" for k in ks])
+    # one row per (k, sample)
+    samples = np.linspace(-eps, eps, HOLONOMY_SAMPLES)
+    pair = np.repeat(np.arange(n), HOLONOMY_SAMPLES)
+    along = np.tile(samples, n)
+    hol_tags = [f"holonomy k={ks[j]}" for j in pair]
+    landed_s = holonomy(g1, z + along[:, None] * e_u[0], _line(zp_s[pair], e_u[1:][pair]),
+                        along, hol_tags)
+    landed_u = holonomy(g1.inverse(), z + along[:, None] * e_s[0],
+                        _line(zp_u[pair], e_s[1:][pair]), along, hol_tags)
+    angles = line_angle(e_u[1:], e_t[1:])
     theta_z = graphs[0]
     rows = []
-    for hp, theta_zp, hol_s, hol_u, angle in zip(hps, graphs[1:], hols_s, hols_u, angles):
+    for hp, theta_zp, to_s, to_u, angle in zip(
+            hps, graphs[1:], landed_s.reshape(n, -1), landed_u.reshape(n, -1), angles):
+        hol_s = MonotoneCubic(samples, to_s, "holonomy")
+        hol_u = MonotoneCubic(samples, to_u, "holonomy")
         deviation = verify_graph_transport(theta_z, theta_zp, hol_s, hol_u)
         u0 = hol_s.inverse(0.0)
         predicted = hol_u.derivative(theta_z(u0)) * theta_z.derivative(u0) / hol_s.derivative(u0)
@@ -470,7 +468,7 @@ def _tangency_propagation(ctx: RunContext) -> None:
     fields, cfg = ctx.made["fields"], ctx.cfg
     ctx.made["propagation"] = tangency_propagation_check(
         fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), cfg.generators[0],
-        radius=cfg.radius, eps=cfg.eps, step=cfg.propagation_step)
+        radius=cfg.radius, eps=cfg.eps)
 
 
 def _prop1(ctx: RunContext) -> None:

@@ -16,7 +16,6 @@ from anosov_lab.conjugacy import (
     _index_permutation,
     _group_orbits,
     _OrbitLayout,
-    _iterated_lift,
     _lattice_seeds,
     coarse_start,
     compare_smooth_invariants,
@@ -558,7 +557,7 @@ def _ref_group_orbits(g, points, n, tol=1e-8):
                 y = orbit[-1]
             else:
                 break
-        _, jac = _iterated_lift(g, orbit[0][None], n)
+        _, jac = g.orbit(orbit[0][None], n)
         eigs = np.linalg.eigvals(jac[0])
         eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)
         orbits.append(PeriodicOrbitData(
@@ -578,7 +577,7 @@ def _ref_find_periodic_points(g, a_elem, n, newton_tol=1e-12, max_newton=50):
         kv = np.array(k, dtype=float)
         converged = False
         for _ in range(max_newton):
-            fx, jac = _iterated_lift(g, x[None], n)
+            fx, jac = g.orbit(x[None], n)
             res = fx[0] - x - kv
             if np.max(np.abs(res)) < newton_tol:
                 converged = True

@@ -7,24 +7,18 @@ import pytest
 from anosov_lab.errors import (
     AnosovLabError,
     DomainMismatch,
-    LeafEscaped,
     NonMonotoneG,
     NotConverged,
     RadiusOutOfRange,
-    SignAmbiguity,
     TangencySuspected,
 )
+from anosov_lab import foliations
 from anosov_lab.foliations import (
-    HERMITE_NEWTON_STEPS,
-    SEGMENT_SLACK,
-    SIGN_CONTINUITY_LIMIT,
-    TANGENCY_THRESHOLD,
     LineField,
-    _aligned_direction,
-    _cross_to_target,
-    _hermite_crossings,
+    _line,
     _pushed_seeds,
     _rk4_step,
+    _unstable_reader,
     compute_line_field,
     heteroclinic_points,
     holonomy,
@@ -33,7 +27,8 @@ from anosov_lab.foliations import (
     min_transversality_angle,
 )
 from anosov_lab.interp import MonotoneCubic
-from anosov_lab.lattice import eigen_data, grid_points, line_angle
+from anosov_lab.lattice import eigen_data, grid_points
+from anosov_lab.rigidity import tangency_propagation_check
 
 
 def test_constant_field_leaves_are_straight(e1, linear_fields):
@@ -155,32 +150,40 @@ def test_leaf_invariance_under_map(conj_g1, conj_fields):
     assert np.min(dots) > 1.0 - 1e-4
 
 
-def test_holonomy_identity_for_parallel_transversals(linear_fields, e1):
-    v_s = np.asarray(e1.vs)
-    tau1 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.8, centered=True)
-    tau2 = integrate_leaf(linear_fields["f1u"], 0.3 * v_s, 0.8, centered=True)
-    hol = holonomy(linear_fields["f1s"], tau1, tau2, span=(-0.25, 0.25))
+def _lines(origin, direction, m):
+    """m rows of the straight transversal origin + t direction."""
+    return _line(np.broadcast_to(np.asarray(origin, dtype=float), (m, 2)),
+                 np.broadcast_to(np.asarray(direction, dtype=float), (m, 2)))
+
+
+def test_holonomy_identity_for_parallel_transversals(linear_g1, e1):
+    # stable leaves from the unstable line through 0 to the one through
+    # 0.3 v_s keep the parameter along v_u
+    v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)
     s = np.linspace(-0.2, 0.2, 11)
-    assert np.max(np.abs(hol(s) - s)) < 1e-10
+    t = holonomy(linear_g1, s[:, None] * v_u, _lines(0.3 * v_s, v_u, 11), np.zeros(11))
+    assert np.max(np.abs(t - s)) < 1e-14
 
 
-def test_holonomy_composition(linear_fields, e1):
-    v_s = np.asarray(e1.vs)
-    taus = [integrate_leaf(linear_fields["f1u"], c * v_s, 0.8, centered=True)
-            for c in (0.0, 0.15, 0.3)]
-    h01 = holonomy(linear_fields["f1s"], taus[0], taus[1], span=(-0.25, 0.25))
-    h12 = holonomy(linear_fields["f1s"], taus[1], taus[2], span=(-0.25, 0.25))
-    h02 = holonomy(linear_fields["f1s"], taus[0], taus[2], span=(-0.25, 0.25))
+def test_holonomy_composition(conj_g1):
+    # three tilted straight transversals, none of them a leaf
+    lines = [(np.array([0.0, 0.0]), np.array([0.8, 0.6])),
+             (np.array([0.1, -0.15]), np.array([0.9, 0.3])),
+             (np.array([0.18, -0.3]), np.array([0.7, 0.7]) / math.sqrt(0.98))]
     s = np.linspace(-0.2, 0.2, 11)
-    assert np.max(np.abs(h12(h01(s)) - h02(s))) < 1e-8
+
+    def hol(a, b, t):
+        (oa, da), (ob, db) = lines[a], lines[b]
+        return holonomy(conj_g1, oa + t[:, None] * da, _lines(ob, db, len(t)), t)
+
+    assert np.max(np.abs(hol(1, 2, hol(0, 1, s)) - hol(0, 2, s))) < 1e-14
 
 
-def test_holonomy_derivative_positive(conj_fields):
-    tau1 = integrate_leaf(conj_fields["f1u"], np.array([0.1, 0.1]), 0.6, centered=True)
-    tau2 = integrate_leaf(conj_fields["f1u"], np.array([0.25, 0.05]), 0.8, centered=True)
-    hol = holonomy(conj_fields["f1s"], tau1, tau2, span=(-0.2, 0.2), budget=1.5)
-    s = np.linspace(-0.15, 0.15, 9)
-    assert np.all(hol.derivative(s) > 0)
+def test_holonomy_derivative_positive(conj_g1, e1):
+    s = np.linspace(-0.2, 0.2, 25)
+    t = holonomy(conj_g1, np.array([0.1, 0.1]) + s[:, None] * np.asarray(e1.vu),
+                 _lines(np.array([0.25, 0.05]), e1.vu, 25), s)
+    assert np.all(MonotoneCubic(s, t, "holonomy").derivative(s[2:-2]) > 0)
 
 
 def test_min_transversality_oracle(linear_fields):
@@ -203,21 +206,48 @@ def test_holonomy_map_rejects_non_monotone_samples():
     assert isinstance(info.value, AnosovLabError)
 
 
-def test_tangency_raises_for_parallel_fields(linear_fields, e1):
-    v_u = np.asarray(e1.vu)
-    tau1 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.5, centered=True)
-    tau2 = integrate_leaf(linear_fields["f1u"], 0.2 * v_u + np.array([0.0, 0.3]), 0.5, centered=True)
-    with pytest.raises(TangencySuspected):
-        holonomy(linear_fields["f1u"], tau1, tau2, span=(-0.2, 0.2))
+def test_tangency_raises_for_parallel_fields(linear_g1, e1):
+    # a target transversal along the stable leaves themselves
+    v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)
+    s = np.linspace(-0.2, 0.2, 5)
+    with pytest.raises(TangencySuspected,
+                       match=r"^min crossing angle 0\.0000 rad below 0\.01 \[a; b\]$"):
+        holonomy(linear_g1, s[:, None] * v_u, _lines(0.2 * v_u, v_s, 5), s,
+                 tags=["a", "a", "b", "a", "a"])
 
 
-def test_local_graph_slope_oracle(linear_fields):
+def test_leaf_that_misses_its_target_is_a_tangency(conj_g1, e1):
+    # a target circle that the stable leaf of a far start misses: Newton
+    # settles where the leaf passes closest, tangent to the circle
+    def circle(t):
+        return (np.array([0.3, 0.2]) + 0.01 * np.stack([np.cos(t), np.sin(t)], axis=1),
+                np.stack([-np.sin(t), np.cos(t)], axis=1))
+
+    with pytest.raises(TangencySuspected, match=r"\[far\]$"):
+        holonomy(conj_g1, np.array([[0.3, 0.2], [0.3, 0.2] + 0.5 * np.asarray(e1.vu)]), circle,
+                 np.array([0.0, 0.0]), tags=["near", "far"])
+
+
+def test_shooting_stopped_short_names_its_rows(monkeypatch, linear_g1, e1):
+    # one Newton step at the last orbit length, from the landing and from
+    # 0.05 off it: the step that lands the second row is its last
+    monkeypatch.setattr(foliations, "ORBIT_LENGTHS", (16,))
+    monkeypatch.setattr(foliations, "NEWTON_STEPS", 1)
+    v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)
+    s = np.array([0.0, 0.1])
+    with pytest.raises(NotConverged, match=r"^last Newton step \S+ above 1e-10 \[off\]$"):
+        holonomy(linear_g1, s[:, None] * v_u, _lines(0.3 * v_s, v_u, 2), s + [0.0, 0.05],
+                 tags=["on", "off"])
+
+
+def test_local_graph_slope_oracle(linear_g1, linear_g2, e1, e2):
     # the second stable direction expressed in the first eigen-frame:
     # v_2^s = a v_1^u + b v_1^s with slope b/a = 2 for the standard pair
-    theta = local_graph(np.zeros(2), linear_fields["f1u"], linear_fields["f1s"],
-                        linear_fields["f2s"], 0.05)
-    assert float(theta.derivative(0.0)) == pytest.approx(2.0, abs=1e-8)
-    assert theta(0.0) == pytest.approx(0.0, abs=1e-10)
+    axes = np.array([[e1.vu, e1.vs]])
+    theta, = local_graph(np.zeros((1, 2)), axes, np.array([e2.vs]), linear_g1, linear_g2, 0.05)
+    assert float(theta.derivative(0.0)) == pytest.approx(2.0, abs=1e-13)
+    assert abs(float(theta(0.0))) < 1e-16
+    assert np.array_equal(theta.domain, (-0.05, 0.05))
 
 
 def test_heteroclinic_count_radius_one(e1):
@@ -240,45 +270,52 @@ def test_heteroclinic_solves_lattice_equation(e1):
         assert np.linalg.norm(resid) < 1e-10
 
 
-def test_heteroclinic_lifts_differ_by_the_lattice_vector(conj_fields, e1):
+def test_heteroclinic_lifts_differ_by_the_lattice_vector(conj_g1, e1):
     # closed form, as on the linear action: z + a v_u and z + b v_s
     for hp in heteroclinic_points(np.zeros(2), e1, 3):
         assert np.max(np.abs(hp.lift - hp.lift_s - hp.lattice)) <= 1e-15
-    # refined: the crossing point on the unstable leaf, less k exactly; the
-    # difference back is k to rounding (one ulp off at k = (-2, 2))
-    refined = heteroclinic_points(np.zeros(2), e1, 2, field_u=conj_fields["f1u"],
-                                  field_s=conj_fields["f1s"], step=4e-3)
-    for hp in refined:
-        assert np.array_equal(hp.lift_s, hp.lift - np.array(hp.lattice, dtype=float))
+    # shot: the stable lift plus k
+    for hp in heteroclinic_points(np.zeros(2), e1, 2, conj_g1):
+        assert np.array_equal(hp.lift, hp.lift_s + np.array(hp.lattice, dtype=float))
         assert np.max(np.abs(hp.lift - hp.lift_s - hp.lattice)) <= 1e-15
 
 
+def test_perturbed_heteroclinic_points_lie_on_both_leaves(perturbed_g1, e1):
+    # the defining separations of the stable leaf through z and the unstable
+    # leaf through z - k, read at orbit length 20, past the solve's 16,
+    # in units of lambda_u^20: at most 4.6e-16 on g = A + p
+    z = np.array([0.2, 0.7])
+    for g, ref in ((perturbed_g1, lambda hp: z), (perturbed_g1.inverse(),
+                                                 lambda hp: z - np.array(hp.lattice))):
+        ell = _unstable_reader(g)
+        for hp in heteroclinic_points(z, e1, 1, perturbed_g1):
+            apart = g.orbit(np.array([hp.lift_s, ref(hp)]), 20)[0] @ ell
+            assert abs(apart[0] - apart[1]) <= 1e-13 * e1.lambda_u ** 20, hp.lattice
+
+
 def test_graph_transport_linear(linear_fields, e1):
-    from anosov_lab.rigidity import tangency_propagation_check
     rows = tangency_propagation_check(
         linear_fields["f1u"], linear_fields["f1s"], linear_fields["f2s"],
-        np.zeros(2), e1, radius=1, step=4e-3)
+        np.zeros(2), e1, radius=1)
     assert len(rows) == 8
-    assert max(r.transport_deviation for r in rows) < 1e-8
-    assert max(r.slope_difference for r in rows) < 1e-6
+    # the holonomies and graphs are exact to rounding: 1.8e-15 and 2.9e-13
+    assert max(r.transport_deviation for r in rows) <= 1e-14
+    assert max(r.slope_difference for r in rows) <= 2e-12
 
 
 def test_graph_transport_smooth(conj_fields, e1):
-    from anosov_lab.rigidity import tangency_propagation_check
-    # at the default propagation step 8e-3 and at half of it
-    for step in (4e-3, 8e-3):
-        rows = tangency_propagation_check(
-            conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
-            np.zeros(2), e1, radius=1, step=step)
-        assert len(rows) == 8
-        # the spline maps and the chain-rule slope put both at the leaves' accuracy
-        assert max(r.transport_deviation for r in rows) <= 1e-9, step
-        assert max(r.slope_difference for r in rows) <= 1e-7, step
-        assert min(r.angle for r in rows) > 0.05
+    rows = tangency_propagation_check(
+        conj_fields["f1u"], conj_fields["f1s"], conj_fields["f2s"],
+        np.zeros(2), e1, radius=1)
+    assert len(rows) == 8
+    # the splines of the shot samples set both: 1.6e-12 and 7.0e-10
+    assert max(r.transport_deviation for r in rows) <= 1e-11
+    assert max(r.slope_difference for r in rows) <= 5e-9
+    assert min(r.angle for r in rows) > 0.05
 
 
-# --- Scalar reference for the batched leaf evaluation, projection and
-# crossing solve, one point at a time.  The batched code does the same
+# --- Scalar reference for the batched leaf evaluation and projection, one
+# point at a time.  The batched code does the same
 # arithmetic per point, so results must be equal bit for bit, not merely
 # close.
 
@@ -322,95 +359,6 @@ def _ref_project(proj, x):
         dist[i] = (p[0] - foot[0]) * -head[1] + (p[1] - foot[1]) * head[0]
         tang[i] = head
     return s, dist, tang
-
-
-def _ref_cubic(field, p0, p1, h0, h1, spacing):
-    d, _ = _aligned_direction(field, np.array([p0, p1]), np.array([h0, h1]))
-    d0, d1 = spacing * d[0], spacing * d[1]
-    chord = p1 - p0
-    return p0, d0, 3 * chord - 2 * d0 - d1, d1 + d0 - 2 * chord
-
-
-def _ref_cubic_at(coef, t):
-    c0, c1, c2, c3 = coef
-    return c0 + t * (c1 + t * (c2 + t * c3)), c1 + t * (2 * c2 + 3 * t * c3)
-
-
-def _ref_newton(mover, target, sigma, tau):
-    for _ in range(HERMITE_NEWTON_STEPS):
-        (mx, my), (mdx, mdy) = _ref_cubic_at(mover, sigma)
-        (tx, ty), (tdx, tdy) = _ref_cubic_at(target, tau)
-        rx, ry = mx - tx, my - ty
-        det = mdx * -tdy - -tdx * mdy
-        sigma = sigma - (-tdy * rx - -tdx * ry) / det
-        tau = tau - (-mdy * rx + mdx * ry) / det
-    return sigma, tau
-
-
-def _ref_hermite_crossing(field, p0, p1, h0, h1, spacing, dist, foot, proj):
-    """The crossing of one mover step with the one-row proj."""
-    mover = _ref_cubic(field, p0, p1, h0, h1, spacing)
-    sigma = dist[0] / (dist[0] - dist[1])
-    guess = foot[0] + sigma * (foot[1] - foot[0])
-    t_step, last = proj.step[0], proj.last[0]
-
-    def target_at(node):
-        return _ref_cubic(proj.field, proj.points[0, node], proj.points[0, node + 1],
-                          proj.headings[0, node], proj.headings[0, node + 1], t_step)
-
-    node = int(np.clip(np.floor((guess - proj.params[0, 0]) / t_step), 0, last - 1))
-    tau = (guess - proj.params[0, node]) / t_step
-    sigma, tau = _ref_newton(mover, target_at(node), sigma, tau)
-    if not abs(tau - 0.5) <= 0.5 + SEGMENT_SLACK:
-        moved = int(np.clip(node + (-1 if tau < 0.5 else 1), 0, last - 1))
-        sigma, tau = _ref_newton(mover, target_at(moved), sigma, tau - (moved - node))
-        node = moved
-        if not abs(tau - 0.5) <= 0.5 + SEGMENT_SLACK:
-            raise SignAmbiguity("crossing outside the target segments")
-    point, m_d = _ref_cubic_at(mover, sigma)
-    t_d = _ref_cubic_at(target_at(node), tau)[1]
-    s_prime = proj.params[0, node] + tau * t_step
-    return s_prime, line_angle(m_d[None, :], t_d[None, :])[0], point
-
-
-def _ref_cross_to_target(field, starts, tau2, budget, step,
-                         tangency_threshold=TANGENCY_THRESHOLD):
-    proj = tau2
-    pts = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    m = len(pts)
-    prev_foot, prev_dist, tang = _ref_project(proj, pts)
-    hd = np.atleast_2d(field.direction_at(np.mod(pts, 1.0)))
-    for i in range(m):
-        rate = hd[i, 0] * -tang[i, 1] + hd[i, 1] * tang[i, 0]
-        hd[i] *= -np.sign(prev_dist[i] * rate) or 1.0
-    s_out = np.full(m, np.nan)
-    ang_out = np.full(m, np.nan)
-    pt_out = np.full((m, 2), np.nan)
-    active = np.ones(m, dtype=bool)
-    prev_pts, prev_hd = pts.copy(), hd
-    for _ in range(int(math.ceil(budget / step))):
-        if not active.any():
-            break
-        new_pts = prev_pts.copy()
-        new_hd = prev_hd.copy()
-        stepped, hd_step, worst = _rk4_step(field, prev_pts[active], prev_hd[active], step)
-        if worst.min() < math.cos(SIGN_CONTINUITY_LIMIT):
-            raise SignAmbiguity("field too rough along holonomy leaf")
-        new_pts[active] = stepped
-        new_hd[active] = hd_step
-        new_foot, new_dist, _ = _ref_project(proj, new_pts)
-        flipped = active & (np.sign(new_dist) != np.sign(prev_dist))
-        for i in np.where(flipped)[0]:
-            s_out[i], ang_out[i], pt_out[i] = _ref_hermite_crossing(
-                field, prev_pts[i], new_pts[i], prev_hd[i], new_hd[i], step,
-                (prev_dist[i], new_dist[i]), (prev_foot[i], new_foot[i]), proj)
-            active[i] = False
-        prev_pts, prev_hd, prev_dist, prev_foot = new_pts, new_hd, new_dist, new_foot
-    if active.any():
-        raise LeafEscaped(f"{int(active.sum())} leaves did not reach the transversal")
-    if np.any(ang_out < tangency_threshold):
-        raise TangencySuspected("shallow crossing")
-    return s_out, pt_out
 
 
 @pytest.fixture(params=["linear", "conjugated"])
@@ -457,111 +405,3 @@ def test_project_refine_matches_scalar_reference(frame_fields):
     x = np.concatenate([across.points[0, ::7], tau.points[0, 5:8], tau.points[0, [0, -1]] + 0.01])
     for got, want in zip(tau.project(x), _ref_project(tau, x)):
         assert np.array_equal(got, want)
-
-
-def _steps_around_crossing(f1u, f1s, step, offsets):
-    """Steps of ``step`` along stable leaves through points of an unstable
-    transversal, each starting ``offset * step`` before its crossing
-    (negative: past it) with headings toward the transversal: both ends'
-    nodes and headings, (2, m, 2) each, and fast distances and foot
-    parameters, (2, m) each; and the transversal."""
-    tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.6, step=4e-3, centered=True)
-    nodes, heads = [], []
-    for k, a in enumerate(offsets):
-        base = tau.evaluate([-0.2 + 0.037 * k])[0][0]
-        leaf = integrate_leaf(f1s, base, 0.1, step=step, centered=True)
-        p, t = leaf.evaluate([-a * step])
-        nodes.append(p[0])
-        heads.append(t[0])
-    nodes, heads = np.array(nodes), np.array(heads)
-    ends, end_heads, _ = _rk4_step(f1s, nodes, heads, step)
-    foot, dist = np.empty((2, len(offsets))), np.empty((2, len(offsets)))
-    for e, p in enumerate((nodes, ends)):
-        foot[e], dist[e], _ = tau.project(p)
-    return np.array([nodes, ends]), np.array([heads, end_heads]), dist, foot, tau
-
-
-def test_refine_crossings_matches_scalar_reference(frame_fields):
-    # the Hermite solve of bracketed crossings
-    f1u, f1s = frame_fields
-    step = 4e-3
-    # inside [0, step], and 0.3 and 0.7 step past the crossing
-    offsets = [0.5, 0.05, 0.93, -0.3, -0.7, 0.25]
-    nodes, heads, dist, foot, tau = _steps_around_crossing(f1u, f1s, step, offsets)
-    m = len(offsets)
-    s, angle, point = _hermite_crossings(f1s, nodes, heads, np.full(m, step), dist, foot, tau,
-                                         np.zeros(m, dtype=int))
-    ref = [_ref_hermite_crossing(f1s, nodes[0, i], nodes[1, i], heads[0, i], heads[1, i], step,
-                                 dist[:, i], foot[:, i], tau) for i in range(m)]
-    assert np.array_equal(s, np.array([r[0] for r in ref]))
-    assert np.array_equal(angle, np.array([r[1] for r in ref]))
-    assert np.array_equal(point, np.array([r[2] for r in ref]))
-    # a foot guess one target node too far: the first solve leaves the
-    # target segment, and the second, on the adjacent one, finds the crossing
-    far = foot[:, :1] + tau.step[0]
-    s_far, _, _ = _hermite_crossings(f1s, nodes[:, :1], heads[:, :1], np.array([step]),
-                                        dist[:, :1], far, tau, np.zeros(1, dtype=int))
-    ref_far = _ref_hermite_crossing(f1s, nodes[0, 0], nodes[1, 0], heads[0, 0], heads[1, 0],
-                                    step, dist[:, 0], far[:, 0], tau)[0]
-    assert s_far[0] == ref_far
-    assert abs(s_far[0] - s[0]) < 1e-12
-    # the crossing point is the transversal's point at s, at a fraction in
-    # (-1, 2) of a step along the mover's chord
-    assert np.max(np.abs(tau.evaluate(s)[0] - point)) < 1e-10
-    chord = nodes[1] - nodes[0]
-    along = np.einsum("ni,ni->n", point - nodes[0], chord) / np.einsum("ni,ni->n", chord, chord)
-    assert np.all((along > -1.0) & (along < 2.0))
-
-
-def test_cross_to_target_matches_scalar_reference(frame_fields):
-    f1u, f1s = frame_fields
-    tau2 = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.8, step=4e-3, centered=True)
-    near = integrate_leaf(f1s, tau2.evaluate([0.1])[0][0], 0.5, step=1e-3, centered=True)
-    # starts on both sides of tau2, and one on it
-    starts = np.concatenate([near.evaluate(np.linspace(-0.2, 0.2, 9))[0],
-                             tau2.points[0, [60]]])
-    for step in (4e-3, 1e-3):
-        s, point = _cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
-        s_ref, point_ref = _ref_cross_to_target(f1s, starts, tau2, budget=0.5, step=step)
-        assert np.array_equal(s, s_ref)
-        assert np.array_equal(point, point_ref)
-
-
-def _offsets_along(field, base, dists):
-    """Points at the given arc lengths from base along the leaf of field."""
-    leaf = integrate_leaf(field, base, 2.2 * max(abs(d) for d in dists), step=1e-3,
-                          centered=True)
-    return leaf.evaluate(np.asarray(dists, dtype=float))[0]
-
-
-def test_cross_to_target_reports_escaped_leaf_count(linear_fields):
-    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
-    starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [0.05, -0.1, 0.15, 0.3, -0.4])
-    with pytest.raises(LeafEscaped, match="^2 leaves did not reach"):
-        _cross_to_target(linear_fields["f1s"], starts, tau2, budget=0.2, step=1e-3)
-
-
-def test_cross_to_target_shallow_crossing_raises(e1, linear_fields):
-    v_u = np.asarray(e1.vu)
-    tilt = math.atan2(v_u[1], v_u[0]) + 0.005
-    shallow = LineField(None, np.full((2, 2), tilt))
-    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.6, centered=True)
-    starts = _offsets_along(linear_fields["f1s"], np.zeros(2), [5e-4, -3e-4])
-    with pytest.raises(TangencySuspected):
-        _cross_to_target(shallow, starts, tau2, budget=0.3, step=1e-3)
-
-
-def test_cross_to_target_crossing_off_target_raises(e1, linear_fields):
-    # the fast distance extends the transversal's end nodes along their
-    # headings, so a leaf crossing that extension 0.05 past the last node
-    # brackets a crossing that no target segment holds
-    f1s = linear_fields["f1s"]
-    v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)
-    tau2 = integrate_leaf(linear_fields["f1u"], np.zeros(2), 0.2, step=4e-3, centered=True)
-    # inside, past the end, and out of reach
-    starts = np.array([0.02 * v_u + 0.05 * v_s, 0.15 * v_u + 0.05 * v_s, -0.05 * v_u + 0.5 * v_s])
-    with pytest.raises(SignAmbiguity):
-        _ref_cross_to_target(f1s, starts[1:2], tau2, budget=0.2, step=4e-3)
-    # the crossing solve runs before the escape check
-    with pytest.raises(SignAmbiguity, match=r"^crossing outside .*\[b\]$"):
-        _cross_to_target(f1s, starts, tau2, budget=0.2, step=4e-3, tags=["a", "b", "c"])

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from anosov_lab.errors import ChartOverflow, NonMonotoneG
-from anosov_lab.foliations import _graph_map
+from anosov_lab.errors import NonMonotoneG
 from anosov_lab.interp import MonotoneCubic, not_a_knot_spline
 from anosov_lab.rigidity import _cumulative_simpson
 
@@ -158,15 +157,3 @@ def test_spline_rejects_fewer_than_four_knots():
     with pytest.raises(ValueError, match="at least 4 knots"):
         not_a_knot_spline([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     not_a_knot_spline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0])
-
-
-def test_graph_map_with_a_repeated_u_is_non_monotone():
-    u = np.array([-0.01, 0.0, 0.0, 0.01])
-    with pytest.raises(NonMonotoneG, match="local graph samples repeat u = 0"):
-        _graph_map(u, 0.5 * u)
-
-
-def test_graph_map_on_three_samples_overflows_the_chart():
-    u = np.array([-0.01, 0.0, 0.01])
-    with pytest.raises(ChartOverflow, match="local graph has 3 samples in"):
-        _graph_map(u, 0.5 * u)

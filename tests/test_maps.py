@@ -330,3 +330,30 @@ def test_backward_jacobians_are_jacobians_along_the_backward_orbit(perturbed, co
             _assert_same_bits(jac, expected)
         else:  # the orbit found another way: rounding grows like lambda_u^depth
             assert np.max(np.abs(jac - expected)) < 1e-12, depth
+
+
+def _ref_orbit(handle, x, n):
+    """g^n(x) and D g^n(x) by n explicit ``lift`` and ``jacobian`` steps."""
+    jac = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+    for _ in range(n):
+        jac = np.einsum("nij,njk->nik", handle.jacobian(x), jac)
+        x = handle.lift(x)
+    return x, jac
+
+
+@pytest.mark.parametrize("name", ["perturbed", "inverse_perturbed", "conjugated",
+                                  "inverse_conjugated"])
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_orbit_is_the_explicit_steps(perturbed, conj_g1, name, n):
+    handle = {"perturbed": perturbed, "inverse_perturbed": InverseMap(perturbed),
+              "conjugated": conj_g1, "inverse_conjugated": conj_g1.inverse()}[name]
+    x = RNG.random((64, 2)) * 4 - 2
+    got, jac = handle.orbit(x, n)
+    want, want_jac = _ref_orbit(handle, x, n)
+    if name == "perturbed":  # the same steps
+        _assert_same_bits(got, want)
+        _assert_same_bits(jac, want_jac)
+    else:  # another evaluation: rounding grows like lambda_u^n = 2.6^n
+        scale = 2.7 ** n
+        assert np.max(np.abs(got - want)) < 1e-13 * scale, n
+        assert np.max(np.abs(jac - want_jac)) < 1e-12 * scale, n

@@ -1,18 +1,14 @@
-"""Work-count guards for the Lemma 3 marches of ``teichmuller`` runs and
+"""Work-count guards for the Lemma 3 shooting of ``teichmuller`` runs and
 for the trig evaluations of the line-field transport.
 
-The counts are deterministic: a run projects onto transversals and steps
-leaves the same number of times on every machine.  Each bound sits a
-little above or at the count at the default propagation step, 8e-3, of a
-march that integrates each distinct leaf once and projects a row only
-where it can cross.  At the step 4e-3, with one stable and one unstable
-heteroclinic leaf per lattice vector and the unstable leaves integrated
-again to the lifts of z', the default linear run made 132 projections of
-6,812 points and 34,548 holonomy RK4 row-steps, and the run on the action
-conjugated by phi = id + (0.02 sin 2 pi x2, 0) made 2,210 RK4 steps in
-Lemma 3, 8,800 heteroclinic row-steps among them.  The field lookups
-(``LineField.angle_at`` calls and points) are pinned exactly: a lookup
-that moves off that path, or a change in their number, fails.
+The counts are deterministic: a run evaluates the same orbits and takes
+the same Newton steps on every machine.  ``foliations._shoot`` takes
+NEWTON_STEPS steps at each of the ORBIT_LENGTHS for every row, so the
+Newton iterations of a run are pinned exactly, and so are the orbit
+evaluations (``orbit`` calls and points of every map handle) and the
+field lookups (``LineField.angle_at`` calls and points) of Lemma 3: the
+frame directions at z and every z', three lookups in all.  A change in
+any of these numbers fails.
 
 A line field evaluates the trig values of its map's Fourier terms once
 per Jacobian batch and Newton iterate, never twice at one point.
@@ -22,7 +18,7 @@ import json
 
 import pytest
 
-from anosov_lab import foliations, rigidity
+from anosov_lab import foliations, maps, rigidity
 from anosov_lab.cli import main
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.maps import InverseMap
@@ -31,75 +27,69 @@ PHI_02 = ["--set", "action.kind=conjugated",
           "--set", "action.diffeo=" + json.dumps([{"k": [0, 1], "sin": [0.02, 0]}])]
 
 
-def _teichmuller_work(tmp_path, monkeypatch, args):
-    """Field lookups, projections and RK4 steps of one in-process
-    ``teichmuller`` run: calls and points of ``LineField.angle_at`` and of
-    ``LeafBundle.project``, and ``_rk4_step`` calls and rows within
-    ``tangency_propagation_check``, within ``holonomies`` and within
-    ``heteroclinic_points``."""
-    counts = dict.fromkeys(("lookup_calls", "lookup_points", "project_calls",
-                            "project_points", "lemma3_steps", "holonomy_row_steps",
-                            "heteroclinic_row_steps"), 0)
-    stage = set()
-    angle_at = foliations.LineField.angle_at
-    project, rk4_step = foliations.LeafBundle.project, foliations._rk4_step
+def _lemma3_work(tmp_path, monkeypatch, args):
+    """Shooting work of the Lemma 3 stage of one in-process ``teichmuller``
+    run: ``_shoot`` calls and their Newton iterations (calls of the
+    position function, with their rows), the ``orbit`` calls and points of
+    every handle, and the calls and points of ``LineField.angle_at``."""
+    counts = dict.fromkeys(("shoot_calls", "newton_iterations", "newton_rows", "orbit_calls",
+                            "orbit_points", "lookup_calls", "lookup_points"), 0)
+    inside = [False]
+    shoot, angle_at = foliations._shoot, foliations.LineField.angle_at
 
-    def counting_angle_at(self, x):
-        counts["lookup_calls"] += 1
-        counts["lookup_points"] += len(x)
-        return angle_at(self, x)
+    def counting_shoot(leaves, position, x, tags=None):
+        counts["shoot_calls"] += 1
 
-    def counting_project(self, pts, which=0, near=None):
-        counts["project_calls"] += 1
-        counts["project_points"] += len(pts)
-        return project(self, pts, which, near)
+        def counted(x):
+            counts["newton_iterations"] += 1
+            counts["newton_rows"] += len(x)
+            return position(x)
 
-    def counting_step(field, pts, headings, h):
-        counts["lemma3_steps"] += "lemma3" in stage
-        counts["holonomy_row_steps"] += len(pts) * ("holonomy" in stage)
-        counts["heteroclinic_row_steps"] += len(pts) * ("heteroclinic" in stage)
-        return rk4_step(field, pts, headings, h)
+        return shoot(leaves, counted, x, tags)
 
-    def flagged(name, run):
-        def wrapper(*args, **kwargs):
-            stage.add(name)
-            try:
-                return run(*args, **kwargs)
-            finally:
-                stage.discard(name)
+    def counting(kind, method):
+        def wrapper(self, x, *args):
+            if inside[0]:
+                counts[f"{kind}_calls"] += 1
+                counts[f"{kind}_points"] += len(x)
+            return method(self, x, *args)
         return wrapper
 
+    def flagged(*args, **kwargs):
+        inside[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    check = rigidity.tangency_propagation_check
     monkeypatch.delenv("ANOSOV_LAB_OUT", raising=False)
-    monkeypatch.setattr(foliations.LineField, "angle_at", counting_angle_at)
-    monkeypatch.setattr(foliations.LeafBundle, "project", counting_project)
-    monkeypatch.setattr(foliations, "_rk4_step", counting_step)
-    for name, attr in (("lemma3", "tangency_propagation_check"), ("holonomy", "holonomies"),
-                       ("heteroclinic", "heteroclinic_points")):
-        monkeypatch.setattr(rigidity, attr, flagged(name, getattr(rigidity, attr)))
+    monkeypatch.setattr(foliations, "_shoot", counting_shoot)
+    monkeypatch.setattr(foliations.LineField, "angle_at", counting("lookup", angle_at))
+    for handle in (maps.PerturbedMap, maps.InverseMap, maps.ConjugatedMap):
+        monkeypatch.setattr(handle, "orbit", counting("orbit", handle.orbit))
+    monkeypatch.setattr(rigidity, "tangency_propagation_check", flagged)
     assert main(["teichmuller", *args, "--out", str(tmp_path)]) == 0
     return counts
 
 
-def test_default_teichmuller_run_projects_and_steps_within_bounds(tmp_path, monkeypatch):
-    counts = _teichmuller_work(tmp_path, monkeypatch, [])
-    assert counts["holonomy_row_steps"] > 0
-    # 100 projections of 5,980 points and 17,348 holonomy row-steps
-    assert counts["project_calls"] <= 105
-    assert counts["project_points"] <= 6_100
-    assert counts["holonomy_row_steps"] <= 17_500
-    # direction_at and the marching lookup each make one angle_at call
-    assert (counts["lookup_calls"], counts["lookup_points"]) == (1_885, 94_033)
+def test_default_teichmuller_run_shoots_within_counts(tmp_path, monkeypatch):
+    counts = _lemma3_work(tmp_path, monkeypatch, [])
+    # the heteroclinic points in closed form; the 9 x 41 local-graph points
+    # (two conditions), their s and the two holonomies of 8 x 49 rows: 4
+    # solves of 20 Newton iterations, each orbit length with its reference
+    # orbits, 125 orbits in all
+    assert counts == {"shoot_calls": 4, "newton_iterations": 80, "newton_rows": 30_440,
+                      "orbit_calls": 125, "orbit_points": 47_275,
+                      "lookup_calls": 3, "lookup_points": 27}
 
 
-def test_conjugated_teichmuller_run_steps_each_heteroclinic_leaf_once(tmp_path, monkeypatch):
-    counts = _teichmuller_work(tmp_path, monkeypatch, PHI_02)
-    assert counts["heteroclinic_row_steps"] > 0
-    # 871 RK4 steps, 814 row-steps of them on the stable heteroclinic leaf
-    # and the unstable leaf's marches toward every k; both bounds sit at
-    # the counts
-    assert counts["lemma3_steps"] <= 871
-    assert counts["heteroclinic_row_steps"] <= 814
-    assert (counts["lookup_calls"], counts["lookup_points"]) == (3_510, 96_687)
+def test_conjugated_teichmuller_run_shoots_within_counts(tmp_path, monkeypatch):
+    counts = _lemma3_work(tmp_path, monkeypatch, PHI_02)
+    # the 8 heteroclinic points take a fifth solve, of two conditions
+    assert counts == {"shoot_calls": 5, "newton_iterations": 100, "newton_rows": 30_600,
+                      "orbit_calls": 175, "orbit_points": 47_675,
+                      "lookup_calls": 3, "lookup_points": 27}
 
 
 @pytest.mark.parametrize("name, calls, depth", [
