@@ -31,6 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# by name, so that the package's import loads np.random, which NumPy 2
+# would load lazily inside the first experiment
+from numpy.random import default_rng
 
 from .errors import NewtonFailed, PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
@@ -352,7 +355,7 @@ def estimate_holder_exponent(h: Conjugacy, direction, scales, seed: int = 0):
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     scales = np.asarray(scales, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     base = rng.random((100, 2))
     log_s = np.log(scales)
     moved = (base[:, None, :] + scales[None, :, None] * v).reshape(-1, 2)

@@ -1,46 +1,85 @@
 """Periodic bicubic interpolation on uniform N x N torus grids, and the
 not-a-knot cubic spline on the line.
 
-The spline is the one cubic family of the program: a Lemma 3 local graph
-is one, and ``MonotoneCubic``, a spline paired with its inverse, is each
-Lemma 3 holonomy and the Proposition 1 profiles and coordinate g.  It does
-the arithmetic of SciPy's ``CubicSpline`` (default not-a-knot ends)
-operation for operation, and agrees with it to the bit; of SciPy, only
-``ndimage`` is imported.
+The bicubic is the periodic cubic B-spline: its coefficients come from one
+FFT of the grid values, and each value sums 16 of them.  The spline is the
+one cubic family of the program: a Lemma 3 local graph is one, and
+``MonotoneCubic``, a spline paired with its inverse, is each Lemma 3
+holonomy and the Proposition 1 profiles and coordinate g.  It does the
+arithmetic of SciPy's ``CubicSpline`` (default not-a-knot ends) operation
+for operation, and agrees with it to the bit; the package imports no SciPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+# by name, so that the package's import loads np.fft, which NumPy 2 would
+# load lazily inside the first experiment
+from numpy.fft import irfft2, rfft2
 
 from .errors import NonMonotoneG
 
 
+def _cubic_bspline_weights(s):
+    """The weights of taps i - 1, i, i + 1 and i + 2 at t = i + s, s in
+    [0, 1): shape (4, *s.shape).  The middle two are 2/3 - s^2 + s^3 / 2
+    and its mirror in 1 - s."""
+    u = 1 - s
+    s2, u2 = s * s, u * u
+    w = np.empty((4, *s.shape))
+    np.multiply(u2, u / 6, out=w[0])
+    np.multiply(s2, s / 2 - 1, out=w[1])
+    np.multiply(u2, u / 2 - 1, out=w[2])
+    w[1:3] += 2 / 3
+    np.multiply(s2, s / 6, out=w[3])
+    return w
+
+
 class PeriodicBicubic:
-    """Bicubic spline interpolation of grid data with periodic wrap.
+    """Cubic B-spline interpolation of grid data with periodic wrap.
 
     ``values`` has shape (N, N, m); sample i, j sits at the torus point
-    (i / N, j / N).
+    (i / N, j / N).  The spline through the samples weighs each coefficient
+    by (1, 4, 1) / 6 along each axis, a circulant that the 2-D FFT
+    diagonalizes, so the coefficients are the values' spectrum divided by
+    d[k1] d[k2], d[k] = (4 + 2 cos 2 pi k / N) / 6 (Unser, IEEE SPM 1999).
     """
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        self.n = values.shape[0]
-        self._coeffs = [
-            ndimage.spline_filter(values[:, :, m], order=3, mode="grid-wrap")
-            for m in range(values.shape[2])
-        ]
+        n = self.n = values.shape[0]
+        d = (4 + 2 * np.cos(2 * np.pi / n * np.arange(n))) / 6
+        spectrum = rfft2(values, axes=(0, 1))
+        spectrum /= (d[:, None] * d[:n // 2 + 1])[:, :, None]
+        # (N * N, m): the channels of a grid point side by side, so that one
+        # gather fetches them all
+        self._coeffs = irfft2(spectrum, s=(n, n), axes=(0, 1)).reshape(n * n, -1)
+        # (i + k) mod N for the taps k = -1 .. 2 of every i in [0, N]
+        self._wrap = np.arange(-1, n + 3) % n
 
     def __call__(self, x) -> np.ndarray:
         """Values at the torus points x of shape (n, 2): shape (n, m), the
-        transposed view of one (m, n) array that each channel's
-        ``map_coordinates`` call writes its row of."""
-        coords = (x.T * self.n) % self.n
-        out = np.empty((len(self._coeffs), len(x)))
-        for c, row in zip(self._coeffs, out):
-            ndimage.map_coordinates(c, coords, output=row, order=3, mode="grid-wrap",
-                                    prefilter=False)
+        transposed view of one C-contiguous (m, n) array.
+
+        On each axis t = (x N) mod N = i + s, and the taps are i - 1 .. i + 2
+        mod N: t rounds to N for x just below 0.  The value is c(i, j) plus
+        the weighted sum of c(tap) - c(i, j) over the 16 taps: the weights
+        sum to 1, so this is the spline, and on the power-of-two grids the
+        config allows, whose FFT keeps a constant's coefficients exact, a
+        constant field comes back exactly."""
+        size = self.n
+        t = (x.T * size) % size
+        i = np.floor(t)
+        w = _cubic_bspline_weights(t - i)
+        taps = self._wrap.take(i.astype(np.intp) + np.arange(4)[:, None, None])
+        # (4, 4, n, m): the taps of every point and channel
+        c = self._coeffs.take(taps[:, None, 0] * size + taps[:, 1], axis=0)
+        centre = c[1, 1].copy()
+        c -= centre
+        rows = np.einsum("abpm,bp->apm", c, w[:, 1])
+        out = np.empty((c.shape[-1], len(x)))
+        np.einsum("apm,ap->mp", rows, w[:, 0], out=out)
+        out += centre.T
         return out.T
 
 

@@ -503,18 +503,29 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert not env_out.exists()
 
 
-def test_cli_import_loads_only_ndimage_of_scipy():
-    """Importing the driver loads none of the heavy SciPy subpackages: the
-    1-D cubics and cumulative Simpson are the package's own, and only
-    ``scipy.ndimage`` serves the bicubic lookups."""
+def test_teichmuller_runs_without_scipy(tmp_path):
+    """With every SciPy import made to raise, the driver imports and the
+    default ``teichmuller`` run ends smooth and loads no SciPy module.  The
+    import alone has loaded np.fft and np.random, which NumPy 2 loads on
+    first use: otherwise their import would fall inside the run."""
     src = str(Path(anosov_lab.__file__).resolve().parents[1])
-    heavy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.linalg",
-             "scipy.sparse"]
-    code = (f"import sys; sys.path.insert(0, {src!r}); import anosov_lab.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+    code = f"""
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {src!r})
+import anosov_lab.cli
+eager = ["numpy.fft" in sys.modules, "numpy.random" in sys.modules]
+exit_code = anosov_lab.cli.main(["teichmuller", "--out", {str(tmp_path)!r}])
+print(json.dumps([eager, exit_code, [m for m in sys.modules
+                                     if m.startswith("scipy") and sys.modules[m] is not None]]))
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    eager, exit_code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert eager == [True, True]
+    assert (exit_code, scipy_modules) == (0, [])
+    doc = json.loads((tmp_path / "teichmuller-report.json").read_text())
+    assert doc["verdict"] == "smooth"
 
 
 PERTURBED_OBSTRUCTED = ("--set", "action.kind=perturbed", "--set",

@@ -1,11 +1,16 @@
 """The field-lookup kernels against the forms they replaced.
 
 ``foliations._unit`` writes cos and sin into one array and negates the
-flipped rows in place, and ``PeriodicBicubic.__call__`` writes each channel
-into one preallocated array and returns its transpose.  The references
-below are the ``np.stack`` and ``np.where`` forms they replaced.  The
-arithmetic is the same, so every comparison is bit for bit, sign bits
-included.
+flipped rows in place.  The reference below is the ``np.stack`` and
+``np.where`` form it replaced.  The arithmetic is the same, so every
+comparison is bit for bit, sign bits included.
+
+``PeriodicBicubic`` divides the values' spectrum by the B-spline symbol and
+sums 16 taps; SciPy's ``ndimage``, which it replaced, filters recursively
+and sums the taps in another order.  So the bicubic is held to
+``ndimage``'s coefficients and values within 1e-14 of the largest sample,
+and to two closed forms: the samples at the grid nodes, and a constant
+field exactly.
 
 ``foliations._aligned_direction`` aligns the uncanonicalized direction of
 each angle with its heading; its reference aligns the canonical one,
@@ -35,15 +40,6 @@ def _ref_unit(theta):
     return np.where(flip[..., None], -v, v)
 
 
-def _ref_bicubic(interp, x):
-    coords = (x.T * interp.n) % interp.n
-    return np.stack(
-        [ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
-         for c in interp._coeffs],
-        axis=1,
-    )
-
-
 def _assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
@@ -70,29 +66,84 @@ def test_unit_of_a_field_grid(conj_fields):
     _assert_same_bits(_unit(theta), _ref_unit(theta))
 
 
-def _grids(field):
-    """A line field's interpolator and a displacement field's."""
-    n = 64
+BICUBIC_GRIDS = [64, 128, 1024]
+# grid nodes, the origin's neighbours below 1, a point whose t rounds to N,
+# and points of negative sign
+SPECIAL_POINTS = np.array([[0.0, 0.0], [-0.0, 0.5], [np.nextafter(1.0, 0.0), 0.25],
+                           [0.5, np.nextafter(1.0, 0.0)], [-1e-17, 3 / 128], [0.125, -0.75]])
+
+
+def _grid_values(n):
+    """Values on the n x n grid: a displacement field of h's size, and O(1)
+    noise, whose high frequencies the prefilter amplifies most."""
     x, y = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
-    values = np.stack([0.02 * np.sin(2 * np.pi * y) + 0.01 * np.cos(2 * np.pi * (x + 2 * y)),
+    smooth = np.stack([0.02 * np.sin(2 * np.pi * y) + 0.01 * np.cos(2 * np.pi * (x + 2 * y)),
                        -0.015 * np.sin(2 * np.pi * (x - y))], axis=-1)
-    return {"line field": field._interp,
-            "displacement": PeriodicBicubic(values)}
+    return {"displacement": smooth,
+            "noise": np.random.default_rng(n).standard_normal((n, n, 2))}
 
 
+def _bicubic_cases(conj_fields, n):
+    """(name, grid values, their interpolator): the line field's, which
+    ``LineField`` builds from its double-angle embedding, and n's grids."""
+    field = conj_fields["f1u"]
+    embedding = np.stack([np.cos(2 * field.theta), np.sin(2 * field.theta)], axis=-1)
+    yield "line field", embedding, field._interp
+    for name, values in _grid_values(n).items():
+        yield name, values, PeriodicBicubic(values)
+
+
+def _points(size):
+    x = np.random.default_rng(size).uniform(-1.0, 2.0, (size, 2))
+    x[:len(SPECIAL_POINTS)] = SPECIAL_POINTS[:size]
+    return x
+
+
+@pytest.mark.parametrize("n", BICUBIC_GRIDS)
+def test_bicubic_coefficients_match_spline_filter(conj_fields, n):
+    for name, values, interp in _bicubic_cases(conj_fields, n):
+        want = np.stack([ndimage.spline_filter(values[:, :, m], order=3, mode="grid-wrap")
+                         for m in range(values.shape[2])], axis=-1)
+        err = np.max(np.abs(interp._coeffs.reshape(want.shape) - want))
+        assert err <= 1e-14 * np.max(np.abs(values)), name
+
+
+@pytest.mark.parametrize("n", BICUBIC_GRIDS)
 @pytest.mark.parametrize("size", SIZES)
-def test_bicubic_matches_stacked_channels(conj_fields, size):
-    rng = np.random.default_rng(size)
-    x = rng.uniform(-1.0, 2.0, (size, 2))
-    # grid nodes, the origin's neighbours below 1 and points of negative sign
-    special = np.array([[0.0, 0.0], [-0.0, 0.5], [np.nextafter(1.0, 0.0), 0.25],
-                        [0.5, np.nextafter(1.0, 0.0)], [-1e-17, 3 / 128], [0.125, -0.75]])
-    x[:len(special)] = special[:size]
-    for name, interp in _grids(conj_fields["f1u"]).items():
+def test_bicubic_matches_map_coordinates(conj_fields, n, size):
+    x = _points(size)
+    for name, values, interp in _bicubic_cases(conj_fields, n):
+        coords = (x.T * len(values)) % len(values)
+        want = np.stack([ndimage.map_coordinates(values[:, :, m], coords, order=3,
+                                                 mode="grid-wrap")
+                         for m in range(values.shape[2])], axis=1)
         got = interp(x)
-        _assert_same_bits(got, _ref_bicubic(interp, x))
         assert got.shape == (size, 2), name
+        # the transposed view of one (m, n) array
+        assert got.T.flags.c_contiguous, name
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values)), name
 
+
+@pytest.mark.parametrize("n", BICUBIC_GRIDS)
+def test_bicubic_reproduces_the_samples_at_the_grid_nodes(n):
+    nodes = np.stack(np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    for name, values in _grid_values(n).items():
+        err = np.max(np.abs(PeriodicBicubic(values)(nodes) - values.reshape(-1, 2)))
+        # measured 9.0e-16 (displacement) and 1.1e-15 (noise, N = 1024) of
+        # the largest sample: a few ulps of the coefficients
+        assert err <= 2e-15 * np.max(np.abs(values)), name
+
+
+@pytest.mark.parametrize("n", BICUBIC_GRIDS)
+def test_bicubic_reproduces_a_constant_field_exactly(n):
+    # on power-of-two grids the FFT leaves a constant's coefficients exact,
+    # and the taps sum differences from the centre coefficient, all 0
+    x = np.concatenate([SPECIAL_POINTS, np.random.default_rng(n).uniform(-1.0, 2.0, (4096, 2))])
+    for c in (1.0, 0.3, -2.7):
+        interp = PeriodicBicubic(np.full((n, n, 2), c))
+        assert np.all(interp._coeffs == c)
+        assert np.all(interp(x) == c)
 
 
 def _ref_aligned_direction(field, pts, headings):
