@@ -133,12 +133,11 @@ class ExperimentConfig:
 
     def build_handles(self):
         """Map handles for the generators per the configured action kind."""
-        if self.kind == "linear":
-            return [PerturbedMap(e, FourierPerturbation.zero()) for e in self.generators]
-        if self.kind == "conjugated":
-            phi = Diffeo(self.diffeo_q)
-            return [ConjugatedMap(phi, e) for e in self.generators]
-        return [PerturbedMap(e, self.perturbation_p) for e in self.generators]
+        if self.kind == "perturbed":
+            return [PerturbedMap(e, self.perturbation_p) for e in self.generators]
+        # the linear action is the conjugated one with phi = id
+        q = self.diffeo_q if self.kind == "conjugated" else FourierPerturbation.zero()
+        return [ConjugatedMap(Diffeo(q), e) for e in self.generators]
 
 
 def _number(value, key: str, integer: bool = False):

@@ -144,10 +144,13 @@ class Conjugacy:
         return float(np.max(np.abs(self.values)))
 
     def displacement(self, x) -> np.ndarray:
-        """u, shape (n, 2), at the points x of shape (n, 2)."""
+        """u, shape (n, 2), at the points x of shape (n, 2).  An all-zero
+        u (the linear action's) is answered with zeros and no bicubic: the
+        bicubic returns a constant field exactly, so the bits are the same."""
         if self._interp is None:
             n = self.grid_size
-            self._interp = PeriodicBicubic(self.values.reshape(n, n, 2))
+            self._interp = (PeriodicBicubic(self.values.reshape(n, n, 2)) if self.values.any()
+                            else lambda x: np.zeros((len(x), 2)))
         return self._interp(x)
 
     def lift(self, x):

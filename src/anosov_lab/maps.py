@@ -64,6 +64,13 @@ def _stepped_orbit(step, x, n: int):
     return z, jac
 
 
+def _copies(m, n: int):
+    """n copies of the one 2x2 matrix m, in the layout of ``_empty2x2``."""
+    out = _empty2x2(n)
+    out[...] = m
+    return out
+
+
 def _plus(d, m):
     """The batch d (n, 2, 2) plus the one 2x2 matrix m, added in place,
     which keeps d's layout and allocates nothing."""
@@ -231,6 +238,7 @@ class ConjugatedMap:
         self.base = base
         self._A = base.matrix.as_array()
         self._B = invert(base.matrix).as_array()
+        self._powers = {}  # n -> A^n as a float array, formed on first use
 
     @property
     def linear_part(self) -> IntMatrix2:
@@ -245,6 +253,8 @@ class ConjugatedMap:
         return self.phi.lift(self.phi.inverse_lift(x) @ self._A.T)
 
     def displacement(self, x):
+        if self.is_linear:  # lift(x) is x A^T, to the bit
+            return np.zeros((len(x), 2))
         return self.lift(x) - x @ self._A.T
 
     def apply(self, x):
@@ -259,8 +269,14 @@ class ConjugatedMap:
         """g^n(x) = phi(A^n w) and D g^n(x) = D phi(A^n w) A^n D phi(w)^-1
         with w = phi^{-1}(x): one phi^{-1} solve for every n.  A^n scales
         an error of w by up to lambda_u^n, so w takes one more Newton step
-        past the solve's stop, with the D phi(w) that the jacobian uses."""
-        a_n = power(self.base.matrix, n).as_array()
+        past the solve's stop, with the D phi(w) that the jacobian uses.
+        When phi is the identity this is x A^n^T and A^n, which the general
+        path also gives to the bit, formed without its solve."""
+        a_n = self._powers.get(n)
+        if a_n is None:
+            a_n = self._powers[n] = power(self.base.matrix, n).as_array()
+        if self.is_linear:
+            return x @ a_n.T, _copies(a_n, len(x))
         w = self.phi.inverse_lift(x)
         value, derivative = self.phi.lift_and_derivative(w)
         d_in_inv = _inv2(derivative())
@@ -275,7 +291,11 @@ class ConjugatedMap:
         so the one phi^{-1} solve at x serves every depth.  A w_d is
         w_{d-1} up to an integer vector, so D phi(w_{d-1}) is the
         D phi(A w_d) factor of depth d: D phi is evaluated once per orbit
-        point and used at two depths."""
+        point and used at two depths.  When phi is the identity every
+        jacobian is A, as the general path gives it to the bit."""
+        if self.is_linear:
+            while True:
+                yield _copies(self._A, len(x))
         w = self.phi.inverse_lift(x)
         d_prev = self.phi.derivative(w)
         while True:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from anosov_lab.config import load_config
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import IntMatrix2, eigen_data
 from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
@@ -22,13 +23,19 @@ def e2():
 
 
 @pytest.fixture(scope="session")
-def linear_g1(e1):
-    return PerturbedMap(e1, FourierPerturbation.zero())
+def linear_handles():
+    # the default config's action: linear, generators GAMMA1 and GAMMA2
+    return load_config().build_handles()
 
 
 @pytest.fixture(scope="session")
-def linear_g2(e2):
-    return PerturbedMap(e2, FourierPerturbation.zero())
+def linear_g1(linear_handles):
+    return linear_handles[0]
+
+
+@pytest.fixture(scope="session")
+def linear_g2(linear_handles):
+    return linear_handles[1]
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import anosov_lab
 from anosov_lab import reports
 from anosov_lab.cli import main
 from anosov_lab.config import load_config
+from anosov_lab.maps import ConjugatedMap
 
 
 def run(tmp_path, *argv):
@@ -203,6 +204,14 @@ def test_build_phi_only_for_a_nonzero_diffeo(tmp_path):
     cfg = load_config(overrides=['action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]'],
                       out_dir=str(tmp_path))
     assert cfg.build_phi().q is cfg.diffeo_q
+
+
+def test_linear_action_handles_are_conjugated_maps_with_identity_phi(tmp_path):
+    cfg = load_config(out_dir=str(tmp_path))
+    handles = cfg.build_handles()
+    assert [type(g) for g in handles] == [ConjugatedMap, ConjugatedMap]
+    assert all(g.is_linear for g in handles)
+    assert [g.linear_part for g in handles] == [e.matrix for e in cfg.generators]
 
 
 def test_prop1_alpha(tmp_path):

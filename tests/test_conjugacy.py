@@ -431,6 +431,20 @@ def test_coarse_start_is_a_c_ordered_grid_without_a_bicubic_build(e1, conj_g1, m
     assert u0.flags.c_contiguous
 
 
+def test_linear_h_is_the_identity_without_a_bicubic_build(e1, linear_g1, monkeypatch):
+    calls = []
+    bicubic = conjugacy.PeriodicBicubic
+    monkeypatch.setattr(conjugacy, "PeriodicBicubic", lambda *a: calls.append(1) or bicubic(*a))
+    n = 256
+    h = solve_conjugacy(e1, linear_g1, n=n)
+    x = np.random.default_rng(5).random((500, 2)) * 4 - 2
+    assert np.array_equal(h.lift(x).view(np.uint64), x.view(np.uint64))
+    assert calls == []
+    # the bicubic of the zero grid gives the same bits
+    u = bicubic(h.values.reshape(n, n, 2))(x)
+    assert np.array_equal(u.view(np.uint64), h.displacement(x).view(np.uint64))
+
+
 def test_secant_jacobian_identity_for_linear(e1, linear_g1):
     h = solve_conjugacy(e1, linear_g1, n=64)
     jac = h.secant_jacobian(np.array([[0.3, 0.4]]))

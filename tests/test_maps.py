@@ -357,3 +357,32 @@ def test_orbit_is_the_explicit_steps(perturbed, conj_g1, name, n):
         scale = 2.7 ** n
         assert np.max(np.abs(got - want)) < 1e-13 * scale, n
         assert np.max(np.abs(jac - want_jac)) < 1e-12 * scale, n
+
+
+class _GeneralPath(ConjugatedMap):
+    """A ConjugatedMap that never takes the identity-phi shortcuts."""
+
+    is_linear = False
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_identity_phi_shortcuts_are_the_general_path_and_a_power(linear_g1, inverse):
+    handle = linear_g1.inverse() if inverse else linear_g1
+    assert handle.is_linear
+    general = _GeneralPath(handle.phi, handle.base)
+    a = handle.linear_part.as_array().astype(np.int64)
+    x = RNG.random((64, 2)) * 4 - 2
+    for n in range(17):
+        got, jac = handle.orbit(x, n)
+        want, want_jac = general.orbit(x, n)
+        a_n = np.linalg.matrix_power(a, n).astype(float)
+        _assert_same_bits(got, want)
+        _assert_same_bits(got, x @ a_n.T)
+        _assert_same_bits(jac, want_jac)
+        _assert_same_bits(jac, np.broadcast_to(a_n, jac.shape))
+        assert jac.strides == want_jac.strides  # the layout of _empty2x2
+    _assert_same_bits(handle.displacement(x), general.displacement(x))
+    for _, got, want in zip(range(4), handle.backward_jacobians(x),
+                            general.backward_jacobians(x)):
+        _assert_same_bits(got, want)
+        assert got.strides == want.strides
