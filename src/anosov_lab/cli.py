@@ -87,7 +87,7 @@ def _write_foliation(ctx: RunContext, report: reports.RunReport) -> None:
     fields = ctx.made.get("fields")
     if fields is None:
         return
-    report.diagnostics["line_field_depths"] = {key: f.depth for key, f in fields.items()}
+    report.diagnostics["line_field_changes"] = {key: f.change for key, f in fields.items()}
     for key, field in fields.items():
         report.add_table(f"field-{key}.csv", ("i", "j", "theta"),
                          reports.line_field_rows(field))

@@ -21,7 +21,6 @@ from .lattice import IntMatrix2, eigen_data, is_hyperbolic
 from .maps import ConjugatedMap, Diffeo, PerturbedMap
 
 MIN_STEP = 1e-4
-MAX_FIELD_ITERS = 100
 
 DEFAULTS = {
     "group": {
@@ -38,7 +37,6 @@ DEFAULTS = {
     "resolution": {
         "grid_n": 256,
         "field_n": 128,
-        "field_iters": 40,
         "leaf_step": 1e-3,
         "propagation_step": 8e-3,
         "max_period": 2,
@@ -113,7 +111,6 @@ class ExperimentConfig:
     perturbation_p: FourierPerturbation
     grid_n: int
     field_n: int
-    field_iters: int
     leaf_step: float
     propagation_step: float
     max_period: int
@@ -234,10 +231,6 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     for key in steps:
         if not res[key] >= MIN_STEP:
             raise ConfigError(f"resolution.{key}", f"must be at least {MIN_STEP:g}")
-    # field_iters caps the line-field transport depth; no array is kept per
-    # depth, so the cap bounds only time
-    if not 1 <= res["field_iters"] <= MAX_FIELD_ITERS:
-        raise ConfigError("resolution.field_iters", f"must be an integer in [1, {MAX_FIELD_ITERS}]")
     if not 1 <= res["max_period"] <= MAX_PERIOD:
         raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 

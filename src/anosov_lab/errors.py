@@ -24,8 +24,9 @@ class SolverDiverged(AnosovLabError):
 
 
 class NotConverged(AnosovLabError):
-    """An iteration stopped short of its tolerance: a line field at its
-    depth cap, or a shooting solve whose last Newton step is too large."""
+    """An iteration stopped short of its tolerance: a line field that still
+    moves by more than its tolerance between its two orbit lengths, or a
+    shooting solve whose last Newton step is too large."""
 
 
 class SignAmbiguity(AnosovLabError):

@@ -17,7 +17,9 @@ batch of rows by Newton's method on the handle's ``orbit``, continued in
 n over ORBIT_LENGTHS with NEWTON_STEPS steps at each length, a fixed count
 for every row.  Holonomies (a scalar unknown, the target's parameter),
 local-graph samples and heteroclinic points (two unknowns, the point) all
-find their crossings this one way.
+find their crossings this one way.  The line fields are read off the same
+orbits: the stable leaf through y is tangent to the kernel of
+l . D G^n(y).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import HermiteCubic, MonotoneCubic, PeriodicBicubic, not_a_knot_spline
-from .lattice import _empty2x2, _inv2, eigen_data, grid_points, line_angle
+from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
@@ -45,6 +47,7 @@ ORBIT_LENGTHS = (2, 4, 8, 12, 16)  # the continuation in n of ``_shoot``
 NEWTON_STEPS = 4  # Newton steps of ``_shoot`` at each orbit length
 SHOOT_TOL = 1e-10  # the largest last Newton step of a converged row
 GRAPH_SAMPLES = 41  # samples of each local graph
+FIELD_TOL = 1e-8  # rad; the largest change of a line field from orbit length 12 to 16
 
 
 def _unit(theta):
@@ -61,11 +64,11 @@ def _unit(theta):
 class LineField:
     """Unit direction field mod pi on an N x N grid, owned by a torus map."""
 
-    def __init__(self, owner, theta: np.ndarray, depth: int = 0):
+    def __init__(self, owner, theta: np.ndarray, change: float = 0.0):
         self.owner = owner
         self.theta = np.asarray(theta, dtype=float)  # (N, N), [0, pi)
         self.grid_size = self.theta.shape[0]
-        self.depth = depth  # backward-orbit depth the transport reached
+        self.change = change  # largest angle between the orbit-length 12 and 16 fields
         # interpolate the double-angle embedding so the mod-pi topology is smooth
         self._interp = PeriodicBicubic(
             np.stack([np.cos(2 * self.theta), np.sin(2 * self.theta)], axis=-1)
@@ -95,72 +98,57 @@ class LineField:
         return float(np.max(line_angle(pushed, target)))
 
 
-def _pushed_seeds(handle, pts):
-    """Yield (v_d, residual_d) for d = 1, 2, ...: the handle's unstable
-    seed direction pushed to the points pts (n, 2) from depth d of their
-    backward orbit, v_d = P_d seed / |P_d seed| with P_d = J_1 ... J_d and
-    J_d the jacobian at the d-th backward orbit point, and the largest
-    angle between v_d and v_{d-1} (v_0 = seed).
-
-    P_d is kept per point, rescaled so that P_d seed is a unit vector, and
-    each product is written out as 2x2 arithmetic, plane by plane in the
-    layout of ``_empty2x2``; no depth is stored."""
-    seed = eigen_data(handle.linear_part).vu
-    n = len(pts)
-    v_prev = np.broadcast_to(seed, pts.shape)
-    prod = None
-    for jac in handle.backward_jacobians(pts):
-        if prod is None:
-            prod = jac
-        else:  # (prod jac)[i, l] = prod[i, 0] jac[0, l] + prod[i, 1] jac[1, l]
-            prod, old = _empty2x2(n), prod
-            for i in range(2):
-                for l in range(2):
-                    np.add(old[:, i, 0] * jac[:, 0, l], old[:, i, 1] * jac[:, 1, l],
-                           out=prod[:, i, l])
-        v = np.empty((n, 2))
-        for i in range(2):
-            np.add(prod[:, i, 0] * seed[0], prod[:, i, 1] * seed[1], out=v[:, i])
-        # |v| as np.linalg.norm reduces it: v0 v0 + v1 v1, no +0.0 start
-        norm = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
-        v /= norm[:, None]
-        prod = prod / norm[:, None, None]
-        yield v, float(np.max(line_angle(v, v_prev)))
-        v_prev = v
+def _unstable_reader(g):
+    """The row l with l . v_u = 1 and l . v_s = 0 for the eigen-directions
+    of g's linear part: l . x is the unstable coordinate of x."""
+    e = eigen_data(g.linear_part)
+    return np.linalg.inv(np.column_stack([e.vu, e.vs]))[0]
 
 
-def compute_line_field(g, label: str, n: int = 128, iters: int = 30,
-                       tol: float = 1e-8) -> LineField:
-    """Converged stable or unstable line field of an Anosov map handle on
-    the n x n grid.
-
-    The unstable direction at x is the limit of the seed direction (the
-    unstable eigen-direction of the linear part) pushed forward from
-    deeper and deeper points of the backward orbit of x; the stable field
-    is the unstable field of the inverse map.  The handle's
-    ``backward_jacobians`` gives the orbit's jacobians one depth at a time,
-    and the transport stops at the first depth d whose largest angle
-    between the pushes from depths d and d - 1 is at most ``tol``.  That
-    change falls by about lambda_u^-2 per depth, so the field is then
-    within about tol lambda_u^-2 / (1 - lambda_u^-2) of its limit.
-    ``iters`` caps the depth: NotConverged is raised only there."""
-    handle = g if label == "unstable" else g.inverse()
-    for depth, (v, residual) in enumerate(_pushed_seeds(handle, grid_points(n)), start=1):
-        if residual <= tol:
-            break
-        if depth == iters:
-            raise NotConverged(f"angular change {residual:.3e} > {tol:.1e} at the depth cap "
-                               f"resolution.field_iters = {iters}")
-    theta = np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi).reshape(n, n)
-    return LineField(g, theta, depth=depth)
+def _orbit_row(handle, pts, m: int):
+    """The rows l . D G^m(x), (n, 2), at the points pts (n, 2), with l the
+    unstable reader of the handle's linear part, formed plane by plane."""
+    ell = _unstable_reader(handle)
+    jac = handle.orbit(pts, m)[1]
+    return np.stack([ell[0] * jac[:, 0, k] + ell[1] * jac[:, 1, k] for k in range(2)], axis=1)
 
 
-def line_fields(handles, keys, n: int, iters: int) -> dict:
+def _kernel_angles(handle, n: int):
+    """The angles in [0, pi), (n, n), of the kernels (-r_1, r_0) of the rows
+    r at m = 16 on the n x n grid, and the largest angle between the rows
+    at m = 12 and 16; the rows die here, before the caller builds its
+    field's bicubic."""
+    pts = grid_points(n)
+    near, row = (_orbit_row(handle, pts, m) for m in ORBIT_LENGTHS[-2:])
+    theta = np.mod(np.arctan2(row[:, 0], -row[:, 1]), math.pi).reshape(n, n)
+    return theta, float(np.max(line_angle(near, row)))
+
+
+def compute_line_field(g, label: str, n: int = 128) -> LineField:
+    """Stable or unstable line field of an Anosov map handle on the n x n
+    grid.
+
+    The stable direction at x is the kernel (-r_1, r_0) of the row
+    r = l . D G^m(x) as m grows, with l the unstable reader of g's linear
+    part (``_shoot`` reads the same kernel as a leaf's tangent); the
+    unstable field is the stable field of the inverse map.  The row is
+    taken at the two longest ORBIT_LENGTHS, 12 and 16, from the handle's
+    ``orbit``; its kernel at m approaches its limit like lambda_u^-2m.  The
+    field is the kernel at m = 16, ``LineField.change`` records the largest
+    angle between the two kernels (that between the rows), and an angle
+    above FIELD_TOL raises NotConverged."""
+    theta, change = _kernel_angles(g if label == "stable" else g.inverse(), n)
+    if not change <= FIELD_TOL:  # nan too
+        raise NotConverged(f"angular change {change:.3e} rad between orbit lengths "
+                           f"{ORBIT_LENGTHS[-2]} and {ORBIT_LENGTHS[-1]} above {FIELD_TOL:.1e}")
+    return LineField(g, theta, change=change)
+
+
+def line_fields(handles, keys, n: int) -> dict:
     """Line fields keyed like 'f1u' (unstable field of handles[0]) or
     'f2s' (stable field of handles[1]), one per requested key."""
     return {key: compute_line_field(handles[int(key[1]) - 1],
-                                    "unstable" if key[2] == "u" else "stable",
-                                    n=n, iters=iters)
+                                    "unstable" if key[2] == "u" else "stable", n=n)
             for key in keys}
 
 
@@ -341,13 +329,6 @@ def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STE
     # from the requested step; record the actual spacing for lookups
     return LeafBundle(params[None], points[None], headings[None], np.array([len(params) - 1]),
                       np.array([abs(params[1] - params[0])]), field)
-
-
-def _unstable_reader(g):
-    """The row l with l . v_u = 1 and l . v_s = 0 for the eigen-directions
-    of g's linear part: l . x is the unstable coordinate of x."""
-    e = eigen_data(g.linear_part)
-    return np.linalg.inv(np.column_stack([e.vu, e.vs]))[0]
 
 
 def _shoot(leaves, position, x, tags=None):

@@ -8,8 +8,6 @@ Every map handle exposes the same duck-typed surface:
     displacement(x) -> lift(x) - A x, a periodic function
     apply(x)      -> lift(x) mod 1
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
-    backward_jacobians(x) -> the jacobians along the backward orbit of x,
-                     one depth at a time (a generator)
     orbit(x, n)   -> the n-th iterate of the lift and its derivative, for
                      n >= 0: (points (n, 2), matrices (n, 2, 2))
     inverse()     -> handle of the inverse map
@@ -118,14 +116,6 @@ class PerturbedMap:
         """g^n(x) and D g^n(x) by n steps of ``jacobian`` and ``lift``."""
         return _stepped_orbit(lambda z: (self.jacobian(z), self.lift(z)), x, n)
 
-    def backward_jacobians(self, x):
-        """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
-        d = 1, 2, ..., with one Newton inverse per depth."""
-        inv = self.inverse()
-        while True:
-            x = inv.apply(x)
-            yield self.jacobian(x)
-
     def inverse(self):
         return InverseMap(self)
 
@@ -165,17 +155,6 @@ class InverseMap:
             image = self.lift(z - k)
             return _inv2(self.forward.jacobian(image)), image + k @ self._B.T
         return _stepped_orbit(step, y, n)
-
-    def backward_jacobians(self, y):
-        """jacobian(y_d) along the backward orbit of this inverse map, which
-        is the forward map's orbit y_d = forward(y_{d-1}), d = 1, 2, ...:
-        the jacobian at y_d is D forward(y_{d-1})^{-1}, formed at the point
-        in hand, so no Newton solve is made; the forward lift and jacobian
-        share one trig evaluation."""
-        while True:
-            value, jacobian = self.forward.lift_and_jacobian(y)
-            yield _inv2(jacobian())
-            y = wrap_point(value)
 
     def inverse(self):
         return self.forward
@@ -237,8 +216,8 @@ class ConjugatedMap:
         self.phi = phi
         self.base = base
         self._A = base.matrix.as_array()
-        self._B = invert(base.matrix).as_array()
         self._powers = {}  # n -> A^n as a float array, formed on first use
+        self._inverse = None  # the inverse handle, built by ``inverse``
 
     @property
     def linear_part(self) -> IntMatrix2:
@@ -284,25 +263,10 @@ class ConjugatedMap:
         image, d_out = self.phi.lift_and_derivative(w @ a_n.T)
         return image, _conjugated_jacobian(d_out(), a_n, d_in_inv)
 
-    def backward_jacobians(self, x):
-        """jacobian(x_d) along the backward orbit x_d = g^{-d}(x),
-        d = 1, 2, ..., walked in phi's chart: w_d = phi^{-1}(x_d) is
-        A^{-1} w_{d-1} up to an integer vector, since phi - id is periodic,
-        so the one phi^{-1} solve at x serves every depth.  A w_d is
-        w_{d-1} up to an integer vector, so D phi(w_{d-1}) is the
-        D phi(A w_d) factor of depth d: D phi is evaluated once per orbit
-        point and used at two depths.  When phi is the identity every
-        jacobian is A, as the general path gives it to the bit."""
-        if self.is_linear:
-            while True:
-                yield _copies(self._A, len(x))
-        w = self.phi.inverse_lift(x)
-        d_prev = self.phi.derivative(w)
-        while True:
-            w = wrap_point(w @ self._B.T)
-            d_here = self.phi.derivative(w)
-            yield _conjugated_jacobian(d_prev, self._A, _inv2(d_here))
-            d_prev = d_here
-
     def inverse(self):
-        return ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))
+        """The handle of g^-1 = phi A^-1 phi^-1, built on the first call and
+        kept, with its A^n memo; its inverse is this handle."""
+        if self._inverse is None:
+            self._inverse = ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))
+            self._inverse._inverse = self
+        return self._inverse

@@ -460,8 +460,7 @@ def _estimate_holder_exponent(ctx: RunContext) -> None:
 
 
 def _line_fields(ctx: RunContext) -> None:
-    ctx.made["fields"] = line_fields(ctx.handles, ctx.field_keys, ctx.cfg.field_n,
-                                     ctx.cfg.field_iters)
+    ctx.made["fields"] = line_fields(ctx.handles, ctx.field_keys, ctx.cfg.field_n)
 
 
 def _tangency_propagation(ctx: RunContext) -> None:
@@ -639,7 +638,7 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
     if "pair" in made:
         diag["pair_min_sine"] = made["pair"].min_pairwise_sine
     if "fields" in made:
-        diag["line_field_depths"] = {key: f.depth for key, f in made["fields"].items()}
+        diag["line_field_changes"] = {key: f.change for key, f in made["fields"].items()}
     if "transversality_pairs" in made:
         pairs = made["transversality_pairs"]
         transversality = min(angle for angle, _ in pairs.values())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import anosov_lab
-from anosov_lab import reports
+from anosov_lab import foliations, reports
 from anosov_lab.cli import main
 from anosov_lab.config import load_config
 from anosov_lab.maps import ConjugatedMap
@@ -67,12 +67,14 @@ FLOAT_KEYS = ("action.scale", "resolution.leaf_step", "resolution.propagation_st
               "thresholds.transversality", "thresholds.lemma3", "thresholds.prop1_residual",
               "thresholds.jacobian", "thresholds.periodic_mismatch", "experiment.eps",
               "experiment.slide_s", "experiment.span", "experiment.prop1_profile_amp")
-INT_KEYS = ("resolution.grid_n", "resolution.field_n", "resolution.field_iters",
-            "resolution.max_period", "experiment.seed", "experiment.radius")
+INT_KEYS = ("resolution.grid_n", "resolution.field_n", "resolution.max_period",
+            "experiment.seed", "experiment.radius")
+# the line fields' old depth cap is no config key: any value is an unknown key
+REMOVED_KEYS = ("resolution.field_iters",)
 BAD_VALUES = (
-    [("eigen", f"{key}=abc", key) for key in FLOAT_KEYS + INT_KEYS]
-    + [("eigen", f"{key}=2.7", key) for key in INT_KEYS]
-    + [("eigen", f"{key}=true", key) for key in INT_KEYS]
+    [("eigen", f"{key}=abc", key) for key in FLOAT_KEYS + INT_KEYS + REMOVED_KEYS]
+    + [("eigen", f"{key}=2.7", key) for key in INT_KEYS + REMOVED_KEYS]
+    + [("eigen", f"{key}=true", key) for key in INT_KEYS + REMOVED_KEYS]
     + [("eigen", "resolution.leaf_step=NaN", "resolution.leaf_step"),
        ("periodic-data", "resolution.max_period=abc", "resolution.max_period"),
        ("periodic-data", "resolution.max_period=2.7", "resolution.max_period"),
@@ -442,23 +444,36 @@ def test_determinism_byte_identical(tmp_path):
         second = (out / f"{name}-report.json").read_bytes()
         assert first == second
         diag = json.loads(first)["diagnostics"]
-        if name == "foliation":  # the conjugated transport stops at depth 9 or 10
-            assert diag["line_field_depths"] == {"f1u": 9, "f1s": 10, "f2u": 10, "f2s": 9}
-        if name == "teichmuller":  # A v_u is along v_u: depth 1
-            assert diag["diagnostics"]["line_field_depths"] == {
-                "f1u": 1, "f1s": 1, "f2u": 1, "f2s": 1}
+        if name == "foliation":  # the phi 0.02 fields move 3e-12 to 9e-12
+            changes = diag["line_field_changes"]
+            assert sorted(changes) == ["f1s", "f1u", "f2s", "f2u"]
+            assert all(1e-12 < c < 1e-11 for c in changes.values()), changes
+        if name == "teichmuller":  # the kernels of l . A^m move by rounding alone
+            changes = diag["diagnostics"]["line_field_changes"]
+            assert sorted(changes) == ["f1s", "f1u", "f2s", "f2u"]
+            assert all(c < 1e-15 for c in changes.values()), changes
+
+
+def test_removed_field_iters_key_is_unknown(tmp_path, capsys):
+    code, out = run(tmp_path, "teichmuller", "--set", "resolution.field_iters=40")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config key 'resolution.field_iters': unknown key" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["teichmuller", "foliation"])
-def test_line_fields_not_converged_at_the_cap_exit_three(tmp_path, capsys, command):
-    code, out = run(tmp_path, command, *CONJUGATED_02, *SMALL,
-                    "--set", "resolution.field_iters=3")
+def test_line_fields_not_converged_exit_three(tmp_path, capsys, monkeypatch, command):
+    # the phi 0.02 fields move by 3e-12 to 9e-12 from orbit length 12 to 16
+    monkeypatch.setattr(foliations, "FIELD_TOL", 1e-12)
+    code, out = run(tmp_path, command, *CONJUGATED_02, *SMALL)
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
     diag = json.loads((out / f"{command}-report.json").read_text())["diagnostics"]
     message = diag["errors"][0] if command == "teichmuller" else diag["failure"]
     assert message.startswith("line_fields: NotConverged: angular change ")
-    assert message.endswith("> 1.0e-08 at the depth cap resolution.field_iters = 3")
+    assert message.endswith(" rad between orbit lengths 12 and 16 above 1.0e-12")
 
 
 def test_diverged_solve_names_the_size_briefly(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from anosov_lab import foliations
 from anosov_lab.foliations import (
     LineField,
     _line,
-    _pushed_seeds,
+    _orbit_row,
     _rk4_step,
     _unstable_reader,
     compute_line_field,
@@ -27,7 +26,7 @@ from anosov_lab.foliations import (
     min_transversality_angle,
 )
 from anosov_lab.interp import MonotoneCubic
-from anosov_lab.lattice import eigen_data, grid_points
+from anosov_lab.lattice import eigen_data, grid_points, line_angle
 from anosov_lab.rigidity import tangency_propagation_check
 
 
@@ -63,30 +62,23 @@ def test_line_field_invariance(conj_fields):
 
 
 def test_line_field_convergence_rate(conj_g1):
-    # the change between depths d and d - 1 contracts like lambda_u^-2 = 0.146
+    # the kernel of l . D G^m moves by a factor of about lambda_u^-2 = 0.146
+    # less from m to m + 1 than from m - 1 to m
     for handle in (conj_g1, conj_g1.inverse()):
-        residuals = [r for _, r in itertools.islice(_pushed_seeds(handle, grid_points(64)), 12)]
-        ratios = np.array(residuals[1:]) / np.array(residuals[:-1])
+        rows = [_orbit_row(handle, grid_points(64), m) for m in range(1, 13)]
+        changes = [float(np.max(line_angle(a, b))) for a, b in zip(rows, rows[1:])]
+        ratios = np.array(changes[1:]) / np.array(changes[:-1])
         assert np.all((ratios >= 0.08) & (ratios <= 0.25)), ratios
 
 
-def test_line_field_depth_grows_as_tol_shrinks(conj_g1):
-    tols = (1e-4, 1e-6, 1e-8, 1e-10)
-    fields = [compute_line_field(conj_g1, "unstable", n=64, iters=40, tol=tol) for tol in tols]
-    depths = [f.depth for f in fields]
-    assert depths == sorted(set(depths)), depths
-    # each depth d is the first whose change is within its tol
-    changes = [r for _, r in itertools.islice(_pushed_seeds(conj_g1, grid_points(64)),
-                                              max(depths))]
-    for d, tol in zip(depths, tols):
-        assert changes[d - 1] <= tol, (d, tol)
-        assert d == 1 or changes[d - 2] > tol, (d, tol)
-
-
-def test_line_field_not_converged_at_the_cap_names_it(conj_g1):
-    with pytest.raises(NotConverged, match=r"> 1\.0e-08 at the depth cap "
-                       r"resolution\.field_iters = 3"):
-        compute_line_field(conj_g1, "unstable", n=16, iters=3)
+def test_line_field_not_converged_names_the_change(conj_g1, monkeypatch):
+    # the phi 0.02 field moves by about 3e-12 from orbit length 12 to 16
+    field = compute_line_field(conj_g1, "unstable", n=16)
+    assert 0 < field.change <= foliations.FIELD_TOL
+    monkeypatch.setattr(foliations, "FIELD_TOL", 1e-13)
+    with pytest.raises(NotConverged, match=r"^angular change \S+ rad between orbit lengths "
+                       r"12 and 16 above 1\.0e-13$"):
+        compute_line_field(conj_g1, "unstable", n=16)
 
 
 def _ref_line_field_theta(g, label, n, iters):
@@ -110,32 +102,36 @@ def _angle_gap(a, b):
 
 
 def _assert_matches_full_depth_transport(g, label):
-    # stopped at the first depth within tol = 1e-8, the field is within
-    # about 0.17 tol of the depth-40 push
-    field = compute_line_field(g, label, n=32, iters=40)
-    assert 2 <= field.depth < 40
-    assert _angle_gap(field.theta, _ref_line_field_theta(g, label, 32, 40)) < 2e-9
+    # the kernel at orbit length 16 is within lambda_u^-32 = 4e-14 of the
+    # limit, as the depth-40 push is (measured up to 2.7e-14)
+    field = compute_line_field(g, label, n=32)
+    assert field.change <= foliations.FIELD_TOL
+    assert _angle_gap(field.theta, _ref_line_field_theta(g, label, 32, 40)) < 1e-12
 
 
 @pytest.mark.parametrize("label", ["unstable", "stable"])
 def test_line_field_shared_inverse_matches_two_solves(conj_g1, label):
-    # one phi^{-1} solve walks the whole orbit in phi's chart
+    # one phi^{-1} solve gives the whole orbit in phi's chart
     _assert_matches_full_depth_transport(conj_g1, label)
 
 
 @pytest.mark.parametrize("label", ["unstable", "stable"])
 def test_perturbed_line_field_matches_full_depth_transport(perturbed_g1, label):
-    # the stable field steps the forward map and inverts its jacobian
+    # the unstable field steps the Newton inverse of the forward map
     _assert_matches_full_depth_transport(perturbed_g1, label)
 
 
 @pytest.mark.parametrize("label", ["unstable", "stable"])
 def test_linear_line_field_is_the_full_depth_transport(linear_g1, label):
-    # A v_u is along v_u, so the transport stops at depth 1 on the bits of
-    # the depth-40 push
-    field = compute_line_field(linear_g1, label, n=16, iters=40)
-    assert field.depth == 1
-    assert np.array_equal(field.theta, _ref_line_field_theta(linear_g1, label, 16, 40))
+    # the orbits are exact powers of A, so each field is its eigenline, v_u
+    # or v_s, to rounding
+    field = compute_line_field(linear_g1, label, n=16)
+    eigen = eigen_data(linear_g1.linear_part)
+    line = eigen.vu if label == "unstable" else eigen.vs
+    eigenline = np.full((16, 16), math.atan2(line[1], line[0]) % math.pi)
+    assert field.change < 1e-15
+    assert _angle_gap(field.theta, eigenline) < 1e-15
+    assert _angle_gap(field.theta, _ref_line_field_theta(linear_g1, label, 16, 40)) < 1e-15
 
 
 def test_leaf_invariance_under_map(conj_g1, conj_fields):

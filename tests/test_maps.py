@@ -6,8 +6,7 @@ import pytest
 from anosov_lab.errors import NotADiffeo
 from anosov_lab.foliations import compute_line_field
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
-from anosov_lab.lattice import (IntMatrix2, _inv2, eigen_data, grid_points, invert, line_angle,
-                                wrap_point)
+from anosov_lab.lattice import IntMatrix2, _inv2, eigen_data, grid_points, invert, wrap_point
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -195,7 +194,10 @@ def _ref_diffeo_inverse_lift(phi, y):
 
 
 def _ref_backward_jacobians(handle, x):
-    """Each handle kind's backward_jacobians, from the references above."""
+    """The jacobians of each handle kind along the backward orbit of x, one
+    depth at a time, from the references above: the perturbed map by
+    Newton inverses, its inverse by stepping the forward map, and a
+    conjugated map in phi's chart."""
     if isinstance(handle, PerturbedMap):
         inv = handle.inverse()
         while True:
@@ -217,27 +219,15 @@ def _ref_backward_jacobians(handle, x):
             d_prev = d_here
 
 
-def _ref_pushed_seeds(handle, pts):
-    seed = eigen_data(handle.linear_part).vu
-    v_prev = np.broadcast_to(seed, pts.shape)
-    prod = None
-    for jac in _ref_backward_jacobians(handle, pts):
-        if prod is None:
-            prod = jac
-        else:
-            prod = prod[:, :, 0, None] * jac[:, None, 0] + prod[:, :, 1, None] * jac[:, None, 1]
-        v = prod[:, :, 0] * seed[0] + prod[:, :, 1] * seed[1]
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        v /= norm
-        prod = prod / norm[:, :, None]
-        yield v, float(np.max(line_angle(v, v_prev)))
-        v_prev = v
-
-
-def _ref_unstable_theta(handle, n, tol=1e-8):
-    for v, residual in _ref_pushed_seeds(handle, grid_points(n)):
-        if residual <= tol:
-            return np.mod(np.arctan2(v[:, 1], v[:, 0]), np.pi).reshape(n, n)
+def _ref_unstable_theta(handle, n, depth=40):
+    """The unstable field: the seed v_u pushed forward to the grid from
+    depth ``depth`` of the backward orbit by the reference jacobians."""
+    jacs = [jac for _, jac in zip(range(depth), _ref_backward_jacobians(handle, grid_points(n)))]
+    v = np.broadcast_to(eigen_data(handle.linear_part).vu, (n * n, 2))
+    for jac in reversed(jacs):
+        v = np.einsum("nij,nj->ni", jac, v)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.mod(np.arctan2(v[:, 1], v[:, 0]), np.pi).reshape(n, n)
 
 
 def _assert_same_bits(new, ref):
@@ -312,24 +302,26 @@ def test_line_field_matches_the_reference_transport(perturbed, conj_g1, phi_two_
     g = {"conjugated": conj_g1, "inverse_conjugated": conj_g1.inverse(),
          "two_mode": ConjugatedMap(phi_two_mode, e1), "perturbed": perturbed,
          "inverse_perturbed": InverseMap(perturbed)}[name]
+    # the kernel at orbit length 16 and the depth-40 push are both within
+    # about lambda_u^-32 = 4e-14 of the limit
     theta = compute_line_field(g, "unstable", n=32).theta
-    _assert_same_bits(theta, _ref_unstable_theta(g, 32))
+    gap = np.abs(theta - _ref_unstable_theta(g, 32))
+    assert np.max(np.minimum(gap, np.pi - gap)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["perturbed", "inverse_perturbed", "conjugated",
                                   "inverse_conjugated"])
 def test_backward_jacobians_are_jacobians_along_the_backward_orbit(perturbed, conj_g1, name):
+    # the reference transport's jacobians, against each handle's jacobian
+    # on its inverse's orbit
     handle = {"perturbed": perturbed, "inverse_perturbed": InverseMap(perturbed),
               "conjugated": conj_g1, "inverse_conjugated": conj_g1.inverse()}[name]
     x = RNG.random((64, 2))
     orbit = x
-    for depth, jac in zip(range(1, 7), handle.backward_jacobians(x)):
+    for depth, jac in zip(range(1, 7), _ref_backward_jacobians(handle, x)):
         orbit = handle.inverse().apply(orbit)
-        expected = handle.jacobian(orbit)
-        if name == "perturbed":  # the same Newton inverse and jacobian
-            _assert_same_bits(jac, expected)
-        else:  # the orbit found another way: rounding grows like lambda_u^depth
-            assert np.max(np.abs(jac - expected)) < 1e-12, depth
+        # the orbit found another way: rounding grows like lambda_u^depth
+        assert np.max(np.abs(jac - handle.jacobian(orbit))) < 1e-12, depth
 
 
 def _ref_orbit(handle, x, n):
@@ -382,7 +374,19 @@ def test_identity_phi_shortcuts_are_the_general_path_and_a_power(linear_g1, inve
         _assert_same_bits(jac, np.broadcast_to(a_n, jac.shape))
         assert jac.strides == want_jac.strides  # the layout of _empty2x2
     _assert_same_bits(handle.displacement(x), general.displacement(x))
-    for _, got, want in zip(range(4), handle.backward_jacobians(x),
-                            general.backward_jacobians(x)):
-        _assert_same_bits(got, want)
-        assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("name", ["linear_g1", "conj_g1"])
+def test_conjugated_inverse_is_built_once(request, name):
+    g = request.getfixturevalue(name)
+    inv = g.inverse()
+    assert g.inverse() is inv
+    assert inv.inverse() is g
+    # the kept handle gives the bits of one built afresh
+    fresh = ConjugatedMap(g.phi, eigen_data(invert(g.linear_part)))
+    x = RNG.random((64, 2)) * 4 - 2
+    for n in (0, 1, 12, 16):
+        for got, want in zip(inv.orbit(x, n), fresh.orbit(x, n)):
+            _assert_same_bits(got, want)
+    _assert_same_bits(inv.lift(x), fresh.lift(x))
+    _assert_same_bits(inv.jacobian(x), fresh.jacobian(x))

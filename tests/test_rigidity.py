@@ -216,7 +216,7 @@ STAGES = {
                         {"estimate_holder_exponent", "prop1", "jacobian"}),
     "compare_smooth_invariants": ("compare_smooth_invariants", "periodic_max_mismatch", set()),
     "estimate_holder_exponent": ("estimate_holder_exponent", "holder_exponent", set()),
-    "line_fields": ("line_fields", "line_field_depths", {"tangency_propagation"}),
+    "line_fields": ("line_fields", "line_field_changes", {"tangency_propagation"}),
     "tangency_propagation": ("tangency_propagation_check", "propagation_rows", set()),
     "prop1": ("_prop1_along", "prop1", set()),
     "jacobian": (None, "jacobian_refinement_sup", set()),  # Conjugacy.secant_jacobian

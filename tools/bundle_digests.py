@@ -5,14 +5,15 @@
 The runs are all nine subcommands on the default config and on the action
 conjugated by phi = id + (0.02 sin 2 pi x2, 0), ``teichmuller`` on the
 overrides of each benchmark workload (bench/workloads.py, seed 1), and
-``teichmuller`` on five configs that end in ``inconclusive`` or
+``teichmuller`` on four configs that end in ``inconclusive`` or
 ``obstructed``, so that the error paths of its stages are covered, the
-other subcommands in six runs that fail, so that their failure strings are
-covered too, and ``prop1`` at phi 0.10 and 0.15.  Three more runs walk map
-code that the others do not: ``foliation`` on a perturbed action (the
-Newton inverse and ``backward_jacobians`` of ``PerturbedMap`` and
-``InverseMap``), and ``teichmuller`` and ``foliation`` on an action
-conjugated by a two-mode phi (D phi summed over two wavevectors).  Three
+other subcommands in three runs that fail, so that their failure strings
+are covered too, and ``prop1`` at phi 0.10 and 0.15.  Three more runs walk
+map code that the others do not: ``foliation`` on a perturbed action (the
+line fields read off the orbits of ``PerturbedMap`` and ``InverseMap``,
+whose steps are Newton inverses), and ``teichmuller`` and ``foliation`` on
+an action conjugated by a two-mode phi (D phi summed over two
+wavevectors).  Three
 runs solve the conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action,
 at the default ``grid_n`` on the phi 0.15 action, and at ``grid_n`` 1024
 on a two-mode perturbation p.  Two runs are ``teichmuller`` on phi of one
@@ -61,12 +62,9 @@ ERROR_PATHS = {
                        'action.perturbation=[{"k":[0,1],"sin":[1e-2,0]}]'],
     # pair_hypothesis: the eigen-directions are not pairwise transverse
     "equal-generators": ["group.generators=[[[2,1],[1,1]],[[2,1],[1,1]]]"],
-    # line_fields: NotConverged at the depth cap
-    "phi-0.02-field-iters-3": [*PHI, "resolution.field_iters=3"],
 }
 
 
-PHI_FIELD_ITERS_3 = ERROR_PATHS["phi-0.02-field-iters-3"]
 # (label, subcommand, overrides) of subcommand runs that fail, and how,
 # and of Prop 1 at strong phi
 SUBCOMMAND_ERROR_PATHS = (
@@ -76,10 +74,6 @@ SUBCOMMAND_ERROR_PATHS = (
     # NewtonFailed: 2 periodic seeds diverge
     ("phi-0.15", "periodic-data",
      ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
-    # NotConverged at the depth cap
-    ("phi-0.02-field-iters-3", "foliation", PHI_FIELD_ITERS_3),
-    ("phi-0.02-field-iters-3", "transversality", PHI_FIELD_ITERS_3),
-    ("phi-0.02-field-iters-3", "factorize", PHI_FIELD_ITERS_3),
     # a subcommand that needs a pair, given one generator: a config error,
     # so exit 1 and no bundle
     ("one-generator", "eigen", ERROR_PATHS["one-generator"]),
