@@ -92,8 +92,7 @@ def _write_foliation(ctx: RunContext, report: reports.RunReport) -> None:
         report.add_table(f"field-{key}.csv", ("i", "j", "theta"),
                          reports.line_field_rows(field))
         report.diagnostics[f"{key}_invariance_error"] = field.invariance_error()
-    leaf = integrate_leaf(fields["f1u"], np.zeros(2), 1.0,
-                          step=ctx.cfg.leaf_step, centered=True)
+    leaf = integrate_leaf(ctx.handles[0].inverse(), np.zeros(2), 1.0, centered=True)
     report.add_table("leaf-f1u.csv", ("s", "x", "y", "lift_x", "lift_y"),
                      reports.leaf_rows(leaf))
 
@@ -206,7 +205,7 @@ COMMANDS = {
     "foliation": Command((LINE_FIELDS,), _write_foliation, ALL_FIELDS),
     "transversality": Command((LINE_FIELDS,), _write_transversality, ALL_FIELDS, pair=True),
     "prop1": Command(_prop1_stages, _write_prop1),
-    "factorize": Command((LINE_FIELDS, FACTORIZATION), _write_factorize, PAIR_FIELDS, pair=True),
+    "factorize": Command((FACTORIZATION,), _write_factorize, pair=True),
     "lemma3": Command((LINE_FIELDS, PROPAGATION), _write_lemma3, PAIR_FIELDS, pair=True),
     "periodic-data": Command((PERIODIC,), _write_periodic_data),
     "teichmuller": Command(teichmuller_stages, _write_teichmuller, ALL_FIELDS),

@@ -20,8 +20,6 @@ from .fourier import FourierPerturbation
 from .lattice import IntMatrix2, eigen_data, is_hyperbolic
 from .maps import ConjugatedMap, Diffeo, PerturbedMap
 
-MIN_STEP = 1e-4
-
 DEFAULTS = {
     "group": {
         "generators": [[[2, 1], [1, 1]], [[1, 1], [1, 2]]],
@@ -37,8 +35,6 @@ DEFAULTS = {
     "resolution": {
         "grid_n": 256,
         "field_n": 128,
-        "leaf_step": 1e-3,
-        "propagation_step": 8e-3,
         "max_period": 2,
     },
     # the verdict thresholds
@@ -111,8 +107,6 @@ class ExperimentConfig:
     perturbation_p: FourierPerturbation
     grid_n: int
     field_n: int
-    leaf_step: float
-    propagation_step: float
     max_period: int
     thresholds: dict
     out_dir: str
@@ -220,17 +214,12 @@ def validate(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
     if kind == "conjugated" and not q.deriv_bound < 1.0:  # a nan bound too
         raise ConfigError("action.diffeo", f"||Dq|| bound {q.deriv_bound:.3g} not < 1: not a diffeo")
 
-    steps = ("leaf_step", "propagation_step")
-    res = {key: _number(value, f"resolution.{key}", integer=key not in steps)
+    res = {key: _number(value, f"resolution.{key}", integer=True)
            for key, value in doc["resolution"].items()}
     for key, lo, hi in (("grid_n", 64, 1024), ("field_n", 16, 512)):
         n = res[key]
         if n < lo or n > hi or n & (n - 1):
             raise ConfigError(f"resolution.{key}", f"must be a power of two in [{lo}, {hi}]")
-    # a step sets a leaf's array length and step count
-    for key in steps:
-        if not res[key] >= MIN_STEP:
-            raise ConfigError(f"resolution.{key}", f"must be at least {MIN_STEP:g}")
     if not 1 <= res["max_period"] <= MAX_PERIOD:
         raise ConfigError("resolution.max_period", f"must be an integer in [1, {MAX_PERIOD}]")
 

@@ -141,7 +141,9 @@ class Conjugacy:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """max |u| over the grid, as the largest of max u and -min u, which
+        makes no |u| copy; + 0.0 turns a -0.0 into 0.0, and a nan stays."""
+        return float(np.maximum(self.values.max(), -self.values.min()) + 0.0)
 
     def displacement(self, x) -> np.ndarray:
         """u, shape (n, 2), at the points x of shape (n, 2).  An all-zero

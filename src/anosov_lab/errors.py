@@ -29,10 +29,6 @@ class NotConverged(AnosovLabError):
     shooting solve whose last Newton step is too large."""
 
 
-class SignAmbiguity(AnosovLabError):
-    """Field direction jumped by more than pi/2 between integration steps."""
-
-
 class TangencySuspected(AnosovLabError):
     """Crossing angle below the tangency threshold."""
 

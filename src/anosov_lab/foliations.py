@@ -1,23 +1,21 @@
 """Stable/unstable line fields, leaves, and the shooting solve of holonomy,
-local graphs and heteroclinic points.
+local graphs, heteroclinic points and sampled leaves.
 
-Line fields are stored as angles mod pi (foliations are unoriented);
-orientation is reconstructed during leaf integration by heading
-continuity.  Leaves are integrated in the universal cover with fixed-step
-4th-order (RK4) steps, and reduced mod 1 only for field lookups.  A leaf
-is a one-row ``LeafBundle``.
+Line fields are stored as angles mod pi (foliations are unoriented).
 
-Where a leaf crosses a transversal is found on the maps, not on the
-integrated leaves.  By the stable manifold theorem y lies on the stable
-leaf of g through p exactly when l . (G^n(y) - G^n(p)) -> 0 as n grows,
-with G the lift of g and l the row that reads the unstable coordinate of
-its linear part A (Katok & Hasselblatt 1995, 6.2); unstable leaves are the
-stable leaves of the inverse.  ``_shoot`` solves such conditions for a
-batch of rows by Newton's method on the handle's ``orbit``, continued in
-n over ORBIT_LENGTHS with NEWTON_STEPS steps at each length, a fixed count
-for every row.  Holonomies (a scalar unknown, the target's parameter),
-local-graph samples and heteroclinic points (two unknowns, the point) all
-find their crossings this one way.  The line fields are read off the same
+Every leaf and every crossing of a leaf with a transversal is found on the
+maps.  By the stable manifold theorem y lies on the stable leaf of g
+through p exactly when l . (G^n(y) - G^n(p)) -> 0 as n grows, with G the
+lift of g and l the row that reads the unstable coordinate of its linear
+part A (Katok & Hasselblatt 1995, 6.2); unstable leaves are the stable
+leaves of the inverse.  ``_shoot`` solves such conditions for a batch of
+rows by Newton's method on the handle's ``orbit``, continued in n over
+ORBIT_LENGTHS with NEWTON_STEPS steps at each length, a fixed count for
+every row.  Holonomies (a scalar unknown, the target's parameter), local
+graph samples, heteroclinic points (two unknowns, the point) and the
+points of a sampled leaf (``integrate_leaf``, a graph over A's stable
+eigen-axis in arc-length parameters, a one-row ``LeafBundle``) all find
+their crossings this one way.  The line fields are read off the same
 orbits: the stable leaf through y is tangent to the kernel of
 l . D G^n(y).
 """
@@ -33,21 +31,19 @@ from .errors import (
     DomainMismatch,
     NotConverged,
     RadiusOutOfRange,
-    SignAmbiguity,
     TangencySuspected,
 )
 from .interp import HermiteCubic, MonotoneCubic, PeriodicBicubic, not_a_knot_spline
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
-SIGN_CONTINUITY_LIMIT = math.pi / 2 * 0.9
-DEFAULT_STEP = 1e-3
 MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
 ORBIT_LENGTHS = (2, 4, 8, 12, 16)  # the continuation in n of ``_shoot``
 NEWTON_STEPS = 4  # Newton steps of ``_shoot`` at each orbit length
 SHOOT_TOL = 1e-10  # the largest last Newton step of a converged row
 GRAPH_SAMPLES = 41  # samples of each local graph
 FIELD_TOL = 1e-8  # rad; the largest change of a line field from orbit length 12 to 16
+LEAF_SPACING = 1e-3  # arc length between a sampled leaf's nodes; its arc samples' spacing
 
 
 def _unit(theta):
@@ -161,92 +157,17 @@ def _failure(cls, message: str, rows, tags):
     return cls(message)
 
 
-def _aligned_direction(field: LineField, pts, headings):
-    """Field directions at pts with signs matched to the given headings.
-
-    The directions are not put in canonical sign first: the alignment
-    overrides any sign, and (-d).h = -(d.h) exactly, so a row comes out
-    with the same bits either way unless its alignment is exactly 0,
-    where the flow raises SignAmbiguity.  pts - floor(pts) has the bits
-    of np.mod(pts, 1.0) at a fraction of its cost (``lattice.wrap_point``)."""
-    theta = field.angle_at(pts - np.floor(pts))
-    d = np.empty((len(theta), 2))
-    np.cos(theta, out=d[:, 0])
-    np.sin(theta, out=d[:, 1])
-    dots = np.einsum("ni,ni->n", d, headings)
-    d *= np.sign(dots)[:, None]
-    return d, np.abs(dots)
-
-
-def _rk4_step(field: LineField, pts, headings, h):
-    """One RK4 step of x' = field direction, batched; returns new points
-    and headings plus each row's worst heading alignment.
-
-    ``h`` is one step for every row or an (m, 1) array of per-row steps."""
-    k1, a1 = _aligned_direction(field, pts, headings)
-    k2, a2 = _aligned_direction(field, pts + 0.5 * h * k1, k1)
-    k3, a3 = _aligned_direction(field, pts + 0.5 * h * k2, k2)
-    k4, a4 = _aligned_direction(field, pts + h * k3, k3)
-    new_pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return new_pts, k4, np.minimum(np.minimum(a1, a2), np.minimum(a3, a4))
-
-
-def _flow(field: LineField, starts, headings, n_steps: int, h: float):
-    """Batched leaf flow: every row takes ``n_steps`` RK4 steps of size h
-    from its start; returns points and headings, each (n_steps + 1, m, 2).
-    Every row takes the iterates of a flow of that row alone."""
-    pts = starts.copy()
-    hd = headings / np.linalg.norm(headings, axis=1, keepdims=True)
-    traj = np.empty((n_steps + 1, len(pts), 2))
-    heads = np.empty_like(traj)
-    traj[0] = pts
-    heads[0] = hd
-    for i in range(n_steps):
-        pts, hd, worst = _rk4_step(field, pts, hd, h)
-        if np.any(worst < math.cos(SIGN_CONTINUITY_LIMIT)):
-            raise SignAmbiguity(f"field direction flipped by more than "
-                                f"{SIGN_CONTINUITY_LIMIT:.2f} rad at step {i}")
-        traj[i + 1] = pts
-        heads[i + 1] = hd
-    return traj, heads
-
-
 @dataclass
 class LeafBundle:
-    """An arc-length-parametrized leaf curve of one line field in the
-    universal cover, kept as the one row of its arrays: nodes 0..last[0]
-    at uniform parameter spacing step[0]."""
+    """A leaf curve in the universal cover at nodes of uniform arc length,
+    kept as the one row of its arrays: nodes 0..last[0] at parameter
+    spacing step[0]."""
 
     params: np.ndarray        # (1, n) arc-length parameters
     points: np.ndarray        # (1, n, 2) lift coordinates
     headings: np.ndarray      # (1, n, 2) unit tangents
     last: np.ndarray          # (1,) index of the last node
     step: np.ndarray          # (1,) node spacing
-    field: LineField
-
-    def evaluate(self, s):
-        """Positions and unit tangents, each (m, 2), at the parameters s.
-
-        Each parameter takes one RK4 sub-step of length |ds| from the
-        nearest stored node below it (single-step error ~ step^5);
-        parameters outside the leaf step from its end nodes, backward
-        (against the heading) below the first.  All sub-steps run as one
-        batch.
-        """
-        s = np.asarray(s, dtype=float)
-        idx = np.clip(np.floor((s - self.params[0, 0]) / self.step[0] + 1e-12),
-                      0, self.last[0]).astype(int)
-        ds = s - self.params[0, idx]
-        pts = self.points[0, idx]
-        tangents = self.headings[0, idx]
-        moved = np.abs(ds) >= 1e-15
-        if moved.any():
-            sign = np.where(ds[moved] < 0, -1.0, 1.0)[:, None]
-            new_pts, new_hd, _ = _rk4_step(self.field, pts[moved], sign * tangents[moved],
-                                           np.abs(ds[moved])[:, None])
-            pts[moved] = new_pts
-            tangents[moved] = sign * new_hd
-        return pts, tangents
 
     def project(self, pts):
         """Return (s, signed_distance, tangent) for points pts of shape (m, 2)
@@ -287,48 +208,78 @@ class LeafBundle:
 CurveProjector = LeafBundle
 
 
-def integrate_leaf(field: LineField, x, length: float, step: float = DEFAULT_STEP,
-                   centered: bool = False) -> LeafBundle:
-    """Fixed-step RK4 integration of the line field through the point x (a
-    float array (2,)).
+def chord_arc_length(curve):
+    """Arc length from the first of the samples ``curve`` (2n + 1, 2), at
+    uniform parameter spacing, to each even one, (n + 1,): the chord sums
+    over the full and the halved spacing, Richardson-corrected, O(dr^4)."""
+    full = np.linalg.norm(curve[2::2] - curve[:-2:2], axis=1)
+    halves = np.linalg.norm(np.diff(curve, axis=0), axis=1)
+    half_sum = halves[0::2] + halves[1::2]
+    return np.concatenate([[0.0], np.cumsum(half_sum + (half_sum - full) / 3.0)])
 
-    With ``centered`` the leaf covers parameters [-|length|/2, |length|/2]
-    with the anchor at 0, and runs as two flow rows, its forward and
-    backward halves; otherwise it covers [0, length] as one flow row.  The
-    initial heading is the field's canonical direction at x; a negative
-    ``length`` integrates against it.  A flow row of length L takes
-    max(1, round(L / step)) steps of the size that spreads them evenly.
-    """
-    x = np.asarray(x, dtype=float)
-    heading = field.direction_at(np.mod(x, 1.0)[None])
-    # divide by the norm as the 1-D np.linalg.norm computes it, a BLAS dot;
-    # a stacked 1x2 @ 2x1 matmul is that dot per row, while
-    # np.linalg.norm(axis=1) rounds the last bit differently
-    heading = heading / np.sqrt(heading[:, None, :] @ heading[:, :, None])[:, 0]
-    if centered:
-        signs, row_len = np.array([1.0, -1.0]), abs(length) / 2.0
-    else:
-        signs, row_len = np.array([1.0 if length >= 0 else -1.0]), abs(length)
-    n = max(1, int(round(row_len / step)))
-    traj, heads = _flow(field, np.repeat(x[None], len(signs), axis=0),
-                        signs[:, None] * heading, n, row_len / n)
 
-    def march(r):  # flow row r's nodes, signed, in increasing parameter order
-        params = signs[r] * np.linspace(0.0, row_len, n + 1)
-        points, heads_r = traj[:, r], signs[r] * heads[:, r]
-        if signs[r] < 0:
-            return params[::-1], points[::-1], heads_r[::-1]
-        return params, points, heads_r
+def _axes(handle):
+    """The unit stable and unstable eigen-directions (v, w) of the handle's
+    linear part, each with a positive first coordinate."""
+    e = eigen_data(handle.linear_part)
+    return np.asarray(e.vs), np.asarray(e.vu)
 
-    if centered:
-        bwd, fwd = march(1), march(0)
-        params, points, headings = (np.concatenate([b, f[1:]]) for b, f in zip(bwd, fwd))
-    else:
-        params, points, headings = march(0)
-    # n_steps rounding makes the realized node spacing differ slightly
-    # from the requested step; record the actual spacing for lookups
-    return LeafBundle(params[None], points[None], headings[None], np.array([len(params) - 1]),
-                      np.array([abs(params[1] - params[0])]), field)
+
+def _on_leaves(handle, bases, sigma):
+    """The points at the coordinates sigma (m,) along v of the stable
+    leaves of the handle through the rows of ``bases`` (m, 2): one
+    ``holonomy`` onto the lines base + sigma v + tau w from tau = 0, with
+    (v, w) the handle's ``_axes``."""
+    v, w = _axes(handle)
+    origins = bases + sigma[:, None] * v
+    tau = holonomy(handle, bases, _line(origins, np.broadcast_to(w, origins.shape)),
+                   np.zeros(len(origins)))
+    return origins + tau[:, None] * w
+
+
+def leaf_arc_lengths(handle, bases, lo: float, hi: float, spacing: float = LEAF_SPACING):
+    """The signed arc lengths s (m, k) from each row of ``bases`` (m, 2)
+    along the stable leaf through it, at the coordinates sigma (k,) along
+    v of ``_on_leaves`` at ``spacing``, covering s in [lo, hi] (lo <= 0 <=
+    hi): (sigma, s).  Each leaf is shot at half that spacing, all in one
+    batch, and s is its ``chord_arc_length`` from sigma = 0.  A chord is
+    at least |sin(v, w)| times its extent in sigma, so sigma in
+    [lo, hi] / |sin(v, w)|, one sample more at each end, covers s."""
+    v, w = _axes(handle)
+    width = abs(v[0] * w[1] - v[1] * w[0]) * spacing
+    first = math.floor(lo / width) - 1
+    last = max(math.ceil(hi / width) + 1, first + 3)
+    sigma = 0.5 * spacing * np.arange(2 * first, 2 * last + 1)
+    curves = _on_leaves(handle, np.repeat(bases, len(sigma), axis=0),
+                        np.tile(sigma, len(bases))).reshape(len(bases), len(sigma), 2)
+    s = np.array([chord_arc_length(curve) for curve in curves])
+    return sigma[::2], s - s[:, -first, None]
+
+
+def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBundle:
+    """The stable leaf of the map handle through the point x (2,) (for the
+    unstable one pass g.inverse()) at nodes of uniform arc length s from x,
+    s growing along the stable eigen-axis v (``_axes``), over
+    [-|length|/2, |length|/2] with ``centered``, else between 0 and
+    ``length``, in max(1, round(extent / LEAF_SPACING)) intervals.  The
+    nodes are shot at the coordinates along v read off the inverse of
+    ``leaf_arc_lengths``; each heading is the unit kernel of l . D G^16
+    there (``_orbit_row``), oriented along v."""
+    x = np.asarray(x, dtype=float)[None]
+    lo, hi = (-abs(length) / 2, abs(length) / 2) if centered else sorted((0.0, length))
+    sigma, (s,) = leaf_arc_lengths(handle, x, lo, hi)
+    n = max(1, int(round((hi - lo) / LEAF_SPACING)))
+    params = np.linspace(lo, hi, n + 1)
+    points = _on_leaves(handle, np.repeat(x, n + 1, axis=0),
+                        MonotoneCubic(sigma, s, "leaf arc length").inverse(params))
+    row = _orbit_row(handle, points, ORBIT_LENGTHS[-1])
+    v, w = _axes(handle)
+    # the kernel (-r_1, r_0), signed by its coordinate along v in the basis (v, w)
+    along = np.sign((-row[:, 1] * w[1] - row[:, 0] * w[0]) * (v[0] * w[1] - v[1] * w[0]))
+    headings = along[:, None] * np.column_stack([-row[:, 1], row[:, 0]])
+    headings /= np.linalg.norm(headings, axis=1, keepdims=True)
+    return LeafBundle(params[None], points[None], headings[None], np.array([n]),
+                      np.array([(hi - lo) / n]))
 
 
 def _shoot(leaves, position, x, tags=None):
@@ -396,8 +347,8 @@ def holonomy(g, starts, target, guess, tags=None):
     curve, found by ``_shoot`` from ``guess`` (m,).
 
     ``target(t)`` gives the points and unit tangents (m, 2) of the rows'
-    curves at their parameters t: ``_line`` for straight transversals, or
-    ``LeafBundle.evaluate``.  ``tags`` (one per row) name the failing rows.
+    curves at their parameters t, such as the straight transversals of ``_line``.
+    ``tags`` (one per row) name the failing rows.
     """
     def position(t):
         pts, tangents = target(t[:, 0])

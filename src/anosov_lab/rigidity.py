@@ -37,13 +37,16 @@ from .errors import (
     SingularSystem,
 )
 from .foliations import (
-    LeafBundle,
     LineField,
-    _flow,
+    _axes,
+    _identity,
     _line,
+    _on_leaves,
+    _shoot,
+    chord_arc_length,
     heteroclinic_points,
     holonomy,
-    integrate_leaf,
+    leaf_arc_lengths,
     line_fields,
     local_graph,
     min_transversality_angle,
@@ -54,6 +57,9 @@ from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
 HOLONOMY_SAMPLES = 49  # samples of each Lemma 3 holonomy
+TRANSVERSAL_REACH = 1.5  # arc length either side of 0 that a slide may land within
+LANDING_MARGIN = 0.25  # arc length of the transversal sampled past the predicted landings
+SLIDE_SPACING = 4e-3  # the sigma spacing of the arc samples of each slid leaf
 
 
 class TranslationAction:
@@ -90,12 +96,7 @@ def translation_action_from_conjugacy(h: Conjugacy, base, direction,
         n += 1
     r = np.linspace(-span, span, n + 1)
     fine = np.linspace(-span, span, 2 * n + 1)
-    curve = h.lift(base[None, :] + fine[:, None] * v[None, :])
-    full = np.linalg.norm(curve[2::2] - curve[:-2:2], axis=1)
-    halves = np.linalg.norm(np.diff(curve, axis=0), axis=1)
-    half_sum = halves[0::2] + halves[1::2]
-    seg = half_sum + (half_sum - full) / 3.0  # Richardson: O(dr^4) arc length
-    psi = np.concatenate([[0.0], np.cumsum(seg)])
+    psi = chord_arc_length(h.lift(base[None, :] + fine[:, None] * v[None, :]))
     psi -= np.interp(0.0, r, psi)  # anchor: psi(0) = 0
     return TranslationAction(r, psi)
 
@@ -245,48 +246,53 @@ def factor_translation_linear(e1: HyperbolicElement, e2: HyperbolicElement,
                                translation_t=float(t), numeric_deviation=0.0)
 
 
-def factor_translation_numeric(field_1s: LineField, field_2s: LineField,
-                               tau_ext: LeafBundle, e1: HyperbolicElement,
-                               e2: HyperbolicElement, s: float,
-                               step: float = 1e-3) -> FactorizationResult:
-    """Slide 9 samples of the one-row unstable transversal ``tau_ext``, at
-    the parameters y in [-0.1, 0.1], along the first stable foliation by
-    leaf-length s (an RK4 flow of step ``step``), then along the second
-    stable foliation back to the (extended) unstable leaf (``holonomy`` on
-    the map owning ``field_2s``, whose stable leaves they are).
+def _arc_to(sigma, s, at: float) -> float:
+    """The sigma where the increasing s(sigma) reach ``at``, off 6 samples around it."""
+    window = slice(max(int(np.searchsorted(s, at)) - 3, 0), None)
+    return float(MonotoneCubic(sigma[window][:6], s[window][:6], "leaf arc length").inverse(at))
 
-    The composed motion is compared with the translation by the t
-    predicted by the linear factorization.
+
+def factor_translation_numeric(g1, g2, e1: HyperbolicElement, e2: HyperbolicElement,
+                               s: float) -> FactorizationResult:
+    """Slide 9 points of the unstable leaf tau of the map handle g1 through
+    0, at arc lengths y in [-0.1, 0.1], along the stable leaves of g1 by
+    arc length s |v_1^s| (first-coordinate-1 normalization; s > 0 moves
+    along v_1^s), then along the stable leaves of g2 back to tau (one 2 x 2
+    ``_shoot``), and compare with the translation by the linear t.
+
+    Predicted landings beyond TRANSVERSAL_REACH raise ChartOverflow before
+    any leaf is sampled.  tau is sampled over the samples and their
+    predicted landings, LANDING_MARGIN past them, and each start's stable
+    leaf at SLIDE_SPACING (``leaf_arc_lengths``); a landing's parameter is
+    tau's arc length at its coordinate along v_1^u.
     """
     linear = factor_translation_linear(e1, e2, s)
     # factorization parameters use first-coordinate-1 normalization; the
-    # leaf machinery works in arc length, so convert via the vector norms
+    # leaves are sampled in arc length, so convert via the vector norms
     scale_1s = float(np.linalg.norm(_slope_normalized(e1.vs)))
     scale_1u = float(np.linalg.norm(_slope_normalized(e1.vu)))
-    arc_slide = s * scale_1s
+    arc_slide, arc_t_pred = s * scale_1s, linear.translation_t * scale_1u
     y_samples = np.linspace(-0.1, 0.1, 9)
-    if s == 0.0:
-        landed = y_samples.copy()
-        arc_t_pred = 0.0
-    else:
-        arc_t_pred = linear.translation_t * scale_1u
-        # the predicted landings must lie on tau_ext before any leaf moves
-        lo, hi = y_samples[0] + arc_t_pred, y_samples[-1] + arc_t_pred
-        t_lo, t_hi = float(tau_ext.params[0, 0]), float(tau_ext.params[0, tau_ext.last[0]])
-        if lo < t_lo or hi > t_hi:
-            raise ChartOverflow(f"slide s = {s:g} predicts landings in [{lo:.6g}, {hi:.6g}], "
-                                f"outside the transversal's parameters [{t_lo:.6g}, {t_hi:.6g}]")
-        starts, _ = tau_ext.evaluate(y_samples)
-        # leg 1: fixed arc-length slide along the first stable foliation,
-        # signed so positive s moves along the canonical stable direction;
-        # all starts flow together with integrate_leaf's step count and size
-        n_steps = max(1, int(round(abs(arc_slide) / step)))
-        headings = math.copysign(1.0, arc_slide) * field_1s.direction_at(np.mod(starts, 1.0))
-        traj, _ = _flow(field_1s, starts, headings, n_steps, abs(arc_slide) / n_steps)
-        mids = traj[-1]
-        # leg 2: holonomy along the second stable foliation back to the
-        # leaf, shot from the predicted landings
-        landed = holonomy(field_2s.owner, mids, tau_ext.evaluate, y_samples + arc_t_pred)
+    lo, hi = y_samples[0] + arc_t_pred, y_samples[-1] + arc_t_pred
+    if max(-lo, hi) > TRANSVERSAL_REACH:
+        raise ChartOverflow(f"slide s = {s:g} predicts landings in [{lo:.6g}, {hi:.6g}], outside "
+                            f"the transversal's parameters +-{TRANSVERSAL_REACH:g}")
+    g1u, origin = g1.inverse(), np.zeros((len(y_samples), 2))
+    sigma, (s_tau,) = leaf_arc_lengths(g1u, origin[:1], min(y_samples[0], lo) - LANDING_MARGIN,
+                                       max(y_samples[-1], hi) + LANDING_MARGIN)
+    tau = MonotoneCubic(sigma, s_tau, "leaf arc length")
+    starts = _on_leaves(g1u, origin, tau.inverse(y_samples))
+    sigma, slid = leaf_arc_lengths(g1, starts, min(arc_slide, 0.0), max(arc_slide, 0.0),
+                                   SLIDE_SPACING)
+    mids = _on_leaves(g1, starts, np.array([_arc_to(sigma, row, arc_slide) for row in slid]))
+    # shot from the linear points at the predicted landings
+    v_u, v_s = _axes(g1u)
+    hits = _shoot([(g2, mids), (g1u, origin)], _identity,
+                  tau.inverse(y_samples + arc_t_pred)[:, None] * v_u)
+    sigma = (hits @ (-v_s[1], v_s[0])) / (v_u @ (-v_s[1], v_s[0]))
+    if np.any((sigma < tau.x[0]) | (sigma > tau.x[-1])):
+        raise ChartOverflow(f"slide s = {s:g} lands outside the sampled transversal")
+    landed = tau(sigma)
     deviation = float(np.max(np.abs(landed - (y_samples + arc_t_pred))))
     implied_t = float(np.mean(landed - y_samples)) / scale_1u
     return FactorizationResult(slide_s=float(s), slide_r=linear.slide_r,
@@ -528,11 +534,8 @@ def _prop1_synthetic(ctx: RunContext) -> None:
 
 
 def _numeric_factorization(ctx: RunContext) -> None:
-    fields, cfg = ctx.made["fields"], ctx.cfg
-    tau = integrate_leaf(fields["f1u"], np.zeros(2), 3.0, step=cfg.leaf_step, centered=True)
     ctx.made["factorization"] = factor_translation_numeric(
-        fields["f1s"], fields["f2s"], tau, *cfg.generators[:2], cfg.slide_s,
-        step=cfg.propagation_step)
+        *ctx.handles[:2], *ctx.cfg.generators[:2], ctx.cfg.slide_s)
 
 
 # The stage table.  TEICHMULLER is the end-to-end pass, VERDICT the last
@@ -549,7 +552,7 @@ TEICHMULLER = (SOLVE, PERIODIC, HOLDER, LINE_FIELDS, PROPAGATION, PROP1, JACOBIA
 VERDICT = Stage("verdict", (), _verdict)
 PROP1_ALONG_H = Stage("prop1", ("h",), _prop1_along_h)
 PROP1_SYNTHETIC = Stage("prop1", (), _prop1_synthetic)
-FACTORIZATION = Stage("numeric_factorization", ("fields",), _numeric_factorization)
+FACTORIZATION = Stage("numeric_factorization", (), _numeric_factorization)
 
 
 def run_stages(ctx: RunContext, stages) -> None:

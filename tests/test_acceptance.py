@@ -12,8 +12,9 @@ from anosov_lab.conjugacy import (
 )
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.foliations import (
+    _identity,
+    _shoot,
     compute_line_field,
-    holonomy,
     integrate_leaf,
     min_transversality_angle,
 )
@@ -85,11 +86,9 @@ def test_criterion_3_prop1_pipeline():
              f"cocycle={cocycle:.3e} subdomain_alpha_diff={sub_err:.3e}")
 
 
-def test_criterion_4_holonomy_factorization(e1, e2, linear_fields):
+def test_criterion_4_holonomy_factorization(e1, e2, linear_g1, linear_g2):
     lin = factor_translation_linear(e1, e2, 1.0)
-    tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 3.0, centered=True)
-    num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0)
+    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 1.0)
     t_err = abs(num.translation_t - lin.translation_t)
     ok = (num.numeric_deviation < 1e-8 and t_err < 1e-8
           and abs(lin.translation_t - (-0.8090170)) <= 1e-6)
@@ -102,18 +101,21 @@ def test_criterion_5_lemma2_transversality(linear_fields, e1, e2):
     angle, _ = min_transversality_angle(linear_fields["f1u"], linear_fields["f2s"])
     deg = math.degrees(angle)
     phi = _phi(0.05)
-    fields = {
-        "f1u": compute_line_field(ConjugatedMap(phi, e1), "unstable"),
-        "f2s": compute_line_field(ConjugatedMap(phi, e2), "stable"),
-    }
+    g1, g2 = ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)
+    fields = {"f1u": compute_line_field(g1, "unstable"), "f2s": compute_line_field(g2, "stable")}
     conj_angle, _ = min_transversality_angle(fields["f1u"], fields["f2s"])
     tangency_events = 0
     try:
-        # the second stable holonomy between two unstable leaves of the first
-        tau1 = integrate_leaf(fields["f1u"], np.array([0.1, 0.2]), 0.6, centered=True)
-        tau2 = integrate_leaf(fields["f1u"], np.array([0.3, 0.15]), 0.8, centered=True)
-        s = np.linspace(-0.2, 0.2, 25)
-        holonomy(fields["f2s"].owner, tau1.evaluate(s)[0], tau2.evaluate, s)
+        # the second stable holonomy between two unstable leaves of the
+        # first: 25 points of one leaf, each shot onto the other along the
+        # stable leaf of g2 through it, from where the straight lines meet
+        starts = integrate_leaf(g1.inverse(), np.array([0.1, 0.2]), 0.6,
+                                centered=True).points[0, 100:501:16]
+        other = np.broadcast_to([0.3, 0.15], starts.shape)
+        across = np.linalg.solve(np.column_stack([e1.vu, -np.asarray(e2.vs)]),
+                                 (starts - other).T)[0]
+        _shoot([(g2, starts), (g1.inverse(), other)], _identity,
+               other + across[:, None] * np.asarray(e1.vu))
     except Exception:
         tangency_events += 1
     ok = abs(deg - 63.435) <= 0.01 and conj_angle > 0.05 and tangency_events == 0

@@ -63,20 +63,19 @@ def test_max_period_out_of_range_exit_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-FLOAT_KEYS = ("action.scale", "resolution.leaf_step", "resolution.propagation_step",
-              "thresholds.transversality", "thresholds.lemma3", "thresholds.prop1_residual",
+FLOAT_KEYS = ("action.scale", "thresholds.transversality", "thresholds.lemma3", "thresholds.prop1_residual",
               "thresholds.jacobian", "thresholds.periodic_mismatch", "experiment.eps",
               "experiment.slide_s", "experiment.span", "experiment.prop1_profile_amp")
 INT_KEYS = ("resolution.grid_n", "resolution.field_n", "resolution.max_period",
             "experiment.seed", "experiment.radius")
-# the line fields' old depth cap is no config key: any value is an unknown key
-REMOVED_KEYS = ("resolution.field_iters",)
+# the line fields' old depth cap and the old RK4 leaf steps are no config
+# keys: any value is an unknown key
+REMOVED_KEYS = ("resolution.field_iters", "resolution.leaf_step", "resolution.propagation_step")
 BAD_VALUES = (
     [("eigen", f"{key}=abc", key) for key in FLOAT_KEYS + INT_KEYS + REMOVED_KEYS]
     + [("eigen", f"{key}=2.7", key) for key in INT_KEYS + REMOVED_KEYS]
     + [("eigen", f"{key}=true", key) for key in INT_KEYS + REMOVED_KEYS]
-    + [("eigen", "resolution.leaf_step=NaN", "resolution.leaf_step"),
-       ("periodic-data", "resolution.max_period=abc", "resolution.max_period"),
+    + [("periodic-data", "resolution.max_period=abc", "resolution.max_period"),
        ("periodic-data", "resolution.max_period=2.7", "resolution.max_period"),
        ("lemma3", "experiment.radius=0", "experiment.radius"),
        ("lemma3", "experiment.radius=4", "experiment.radius"),
@@ -87,15 +86,17 @@ BAD_VALUES = (
        ("eigen", "group.generators=[[[2,1],[1]]]", "group.generators[0]")]
     + [("eigen", f"resolution.field_n={n}", "resolution.field_n") for n in (8, 100, 1024)]
     # values that set an array size or a step count
-    + [("foliation", "resolution.leaf_step=1e-12", "resolution.leaf_step"),
-       ("lemma3", "experiment.eps=0", "experiment.eps"),
+    + [("lemma3", "experiment.eps=0", "experiment.eps"),
        ("prop1", ("action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]',
                   "experiment.span=-0.2"), "experiment.span"),
-       ("eigen", "resolution.leaf_step=5e-5", "resolution.leaf_step"),
-       ("eigen", "resolution.propagation_step=5e-5", "resolution.propagation_step"),
-       ("eigen", "resolution.field_iters=101", "resolution.field_iters"),
        ("eigen", "experiment.span=1.5", "experiment.span"),
        ("eigen", "experiment.eps=0.3", "experiment.eps")]
+    # removed keys, at values they once took or once rejected
+    + [("eigen", "resolution.field_iters=101", "resolution.field_iters"),
+       ("eigen", "resolution.leaf_step=NaN", "resolution.leaf_step"),
+       ("foliation", "resolution.leaf_step=1e-12", "resolution.leaf_step"),
+       ("eigen", "resolution.leaf_step=5e-5", "resolution.leaf_step"),
+       ("eigen", "resolution.propagation_step=5e-5", "resolution.propagation_step")]
     # the output directory is checked whichever of --out, ANOSOV_LAB_OUT
     # and the config wins
     + [("eigen", f"experiment.out_dir={v}", "experiment.out_dir") for v in ("5", "null", '""')]
@@ -463,6 +464,18 @@ def test_removed_field_iters_key_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [("foliation", "resolution.leaf_step=1e-3"),
+                                          ("factorize", "resolution.propagation_step=8e-3")])
+def test_removed_step_keys_are_unknown(tmp_path, capsys, command, key):
+    # leaves are shot on the maps, so no config key sets an RK4 step
+    code, out = run(tmp_path, command, "--set", key)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key.partition('=')[0]}': unknown key" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["teichmuller", "foliation"])
 def test_line_fields_not_converged_exit_three(tmp_path, capsys, monkeypatch, command):
     # the phi 0.02 fields move by 3e-12 to 9e-12 from orbit length 12 to 16
@@ -502,8 +515,8 @@ def test_teichmuller_inconclusive_on_thresholds_names_each_check(tmp_path):
 
 @pytest.mark.parametrize("slide_s", ["2", "-2"])
 def test_slide_landing_off_the_transversal_exit_three(tmp_path, capsys, slide_s):
-    """The transversal covers parameters +-1.5; a slide of 2 predicts
-    landings near -+1.9, so no leaf is marched."""
+    """A slide may land within arc length 1.5 of 0; a slide of 2 predicts
+    landings near -+1.9, so no leaf is sampled."""
     code, out = run(tmp_path, "factorize", *SMALL, "--set", f"experiment.slide_s={slide_s}")
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
@@ -563,7 +576,7 @@ PERTURBED_OBSTRUCTED = ("--set", "action.kind=perturbed", "--set",
     (("transversality", *SMALL), ["line_fields"]),
     (("prop1",), ["prop1"]),
     (("prop1", *CONJUGATED_02, *SMALL), ["prop1", "solve_conjugacy"]),
-    (("factorize", *SMALL), ["line_fields", "numeric_factorization"]),
+    (("factorize", *SMALL), ["numeric_factorization"]),
     (("lemma3", *SMALL), ["line_fields", "tangency_propagation"]),
     (("periodic-data",), ["compare_smooth_invariants"]),
     (("teichmuller",), ["compare_smooth_invariants", "estimate_holder_exponent", "jacobian",

@@ -11,6 +11,7 @@ from anosov_lab import conjugacy
 from anosov_lab.config import load_config
 from anosov_lab.conjugacy import (
     COARSE_N,
+    Conjugacy,
     MAX_ITERATIONS,
     PeriodicOrbitData,
     _index_permutation,
@@ -40,6 +41,28 @@ def h_conj(e1, conj_g1):
 def test_zero_perturbation_gives_identity(e1, linear_g1):
     h = solve_conjugacy(e1, linear_g1, n=64)
     assert h.sup_norm == 0.0
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros((16, 2)),
+    np.full((16, 2), -0.0),
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[0.25, -0.5], [0.125, 0.5]]),       # ties between max u and -min u
+    np.array([[0.25, -0.75], [0.125, 0.5]]),
+    np.array([[1e-300, -3.0], [2.5, -0.0]]),
+    np.array([[np.inf, -1.0], [0.0, 2.0]]),
+    np.array([[1.0, -np.inf], [0.0, 2.0]]),
+    np.array([[0.1, np.nan], [-0.3, 0.2]]),
+    np.array([[np.nan, -np.inf], [np.inf, 0.2]]),
+    np.random.default_rng(5).normal(size=(4096, 2)),
+], ids=["zeros", "negative-zeros", "signed-zeros", "tie", "mixed", "tiny", "inf", "minus-inf",
+        "nan", "nan-and-infs", "normal"])
+def test_sup_norm_has_the_bits_of_the_max_abs(values, e1):
+    got = Conjugacy(8, values, e1, None, 0.0).sup_norm
+    want = float(np.max(np.abs(values)))
+    assert type(got) is float
+    assert np.array_equal(np.array([got]), np.array([want]), equal_nan=True)
+    assert np.signbit(got) == np.signbit(want)
 
 
 def test_solved_conjugacy_matches_phi(h_conj, phi02):

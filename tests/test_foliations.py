@@ -16,7 +16,6 @@ from anosov_lab.foliations import (
     LineField,
     _line,
     _orbit_row,
-    _rk4_step,
     _unstable_reader,
     compute_line_field,
     heteroclinic_points,
@@ -30,8 +29,8 @@ from anosov_lab.lattice import eigen_data, grid_points, line_angle
 from anosov_lab.rigidity import tangency_propagation_check
 
 
-def test_constant_field_leaves_are_straight(e1, linear_fields):
-    seg = integrate_leaf(linear_fields["f1u"], np.array([0.2, 0.3]), 1.0)
+def test_constant_field_leaves_are_straight(e1, linear_g1):
+    seg = integrate_leaf(linear_g1.inverse(), np.array([0.2, 0.3]), 1.0)
     chords = seg.points[0] - seg.points[0, 0]
     v = np.asarray(e1.vu)
     cross = chords[:, 0] * v[1] - chords[:, 1] * v[0]
@@ -41,19 +40,26 @@ def test_constant_field_leaves_are_straight(e1, linear_fields):
     assert np.allclose(lens, np.diff(seg.params[0]), atol=1e-12)
 
 
-def test_leaf_point_at_interpolates(linear_fields, e1):
-    seg = integrate_leaf(linear_fields["f1u"], np.zeros(2), 1.0, centered=True)
+def test_leaf_point_at_interpolates(linear_g1, e1):
+    # the node at arc length s of the centered linear leaf is s v_u, its
+    # heading v_u, and the nodes run from -0.5 to 0.5 at spacing 1e-3
+    seg = integrate_leaf(linear_g1.inverse(), np.zeros(2), 1.0, centered=True)
     v = np.asarray(e1.vu)
-    for s in (-0.35, -0.1234, 0.0, 0.2718, 0.45):
-        assert np.allclose(seg.evaluate([s])[0][0], s * v, atol=1e-12)
+    assert seg.last[0] == 1000 and seg.step[0] == pytest.approx(1e-3, abs=1e-15)
+    assert seg.params[0, 0] == -0.5 and seg.params[0, -1] == 0.5
+    assert np.max(np.abs(seg.points[0] - seg.params[0, :, None] * v)) < 1e-12
+    assert np.max(np.abs(seg.headings[0] - v)) < 1e-15
 
 
-def test_leaf_reversal(linear_fields):
+def test_leaf_reversal(linear_g1, e1):
     x = np.array([0.6, 0.1])
-    fwd = integrate_leaf(linear_fields["f1s"], x, 0.5)
-    bwd = integrate_leaf(linear_fields["f1s"], x, -0.5)
-    # symmetric points are reflections through x
-    assert np.allclose(fwd.evaluate([0.3])[0][0] + bwd.evaluate([-0.3])[0][0], 2 * x, atol=1e-10)
+    fwd = integrate_leaf(linear_g1, x, 0.5)
+    bwd = integrate_leaf(linear_g1, x, -0.5)
+    assert fwd.params[0, 300] == pytest.approx(0.3, abs=1e-15)
+    assert bwd.params[0, 200] == pytest.approx(-0.3, abs=1e-15)
+    # symmetric points are reflections through x, and s grows along v_s
+    assert np.allclose(fwd.points[0, 300] + bwd.points[0, 200], 2 * x, atol=1e-12)
+    assert (fwd.points[0, 300] - x) @ np.asarray(e1.vs) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_line_field_invariance(conj_fields):
@@ -137,7 +143,7 @@ def test_linear_line_field_is_the_full_depth_transport(linear_g1, label):
 def test_leaf_invariance_under_map(conj_g1, conj_fields):
     # the image of an unstable leaf point stays on the unstable leaf
     # through the image basepoint: compare field directions along images
-    seg = integrate_leaf(conj_fields["f1u"], np.array([0.15, 0.67]), 0.2)
+    seg = integrate_leaf(conj_g1.inverse(), np.array([0.15, 0.67]), 0.2)
     img = conj_g1.lift(seg.points[0])
     d = conj_fields["f1u"].direction_at(np.mod(img, 1.0))
     chords = np.diff(img, axis=0)
@@ -310,26 +316,9 @@ def test_graph_transport_smooth(conj_fields, e1):
     assert min(r.angle for r in rows) > 0.05
 
 
-# --- Scalar reference for the batched leaf evaluation and projection, one
-# point at a time.  The batched code does the same
-# arithmetic per point, so results must be equal bit for bit, not merely
-# close.
-
-def _ref_at(seg, s):
-    params, points, headings = seg.params[0], seg.points[0], seg.headings[0]
-    s0 = params[0]
-    idx = int(np.clip(np.floor((s - s0) / seg.step[0] + 1e-12), 0, len(params) - 1))
-    ds = s - params[idx]
-    if abs(ds) < 1e-15:
-        return points[idx].copy(), headings[idx].copy()
-    pt = points[idx][None, :]
-    hd = headings[idx][None, :]
-    if ds < 0:
-        new_pt, new_hd, _ = _rk4_step(seg.field, pt, -hd, -ds)
-        return new_pt[0], -new_hd[0]
-    new_pt, new_hd, _ = _rk4_step(seg.field, pt, hd, ds)
-    return new_pt[0], new_hd[0]
-
+# --- Scalar reference for the batched leaf projection, one point at a
+# time.  The batched code does the same arithmetic per point, so results
+# must be equal bit for bit, not merely close.
 
 def _ref_project(proj, x):
     """Nearest node, parabolic offset and linear foot, point by point."""
@@ -358,46 +347,16 @@ def _ref_project(proj, x):
 
 
 @pytest.fixture(params=["linear", "conjugated"])
-def frame_fields(request):
-    """Unstable and stable fields of the first generator, linear or
-    conjugated by phi = id + (0.02 sin 2 pi x2, 0)."""
-    fields = request.getfixturevalue(
-        "linear_fields" if request.param == "linear" else "conj_fields")
-    return fields["f1u"], fields["f1s"]
+def frame_map(request):
+    """The first generator's map, linear or conjugated by
+    phi = id + (0.02 sin 2 pi x2, 0)."""
+    return request.getfixturevalue("linear_g1" if request.param == "linear" else "conj_g1")
 
 
-def test_leaf_evaluate_matches_scalar_reference(frame_fields):
-    f1u, _ = frame_fields
-    seg = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
-    lo, hi = seg.params[0, 0], seg.params[0, -1]
-    s = np.array([
-        seg.params[0, 17],            # exactly on an interior node
-        seg.params[0, 17] + 0.37 * seg.step[0],
-        -0.1234,
-        0.2718,
-        lo,                           # the end nodes themselves
-        hi,
-        lo - 0.3 * seg.step[0],       # clipped to the first node: negative ds
-        lo - 2.5 * seg.step[0],
-        hi + 0.4 * seg.step[0],       # clipped to the last node
-        hi + 3.0 * seg.step[0],
-    ])
-    pts, tangents = seg.evaluate(s)
-    ref = [_ref_at(seg, si) for si in s]
-    assert np.array_equal(pts, np.array([r[0] for r in ref]))
-    assert np.array_equal(tangents, np.array([r[1] for r in ref]))
-    assert np.array_equal(pts[0], seg.points[0, 17])
-    for si, (p, t) in zip(s, ref):
-        one_p, one_t = seg.evaluate([si])
-        assert np.array_equal(one_p[0], p)
-        assert np.array_equal(one_t[0], t)
-
-
-def test_project_refine_matches_scalar_reference(frame_fields):
+def test_project_refine_matches_scalar_reference(frame_map):
     # the parabolic refinement of the nearest-node offset and the linear foot
-    f1u, f1s = frame_fields
-    tau = integrate_leaf(f1u, np.array([0.3, 0.6]), 0.5, step=4e-3, centered=True)
-    across = integrate_leaf(f1s, tau.evaluate([0.05])[0][0], 0.2, step=1e-3, centered=True)
+    tau = integrate_leaf(frame_map.inverse(), np.array([0.3, 0.6]), 0.5, centered=True)
+    across = integrate_leaf(frame_map, tau.points[0, 300], 0.2, centered=True)
     x = np.concatenate([across.points[0, ::7], tau.points[0, 5:8], tau.points[0, [0, -1]] + 0.01])
     for got, want in zip(tau.project(x), _ref_project(tau, x)):
         assert np.array_equal(got, want)

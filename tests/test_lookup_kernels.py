@@ -11,11 +11,6 @@ and sums the taps in another order.  So the bicubic is held to
 ``ndimage``'s coefficients and values within 1e-14 of the largest sample,
 and to two closed forms: the samples at the grid nodes, and a constant
 field exactly.
-
-``foliations._aligned_direction`` aligns the uncanonicalized direction of
-each angle with its heading; its reference aligns the canonical one,
-``direction_at``.  The two agree bit for bit on every row whose alignment
-is not exactly 0; on such a row only the sign of a zero may differ.
 """
 
 import math
@@ -24,8 +19,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from anosov_lab.errors import SignAmbiguity
-from anosov_lab.foliations import LineField, _aligned_direction, _flow, _unit
+from anosov_lab.foliations import _unit
 from anosov_lab.interp import PeriodicBicubic
 
 SIZES = [1, 7, 300, 16384]
@@ -144,97 +138,3 @@ def test_bicubic_reproduces_a_constant_field_exactly(n):
         interp = PeriodicBicubic(np.full((n, n, 2), c))
         assert np.all(interp._coeffs == c)
         assert np.all(interp(x) == c)
-
-
-def _ref_aligned_direction(field, pts, headings):
-    d = field.direction_at(np.mod(pts, 1.0))
-    dots = np.einsum("ni,ni->n", d, headings)
-    d *= np.sign(dots)[:, None]
-    return d, np.abs(dots)
-
-
-class _FixedAngles:
-    """A line field stand-in whose lookups return the given angles."""
-
-    def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=float)
-
-    def angle_at(self, x):
-        assert len(x) == len(self.theta)
-        return self.theta.copy()
-
-    def direction_at(self, x):
-        return _unit(self.angle_at(x))
-
-
-def _headings(rng, size):
-    """Unit headings of both signs, at angles over the whole circle."""
-    phi = rng.uniform(-math.pi, math.pi, size)
-    return np.column_stack([np.cos(phi), np.sin(phi)])
-
-
-def _assert_aligned_same_bits(field, pts, headings):
-    got, got_dots = _aligned_direction(field, pts, headings)
-    want, want_dots = _ref_aligned_direction(field, pts, headings)
-    _assert_same_bits(got, want)
-    _assert_same_bits(got_dots, want_dots)
-    return got_dots
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_aligned_direction_matches_canonical_form(conj_fields, size):
-    rng = np.random.default_rng(size)
-    pts = rng.uniform(-1.0, 2.0, (size, 2))
-    headings = _headings(rng, size)
-    for field in conj_fields.values():
-        # random headings, then the field's own directions and their opposites
-        dots = _assert_aligned_same_bits(field, pts, headings)
-        assert np.all(dots > 0.0)
-        own = field.direction_at(np.mod(pts, 1.0))
-        own[::2] *= -1.0
-        _assert_aligned_same_bits(field, pts, own)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_aligned_direction_at_special_angles(size):
-    rng = np.random.default_rng(size + 1)
-    theta = rng.uniform(0.0, math.pi, size)
-    theta[:len(SPECIAL_ANGLES)] = SPECIAL_ANGLES[:size]
-    field = _FixedAngles(theta)
-    pts = rng.random((size, 2))
-    unit = np.column_stack([np.cos(theta), np.sin(theta)])
-    for headings in (_headings(rng, size), unit, -unit, _unit(theta), -_unit(theta)):
-        dots = _assert_aligned_same_bits(field, pts, headings)
-        assert np.all(dots > 0.0)
-
-
-def test_aligned_direction_at_zero_alignment_differs_only_in_zero_signs():
-    # headings exactly perpendicular to d = (cos, sin): (sin, -cos) . d is
-    # exactly 0; at the angles past pi/2 the canonical form flips d
-    theta = np.array([0.0, -0.0, 0.3, math.pi / 2, 2.0, np.nextafter(math.pi, 0.0)])
-    field = _FixedAngles(theta)
-    pts = np.zeros((len(theta), 2))
-    headings = np.column_stack([np.sin(theta), -np.cos(theta)])
-    got, got_dots = _aligned_direction(field, pts, headings)
-    want, want_dots = _ref_aligned_direction(field, pts, headings)
-    assert np.all(got_dots == 0.0)
-    _assert_same_bits(got_dots, want_dots)
-    assert np.all(got == 0.0) and np.all(want == 0.0)
-    # the canonical form flips the rows past pi/2, so its zeros carry the
-    # other signs there
-    flipped = np.cos(theta) < 0
-    assert flipped.any()
-    assert np.array_equal(np.signbit(got[flipped]), ~np.signbit(want[flipped]))
-    assert np.array_equal(np.signbit(got[~flipped]), np.signbit(want[~flipped]))
-
-
-@pytest.mark.parametrize("field", [
-    LineField(None, np.zeros((2, 2))),
-    _FixedAngles([np.nextafter(math.pi, 0.0)]),
-])
-def test_flow_raises_sign_ambiguity_at_zero_alignment(field):
-    theta = field.angle_at(np.zeros((1, 2)))
-    headings = np.column_stack([np.sin(theta), -np.cos(theta)])
-    assert _aligned_direction(field, np.zeros((1, 2)), headings)[1][0] == 0.0
-    with pytest.raises(SignAmbiguity):
-        _flow(field, np.zeros((1, 2)), headings, 3, 8e-3)

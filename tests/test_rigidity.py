@@ -9,7 +9,6 @@ from anosov_lab.errors import (
     NonMonotoneG,
     SingularSystem,
 )
-from anosov_lab.foliations import integrate_leaf
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.lattice import eigen_data
 from anosov_lab.maps import ConjugatedMap, Diffeo
@@ -157,19 +156,15 @@ def test_factor_singular_for_dependent_directions(e1):
         factor_translation_linear(e1, eigen_data(invert(e1.matrix)), 1.0)
 
 
-def test_factor_numeric_matches_linear(e1, e2, linear_fields):
-    tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 3.0, centered=True)
+def test_factor_numeric_matches_linear(e1, e2, linear_g1, linear_g2):
     lin = factor_translation_linear(e1, e2, 1.0)
-    num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 1.0)
+    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 1.0)
     assert num.numeric_deviation < 1e-8
     assert num.translation_t == pytest.approx(lin.translation_t, abs=1e-10)
 
 
-def test_factor_numeric_zero_slide(e1, e2, linear_fields):
-    tau = integrate_leaf(linear_fields["f1u"], np.zeros(2), 2.0, centered=True)
-    num = factor_translation_numeric(
-        linear_fields["f1s"], linear_fields["f2s"], tau, e1, e2, 0.0)
+def test_factor_numeric_zero_slide(e1, e2, linear_g1, linear_g2):
+    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 0.0)
     assert num.numeric_deviation < 1e-10
 
 

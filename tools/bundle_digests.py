@@ -22,7 +22,8 @@ last runs shoot Lemma 3 where the others do not: ``teichmuller`` and
 ``lemma3`` at phi 0.05, and ``teichmuller`` at phi 0.10, which end
 ``smooth``; ``lemma3`` at ``experiment.radius`` 3 on phi 0.02; and
 ``lemma3`` on a perturbed action, whose orbits step ``PerturbedMap`` and
-``InverseMap``.
+``InverseMap``.  Two more sample leaves where ``D phi v_s`` turns its first
+coordinate negative: ``factorize`` and ``foliation`` at phi 0.15.
 Each run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -129,6 +130,14 @@ LEMMA3_PATHS = (
 )
 
 
+PHI_15 = ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']
+# (label, subcommand, overrides) of shot leaves at |D q| = 0.94
+LEAF_PATHS = (
+    ("phi-0.15", "factorize", PHI_15),
+    ("phi-0.15", "foliation", PHI_15),
+)
+
+
 def _sets(overrides):
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -142,7 +151,8 @@ def runs():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(workload.overrides(SEED))]
     for name, overrides in ERROR_PATHS.items():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(overrides)]
-    for name, command, overrides in (*SUBCOMMAND_ERROR_PATHS, *MAP_PATHS, *LEMMA3_PATHS):
+    for name, command, overrides in (*SUBCOMMAND_ERROR_PATHS, *MAP_PATHS, *LEMMA3_PATHS,
+                                     *LEAF_PATHS):
         yield f"{name}/{command}", [command, *_sets(overrides)]
 
 
