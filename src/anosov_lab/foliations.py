@@ -16,8 +16,8 @@ graph samples, heteroclinic points (two unknowns, the point) and the
 points of a sampled leaf (``integrate_leaf``, a graph over A's stable
 eigen-axis in arc-length parameters, a one-row ``LeafBundle``) all find
 their crossings this one way.  The line fields are read off the same
-orbits: the stable leaf through y is tangent to the kernel of
-l . D G^n(y).
+orbits at the points asked, none interpolated: the stable leaf through y
+is tangent to the kernel of l . D G^n(y).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     RadiusOutOfRange,
     TangencySuspected,
 )
-from .interp import HermiteCubic, MonotoneCubic, PeriodicBicubic, not_a_knot_spline
+from .interp import HermiteCubic, MonotoneCubic, not_a_knot_spline
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
@@ -58,40 +58,36 @@ def _unit(theta):
 
 
 class LineField:
-    """Unit direction field mod pi on an N x N grid, owned by a torus map."""
+    """Unit direction field mod pi of the torus map ``owner``: angles on an
+    N x N grid, and directions at any point off the orbit of ``handle``, the
+    map whose stable field it is (g, or g.inverse() for g's unstable one)."""
 
-    def __init__(self, owner, theta: np.ndarray, change: float = 0.0):
+    def __init__(self, owner, theta: np.ndarray, change: float = 0.0, handle=None):
         self.owner = owner
+        self.handle = handle
         self.theta = np.asarray(theta, dtype=float)  # (N, N), [0, pi)
         self.grid_size = self.theta.shape[0]
         self.change = change  # largest angle between the orbit-length 12 and 16 fields
-        # interpolate the double-angle embedding so the mod-pi topology is smooth
-        self._interp = PeriodicBicubic(
-            np.stack([np.cos(2 * self.theta), np.sin(2 * self.theta)], axis=-1)
-        )
 
     def angle_at(self, x):
-        """Interpolated angles in [0, pi), shape (n,), at the torus points
-        x of shape (n, 2)."""
-        emb = self._interp(x)
-        theta = np.arctan2(emb[:, 1], emb[:, 0])
-        theta *= 0.5
-        return np.remainder(theta, math.pi, out=theta)
+        """Angles in [0, pi), shape (n,), at the torus points x of shape
+        (n, 2): the kernel angles of l . D G^16 there, as on the grid."""
+        return _kernel_angle(_orbit_row(self.handle, x, ORBIT_LENGTHS[-1]))
 
     def direction_at(self, x):
-        """Canonical unit vectors (n, 2) for the interpolated angles at the
-        torus points x of shape (n, 2)."""
+        """Canonical unit vectors (n, 2) for the angles at the torus points
+        x of shape (n, 2)."""
         return _unit(self.angle_at(x))
 
     def invariance_error(self) -> float:
-        """Max angular error of D g (field at x) against field at g(x) over
-        512 random points."""
-        rng = np.random.default_rng(0)
-        pts = rng.random((512, 2))
-        vec = self.direction_at(pts)
-        pushed = np.einsum("nij,nj->ni", self.owner.jacobian(pts), vec)
-        target = self.direction_at(self.owner.apply(pts))
-        return float(np.max(line_angle(pushed, target)))
+        """Max angular error of D g (stored grid direction at x) against the
+        field at g(x) over 512 fixed grid nodes x."""
+        n = self.grid_size
+        nodes = np.random.default_rng(0).integers(n * n, size=512)
+        pts = grid_points(n)[nodes]
+        stored = _unit(self.theta.ravel()[nodes])
+        pushed = np.einsum("nij,nj->ni", self.owner.jacobian(pts), stored)
+        return float(np.max(line_angle(pushed, self.direction_at(self.owner.apply(pts)))))
 
 
 def _unstable_reader(g):
@@ -109,15 +105,14 @@ def _orbit_row(handle, pts, m: int):
     return np.stack([ell[0] * jac[:, 0, k] + ell[1] * jac[:, 1, k] for k in range(2)], axis=1)
 
 
-def _kernel_angles(handle, n: int):
-    """The angles in [0, pi), (n, n), of the kernels (-r_1, r_0) of the rows
-    r at m = 16 on the n x n grid, and the largest angle between the rows
-    at m = 12 and 16; the rows die here, before the caller builds its
-    field's bicubic."""
-    pts = grid_points(n)
-    near, row = (_orbit_row(handle, pts, m) for m in ORBIT_LENGTHS[-2:])
-    theta = np.mod(np.arctan2(row[:, 0], -row[:, 1]), math.pi).reshape(n, n)
-    return theta, float(np.max(line_angle(near, row)))
+def _kernel(rows):
+    """The kernels (-r_1, r_0) (..., 2) of the rows r (..., 2): leaf tangents."""
+    return rows[..., ::-1] * (-1.0, 1.0)
+
+
+def _kernel_angle(rows):
+    """The angles in [0, pi), (...,), of the kernels of the rows (..., 2)."""
+    return np.mod(np.arctan2(rows[..., 0], -rows[..., 1]), math.pi)
 
 
 def compute_line_field(g, label: str, n: int = 128) -> LineField:
@@ -130,14 +125,17 @@ def compute_line_field(g, label: str, n: int = 128) -> LineField:
     unstable field is the stable field of the inverse map.  The row is
     taken at the two longest ORBIT_LENGTHS, 12 and 16, from the handle's
     ``orbit``; its kernel at m approaches its limit like lambda_u^-2m.  The
-    field is the kernel at m = 16, ``LineField.change`` records the largest
-    angle between the two kernels (that between the rows), and an angle
-    above FIELD_TOL raises NotConverged."""
-    theta, change = _kernel_angles(g if label == "stable" else g.inverse(), n)
+    grid holds the kernel angles at m = 16 (``LineField.angle_at`` there, to
+    the bit), ``change`` the largest angle between the two kernels (that
+    between the rows); one above FIELD_TOL raises NotConverged."""
+    handle = g if label == "stable" else g.inverse()
+    pts = grid_points(n)
+    near, row = (_orbit_row(handle, pts, m) for m in ORBIT_LENGTHS[-2:])
+    change = float(np.max(line_angle(near, row)))
     if not change <= FIELD_TOL:  # nan too
         raise NotConverged(f"angular change {change:.3e} rad between orbit lengths "
                            f"{ORBIT_LENGTHS[-2]} and {ORBIT_LENGTHS[-1]} above {FIELD_TOL:.1e}")
-    return LineField(g, theta, change=change)
+    return LineField(g, _kernel_angle(row).reshape(n, n), change, handle)
 
 
 def line_fields(handles, keys, n: int) -> dict:
@@ -272,11 +270,11 @@ def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBund
     params = np.linspace(lo, hi, n + 1)
     points = _on_leaves(handle, np.repeat(x, n + 1, axis=0),
                         MonotoneCubic(sigma, s, "leaf arc length").inverse(params))
-    row = _orbit_row(handle, points, ORBIT_LENGTHS[-1])
+    kernel = _kernel(_orbit_row(handle, points, ORBIT_LENGTHS[-1]))
     v, w = _axes(handle)
-    # the kernel (-r_1, r_0), signed by its coordinate along v in the basis (v, w)
-    along = np.sign((-row[:, 1] * w[1] - row[:, 0] * w[0]) * (v[0] * w[1] - v[1] * w[0]))
-    headings = along[:, None] * np.column_stack([-row[:, 1], row[:, 0]])
+    # the kernel, signed by its coordinate along v in the basis (v, w)
+    along = np.sign((kernel[:, 0] * w[1] - kernel[:, 1] * w[0]) * (v[0] * w[1] - v[1] * w[0]))
+    headings = along[:, None] * kernel
     headings /= np.linalg.norm(headings, axis=1, keepdims=True)
     return LeafBundle(params[None], points[None], headings[None], np.array([n]),
                       np.array([(hi - lo) / n]))
@@ -319,7 +317,7 @@ def _shoot(leaves, position, x, tags=None):
             if not np.isfinite(x).all():  # a row without a crossing stops every row
                 break
     # the leaves' directions, normal to the gradients, and the curve's
-    across = grad[:, :, ::-1] * (-1.0, 1.0)
+    across = _kernel(grad)
     angle = line_angle(across[:, 0], across[:, 1] if d == 2 else dy[:, :, 0])
     shallow = np.flatnonzero(~(angle >= TANGENCY_THRESHOLD))
     if len(shallow):

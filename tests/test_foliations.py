@@ -63,8 +63,20 @@ def test_leaf_reversal(linear_g1, e1):
 
 
 def test_line_field_invariance(conj_fields):
+    # the stored grid directions pushed by D g against the field read at
+    # their images: measured up to 3.5e-14 (f1s, whose angle errors D g
+    # stretches by about lambda_u^2 = 6.9), a margin of about 3
     for field in conj_fields.values():
-        assert field.invariance_error() < 1e-6
+        assert field.invariance_error() < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["linear_fields", "conj_fields"])
+def test_grid_angles_are_the_angles_read_at_the_grid_points(request, kind):
+    # the grid is the one orbit read at every node, so no lookup of a node
+    # differs from its stored angle
+    for key, field in request.getfixturevalue(kind).items():
+        n = field.grid_size
+        assert np.array_equal(field.theta, field.angle_at(grid_points(n)).reshape(n, n)), key
 
 
 def test_line_field_convergence_rate(conj_g1):

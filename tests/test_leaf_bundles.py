@@ -61,9 +61,11 @@ def _ref_holonomy(g, origin, axis, target_origin, target_axis, samples):
                           np.broadcast_to(target_axis, (m, 2))), samples)
 
 
-def _ref_local_graph(fields, base, eps):
-    axes, leaves = _frame(fields, base[None])
-    graph, = local_graph(base[None], axes, leaves, fields["f1u"].owner, fields["f2s"].owner, eps)
+def _ref_local_graph(fields, base, axes, leaf, eps):
+    """One local graph at base, on the frame axes (2, 2) and the target
+    direction leaf (2,)."""
+    graph, = local_graph(base[None], axes[None], leaf[None], fields["f1u"].owner,
+                         fields["f2s"].owner, eps)
     return graph
 
 
@@ -72,12 +74,12 @@ def _ref_tangency_propagation_check(fields, z, e1, radius=1, eps=0.05):
     g1 = fields["f1u"].owner
     hps = heteroclinic_points(z, e1, radius, None if g1.is_linear else g1)
     samples = np.linspace(-eps, eps, HOLONOMY_SAMPLES)
-    theta_z = _ref_local_graph(fields, z, eps)
-    (axes_z,), _ = _frame(fields, z[None])
+    (axes_z,), (leaf_z,) = _frame(fields, z[None])
+    theta_z = _ref_local_graph(fields, z, axes_z, leaf_z, eps)
     rows = []
     for hp in hps:
-        theta_zp = _ref_local_graph(fields, hp.lift, eps)
         (axes_zp,), (leaf_zp,) = _frame(fields, hp.lift[None])
+        theta_zp = _ref_local_graph(fields, hp.lift, axes_zp, leaf_zp, eps)
         hol_s = MonotoneCubic(samples, _ref_holonomy(g1, z, axes_z[0], hp.lift_s, axes_zp[0],
                                                      samples), "holonomy")
         hol_u = MonotoneCubic(samples, _ref_holonomy(g1.inverse(), z, axes_z[1], hp.lift,
@@ -115,11 +117,14 @@ def test_holonomies_match_serial_reference(fields):
 
 
 def test_local_graph_matches_serial_reference(fields):
+    # the frames are read once for all bases, as the batched call reads
+    # them: a direction read off an inverse handle's orbit depends on its
+    # batchmates by up to 1 ulp, which the graphs' coefficients amplify
     bases = np.array([[0.0, 0.0], [0.37, 0.81], [-0.2, 0.45]])
     axes, leaves = _frame(fields, bases)
     got = local_graph(bases, axes, leaves, fields["f1u"].owner, fields["f2s"].owner, 0.05)
-    for graph, base in zip(got, bases):
-        want = _ref_local_graph(fields, base, 0.05)
+    for graph, base, frame, leaf in zip(got, bases, axes, leaves):
+        want = _ref_local_graph(fields, base, frame, leaf, 0.05)
         assert np.array_equal(graph.x, want.x)
         _assert_close(graph.c, want.c, fields["f1u"].owner.is_linear)
 

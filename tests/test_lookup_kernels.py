@@ -5,7 +5,7 @@ flipped rows in place.  The reference below is the ``np.stack`` and
 ``np.where`` form it replaced.  The arithmetic is the same, so every
 comparison is bit for bit, sign bits included.
 
-``PeriodicBicubic`` divides the values' spectrum by the B-spline symbol and
+``PeriodicBicubic``, the interpolant of h, divides the values' spectrum by the B-spline symbol and
 sums 16 taps; SciPy's ``ndimage``, which it replaced, filters recursively
 and sums the taps in another order.  So the bicubic is held to
 ``ndimage``'s coefficients and values within 1e-14 of the largest sample,
@@ -77,12 +77,8 @@ def _grid_values(n):
             "noise": np.random.default_rng(n).standard_normal((n, n, 2))}
 
 
-def _bicubic_cases(conj_fields, n):
-    """(name, grid values, their interpolator): the line field's, which
-    ``LineField`` builds from its double-angle embedding, and n's grids."""
-    field = conj_fields["f1u"]
-    embedding = np.stack([np.cos(2 * field.theta), np.sin(2 * field.theta)], axis=-1)
-    yield "line field", embedding, field._interp
+def _bicubic_cases(n):
+    """(name, grid values, their interpolator) of n's grids."""
     for name, values in _grid_values(n).items():
         yield name, values, PeriodicBicubic(values)
 
@@ -94,8 +90,8 @@ def _points(size):
 
 
 @pytest.mark.parametrize("n", BICUBIC_GRIDS)
-def test_bicubic_coefficients_match_spline_filter(conj_fields, n):
-    for name, values, interp in _bicubic_cases(conj_fields, n):
+def test_bicubic_coefficients_match_spline_filter(n):
+    for name, values, interp in _bicubic_cases(n):
         want = np.stack([ndimage.spline_filter(values[:, :, m], order=3, mode="grid-wrap")
                          for m in range(values.shape[2])], axis=-1)
         err = np.max(np.abs(interp._coeffs.reshape(want.shape) - want))
@@ -104,9 +100,9 @@ def test_bicubic_coefficients_match_spline_filter(conj_fields, n):
 
 @pytest.mark.parametrize("n", BICUBIC_GRIDS)
 @pytest.mark.parametrize("size", SIZES)
-def test_bicubic_matches_map_coordinates(conj_fields, n, size):
+def test_bicubic_matches_map_coordinates(n, size):
     x = _points(size)
-    for name, values, interp in _bicubic_cases(conj_fields, n):
+    for name, values, interp in _bicubic_cases(n):
         coords = (x.T * len(values)) % len(values)
         want = np.stack([ndimage.map_coordinates(values[:, :, m], coords, order=3,
                                                  mode="grid-wrap")

@@ -7,8 +7,8 @@ NEWTON_STEPS steps at each of the ORBIT_LENGTHS for every row, so the
 Newton iterations of a run are pinned exactly, and so are the orbit
 evaluations (``orbit`` calls and points of every map handle) and the
 field lookups (``LineField.angle_at`` calls and points) of Lemma 3: the
-frame directions at z and every z', three lookups in all.  A change in
-any of these numbers fails.
+frame directions at z and every z', three lookups in all, each one orbit
+of length 16 at its 9 points.  A change in any of these numbers fails.
 
 A line field reads two orbits of its map handle, of lengths 12 and 16, and
 the number of trig evaluations of the Fourier terms (``trig`` calls) that
@@ -79,17 +79,18 @@ def test_default_teichmuller_run_shoots_within_counts(tmp_path, monkeypatch):
     # the heteroclinic points in closed form; the 9 x 41 local-graph points
     # (two conditions), their s and the two holonomies of 8 x 49 rows: 4
     # solves of 20 Newton iterations, each orbit length with its reference
-    # orbits, 125 orbits in all
+    # orbits, 125 orbits; and the 3 frame lookups, one orbit of 9 points each
     assert counts == {"shoot_calls": 4, "newton_iterations": 80, "newton_rows": 30_440,
-                      "orbit_calls": 125, "orbit_points": 47_275,
+                      "orbit_calls": 128, "orbit_points": 47_302,
                       "lookup_calls": 3, "lookup_points": 27}
 
 
 def test_conjugated_teichmuller_run_shoots_within_counts(tmp_path, monkeypatch):
     counts = _lemma3_work(tmp_path, monkeypatch, PHI_02)
-    # the 8 heteroclinic points take a fifth solve, of two conditions
+    # the 8 heteroclinic points take a fifth solve, of two conditions; the
+    # 3 frame lookups read 3 orbits of 9 points, as on the linear action
     assert counts == {"shoot_calls": 5, "newton_iterations": 100, "newton_rows": 30_600,
-                      "orbit_calls": 175, "orbit_points": 47_675,
+                      "orbit_calls": 178, "orbit_points": 47_702,
                       "lookup_calls": 3, "lookup_points": 27}
 
 
