@@ -433,9 +433,11 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int =
     Seeds are the exact lattice solutions for the linear part.  One Newton
     iteration runs over all seeds of the period at once: each pass lifts
     the rows still live, a row stops once max |g^n(x) - x - k| < 1e-12,
-    and a row still live after max_newton passes fails.  Returns (orbits,
-    failures) where orbits is a list of PeriodicOrbitData and failures a
-    NewtonFailed per seed that did not converge, in seed order.
+    and a row still live after max_newton passes fails.  The converged
+    points are grouped into orbits by the cycles of A on their seeds (see
+    ``_group_orbits``).  Returns (orbits, failures) where orbits is a list
+    of PeriodicOrbitData and failures a NewtonFailed per seed that did not
+    converge, in seed order.
     """
     if not 1 <= n <= MAX_PERIOD:
         raise PeriodOutOfRange(f"period {n} outside [1, {MAX_PERIOD}] (desk scale only)")
@@ -455,69 +457,49 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int, max_newton: int =
         x[live] -= np.linalg.solve(jac - np.eye(2), res[..., None])[..., 0]
     failures = [NewtonFailed(f"seed {seed} for k={k}, period {n}")
                 for (seed, k), ok in zip(seeds, converged) if not ok]
-    return _group_orbits(g, wrap_point(x[converged]), n), failures
+    return _group_orbits(g, a_elem.matrix, seeds, x, converged, n), failures
 
 
-def _near_matches(images: np.ndarray, points: np.ndarray, tol: float) -> list:
-    """For each image, the ascending indices of the points within tol of it
-    in the wrapped sup distance; images and points lie in [0,1)^2.
+def _group_orbits(g, a: IntMatrix2, seeds, x: np.ndarray, converged: np.ndarray, n: int):
+    """Partition the converged Newton points x[converged] into orbits of g
+    and attach multipliers.
 
-    Candidates come from a sorted search on the first coordinate, in
-    windows around y - 1, y and y + 1 so that the seam at 0 = 1 is
-    covered; the exact distance test then runs on the candidates only.
+    Newton from seed s solves G^n(x) = x + k for its fixed k, whose one
+    solution in the cover is H((A^n - I)^-1 k), H the lift of the
+    conjugacy.  G(x + m) = G(x) + A m, so g maps seed s's point to the
+    point of seed A s mod 1 (the Nielsen classes of g^n), and the orbits
+    are the cycles of x -> A x mod 1 on the seeds.  With q = |det(A^n - I)|
+    = len(seeds) each seed is num / q, num integer; its correctly rounded
+    float times q rounds back to num, and A acts on num mod q exactly.
+    Each cycle is walked from its first converged seed in seed order and
+    keeps its converged members in cycle order, so a seed that failed
+    does not split its orbit; a cycle with no converged seed is no orbit.
+    The multipliers come from one D g^n product and one eigvals call over
+    all orbit heads.
     """
-    order = np.argsort(points[:, 0])
-    first = points[order, 0]
-    # windows twice as wide as tol: the exact test below decides
-    y = (images[:, 0] + np.array([[-1.0], [0.0], [1.0]])).ravel()
-    lo = np.searchsorted(first, y - 2 * tol, side="left")
-    count = np.searchsorted(first, y + 2 * tol, side="right") - lo
-    i = np.repeat(np.tile(np.arange(len(images)), 3), count)
-    j = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
-    d = np.abs(images[i] - points[j]) % 1.0
-    near = np.max(np.minimum(d, 1.0 - d), axis=1) < tol
-    i, j = i[near], j[near]
-    keep = np.lexsort((j, i))
-    i, j = i[keep], j[keep]
-    bounds = np.searchsorted(i, np.arange(len(images) + 1))
-    j = j.tolist()
-    return [j[bounds[k]:bounds[k + 1]] for k in range(len(images))]
-
-
-def _group_orbits(g, points: np.ndarray, n: int):
-    """Partition period-n points into orbits of g and attach multipliers.
-
-    g is applied once to all points.  Each orbit starts at the first point
-    not yet taken, in input order, and follows the images: a step takes the
-    first untaken point within 1e-8 (wrapped sup distance) of the current
-    image, and the orbit closes when none is left.  The points near each
-    image are found once, before the walk.  The multipliers come from one
-    D g^n product and one eigvals call over all orbit heads.
-    """
-    if not len(points):
-        return []
-    matches = _near_matches(g.apply(points), points, 1e-8)
-    taken = [False] * len(points)
+    q = len(seeds)
+    nums = [(round(x1 * q), round(x2 * q)) for (x1, x2), _ in seeds]
+    index = {num: i for i, num in enumerate(nums)}
+    image = [index[(a.a * u + a.b * v) % q, (a.c * u + a.d * v) % q] for u, v in nums]
+    seen = [False] * q
     members = []
-    for head in range(len(points)):
-        if taken[head]:
+    for head in np.flatnonzero(converged).tolist():
+        if seen[head]:
             continue
-        taken[head] = True
-        orbit = [head]
-        while True:
-            nxt = next((k for k in matches[orbit[-1]] if not taken[k]), None)
-            if nxt is None:
-                break
-            taken[nxt] = True
-            orbit.append(nxt)
-        members.append(orbit)
-    _, jac = g.orbit(points[[orbit[0] for orbit in members]], n)
+        cycle = [head]
+        while not seen[cycle[-1]]:
+            seen[cycle[-1]] = True
+            cycle.append(image[cycle[-1]])
+        members.append([i for i in cycle[:-1] if converged[i]])
+    if not members:
+        return []
+    _, jac = g.orbit(wrap_point(x[[orbit[0] for orbit in members]]), n)
     orbits = []
     for orbit, eigs in zip(members, np.linalg.eigvals(jac)):
         eigs = sorted(np.real_if_close(eigs), key=abs, reverse=True)
         orbits.append(PeriodicOrbitData(
             period=n,
-            points=points[orbit],
+            points=wrap_point(x[orbit]),
             multipliers=(complex(eigs[0]).real, complex(eigs[1]).real),
         ))
     return orbits

@@ -41,7 +41,7 @@ def _newton_inverse(linearize, y, z):
     not converged.  The whole batch stops together, at the first iterate
     whose largest |lift(z) - y| is below NEWTON_TOL, or after
     NEWTON_MAX_ITERS steps, so a point's result can depend on its
-    batchmates (a per-row stop is still open, ROADMAP item 7)."""
+    batchmates (a per-row stop is still open, ROADMAP item 8)."""
     for _ in range(NEWTON_MAX_ITERS):
         value, jacobian = linearize(z)
         res = value - y

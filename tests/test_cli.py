@@ -315,6 +315,20 @@ def test_periodic_data_diverged_seeds_exit_three(tmp_path):
     assert len((out / "periodic-data.csv").read_text().splitlines()) == 1 + 3
 
 
+def test_periodic_data_counts_each_orbit_once_with_diverged_seeds(tmp_path):
+    """phi 0.15 up to period 4: 32 seeds diverge, 30 of them at period 4,
+    where they leave 15 converged points on 10 orbits; each orbit with a
+    converged point is one row, 1 + 2 + 6 + 10 in all."""
+    code, out = run(tmp_path, "periodic-data", "--set", "action.kind=conjugated",
+                    "--set", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]',
+                    "--set", "resolution.max_period=4")
+    doc = json.loads((out / "periodic-data-report.json").read_text())
+    assert (code, doc["verdict"]) == (3, "inconclusive")
+    assert doc["diagnostics"]["failure"].startswith(
+        "compare_smooth_invariants: NewtonFailed: 32 periodic seeds did not converge, ")
+    assert doc["diagnostics"]["n_orbits"] == 19
+
+
 def test_periodic_data_obstruction_stands_with_diverged_seeds(tmp_path):
     code, out = run(tmp_path, "periodic-data", "--set", "action.kind=perturbed",
                     "--set", 'action.perturbation=[{"k":[0,1],"sin":[0.4,0]}]',

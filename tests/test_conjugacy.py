@@ -15,7 +15,6 @@ from anosov_lab.conjugacy import (
     MAX_ITERATIONS,
     PeriodicOrbitData,
     _index_permutation,
-    _group_orbits,
     _OrbitLayout,
     _lattice_seeds,
     coarse_start,
@@ -670,46 +669,6 @@ def test_batched_finder_matches_scalar_reference(request, e1, handle, n):
         assert orb.multipliers == ref.multipliers
 
 
-def _assert_same_orbits(orbits, ref_orbits):
-    assert len(orbits) == len(ref_orbits)
-    for orb, ref in zip(orbits, ref_orbits):
-        assert orb.period == ref.period
-        assert np.array_equal(orb.points, ref.points)
-        assert orb.multipliers == ref.multipliers
-
-
-def _finder_points(monkeypatch, g, e1, n):
-    """The converged, wrapped points the finder hands to _group_orbits."""
-    seen = []
-    monkeypatch.setattr(conjugacy, "_group_orbits",
-                        lambda g, points, n: seen.append(points) or _group_orbits(g, points, n))
-    find_periodic_points(g, e1, n)
-    monkeypatch.undo()
-    return seen[0]
-
-
-@pytest.mark.parametrize("handle", ["perturbed_g1", "two_mode_g1"])
-@pytest.mark.parametrize("n", range(1, 6))
-def test_group_orbits_matches_scan_reference(request, monkeypatch, e1, handle, n):
-    g = request.getfixturevalue(handle)
-    points = _finder_points(monkeypatch, g, e1, n)
-    shuffled = points[np.random.default_rng(n).permutation(len(points))]
-    for pts in (points, shuffled):
-        _assert_same_orbits(_group_orbits(g, pts, n), _ref_group_orbits(g, pts, n))
-
-
-def test_group_orbits_duplicates_and_seam_match_scan_reference(e1, linear_g1, perturbed_g1):
-    # the fixed point (0, 0) listed twice and four points within 1e-9 of it
-    # across the 0/1 seam, and a period-2 orbit of A with a point listed
-    # twice: each chain of near points is walked into one orbit
-    points = np.array([[0.0, 0.0], [1.0 - 5e-10, 0.0], [0.2, 0.4], [0.0, 1.0 - 5e-10],
-                       [5e-10, 1.0 - 5e-10], [0.8, 0.6], [0.0, 0.0], [0.2, 0.4],
-                       [1.0 - 1e-9, 1.0 - 1e-9]])
-    for g in (linear_g1, perturbed_g1):
-        _assert_same_orbits(_group_orbits(g, points, 2), _ref_group_orbits(g, points, 2))
-    assert [len(o.points) for o in _group_orbits(linear_g1, points, 2)] == [6, 3]
-
-
 def _wrapped_sup(a, b):
     d = np.abs(a - b) % 1.0
     return float(np.max(np.minimum(d, 1.0 - d)))
@@ -729,6 +688,27 @@ def test_batched_finder_close_on_batch_dependent_maps(request, e1, handle, max_n
         for orb, ref in zip(orbits, ref_orbits):
             assert _wrapped_sup(orb.points, ref.points) < 1e-12
             assert orb.multipliers == pytest.approx(ref.multipliers, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("amp, n, rows, lost", [
+    (0.15, 4, 10, 30), (0.15, 6, 10, 304), (0.02, 7, 121, 246)])
+def test_failed_seeds_do_not_split_their_orbit(e1, amp, n, rows, lost):
+    # Newton diverges from seeds inside cycles of length 3 and more; each
+    # g-orbit with a converged point is still one row
+    phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
+    g = ConjugatedMap(phi, e1)
+    orbits, failures = find_periodic_points(g, e1, n)
+    assert (len(orbits), len(failures)) == (rows, lost)
+    heads = np.array([o.points[0] for o in orbits])
+    # the whole g-orbit of each head, converged or not
+    path = [heads]
+    for _ in range(n - 1):
+        path.append(g.apply(path[-1]))
+    path = np.stack(path, axis=1)  # (rows, n, 2)
+    d = np.abs(heads[None, :, None, :] - path[:, None, :, :]) % 1.0
+    dist = np.max(np.minimum(d, 1.0 - d), axis=-1).min(axis=-1)  # [i, j]: head j to orbit i
+    np.fill_diagonal(dist, np.inf)
+    assert dist.min() > 1e-8
 
 
 def test_newton_cap_fails_seeds_in_order(e1, perturbed_g1):

@@ -8,7 +8,10 @@ overrides of each benchmark workload (bench/workloads.py, seed 1), and
 ``teichmuller`` on four configs that end in ``inconclusive`` or
 ``obstructed``, so that the error paths of its stages are covered, the
 other subcommands in three runs that fail, so that their failure strings
-are covered too, and ``prop1`` at phi 0.10 and 0.15.  Three more runs walk
+are covered too, and ``prop1`` at phi 0.10 and 0.15.  One more
+``periodic-data`` run, at phi 0.15 with ``resolution.max_period`` 4, loses
+Newton seeds inside cycles of A of length 4, so that orbits found through
+part of their seeds are covered.  Three more runs walk
 map code that the others do not: ``foliation`` on a perturbed action (the
 line fields read off the orbits of ``PerturbedMap`` and ``InverseMap``,
 whose steps are Newton inverses), and ``teichmuller`` and ``foliation`` on
@@ -75,6 +78,11 @@ SUBCOMMAND_ERROR_PATHS = (
     # NewtonFailed: 2 periodic seeds diverge
     ("phi-0.15", "periodic-data",
      ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
+    # NewtonFailed: 32 periodic seeds diverge; at period 4, 9 orbits keep
+    # only 1 or 2 of the 4 seeds of their cycle of A
+    ("phi-0.15-max-period-4", "periodic-data",
+     ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]',
+      "resolution.max_period=4"]),
     # a subcommand that needs a pair, given one generator: a config error,
     # so exit 1 and no bundle
     ("one-generator", "eigen", ERROR_PATHS["one-generator"]),
