@@ -474,12 +474,17 @@ def test_secant_jacobian_identity_for_linear(e1, linear_g1):
 
 
 def test_periodic_counts_linear(e1, linear_g1):
-    orbits1, fail1 = find_periodic_points(linear_g1, e1, 1)
-    assert not fail1
-    assert sum(len(o.points) for o in orbits1) == 1  # |det(A - I)| = 1
-    orbits2, fail2 = find_periodic_points(linear_g1, e1, 2)
-    assert not fail2
-    assert sum(len(o.points) for o in orbits2) == 5  # |det(A^2 - I)| = 5
+    # the default g1, and a negative trace, whose det(A^n - I) > 0 at odd n
+    e = eigen_data(IntMatrix2(-2, -1, -1, -1))
+    for elem, g, counts in (
+            (e1, linear_g1, [(1, 1), (3, 5)]),
+            (e, ConjugatedMap(Diffeo(FourierPerturbation.zero()), e),
+             [(5, 5), (5, 5), (10, 20), (15, 45), (29, 125)])):
+        # (orbits, points) at n = 1, 2, ..., the points |det(A^n - I)|
+        for n, count in enumerate(counts, 1):
+            orbits, failures = find_periodic_points(g, elem, n)
+            assert not failures
+            assert (len(orbits), sum(len(o.points) for o in orbits)) == count
 
 
 def test_periodic_counts_perturbed(e1, perturbed_g1):
@@ -642,15 +647,33 @@ def two_mode_g1(e1):
     (((1, 1), (1, 2)), 6),
     (((3, 1), (2, 1)), 4),
     (((-2, -1), (-1, -1)), 6),  # det(A^n - I) > 0 at odd n
+    (((4, 1), (3, 1)), 3),  # trace 5
+    (((-3, -1), (-2, -1)), 4),  # trace -4, det(A^n - I) > 0 at odd n
 ])
 def test_lattice_seeds_match_fraction_reference(rows, max_n):
     m = IntMatrix2(*rows[0], *rows[1])
     for n in range(1, max_n + 1):
         m_n = power(m, n)
-        seeds = _lattice_seeds(m_n, n)
+        nums, ks = _lattice_seeds(m_n, n)
+        seeds = [(tuple(x), tuple(k)) for x, k in zip((nums / len(nums)).tolist(), ks.tolist())]
         assert seeds == _ref_lattice_seeds(m_n)
         # no negative zero from a negative determinant
         assert all(np.copysign(1.0, c) > 0 for (x, _) in seeds for c in x)
+
+
+@pytest.mark.parametrize("n", range(1, conjugacy.MAX_PERIOD + 1))
+def test_lattice_seeds_solve_the_lattice_equation(e1, n):
+    # the Fraction reference is too slow at n = 8, q = 2,205
+    m_n = power(e1.matrix, n)
+    nums, ks = _lattice_seeds(m_n, n)
+    p = np.array([[m_n.a - 1, m_n.b], [m_n.c, m_n.d - 1]])
+    q = abs((m_n.a - 1) * (m_n.d - 1) - m_n.b * m_n.c)
+    assert nums.shape == ks.shape == (q, 2)
+    assert nums.dtype.kind == ks.dtype.kind == "i"
+    assert len(set(map(tuple, nums.tolist()))) == q
+    assert nums.min() >= 0 and nums.max() < q
+    assert np.array_equal(nums @ p.T, q * ks)
+    assert sorted(map(tuple, ks.tolist())) == list(map(tuple, ks.tolist()))
 
 
 # the reference groups orbits in quadratic time (5 s at n = 7), so the

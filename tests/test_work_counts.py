@@ -10,6 +10,9 @@ field lookups (``LineField.angle_at`` calls and points) of Lemma 3: the
 frame directions at z and every z', three lookups in all, each one orbit
 of length 16 at its 9 points.  A change in any of these numbers fails.
 
+The periodic-orbit finder's work on the perturbed workload's map is
+pinned too: its ``PerturbedMap.orbit`` calls and points over periods 1 to 7.
+
 A line field reads two orbits of its map handle, of lengths 12 and 16, and
 the number of trig evaluations of the Fourier terms (``trig`` calls) that
 they take is pinned for each kind of handle.
@@ -21,6 +24,7 @@ import pytest
 
 from anosov_lab import foliations, maps, rigidity
 from anosov_lab.cli import main
+from anosov_lab.conjugacy import compare_smooth_invariants
 from anosov_lab.fourier import FourierPerturbation
 from anosov_lab.maps import InverseMap
 
@@ -118,3 +122,19 @@ def test_line_field_trig_evaluations(request, monkeypatch, name, calls):
     monkeypatch.setattr(FourierPerturbation, "trig", counting_trig)
     foliations.compute_line_field(g, "unstable", n=32)
     assert count[0] == calls
+
+
+def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
+    counts = [0, 0]
+    orbit = maps.PerturbedMap.orbit
+
+    def counting_orbit(self, x, *args):
+        counts[0] += 1
+        counts[1] += len(x)
+        return orbit(self, x, *args)
+
+    monkeypatch.setattr(maps.PerturbedMap, "orbit", counting_orbit)
+    report = compare_smooth_invariants(perturbed_g1, e1, 7)
+    # per period, the Newton passes over the live seeds and one orbit of
+    # the orbit heads; 1 + 5 + 16 + 45 + 121 + 320 + 841 seeds in all
+    assert (counts, len(report.rows), len(report.failures)) == ([32, 5_827], 227, 0)

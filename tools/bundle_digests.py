@@ -26,7 +26,10 @@ last runs shoot Lemma 3 where the others do not: ``teichmuller`` and
 ``smooth``; ``lemma3`` at ``experiment.radius`` 3 on phi 0.02; and
 ``lemma3`` on a perturbed action, whose orbits step ``PerturbedMap`` and
 ``InverseMap``.  Two more sample leaves where ``D phi v_s`` turns its first
-coordinate negative: ``factorize`` and ``foliation`` at phi 0.15.
+coordinate negative: ``factorize`` and ``foliation`` at phi 0.15.  The
+last run is ``periodic-data`` to ``resolution.max_period`` 5 on a first
+generator of negative trace, [[-2, -1], [-1, -1]], whose det(A^n - I) is
+positive at odd n, so that both signs of the determinant seed the finder.
 Each run writes into its own temporary ``--out``; the timings sidecars
 (``*-timings.json``), which hold wall times, are left out.  Every other
 file of a bundle is deterministic, so two checkouts write the same bundles
@@ -146,6 +149,14 @@ LEAF_PATHS = (
 )
 
 
+# (label, subcommand, overrides) of periodic seeds where det(A^n - I) > 0
+SEED_PATHS = (
+    # 64 orbits over periods 1 to 5
+    ("negative-trace-max-period-5", "periodic-data",
+     ["group.generators=[[[-2,-1],[-1,-1]],[[1,1],[1,2]]]", "resolution.max_period=5"]),
+)
+
+
 def _sets(overrides):
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -160,7 +171,7 @@ def runs():
     for name, overrides in ERROR_PATHS.items():
         yield f"{name}/teichmuller", ["teichmuller", *_sets(overrides)]
     for name, command, overrides in (*SUBCOMMAND_ERROR_PATHS, *MAP_PATHS, *LEMMA3_PATHS,
-                                     *LEAF_PATHS):
+                                     *LEAF_PATHS, *SEED_PATHS):
         yield f"{name}/{command}", [command, *_sets(overrides)]
 
 
