@@ -38,7 +38,8 @@ from numpy.random import default_rng
 
 from .errors import NewtonFailed, PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
-from .lattice import HyperbolicElement, IntMatrix2, grid_points, power, row_blocks, wrap_point
+from .lattice import (ROW_BLOCK, HyperbolicElement, IntMatrix2, grid_points, power, row_blocks,
+                      wrap_point)
 
 MAX_DISPLACEMENT = 0.5
 MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
@@ -47,85 +48,172 @@ DIVERGENCE_PATIENCE = 10
 RESIDUAL_STOP = 1e-9  # the solve stops once sup |u o A - A u - p(h)| is below it
 COARSE_N = 64  # the grid of coarse_start's solve: the smallest grid_n the config accepts
 SMOOTH_BAND = 16  # coarse_start reads the modes with max(|k1|, |k2|) >= SMOOTH_BAND
+WALKED_N = 32  # _OrbitLayout walks grids up to this N, where a lift costs more than a walk
 
 
 def _index_permutation(m: IntMatrix2, n: int) -> np.ndarray:
     """Flat index permutation of the N x N grid under x -> m x mod 1."""
     idx = np.arange(n)
-    i, j = idx[:, None], idx[None, :]
-    ti = (m.a * i + m.b * j) % n
-    tj = (m.c * i + m.d * j) % n
-    return (ti * n + tj).ravel()
+
+    def coordinate(x, y):
+        # (x i + y j) mod N as (x i mod N) + (y j mod N), less N where that
+        # reaches N: two remainders of length N, none over the grid
+        t = np.add.outer(x * idx % n, y * idx % n)
+        return np.subtract(t, n, out=t, where=t >= n)
+    ti = coordinate(m.a, m.b)
+    ti *= n
+    ti += coordinate(m.c, m.d)
+    return ti.ravel()
+
+
+def _walked_rows(fwd: np.ndarray) -> dict:
+    """The cycles of the permutation fwd as {length: [(count, length)
+    rows]}, each row starting at its cycle's smallest index."""
+    # every index walks its cycle forward; it drops out at the first
+    # smaller index and is its cycle's minimum when the walk closes
+    firsts = {}
+    cand, cur, length = np.arange(len(fwd)), fwd, 1
+    while len(cand):
+        closed = cur == cand
+        if closed.any():
+            firsts[length] = cand[closed]
+        keep = cur > cand
+        cand, cur, length = cand[keep], fwd[cur[keep]], length + 1
+    rows = {}
+    for length, first in firsts.items():
+        walk = np.empty((length, len(first)), dtype=fwd.dtype)
+        walk[0] = first
+        for k in range(1, length):
+            walk[k] = fwd[walk[k - 1]]
+        rows[length] = [walk.T]
+    return rows
+
+
+def _lifted_rows(half_order: np.ndarray, half_blocks: list, fwd: np.ndarray, n: int) -> dict:
+    """The cycles of fwd on the N x N grid, N even, as {length: [(count,
+    length) rows]}, lifted from the orbit layout of the N/2 grid.
+
+    Reducing x mod N/2 commutes with A, so the cycle of a point r + (N/2) e,
+    r a point of the N/2 grid and e in {0, 1}^2, reduces onto the N/2 row
+    of r.  Walking L steps from r + (N/2) e, L that row's length, lands on
+    r + (N/2) T(e) for a permutation T of {0, 1}^2, and each cycle
+    (e, T e, ..., T^(t-1) e) of T joins t walked segments into one row of
+    length L t.  T(e) = M e + T(0) mod 2, with M = A^L mod 2 the same for
+    every row of the block, so the rows with equal T(0) share T.  Each grid
+    point is walked once.
+    """
+    h = n // 2
+    lifts = np.array([0, h, h * n, h * n + h])[:, None]  # r + (N/2) e for e = 2 e1 + e2
+    rows = {}
+    for start, stop, length in half_blocks:
+        i, j = np.divmod(half_order[start:stop:length], h)
+        seg = np.empty((length, 4, len(i)), dtype=fwd.dtype)
+        np.add(i * n + j, lifts, out=seg[0])
+        for k in range(1, length):
+            fwd.take(seg[k - 1], out=seg[k])
+        i, j = np.divmod(fwd[seg[-1]], n)
+        tab = 2 * (i >= h) + (j >= h)  # T(e) of each row, (4, count)
+        for d in np.bincount(tab[0], minlength=4).nonzero()[0].tolist():
+            r = (tab[0] == d).nonzero()[0]
+            perm, seen = tab[:, r[0]].tolist(), set()
+            for e in range(4):
+                if e in seen:
+                    continue
+                cycle = [e]
+                while perm[cycle[-1]] != e:
+                    cycle.append(perm[cycle[-1]])
+                seen.update(cycle)
+                # row c of the joined block: the segments of its T-cycle in turn
+                rows.setdefault(length * len(cycle), []).append(
+                    seg[:, cycle, r[:, None]].transpose(1, 2, 0).reshape(len(r), -1))
+    return rows
+
+
+def _orbit_order(m: IntMatrix2, n: int):
+    """(order, blocks) of ``_OrbitLayout``: the cycles walked for odd N and
+    N <= WALKED_N (``_walked_rows``), and lifted from the N/2 grid for even
+    N above it (``_lifted_rows``)."""
+    fwd = _index_permutation(m, n)
+    if n % 2 or n <= WALKED_N:
+        rows = _walked_rows(fwd)
+    else:
+        rows = _lifted_rows(*_orbit_order(m, n // 2), fwd, n)
+    del fwd
+    lengths = sorted(rows)
+    blocks, start = [], 0
+    for length in lengths:
+        size = sum(r.size for r in rows[length])
+        blocks.append((start, start + size, length))
+        start += size
+    return np.concatenate([r.reshape(-1) for length in lengths for r in rows[length]]), blocks
 
 
 class _OrbitLayout:
     """The flat indices of the N x N grid in A-orbit order.
 
-    Each cycle of ``_index_permutation(A, N)`` is one row: it starts at the
-    cycle's smallest grid index and follows x -> A x.  Rows of equal cycle
-    length L form one (count x L) block, blocks in increasing L.  In this
-    order f o A^s is a cyclic shift by s along every row, so composing with
-    a power of A is two slice copies per block.
+    Each cycle of ``_index_permutation(A, N)`` is one row, which follows
+    x -> A x.  Rows of equal cycle length L form one (count x L) block,
+    blocks in increasing L.  In this order f o A^s is a cyclic shift by s
+    along every row, so composing with a power of A is two slice copies per
+    block.  For odd N and N <= WALKED_N the cycles are walked from their
+    smallest indices; for even N above it they are lifted from the layout
+    of the N/2 grid, which walks each grid point once (``_orbit_order``).
+
+    The solve streams the layout in chunks: runs of whole rows of at least
+    ROW_BLOCK points, small blocks merged into one chunk, and the rest of
+    the longest rows, whose last chunk is shorter but not a single row.
+    Each chunk is (start, stop, segments), each segment (lo, hi, length)
+    the rows of one block in the chunk, relative to start.
     """
 
     def __init__(self, m: IntMatrix2, n: int):
-        fwd = _index_permutation(m, n)
-        # every index walks its cycle forward; it drops out at the first
-        # smaller index and is its cycle's minimum when the walk closes
-        firsts = {}
-        cand, cur, length = np.arange(n * n), fwd, 1
-        while len(cand):
-            closed = cur == cand
-            if closed.any():
-                firsts[length] = cand[closed]
-            keep = cur > cand
-            cand, cur, length = cand[keep], fwd[cur[keep]], length + 1
-        parts, self.blocks, start = [], [], 0
-        for length, first in firsts.items():
-            rows = np.empty((length, len(first)), dtype=fwd.dtype)
-            rows[0] = first
-            for k in range(1, length):
-                rows[k] = fwd[rows[k - 1]]
-            parts.append(rows.T.ravel())
-            self.blocks.append((start, start + rows.size, length))
-            start += rows.size
-        self.order = np.concatenate(parts)  # grid index at each orbit position
+        self.order, self.blocks = _orbit_order(m, n)  # grid index at each orbit position
+        cuts = [0]
+        for lo, hi, length in self.blocks:
+            # the first row end of this block at least ROW_BLOCK past the last cut
+            cut = lo - (lo - cuts[-1] - ROW_BLOCK) // length * length
+            while cut <= hi:
+                cuts.append(cut)
+                cut += -(-ROW_BLOCK // length) * length
+        if cuts[-1] < n * n:
+            # the rest, whole rows of the longest length, is a chunk of its
+            # own unless it is one row
+            if len(cuts) > 1 and n * n - cuts[-1] == self.blocks[-1][2]:
+                cuts.pop()
+            cuts.append(n * n)
+        self.chunks = [(a, b, [(max(lo, a) - a, min(hi, b) - a, length)
+                               for lo, hi, length in self.blocks if max(lo, a) < min(hi, b)])
+                       for a, b in zip(cuts, cuts[1:])]
 
     def gather(self, f: np.ndarray) -> np.ndarray:
         """f given in grid order, returned in orbit order."""
         return np.take(f, self.order, axis=0)
 
-    def scatter(self, f: np.ndarray) -> np.ndarray:
-        """f, (N*N, 2) in orbit order, returned in grid order."""
-        out = np.empty_like(f)
-        # each row of f moved as one complex128 item: a 1-D scatter, about
-        # 3x faster than assigning rows of a 2-D array at N = 1024
-        out.view(np.complex128).reshape(-1)[self.order] = f.view(np.complex128).reshape(-1)
-        return out
 
-    def shift(self, f: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-        """f o A^s into out, both in orbit order (out C-contiguous)."""
-        for start, stop, length in self.blocks:
-            k = s % length
-            src = f[start:stop].reshape(-1, length, *f.shape[1:])
-            dst = out[start:stop].reshape(src.shape)
-            dst[:, :length - k] = src[:, k:]
-            dst[:, length - k:] = src[:, :k]
-        return out
+def _shift(f: np.ndarray, s: int, out: np.ndarray, segments) -> np.ndarray:
+    """f o A^s into out, both one chunk in orbit order (out C-contiguous)."""
+    for lo, hi, length in segments:
+        k = s % length
+        src = f[lo:hi].reshape(-1, length, *f.shape[1:])
+        dst = out[lo:hi].reshape(src.shape)
+        dst[:, :length - k] = src[:, k:]
+        dst[:, length - k:] = src[:, :k]
+    return out
 
-    def geometric_sum(self, f: np.ndarray, c: float, s: int, tmp: np.ndarray) -> np.ndarray:
-        """sum_k c^k f o A^(k s) for |c| < 1, summed in place in f.
 
-        After j doubling steps f holds the first 2^j terms; the step
-        f += c f o A^s, s <- 2 s, c <- c^2 runs until |c| is below machine
-        epsilon, when the remaining terms no longer change f.
-        """
-        while abs(c) >= np.finfo(float).eps:
-            self.shift(f, s, tmp)
-            tmp *= c
-            f += tmp
-            s, c = 2 * s, c * c
-        return f
+def _geometric_sum(f: np.ndarray, c: float, s: int, segments, tmp: np.ndarray) -> np.ndarray:
+    """sum_k c^k f o A^(k s) for |c| < 1 over one chunk, summed in place in f.
+
+    After j doubling steps f holds the first 2^j terms; the step
+    f += c f o A^s, s <- 2 s, c <- c^2 runs until |c| is below machine
+    epsilon, when the remaining terms no longer change f.
+    """
+    while abs(c) >= np.finfo(float).eps:
+        _shift(f, s, tmp, segments)
+        tmp *= c
+        f += tmp
+        s, c = 2 * s, c * c
+    return f
 
 
 class Conjugacy:
@@ -182,32 +270,88 @@ class Conjugacy:
         return float(d.max())
 
 
-def _lift_into(out: np.ndarray, u: np.ndarray, n: int, order: np.ndarray | None) -> np.ndarray:
-    """h = id + u at the points of ``grid_points(n)`` into out, (N*N, 2),
-    with u and out in grid order, or in the order whose grid index at
-    each row is order; the grid points are rebuilt a row block at a time,
-    with the bits of grid_points."""
-    index = np.arange(n * n) if order is None else order
-    for rows in row_blocks(len(index)):
-        o = index[rows]
-        i = o // n
-        np.divide(i, n, out=out[rows, 0])
-        np.subtract(o, np.multiply(i, n, out=i), out=i)
-        np.divide(i, n, out=out[rows, 1])
-        out[rows] += u[rows]
+def _lift_into(out: np.ndarray, u: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """h = id + u at the points of ``grid_points(n)`` of flat indices index
+    into out, (k, 2); the grid points are rebuilt with the bits of
+    grid_points."""
+    i = index // n
+    np.divide(i, n, out=out[:, 0])
+    np.subtract(index, np.multiply(i, n, out=i), out=i)
+    np.divide(i, n, out=out[:, 1])
+    out += u
     return out
 
 
 def _residual(u: np.ndarray, u_a: np.ndarray, p: np.ndarray, a: np.ndarray) -> float:
-    """sup |u o A - A u - p|, formed a row block at a time."""
-    blocks = row_blocks(len(u))
-    sups = np.empty(len(blocks))
-    for k, rows in enumerate(blocks):
-        r = u[rows] @ a.T
-        np.subtract(u_a[rows], r, out=r)
-        r -= p[rows]
-        sups[k] = np.max(np.abs(r, out=r))
-    return float(np.max(sups))
+    """sup |u o A - A u - p| over one block of two or more rows."""
+    r = u @ a.T
+    np.subtract(u_a, r, out=r)
+    r -= p
+    return float(np.max(np.abs(r, out=r)))
+
+
+def _u_chunks(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
+              a_elem: HyperbolicElement):
+    """(lo, hi, segments, u, tmp) for each chunk of the layout: u = xi v_s
+    + eta v_u on the chunk, (k, 2), and tmp a free (k, 2) scratch, both in
+    chunk-sized arrays that live as long as the pass."""
+    v_s, v_u = a_elem.vs, a_elem.vu
+    largest = max(hi - lo for lo, hi, _ in layout.chunks)
+    u_c, scratch = np.empty((largest, 2)), np.empty(2 * largest)
+    for lo, hi, segments in layout.chunks:
+        u, tmp = u_c[:hi - lo], scratch[:2 * (hi - lo)].reshape(2, -1)
+        # a column at a time: broadcasting over rows of length 2 runs its
+        # inner loop on 2 elements and is 3x slower
+        for j in range(2):
+            np.multiply(xi[lo:hi], v_s[j], out=tmp[0])
+            np.multiply(eta[lo:hi], v_u[j], out=tmp[1])
+            np.add(tmp[0], tmp[1], out=u[:, j])
+        yield lo, hi, segments, u, tmp.reshape(-1, 2)
+
+
+def _sum_pass(layout: _OrbitLayout, p: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+              a_elem: HyperbolicElement) -> None:
+    """xi = sum_k lam_s^k p_s o A^(-k-1) and eta = -sum_k lam_u^(-k-1)
+    p_u o A^k, in orbit order, summed a chunk at a time into xi and eta."""
+    w_s, w_u = a_elem.dual_basis()
+    lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
+    tmp = np.empty(max(hi - lo for lo, hi, _ in layout.chunks))
+    for lo, hi, segments in layout.chunks:
+        xi_c, eta_c, t = xi[lo:hi], eta[lo:hi], tmp[:hi - lo]
+        _shift(np.dot(p[lo:hi], w_s, out=t), -1, xi_c, segments)
+        _geometric_sum(xi_c, lam_s, -1, segments, t)
+        np.dot(p[lo:hi], w_u, out=eta_c)
+        eta_c /= -lam_u
+        _geometric_sum(eta_c, 1.0 / lam_u, 1, segments, t)
+
+
+def _lift_pass(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
+               a_elem: HyperbolicElement, out: np.ndarray, n: int) -> float:
+    """The points h = id + u into out in orbit order; returns max |u|."""
+    sups = []
+    for lo, hi, _, u, tmp in _u_chunks(layout, xi, eta, a_elem):
+        sups.append(np.max(np.abs(u, out=tmp)))
+        _lift_into(out[lo:hi], u, layout.order[lo:hi], n)
+    return np.max(sups)
+
+
+def _residual_pass(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
+                   a_elem: HyperbolicElement, p: np.ndarray) -> float:
+    """sup |u o A - A u - p|, with u o A a shift within each row."""
+    a = a_elem.matrix.as_array()
+    return float(np.max([_residual(u, _shift(u, 1, tmp, segments), p[lo:hi], a)
+                         for lo, hi, segments, u, tmp in _u_chunks(layout, xi, eta, a_elem)]))
+
+
+def _scatter_u(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
+               a_elem: HyperbolicElement, out: np.ndarray) -> np.ndarray:
+    """u into out, (N*N, 2) in grid order."""
+    for lo, hi, _, u, _ in _u_chunks(layout, xi, eta, a_elem):
+        # each row of u moved as one complex128 item: a 1-D scatter, about
+        # 3x faster than assigning rows of a 2-D array at N = 1024
+        out.view(np.complex128).reshape(-1)[layout.order[lo:hi]] = \
+            u.view(np.complex128).reshape(-1)
+    return out
 
 
 def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
@@ -238,59 +382,55 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     evaluates p once.  The stop is the same from either start, so the
     start sets the work, not the tolerance of h.
 
-    Besides p, an iteration holds u, one (N*N, 2) point buffer, the three
-    (N*N,) series arrays and the layout: the buffer takes the points h in
-    turn, then u o A, then |u|.
+    Once the first check fails, the state is xi and eta in orbit order,
+    and u = xi v_s + eta v_u is formed only a chunk of the layout at a
+    time (``_OrbitLayout.chunks``), in chunk-sized temporaries.  A sweep
+    makes three passes over the chunks: the sum pass projects p and writes
+    both doubling sums into xi and eta; the lift pass forms u, takes max |u|
+    and writes the points h into the one (N*N, 2) point buffer; and, after
+    p is evaluated there over the whole grid in one call, the residual pass
+    takes u o A as a shift within each row.  Besides p, an iteration holds
+    xi, eta, the point buffer and the layout, 40 B per grid point.  The
+    point buffer is the first check's, kept through the layout build, and
+    at the stop u is scattered into it chunk by chunk.  Every value has
+    the bits of the same sums over whole-grid arrays.
     """
     m = a_elem.matrix
     a = m.as_array()
-    w_s, w_u = a_elem.dual_basis()
-    v_s, v_u = a_elem.vs, a_elem.vu
-    lam_s = a_elem.signed_lambda_s
-    lam_u = a_elem.signed_lambda_u
-
     if u0 is None:
         u = np.zeros((n * n, 2))
     else:
-        # a C-ordered copy: scatter views each row of u as one complex128 item
+        # a C-ordered copy, returned as the values when the first check passes
         u = np.array(u0, dtype=float, order="C").reshape(n * n, 2)
+    blocks = row_blocks(n * n)
     buf = np.empty((n * n, 2))
-    layout = None
+    for rows in blocks:
+        _lift_into(buf[rows], u[rows], np.arange(rows.start, rows.stop), n)
+    p = g.displacement(buf)
+    if u0 is None:
+        buf.fill(0.0)  # u o A of the zero start
+    else:
+        np.take(u, _index_permutation(m, n), axis=0, out=buf)
+    res = float(np.max([_residual(u[rows], buf[rows], p[rows], a) for rows in blocks]))
+    if res < RESIDUAL_STOP:
+        return Conjugacy(n, u, a_elem, g, res)
+    del u
+    layout = _OrbitLayout(m, n)
+    p = layout.gather(p)
+    xi, eta = np.empty(n * n), np.empty(n * n)
     best = np.inf
     stall = 0
     for it in range(MAX_ITERATIONS):
-        p = g.displacement(_lift_into(buf, u, n, None if layout is None else layout.order))
-        if layout is not None:
-            layout.shift(u, 1, buf)
-        elif u0 is None:
-            buf.fill(0.0)  # u o A of the zero start
-        else:
-            np.take(u, _index_permutation(m, n), axis=0, out=buf)
-        res = _residual(u, buf, p, a)
-        if res < RESIDUAL_STOP:
-            del p, buf
-            values = u if layout is None else layout.scatter(u)
-            return Conjugacy(n, values, a_elem, g, res)
-        if layout is None:
-            del buf
-            layout = _OrbitLayout(m, n)
-            p = layout.gather(p)
-            buf = np.empty_like(p)
-            xi, eta, tmp = np.empty(n * n), np.empty(n * n), np.empty(n * n)
-        # xi = sum_k lam_s^k p_s o A^(-k-1), eta = -sum_k lam_u^(-k-1) p_u o A^k
-        layout.shift(np.dot(p, w_s, out=tmp), -1, xi)
-        layout.geometric_sum(xi, lam_s, -1, tmp)
-        np.dot(p, w_u, out=eta)
+        if it:
+            p = g.displacement(buf)
+            res = _residual_pass(layout, xi, eta, a_elem, p)
+            if res < RESIDUAL_STOP:
+                # the points are spent, and u takes their buffer
+                del p
+                return Conjugacy(n, _scatter_u(layout, xi, eta, a_elem, buf), a_elem, g, res)
+        _sum_pass(layout, p, xi, eta, a_elem)
         del p
-        eta /= -lam_u
-        layout.geometric_sum(eta, 1.0 / lam_u, 1, tmp)
-        # u = xi v_s + eta v_u, a column at a time: broadcasting over rows
-        # of length 2 runs its inner loop on 2 elements and is 3x slower;
-        # the previous u, in grid or orbit order, is overwritten whole
-        for j in range(2):
-            np.multiply(xi, v_s[j], out=tmp)
-            np.add(tmp, eta * v_u[j], out=u[:, j])
-        size = np.max(np.abs(u, out=buf))
+        size = _lift_pass(layout, xi, eta, a_elem, buf, n)
         if size >= MAX_DISPLACEMENT:
             raise SolverDiverged(f"|u| reached {size:.3g} at iteration {it}")
         if res < best - 1e-16:

@@ -113,8 +113,12 @@ class PerturbedMap:
                 lambda: _plus(p.derivative_from(trig), self._A))
 
     def orbit(self, x, n: int):
-        """g^n(x) and D g^n(x) by n steps of ``jacobian`` and ``lift``."""
-        return _stepped_orbit(lambda z: (self.jacobian(z), self.lift(z)), x, n)
+        """g^n(x) and D g^n(x) by n steps of ``lift_and_jacobian``, so each
+        step evaluates the trig functions once."""
+        def step(z):
+            value, jacobian = self.lift_and_jacobian(z)
+            return jacobian(), value
+        return _stepped_orbit(step, x, n)
 
     def inverse(self):
         return InverseMap(self)

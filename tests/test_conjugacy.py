@@ -17,6 +17,7 @@ from anosov_lab.conjugacy import (
     _index_permutation,
     _OrbitLayout,
     _lattice_seeds,
+    _shift,
     coarse_start,
     compare_smooth_invariants,
     estimate_holder_exponent,
@@ -25,7 +26,8 @@ from anosov_lab.conjugacy import (
 )
 from anosov_lab.errors import AnosovLabError, NewtonFailed, PeriodOutOfRange, SolverDiverged
 from anosov_lab.fourier import FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, eigen_data, grid_points, invert, power, wrap_point
+from anosov_lab.lattice import (ROW_BLOCK, IntMatrix2, eigen_data, grid_points, invert, power,
+                                wrap_point)
 from anosov_lab.maps import ConjugatedMap, Diffeo, PerturbedMap
 from anosov_lab.rigidity import SOLVE, RunContext, run_stages, teichmuller_experiment
 
@@ -136,8 +138,38 @@ def test_solve_matches_fancy_index_reference(request, e1, handle, n):
     assert h.residual_on_grid(96) == _ref_residual_on_grid(h, 96)
 
 
+def _ref_shift(layout, f, s, out):
+    """f o A^s into out, both whole arrays in orbit order (out C-contiguous):
+    two slice copies per block of the layout."""
+    for start, stop, length in layout.blocks:
+        k = s % length
+        src = f[start:stop].reshape(-1, length, *f.shape[1:])
+        dst = out[start:stop].reshape(src.shape)
+        dst[:, :length - k] = src[:, k:]
+        dst[:, length - k:] = src[:, :k]
+    return out
+
+
+def _ref_geometric_sum(layout, f, c, s, tmp):
+    """sum_k c^k f o A^(k s) for |c| < 1, summed in place in the whole
+    array f by doubling until |c| is below machine epsilon."""
+    while abs(c) >= np.finfo(float).eps:
+        _ref_shift(layout, f, s, tmp)
+        tmp *= c
+        f += tmp
+        s, c = 2 * s, c * c
+    return f
+
+
+def _ref_scatter(layout, f):
+    """f in orbit order, returned in grid order."""
+    out = np.empty_like(f)
+    out[layout.order] = f
+    return out
+
+
 @pytest.mark.parametrize("rows", [((2, 1), (1, 1)), ((2, 1), (5, 3)), ((5, 2), (2, 1))])
-@pytest.mark.parametrize("n", [64, 100, 256])
+@pytest.mark.parametrize("n", [50, 64, 100, 256, 1024])
 def test_orbit_layout_rows_follow_the_permutation(rows, n):
     m = IntMatrix2(*rows[0], *rows[1])
     fwd = _index_permutation(m, n)
@@ -148,20 +180,56 @@ def test_orbit_layout_rows_follow_the_permutation(rows, n):
         assert start == end
         block = layout.order[start:stop].reshape(-1, length)
         # row k, column j holds A^j of the row's first index, and A^length
-        # closes the row; the first index is the row's smallest
+        # closes the row; a row lifted from the N/2 layout starts at any of
+        # its indices, not at its smallest
         assert np.array_equal(fwd[block], np.roll(block, -1, axis=1))
-        assert np.array_equal(block[:, 0], block.min(axis=1))
         end, lengths = stop, lengths + [length]
     assert end == n * n
     assert lengths == sorted(set(lengths))
-    # shift(f, s) is f o A^s: f at the grid index s steps along the row
+    # each row reduces mod N/2 onto one row of the N/2 layout, repeated t
+    # times for t in {1, 2, 3, 4}
+    if n % 2 == 0:
+        h = n // 2
+        half = _OrbitLayout(m, h)
+        row_of, length_of = np.empty(h * h, dtype=int), np.empty(h * h, dtype=int)
+        for start, stop, length in half.blocks:
+            # each index of the N/2 grid mapped to its row's first position
+            row_of[half.order[start:stop]] = start + np.arange(stop - start) // length * length
+            length_of[half.order[start:stop]] = length
+        for start, stop, length in layout.blocks:
+            i, j = np.divmod(layout.order[start:stop].reshape(-1, length), n)
+            reduced = (i % h) * h + j % h
+            assert np.array_equal(row_of[reduced], row_of[reduced[:, :1]].repeat(length, axis=1))
+            for half_length in set(length_of[reduced[:, 0]].tolist()):
+                assert length // half_length in (1, 2, 3, 4) and length % half_length == 0
+                rows_here = reduced[length_of[reduced[:, 0]] == half_length]
+                assert np.array_equal(rows_here, np.tile(rows_here[:, :half_length],
+                                                         length // half_length))
+    # the chunks cut the layout into runs of whole rows of at least
+    # ROW_BLOCK points, but the last, which is not a single row
+    cut = 0
+    for lo, hi, segments in layout.chunks:
+        assert lo == cut and sum(b - a for a, b, _ in segments) == hi - lo
+        assert all((b - a) % length == 0 for a, b, length in segments)
+        assert hi - lo >= min(ROW_BLOCK, n * n) or hi == n * n
+        cut = hi
+    last = layout.chunks[-1][2]
+    assert len(last) > 1 or last[0][1] - last[0][0] > last[0][2]
+    assert cut == n * n
+    # _shift(f, s) over each chunk is f o A^s: f at the grid index s steps
+    # along the row
+    if n > 256:
+        return
     f = np.random.default_rng(n).standard_normal((n * n, 2))
     for s in (1, -1, 5, 64):
         perm = np.arange(n * n)
         for _ in range(abs(s)):
             perm = fwd[perm] if s > 0 else np.argsort(fwd)[perm]
-        out = layout.shift(layout.gather(f), s, np.empty_like(f))
-        assert np.array_equal(layout.scatter(out), f[perm])
+        gathered, out = layout.gather(f), np.empty_like(f)
+        for lo, hi, segments in layout.chunks:
+            _shift(gathered[lo:hi], s, out[lo:hi], segments)
+        assert np.array_equal(_ref_scatter(layout, out), f[perm])
+        assert np.array_equal(_ref_shift(layout, gathered, s, np.empty_like(f)), out)
 
 
 def _ref_index_permutation(m, n):
@@ -264,23 +332,23 @@ def _ref_solve_conjugacy(a_elem, g, n, u0=None):
     for _ in range(MAX_ITERATIONS):
         p = g.displacement(pts + u)
         if layout is not None:
-            u_a = layout.shift(u, 1, u_a)
+            u_a = _ref_shift(layout, u, 1, u_a)
         r = u @ a.T
         np.subtract(u_a, r, out=r)
         r -= p
         res = float(np.max(np.abs(r, out=r)))
         if res < 1e-9:
-            return (u if layout is None else layout.scatter(u)), res
+            return (u if layout is None else _ref_scatter(layout, u)), res
         if layout is None:
             layout = _OrbitLayout(m, n)
             pts, p = layout.gather(pts), layout.gather(p)
             u, u_a = np.empty_like(p), np.empty_like(p)
             xi, eta, tmp = np.empty(n * n), np.empty(n * n), np.empty(n * n)
-        layout.shift(np.dot(p, w_s, out=tmp), -1, xi)
-        layout.geometric_sum(xi, lam_s, -1, tmp)
+        _ref_shift(layout, np.dot(p, w_s, out=tmp), -1, xi)
+        _ref_geometric_sum(layout, xi, lam_s, -1, tmp)
         np.dot(p, w_u, out=eta)
         eta /= -lam_u
-        layout.geometric_sum(eta, 1.0 / lam_u, 1, tmp)
+        _ref_geometric_sum(layout, eta, 1.0 / lam_u, 1, tmp)
         for j in range(2):
             np.multiply(xi, v_s[j], out=tmp)
             np.add(tmp, eta * v_u[j], out=u[:, j])
@@ -327,9 +395,9 @@ def test_solve_accepts_a_fortran_ordered_start(e1, conj_g1):
 
 
 def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
-    # u, one point buffer, the three series arrays, the layout's order and
-    # p come to 80 B per grid point; whole-grid arrays for the gathered
-    # grid, u o A and the residual took 128
+    # xi, eta, one point buffer, the layout's order and p come to 56 B per
+    # grid point, u being formed a chunk at a time (measured 59 at N = 512
+    # and 57 at N = 1024); a whole-grid u and three series arrays took 80
     n = 512
     tracemalloc.start()
     try:
@@ -337,7 +405,7 @@ def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * n * n
+    assert peak <= 64 * n * n
 
 
 def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeypatch):

@@ -351,6 +351,18 @@ def test_orbit_is_the_explicit_steps(perturbed, conj_g1, name, n):
         assert np.max(np.abs(jac - want_jac)) < 1e-12 * scale, n
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 100, 2205])
+def test_perturbed_orbit_has_the_bits_of_separate_lift_and_jacobian_steps(perturbed, size):
+    # each step forms lift and jacobian from one trig evaluation; 2,205 is
+    # the finder's batch at period 8
+    x = np.random.default_rng(size).random((size, 2))
+    for n in range(1, 8):
+        got, jac = perturbed.orbit(x, n)
+        want, want_jac = _ref_orbit(perturbed, x, n)
+        _assert_same_bits(got, want)
+        _assert_same_bits(jac, want_jac)
+
+
 class _GeneralPath(ConjugatedMap):
     """A ConjugatedMap that never takes the identity-phi shortcuts."""
 

@@ -14,11 +14,16 @@ traced, and writes ``DIR/BENCH_<workload>.json`` holding:
   ``check.*`` values;
 - ``git``: the checkout's revision, and whether its tracked files differ
   from it;
+- ``checkout_path_length``: the length of the checkout's absolute path;
 - ``host``: the CPU model and count, and the Python, numpy and scipy
   versions (scipy ``null`` when it is not installed).
 
 The checkout may be another tree, such as a clone of the parent commit, so
 that one copy of this script records both sides of a change on one host.
+Record both sides at paths of equal length: ``peak_rss_mb`` moves by
+0.1–0.3 MB with the length of the checkout's path alone, so peak-RSS
+pairs taken at paths of different lengths read that shift as a change of
+the code.
 Exits 1 when a run prints no result line.
 """
 
@@ -115,6 +120,7 @@ def record(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "command": ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
                     "--seconds", str(seconds), "--trace", "0|1"],
         "git": git_state(checkout),
+        "checkout_path_length": len(str(checkout)),
         "host": host(),
         "runs": {mode: {k: r[k] for k in ("correct", "attempted", "failed")}
                  for mode, r in (("untraced", untraced), ("traced", traced))},
