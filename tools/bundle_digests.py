@@ -7,17 +7,16 @@ conjugated by phi = id + (0.02 sin 2 pi x2, 0), ``teichmuller`` on the
 overrides of each benchmark workload (bench/workloads.py, seed 1), and
 ``teichmuller`` on four configs that end in ``inconclusive`` or
 ``obstructed``, so that the error paths of its stages are covered, the
-other subcommands in three runs that fail, so that their failure strings
-are covered too, and ``prop1`` at phi 0.10 and 0.15.  One more
-``periodic-data`` run, at phi 0.15 with ``resolution.max_period`` 4, loses
-Newton seeds inside cycles of A of length 4, so that orbits found through
-part of their seeds are covered.  Three more runs walk
-map code that the others do not: ``foliation`` on a perturbed action (the
-line fields read off the orbits of ``PerturbedMap`` and ``InverseMap``,
-whose steps are Newton inverses), and ``teichmuller`` and ``foliation`` on
-an action conjugated by a two-mode phi (D phi summed over two
-wavevectors).  Three
-runs solve the conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action,
+other subcommands in two runs that fail (``periodic-data`` on a perturbed
+map that is no diffeomorphism, and ``eigen`` given one generator), so that
+their failure strings are covered too, ``prop1`` at phi 0.10 and 0.15, and
+``periodic-data`` at phi 0.15 to ``resolution.max_period`` 2 and 4, whose
+seed cycles of A Newton on the linear seeds used to diverge on.  Three
+more runs walk map code that the others do not: ``foliation`` on a
+perturbed action (the line fields read off the orbits of ``PerturbedMap``
+and ``InverseMap``, whose steps are Newton inverses), and ``teichmuller``
+and ``foliation`` on an action conjugated by a two-mode phi (D phi summed
+over two wavevectors).  Three runs solve the conjugacy alone: at ``grid_n`` 512 on the phi 0.02 action,
 at the default ``grid_n`` on the phi 0.15 action, and at ``grid_n`` 1024
 on a two-mode perturbation p.  Two runs are ``teichmuller`` on phi of one
 mode other than (0, 1), (1, -1) and (0, 2), which end ``smooth``.  Five
@@ -73,19 +72,25 @@ ERROR_PATHS = {
 
 
 # (label, subcommand, overrides) of subcommand runs that fail, and how,
-# and of Prop 1 at strong phi
+# and of Prop 1 and periodic data at strong phi
 SUBCOMMAND_ERROR_PATHS = (
     # Prop 1 at strong phi
     ("phi-0.10", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.1,0]}]']),
     ("phi-0.15", "prop1", ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
-    # NewtonFailed: 2 periodic seeds diverge
+    # periodic data at strong phi, exit 0: 1 + 3 orbits, where Newton on
+    # the linear seeds diverged at 2 seeds
     ("phi-0.15", "periodic-data",
      ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]']),
-    # NewtonFailed: 32 periodic seeds diverge; at period 4, 9 orbits keep
-    # only 1 or 2 of the 4 seeds of their cycle of A
+    # 1 + 3 + 6 + 13 orbits, where Newton diverged at 32 seeds and left 9
+    # cycles of A of length 4 with 1 or 2 of their 4 points
     ("phi-0.15-max-period-4", "periodic-data",
      ["action.kind=conjugated", 'action.diffeo=[{"k":[0,1],"sin":[0.15,0]}]',
       "resolution.max_period=4"]),
+    # SolverDiverged: period 2: the solve on the seeds stalls, since
+    # det Dg = 1 - 2.51 cos 2 pi x2 vanishes and no h exists
+    ("perturbed-0.4-max-period-3", "periodic-data",
+     ["action.kind=perturbed", 'action.perturbation=[{"k":[0,1],"sin":[0.4,0]}]',
+      "resolution.max_period=3"]),
     # a subcommand that needs a pair, given one generator: a config error,
     # so exit 1 and no bundle
     ("one-generator", "eigen", ERROR_PATHS["one-generator"]),
