@@ -313,6 +313,25 @@ def test_periodic_data_diverged_seeds_exit_three(tmp_path):
     assert not (out / "periodic-data.csv").exists()
 
 
+def test_periodic_data_obstruction_stands_with_diverged_seeds(tmp_path):
+    """p = (0.4 sin 2 pi x2, 0) to period 1: the fixed point 0 obstructs
+    (Dg(0) is not A), while the grid solve of h diverges; teichmuller keeps
+    the obstruction, lists the failure and exits 2."""
+    perturbed = ("--set", "action.kind=perturbed",
+                 "--set", 'action.perturbation=[{"k":[0,1],"sin":[0.4,0]}]',
+                 "--set", "resolution.max_period=1")
+    code, out = run(tmp_path / "periodic", "periodic-data", *perturbed)
+    doc = json.loads((out / "periodic-data-report.json").read_text())
+    assert (code, doc["verdict"], doc["diagnostics"]["n_orbits"]) == (2, "obstructed", 1)
+    code, out = run(tmp_path / "teichmuller", "teichmuller", *perturbed)
+    doc = json.loads((out / "teichmuller-report.json").read_text())
+    assert (code, doc["verdict"]) == (2, "obstructed")
+    assert doc["diagnostics"]["diagnostics"]["periodic_max_mismatch"] > 1e-4
+    assert [e.split(":")[0] for e in doc["diagnostics"]["errors"]] == ["solve_conjugacy"]
+    assert doc["diagnostics"]["errors"][0].startswith(
+        "solve_conjugacy: SolverDiverged: residual stalled at ")
+
+
 def test_periodic_data_counts_each_orbit_once_with_diverged_seeds(tmp_path):
     """phi 0.15 up to period 4, where Newton from the linear seeds diverged
     at 32 seeds: each cycle of A on the seeds is one orbit, 1 + 3 + 6 + 13
