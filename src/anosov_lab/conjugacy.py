@@ -324,17 +324,20 @@ def _u_chunks(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
 
 
 def _sum_pass(layout: _OrbitLayout, p: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-              a_elem: HyperbolicElement) -> None:
+              a_elem: HyperbolicElement, gather: bool = False) -> None:
     """xi = sum_k lam_s^k p_s o A^(-k-1) and eta = -sum_k lam_u^(-k-1)
-    p_u o A^k, in orbit order, summed a chunk at a time into xi and eta."""
+    p_u o A^k, in orbit order, summed a chunk at a time into xi and eta;
+    with ``gather`` p is in grid order, and each chunk of it is gathered
+    by ``layout.order``."""
     w_s, w_u = a_elem.dual_basis()
     lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
     tmp = np.empty(max(hi - lo for lo, hi, _ in layout.chunks))
     for lo, hi, segments in layout.chunks:
         xi_c, eta_c, t = xi[lo:hi], eta[lo:hi], tmp[:hi - lo]
-        _shift(np.dot(p[lo:hi], w_s, out=t), -1, xi_c, segments)
+        p_c = p.take(layout.order[lo:hi], axis=0) if gather else p[lo:hi]
+        _shift(np.dot(p_c, w_s, out=t), -1, xi_c, segments)
         _geometric_sum(xi_c, lam_s, -1, segments, t)
-        np.dot(p[lo:hi], w_u, out=eta_c)
+        np.dot(p_c, w_u, out=eta_c)
         eta_c /= -lam_u
         _geometric_sum(eta_c, 1.0 / lam_u, 1, segments, t)
 
@@ -369,32 +372,34 @@ def _scatter_u(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
 
 
 def _iterate(layout: _OrbitLayout, a_elem: HyperbolicElement, g, buf: np.ndarray, n: int,
-             stop: float, p: np.ndarray | None = None, res: float | None = None):
+             stop: float, res: float | None = None):
     """The iteration of h o A = g o h on the points of the layout, whose
     flat indices are those of the n x n grid: (xi, eta, residual) once the
-    residual is below stop, the points h = id + u left in buf.
+    residual is below stop, buf holding p at the points of that u.
 
-    The start is u = 0, whose points buf holds in orbit order, unless the
-    displacement p there, in orbit order, and its residual res are given;
-    p may be buf itself, which the sum pass reads before the lift pass
-    writes the points.  Each iteration evaluates p at the points and stops
-    once the residual pass reads below stop; otherwise the sum pass sums p
-    into xi and eta and the lift pass writes the points of the new u.
-    Raises SolverDiverged when the residual stops decreasing for
-    DIVERGENCE_PATIENCE consecutive iterations, the displacement leaves
-    the admissible ball, or MAX_ITERATIONS pass.
+    The start is u = 0, whose points buf holds in orbit order, unless res
+    is given: then buf holds the displacement p there in grid order, res
+    its residual, and the first sum pass gathers it a chunk at a time.
+    Each iteration evaluates p into buf, over the points it holds, and
+    stops once the residual pass reads below stop; otherwise the sum pass
+    sums p into xi and eta, and the lift pass, which runs after it, writes
+    the points of the new u over p.  Raises SolverDiverged when the
+    residual stops decreasing for DIVERGENCE_PATIENCE consecutive
+    iterations, the displacement leaves the admissible ball, or
+    MAX_ITERATIONS pass.
     """
     xi, eta = np.zeros(len(layout.order)), np.zeros(len(layout.order))
     best = np.inf
     stall = 0
+    gather = res is not None
     for it in range(MAX_ITERATIONS):
-        if p is None:
-            p = g.displacement(buf)
-            res = _residual_pass(layout, xi, eta, a_elem, p)
+        if not gather:
+            g.displacement(buf, out=buf)
+            res = _residual_pass(layout, xi, eta, a_elem, buf)
             if res < stop:
                 return xi, eta, res
-        _sum_pass(layout, p, xi, eta, a_elem)
-        p = None
+        _sum_pass(layout, buf, xi, eta, a_elem, gather)
+        gather = False
         size = _lift_pass(layout, xi, eta, a_elem, buf, n)
         if size >= MAX_DISPLACEMENT:
             raise SolverDiverged(f"|u| reached {size:.3g} at iteration {it}")
@@ -424,9 +429,11 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     layout (``_OrbitLayout``).  The iteration contracts at a rate set by
     the Lipschitz constant of p, not by lambda_s.  The first check runs on
     u0 in grid order, so an action that needs no iteration builds no
-    layout.  Raises SolverDiverged when the residual stops decreasing for
-    DIVERGENCE_PATIENCE consecutive iterations or the displacement leaves
-    the admissible ball.
+    layout: it evaluates p into the buffer of the points h, and reads u o A
+    a row block at a time, u itself for the zero start and a gather of u0
+    otherwise.  Raises SolverDiverged when the residual stops decreasing
+    for DIVERGENCE_PATIENCE consecutive iterations or the displacement
+    leaves the admissible ball.
 
     The ``solve_conjugacy`` stage passes ``coarse_start``'s u0: the
     COARSE_N solution's spectrum zero-padded onto the N grid when its high
@@ -442,13 +449,16 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     chunk-sized temporaries.  A sweep makes three passes over the chunks:
     the sum pass projects p and writes both doubling sums into xi and eta;
     the lift pass forms u, takes max |u| and writes the points h into the
-    one (N*N, 2) point buffer; and, after p is evaluated there over the
-    whole grid in one call, the residual pass takes u o A as a shift within
-    each row.  Besides p, an iteration holds xi, eta, the point buffer and
-    the layout, 40 B per grid point.  The point buffer is the first
-    check's, kept through the layout build; it takes the first p in orbit
-    order, and at the stop u is scattered into it chunk by chunk.  Every
-    value has the bits of the same sums over whole-grid arrays.
+    one (N*N, 2) point buffer; and, after p is evaluated over the whole
+    grid in one call into that buffer, over the points it holds, the
+    residual pass takes u o A as a shift within each row.  p has no array
+    of its own, so an iteration holds xi, eta, the point buffer and the
+    layout, 40 B per grid point (traced peaks 41 and 43 B at N = 1024 and
+    512).  The point buffer is the first check's, holding its p in grid
+    order through the layout build; the first sum pass gathers that p by
+    the layout's order a chunk at a time, and at the stop u is scattered
+    over the last p chunk by chunk.  Every value has the bits of the same
+    sums over whole-grid arrays.
     """
     m = a_elem.matrix
     a = m.as_array()
@@ -461,20 +471,17 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     buf = np.empty((n * n, 2))
     for rows in blocks:
         _lift_into(buf[rows], u[rows], np.arange(rows.start, rows.stop), n)
-    p = g.displacement(buf)
-    if u0 is None:
-        buf.fill(0.0)  # u o A of the zero start
-    else:
-        np.take(u, _index_permutation(m, n), axis=0, out=buf)
-    res = float(np.max([_residual(u[rows], buf[rows], p[rows], a) for rows in blocks]))
+    g.displacement(buf, out=buf)
+    # u o A a row block at a time: u itself for the zero start
+    perm = None if u0 is None else _index_permutation(m, n)
+    res = float(np.max([_residual(u[rows], u[rows] if perm is None else u.take(perm[rows], axis=0),
+                                  buf[rows], a) for rows in blocks]))
     if res < RESIDUAL_STOP:
         return Conjugacy(n, u, a_elem, g, res)
-    del u
+    del u, perm
     layout = _OrbitLayout(*_orbit_order(m, n))
-    np.take(p, layout.order, axis=0, out=buf)
-    del p
-    xi, eta, res = _iterate(layout, a_elem, g, buf, n, RESIDUAL_STOP, p=buf, res=res)
-    # the points are spent, and u takes their buffer
+    xi, eta, res = _iterate(layout, a_elem, g, buf, n, RESIDUAL_STOP, res=res)
+    # p is spent, and u takes its buffer
     return Conjugacy(n, _scatter_u(layout, xi, eta, a_elem, buf), a_elem, g, res)
 
 
@@ -594,10 +601,11 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
     walked from their smallest seed in seed order, are the rows of an
     ``_OrbitLayout``, on which the conjugacy solve's iteration
     (``_iterate``) runs from u = 0 to the residual PERIODIC_STOP, with no
-    grid and no interpolant.  Each row is one orbit, its head the row's
-    first seed, the orbits in the order of their heads, and the
-    multipliers come from one D g^n product and one eigvals call over all
-    heads.  Returns a list of PeriodicOrbitData; raises SolverDiverged,
+    grid and no interpolant; the last p fills the point buffer at the
+    stop, and one lift pass forms the points of the last u again.  Each
+    row is one orbit, its head the row's first seed, the orbits in the
+    order of their heads, and the multipliers come from one D g^n product
+    and one eigvals call over all heads.  Returns a list of PeriodicOrbitData; raises SolverDiverged,
     naming the period, when the iteration does.
     """
     if not 1 <= n <= MAX_PERIOD:
@@ -613,9 +621,10 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
     layout = _OrbitLayout(flat[seed_at], blocks)
     buf = _lift_into(np.empty((q, 2)), 0.0, layout.order, q)  # the seeds, h at u = 0
     try:
-        _iterate(layout, a_elem, g, buf, q, PERIODIC_STOP)
+        xi, eta, _ = _iterate(layout, a_elem, g, buf, q, PERIODIC_STOP)
     except SolverDiverged as err:
         raise SolverDiverged(f"period {n}: {err}") from None
+    _lift_pass(layout, xi, eta, a_elem, buf, q)  # the points of the last u, over its p
     seed_at = seed_at.tolist()
     rows = sorted((seed_at[lo], lo, lo + length)
                   for start, stop, length in blocks for lo in range(start, stop, length))

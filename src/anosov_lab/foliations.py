@@ -33,7 +33,7 @@ from .errors import (
     RadiusOutOfRange,
     TangencySuspected,
 )
-from .interp import HermiteCubic, MonotoneCubic, not_a_knot_spline
+from .interp import HermiteCubic, MonotoneCubic, inverse_spline, not_a_knot_spline
 from .lattice import _inv2, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
@@ -269,7 +269,7 @@ def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBund
     n = max(1, int(round((hi - lo) / LEAF_SPACING)))
     params = np.linspace(lo, hi, n + 1)
     points = _on_leaves(handle, np.repeat(x, n + 1, axis=0),
-                        MonotoneCubic(sigma, s, "leaf arc length").inverse(params))
+                        inverse_spline(sigma, s, "leaf arc length")(params))
     kernel = _kernel(_orbit_row(handle, points, ORBIT_LENGTHS[-1]))
     v, w = _axes(handle)
     # the kernel, signed by its coordinate along v in the basis (v, w)

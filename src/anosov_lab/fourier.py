@@ -81,22 +81,28 @@ class FourierPerturbation:
         """theta = 2 pi k.x, shape (n, m), at the points x of shape (n, 2)."""
         return TWO_PI * (x @ self.wavevectors.T.astype(float))
 
-    def evaluate(self, x) -> np.ndarray:
-        """p(x), shape (n, 2), at the points x of shape (n, 2).
+    def evaluate(self, x, out=None) -> np.ndarray:
+        """p(x), shape (n, 2), at the points x of shape (n, 2), into out
+        when given, a C-contiguous (n, 2) float array that may be x itself.
 
         A sin or cos term whose amplitudes are all zero is skipped; the
         nonzero terms are summed in sin, cos order, as over both.  The
         points are taken in ``lattice.row_blocks``, so the phase and trig
         tables hold at most ROW_BLOCK x m values, and each block has the
-        bits of one whole-batch evaluation.
+        bits of one whole-batch evaluation; a block's phases are formed
+        before its values are written, so out may alias x.
         """
         if self.is_zero:
-            return np.zeros_like(x)
+            if out is None:
+                return np.zeros_like(x)
+            out.fill(0.0)
+            return out
         # __post_init__ drops all-zero rows, so at least one term is left
         (first, first_amps), *rest = [
             (trig, amps) for trig, amps in ((np.sin, self.sin_amps), (np.cos, self.cos_amps))
             if amps.any()]
-        out = np.empty((len(x), 2))
+        if out is None:
+            out = np.empty((len(x), 2))
         for rows in row_blocks(len(x)):
             theta = self._phases(x[rows])
             np.matmul(first(theta), first_amps, out=out[rows])

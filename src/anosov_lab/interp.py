@@ -2,10 +2,11 @@
 not-a-knot cubic spline on the line.
 
 The bicubic is the periodic cubic B-spline: its coefficients come from one
-FFT of the grid values, and each value sums 16 of them.  The spline is the
-one cubic family of the program: a Lemma 3 local graph is one, and
-``MonotoneCubic``, a spline paired with its inverse, is each Lemma 3
-holonomy and the Proposition 1 profiles and coordinate g.  It does the
+2-D FFT of the grid values, taken in blocks of lines, and each value sums
+16 of them.  The spline is the one cubic family of the program: a Lemma 3
+local graph is one; ``MonotoneCubic``, a spline paired with its inverse,
+is each Lemma 3 holonomy and the Proposition 1 profiles and coordinate g;
+and ``inverse_spline`` alone reads a leaf's arc lengths back.  It does the
 arithmetic of SciPy's ``CubicSpline`` (default not-a-knot ends) operation
 for operation, and agrees with it to the bit; the package imports no SciPy.
 """
@@ -15,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 # by name, so that the package's import loads np.fft, which NumPy 2 would
 # load lazily inside the first experiment
-from numpy.fft import irfft2, rfft2
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .errors import NonMonotoneG
+from .lattice import ROW_BLOCK
 
 
 def _cubic_bspline_weights(s):
@@ -43,17 +45,39 @@ class PeriodicBicubic:
     by (1, 4, 1) / 6 along each axis, a circulant that the 2-D FFT
     diagonalizes, so the coefficients are the values' spectrum divided by
     d[k1] d[k2], d[k] = (4 + 2 cos 2 pi k / N) / 6 (Unser, IEEE SPM 1999).
+
+    The build runs the 1-D transforms of ``rfft2`` and ``irfft2`` in their
+    order, each in blocks of ROW_BLOCK // N lines, through one (N, N/2 + 1,
+    m) complex spectrum: ``rfft`` along axis 1 a block of rows at a time
+    into it; ``fft``, the division and ``ifft`` along axis 0 a block of
+    columns at a time, in place; and ``irfft`` along axis 1 a block of rows
+    at a time, written over the spectrum viewed as floats, where real row r
+    ends before complex row r + 1 starts.  Every line is transformed alone,
+    so the coefficients have the bits of ``irfft2(rfft2(v) / d d)``, and the
+    build holds the spectrum and a few blocks besides the values, about 21
+    B per grid point for m = 2 against 48 for the whole-grid transforms.
     """
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         n = self.n = values.shape[0]
+        m = values.shape[2]
         d = (4 + 2 * np.cos(2 * np.pi / n * np.arange(n))) / 6
-        spectrum = rfft2(values, axes=(0, 1))
-        spectrum /= (d[:, None] * d[:n // 2 + 1])[:, :, None]
+        step, half = max(1, ROW_BLOCK // n), d[:n // 2 + 1]
+        spectrum = np.empty((n, len(half), m), dtype=complex)
+        for r in range(0, n, step):
+            spectrum[r:r + step] = rfft(values[r:r + step], axis=1)
+        for c in range(0, len(half), step):
+            block = fft(spectrum[:, c:c + step], axis=0)
+            block /= (d[:, None] * half[c:c + step])[:, :, None]
+            spectrum[:, c:c + step] = ifft(block, axis=0)
+        flat = spectrum.reshape(-1).view(float)
+        for r in range(0, n, step):
+            real = irfft(spectrum[r:r + step], n, axis=1).reshape(-1)
+            flat[r * n * m:r * n * m + real.size] = real
         # (N * N, m): the channels of a grid point side by side, so that one
         # gather fetches them all
-        self._coeffs = irfft2(spectrum, s=(n, n), axes=(0, 1)).reshape(n * n, -1)
+        self._coeffs = flat[:n * n * m].reshape(n * n, m)
         # (i + k) mod N for the taps k = -1 .. 2 of every i in [0, N]
         self._wrap = np.arange(-1, n + 3) % n
 
@@ -194,10 +218,22 @@ def not_a_knot_spline(x, y) -> HermiteCubic:
     return HermiteCubic(x, y, np.array(s[:-1]))
 
 
+def inverse_spline(x, y, what: str) -> HermiteCubic:
+    """The inverse of a strictly monotone map y(x) sampled at the knots x:
+    the not-a-knot spline through (y, x), its knots reversed where y
+    decreases.  Samples that are not strictly monotone raise NonMonotoneG,
+    naming them by ``what``, before the spline is built."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d = np.diff(y)
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise NonMonotoneG(f"{what} samples are not strictly monotone")
+    up = slice(None, None, 1 if d[0] > 0 else -1)  # the inverse's knots increasing
+    return not_a_knot_spline(y[up], x[up])
+
+
 class MonotoneCubic:
     """A strictly monotone map y(x) on strictly increasing knots x, and its
-    inverse: the not-a-knot splines through (x, y) and through (y, x), the
-    latter's knots reversed where y decreases.
+    inverse: the not-a-knot spline through (x, y) and ``inverse_spline``.
 
     ``derivative`` is the forward spline's.  Samples that are not strictly
     monotone raise NonMonotoneG, naming them by ``what``, before either
@@ -207,12 +243,8 @@ class MonotoneCubic:
     def __init__(self, x, y, what: str):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        d = np.diff(self.y)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise NonMonotoneG(f"{what} samples are not strictly monotone")
+        self._inv = inverse_spline(self.x, self.y, what)
         self._fwd = not_a_knot_spline(self.x, self.y)
-        up = slice(None, None, 1 if d[0] > 0 else -1)  # the inverse's knots increasing
-        self._inv = not_a_knot_spline(self.y[up], self.x[up])
 
     @property
     def domain(self):

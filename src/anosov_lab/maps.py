@@ -5,7 +5,9 @@ Every map handle exposes the same duck-typed surface:
 
     linear_part   -> IntMatrix2 (the homotopy class of the lift)
     lift(x)       -> lift values, equivariant: lift(x + k) = lift(x) + A k
-    displacement(x) -> lift(x) - A x, a periodic function
+    displacement(x, out=None)
+                  -> lift(x) - A x, a periodic function, into out when
+                     given, an (n, 2) float array that may be x itself
     apply(x)      -> lift(x) mod 1
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
     orbit(x, n)   -> the n-th iterate of the lift and its derivative, for
@@ -95,8 +97,8 @@ class PerturbedMap:
     def lift(self, x):
         return x @ self._A.T + self.perturbation.evaluate(x)
 
-    def displacement(self, x):
-        return self.perturbation.evaluate(x)
+    def displacement(self, x, out=None):
+        return self.perturbation.evaluate(x, out=out)
 
     def apply(self, x):
         return wrap_point(self.lift(x))
@@ -138,8 +140,8 @@ class InverseMap:
     def lift(self, y):
         return _newton_inverse(self.forward.lift_and_jacobian, y, y @ self._B.T)
 
-    def displacement(self, y):
-        return self.lift(y) - y @ self._B.T
+    def displacement(self, y, out=None):
+        return np.subtract(self.lift(y), y @ self._B.T, out=out)
 
     def apply(self, y):
         return wrap_point(self.lift(y))
@@ -235,10 +237,15 @@ class ConjugatedMap:
     def lift(self, x):
         return self.phi.lift(self.phi.inverse_lift(x) @ self._A.T)
 
-    def displacement(self, x):
+    def displacement(self, x, out=None):
+        """lift(x) - x A^T, both formed over the whole batch before out is
+        written, so out may alias x."""
         if self.is_linear:  # lift(x) is x A^T, to the bit
-            return np.zeros((len(x), 2))
-        return self.lift(x) - x @ self._A.T
+            if out is None:
+                return np.zeros((len(x), 2))
+            out.fill(0.0)
+            return out
+        return np.subtract(self.lift(x), x @ self._A.T, out=out)
 
     def apply(self, x):
         return wrap_point(self.lift(x))

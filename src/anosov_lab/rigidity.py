@@ -52,7 +52,7 @@ from .foliations import (
     min_transversality_angle,
     verify_graph_transport,
 )
-from .interp import MonotoneCubic
+from .interp import MonotoneCubic, inverse_spline
 from .lattice import HyperbolicElement, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
@@ -249,7 +249,7 @@ def factor_translation_linear(e1: HyperbolicElement, e2: HyperbolicElement,
 def _arc_to(sigma, s, at: float) -> float:
     """The sigma where the increasing s(sigma) reach ``at``, off 6 samples around it."""
     window = slice(max(int(np.searchsorted(s, at)) - 3, 0), None)
-    return float(MonotoneCubic(sigma[window][:6], s[window][:6], "leaf arc length").inverse(at))
+    return float(inverse_spline(sigma[window][:6], s[window][:6], "leaf arc length")(at))
 
 
 def factor_translation_numeric(g1, g2, e1: HyperbolicElement, e2: HyperbolicElement,

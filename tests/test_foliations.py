@@ -220,6 +220,14 @@ def test_holonomy_map_rejects_non_monotone_samples():
     assert isinstance(info.value, AnosovLabError)
 
 
+def test_integrate_leaf_names_non_monotone_arc_lengths(linear_g1, monkeypatch):
+    # the leaf's nodes are read off the inverse of its arc lengths alone
+    monkeypatch.setattr(foliations, "leaf_arc_lengths",
+                        lambda *a: (np.linspace(0.0, 1.0, 5), [np.array([0.0, 0.3, 0.2, 0.6, 1.0])]))
+    with pytest.raises(NonMonotoneG, match="^leaf arc length samples are not strictly monotone$"):
+        integrate_leaf(linear_g1.inverse(), np.zeros(2), 1.0)
+
+
 def test_tangency_raises_for_parallel_fields(linear_g1, e1):
     # a target transversal along the stable leaves themselves
     v_u, v_s = np.asarray(e1.vu), np.asarray(e1.vs)

@@ -1,6 +1,7 @@
 """The not-a-knot spline of ``interp`` and the cumulative Simpson of
 ``rigidity`` against closed forms and against the SciPy routines they
-replace, and ``MonotoneCubic`` against the two splines it pairs.
+replace, and ``MonotoneCubic`` against the two splines it pairs, the
+inverse one being ``inverse_spline``.
 
 The spline reproduces cubics.  Cumulative Simpson integrates quadratics
 exactly on any grid; on a cubic, each interval's quadratic misses by a
@@ -21,7 +22,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from anosov_lab.errors import NonMonotoneG
-from anosov_lab.interp import MonotoneCubic, not_a_knot_spline
+from anosov_lab.interp import MonotoneCubic, inverse_spline, not_a_knot_spline
 from anosov_lab.rigidity import _cumulative_simpson
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -119,6 +120,8 @@ def test_monotone_cubic_is_the_spline_and_its_inverse(name, x, y):
     assert np.array_equal(cubic(u), fwd(u))
     assert np.array_equal(cubic.derivative(u), fwd.derivative(u))
     assert np.array_equal(cubic.inverse(v), inv(v))
+    alone = inverse_spline(x, y, name)
+    assert np.array_equal(alone.c, inv.c) and np.array_equal(alone.x, inv.x)
     assert cubic.domain == (x[0], x[-1])
     assert np.max(np.abs(cubic.inverse(cubic(x)) - x)) <= 1e-9 * np.ptp(x)
 
@@ -126,6 +129,8 @@ def test_monotone_cubic_is_the_spline_and_its_inverse(name, x, y):
 def test_monotone_cubic_names_its_non_monotone_samples():
     with pytest.raises(NonMonotoneG, match="^profile samples are not strictly monotone$"):
         MonotoneCubic(np.arange(5.0), np.array([0.0, 2.0, 1.0, 3.0, 4.0]), "profile")
+    with pytest.raises(NonMonotoneG, match="^leaf arc length samples are not strictly monotone$"):
+        inverse_spline(np.arange(5.0), np.array([0.0, 1.0, 1.0, 3.0, 4.0]), "leaf arc length")
 
 
 def _simpson_error(x, c):

@@ -10,10 +10,13 @@ sums 16 taps; SciPy's ``ndimage``, which it replaced, filters recursively
 and sums the taps in another order.  So the bicubic is held to
 ``ndimage``'s coefficients and values within 1e-14 of the largest sample,
 and to two closed forms: the samples at the grid nodes, and a constant
-field exactly.
+field exactly.  Its prefilter runs the 1-D transforms of ``rfft2`` and
+``irfft2`` in blocks of lines, and is held to the whole-grid transforms
+bit for bit and to a bound on its memory.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +99,36 @@ def test_bicubic_coefficients_match_spline_filter(n):
                          for m in range(values.shape[2])], axis=-1)
         err = np.max(np.abs(interp._coeffs.reshape(want.shape) - want))
         assert err <= 1e-14 * np.max(np.abs(values)), name
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [64, 100, 1024])
+def test_bicubic_coefficients_are_the_whole_grid_transforms_bit_for_bit(n, m):
+    # blocks of ROW_BLOCK // N lines: one block at N = 64 and 100, 33 column
+    # blocks of 16 and 1 at N = 1024
+    values = np.random.default_rng(n + m).standard_normal((n, n, m))
+    d = (4 + 2 * np.cos(2 * np.pi / n * np.arange(n))) / 6
+    spectrum = np.fft.rfft2(values, axes=(0, 1))
+    spectrum /= (d[:, None] * d[:n // 2 + 1])[:, :, None]
+    want = np.fft.irfft2(spectrum, s=(n, n), axes=(0, 1)).reshape(n * n, m)
+    got = PeriodicBicubic(values)._coeffs
+    assert got.flags.c_contiguous
+    _assert_same_bits(got, want)
+
+
+def test_bicubic_build_peak_memory_per_grid_point():
+    # the complex spectrum, 16 B per grid point for two channels, and a few
+    # blocks of lines (measured 20 at N = 512 and 17 at N = 1024); the
+    # whole-grid rfft2 and irfft2 took 48
+    n = 512
+    values = _grid_values(n)["noise"]
+    tracemalloc.start()
+    try:
+        PeriodicBicubic(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n * n
 
 
 @pytest.mark.parametrize("n", BICUBIC_GRIDS)

@@ -6,7 +6,8 @@ import pytest
 from anosov_lab.errors import NotADiffeo
 from anosov_lab.foliations import compute_line_field
 from anosov_lab.fourier import TWO_PI, FourierPerturbation
-from anosov_lab.lattice import IntMatrix2, _inv2, eigen_data, grid_points, invert, wrap_point
+from anosov_lab.lattice import (ROW_BLOCK, IntMatrix2, _inv2, eigen_data, grid_points, invert,
+                                wrap_point)
 from anosov_lab.maps import (
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -349,6 +350,24 @@ def test_orbit_is_the_explicit_steps(perturbed, conj_g1, name, n):
         scale = 2.7 ** n
         assert np.max(np.abs(got - want)) < 1e-13 * scale, n
         assert np.max(np.abs(jac - want_jac)) < 1e-12 * scale, n
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
+@pytest.mark.parametrize("name", ["perturbed_g1", "perturbed", "inverse_perturbed", "conj_g1",
+                                  "linear_g1"])
+def test_displacement_into_its_own_points_has_the_bits(request, perturbed, name, size):
+    # the conjugacy solve evaluates p into its point buffer: a Fourier p
+    # forms each row block's phases before writing that block, and the
+    # other handles form the whole lift before writing; ROW_BLOCK + 1
+    # points are one block that takes a one-row tail, 2 ROW_BLOCK + 2
+    # three blocks, the last of two rows
+    handle = (InverseMap(perturbed) if name == "inverse_perturbed"
+              else request.getfixturevalue(name))
+    x = np.random.default_rng(size).random((size, 2)) * 4 - 2
+    want = handle.displacement(x)
+    got = handle.displacement(x, out=x)
+    assert got is x
+    _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 100, 2205])

@@ -127,23 +127,24 @@ def test_line_field_trig_evaluations(request, monkeypatch, name, calls):
 
 def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
     evaluations, heads = [0], []
-    displacement, orbit = perturbed_g1.displacement, perturbed_g1.orbit
+    displacement, orbit = maps.PerturbedMap.displacement, maps.PerturbedMap.orbit
 
-    def counting_displacement(x):
+    def counting_displacement(self, x, out=None):
         evaluations[0] += 1
-        return displacement(x)
+        return displacement(self, x, out=out)
 
-    def counting_orbit(x, *args):
+    def counting_orbit(self, x, *args):
         # the one orbit of a period, at its orbit heads, ends its solve
         heads.append((evaluations[0], len(x)))
         evaluations[0] = 0
-        return orbit(x, *args)
+        return orbit(self, x, *args)
 
-    # on the handle itself, which an earlier test may have left with its
-    # own bound displacement
-    monkeypatch.setattr(perturbed_g1, "displacement", counting_displacement)
-    monkeypatch.setattr(perturbed_g1, "orbit", counting_orbit)
+    # on the class, so that the session's handle keeps no attribute of its own
+    monkeypatch.setattr(maps.PerturbedMap, "displacement", counting_displacement)
+    monkeypatch.setattr(maps.PerturbedMap, "orbit", counting_orbit)
     report = compare_smooth_invariants(perturbed_g1, e1, 7)
+    monkeypatch.undo()
+    assert not {"displacement", "orbit"} & set(vars(perturbed_g1))
     # per period, the evaluations of p on the 1, 5, 16, 45, 121, 320 and
     # 841 seeds of Fix(A^n) until the residual is below PERIODIC_STOP, then
     # one orbit of the orbit heads
