@@ -605,8 +605,9 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
     stop, and one lift pass forms the points of the last u again.  Each
     row is one orbit, its head the row's first seed, the orbits in the
     order of their heads, and the multipliers come from one D g^n product
-    and one eigvals call over all heads.  Returns a list of PeriodicOrbitData; raises SolverDiverged,
-    naming the period, when the iteration does.
+    and one eigvals call over all heads.  Returns a list of
+    PeriodicOrbitData; raises SolverDiverged, naming the period, when the
+    iteration does.
     """
     if not 1 <= n <= MAX_PERIOD:
         raise PeriodOutOfRange(f"period {n} outside [1, {MAX_PERIOD}] (desk scale only)")

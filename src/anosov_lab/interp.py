@@ -54,8 +54,9 @@ class PeriodicBicubic:
     at a time, written over the spectrum viewed as floats, where real row r
     ends before complex row r + 1 starts.  Every line is transformed alone,
     so the coefficients have the bits of ``irfft2(rfft2(v) / d d)``, and the
-    build holds the spectrum and a few blocks besides the values, about 21
-    B per grid point for m = 2 against 48 for the whole-grid transforms.
+    build holds the spectrum and a few blocks besides the values: a traced
+    peak of 17 to 20 B per grid point for m = 2 at N = 1024 and 512,
+    against 48 for the whole-grid transforms.
     """
 
     def __init__(self, values: np.ndarray):

@@ -222,8 +222,8 @@ def test_holonomy_map_rejects_non_monotone_samples():
 
 def test_integrate_leaf_names_non_monotone_arc_lengths(linear_g1, monkeypatch):
     # the leaf's nodes are read off the inverse of its arc lengths alone
-    monkeypatch.setattr(foliations, "leaf_arc_lengths",
-                        lambda *a: (np.linspace(0.0, 1.0, 5), [np.array([0.0, 0.3, 0.2, 0.6, 1.0])]))
+    s = np.array([0.0, 0.3, 0.2, 0.6, 1.0])
+    monkeypatch.setattr(foliations, "leaf_arc_lengths", lambda *a: (np.linspace(0.0, 1.0, 5), [s]))
     with pytest.raises(NonMonotoneG, match="^leaf arc length samples are not strictly monotone$"):
         integrate_leaf(linear_g1.inverse(), np.zeros(2), 1.0)
 

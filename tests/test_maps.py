@@ -353,16 +353,17 @@ def test_orbit_is_the_explicit_steps(perturbed, conj_g1, name, n):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
-@pytest.mark.parametrize("name", ["perturbed_g1", "perturbed", "inverse_perturbed", "conj_g1",
-                                  "linear_g1"])
-def test_displacement_into_its_own_points_has_the_bits(request, perturbed, name, size):
+@pytest.mark.parametrize("name", ["perturbed_g1", "perturbed", "zero_perturbed",
+                                  "inverse_perturbed", "conj_g1", "linear_g1"])
+def test_displacement_into_its_own_points_has_the_bits(request, e1, perturbed, name, size):
     # the conjugacy solve evaluates p into its point buffer: a Fourier p
     # forms each row block's phases before writing that block, and the
     # other handles form the whole lift before writing; ROW_BLOCK + 1
     # points are one block that takes a one-row tail, 2 ROW_BLOCK + 2
     # three blocks, the last of two rows
-    handle = (InverseMap(perturbed) if name == "inverse_perturbed"
-              else request.getfixturevalue(name))
+    handle = {"zero_perturbed": lambda: PerturbedMap(e1, FourierPerturbation.zero()),
+              "inverse_perturbed": lambda: InverseMap(perturbed)}.get(
+                  name, lambda: request.getfixturevalue(name))()
     x = np.random.default_rng(size).random((size, 2)) * 4 - 2
     want = handle.displacement(x)
     got = handle.displacement(x, out=x)
