@@ -413,7 +413,7 @@ def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
 def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeypatch):
     calls = []
     displacement = PerturbedMap.displacement
-    # on the class, so that the session's handle keeps no attribute of its own
+    # on the class, so that the shared fixture handle keeps no attribute of its own
     monkeypatch.setattr(PerturbedMap, "displacement",
                         lambda self, x, out=None: calls.append(len(x))
                         or displacement(self, x, out=out))

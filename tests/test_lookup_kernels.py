@@ -104,8 +104,8 @@ def test_bicubic_coefficients_match_spline_filter(n):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("n", [64, 100, 1024])
 def test_bicubic_coefficients_are_the_whole_grid_transforms_bit_for_bit(n, m):
-    # blocks of ROW_BLOCK // N lines: one block at N = 64 and 100, 33 column
-    # blocks of 16 and 1 at N = 1024
+    # blocks of ROW_BLOCK // N lines: one block at N = 64 and 100; at
+    # N = 1024, 64 row blocks and 33 column blocks, the last of one column
     values = np.random.default_rng(n + m).standard_normal((n, n, m))
     d = (4 + 2 * np.cos(2 * np.pi / n * np.arange(n))) / 6
     spectrum = np.fft.rfft2(values, axes=(0, 1))

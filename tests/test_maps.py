@@ -361,9 +361,12 @@ def test_displacement_into_its_own_points_has_the_bits(request, e1, perturbed, n
     # other handles form the whole lift before writing; ROW_BLOCK + 1
     # points are one block that takes a one-row tail, 2 ROW_BLOCK + 2
     # three blocks, the last of two rows
-    handle = {"zero_perturbed": lambda: PerturbedMap(e1, FourierPerturbation.zero()),
-              "inverse_perturbed": lambda: InverseMap(perturbed)}.get(
-                  name, lambda: request.getfixturevalue(name))()
+    if name == "zero_perturbed":
+        handle = PerturbedMap(e1, FourierPerturbation.zero())
+    elif name == "inverse_perturbed":
+        handle = InverseMap(perturbed)
+    else:
+        handle = request.getfixturevalue(name)
     x = np.random.default_rng(size).random((size, 2)) * 4 - 2
     want = handle.displacement(x)
     got = handle.displacement(x, out=x)

@@ -139,7 +139,7 @@ def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
         evaluations[0] = 0
         return orbit(self, x, *args)
 
-    # on the class, so that the session's handle keeps no attribute of its own
+    # on the class, so that the shared fixture handle keeps no attribute of its own
     monkeypatch.setattr(maps.PerturbedMap, "displacement", counting_displacement)
     monkeypatch.setattr(maps.PerturbedMap, "orbit", counting_orbit)
     report = compare_smooth_invariants(perturbed_g1, e1, 7)
