@@ -3,8 +3,10 @@
 Each subcommand runs stages of the table in ``anosov_lab.rigidity``
 through its one runner, then a writer turns what they made into the
 report's diagnostics, tables and verdict.  A stage's failure is the entry
-``"<stage>: <ExceptionType>: <message>"``; the first one is the report's
-``diagnostics.failure`` (``teichmuller`` lists them all under ``errors``).
+``"<stage>: <ExceptionType>: <message>"``, and a writer's failure the entry
+``"<subcommand> report: <ExceptionType>: <message>"``; the first one is the
+report's ``diagnostics.failure`` (``teichmuller`` lists them all under
+``errors``).
 
 Exit codes: 0 complete, or verdict smooth; 2 verdict obstructed, which a
 later failure leaves standing; 3 verdict inconclusive: a stage failed, a
@@ -77,7 +79,7 @@ def _write_conjugacy(ctx: RunContext, report: reports.RunReport) -> None:
         "N": ctx.cfg.grid_n,
         "matrix": ctx.cfg.generators[0].matrix.rows(),
         "sup_norm": h.sup_norm,
-        "residual": h.residual_on_grid(64),
+        "residual": h.residual,
     })
     report.add_table("conjugacy-field.csv", ("i", "j", "u1", "u2"),
                      reports.conjugacy_rows(h))
@@ -225,7 +227,7 @@ def _run(command: Command, cfg: ExperimentConfig, report: reports.RunReport) -> 
     try:
         command.write(ctx, report)
     except AnosovLabError as exc:
-        ctx.errors.append(f"{type(exc).__name__}: {exc}")
+        ctx.errors.append(f"{report.name} report: {type(exc).__name__}: {exc}")
     report.timings = ctx.timings
     # teichmuller lists every error and weighs them into its own verdict
     if ctx.errors and "errors" not in report.diagnostics:

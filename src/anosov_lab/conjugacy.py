@@ -43,8 +43,7 @@ from numpy.random import default_rng
 
 from .errors import PeriodOutOfRange, SeedEnumerationFailed, SolverDiverged
 from .interp import PeriodicBicubic
-from .lattice import (ROW_BLOCK, HyperbolicElement, IntMatrix2, grid_points, power, row_blocks,
-                      wrap_point)
+from .lattice import ROW_BLOCK, HyperbolicElement, IntMatrix2, power, row_blocks, wrap_point
 
 MAX_DISPLACEMENT = 0.5
 MAX_PERIOD = 8  # desk-scale limit of the periodic-orbit finder
@@ -239,7 +238,7 @@ class Conjugacy:
         self.values = values  # u, (N*N, 2) flat, row-major in (i, j)
         self.source = source
         self.target = target
-        self.residual = residual
+        self.residual = residual  # sup |u o A - A u - p(h)| over every grid node, at the stop
         self._interp = None
 
     @property
@@ -269,19 +268,6 @@ class Conjugacy:
         for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
             cols.append((self.lift(x + delta * e) - self.lift(x - delta * e)) / (2 * delta))
         return np.stack(cols, axis=2)
-
-    def residual_on_grid(self, n: int) -> float:
-        """Conjugacy residual sup |h(Ax) - g(h(x))| re-evaluated on an
-        arbitrary (finer) grid through the interpolant."""
-        pts = grid_points(n)
-        a = self.source.matrix.as_array()
-        hx = pts + self.displacement(pts)
-        ax = pts @ a.T
-        lhs = ax + self.displacement(ax)
-        rhs = hx @ a.T + self.target.displacement(hx)
-        d = np.abs(lhs - rhs)
-        d = np.minimum(d % 1.0, 1.0 - d % 1.0)
-        return float(d.max())
 
 
 def _lift_into(out: np.ndarray, u: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:

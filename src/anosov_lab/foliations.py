@@ -6,16 +6,16 @@ Line fields are stored as angles mod pi (foliations are unoriented).
 Every leaf and every crossing of a leaf with a transversal is found on the
 maps.  By the stable manifold theorem y lies on the stable leaf of g
 through p exactly when l . (G^n(y) - G^n(p)) -> 0 as n grows, with G the
-lift of g and l the row that reads the unstable coordinate of its linear
-part A (Katok & Hasselblatt 1995, 6.2); unstable leaves are the stable
-leaves of the inverse.  ``_shoot`` solves such conditions for a batch of
-rows by Newton's method on the handle's ``orbit``, continued in n over
-ORBIT_LENGTHS with NEWTON_STEPS steps at each length, a fixed count for
-every row.  Holonomies (a scalar unknown, the target's parameter), local
-graph samples, heteroclinic points (two unknowns, the point) and the
+lift of g and l the dual row w_u of its linear part A, which reads the
+unstable coordinate (Katok & Hasselblatt 1995, 6.2); unstable leaves are
+the stable leaves of the inverse.  ``_shoot`` solves such conditions for a
+batch of rows by Newton's method on the handle's ``orbit``, continued in n
+over ORBIT_LENGTHS with NEWTON_STEPS steps at each length, a fixed count
+for every row.  Holonomies (a scalar unknown, the target's parameter),
+local graph samples, heteroclinic points (two unknowns, the point) and the
 points of a sampled leaf (``integrate_leaf``, a graph over A's stable
-eigen-axis in arc-length parameters, a one-row ``LeafBundle``) all find
-their crossings this one way.  The line fields are read off the same
+eigen-axis in arc-length parameters, a ``LeafBundle``) all find their
+crossings this one way.  The line fields are read off the same
 orbits at the points asked, none interpolated: the stable leaf through y
 is tangent to the kernel of l . D G^n(y).
 """
@@ -34,7 +34,7 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import HermiteCubic, MonotoneCubic, inverse_spline, not_a_knot_spline
-from .lattice import _inv2, eigen_data, grid_points, line_angle
+from .lattice import _inv2, canonical_sign, eigen_data, grid_points, line_angle
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
@@ -52,9 +52,7 @@ def _unit(theta):
     v = np.empty(np.shape(theta) + (2,))
     np.cos(theta, out=v[..., 0])
     np.sin(theta, out=v[..., 1])
-    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
-    np.negative(v, out=v, where=flip[..., None])
-    return v
+    return canonical_sign(v)
 
 
 class LineField:
@@ -90,17 +88,10 @@ class LineField:
         return float(np.max(line_angle(pushed, self.direction_at(self.owner.apply(pts)))))
 
 
-def _unstable_reader(g):
-    """The row l with l . v_u = 1 and l . v_s = 0 for the eigen-directions
-    of g's linear part: l . x is the unstable coordinate of x."""
-    e = eigen_data(g.linear_part)
-    return np.linalg.inv(np.column_stack([e.vu, e.vs]))[0]
-
-
 def _orbit_row(handle, pts, m: int):
     """The rows l . D G^m(x), (n, 2), at the points pts (n, 2), with l the
-    unstable reader of the handle's linear part, formed plane by plane."""
-    ell = _unstable_reader(handle)
+    dual row w_u of the handle's linear part, formed plane by plane."""
+    ell = eigen_data(handle.linear_part).wu
     jac = handle.orbit(pts, m)[1]
     return np.stack([ell[0] * jac[:, 0, k] + ell[1] * jac[:, 1, k] for k in range(2)], axis=1)
 
@@ -120,7 +111,7 @@ def compute_line_field(g, label: str, n: int = 128) -> LineField:
     grid.
 
     The stable direction at x is the kernel (-r_1, r_0) of the row
-    r = l . D G^m(x) as m grows, with l the unstable reader of g's linear
+    r = l . D G^m(x) as m grows, with l the dual row w_u of g's linear
     part (``_shoot`` reads the same kernel as a leaf's tangent); the
     unstable field is the stable field of the inverse map.  The row is
     taken at the two longest ORBIT_LENGTHS, 12 and 16, from the handle's
@@ -157,15 +148,18 @@ def _failure(cls, message: str, rows, tags):
 
 @dataclass
 class LeafBundle:
-    """A leaf curve in the universal cover at nodes of uniform arc length,
-    kept as the one row of its arrays: nodes 0..last[0] at parameter
-    spacing step[0]."""
+    """A leaf curve in the universal cover at nodes of uniform arc length:
+    nodes 0..last at parameter spacing step."""
 
-    params: np.ndarray        # (1, n) arc-length parameters
-    points: np.ndarray        # (1, n, 2) lift coordinates
-    headings: np.ndarray      # (1, n, 2) unit tangents
-    last: np.ndarray          # (1,) index of the last node
-    step: np.ndarray          # (1,) node spacing
+    params: np.ndarray        # (n,) arc-length parameters
+    points: np.ndarray        # (n, 2) lift coordinates
+    headings: np.ndarray      # (n, 2) unit tangents
+    step: float               # node spacing
+
+    @property
+    def last(self) -> int:
+        """The index of the last node."""
+        return len(self.params) - 1
 
     def project(self, pts):
         """Return (s, signed_distance, tangent) for points pts of shape (m, 2)
@@ -176,17 +170,16 @@ class LeafBundle:
         linearly interpolated along the nearest node's heading, accurate
         to O(step^2).
         """
-        last = int(self.last[0])
-        nodes = self.points[0, :last + 1]
+        last, nodes = self.last, self.points
         # each coordinate's difference squared, the two squares added as np.sum
         # over a last axis of length 2 adds them, but without that reduction
         d2 = (pts[:, None, 0] - nodes[:, 0]) ** 2 + (pts[:, None, 1] - nodes[:, 1]) ** 2
         idx = d2.argmin(axis=1)
         # the squared distances at idx - 1, idx and idx + 1
         around = np.take_along_axis(d2, np.clip(idx[:, None] + np.arange(-1, 2), 0, last), axis=1)
-        h = self.step[0]
-        node = self.points[0, idx]
-        head = self.headings[0, idx]
+        h = self.step
+        node = nodes[idx]
+        head = self.headings[idx]
         offset = np.einsum("ni,ni->n", pts - node, head) / h
         np.minimum(offset, 0.0, out=offset, where=idx == 0)
         np.maximum(offset, 0.0, out=offset, where=idx == last)
@@ -198,8 +191,7 @@ class LeafBundle:
             offset[interior] = np.clip(par, -1.0, 1.0)
         shift = offset * h
         foot = node + shift[:, None] * head
-        n_vec = head[:, ::-1] * (-1.0, 1.0)  # the normal (-head_y, head_x)
-        return self.params[0, idx] + shift, np.einsum("ni,ni->n", pts - foot, n_vec), head
+        return self.params[idx] + shift, np.einsum("ni,ni->n", pts - foot, _kernel(head)), head
 
 
 # the name bench/spans.py wraps for the projection's span
@@ -262,7 +254,8 @@ def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBund
     ``length``, in max(1, round(extent / LEAF_SPACING)) intervals.  The
     nodes are shot at the coordinates along v read off the inverse of
     ``leaf_arc_lengths``; each heading is the unit kernel of l . D G^16
-    there (``_orbit_row``), oriented along v."""
+    there (``_orbit_row``), oriented along v by the sign of its dual
+    coordinate w_s . kernel."""
     x = np.asarray(x, dtype=float)[None]
     lo, hi = (-abs(length) / 2, abs(length) / 2) if centered else sorted((0.0, length))
     sigma, (s,) = leaf_arc_lengths(handle, x, lo, hi)
@@ -271,13 +264,9 @@ def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBund
     points = _on_leaves(handle, np.repeat(x, n + 1, axis=0),
                         inverse_spline(sigma, s, "leaf arc length")(params))
     kernel = _kernel(_orbit_row(handle, points, ORBIT_LENGTHS[-1]))
-    v, w = _axes(handle)
-    # the kernel, signed by its coordinate along v in the basis (v, w)
-    along = np.sign((kernel[:, 0] * w[1] - kernel[:, 1] * w[0]) * (v[0] * w[1] - v[1] * w[0]))
-    headings = along[:, None] * kernel
+    headings = np.sign(kernel @ eigen_data(handle.linear_part).ws)[:, None] * kernel
     headings /= np.linalg.norm(headings, axis=1, keepdims=True)
-    return LeafBundle(params[None], points[None], headings[None], np.array([n]),
-                      np.array([(hi - lo) / n]))
+    return LeafBundle(params, points, headings, (hi - lo) / n)
 
 
 def _shoot(leaves, position, x, tags=None):
@@ -287,9 +276,9 @@ def _shoot(leaves, position, x, tags=None):
 
     ``position(x)`` gives the points y (m, 2) and their derivatives
     dy/dx (m, 2, d).  Condition i reads l_i . (G_i^n(y) - G_i^n(p)) = 0,
-    with l_i the unstable reader of g_i, by Newton's method on the
-    handles' ``orbit``: NEWTON_STEPS steps at each n of ORBIT_LENGTHS, for
-    every row.  No row stops early, so a row's steps do not depend on its
+    with l_i the dual row w_u of g_i's linear part, by Newton's method on
+    the handles' ``orbit``: NEWTON_STEPS steps at each n of ORBIT_LENGTHS,
+    for every row.  No row stops early, so a row's steps do not depend on its
     batchmates.  The leaf of condition i is tangent to the kernel of
     l_i . D G_i^n(y); a row whose crossing angle (between the two leaves,
     or between the leaf and the curve dy/dx) is below TANGENCY_THRESHOLD,
@@ -297,7 +286,7 @@ def _shoot(leaves, position, x, tags=None):
     step exceeds SHOOT_TOL raises NotConverged; ``tags`` (one per row)
     name the failing rows.
     """
-    readers = [_unstable_reader(g) for g, _ in leaves]
+    readers = [eigen_data(g.linear_part).wu for g, _ in leaves]
     d = len(leaves)
     refs_n = None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,7 +411,8 @@ def heteroclinic_points(z, e1, radius: int, g=None):
     """Transverse intersections of the unstable and stable leaves through z.
 
     Solves a v_u = b v_s + k over integer k with |k|_inf <= radius
-    (k = 0 excluded as the trivial basepoint); these linear seeds are each
+    (k = 0 excluded as the trivial basepoint) by the dual rows of e1,
+    a = w_u . k and b = -w_s . k, all k at once; these linear seeds are each
     point's ``u_param`` and ``s_param``, and its lifts on the unstable and
     stable leaves from z are z + a v_u and z + b v_s.  Given the map
     handle g, the lifts are those of g's leaves instead: the stable lift
@@ -433,23 +423,20 @@ def heteroclinic_points(z, e1, radius: int, g=None):
     z = np.asarray(z, dtype=float)
     if not 1 <= radius <= MAX_RADIUS:
         raise RadiusOutOfRange(f"radius {radius} outside [1, {MAX_RADIUS}]")
-    v_u, v_s = e1.vu, e1.vs
-    basis = np.column_stack([v_u, -v_s])
     ks = [(k1, k2) for k1 in range(-radius, radius + 1)
           for k2 in range(-radius, radius + 1) if (k1, k2) != (0, 0)]
-    seeds = [np.linalg.solve(basis, np.array(k, dtype=float)) for k in ks]
+    offsets = np.array(ks, dtype=float)
+    a, b = offsets @ e1.wu, -(offsets @ e1.ws)
+    lifts_s = z + b[:, None] * e1.vs  # the linear stable lifts, the shot's seeds
     if g is None:
-        lifts = [z + a * v_u for a, _ in seeds]
-        lifts_s = [z + float(b) * v_s for _, b in seeds]
+        lifts = z + a[:, None] * e1.vu
     else:
-        offsets = np.array(ks, dtype=float)
         lifts_s = _shoot([(g, np.broadcast_to(z, offsets.shape)), (g.inverse(), z - offsets)],
-                         _identity, z + np.array([b for _, b in seeds])[:, None] * v_s,
-                         [f"heteroclinic point k={k}" for k in ks])
+                         _identity, lifts_s, [f"heteroclinic point k={k}" for k in ks])
         lifts = lifts_s + offsets
     # ks, and so the points, are in increasing lexicographic order
-    return [HeteroclinicPoint(float(a), float(b), k, lift, lift_s)
-            for k, (a, b), lift, lift_s in zip(ks, seeds, lifts, lifts_s)]
+    return [HeteroclinicPoint(float(a_k), float(b_k), k, lift, lift_s)
+            for k, a_k, b_k, lift, lift_s in zip(ks, a, b, lifts, lifts_s)]
 
 
 def verify_graph_transport(theta_z: HermiteCubic, theta_zp: HermiteCubic,

@@ -79,19 +79,22 @@ def is_hyperbolic(m: IntMatrix2) -> bool:
     return abs(m.trace) > 2
 
 
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    """Unit vector with positive first coordinate (positive second if first is 0)."""
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = -v
-    return v
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """The directions v (..., 2) negated in place where needed to give each
+    a positive first coordinate, or a positive second where the first
+    vanishes: the one sign of a line's direction."""
+    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
+    return np.negative(v, out=v, where=flip[..., None])
 
 
 @dataclass(frozen=True)
 class HyperbolicElement:
-    """A hyperbolic SL(2,Z) matrix with its eigenvalue magnitudes and unit
-    eigen-directions.
+    """A hyperbolic SL(2,Z) matrix with its eigenvalue magnitudes, unit
+    eigen-directions and their dual rows.
+
+    ``w_u`` and ``w_s`` are biorthogonal to ``v_u`` and ``v_s``
+    (w_i . v_j = delta_ij): w_u . x and w_s . x are the coordinates of x in
+    A's eigen-frame, the one way every eigen-coordinate is read.
 
     ``lambda_u`` and ``lambda_s`` are the magnitudes of the expanding and
     contracting eigenvalues; the signed eigenvalues are
@@ -104,6 +107,8 @@ class HyperbolicElement:
     lambda_s: float
     v_u: tuple
     v_s: tuple
+    w_u: tuple
+    w_s: tuple
     eigen_sign: int
 
     @property
@@ -115,6 +120,14 @@ class HyperbolicElement:
         return np.array(self.v_s)
 
     @property
+    def wu(self) -> np.ndarray:
+        return np.array(self.w_u)
+
+    @property
+    def ws(self) -> np.ndarray:
+        return np.array(self.w_s)
+
+    @property
     def signed_lambda_u(self) -> float:
         return self.eigen_sign * self.lambda_u
 
@@ -123,10 +136,8 @@ class HyperbolicElement:
         return self.eigen_sign * self.lambda_s
 
     def dual_basis(self) -> tuple:
-        """Rows (w_s, w_u) biorthogonal to (v_s, v_u): w_i . v_j = delta_ij."""
-        basis = np.column_stack([self.vs, self.vu])
-        dual = np.linalg.inv(basis)
-        return dual[0], dual[1]
+        """The dual rows (w_s, w_u)."""
+        return self.ws, self.wu
 
 
 def eigen_data(m: IntMatrix2) -> HyperbolicElement:
@@ -134,7 +145,8 @@ def eigen_data(m: IntMatrix2) -> HyperbolicElement:
 
     Eigenvalues are (t +- sqrt(t^2 - 4))/2 with t the trace; eigenvectors
     come from the kernel of (M - lambda I), choosing whichever row gives
-    the better-conditioned cross product.
+    the better-conditioned cross product.  The dual rows are the rows of
+    the inverse of the matrix with columns (v_u, v_s).
     """
     if not is_hyperbolic(m):
         raise NotHyperbolic(f"|trace| = {abs(m.trace)} <= 2 for {m.rows()}")
@@ -144,14 +156,17 @@ def eigen_data(m: IntMatrix2) -> HyperbolicElement:
     lam_small = 1.0 / lam_big  # det = 1
     sign = 1 if t > 0 else -1
 
-    v_u = _canonical_direction(_kernel_vector(m, lam_big))
-    v_s = _canonical_direction(_kernel_vector(m, lam_small))
+    v_u, v_s = (canonical_sign(v / np.linalg.norm(v))
+                for v in (_kernel_vector(m, lam_big), _kernel_vector(m, lam_small)))
+    w_u, w_s = np.linalg.inv(np.column_stack([v_u, v_s]))
     return HyperbolicElement(
         matrix=m,
         lambda_u=abs(lam_big),
         lambda_s=abs(lam_small),
         v_u=tuple(v_u),
         v_s=tuple(v_s),
+        w_u=tuple(w_u),
+        w_s=tuple(w_s),
         eigen_sign=sign,
     )
 

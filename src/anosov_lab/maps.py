@@ -35,22 +35,25 @@ NEWTON_MAX_ITERS = 50
 
 
 def _newton_inverse(linearize, y, z):
-    """Solve lift(z) = y by Newton from the starting guess z.
+    """Solve lift(z) = y by Newton from the starting guess z: (z, lift(z),
+    jacobian), with jacobian the function that forms the derivative at z.
 
     ``linearize(z)`` returns lift(z) and a function that forms jacobian(z)
     from the same sin and cos values, so each iterate evaluates the trig
     functions once, and the Jacobian is formed only at an iterate that has
-    not converged.  The whole batch stops together, at the first iterate
-    whose largest |lift(z) - y| is below NEWTON_TOL, or after
+    not converged, or by the caller at the z returned: its linearization is
+    the one Newton made there, and after NEWTON_MAX_ITERS steps the last z
+    is linearized once more.  The whole batch stops together, at the first
+    iterate whose largest |lift(z) - y| is below NEWTON_TOL, or after
     NEWTON_MAX_ITERS steps, so a point's result can depend on its
-    batchmates (a per-row stop is still open, ROADMAP item 8)."""
+    batchmates (a per-row stop is still open, ROADMAP item 3)."""
     for _ in range(NEWTON_MAX_ITERS):
         value, jacobian = linearize(z)
         res = value - y
         if np.max(np.abs(res)) < NEWTON_TOL:
-            break
+            return z, value, jacobian
         z = z - _inv2(jacobian(), res)
-    return z
+    return (z, *linearize(z))
 
 
 def _stepped_orbit(step, x, n: int):
@@ -137,8 +140,13 @@ class InverseMap:
     def linear_part(self) -> IntMatrix2:
         return invert(self.forward.linear_part)
 
-    def lift(self, y):
+    def _solve(self, y):
+        """``_newton_inverse`` of the forward lift from y B^T: the image z,
+        the forward lift at z and the function that forms its jacobian."""
         return _newton_inverse(self.forward.lift_and_jacobian, y, y @ self._B.T)
+
+    def lift(self, y):
+        return self._solve(y)[0]
 
     def displacement(self, y, out=None):
         return np.subtract(self.lift(y), y @ self._B.T, out=out)
@@ -147,7 +155,7 @@ class InverseMap:
         return wrap_point(self.lift(y))
 
     def jacobian(self, y):
-        return _inv2(self.forward.jacobian(self.lift(y)))
+        return _inv2(self._solve(y)[2]())
 
     def orbit(self, y, n: int):
         """The n-th iterate of this inverse map and its derivative by n
@@ -155,11 +163,12 @@ class InverseMap:
         mod 1 and adds back B k for the integer part k, since
         lift(y + k) = lift(y) + B k; so the solve reaches its stop on an
         orbit that grows like lambda_u^n.  The jacobian at the point is that
-        of the forward map at the step's image, inverted."""
+        of the forward map at the step's image, inverted, formed from the
+        Newton solve's last trig evaluation there."""
         def step(z):
             k = np.floor(z)
-            image = self.lift(z - k)
-            return _inv2(self.forward.jacobian(image)), image + k @ self._B.T
+            image, _, jacobian = self._solve(z - k)
+            return _inv2(jacobian()), image + k @ self._B.T
         return _stepped_orbit(step, y, n)
 
     def inverse(self):
@@ -189,7 +198,9 @@ class Diffeo:
 
     def inverse_lift(self, y):
         """Solve x + q(x) = y by Newton; the contraction bound makes the
-        linear initial guess x = y sufficient."""
+        linear initial guess x = y sufficient.  Returns (x, lift(x), the
+        function that returns derivative(x)), the last two from Newton's
+        own evaluation at x."""
         return _newton_inverse(self.lift_and_derivative, y, y.copy())
 
 
@@ -235,7 +246,7 @@ class ConjugatedMap:
         return self.phi.q.is_zero
 
     def lift(self, x):
-        return self.phi.lift(self.phi.inverse_lift(x) @ self._A.T)
+        return self.phi.lift(self.phi.inverse_lift(x)[0] @ self._A.T)
 
     def displacement(self, x, out=None):
         """lift(x) - x A^T, both formed over the whole batch before out is
@@ -251,15 +262,16 @@ class ConjugatedMap:
         return wrap_point(self.lift(x))
 
     def jacobian(self, x):
-        w = self.phi.inverse_lift(x)
+        w, _, derivative = self.phi.inverse_lift(x)
         return _conjugated_jacobian(self.phi.derivative(w @ self._A.T), self._A,
-                                    _inv2(self.phi.derivative(w)))
+                                    _inv2(derivative()))
 
     def orbit(self, x, n: int):
         """g^n(x) = phi(A^n w) and D g^n(x) = D phi(A^n w) A^n D phi(w)^-1
         with w = phi^{-1}(x): one phi^{-1} solve for every n.  A^n scales
         an error of w by up to lambda_u^n, so w takes one more Newton step
-        past the solve's stop, with the D phi(w) that the jacobian uses.
+        past the solve's stop, with the phi(w) and D phi(w) of the solve's
+        own last evaluation at w; the jacobian uses that D phi(w) too.
         When phi is the identity this is x A^n^T and A^n, which the general
         path also gives to the bit, formed without its solve."""
         a_n = self._powers.get(n)
@@ -267,8 +279,7 @@ class ConjugatedMap:
             a_n = self._powers[n] = power(self.base.matrix, n).as_array()
         if self.is_linear:
             return x @ a_n.T, _copies(a_n, len(x))
-        w = self.phi.inverse_lift(x)
-        value, derivative = self.phi.lift_and_derivative(w)
+        w, value, derivative = self.phi.inverse_lift(x)
         d_in_inv = _inv2(derivative())
         w = w - np.einsum("nij,nj->ni", d_in_inv, value - x)
         image, d_out = self.phi.lift_and_derivative(w @ a_n.T)

@@ -70,8 +70,8 @@ def line_field_rows(field):
 
 
 def leaf_rows(leaf):
-    """(s, x, y, lift_x, lift_y) per node of a one-row LeafBundle."""
-    for s, pt in zip(leaf.params[0], leaf.points[0]):
+    """(s, x, y, lift_x, lift_y) per node of a LeafBundle."""
+    for s, pt in zip(leaf.params, leaf.points):
         x, y = np.mod(pt, 1.0)
         yield float(s), float(x), float(y), float(pt[0]), float(pt[1])
 

@@ -60,7 +60,7 @@ def test_criterion_2_conjugacy_solver(e1, phi02, conj_g1, linear_g1):
     idx = np.arange(n * n)
     grid = np.column_stack([(idx // n) / n, (idx % n) / n])
     sup_dist = float(np.max(np.abs(h.lift(grid) - phi02.lift(grid))))
-    residual = h.residual_on_grid(64)
+    residual = h.residual
     h0 = solve_conjugacy(e1, linear_g1, n=256)
     zero_sup = h0.sup_norm
     ok = sup_dist < 1e-6 and residual < 1e-9 and zero_sup == 0.0
@@ -110,7 +110,7 @@ def test_criterion_5_lemma2_transversality(linear_fields, e1, e2):
         # first: 25 points of one leaf, each shot onto the other along the
         # stable leaf of g2 through it, from where the straight lines meet
         starts = integrate_leaf(g1.inverse(), np.array([0.1, 0.2]), 0.6,
-                                centered=True).points[0, 100:501:16]
+                                centered=True).points[100:501:16]
         other = np.broadcast_to([0.3, 0.15], starts.shape)
         across = np.linalg.solve(np.column_stack([e1.vu, -np.asarray(e2.vs)]),
                                  (starts - other).T)[0]

@@ -526,6 +526,24 @@ def test_line_fields_not_converged_exit_three(tmp_path, capsys, monkeypatch, com
     assert message.endswith(" rad between orbit lengths 12 and 16 above 1.0e-12")
 
 
+def test_writer_failure_names_the_writer(tmp_path, capsys, monkeypatch):
+    # the foliation writer shoots its own leaf, outside every stage
+    from anosov_lab import cli
+    from anosov_lab.errors import NotConverged
+
+    def failing_leaf(*args, **kwargs):
+        raise NotConverged("last Newton step 1.000e-03 above 1e-10")
+
+    monkeypatch.setattr(cli, "integrate_leaf", failing_leaf)
+    code, out = run(tmp_path, "foliation", *SMALL)
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    diag = json.loads((out / "foliation-report.json").read_text())["diagnostics"]
+    assert diag["failure"] == "foliation report: NotConverged: last Newton step 1.000e-03 above 1e-10"
+    # the line fields the stage made are still reported
+    assert (out / "field-f1u.csv").exists() and not (out / "leaf-f1u.csv").exists()
+
+
 def test_diverged_solve_names_the_size_briefly(tmp_path, capsys):
     # p of amplitude 1e308 blows u up in the first sweep
     code, out = run(tmp_path, "conjugacy", "--set", "action.kind=perturbed",
@@ -632,18 +650,19 @@ def test_timings_are_keyed_by_the_stages_run(tmp_path, argv, stages):
 
 
 def test_teichmuller_verdict_measures_nothing_itself(tmp_path, monkeypatch):
-    # the conjugacy residual and the transversality angles run in the
-    # verdict stage, so its timing holds them; the verdict only formats
+    # the transversality angles run in the verdict stage, so its timing
+    # holds them; the verdict only formats, and the conjugacy residual it
+    # reports is the solve's own
     from anosov_lab import cli, rigidity
-    from anosov_lab.conjugacy import Conjugacy
 
-    calls = []
-    residual, angle = Conjugacy.residual_on_grid, rigidity.min_transversality_angle
+    calls, residuals = [], []
+    angle, solve = rigidity.min_transversality_angle, rigidity.solve_conjugacy
     verdict = cli.teichmuller_verdict
 
-    def counting_residual(self, n):
-        calls.append("residual")
-        return residual(self, n)
+    def kept_solve(*args, **kwargs):
+        h = solve(*args, **kwargs)
+        residuals.append(h.residual)
+        return h
 
     def counting_angle(f1, f2):
         calls.append("angle")
@@ -655,15 +674,15 @@ def test_teichmuller_verdict_measures_nothing_itself(tmp_path, monkeypatch):
         assert len(calls) == before
         return result
 
-    monkeypatch.setattr(Conjugacy, "residual_on_grid", counting_residual)
+    monkeypatch.setattr(rigidity, "solve_conjugacy", kept_solve)
     monkeypatch.setattr(rigidity, "min_transversality_angle", counting_angle)
     monkeypatch.setattr(cli, "teichmuller_verdict", checked_verdict)
     code, out = run(tmp_path, "teichmuller", *SMALL)
     assert code == 0
-    assert calls == ["residual", "angle", "angle"]
+    assert calls == ["angle", "angle"]
     verdict_doc = json.loads((out / "teichmuller-report.json").read_text())["diagnostics"]
     diag = verdict_doc["diagnostics"]
-    assert diag["conjugacy_residual"] < 1e-9
+    assert diag["conjugacy_residual"] == residuals[-1] < 1e-9
     assert set(diag["transversality_pairs"]) == {"E1u_vs_E2s", "E2u_vs_E1s"}
     assert verdict_doc["transversality_min_angle"] == min(
         a for a, _ in diag["transversality_pairs"].values())

@@ -76,12 +76,15 @@ def test_solved_conjugacy_matches_phi(h_conj, phi02):
 
 
 def test_conjugacy_residual(h_conj):
-    assert h_conj.residual_on_grid(64) < 1e-9
+    # the solve's own residual over every node, and the bicubic's off the
+    # nodes: measured 5.0e-10 at N = 256
+    assert h_conj.residual < 1e-9
+    assert _ref_residual_on_grid(h_conj, 96) < 1e-9
 
 
 def test_finer_grid_smaller_residual(e1, conj_g1):
-    coarse = solve_conjugacy(e1, conj_g1, n=64).residual_on_grid(32)
-    fine = solve_conjugacy(e1, conj_g1, n=512).residual_on_grid(32)
+    coarse = _ref_residual_on_grid(solve_conjugacy(e1, conj_g1, n=64), 32)
+    fine = _ref_residual_on_grid(solve_conjugacy(e1, conj_g1, n=512), 32)
     assert fine <= coarse
 
 
@@ -136,7 +139,6 @@ def test_solve_matches_fancy_index_reference(request, e1, handle, n):
     u, res = _ref_solve(e1, g, n)
     assert h.residual < 1e-9 and res < 1e-9
     assert np.max(np.abs(h.values - u)) <= 2e-9
-    assert h.residual_on_grid(96) == _ref_residual_on_grid(h, 96)
 
 
 def _ref_shift(layout, f, s, out):

@@ -44,7 +44,7 @@ def _phi(a):
 def _inverse(phi, y):
     """phi^-1(y) to rounding: two Newton steps past the stop of
     ``Diffeo.inverse_lift``, whose residual may be up to 1e-12."""
-    w = phi.inverse_lift(y)
+    w = phi.inverse_lift(y)[0]
     for _ in range(2):
         w = w - np.linalg.solve(phi.derivative(w), (phi.lift(w) - y)[..., None])[..., 0]
     return w
@@ -133,10 +133,10 @@ def _leaf_oracle(phi, leaf, x, d):
     """Largest distance of phi^-1 of the leaf's nodes from the line
     x + R d, and largest gap of the nodes' s from the arc length of
     phi(x + rho d) up to their coordinates rho along d."""
-    back = _inverse(phi, leaf.points[0]) - x
+    back = _inverse(phi, leaf.points) - x
     normal = np.array([-d[1], d[0]])
     rho = back @ d
-    gap = np.max(np.abs(_gl_arc(phi, x, d, rho) - leaf.params[0]))
+    gap = np.max(np.abs(_gl_arc(phi, x, d, rho) - leaf.params))
     return float(np.max(np.abs(back @ normal))), float(gap)
 
 
@@ -172,7 +172,7 @@ def test_foliation_leaf_table_is_a_phi_image(tmp_path, e1):
                          "--set", "resolution.field_n=16", "--out", str(out)]) == 0
         table = np.loadtxt(out / "leaf-f1u.csv", delimiter=",", skiprows=1)
         assert len(table) == 1001
-        leaf = LeafBundle(table[None, :, 0], table[None, :, 3:], None, None, None)
+        leaf = LeafBundle(table[:, 0], table[:, 3:], None, None)
         off, gap = _leaf_oracle(_phi(a), leaf, np.zeros(2), np.asarray(e1.vu))
         assert off <= 1e-12 and gap <= 1e-12, (a, off, gap)
 

