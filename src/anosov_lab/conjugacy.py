@@ -232,12 +232,10 @@ def _geometric_sum(f: np.ndarray, c: float, s: int, segments, tmp: np.ndarray) -
 class Conjugacy:
     """h = id + u conjugating A to g, u on the N x N grid and bicubic off it."""
 
-    def __init__(self, grid_size: int, values: np.ndarray, source: HyperbolicElement,
-                 target, residual: float):
+    def __init__(self, grid_size: int, values: np.ndarray, target, residual: float):
         self.grid_size = grid_size
         self.values = values  # u, (N*N, 2) flat, row-major in (i, j)
-        self.source = source
-        self.target = target
+        self.target = target  # the map handle g, whose element is A
         self.residual = residual  # sup |u o A - A u - p(h)| over every grid node, at the stop
         self._interp = None
 
@@ -315,7 +313,7 @@ def _sum_pass(layout: _OrbitLayout, p: np.ndarray, xi: np.ndarray, eta: np.ndarr
     p_u o A^k, in orbit order, summed a chunk at a time into xi and eta;
     with ``gather`` p is in grid order, and each chunk of it is gathered
     by ``layout.order``."""
-    w_s, w_u = a_elem.dual_basis()
+    w_s, w_u = a_elem.ws, a_elem.wu
     lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
     tmp = np.empty(max(hi - lo for lo, hi, _ in layout.chunks))
     for lo, hi, segments in layout.chunks:
@@ -357,11 +355,12 @@ def _scatter_u(layout: _OrbitLayout, xi: np.ndarray, eta: np.ndarray,
     return out
 
 
-def _iterate(layout: _OrbitLayout, a_elem: HyperbolicElement, g, buf: np.ndarray, n: int,
-             stop: float, res: float | None = None):
-    """The iteration of h o A = g o h on the points of the layout, whose
-    flat indices are those of the n x n grid: (xi, eta, residual) once the
-    residual is below stop, buf holding p at the points of that u.
+def _iterate(layout: _OrbitLayout, g, buf: np.ndarray, n: int, stop: float,
+             res: float | None = None):
+    """The iteration of h o A = g o h, A the element of the map handle g,
+    on the points of the layout, whose flat indices are those of the n x n
+    grid: (xi, eta, residual) once the residual is below stop, buf holding
+    p at the points of that u.
 
     The start is u = 0, whose points buf holds in orbit order, unless res
     is given: then buf holds the displacement p there in grid order, res
@@ -374,6 +373,7 @@ def _iterate(layout: _OrbitLayout, a_elem: HyperbolicElement, g, buf: np.ndarray
     iterations, the displacement leaves the admissible ball, or
     MAX_ITERATIONS pass.
     """
+    a_elem = g.element
     xi, eta = np.zeros(len(layout.order)), np.zeros(len(layout.order))
     best = np.inf
     stall = 0
@@ -399,9 +399,9 @@ def _iterate(layout: _OrbitLayout, a_elem: HyperbolicElement, g, buf: np.ndarray
     raise SolverDiverged(f"residual {res:.3e} > {stop:g} after {MAX_ITERATIONS} iterations")
 
 
-def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
-                    u0: np.ndarray | None = None) -> Conjugacy:
-    """Solve h o A = g o h for the identity-homotopic conjugacy h = id + u.
+def solve_conjugacy(g, n: int = 256, u0: np.ndarray | None = None) -> Conjugacy:
+    """Solve h o A = g o h for the identity-homotopic conjugacy h = id + u,
+    A the element of the map handle g.
 
     Each iteration evaluates p at h = id + u on the grid and stops once the
     residual sup |u o A - A u - p(h)| is below RESIDUAL_STOP.  Otherwise it
@@ -446,7 +446,7 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     over the last p chunk by chunk.  Every value has the bits of the same
     sums over whole-grid arrays.
     """
-    m = a_elem.matrix
+    m = g.element.matrix
     a = m.as_array()
     if u0 is None:
         u = np.zeros((n * n, 2))
@@ -463,15 +463,15 @@ def solve_conjugacy(a_elem: HyperbolicElement, g, n: int = 256,
     res = float(np.max([_residual(u[rows], u[rows] if perm is None else u.take(perm[rows], axis=0),
                                   buf[rows], a) for rows in blocks]))
     if res < RESIDUAL_STOP:
-        return Conjugacy(n, u, a_elem, g, res)
+        return Conjugacy(n, u, g, res)
     del u, perm
     layout = _OrbitLayout(*_orbit_order(m, n))
-    xi, eta, res = _iterate(layout, a_elem, g, buf, n, RESIDUAL_STOP, res=res)
+    xi, eta, res = _iterate(layout, g, buf, n, RESIDUAL_STOP, res=res)
     # p is spent, and u takes its buffer
-    return Conjugacy(n, _scatter_u(layout, xi, eta, a_elem, buf), a_elem, g, res)
+    return Conjugacy(n, _scatter_u(layout, xi, eta, g.element, buf), g, res)
 
 
-def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
+def coarse_start(g, n: int) -> np.ndarray | None:
     """A start u0, (N*N, 2) and C-ordered, for the N-grid solve of
     h o A = g o h: the solution on the COARSE_N grid, zero-padded in
     Fourier space onto the N grid, when its spectrum shows a smooth h;
@@ -499,7 +499,7 @@ def coarse_start(a_elem: HyperbolicElement, g, n: int) -> np.ndarray | None:
     if n <= COARSE_N:
         return None
     try:
-        coarse = solve_conjugacy(a_elem, g, n=COARSE_N)
+        coarse = solve_conjugacy(g, n=COARSE_N)
     except SolverDiverged:
         return None
     if not coarse.values.any():
@@ -576,8 +576,9 @@ def _lattice_seeds(m_n: IntMatrix2, n: int):
     return nums[order], ks[order]
 
 
-def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
-    """All points of period dividing n, as h of the points of Fix(A^n).
+def find_periodic_points(g, n: int):
+    """All points of period dividing n, as h of the points of Fix(A^n), A
+    the element of the map handle g.
 
     h o A = g o h, so h maps Fix(A^n) onto the points of g of period
     dividing n, and each cycle of A on Fix(A^n) onto one orbit of g.  The
@@ -597,9 +598,9 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
     """
     if not 1 <= n <= MAX_PERIOD:
         raise PeriodOutOfRange(f"period {n} outside [1, {MAX_PERIOD}] (desk scale only)")
-    nums, _ = _lattice_seeds(power(a_elem.matrix, n), n)
+    a = g.element.matrix
+    nums, _ = _lattice_seeds(power(a, n), n)
     q = len(nums)
-    a = a_elem.matrix
     flat = nums[:, 0] * q + nums[:, 1]
     seed_of = dict(zip(flat.tolist(), range(q)))
     images = nums @ np.array([[a.a, a.c], [a.b, a.d]]) % q
@@ -608,10 +609,10 @@ def find_periodic_points(g, a_elem: HyperbolicElement, n: int):
     layout = _OrbitLayout(flat[seed_at], blocks)
     buf = _lift_into(np.empty((q, 2)), 0.0, layout.order, q)  # the seeds, h at u = 0
     try:
-        xi, eta, _ = _iterate(layout, a_elem, g, buf, q, PERIODIC_STOP)
+        xi, eta, _ = _iterate(layout, g, buf, q, PERIODIC_STOP)
     except SolverDiverged as err:
         raise SolverDiverged(f"period {n}: {err}") from None
-    _lift_pass(layout, xi, eta, a_elem, buf, q)  # the points of the last u, over its p
+    _lift_pass(layout, xi, eta, g.element, buf, q)  # the points of the last u, over its p
     seed_at = seed_at.tolist()
     rows = sorted((seed_at[lo], lo, lo + length)
                   for start, stop, length in blocks for lo in range(start, stop, length))
@@ -635,16 +636,17 @@ class MismatchReport:
     max_mismatch: float
 
 
-def compare_smooth_invariants(g, a_elem: HyperbolicElement, max_period: int) -> MismatchReport:
-    """Relative difference |log|mult_u| - n log lambda_u| / (n log lambda_u)
-    over every orbit of period dividing n, for n = 1 .. max_period.
+def compare_smooth_invariants(g, max_period: int) -> MismatchReport:
+    """Relative difference |log|mult_u| - n log lambda_u| / (n log lambda_u),
+    lambda_u that of the element of the map handle g, over every orbit of
+    period dividing n, for n = 1 .. max_period.
 
     Zero mismatch (to tolerance) is necessary for the conjugacy to be C^1.
     """
-    log_lam = np.log(a_elem.lambda_u)
+    log_lam = np.log(g.element.lambda_u)
     rows = []
     for n in range(1, max_period + 1):
-        for orb in find_periodic_points(g, a_elem, n):
+        for orb in find_periodic_points(g, n):
             mult_u, mult_s = orb.multipliers
             mism = abs(np.log(abs(mult_u)) - n * log_lam) / (n * log_lam)
             rows.append({

@@ -34,7 +34,7 @@ from .errors import (
     TangencySuspected,
 )
 from .interp import HermiteCubic, MonotoneCubic, inverse_spline, not_a_knot_spline
-from .lattice import _inv2, canonical_sign, eigen_data, grid_points, line_angle
+from .lattice import _inv2, canonical_sign, grid_points, line_angle, wrap_point
 
 TANGENCY_THRESHOLD = 0.01  # rad; smaller crossing angles are suspect
 MAX_RADIUS = 3  # desk scale: lattice vectors with |k|_inf <= 3
@@ -85,13 +85,13 @@ class LineField:
         pts = grid_points(n)[nodes]
         stored = _unit(self.theta.ravel()[nodes])
         pushed = np.einsum("nij,nj->ni", self.owner.jacobian(pts), stored)
-        return float(np.max(line_angle(pushed, self.direction_at(self.owner.apply(pts)))))
+        return float(np.max(line_angle(pushed, self.direction_at(wrap_point(self.owner.lift(pts))))))
 
 
 def _orbit_row(handle, pts, m: int):
     """The rows l . D G^m(x), (n, 2), at the points pts (n, 2), with l the
-    dual row w_u of the handle's linear part, formed plane by plane."""
-    ell = eigen_data(handle.linear_part).wu
+    dual row w_u of the handle's element, formed plane by plane."""
+    ell = handle.element.wu
     jac = handle.orbit(pts, m)[1]
     return np.stack([ell[0] * jac[:, 0, k] + ell[1] * jac[:, 1, k] for k in range(2)], axis=1)
 
@@ -208,19 +208,13 @@ def chord_arc_length(curve):
     return np.concatenate([[0.0], np.cumsum(half_sum + (half_sum - full) / 3.0)])
 
 
-def _axes(handle):
-    """The unit stable and unstable eigen-directions (v, w) of the handle's
-    linear part, each with a positive first coordinate."""
-    e = eigen_data(handle.linear_part)
-    return np.asarray(e.vs), np.asarray(e.vu)
-
-
 def _on_leaves(handle, bases, sigma):
     """The points at the coordinates sigma (m,) along v of the stable
     leaves of the handle through the rows of ``bases`` (m, 2): one
     ``holonomy`` onto the lines base + sigma v + tau w from tau = 0, with
-    (v, w) the handle's ``_axes``."""
-    v, w = _axes(handle)
+    v and w the unit stable and unstable eigen-directions vs and vu of the
+    handle's element."""
+    v, w = handle.element.vs, handle.element.vu
     origins = bases + sigma[:, None] * v
     tau = holonomy(handle, bases, _line(origins, np.broadcast_to(w, origins.shape)),
                    np.zeros(len(origins)))
@@ -235,7 +229,7 @@ def leaf_arc_lengths(handle, bases, lo: float, hi: float, spacing: float = LEAF_
     batch, and s is its ``chord_arc_length`` from sigma = 0.  A chord is
     at least |sin(v, w)| times its extent in sigma, so sigma in
     [lo, hi] / |sin(v, w)|, one sample more at each end, covers s."""
-    v, w = _axes(handle)
+    v, w = handle.element.vs, handle.element.vu
     width = abs(v[0] * w[1] - v[1] * w[0]) * spacing
     first = math.floor(lo / width) - 1
     last = max(math.ceil(hi / width) + 1, first + 3)
@@ -249,7 +243,7 @@ def leaf_arc_lengths(handle, bases, lo: float, hi: float, spacing: float = LEAF_
 def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBundle:
     """The stable leaf of the map handle through the point x (2,) (for the
     unstable one pass g.inverse()) at nodes of uniform arc length s from x,
-    s growing along the stable eigen-axis v (``_axes``), over
+    s growing along the stable eigen-axis v (``handle.element.vs``), over
     [-|length|/2, |length|/2] with ``centered``, else between 0 and
     ``length``, in max(1, round(extent / LEAF_SPACING)) intervals.  The
     nodes are shot at the coordinates along v read off the inverse of
@@ -264,7 +258,7 @@ def integrate_leaf(handle, x, length: float, centered: bool = False) -> LeafBund
     points = _on_leaves(handle, np.repeat(x, n + 1, axis=0),
                         inverse_spline(sigma, s, "leaf arc length")(params))
     kernel = _kernel(_orbit_row(handle, points, ORBIT_LENGTHS[-1]))
-    headings = np.sign(kernel @ eigen_data(handle.linear_part).ws)[:, None] * kernel
+    headings = np.sign(kernel @ handle.element.ws)[:, None] * kernel
     headings /= np.linalg.norm(headings, axis=1, keepdims=True)
     return LeafBundle(params, points, headings, (hi - lo) / n)
 
@@ -276,7 +270,7 @@ def _shoot(leaves, position, x, tags=None):
 
     ``position(x)`` gives the points y (m, 2) and their derivatives
     dy/dx (m, 2, d).  Condition i reads l_i . (G_i^n(y) - G_i^n(p)) = 0,
-    with l_i the dual row w_u of g_i's linear part, by Newton's method on
+    with l_i the dual row w_u of g_i's element, by Newton's method on
     the handles' ``orbit``: NEWTON_STEPS steps at each n of ORBIT_LENGTHS,
     for every row.  No row stops early, so a row's steps do not depend on its
     batchmates.  The leaf of condition i is tangent to the kernel of
@@ -286,7 +280,7 @@ def _shoot(leaves, position, x, tags=None):
     step exceeds SHOOT_TOL raises NotConverged; ``tags`` (one per row)
     name the failing rows.
     """
-    readers = [eigen_data(g.linear_part).wu for g, _ in leaves]
+    readers = [g.element.wu for g, _ in leaves]
     d = len(leaves)
     refs_n = None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,8 +327,10 @@ def holonomy(g, starts, target, guess, tags=None):
     leaf through each row of ``starts`` (m, 2) crosses that row's target
     curve, found by ``_shoot`` from ``guess`` (m,).
 
-    ``target(t)`` gives the points and unit tangents (m, 2) of the rows'
-    curves at their parameters t, such as the straight transversals of ``_line``.
+    ``target(t)`` gives the points (m, 2) of the rows' curves at their
+    parameters t and their derivatives dy/dt (m, 2), which ``_shoot``
+    reads as such: the straight transversals of ``_line`` give their
+    directions.
     ``tags`` (one per row) name the failing rows.
     """
     def position(t):

@@ -135,10 +135,6 @@ class HyperbolicElement:
     def signed_lambda_s(self) -> float:
         return self.eigen_sign * self.lambda_s
 
-    def dual_basis(self) -> tuple:
-        """The dual rows (w_s, w_u)."""
-        return self.ws, self.wu
-
 
 def eigen_data(m: IntMatrix2) -> HyperbolicElement:
     """Closed-form eigen decomposition of a hyperbolic SL(2,Z) matrix.

@@ -3,16 +3,18 @@ and conjugated maps.
 
 Every map handle exposes the same duck-typed surface:
 
-    linear_part   -> IntMatrix2 (the homotopy class of the lift)
+    element       -> HyperbolicElement of the linear part A (the homotopy
+                     class of the lift) with its eigen-frame, formed once
+                     per handle
     lift(x)       -> lift values, equivariant: lift(x + k) = lift(x) + A k
     displacement(x, out=None)
                   -> lift(x) - A x, a periodic function, into out when
                      given, an (n, 2) float array that may be x itself
-    apply(x)      -> lift(x) mod 1
     jacobian(x)   -> derivative of the lift (batched (n, 2, 2))
     orbit(x, n)   -> the n-th iterate of the lift and its derivative, for
                      n >= 0: (points (n, 2), matrices (n, 2, 2))
-    inverse()     -> handle of the inverse map
+    inverse()     -> handle of the inverse map, built on the first call and
+                     kept; its inverse is this handle
 
 Every evaluator takes a float batch of points x of shape (n, 2) and
 returns one value per point: points (n, 2) or matrices (n, 2, 2).  Every
@@ -27,8 +29,7 @@ import numpy as np
 
 from .errors import NotADiffeo
 from .fourier import FourierPerturbation
-from .lattice import (HyperbolicElement, IntMatrix2, _empty2x2, _inv2, eigen_data, invert,
-                      power, wrap_point)
+from .lattice import HyperbolicElement, _empty2x2, _inv2, eigen_data, invert, power
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
@@ -84,14 +85,11 @@ def _plus(d, m):
 class PerturbedMap:
     """g = A + p with A a hyperbolic automorphism and p a Fourier perturbation."""
 
-    def __init__(self, base: HyperbolicElement, perturbation: FourierPerturbation):
-        self._matrix = base.matrix
+    def __init__(self, element: HyperbolicElement, perturbation: FourierPerturbation):
+        self.element = element
         self.perturbation = perturbation
-        self._A = self._matrix.as_array()
-
-    @property
-    def linear_part(self) -> IntMatrix2:
-        return self._matrix
+        self._A = element.matrix.as_array()
+        self._inverse = None  # the inverse handle, built by ``inverse``
 
     @property
     def is_linear(self) -> bool:
@@ -102,9 +100,6 @@ class PerturbedMap:
 
     def displacement(self, x, out=None):
         return self.perturbation.evaluate(x, out=out)
-
-    def apply(self, x):
-        return wrap_point(self.lift(x))
 
     def jacobian(self, x):
         return _plus(self.perturbation.derivative(x), self._A)
@@ -126,7 +121,10 @@ class PerturbedMap:
         return _stepped_orbit(step, x, n)
 
     def inverse(self):
-        return InverseMap(self)
+        """The handle of g^-1, built on the first call and kept."""
+        if self._inverse is None:
+            self._inverse = InverseMap(self)
+        return self._inverse
 
 
 class InverseMap:
@@ -134,11 +132,8 @@ class InverseMap:
 
     def __init__(self, forward):
         self.forward = forward
-        self._B = invert(forward.linear_part).as_array()
-
-    @property
-    def linear_part(self) -> IntMatrix2:
-        return invert(self.forward.linear_part)
+        self.element = eigen_data(invert(forward.element.matrix))
+        self._B = self.element.matrix.as_array()
 
     def _solve(self, y):
         """``_newton_inverse`` of the forward lift from y B^T: the image z,
@@ -150,9 +145,6 @@ class InverseMap:
 
     def displacement(self, y, out=None):
         return np.subtract(self.lift(y), y @ self._B.T, out=out)
-
-    def apply(self, y):
-        return wrap_point(self.lift(y))
 
     def jacobian(self, y):
         return _inv2(self._solve(y)[2]())
@@ -229,16 +221,12 @@ def _conjugated_jacobian(d_out, A, d_in_inv):
 class ConjugatedMap:
     """g = phi o A o phi^{-1} for a linear hyperbolic A and a diffeo phi."""
 
-    def __init__(self, phi: Diffeo, base: HyperbolicElement):
+    def __init__(self, phi: Diffeo, element: HyperbolicElement):
         self.phi = phi
-        self.base = base
-        self._A = base.matrix.as_array()
+        self.element = element
+        self._A = element.matrix.as_array()
         self._powers = {}  # n -> A^n as a float array, formed on first use
         self._inverse = None  # the inverse handle, built by ``inverse``
-
-    @property
-    def linear_part(self) -> IntMatrix2:
-        return self.base.matrix
 
     @property
     def is_linear(self) -> bool:
@@ -258,9 +246,6 @@ class ConjugatedMap:
             return out
         return np.subtract(self.lift(x), x @ self._A.T, out=out)
 
-    def apply(self, x):
-        return wrap_point(self.lift(x))
-
     def jacobian(self, x):
         w, _, derivative = self.phi.inverse_lift(x)
         return _conjugated_jacobian(self.phi.derivative(w @ self._A.T), self._A,
@@ -276,7 +261,7 @@ class ConjugatedMap:
         path also gives to the bit, formed without its solve."""
         a_n = self._powers.get(n)
         if a_n is None:
-            a_n = self._powers[n] = power(self.base.matrix, n).as_array()
+            a_n = self._powers[n] = power(self.element.matrix, n).as_array()
         if self.is_linear:
             return x @ a_n.T, _copies(a_n, len(x))
         w, value, derivative = self.phi.inverse_lift(x)
@@ -289,6 +274,6 @@ class ConjugatedMap:
         """The handle of g^-1 = phi A^-1 phi^-1, built on the first call and
         kept, with its A^n memo; its inverse is this handle."""
         if self._inverse is None:
-            self._inverse = ConjugatedMap(self.phi, eigen_data(invert(self.base.matrix)))
+            self._inverse = ConjugatedMap(self.phi, eigen_data(invert(self.element.matrix)))
             self._inverse._inverse = self
         return self._inverse

@@ -52,7 +52,7 @@ from .foliations import (
     verify_graph_transport,
 )
 from .interp import MonotoneCubic, inverse_spline
-from .lattice import HyperbolicElement, _inv2, check_pair_hypothesis, eigen_data, line_angle
+from .lattice import HyperbolicElement, _inv2, check_pair_hypothesis, line_angle
 
 FD_STEP = 1e-5  # centered-difference step of dS/dy
 HOLONOMY_SAMPLES = 49  # samples of each Lemma 3 holonomy
@@ -251,8 +251,7 @@ def _arc_to(sigma, s, at: float) -> float:
     return float(inverse_spline(sigma[window][:6], s[window][:6], "leaf arc length")(at))
 
 
-def factor_translation_numeric(g1, g2, e1: HyperbolicElement, e2: HyperbolicElement,
-                               s: float) -> FactorizationResult:
+def factor_translation_numeric(g1, g2, s: float) -> FactorizationResult:
     """Slide 9 points of the unstable leaf tau of the map handle g1 through
     0, at arc lengths y in [-0.1, 0.1], along the stable leaves of g1 by
     arc length s |v_1^s| (first-coordinate-1 normalization; s > 0 moves
@@ -266,7 +265,8 @@ def factor_translation_numeric(g1, g2, e1: HyperbolicElement, e2: HyperbolicElem
     tau's arc length at its coordinate along v_1^u, the stable direction of
     g1's inverse, read by that direction's dual row.
     """
-    linear = factor_translation_linear(e1, e2, s)
+    e1 = g1.element
+    linear = factor_translation_linear(e1, g2.element, s)
     # factorization parameters use first-coordinate-1 normalization; the
     # leaves are sampled in arc length, so convert via the vector norms
     scale_1s = float(np.linalg.norm(_slope_normalized(e1.vs)))
@@ -286,7 +286,7 @@ def factor_translation_numeric(g1, g2, e1: HyperbolicElement, e2: HyperbolicElem
                                    SLIDE_SPACING)
     mids = _on_leaves(g1, starts, np.array([_arc_to(sigma, row, arc_slide) for row in slid]))
     # shot from the linear points at the predicted landings
-    frame = eigen_data(g1u.linear_part)
+    frame = g1u.element
     hits = _shoot([(g2, mids), (g1u, origin)], _identity,
                   tau.inverse(y_samples + arc_t_pred)[:, None] * frame.vs)
     sigma = hits @ frame.ws
@@ -320,8 +320,7 @@ class PropagationRow:
 
 
 def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
-                               field_2s: LineField, z, e1: HyperbolicElement,
-                               radius: int = 1, eps: float = 0.05):
+                               field_2s: LineField, z, radius: int = 1, eps: float = 0.05):
     """Transport the local graph of the second stable foliation from z to
     each heteroclinic point z' and compare predicted against measured
     slopes and graphs.
@@ -357,7 +356,7 @@ def tangency_propagation_check(field_1u: LineField, field_1s: LineField,
     z = np.asarray(z, dtype=float)
     g1, g2 = field_1u.owner, field_2s.owner
     # the linear action's heteroclinic points have a closed form
-    hps = heteroclinic_points(z, e1, radius, None if g1.is_linear else g1)
+    hps = heteroclinic_points(z, g1.element, radius, None if g1.is_linear else g1)
     ks = [hp.lattice for hp in hps]
     n = len(hps)
     # lifts of z' reached along the unstable / stable leaves from z
@@ -449,13 +448,12 @@ class Stage(NamedTuple):
 
 def _solve_conjugacy(ctx: RunContext) -> None:
     """h for g1 on the grid_n grid, started from ``coarse_start``."""
-    e1, g1, n = ctx.cfg.generators[0], ctx.handles[0], ctx.cfg.grid_n
-    ctx.made["h"] = solve_conjugacy(e1, g1, n=n, u0=coarse_start(e1, g1, n))
+    g1, n = ctx.handles[0], ctx.cfg.grid_n
+    ctx.made["h"] = solve_conjugacy(g1, n=n, u0=coarse_start(g1, n))
 
 
 def _compare_smooth_invariants(ctx: RunContext) -> None:
-    ctx.made["periodic"] = compare_smooth_invariants(ctx.handles[0], ctx.cfg.generators[0],
-                                                     ctx.cfg.max_period)
+    ctx.made["periodic"] = compare_smooth_invariants(ctx.handles[0], ctx.cfg.max_period)
 
 
 def _estimate_holder_exponent(ctx: RunContext) -> None:
@@ -471,8 +469,7 @@ def _line_fields(ctx: RunContext) -> None:
 def _tangency_propagation(ctx: RunContext) -> None:
     fields, cfg = ctx.made["fields"], ctx.cfg
     ctx.made["propagation"] = tangency_propagation_check(
-        fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), cfg.generators[0],
-        radius=cfg.radius, eps=cfg.eps)
+        fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), radius=cfg.radius, eps=cfg.eps)
 
 
 def _prop1(ctx: RunContext) -> None:
@@ -530,8 +527,7 @@ def _prop1_synthetic(ctx: RunContext) -> None:
 
 
 def _numeric_factorization(ctx: RunContext) -> None:
-    ctx.made["factorization"] = factor_translation_numeric(
-        *ctx.handles[:2], *ctx.cfg.generators[:2], ctx.cfg.slide_s)
+    ctx.made["factorization"] = factor_translation_numeric(*ctx.handles[:2], ctx.cfg.slide_s)
 
 
 # The stage table.  TEICHMULLER is the end-to-end pass, VERDICT the last
@@ -672,9 +668,7 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
                               errors)
 
 
-def teichmuller_experiment(e1: HyperbolicElement, g1,
-                           e2: HyperbolicElement | None = None, g2=None, phi=None,
-                           **settings) -> TeichmullerVerdict:
+def teichmuller_experiment(g1, g2=None, phi=None, **settings) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
     argument on the marked action generated by (g1, g2) as the teichmuller
     pass: ``solve_conjugacy`` (h for g1), ``compare_smooth_invariants``
@@ -684,9 +678,10 @@ def teichmuller_experiment(e1: HyperbolicElement, g1,
     eigen-directions) and ``jacobian`` (the secant Jacobian of h); see
     ``teichmuller_stages`` for which of them run, ``run_stages`` for how a
     failure is reported and ``teichmuller_verdict`` for the verdict.
-    ``settings`` are ExperimentConfig fields, by default those of the
-    default config."""
-    cfg = replace(load_config(), generators=[e for e in (e1, e2) if e is not None], **settings)
-    ctx = RunContext(cfg, [g for g in (g1, g2) if g is not None], phi)
+    The generators are the handles' elements, and ``settings`` are
+    ExperimentConfig fields, by default those of the default config."""
+    handles = [g for g in (g1, g2) if g is not None]
+    cfg = replace(load_config(), generators=[g.element for g in handles], **settings)
+    ctx = RunContext(cfg, handles, phi)
     run_stages(ctx, teichmuller_stages(ctx))
     return teichmuller_verdict(ctx)

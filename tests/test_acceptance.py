@@ -54,14 +54,14 @@ def test_criterion_1_pair_hypothesis(e1, e2):
              f"degenerate sine={degenerate.min_pairwise_sine} ok={degenerate.hypothesis_ok}")
 
 
-def test_criterion_2_conjugacy_solver(e1, phi02, conj_g1, linear_g1):
-    h = solve_conjugacy(e1, conj_g1, n=256)
+def test_criterion_2_conjugacy_solver(phi02, conj_g1, linear_g1):
+    h = solve_conjugacy(conj_g1, n=256)
     n = h.grid_size
     idx = np.arange(n * n)
     grid = np.column_stack([(idx // n) / n, (idx % n) / n])
     sup_dist = float(np.max(np.abs(h.lift(grid) - phi02.lift(grid))))
     residual = h.residual
-    h0 = solve_conjugacy(e1, linear_g1, n=256)
+    h0 = solve_conjugacy(linear_g1, n=256)
     zero_sup = h0.sup_norm
     ok = sup_dist < 1e-6 and residual < 1e-9 and zero_sup == 0.0
     _verdict(2, "conjugacy solver", ok,
@@ -88,7 +88,7 @@ def test_criterion_3_prop1_pipeline():
 
 def test_criterion_4_holonomy_factorization(e1, e2, linear_g1, linear_g2):
     lin = factor_translation_linear(e1, e2, 1.0)
-    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 1.0)
+    num = factor_translation_numeric(linear_g1, linear_g2, 1.0)
     t_err = abs(num.translation_t - lin.translation_t)
     ok = (num.numeric_deviation < 1e-8 and t_err < 1e-8
           and abs(lin.translation_t - (-0.8090170)) <= 1e-6)
@@ -124,10 +124,10 @@ def test_criterion_5_lemma2_transversality(linear_fields, e1, e2):
              f"tangency_events={tangency_events}")
 
 
-def test_criterion_6_lemma3_transport(linear_fields, e1, conj_g1, conj_g2):
+def test_criterion_6_lemma3_transport(linear_fields, conj_g1, conj_g2):
     rows_lin = tangency_propagation_check(
         linear_fields["f1u"], linear_fields["f1s"], linear_fields["f2s"],
-        np.zeros(2), e1, radius=1)
+        np.zeros(2), radius=1)
     dev_lin = max(r.transport_deviation for r in rows_lin)
     fields = {
         "f1u": compute_line_field(conj_g1, "unstable"),
@@ -135,7 +135,7 @@ def test_criterion_6_lemma3_transport(linear_fields, e1, conj_g1, conj_g2):
         "f2s": compute_line_field(conj_g2, "stable"),
     }
     rows_smooth = tangency_propagation_check(
-        fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), e1, radius=1)
+        fields["f1u"], fields["f1s"], fields["f2s"], np.zeros(2), radius=1)
     dev_smooth = max(r.transport_deviation for r in rows_smooth)
     ok = (len(rows_lin) == 8 and dev_lin < 1e-8
           and len(rows_smooth) >= 8 and dev_smooth < 1e-3)
@@ -148,14 +148,13 @@ def test_criterion_7_teichmuller_end_to_end(e1, e2):
     ok = True
     for dq in (0.0, 0.01, 0.02, 0.05):
         phi = _phi(dq)
-        verdict = teichmuller_experiment(
-            e1, ConjugatedMap(phi, e1), e2, ConjugatedMap(phi, e2), phi=phi)
+        verdict = teichmuller_experiment(ConjugatedMap(phi, e1), ConjugatedMap(phi, e2), phi=phi)
         jac_match = verdict.diagnostics.get("jacobian_vs_dphi_sup", float("inf"))
         run_ok = verdict.verdict == "smooth" and jac_match < 1e-3
         ok = ok and run_ok
         details.append(f"||Dq||={dq}: {verdict.verdict}, jac_vs_Dphi={jac_match:.2e}")
     p = FourierPerturbation.from_sin_cos([((0, 1), (0.03 / (2 * math.pi), 0.0), None)])
-    contrast = teichmuller_experiment(e1, PerturbedMap(e1, p))
+    contrast = teichmuller_experiment(PerturbedMap(e1, p))
     mism = contrast.diagnostics["periodic_max_mismatch"]
     contrast_ok = contrast.verdict == "obstructed" and mism > 1e-4
     ok = ok and contrast_ok
@@ -169,8 +168,8 @@ def test_criterion_8_periodic_counts(e1):
     ok = True
     for label, g in (("linear", PerturbedMap(e1, FourierPerturbation.zero())),
                      ("perturbed", PerturbedMap(e1, p))):
-        o1 = find_periodic_points(g, e1, 1)
-        o2 = find_periodic_points(g, e1, 2)
+        o1 = find_periodic_points(g, 1)
+        o2 = find_periodic_points(g, 2)
         c1 = sum(len(o.points) for o in o1)
         c2 = sum(len(o.points) for o in o2)
         counts[label] = (c1, c2)

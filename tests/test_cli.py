@@ -214,7 +214,8 @@ def test_linear_action_handles_are_conjugated_maps_with_identity_phi(tmp_path):
     handles = cfg.build_handles()
     assert [type(g) for g in handles] == [ConjugatedMap, ConjugatedMap]
     assert all(g.is_linear for g in handles)
-    assert [g.linear_part for g in handles] == [e.matrix for e in cfg.generators]
+    # each handle carries the config's element itself, its frame formed once
+    assert all(g.element is e for g, e in zip(handles, cfg.generators))
 
 
 def test_prop1_alpha(tmp_path):

@@ -37,11 +37,11 @@ from strategies import BOUNDS, TWO_MODES, two_mode_diffeo
 
 @pytest.fixture(scope="module")
 def h_conj(e1, conj_g1):
-    return solve_conjugacy(e1, conj_g1, n=256)
+    return solve_conjugacy(conj_g1, n=256)
 
 
-def test_zero_perturbation_gives_identity(e1, linear_g1):
-    h = solve_conjugacy(e1, linear_g1, n=64)
+def test_zero_perturbation_gives_identity(linear_g1):
+    h = solve_conjugacy(linear_g1, n=64)
     assert h.sup_norm == 0.0
 
 
@@ -59,8 +59,8 @@ def test_zero_perturbation_gives_identity(e1, linear_g1):
     np.random.default_rng(5).normal(size=(4096, 2)),
 ], ids=["zeros", "negative-zeros", "signed-zeros", "tie", "mixed", "tiny", "inf", "minus-inf",
         "nan", "nan-and-infs", "normal"])
-def test_sup_norm_has_the_bits_of_the_max_abs(values, e1):
-    got = Conjugacy(8, values, e1, None, 0.0).sup_norm
+def test_sup_norm_has_the_bits_of_the_max_abs(values):
+    got = Conjugacy(8, values, None, 0.0).sup_norm
     want = float(np.max(np.abs(values)))
     assert type(got) is float
     assert np.array_equal(np.array([got]), np.array([want]), equal_nan=True)
@@ -82,31 +82,32 @@ def test_conjugacy_residual(h_conj):
     assert _ref_residual_on_grid(h_conj, 96) < 1e-9
 
 
-def test_finer_grid_smaller_residual(e1, conj_g1):
-    coarse = _ref_residual_on_grid(solve_conjugacy(e1, conj_g1, n=64), 32)
-    fine = _ref_residual_on_grid(solve_conjugacy(e1, conj_g1, n=512), 32)
+def test_finer_grid_smaller_residual(conj_g1):
+    coarse = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=64), 32)
+    fine = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=512), 32)
     assert fine <= coarse
 
 
-def test_uniqueness_from_different_seeds(e1, conj_g1):
+def test_uniqueness_from_different_seeds(conj_g1):
     n = 128
-    h0 = solve_conjugacy(e1, conj_g1, n=n)
+    h0 = solve_conjugacy(conj_g1, n=n)
     rng = np.random.default_rng(42)
     u0 = 0.01 * rng.standard_normal((n * n, 2))
-    h1 = solve_conjugacy(e1, conj_g1, n=n, u0=u0)
+    h1 = solve_conjugacy(conj_g1, n=n, u0=u0)
     assert np.max(np.abs(h0.values - h1.values)) < 1e-8
 
 
-def _ref_solve(a_elem, g, n):
+def _ref_solve(g, n):
     """A Jacobi-sweep solve, one sweep per evaluation of p, with
     fancy-index gathers (a converging solve only): the displacement values
     and the residual."""
+    a_elem = g.element
     m = a_elem.matrix
     a = m.as_array()
     pts = grid_points(n)
     fwd = _index_permutation(m, n)
     bwd = _index_permutation(invert(m), n)
-    w_s, w_u = a_elem.dual_basis()
+    w_s, w_u = a_elem.ws, a_elem.wu
     lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
     u = np.zeros((n * n, 2))
     for _ in range(MAX_ITERATIONS):
@@ -123,7 +124,7 @@ def _ref_solve(a_elem, g, n):
 
 def _ref_residual_on_grid(h, n):
     pts = grid_points(n)
-    a = h.source.matrix.as_array()
+    a = h.target.element.matrix.as_array()
     hx = pts + h.displacement(pts)
     lhs = pts @ a.T + h.displacement(pts @ a.T)
     d = np.abs(lhs - (hx @ a.T + h.target.displacement(hx)))
@@ -131,12 +132,12 @@ def _ref_residual_on_grid(h, n):
 
 
 @pytest.mark.parametrize("handle, n", [("conj_g1", 256), ("perturbed_g1", 512)])
-def test_solve_matches_fancy_index_reference(request, e1, handle, n):
+def test_solve_matches_fancy_index_reference(request, handle, n):
     # both stop below the 1e-9 residual from different iterates, so u
     # agrees to about that residual, not bit for bit
     g = request.getfixturevalue(handle)
-    h = solve_conjugacy(e1, g, n=n)
-    u, res = _ref_solve(e1, g, n)
+    h = solve_conjugacy(g, n=n)
+    u, res = _ref_solve(g, n)
     assert h.residual < 1e-9 and res < 1e-9
     assert np.max(np.abs(h.values - u)) <= 2e-9
 
@@ -256,9 +257,9 @@ def _phi_sup_error(a_elem, phi, n, coarse=False):
     """The residual and sup |h - phi| on the grid of the solve, started
     cold or, with coarse, from ``coarse_start``, which must give a start."""
     g = ConjugatedMap(phi, a_elem)
-    u0 = coarse_start(a_elem, g, n) if coarse else None
+    u0 = coarse_start(g, n) if coarse else None
     assert (u0 is not None) == coarse
-    h = solve_conjugacy(a_elem, g, n=n, u0=u0)
+    h = solve_conjugacy(g, n=n, u0=u0)
     pts = grid_points(n)
     return h.residual, float(np.max(np.abs(h.lift(pts) - phi.lift(pts))))
 
@@ -308,22 +309,23 @@ def test_solve_gives_phi_for_drawn_two_mode_diffeo(modes, bound):
 def test_reported_residual_is_the_grid_order_residual(request, e1, handle):
     g = request.getfixturevalue(handle)
     n = 128
-    h = solve_conjugacy(e1, g, n=n)
+    h = solve_conjugacy(g, n=n)
     u = h.values
     p = g.displacement(grid_points(n) + u)
     r = u[_index_permutation(e1.matrix, n)] - u @ e1.matrix.as_array().T - p
     assert h.residual == float(np.max(np.abs(r)))
 
 
-def _ref_solve_conjugacy(a_elem, g, n, u0=None):
+def _ref_solve_conjugacy(g, n, u0=None):
     """solve_conjugacy with whole-grid arrays (a converging solve only):
     the orbit-order grid gathered once, u o A in its own array and the
     residual formed over the whole grid; the displacement values in grid
     order and the residual."""
+    a_elem = g.element
     m = a_elem.matrix
     a = m.as_array()
     pts = grid_points(n)
-    w_s, w_u = a_elem.dual_basis()
+    w_s, w_u = a_elem.ws, a_elem.wu
     v_s, v_u = a_elem.vs, a_elem.vu
     lam_s, lam_u = a_elem.signed_lambda_s, a_elem.signed_lambda_u
     if u0 is None:
@@ -362,7 +364,7 @@ def _ref_solve_conjugacy(a_elem, g, n, u0=None):
 def negative_trace():
     e = eigen_data(IntMatrix2(-2, -1, -1, -1))
     phi = Diffeo(FourierPerturbation.from_sin_cos([((1, 1), (0.01, -0.005), (0.0, 0.004))]))
-    return e, ConjugatedMap(phi, e)
+    return ConjugatedMap(phi, e)
 
 
 @pytest.mark.parametrize("n", [64, 100, 256])
@@ -371,33 +373,30 @@ def negative_trace():
     ("two_mode_g1", False), ("negative_trace", False),
     ("conj_g1", True), ("perturbed_g1", True),
 ])
-def test_solve_matches_whole_grid_reference_bit_for_bit(request, e1, handle, start, n):
+def test_solve_matches_whole_grid_reference_bit_for_bit(request, handle, start, n):
     # the solve streams the grid, u o A and the residual through one point
     # buffer and row blocks; every iterate keeps its bits
     g = request.getfixturevalue(handle)
-    a_elem = e1
-    if handle == "negative_trace":
-        a_elem, g = g
     u0 = (1e-3 * np.random.default_rng(n).standard_normal((n * n, 2))) if start else None
-    h = solve_conjugacy(a_elem, g, n=n, u0=u0)
-    values, res = _ref_solve_conjugacy(a_elem, g, n, u0)
+    h = solve_conjugacy(g, n=n, u0=u0)
+    values, res = _ref_solve_conjugacy(g, n, u0)
     assert np.array_equal(h.values.view(np.uint64), values.view(np.uint64))
     assert np.float64(h.residual).view(np.uint64) == np.float64(res).view(np.uint64)
 
 
-def test_solve_accepts_a_fortran_ordered_start(e1, conj_g1):
+def test_solve_accepts_a_fortran_ordered_start(conj_g1):
     # PeriodicBicubic returns a transposed view, so an interpolated h is a
     # Fortran-ordered start; the solve gives the bits of its C-ordered copy
     n = 128
-    u0 = solve_conjugacy(e1, conj_g1, n=64).displacement(grid_points(n))
+    u0 = solve_conjugacy(conj_g1, n=64).displacement(grid_points(n))
     assert not u0.flags.c_contiguous
-    h = solve_conjugacy(e1, conj_g1, n=n, u0=u0)
-    h_c = solve_conjugacy(e1, conj_g1, n=n, u0=np.ascontiguousarray(u0))
+    h = solve_conjugacy(conj_g1, n=n, u0=u0)
+    h_c = solve_conjugacy(conj_g1, n=n, u0=np.ascontiguousarray(u0))
     assert np.array_equal(h.values.view(np.uint64),
                           h_c.values.view(np.uint64))
 
 
-def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
+def test_solve_peak_memory_per_grid_point(perturbed_g1):
     # xi, eta, one point buffer, into which p is evaluated, and the layout's
     # order come to 40 B per grid point, u being formed a chunk at a time
     # (measured 43 at N = 512 and 41 at N = 1024); p in a buffer of its own
@@ -405,30 +404,30 @@ def test_solve_peak_memory_per_grid_point(e1, perturbed_g1):
     n = 512
     tracemalloc.start()
     try:
-        solve_conjugacy(e1, perturbed_g1, n=n)
+        solve_conjugacy(perturbed_g1, n=n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 48 * n * n
 
 
-def test_perturbed_solve_evaluates_p_at_most_six_times(e1, perturbed_g1, monkeypatch):
+def test_perturbed_solve_evaluates_p_at_most_six_times(perturbed_g1, monkeypatch):
     calls = []
     displacement = PerturbedMap.displacement
     # on the class, so that the shared fixture handle keeps no attribute of its own
     monkeypatch.setattr(PerturbedMap, "displacement",
                         lambda self, x, out=None: calls.append(len(x))
                         or displacement(self, x, out=out))
-    solve_conjugacy(e1, perturbed_g1, n=256)
+    solve_conjugacy(perturbed_g1, n=256)
     monkeypatch.undo()
     assert "displacement" not in vars(perturbed_g1)
     assert 1 < len(calls) <= 6
 
 
-def _stage_h(a_elem, g, n):
+def _stage_h(g, n):
     """h of the solve_conjugacy stage on g at grid_n n; the stage records
     no error."""
-    ctx = RunContext(replace(load_config(), generators=[a_elem], grid_n=n), [g])
+    ctx = RunContext(replace(load_config(), generators=[g.element], grid_n=n), [g])
     run_stages(ctx, [SOLVE])
     assert ctx.errors == []
     return ctx.made["h"]
@@ -440,48 +439,48 @@ def _same_bits(h, h_ref):
             and np.float64(h.residual).view(np.uint64) == np.float64(h_ref.residual).view(np.uint64))
 
 
-def test_coarse_start_declined_for_holder_h(e1, perturbed_g1):
+def test_coarse_start_declined_for_holder_h(perturbed_g1):
     # the band max(|k1|, |k2|) >= 16 of the coarse u reads about 1e-6 here
     n = 256
-    assert coarse_start(e1, perturbed_g1, n) is None
-    assert _same_bits(_stage_h(e1, perturbed_g1, n), solve_conjugacy(e1, perturbed_g1, n=n))
+    assert coarse_start(perturbed_g1, n) is None
+    assert _same_bits(_stage_h(perturbed_g1, n), solve_conjugacy(perturbed_g1, n=n))
 
 
-def test_coarse_start_declined_for_linear_action_before_fft(e1, linear_g1, monkeypatch):
+def test_coarse_start_declined_for_linear_action_before_fft(linear_g1, monkeypatch):
     calls = []
     for name in ("rfft2", "irfft2"):
         fft = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name,
                             lambda *a, name=name, fft=fft, **k: calls.append(name) or fft(*a, **k))
-    assert coarse_start(e1, linear_g1, 256) is None
+    assert coarse_start(linear_g1, 256) is None
     assert calls == []
 
 
-def test_coarse_start_declined_on_the_coarse_grid(e1, conj_g1):
-    assert coarse_start(e1, conj_g1, COARSE_N) is None
+def test_coarse_start_declined_on_the_coarse_grid(conj_g1):
+    assert coarse_start(conj_g1, COARSE_N) is None
 
 
-def test_coarse_divergence_falls_back_to_the_cold_solve(e1, conj_g1, monkeypatch):
+def test_coarse_divergence_falls_back_to_the_cold_solve(conj_g1, monkeypatch):
     solve = conjugacy.solve_conjugacy
 
-    def diverging_on_the_coarse_grid(a_elem, g, n=256, u0=None):
+    def diverging_on_the_coarse_grid(g, n=256, u0=None):
         if n == COARSE_N:
             raise SolverDiverged("coarse")
-        return solve(a_elem, g, n=n, u0=u0)
+        return solve(g, n=n, u0=u0)
 
     monkeypatch.setattr(conjugacy, "solve_conjugacy", diverging_on_the_coarse_grid)
     n = 128
-    assert _same_bits(_stage_h(e1, conj_g1, n), solve(e1, conj_g1, n=n))
+    assert _same_bits(_stage_h(conj_g1, n), solve(conj_g1, n=n))
 
 
-def _stage_evaluations_of_p(a_elem, g, n):
+def _stage_evaluations_of_p(g, n):
     """How many times the solve_conjugacy stage at grid_n n evaluates p on
     the N*N grid; g, a handle of the calling test's own, keeps its
     displacement wrapped by the counter."""
     calls = []
     displacement = g.displacement
     g.displacement = lambda x, out=None: calls.append(len(x)) or displacement(x, out=out)
-    _stage_h(a_elem, g, n)
+    _stage_h(g, n)
     return calls.count(n * n)
 
 
@@ -490,7 +489,7 @@ def test_stage_fine_solve_evaluates_p_once(e1, amp):
     # from the spectral start the fine solve stops at its first check; from
     # the bicubic interpolant it evaluated p 2 and 21 times, cold 9 and 80
     phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
-    assert _stage_evaluations_of_p(e1, ConjugatedMap(phi, e1), 256) == 1
+    assert _stage_evaluations_of_p(ConjugatedMap(phi, e1), 256) == 1
 
 
 @settings(max_examples=1, derandomize=True, deadline=None)
@@ -499,11 +498,11 @@ def test_stage_fine_solve_evaluates_p_once_for_drawn_two_mode_diffeo(modes, boun
     phi = two_mode_diffeo(modes, bound)
     assume(phi is not None)
     e = eigen_data(IntMatrix2(2, 1, 1, 1))
-    assert _stage_evaluations_of_p(e, ConjugatedMap(phi, e), 256) == 1
+    assert _stage_evaluations_of_p(ConjugatedMap(phi, e), 256) == 1
 
 
 @pytest.mark.parametrize("n", [128, 256])
-def test_coarse_start_is_exact_on_a_trigonometric_polynomial(e1, conj_g1, n, monkeypatch):
+def test_coarse_start_is_exact_on_a_trigonometric_polynomial(conj_g1, n, monkeypatch):
     # every mode has max(|k1|, |k2|) < SMOOTH_BAND, so zero-padding the
     # coarse spectrum reproduces the polynomial at the N grid points
     q = FourierPerturbation.from_sin_cos([
@@ -514,29 +513,29 @@ def test_coarse_start_is_exact_on_a_trigonometric_polynomial(e1, conj_g1, n, mon
     ])
     values = q.evaluate(grid_points(COARSE_N))
     monkeypatch.setattr(conjugacy, "solve_conjugacy",
-                        lambda a_elem, g, n: conjugacy.Conjugacy(COARSE_N, values, a_elem, g, 0.0))
-    u0 = coarse_start(e1, conj_g1, n)
+                        lambda g, n: conjugacy.Conjugacy(COARSE_N, values, g, 0.0))
+    u0 = coarse_start(conj_g1, n)
     assert np.max(np.abs(u0 - q.evaluate(grid_points(n)))) < 1e-14
 
 
-def test_coarse_start_is_a_c_ordered_grid_without_a_bicubic_build(e1, conj_g1, monkeypatch):
+def test_coarse_start_is_a_c_ordered_grid_without_a_bicubic_build(conj_g1, monkeypatch):
     calls = []
     bicubic = conjugacy.PeriodicBicubic
     monkeypatch.setattr(conjugacy, "PeriodicBicubic", lambda *a: calls.append(1) or bicubic(*a))
     n = 256
-    u0 = coarse_start(e1, conj_g1, n)
+    u0 = coarse_start(conj_g1, n)
     assert calls == []
     assert u0.shape == (n * n, 2)
     assert u0.dtype == np.float64
     assert u0.flags.c_contiguous
 
 
-def test_linear_h_is_the_identity_without_a_bicubic_build(e1, linear_g1, monkeypatch):
+def test_linear_h_is_the_identity_without_a_bicubic_build(linear_g1, monkeypatch):
     calls = []
     bicubic = conjugacy.PeriodicBicubic
     monkeypatch.setattr(conjugacy, "PeriodicBicubic", lambda *a: calls.append(1) or bicubic(*a))
     n = 256
-    h = solve_conjugacy(e1, linear_g1, n=n)
+    h = solve_conjugacy(linear_g1, n=n)
     x = np.random.default_rng(5).random((500, 2)) * 4 - 2
     assert np.array_equal(h.lift(x).view(np.uint64), x.view(np.uint64))
     assert calls == []
@@ -545,8 +544,8 @@ def test_linear_h_is_the_identity_without_a_bicubic_build(e1, linear_g1, monkeyp
     assert np.array_equal(u.view(np.uint64), h.displacement(x).view(np.uint64))
 
 
-def test_secant_jacobian_identity_for_linear(e1, linear_g1):
-    h = solve_conjugacy(e1, linear_g1, n=64)
+def test_secant_jacobian_identity_for_linear(linear_g1):
+    h = solve_conjugacy(linear_g1, n=64)
     jac = h.secant_jacobian(np.array([[0.3, 0.4]]))
     assert np.allclose(jac, np.eye(2), atol=1e-10)
 
@@ -560,29 +559,29 @@ def test_periodic_counts_linear(e1, linear_g1):
              [(5, 5), (5, 5), (10, 20), (15, 45), (29, 125)])):
         # (orbits, points) at n = 1, 2, ..., the points |det(A^n - I)|
         for n, count in enumerate(counts, 1):
-            orbits = find_periodic_points(g, elem, n)
+            orbits = find_periodic_points(g, n)
             assert (len(orbits), sum(len(o.points) for o in orbits)) == count
 
 
-def test_periodic_counts_perturbed(e1, perturbed_g1):
-    orbits = find_periodic_points(perturbed_g1, e1, 2)
+def test_periodic_counts_perturbed(perturbed_g1):
+    orbits = find_periodic_points(perturbed_g1, 2)
     assert sum(len(o.points) for o in orbits) == 5
 
 
 def test_multipliers_linear(e1, linear_g1):
-    orbits = find_periodic_points(linear_g1, e1, 2)
+    orbits = find_periodic_points(linear_g1, 2)
     for orb in orbits:
         assert abs(orb.multipliers[0]) == pytest.approx(e1.lambda_u ** 2, rel=1e-10)
         assert orb.multipliers[0] * orb.multipliers[1] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_mismatch_zero_for_conjugated(e1, conj_g1):
-    report = compare_smooth_invariants(conj_g1, e1, 2)
+def test_mismatch_zero_for_conjugated(conj_g1):
+    report = compare_smooth_invariants(conj_g1, 2)
     assert report.max_mismatch < 1e-10
 
 
-def test_mismatch_positive_for_raw_perturbation(e1, perturbed_g1):
-    report = compare_smooth_invariants(perturbed_g1, e1, 2)
+def test_mismatch_positive_for_raw_perturbation(perturbed_g1):
+    report = compare_smooth_invariants(perturbed_g1, 2)
     assert report.max_mismatch > 1e-4
 
 
@@ -616,8 +615,8 @@ def _ref_holder_exponent(h, direction, scales, seed=0):
 def holder_conjugacies(e1, linear_g1, h_conj, perturbed_g1):
     # the three benchmark actions: linear, phi 0.02, and the perturbed
     # contrast at the grid it runs on
-    return {"linear": solve_conjugacy(e1, linear_g1, n=256), "conjugated": h_conj,
-            "perturbed": solve_conjugacy(e1, perturbed_g1, n=1024)}
+    return {"linear": solve_conjugacy(linear_g1, n=256), "conjugated": h_conj,
+            "perturbed": solve_conjugacy(perturbed_g1, n=1024)}
 
 
 @pytest.mark.parametrize("kind", ["linear", "conjugated", "perturbed"])
@@ -664,7 +663,7 @@ def _ref_group_orbits(g, points, n, tol=1e-8):
         orbit = [x]
         y = x
         while True:
-            y = wrap_point(g.apply(y[None])[0])
+            y = wrap_point(g.lift(y[None])[0])
             d = [np.max(np.minimum(np.abs(y - r) % 1.0, 1.0 - np.abs(y - r) % 1.0))
                  for r in remaining]
             hit = [i for i, di in enumerate(d) if di < tol]
@@ -684,9 +683,9 @@ def _ref_group_orbits(g, points, n, tol=1e-8):
     return orbits
 
 
-def _ref_find_periodic_points(g, a_elem, n, newton_tol=1e-12, max_newton=50):
+def _ref_find_periodic_points(g, n, newton_tol=1e-12, max_newton=50):
     points = []
-    for seed, k in _ref_lattice_seeds(power(a_elem.matrix, n)):
+    for seed, k in _ref_lattice_seeds(power(g.element.matrix, n)):
         x = np.array(seed)
         kv = np.array(k, dtype=float)
         for _ in range(max_newton):
@@ -765,19 +764,19 @@ def _assert_orbits_close(orbits, ref_orbits, n):
 # zero perturbation stops at n = 6 and the benchmark's map runs to n = 7
 @pytest.mark.parametrize("handle, n", [("linear_g1", n) for n in range(1, 7)]
                          + [("perturbed_g1", n) for n in range(1, 8)])
-def test_batched_finder_matches_scalar_reference(request, e1, handle, n):
+def test_batched_finder_matches_scalar_reference(request, handle, n):
     g = request.getfixturevalue(handle)
-    _assert_orbits_close(find_periodic_points(g, e1, n), _ref_find_periodic_points(g, e1, n), n)
+    _assert_orbits_close(find_periodic_points(g, n), _ref_find_periodic_points(g, n), n)
 
 
 @pytest.mark.parametrize("handle, max_n", [("conj_g1", 5), ("two_mode_g1", 5)])
-def test_batched_finder_close_on_batch_dependent_maps(request, e1, handle, max_n):
+def test_batched_finder_close_on_batch_dependent_maps(request, handle, max_n):
     # phi^-1 stops on the batch-wide residual, and two-component
     # wavevectors go through gemm: the last bits may move, nothing else
     g = request.getfixturevalue(handle)
     for n in range(1, max_n + 1):
-        orbits = find_periodic_points(g, e1, n)
-        ref_orbits = _ref_find_periodic_points(g, e1, n)
+        orbits = find_periodic_points(g, n)
+        ref_orbits = _ref_find_periodic_points(g, n)
         _assert_orbits_close(orbits, ref_orbits, n)
         for orb, ref in zip(orbits, ref_orbits):
             assert orb.multipliers == pytest.approx(ref.multipliers, rel=1e-9, abs=0)
@@ -804,7 +803,7 @@ def _assert_orbits_are_phi_of_seed_cycles(phi, e, max_n):
                 head = index[((a.a * x + a.b * y) % q, (a.c * x + a.d * y) % q)]
             if cycle:
                 cycles.append(cycle)
-        orbits = find_periodic_points(g, e, n)
+        orbits = find_periodic_points(g, n)
         assert [len(o.points) for o in orbits] == [len(c) for c in cycles]
         for orb, cycle in zip(orbits, cycles):
             assert orb.period == n
@@ -829,14 +828,14 @@ def test_periodic_orbits_are_phi_of_the_seed_cycles_for_drawn_two_mode_diffeo(mo
 
 
 @pytest.mark.parametrize("n", [0, 9])
-def test_period_out_of_range_is_typed(e1, linear_g1, n):
+def test_period_out_of_range_is_typed(linear_g1, n):
     with pytest.raises(AnosovLabError) as info:
-        find_periodic_points(linear_g1, e1, n)
+        find_periodic_points(linear_g1, n)
     assert isinstance(info.value, PeriodOutOfRange)
 
 
-def test_teichmuller_records_period_failure(e1, perturbed_g1):
-    verdict = teichmuller_experiment(e1, perturbed_g1, grid_n=64, max_period=9)
+def test_teichmuller_records_period_failure(perturbed_g1):
+    verdict = teichmuller_experiment(perturbed_g1, grid_n=64, max_period=9)
     assert verdict.verdict == "inconclusive"
     assert any(err.startswith("compare_smooth_invariants: PeriodOutOfRange")
                for err in verdict.errors)

@@ -102,9 +102,9 @@ def test_drawn_two_mode_crossings_are_phi_images(e1, modes, bound):
     assert _holonomy_gap(phi, e1) <= ORACLE
 
 
-def test_linear_factorization_is_exact(linear_g1, linear_g2, e1, e2):
+def test_linear_factorization_is_exact(linear_g1, linear_g2):
     for s in (1.0, -0.5):
-        num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, s)
+        num = factor_translation_numeric(linear_g1, linear_g2, s)
         assert num.numeric_deviation <= 1e-13, s
 
 

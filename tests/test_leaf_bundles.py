@@ -69,10 +69,10 @@ def _ref_local_graph(fields, base, axes, leaf, eps):
     return graph
 
 
-def _ref_tangency_propagation_check(fields, z, e1, radius=1, eps=0.05):
+def _ref_tangency_propagation_check(fields, z, radius=1, eps=0.05):
     """The check one lattice vector at a time."""
     g1 = fields["f1u"].owner
-    hps = heteroclinic_points(z, e1, radius, None if g1.is_linear else g1)
+    hps = heteroclinic_points(z, g1.element, radius, None if g1.is_linear else g1)
     samples = np.linspace(-eps, eps, HOLONOMY_SAMPLES)
     (axes_z,), (leaf_z,) = _frame(fields, z[None])
     theta_z = _ref_local_graph(fields, z, axes_z, leaf_z, eps)
@@ -152,24 +152,24 @@ def _assert_same_rows(got, want, linear):
             _assert_close(g[key], w[key], linear)
 
 
-def test_propagation_rows_match_serial_loop_linear(linear_fields, e1):
+def test_propagation_rows_match_serial_loop_linear(linear_fields):
     f = linear_fields
-    _assert_same_rows(tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1),
-                      _ref_tangency_propagation_check(f, np.zeros(2), e1), True)
+    _assert_same_rows(tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2)),
+                      _ref_tangency_propagation_check(f, np.zeros(2)), True)
 
 
-def test_propagation_rows_match_serial_loop_nonlinear(conj_fields, e1):
+def test_propagation_rows_match_serial_loop_nonlinear(conj_fields):
     f = conj_fields
-    _assert_same_rows(tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2), e1),
-                      _ref_tangency_propagation_check(f, np.zeros(2), e1), False)
+    _assert_same_rows(tangency_propagation_check(f["f1u"], f["f1s"], f["f2s"], np.zeros(2)),
+                      _ref_tangency_propagation_check(f, np.zeros(2)), False)
 
 
 # --- errors of stacked calls name their lattice vectors and kinds ---------
 
-def test_stacked_tangency_names_local_graphs(linear_fields, e1):
+def test_stacked_tangency_names_local_graphs(linear_fields):
     f = linear_fields
     # a target field owned by g1 has g1's stable leaves, those of the frame
     with pytest.raises(TangencySuspected,
                        match=r"\[local graph at z; local graph k=\(-1, -1\); .*"
                              r"local graph k=\(1, 1\)\]$"):
-        tangency_propagation_check(f["f1u"], f["f1s"], f["f1u"], np.zeros(2), e1)
+        tangency_propagation_check(f["f1u"], f["f1s"], f["f1u"], np.zeros(2))

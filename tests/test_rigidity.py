@@ -92,7 +92,7 @@ def h_profiles(e1):
     actions = []
     for amp in (0.02, 0.15):
         phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (amp, 0.0), None)]))
-        h = solve_conjugacy(e1, ConjugatedMap(phi, e1), n=256)
+        h = solve_conjugacy(ConjugatedMap(phi, e1), n=256)
         actions += [rigidity._prop1_along(h, v, 0.35, 2e-3) for v in (e1.vu, e1.vs)]
     return actions
 
@@ -158,33 +158,33 @@ def test_factor_singular_for_dependent_directions(e1):
 
 def test_factor_numeric_matches_linear(e1, e2, linear_g1, linear_g2):
     lin = factor_translation_linear(e1, e2, 1.0)
-    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 1.0)
+    num = factor_translation_numeric(linear_g1, linear_g2, 1.0)
     assert num.numeric_deviation < 1e-8
     assert num.translation_t == pytest.approx(lin.translation_t, abs=1e-10)
 
 
-def test_factor_numeric_zero_slide(e1, e2, linear_g1, linear_g2):
-    num = factor_translation_numeric(linear_g1, linear_g2, e1, e2, 0.0)
+def test_factor_numeric_zero_slide(linear_g1, linear_g2):
+    num = factor_translation_numeric(linear_g1, linear_g2, 0.0)
     assert num.numeric_deviation < 1e-10
 
 
 def test_translation_action_from_identity_conjugacy(e1, linear_g1):
-    h = solve_conjugacy(e1, linear_g1, n=64)
+    h = solve_conjugacy(linear_g1, n=64)
     S = translation_action_from_conjugacy(h, np.zeros(2), e1.vu, 0.3)
     y = np.linspace(-0.1, 0.1, 9)
     assert np.max(np.abs(S(0.05, y) - (y + 0.05))) < 1e-10
 
 
 def test_translation_action_flow_from_smooth_conjugacy(e1, conj_g1):
-    h = solve_conjugacy(e1, conj_g1, n=256)
+    h = solve_conjugacy(conj_g1, n=256)
     S = translation_action_from_conjugacy(h, np.zeros(2), e1.vu, 0.3)
     y = np.linspace(-0.1, 0.1, 9)
     assert np.max(np.abs(S(0.0, y) - y)) < 1e-12
     assert np.max(np.abs(S(0.04 + 0.06, y) - S(0.04, S(0.06, y)))) < 1e-8
 
 
-def test_teichmuller_obstructed_for_single_generator(e1, perturbed_contrast):
-    verdict = teichmuller_experiment(e1, perturbed_contrast)
+def test_teichmuller_obstructed_for_single_generator(perturbed_contrast):
+    verdict = teichmuller_experiment(perturbed_contrast)
     assert verdict.verdict == "obstructed"
     assert verdict.diagnostics["periodic_max_mismatch"] > 1e-4
 
@@ -219,14 +219,14 @@ STAGES = {
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_teichmuller_failed_stage_leaves_the_others(monkeypatch, e1, e2, linear_g1, linear_g2,
+def test_teichmuller_failed_stage_leaves_the_others(monkeypatch, linear_g1, linear_g2,
                                                     stage):
     callee, _, needs_it = STAGES[stage]
     if callee is None:
         monkeypatch.setattr(Conjugacy, "secant_jacobian", _fail)
     else:
         monkeypatch.setattr(rigidity, callee, _fail)
-    verdict = teichmuller_experiment(e1, linear_g1, e2, linear_g2, grid_n=64, field_n=32)
+    verdict = teichmuller_experiment(linear_g1, linear_g2, grid_n=64, field_n=32)
     assert verdict.errors == [f"{stage}: Planted: planted"]
     assert verdict.verdict == "inconclusive"
     reported = {name for name, (_, key, _) in STAGES.items() if key in verdict.diagnostics}
@@ -239,7 +239,7 @@ def test_teichmuller_smooth_with_every_periodic_orbit_of_strong_phi(e1, e2):
     hold every orbit, as many per period as the linear action has, and do
     not obstruct, and the run ends smooth."""
     phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (0.15, 0.0), None)]))
-    verdict = teichmuller_experiment(e1, ConjugatedMap(phi, e1), e2, ConjugatedMap(phi, e2),
+    verdict = teichmuller_experiment(ConjugatedMap(phi, e1), ConjugatedMap(phi, e2),
                                      phi=phi, max_period=7)
     assert (verdict.verdict, verdict.errors) == ("smooth", [])
     periods = [row["period"] for row in verdict.diagnostics["periodic_rows"]]
@@ -252,7 +252,7 @@ def test_teichmuller_lemma3_on_strong_phi(e1, e2, a):
     """phi = id + (a sin 2 pi x2, 0): the local graphs sit at the u asked
     for, so no chart overflows, and every stage passes."""
     phi = Diffeo(FourierPerturbation.from_sin_cos([((0, 1), (a, 0.0), None)]))
-    verdict = teichmuller_experiment(e1, ConjugatedMap(phi, e1), e2, ConjugatedMap(phi, e2),
+    verdict = teichmuller_experiment(ConjugatedMap(phi, e1), ConjugatedMap(phi, e2),
                                      phi=phi)
     assert verdict.errors == []
     assert verdict.verdict == "smooth"

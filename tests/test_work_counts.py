@@ -17,13 +17,18 @@ one ``PerturbedMap.orbit`` call per period at the orbit heads.
 A line field reads two orbits of its map handle, of lengths 12 and 16, and
 the number of trig evaluations of the Fourier terms (``trig`` calls) that
 they take is pinned for each kind of handle.
+
+Each map handle carries the eigen-frame of its linear part, so a
+``teichmuller`` run forms a frame (``lattice.eigen_data``) only for each
+generator and each inverse handle.
 """
 
 import json
+import sys
 
 import pytest
 
-from anosov_lab import foliations, maps, rigidity
+from anosov_lab import foliations, lattice, maps, rigidity
 from anosov_lab.cli import main
 from anosov_lab.conjugacy import compare_smooth_invariants
 from anosov_lab.fourier import FourierPerturbation
@@ -125,7 +130,7 @@ def test_line_field_trig_evaluations(request, monkeypatch, name, calls):
     assert count[0] == calls
 
 
-def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
+def test_periodic_finder_work_at_max_period_7(monkeypatch, perturbed_g1):
     evaluations, heads = [0], []
     displacement, orbit = maps.PerturbedMap.displacement, maps.PerturbedMap.orbit
 
@@ -142,7 +147,7 @@ def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
     # on the class, so that the shared fixture handle keeps no attribute of its own
     monkeypatch.setattr(maps.PerturbedMap, "displacement", counting_displacement)
     monkeypatch.setattr(maps.PerturbedMap, "orbit", counting_orbit)
-    report = compare_smooth_invariants(perturbed_g1, e1, 7)
+    report = compare_smooth_invariants(perturbed_g1, 7)
     monkeypatch.undo()
     assert not {"displacement", "orbit"} & set(vars(perturbed_g1))
     # per period, the evaluations of p on the 1, 5, 16, 45, 121, 320 and
@@ -150,3 +155,22 @@ def test_periodic_finder_work_at_max_period_7(monkeypatch, e1, perturbed_g1):
     # one orbit of the orbit heads
     assert heads == [(1, 1), (6, 3), (7, 6), (7, 13), (8, 25), (8, 58), (8, 121)]
     assert len(report.rows) == sum(n for _, n in heads) == 227
+
+
+@pytest.mark.parametrize("args", [[], PHI_02], ids=["linear", "phi-0.02"])
+def test_teichmuller_run_forms_at_most_four_eigen_frames(tmp_path, monkeypatch, args):
+    # the two generators' frames in the config and those of their two
+    # inverse handles, each built once
+    calls = [0]
+    eigen_data = lattice.eigen_data
+
+    def counting(m):
+        calls[0] += 1
+        return eigen_data(m)
+
+    monkeypatch.delenv("ANOSOV_LAB_OUT", raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "anosov_lab" and getattr(module, "eigen_data", None) is eigen_data:
+            monkeypatch.setattr(module, "eigen_data", counting)
+    assert main(["teichmuller", *args, "--out", str(tmp_path)]) == 0
+    assert calls[0] <= 4
