@@ -32,6 +32,7 @@ from .errors import AnosovLabError, ConfigError, IoError
 from .foliations import integrate_leaf, min_transversality_angle
 from .lattice import check_pair_hypothesis
 from .rigidity import (
+    ALL_FIELDS,
     FACTORIZATION,
     LINE_FIELDS,
     PERIODIC,
@@ -51,7 +52,6 @@ EXIT_USAGE = 1
 # the writer may set a verdict other than "complete"; the verdict alone
 # sets the exit code
 EXIT_CODES = {"complete": 0, "smooth": 0, "obstructed": 2, "inconclusive": 3}
-ALL_FIELDS = ("f1u", "f1s", "f2u", "f2s")
 PAIR_FIELDS = ("f1u", "f1s", "f2s")
 
 
@@ -68,7 +68,8 @@ def _add_propagation_table(report: reports.RunReport, rows) -> None:
 # that its stage failed to make.
 
 def _write_eigen(ctx: RunContext, report: reports.RunReport) -> None:
-    report.diagnostics.update(check_pair_hypothesis(*ctx.cfg.generators[:2]).to_dict())
+    pair = check_pair_hypothesis(*(g.element for g in ctx.handles[:2]))
+    report.diagnostics.update(pair.to_dict())
 
 
 def _write_conjugacy(ctx: RunContext, report: reports.RunReport) -> None:
@@ -77,7 +78,7 @@ def _write_conjugacy(ctx: RunContext, report: reports.RunReport) -> None:
         return
     report.diagnostics.update({
         "N": ctx.cfg.grid_n,
-        "matrix": ctx.cfg.generators[0].matrix.rows(),
+        "matrix": ctx.handles[0].element.matrix.rows(),
         "sup_norm": h.sup_norm,
         "residual": h.residual,
     })
@@ -142,7 +143,7 @@ def _write_prop1(ctx: RunContext, report: reports.RunReport) -> None:
 
 
 def _write_factorize(ctx: RunContext, report: reports.RunReport) -> None:
-    lin = factor_translation_linear(*ctx.cfg.generators[:2], ctx.cfg.slide_s)
+    lin = factor_translation_linear(*(g.element for g in ctx.handles[:2]), ctx.cfg.slide_s)
     report.diagnostics["linear"] = {
         "s": lin.slide_s, "r": lin.slide_r, "t": lin.translation_t,
     }
@@ -219,7 +220,7 @@ def _run(command: Command, cfg: ExperimentConfig, report: reports.RunReport) -> 
     context, with h and the line fields, is dropped on return."""
     handles = cfg.build_handles()
     # a field of a generator that is not there is not computed
-    ctx = RunContext(cfg, handles, cfg.build_phi() if cfg.kind == "conjugated" else None,
+    ctx = RunContext(cfg, handles,
                      tuple(key for key in command.fields if int(key[1]) <= len(handles)))
     stages = command.stages(ctx) if callable(command.stages) else command.stages
     run_stages(ctx, stages)

@@ -117,11 +117,6 @@ class ExperimentConfig:
     span: float
     prop1_profile_amp: float
 
-    def build_phi(self) -> Diffeo | None:
-        if self.diffeo_q.is_zero:
-            return None
-        return Diffeo(self.diffeo_q)
-
     def build_handles(self):
         """Map handles for the generators per the configured action kind."""
         if self.kind == "perturbed":

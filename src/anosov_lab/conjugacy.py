@@ -232,10 +232,9 @@ def _geometric_sum(f: np.ndarray, c: float, s: int, segments, tmp: np.ndarray) -
 class Conjugacy:
     """h = id + u conjugating A to g, u on the N x N grid and bicubic off it."""
 
-    def __init__(self, grid_size: int, values: np.ndarray, target, residual: float):
+    def __init__(self, grid_size: int, values: np.ndarray, residual: float):
         self.grid_size = grid_size
         self.values = values  # u, (N*N, 2) flat, row-major in (i, j)
-        self.target = target  # the map handle g, whose element is A
         self.residual = residual  # sup |u o A - A u - p(h)| over every grid node, at the stop
         self._interp = None
 
@@ -463,12 +462,12 @@ def solve_conjugacy(g, n: int = 256, u0: np.ndarray | None = None) -> Conjugacy:
     res = float(np.max([_residual(u[rows], u[rows] if perm is None else u.take(perm[rows], axis=0),
                                   buf[rows], a) for rows in blocks]))
     if res < RESIDUAL_STOP:
-        return Conjugacy(n, u, g, res)
+        return Conjugacy(n, u, res)
     del u, perm
     layout = _OrbitLayout(*_orbit_order(m, n))
     xi, eta, res = _iterate(layout, g, buf, n, RESIDUAL_STOP, res=res)
     # p is spent, and u takes its buffer
-    return Conjugacy(n, _scatter_u(layout, xi, eta, g.element, buf), g, res)
+    return Conjugacy(n, _scatter_u(layout, xi, eta, g.element, buf), res)
 
 
 def coarse_start(g, n: int) -> np.ndarray | None:

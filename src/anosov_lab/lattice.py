@@ -87,14 +87,15 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.negative(v, out=v, where=flip[..., None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicElement:
     """A hyperbolic SL(2,Z) matrix with its eigenvalue magnitudes, unit
     eigen-directions and their dual rows.
 
-    ``w_u`` and ``w_s`` are biorthogonal to ``v_u`` and ``v_s``
-    (w_i . v_j = delta_ij): w_u . x and w_s . x are the coordinates of x in
-    A's eigen-frame, the one way every eigen-coordinate is read.
+    ``wu`` and ``ws`` are biorthogonal to ``vu`` and ``vs``
+    (w_i . v_j = delta_ij): wu . x and ws . x are the coordinates of x in
+    A's eigen-frame, the one way every eigen-coordinate is read.  The four
+    are read-only (2,) arrays, formed once by ``eigen_data``.
 
     ``lambda_u`` and ``lambda_s`` are the magnitudes of the expanding and
     contracting eigenvalues; the signed eigenvalues are
@@ -105,27 +106,11 @@ class HyperbolicElement:
     matrix: IntMatrix2
     lambda_u: float
     lambda_s: float
-    v_u: tuple
-    v_s: tuple
-    w_u: tuple
-    w_s: tuple
+    vu: np.ndarray
+    vs: np.ndarray
+    wu: np.ndarray
+    ws: np.ndarray
     eigen_sign: int
-
-    @property
-    def vu(self) -> np.ndarray:
-        return np.array(self.v_u)
-
-    @property
-    def vs(self) -> np.ndarray:
-        return np.array(self.v_s)
-
-    @property
-    def wu(self) -> np.ndarray:
-        return np.array(self.w_u)
-
-    @property
-    def ws(self) -> np.ndarray:
-        return np.array(self.w_s)
 
     @property
     def signed_lambda_u(self) -> float:
@@ -142,7 +127,7 @@ def eigen_data(m: IntMatrix2) -> HyperbolicElement:
     Eigenvalues are (t +- sqrt(t^2 - 4))/2 with t the trace; eigenvectors
     come from the kernel of (M - lambda I), choosing whichever row gives
     the better-conditioned cross product.  The dual rows are the rows of
-    the inverse of the matrix with columns (v_u, v_s).
+    the inverse of the matrix with columns (vu, vs).
     """
     if not is_hyperbolic(m):
         raise NotHyperbolic(f"|trace| = {abs(m.trace)} <= 2 for {m.rows()}")
@@ -152,17 +137,19 @@ def eigen_data(m: IntMatrix2) -> HyperbolicElement:
     lam_small = 1.0 / lam_big  # det = 1
     sign = 1 if t > 0 else -1
 
-    v_u, v_s = (canonical_sign(v / np.linalg.norm(v))
-                for v in (_kernel_vector(m, lam_big), _kernel_vector(m, lam_small)))
-    w_u, w_s = np.linalg.inv(np.column_stack([v_u, v_s]))
+    vu, vs = (canonical_sign(v / np.linalg.norm(v))
+              for v in (_kernel_vector(m, lam_big), _kernel_vector(m, lam_small)))
+    wu, ws = np.linalg.inv(np.column_stack([vu, vs]))
+    for v in (vu, vs, wu, ws):
+        v.flags.writeable = False
     return HyperbolicElement(
         matrix=m,
         lambda_u=abs(lam_big),
         lambda_s=abs(lam_small),
-        v_u=tuple(v_u),
-        v_s=tuple(v_s),
-        w_u=tuple(w_u),
-        w_s=tuple(w_s),
+        vu=vu,
+        vs=vs,
+        wu=wu,
+        ws=ws,
         eigen_sign=sign,
     )
 
@@ -195,8 +182,8 @@ class PairHypothesisCertificate:
                 [e2.signed_lambda_u, e2.signed_lambda_s],
             ],
             "eigenvectors": [
-                {"v_u": list(e1.v_u), "v_s": list(e1.v_s)},
-                {"v_u": list(e2.v_u), "v_s": list(e2.v_s)},
+                {"v_u": e1.vu.tolist(), "v_s": e1.vs.tolist()},
+                {"v_u": e2.vu.tolist(), "v_s": e2.vs.tolist()},
             ],
             "min_pairwise_sine": self.min_pairwise_sine,
             "hypothesis_ok": self.hypothesis_ok,

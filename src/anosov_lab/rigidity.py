@@ -59,6 +59,7 @@ HOLONOMY_SAMPLES = 49  # samples of each Lemma 3 holonomy
 TRANSVERSAL_REACH = 1.5  # arc length either side of 0 that a slide may land within
 LANDING_MARGIN = 0.25  # arc length of the transversal sampled past the predicted landings
 SLIDE_SPACING = 4e-3  # the sigma spacing of the arc samples of each slid leaf
+ALL_FIELDS = ("f1u", "f1s", "f2u", "f2s")  # the unstable and stable line fields of g1 and g2
 
 
 class TranslationAction:
@@ -428,10 +429,9 @@ class RunContext:
     products by name, ``errors`` their failures, ``timings`` their wall
     times."""
 
-    cfg: ExperimentConfig  # the generators, the action kind and the settings
-    handles: list          # the map of each generator
-    phi: object = None     # the known smooth conjugacy, if any
-    field_keys: tuple = ("f1u", "f1s", "f2u", "f2s")  # what the line_fields stage computes
+    cfg: ExperimentConfig  # the action kind and the settings
+    handles: list          # the map of each generator, which holds its element
+    field_keys: tuple = ALL_FIELDS  # what the line_fields stage computes
     made: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -457,7 +457,7 @@ def _compare_smooth_invariants(ctx: RunContext) -> None:
 
 
 def _estimate_holder_exponent(ctx: RunContext) -> None:
-    ctx.made["holder"] = estimate_holder_exponent(ctx.made["h"], ctx.cfg.generators[0].vu,
+    ctx.made["holder"] = estimate_holder_exponent(ctx.made["h"], ctx.handles[0].element.vu,
                                                   scales=np.geomspace(1e-4, 1e-2, 7),
                                                   seed=ctx.cfg.seed)
 
@@ -475,7 +475,7 @@ def _tangency_propagation(ctx: RunContext) -> None:
 def _prop1(ctx: RunContext) -> None:
     """Both eigen-directions at quadrature spacing 2e-3, and the regularity
     of the unstable action."""
-    h, e1 = ctx.made["h"], ctx.cfg.generators[0]
+    h, e1 = ctx.made["h"], ctx.handles[0].element
     S_u, lin_u = _prop1_along(h, e1.vu, ctx.cfg.span, 2e-3)
     _, lin_s = _prop1_along(h, e1.vs, ctx.cfg.span, 2e-3)
     reg_sup = verify_action_regularity(
@@ -490,14 +490,15 @@ def _prop1(ctx: RunContext) -> None:
 
 
 def _jacobian(ctx: RunContext) -> None:
-    """Refinement stability of the secant Jacobian of h and, with ``phi``,
-    its distance from D phi, on 25 random points."""
+    """Refinement stability of the secant Jacobian of h and, when g1 holds
+    a phi (phi = id too), its distance from D phi, on 25 random points."""
     h, pts = ctx.made["h"], np.random.default_rng(ctx.cfg.seed).random((25, 2))
+    phi = getattr(ctx.handles[0], "phi", None)
     coarse = h.secant_jacobian(pts, delta=1e-4)
     fine = h.secant_jacobian(pts, delta=5e-5)
     jac = {"jacobian_refinement_sup": float(np.max(np.abs(fine - coarse)))}
-    if ctx.phi is not None:
-        jac["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - ctx.phi.derivative(pts))))
+    if phi is not None:
+        jac["jacobian_vs_dphi_sup"] = float(np.max(np.abs(fine - phi.derivative(pts))))
     ctx.made["jacobian"] = jac
 
 
@@ -515,7 +516,7 @@ def _verdict(ctx: RunContext) -> None:
 
 def _prop1_along_h(ctx: RunContext) -> None:
     """The unstable direction at quadrature spacing 1e-3."""
-    _, ctx.made["linearization"] = _prop1_along(ctx.made["h"], ctx.cfg.generators[0].vu,
+    _, ctx.made["linearization"] = _prop1_along(ctx.made["h"], ctx.handles[0].element.vu,
                                                 ctx.cfg.span, 1e-3)
 
 
@@ -589,7 +590,7 @@ def teichmuller_stages(ctx: RunContext):
 def _pair_stages(ctx: RunContext):
     """The stages of the teichmuller pass after periodic data that need
     the generator pair."""
-    if len(ctx.cfg.generators) < 2 or len(ctx.handles) < 2 or ctx.cfg.kind == "perturbed":
+    if len(ctx.handles) < 2 or ctx.cfg.kind == "perturbed":
         # the pair checks assume that one h conjugates both maps; h is solved
         # from g1 alone, and nothing yet tests it against g2 = A2 + p
         why = ("the second map of a perturbed pair is not used, since h is solved from the "
@@ -598,7 +599,7 @@ def _pair_stages(ctx: RunContext):
         ctx.errors.append(f"pair: {why}, so the line fields, Lemma 3 and Proposition 1 "
                           "were not run")
         return
-    pair = ctx.made["pair"] = check_pair_hypothesis(*ctx.cfg.generators[:2])
+    pair = ctx.made["pair"] = check_pair_hypothesis(*(g.element for g in ctx.handles[:2]))
     if pair.hypothesis_ok:
         yield from (LINE_FIELDS, PROPAGATION)
     else:
@@ -668,7 +669,7 @@ def teichmuller_verdict(ctx: RunContext) -> TeichmullerVerdict:
                               errors)
 
 
-def teichmuller_experiment(g1, g2=None, phi=None, **settings) -> TeichmullerVerdict:
+def teichmuller_experiment(g1, g2=None, **settings) -> TeichmullerVerdict:
     """Run every numerically checkable consequence of the triviality
     argument on the marked action generated by (g1, g2) as the teichmuller
     pass: ``solve_conjugacy`` (h for g1), ``compare_smooth_invariants``
@@ -678,10 +679,8 @@ def teichmuller_experiment(g1, g2=None, phi=None, **settings) -> TeichmullerVerd
     eigen-directions) and ``jacobian`` (the secant Jacobian of h); see
     ``teichmuller_stages`` for which of them run, ``run_stages`` for how a
     failure is reported and ``teichmuller_verdict`` for the verdict.
-    The generators are the handles' elements, and ``settings`` are
-    ExperimentConfig fields, by default those of the default config."""
-    handles = [g for g in (g1, g2) if g is not None]
-    cfg = replace(load_config(), generators=[g.element for g in handles], **settings)
-    ctx = RunContext(cfg, handles, phi)
+    The action is read off the handles alone (D phi off g1), and
+    ``settings`` are ExperimentConfig fields set over the default config."""
+    ctx = RunContext(replace(load_config(), **settings), [g for g in (g1, g2) if g is not None])
     run_stages(ctx, teichmuller_stages(ctx))
     return teichmuller_verdict(ctx)

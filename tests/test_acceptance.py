@@ -148,7 +148,7 @@ def test_criterion_7_teichmuller_end_to_end(e1, e2):
     ok = True
     for dq in (0.0, 0.01, 0.02, 0.05):
         phi = _phi(dq)
-        verdict = teichmuller_experiment(ConjugatedMap(phi, e1), ConjugatedMap(phi, e2), phi=phi)
+        verdict = teichmuller_experiment(ConjugatedMap(phi, e1), ConjugatedMap(phi, e2))
         jac_match = verdict.diagnostics.get("jacobian_vs_dphi_sup", float("inf"))
         run_ok = verdict.verdict == "smooth" and jac_match < 1e-3
         ok = ok and run_ok

@@ -202,11 +202,14 @@ def test_subcommand_writes_its_bundle(tmp_path, command):
         assert len(lines) > 1
 
 
-def test_build_phi_only_for_a_nonzero_diffeo(tmp_path):
-    assert load_config(out_dir=str(tmp_path)).build_phi() is None
-    cfg = load_config(overrides=['action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]'],
+def test_handles_hold_the_configured_phi(tmp_path):
+    # a run reads phi off its handles: id on the default config, and the
+    # configured q itself on the conjugated one
+    assert all(g.phi.q.is_zero for g in load_config(out_dir=str(tmp_path)).build_handles())
+    cfg = load_config(overrides=["action.kind=conjugated",
+                                 'action.diffeo=[{"k":[0,1],"sin":[0.02,0]}]'],
                       out_dir=str(tmp_path))
-    assert cfg.build_phi().q is cfg.diffeo_q
+    assert all(g.phi.q is cfg.diffeo_q for g in cfg.build_handles())
 
 
 def test_linear_action_handles_are_conjugated_maps_with_identity_phi(tmp_path):

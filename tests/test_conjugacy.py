@@ -60,7 +60,7 @@ def test_zero_perturbation_gives_identity(linear_g1):
 ], ids=["zeros", "negative-zeros", "signed-zeros", "tie", "mixed", "tiny", "inf", "minus-inf",
         "nan", "nan-and-infs", "normal"])
 def test_sup_norm_has_the_bits_of_the_max_abs(values):
-    got = Conjugacy(8, values, None, 0.0).sup_norm
+    got = Conjugacy(8, values, 0.0).sup_norm
     want = float(np.max(np.abs(values)))
     assert type(got) is float
     assert np.array_equal(np.array([got]), np.array([want]), equal_nan=True)
@@ -75,16 +75,16 @@ def test_solved_conjugacy_matches_phi(h_conj, phi02):
     assert np.max(np.abs(h_conj.lift(grid) - expected)) < 1e-6
 
 
-def test_conjugacy_residual(h_conj):
+def test_conjugacy_residual(h_conj, conj_g1):
     # the solve's own residual over every node, and the bicubic's off the
     # nodes: measured 5.0e-10 at N = 256
     assert h_conj.residual < 1e-9
-    assert _ref_residual_on_grid(h_conj, 96) < 1e-9
+    assert _ref_residual_on_grid(h_conj, conj_g1, 96) < 1e-9
 
 
 def test_finer_grid_smaller_residual(conj_g1):
-    coarse = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=64), 32)
-    fine = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=512), 32)
+    coarse = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=64), conj_g1, 32)
+    fine = _ref_residual_on_grid(solve_conjugacy(conj_g1, n=512), conj_g1, 32)
     assert fine <= coarse
 
 
@@ -122,12 +122,13 @@ def _ref_solve(g, n):
     raise AssertionError("reference solve did not converge")
 
 
-def _ref_residual_on_grid(h, n):
+def _ref_residual_on_grid(h, g, n):
+    """The residual of h, solved for the map g, on the n x n grid."""
     pts = grid_points(n)
-    a = h.target.element.matrix.as_array()
+    a = g.element.matrix.as_array()
     hx = pts + h.displacement(pts)
     lhs = pts @ a.T + h.displacement(pts @ a.T)
-    d = np.abs(lhs - (hx @ a.T + h.target.displacement(hx)))
+    d = np.abs(lhs - (hx @ a.T + g.displacement(hx)))
     return float(np.minimum(d % 1.0, 1.0 - d % 1.0).max())
 
 
@@ -513,7 +514,7 @@ def test_coarse_start_is_exact_on_a_trigonometric_polynomial(conj_g1, n, monkeyp
     ])
     values = q.evaluate(grid_points(COARSE_N))
     monkeypatch.setattr(conjugacy, "solve_conjugacy",
-                        lambda g, n: conjugacy.Conjugacy(COARSE_N, values, g, 0.0))
+                        lambda g, n: conjugacy.Conjugacy(COARSE_N, values, 0.0))
     u0 = coarse_start(conj_g1, n)
     assert np.max(np.abs(u0 - q.evaluate(grid_points(n)))) < 1e-14
 

@@ -86,6 +86,17 @@ def test_dual_basis_identity():
     assert abs(float(np.dot(w_u, e.vs))) < 1e-12
 
 
+def test_frame_is_held_once_as_read_only_arrays(perturbed_g1, conj_g1):
+    """eigen_data's frame and those of the inverse handles' elements: each
+    of vu, vs, wu and ws is one read-only array, the same on every read."""
+    for e in (eigen_data(G1), perturbed_g1.inverse().element, conj_g1.inverse().element):
+        assert e.vu is e.vu
+        for v in (e.vu, e.vs, e.wu, e.ws):
+            assert v.shape == (2,) and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+
 # the generators U = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]] of SL(2,Z)
 # and their inverses
 LETTERS = (IntMatrix2(1, 1, 0, 1), IntMatrix2(1, 0, 1, 1), IntMatrix2(1, -1, 0, 1),
