@@ -56,16 +56,19 @@ PERIODIC_STOP = 1e-14
 COARSE_N = 64  # the grid of coarse_start's solve: the smallest grid_n the config accepts
 SMOOTH_BAND = 16  # coarse_start reads the modes with max(|k1|, |k2|) >= SMOOTH_BAND
 WALKED_N = 32  # _OrbitLayout walks grids up to this N, where a lift costs more than a walk
+EPS = np.finfo(float).eps  # _geometric_sum stops once |c| is below it
 
 
 def _index_permutation(m: IntMatrix2, n: int) -> np.ndarray:
-    """Flat index permutation of the N x N grid under x -> m x mod 1."""
-    idx = np.arange(n)
+    """Flat index permutation of the N x N grid under x -> m x mod 1, in
+    int32: every accepted grid has N^2 <= 2^20 points."""
+    idx = np.arange(n, dtype=np.int32)
 
     def coordinate(x, y):
         # (x i + y j) mod N as (x i mod N) + (y j mod N), less N where that
-        # reaches N: two remainders of length N, none over the grid
-        t = np.add.outer(x * idx % n, y * idx % n)
+        # reaches N: two remainders of length N, none over the grid; x and y
+        # are reduced mod N first, so no product reaches N^2
+        t = np.add.outer(x % n * idx % n, y % n * idx % n)
         return np.subtract(t, n, out=t, where=t >= n)
     ti = coordinate(m.a, m.b)
     ti *= n
@@ -110,7 +113,8 @@ def _lifted_rows(half_order: np.ndarray, half_blocks: list, fwd: np.ndarray, n: 
     point is walked once.
     """
     h = n // 2
-    lifts = np.array([0, h, h * n, h * n + h])[:, None]  # r + (N/2) e for e = 2 e1 + e2
+    # r + (N/2) e for e = 2 e1 + e2, in the dtype of fwd
+    lifts = np.array([0, h, h * n, h * n + h], dtype=fwd.dtype)[:, None]
     rows = {}
     for start, stop, length in half_blocks:
         i, j = np.divmod(half_order[start:stop:length], h)
@@ -173,7 +177,10 @@ class _OrbitLayout:
     with a power of A is two slice copies per block.  For odd N and
     N <= WALKED_N the grid's cycles are walked from their smallest indices;
     for even N above it they are lifted from the layout of the N/2 grid,
-    which walks each grid point once.
+    which walks each grid point once.  A grid's order is int32, as the
+    index permutation it is built from: 4 B per grid point kept, and a
+    build that peaks at 12 B per grid point at N = 1024 (8 and 24 B in
+    int64).  The seeds' order keeps the int64 of their flat indices.
 
     The solve streams the layout in chunks: runs of whole rows of at least
     ROW_BLOCK points, small blocks merged into one chunk, and the rest of
@@ -221,7 +228,7 @@ def _geometric_sum(f: np.ndarray, c: float, s: int, segments, tmp: np.ndarray) -
     f += c f o A^s, s <- 2 s, c <- c^2 runs until |c| is below machine
     epsilon, when the remaining terms no longer change f.
     """
-    while abs(c) >= np.finfo(float).eps:
+    while abs(c) >= EPS:
         _shift(f, s, tmp, segments)
         tmp *= c
         f += tmp
@@ -416,17 +423,23 @@ def solve_conjugacy(g, n: int = 256, u0: np.ndarray | None = None) -> Conjugacy:
     u0 in grid order, so an action that needs no iteration builds no
     layout: it evaluates p into the buffer of the points h, and reads u o A
     a row block at a time, u itself for the zero start and a gather of u0
-    otherwise.  Raises SolverDiverged when the residual stops decreasing
-    for DIVERGENCE_PATIENCE consecutive iterations or the displacement
-    leaves the admissible ball.
+    otherwise.  A C-ordered float u0 is read in place, not copied, and is
+    the values of the Conjugacy returned when that check passes.  Raises
+    SolverDiverged when the residual stops decreasing for
+    DIVERGENCE_PATIENCE consecutive iterations or the displacement leaves
+    the admissible ball.
 
     The ``solve_conjugacy`` stage passes ``coarse_start``'s u0: the
     COARSE_N solution's spectrum zero-padded onto the N grid when its high
     band is below the stop (a smooth h), and None, a cold start, for a
     linear action, a Hölder h or a coarse SolverDiverged.  From the
     spectral start the first check usually passes, so the N solve
-    evaluates p once.  The stop is the same from either start, so the
-    start sets the work, not the tolerance of h.
+    evaluates p once, and its peak is that evaluation's phi^-1 Newton over
+    the whole grid (``maps._newton_inverse``, 96 B per grid point) beside
+    the point buffer (16 B): traced 112 B per grid point at N = 256, 184
+    when u0 was copied and Newton kept its spent temporaries.  The stop is
+    the same from either start, so the start sets the work, not the
+    tolerance of h.
 
     Once the first check fails, the iteration (``_iterate``) keeps xi and
     eta in orbit order as its state, and u = xi v_s + eta v_u is formed
@@ -438,20 +451,22 @@ def solve_conjugacy(g, n: int = 256, u0: np.ndarray | None = None) -> Conjugacy:
     grid in one call into that buffer, over the points it holds, the
     residual pass takes u o A as a shift within each row.  p has no array
     of its own, so an iteration holds xi, eta, the point buffer and the
-    layout, 40 B per grid point (traced peaks 41 and 43 B at N = 1024 and
-    512).  The point buffer is the first check's, holding its p in grid
-    order through the layout build; the first sum pass gathers that p by
-    the layout's order a chunk at a time, and at the stop u is scattered
-    over the last p chunk by chunk.  Every value has the bits of the same
-    sums over whole-grid arrays.
+    layout's int32 order, 36 B per grid point (traced peaks 37 and 39 B at
+    N = 1024 and 512; 41 and 43 B with an int64 order).  The point buffer
+    is the first check's, holding its p in grid order through the layout
+    build; the first sum pass gathers that p by the layout's order a chunk
+    at a time, and at the stop u is scattered over the last p chunk by
+    chunk.  Every value has the bits of the same sums over whole-grid
+    arrays.
     """
     m = g.element.matrix
     a = m.as_array()
     if u0 is None:
         u = np.zeros((n * n, 2))
     else:
-        # a C-ordered copy, returned as the values when the first check passes
-        u = np.array(u0, dtype=float, order="C").reshape(n * n, 2)
+        # u0 itself when it is C-ordered floats, as coarse_start's is,
+        # returned as the values when the first check passes
+        u = np.asarray(u0, dtype=float, order="C").reshape(n * n, 2)
     blocks = row_blocks(n * n)
     buf = np.empty((n * n, 2))
     for rows in blocks:

@@ -226,16 +226,35 @@ def _empty2x2(n: int) -> np.ndarray:
 def _inv2(j, rhs=None):
     """adj(j) / det(j) for a batch of 2x2 matrices j (n, 2, 2), or with
     ``rhs`` (n, 2) the solutions adj(j) @ rhs / det(j) of j @ v = rhs.
-    The inverses come in the layout of ``_empty2x2``."""
-    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
+    The inverses come in the layout of ``_empty2x2``.
+
+    Each entry is formed in its place in the output, an off-diagonal entry
+    of adj(j) negated there, and a solution's second product goes through
+    one (n,) scratch, which also holds a product of det: no negated copies
+    and no stacked rows.  The operations and their operand order are those
+    of (-a) / det and (a0 rhs_0 + a1 rhs_1) / det over whole arrays, so
+    every bit is theirs, signed zeros and nans included."""
+    det = j[:, 0, 0] * j[:, 1, 1]
+    t = np.multiply(j[:, 0, 1], j[:, 1, 0])
+    det -= t
+
+    def adj(r, c, out):
+        # adj(j)[r, c] = (-1)^(r + c) j[1 - c, 1 - r], negated into out
+        entry = j[:, 1 - c, 1 - r]
+        return np.negative(entry, out=out) if r != c else entry
     if rhs is None:
         out = _empty2x2(len(j))
         for r in range(2):
             for c in range(2):
-                np.divide(adj[r][c], det, out=out[:, r, c])
+                np.divide(adj(r, c, out[:, r, c]), det, out=out[:, r, c])
         return out
-    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
+    out = np.empty((len(j), 2))
+    for r in range(2):
+        acc = out[:, r]
+        np.multiply(adj(r, 0, acc), rhs[:, 0], out=acc)
+        acc += np.multiply(adj(r, 1, t), rhs[:, 1], out=t)
+        acc /= det
+    return out
 
 
 def grid_points(n: int) -> np.ndarray:

@@ -399,9 +399,10 @@ def test_solve_accepts_a_fortran_ordered_start(conj_g1):
 
 def test_solve_peak_memory_per_grid_point(perturbed_g1):
     # xi, eta, one point buffer, into which p is evaluated, and the layout's
-    # order come to 40 B per grid point, u being formed a chunk at a time
-    # (measured 43 at N = 512 and 41 at N = 1024); p in a buffer of its own
-    # took 59 and 57, and a whole-grid u and three series arrays 80
+    # int32 order come to 36 B per grid point, u being formed a chunk at a
+    # time (measured 39 at N = 512 and 37 at N = 1024); an int64 order took
+    # 43 and 41, p in a buffer of its own 59 and 57, and a whole-grid u and
+    # three series arrays 80
     n = 512
     tracemalloc.start()
     try:
@@ -409,7 +410,32 @@ def test_solve_peak_memory_per_grid_point(perturbed_g1):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * n * n
+    assert peak <= 42 * n * n
+
+
+def test_solve_from_the_coarse_start_peak_memory_per_grid_point(conj_g1):
+    # the first check passes from the spectral start: the point buffer
+    # beside the phi^-1 Newton of its one evaluation of p, 112 B per grid
+    # point, with u0 read in place; a copy of u0 and a Newton that kept its
+    # spent temporaries took 184
+    n = 256
+    u0 = coarse_start(conj_g1, n)
+    tracemalloc.start()
+    try:
+        h = solve_conjugacy(conj_g1, n=n, u0=u0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(h.values, u0)
+    assert peak <= 120 * n * n
+
+
+@pytest.mark.parametrize("n", [31, 32, 64, 1024])
+def test_grid_layout_is_int32(e1, n):
+    # N^2 <= 2^20 for every accepted grid: the walked (odd N, N <= 32) and
+    # the lifted layouts, and the permutation both are built from
+    assert _index_permutation(e1.matrix, n).dtype == np.int32
+    assert _OrbitLayout(*_orbit_order(e1.matrix, n)).order.dtype == np.int32
 
 
 def test_perturbed_solve_evaluates_p_at_most_six_times(perturbed_g1, monkeypatch):

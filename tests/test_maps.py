@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anosov_lab.errors import NotADiffeo
 from anosov_lab.foliations import compute_line_field
@@ -15,6 +19,7 @@ from anosov_lab.maps import (
     Diffeo,
     InverseMap,
     PerturbedMap,
+    _newton_inverse,
 )
 
 RNG = np.random.default_rng(11)
@@ -248,6 +253,78 @@ def test_inv2_matches_inline_formulas():
     rhs[1::3, 1] = -0.0
     _assert_same_bits(_inv2(j, rhs), _ref_solve2(j, rhs))
     _assert_same_bits(_inv2(j), _ref_inv2(j))
+
+
+def _ref_adjugate_inv2(j, rhs=None):
+    """_inv2 as whole-array expressions: the negated adjugate entries as
+    arrays of their own, and the solution's two columns stacked."""
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    adj = ((j[:, 1, 1], -j[:, 0, 1]), (-j[:, 1, 0], j[:, 0, 0]))
+    if rhs is None:
+        return np.stack([np.stack([a / det for a in row], axis=1) for row in adj], axis=1)
+    return np.stack([(a0 * rhs[:, 0] + a1 * rhs[:, 1]) / det for a0, a1 in adj], axis=1)
+
+
+# every float, with the signed zeros and values whose products overflow
+# drawn often; the fixed rows give a determinant of 0 (twice, once from
+# signed zeros), inf and inf - inf = nan from finite entries
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200]), st.floats())
+_SINGULAR_AND_OVERFLOWING = np.array([
+    [[1.0, 2.0], [3.0, 6.0]],
+    [[-0.0, 0.0], [0.0, -0.0]],
+    [[1e200, 0.0], [0.0, 1e200]],
+    [[1e200, 1e200], [1e200, 1e200]],
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (n, 2, 2), elements=_ENTRIES),
+    arrays(np.float64, (n + len(_SINGULAR_AND_OVERFLOWING), 2), elements=_ENTRIES))))
+def test_inv2_is_the_whole_array_formula_bit_for_bit(drawn):
+    j, rhs = drawn
+    j = np.concatenate([j, _SINGULAR_AND_OVERFLOWING])
+    with np.errstate(all="ignore"):
+        for got, want in ((_inv2(j), _ref_adjugate_inv2(j)),
+                          (_inv2(j, rhs), _ref_adjugate_inv2(j, rhs))):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # nans too
+
+
+def test_newton_inverse_never_stops_on_a_nan_residual():
+    # the identity lift reaches y in one step; a nan in y keeps the
+    # residual nan, which must not read as converged
+    calls = []
+
+    def linearize(z):
+        calls.append(len(z))
+        return z.copy(), lambda: np.broadcast_to(np.eye(2), (len(z), 2, 2))
+    y = np.array([[0.25, -0.5], [0.5, 0.5]])
+    z, _, _ = _newton_inverse(linearize, y, np.zeros((2, 2)))
+    assert len(calls) == 2 and np.array_equal(z, y)
+    calls.clear()
+    y[0, 0] = np.nan
+    z, _, _ = _newton_inverse(linearize, y, np.zeros((2, 2)))
+    assert len(calls) == NEWTON_MAX_ITERS + 1
+    assert np.isnan(z[0]).all() and np.array_equal(z[1], y[1])
+
+
+@pytest.mark.parametrize("name", ["phi02", "conj_g1"])
+def test_phi_inverse_peak_memory_per_point(request, name):
+    # a Newton step keeps z, the residual and the Jacobian beside _inv2's
+    # determinant, scratch and step: 96 B per point for the one-mode phi02;
+    # 152 B with lift(z), the trig values and the |res| copy alive through
+    # the step and the solve's negated adjugate copies and stacked rows
+    handle = request.getfixturevalue(name)
+    evaluate = handle.inverse_lift if name == "phi02" else handle.displacement
+    y = grid_points(256)
+    tracemalloc.start()
+    try:
+        evaluate(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * len(y)
 
 
 def test_jacobians_match_inline_inverses(perturbed, conj_g1):
