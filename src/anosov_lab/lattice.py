@@ -233,7 +233,9 @@ def _inv2(j, rhs=None):
     one (n,) scratch, which also holds a product of det: no negated copies
     and no stacked rows.  The operations and their operand order are those
     of (-a) / det and (a0 rhs_0 + a1 rhs_1) / det over whole arrays, so
-    every bit is theirs, signed zeros and nans included."""
+    every bit is theirs, signed zeros included, and the nans fall where
+    theirs do; a nan's sign IEEE 754 leaves open, and numpy's loops settle
+    it by an element's place in the batch."""
     det = j[:, 0, 0] * j[:, 1, 1]
     t = np.multiply(j[:, 0, 1], j[:, 1, 0])
     det -= t

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -277,10 +277,22 @@ _SINGULAR_AND_OVERFLOWING = np.array([
 ])
 
 
+def _same_bits_and_nans(got, want):
+    """Every bit of every non-nan entry equal, signed zeros included, and
+    the nans in the same places.  IEEE 754 leaves the sign of a nan result
+    open, and numpy's vector loop and its scalar tail settle it apart: the
+    whole-array formula on nine all-nan matrices and a zero right-hand side
+    gives the ninth solution's nans the other signs than the first eight."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
     arrays(np.float64, (n, 2, 2), elements=_ENTRIES),
     arrays(np.float64, (n + len(_SINGULAR_AND_OVERFLOWING), 2), elements=_ENTRIES))))
+@example(drawn=(np.full((9, 2, 2), np.nan), np.zeros((9 + len(_SINGULAR_AND_OVERFLOWING), 2))))
 def test_inv2_is_the_whole_array_formula_bit_for_bit(drawn):
     j, rhs = drawn
     j = np.concatenate([j, _SINGULAR_AND_OVERFLOWING])
@@ -288,7 +300,7 @@ def test_inv2_is_the_whole_array_formula_bit_for_bit(drawn):
         for got, want in ((_inv2(j), _ref_adjugate_inv2(j)),
                           (_inv2(j, rhs), _ref_adjugate_inv2(j, rhs))):
             assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # nans too
+            assert _same_bits_and_nans(got, want)
 
 
 def test_newton_inverse_never_stops_on_a_nan_residual():
